@@ -101,6 +101,9 @@ class Adversary:
 
     def __init__(self, actions: list[AttackAction], rng: SplitMix64):
         self.actions = list(actions)
+        self._scheduled: dict[tuple[int, Direction], list[AttackAction]] = {}
+        for action in self.actions:
+            self._scheduled.setdefault((action.slot, action.direction), []).append(action)
         self.rng = rng
         self.captures = CaptureLog()
         self.applied: list[tuple[int, AttackAction]] = []
@@ -109,9 +112,7 @@ class Adversary:
         for index, data in enumerate(frames):
             self.captures.add(slot, direction, index, data)
         out = list(frames)
-        for action in self.actions:
-            if action.slot != slot or action.direction != direction:
-                continue
+        for action in self._scheduled.get((slot, direction), ()):
             out = self._apply(action, slot, out)
             self.applied.append((slot, action))
         return out

@@ -17,6 +17,7 @@ import json
 import sys
 
 from .adversary import AdversaryError
+from .frames import PayloadTooLarge
 from .machine import MachineError, load_machine_file
 from .oracle import oracle_check
 from .runner import run_scenario
@@ -43,6 +44,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     except AdversaryError as exc:
         print(f"attack schedule: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except PayloadTooLarge as exc:
+        # Validation does not bound how many inputs one record carries, so a
+        # valid scenario can still build a record too big for a frame.
+        print(f"scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
     payload = report.to_json_bytes()
     if args.out:

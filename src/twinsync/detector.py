@@ -25,7 +25,7 @@ from enum import Enum
 
 from .adversary import AttackKind
 from .frames import ChannelError, ChannelErrorKind
-from .machine import ExecutionLog, TwinMachine
+from .machine import TwinMachine
 from .netsim import Direction
 from .sync import MismatchError, Reject, ReplicaState
 
@@ -203,8 +203,20 @@ class Detector:
         )
 
 
+def delivered_emission(slot: int, latency_slots: int, sync_period: int = 1) -> int | None:
+    """Newest emission slot whose record can have been delivered by the end of slot.
+
+    That is the last sync boundary at or before slot - latency, or None while
+    nothing sent can have arrived yet.
+    """
+    horizon = slot - latency_slots
+    if horizon < 0:
+        return None
+    return horizon - horizon % sync_period
+
+
 def consistency_audit(
-    log: ExecutionLog,
+    physical_keys: list[int],
     machine: TwinMachine,
     replica: ReplicaState,
     slot: int,
@@ -213,22 +225,14 @@ def consistency_audit(
 ) -> DetectionEvent | None:
     """Compare the replica against the physical history it should mirror.
 
-    The newest emission that can have been delivered by the end of `slot`
-    happened at the last sync boundary at or before slot - latency; the
-    replica must hold the key state the physical log had reached by then.
-    Returns None when consistent.
+    physical_keys[s] is the physical key state at the end of slot s, for
+    every slot up to the audited one.  The replica must hold the key state
+    of the newest emission that can have been delivered by the end of
+    `slot`, or the initial state before any can have been.  Returns None
+    when consistent.
     """
-    horizon = slot - latency_slots
-    if horizon < 0:
-        expected = machine.initial
-    else:
-        emission = (horizon // sync_period) * sync_period
-        expected = machine.initial
-        for entry in log.entries:
-            if entry.slot > emission:
-                break
-            if entry.is_key_crossing:
-                expected = entry.to_state
+    emission = delivered_emission(slot, latency_slots, sync_period)
+    expected = machine.initial if emission is None else physical_keys[emission]
     if replica.last_synced_key == expected:
         return None
     return DetectionEvent(

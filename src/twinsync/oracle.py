@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
+from .detector import delivered_emission
 from .machine import TwinMachine, validate_machine
 from .runner import run_scenario
 from .scenario import ChannelConfig, ScenarioSpec
@@ -83,12 +84,8 @@ def expected_traces(
         phys_key.append(key)
     replica = []
     for slot in range(total_slots):
-        horizon = slot - latency_slots
-        if horizon < 0:
-            replica.append(machine.initial)
-        else:
-            emission = (horizon // sync_period) * sync_period
-            replica.append(phys_key[emission])
+        emission = delivered_emission(slot, latency_slots, sync_period)
+        replica.append(machine.initial if emission is None else phys_key[emission])
     return phys_state, phys_key, replica
 
 

@@ -17,8 +17,8 @@ identical reports.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .adversary import Adversary
 from .detector import (
@@ -75,8 +75,96 @@ class RunReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        text = json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-        return (text + "\n").encode("utf-8")
+        return (json_text(self.to_json_dict()) + "\n").encode("utf-8")
+
+
+def json_text(value) -> str:
+    """The text of `json.dumps(value, sort_keys=True, indent=2)`, built faster.
+
+    Dict keys must be strings, as they are throughout a report.
+
+    With an indent the stdlib encoder takes its pure-Python, generator-based
+    path.  This one appends to plain lists and leaves string escaping to the
+    same C escaper.  Each element of a top-level list is joined on its own,
+    so no more than one element's small strings are alive at once.
+    """
+    parts: list[str] = []
+    _encode(value, parts, "\n")
+    return "".join(parts)
+
+
+_INFINITY = float("inf")
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _encode(value, parts: list[str], newline: str) -> None:
+    """Append the text of value to parts; newline is a line break plus value's indent.
+
+    Str and int members are written inline, as they are most of a report.
+    """
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            head = sep + _quote(key) + ": "  # raises TypeError unless key is a str
+            kind = type(item)
+            if kind is str:
+                parts.append(head + _quote(item))
+            elif kind is int:
+                parts.append(head + int.__repr__(item))
+            else:
+                parts.append(head)
+                _encode(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        top_level = len(newline) <= 3
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                parts.append(sep + _quote(item))
+            elif kind is int:
+                parts.append(sep + int.__repr__(item))
+            elif top_level:
+                own: list[str] = [sep]
+                _encode(item, own, inner)
+                parts.append("".join(own))
+            else:
+                parts.append(sep)
+                _encode(item, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, str):
+        parts.append(_quote(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_float(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def run_scenario(spec: ScenarioSpec) -> RunReport:
@@ -127,10 +215,15 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     events: list[DetectionEvent] = []
     audits: list[dict] = []
     rows: list[dict] = []
+    physical_keys: list[int] = []  # physical key state at the end of each slot
 
     for slot in range(spec.total_slots):
         sent = {d.value: [] for d in Direction}
         delivered = {d.value: [] for d in Direction}
+        # Drops and attacks are only ever logged at the current slot, so this
+        # slot's entries are whatever the logs gain from here on.
+        drops_from = {d: len(channels[d].drop_log) for d in Direction}
+        applied_from = len(adversary.applied)
 
         # Phase 1: operator inputs, then command inputs reconciled last slot.
         for sym in phys_inputs.get(slot, []):
@@ -214,8 +307,9 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
 
         # Phase 4: liveness expectations and the consistency audit.
         events.extend(detector.on_slot_boundary(slot))
+        physical_keys.append(physical.current_key())
         audit_event = consistency_audit(
-            physical.log,
+            physical_keys,
             machine,
             virtual.replica,
             slot,
@@ -232,27 +326,21 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         audits.append(audit_row)
 
         dropped = {
-            d.value: [
-                f.data.hex()
-                for f in channels[d].drop_log
-                if f.sent_at_slot == slot
-            ]
+            d.value: [f.data.hex() for f in channels[d].drop_log[drops_from[d] :]]
             for d in Direction
         }
         rows.append(
             {
                 "slot": slot,
                 "physical_state": physical.state,
-                "physical_key_state": physical.current_key(),
+                "physical_key_state": physical_keys[slot],
                 "replica_key_state": virtual.replica.last_synced_key,
                 "replica_synced_slot": virtual.replica.last_synced_slot,
                 "sent": sent,
                 "delivered": delivered,
                 "dropped": dropped,
                 "adversary_actions": [
-                    action.to_dict()
-                    for applied_slot, action in adversary.applied
-                    if applied_slot == slot
+                    action.to_dict() for _, action in adversary.applied[applied_from:]
                 ],
             }
         )
@@ -317,20 +405,24 @@ def _summarize(
     events: list[DetectionEvent],
     channels: dict[Direction, Channel],
 ) -> tuple[dict, list[dict]]:
+    # An event is in an attack's window when it is on the attacked direction
+    # within `window` slots after the attack's slot.
     window = spec.grace_slots + 1
-
-    def in_window(event: DetectionEvent, attack) -> bool:
-        return (
-            event.direction == attack.direction
-            and attack.slot <= event.slot <= attack.slot + window
-        )
+    events_at: dict[tuple[Direction, int], list[DetectionEvent]] = {}
+    for event in events:
+        events_at.setdefault((event.direction, event.slot), []).append(event)
+    attacked = {(attack.direction, attack.slot) for attack in spec.attacks}
 
     attack_rows = []
     all_matched = True
     matrix: dict[str, dict[str, list[str]]] = {}
     expected_matrix: dict[str, dict[str, list[str]]] = {}
     for attack in spec.attacks:
-        hits = [e for e in events if in_window(e, attack)]
+        hits = [
+            e
+            for s in range(attack.slot, attack.slot + window + 1)
+            for e in events_at.get((attack.direction, s), ())
+        ]
         detected: set = set()
         for e in hits:
             detected |= e.requirements
@@ -359,19 +451,24 @@ def _summarize(
             r.value for r in expected
         )
 
+    dropped_at = {
+        (direction, f.sent_at_slot)
+        for direction, channel in channels.items()
+        for f in channel.drop_log
+    }
     annotated = []
     spurious = 0
     benign_loss = 0
     for event in events:
         entry = event.to_dict()
-        scheduled = any(in_window(event, a) for a in spec.attacks)
+        scheduled = any(
+            (event.direction, s) in attacked
+            for s in range(event.slot - window, event.slot + 1)
+        )
         entry["attack_scheduled"] = scheduled
         if event.kind == EventKind.MISSED_SYNC:
             emission = event.detail.get("expected_emission_slot")
-            lost = any(
-                f.sent_at_slot == emission
-                for f in channels[event.direction].drop_log
-            )
+            lost = (event.direction, emission) in dropped_at
             entry["explained_by_benign_loss"] = lost
             if lost:
                 benign_loss += 1

@@ -212,13 +212,17 @@ class PhysicalTwin:
         self.sync_period = sync_period
         self.state = machine.initial
         self.log = ExecutionLog(machine.machine_id)
+        # Both keys are kept current on every append, so no tick rescans the log.
+        self._key = machine.initial  # key state after the whole log
+        self._crossed_index = 0  # log length just after the last key crossing
         self._anchor_index = 0
+        self._anchor_key = machine.initial  # key state in force at the anchor
         self._emitted_index = 0
         self.pending_reconciled: list[tuple[int, ...]] = []
         self.acked: list[tuple[int, int]] = []  # (slot, acked seq) pairs
 
     def current_key(self) -> int:
-        return project_key_state(self.log, self.machine)
+        return self._key
 
     def apply_input(self, slot: int, sym: int) -> LogEntry:
         nxt = step(self.machine, self.state, sym)
@@ -231,16 +235,13 @@ class PhysicalTwin:
         )
         self.log.append(entry)
         self.state = nxt
+        if entry.is_key_crossing:
+            self._key = nxt
+            self._crossed_index = len(self.log.entries)
         return entry
 
     def record_ack(self, slot: int, acked_seq: int) -> None:
         self.acked.append((slot, acked_seq))
-
-    def _key_at_anchor(self) -> int:
-        for entry in reversed(self.log.entries[: self._anchor_index]):
-            if entry.is_key_crossing:
-                return entry.to_state
-        return self.machine.initial
 
     def tick(self, slot: int) -> DeltaRecord | None:
         """End-of-slot emission: a delta when the log moved, a heartbeat otherwise."""
@@ -248,21 +249,19 @@ class PhysicalTwin:
             return None
         entries = self.log.entries
         if len(entries) == self._emitted_index:
-            key = self.current_key()
+            key = self._key
             return DeltaRecord(base_state=key, result_state=key, applied_inputs=(), slot=slot)
-        base = self._key_at_anchor()
-        inputs = tuple(e.input for e in entries[self._anchor_index :])
         record = DeltaRecord(
-            base_state=base,
-            result_state=project_key_state(self.log, self.machine),
-            applied_inputs=inputs,
+            base_state=self._anchor_key,
+            result_state=self._key,
+            applied_inputs=tuple(e.input for e in entries[self._anchor_index :]),
             slot=slot,
         )
+        # Every crossing up to here is now shipped: the next record starts
+        # just after the last one, from the key state it established.
         self._emitted_index = len(entries)
-        for idx in range(len(entries) - 1, self._anchor_index - 1, -1):
-            if entries[idx].is_key_crossing:
-                self._anchor_index = idx + 1
-                break
+        self._anchor_index = self._crossed_index
+        self._anchor_key = self._key
         return record
 
 

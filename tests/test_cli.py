@@ -78,6 +78,26 @@ class TestRun:
         assert rc == EXIT_INVALID
         assert "attack schedule" in capsys.readouterr().err
 
+    def test_record_too_big_for_a_frame_exits_two(self, tmp_path):
+        """Valid, yet one record would carry 16,383 inputs: exit 2, no traceback."""
+        doc = {
+            "machine": "kettle",
+            "total_slots": 4,
+            "operator_inputs_physical": [[1, 2]] * 16383,
+        }
+        path = write_json(tmp_path, "burst.json", doc)
+        assert main(["validate", "--scenario", path]) == EXIT_OK
+        proc = subprocess.run(
+            [sys.executable, "-m", "twinsync", "run", "--scenario", path,
+             "--out", str(tmp_path / "report.json")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_INVALID
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("scenario: ")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestValidate:
     def test_bundled_scenario_is_valid(self, walkthrough_path, capsys):

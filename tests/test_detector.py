@@ -2,7 +2,6 @@
 
 import pytest
 
-from conftest import HEAT
 from twinsync.adversary import AttackKind
 from twinsync.detector import (
     ATTACK_EXPECTATIONS,
@@ -13,9 +12,9 @@ from twinsync.detector import (
     ExpectationTable,
     Requirement,
     consistency_audit,
+    delivered_emission,
 )
 from twinsync.frames import ChannelError, ChannelErrorKind
-from twinsync.machine import ExecutionLog, run_schedule
 from twinsync.netsim import Direction
 from twinsync.sync import MismatchError, MismatchKind, Reject, ReplicaState
 
@@ -158,26 +157,28 @@ class TestSemanticEvents:
         assert event.detail == {"reason": "unknown_input", "input": 99}
 
 
+# Physical key state at the end of each slot when the kettle gets HEAT at
+# slots 1-4: it reaches key state 100 at slot 4.
+BOIL_KEYS = [0, 0, 0, 0, 100, 100]
+
+
 class TestConsistencyAudit:
     def test_clean_mirror_passes(self, kettle):
-        log = run_schedule(kettle, 0, [(s, HEAT) for s in (1, 2, 3, 4)])
         replica = ReplicaState(last_synced_key=100, last_synced_slot=4)
-        assert consistency_audit(log, kettle, replica, slot=5, latency_slots=1) is None
+        assert consistency_audit(BOIL_KEYS, kettle, replica, slot=5, latency_slots=1) is None
 
     def test_replica_lags_by_latency(self, kettle):
         """At the crossing slot itself the replica legitimately still holds the old key."""
-        log = run_schedule(kettle, 0, [(s, HEAT) for s in (1, 2, 3, 4)])
         replica = ReplicaState(last_synced_key=0, last_synced_slot=3)
-        assert consistency_audit(log, kettle, replica, slot=4, latency_slots=1) is None
+        assert consistency_audit(BOIL_KEYS, kettle, replica, slot=4, latency_slots=1) is None
 
     def test_before_anything_can_arrive(self, kettle):
         replica = ReplicaState(last_synced_key=0)
-        assert consistency_audit(ExecutionLog("kettle"), kettle, replica, 0, 1) is None
+        assert consistency_audit([0], kettle, replica, 0, 1) is None
 
     def test_stale_replica_is_flagged(self, kettle):
-        log = run_schedule(kettle, 0, [(s, HEAT) for s in (1, 2, 3, 4)])
         replica = ReplicaState(last_synced_key=0, last_synced_slot=3)
-        event = consistency_audit(log, kettle, replica, slot=5, latency_slots=1)
+        event = consistency_audit(BOIL_KEYS, kettle, replica, slot=5, latency_slots=1)
         assert event is not None
         assert event.kind is EventKind.STATE_MISMATCH
         assert event.requirements == {R1}
@@ -185,9 +186,17 @@ class TestConsistencyAudit:
 
     def test_horizon_respects_sync_period(self, kettle):
         """Period 2: a crossing at slot 3 is only shippable at the slot-4 boundary."""
-        log = run_schedule(kettle, 0, [(s, HEAT) for s in (0, 1, 2, 3)])
+        keys = [0, 0, 0, 100, 100, 100]  # HEAT at slots 0-3
         replica = ReplicaState(last_synced_key=0, last_synced_slot=2)
-        assert consistency_audit(log, kettle, replica, 4, 1, sync_period=2) is None
-        event = consistency_audit(log, kettle, replica, 5, 1, sync_period=2)
+        assert consistency_audit(keys, kettle, replica, 4, 1, sync_period=2) is None
+        event = consistency_audit(keys, kettle, replica, 5, 1, sync_period=2)
         assert event is not None
         assert event.detail["expected"] == 100
+
+
+@pytest.mark.parametrize(
+    "slot, latency, period, expected",
+    [(0, 1, 1, None), (1, 1, 1, 0), (5, 1, 1, 4), (4, 1, 2, 2), (5, 1, 2, 4), (3, 0, 3, 3), (1, 2, 1, None)],
+)
+def test_delivered_emission(slot, latency, period, expected):
+    assert delivered_emission(slot, latency, period) == expected

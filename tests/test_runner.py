@@ -1,10 +1,13 @@
 """End-to-end scenario runs: traces, events, reports, and determinism."""
 
+import gc
 import json
+import time
 
 import jsonschema
 import pytest
 
+from conftest import HEAT, IDLE
 from twinsync.frames import HEADER_STRUCT
 from twinsync.netsim import Direction
 from twinsync.runner import run_scenario
@@ -285,3 +288,41 @@ class TestSyncPeriod:
             0, 0, 0, 0, 0, 0, 100, 100, 100,
         ]
         assert all(a["ok"] for a in report.audits)
+
+
+def idle_at_key(total_slots: int):
+    """The kettle boils at slots 1-4, then idles at key state 100, losing 5% of ACKs."""
+    physical = [[s, HEAT] for s in range(1, 5)] + [[s, IDLE] for s in range(5, total_slots)]
+    return scenario_from_dict(
+        {
+            "machine": "kettle",
+            "total_slots": total_slots,
+            "channels": {"virt_to_phys": {"drop_probability": 0.05}},
+            "operator_inputs_physical": physical,
+        }
+    )
+
+
+def run_seconds(spec) -> float:
+    gc.collect()
+    started = time.perf_counter()
+    run_scenario(spec)
+    return time.perf_counter() - started
+
+
+def test_slot_cost_does_not_grow_with_run_length():
+    """Eight times the slots must take about eight times as long.
+
+    A step that rescans the history every slot makes it 19 or more.  Best
+    of three runs each; the long run stops early once the bound holds,
+    since a further run could only lower the best time.
+    """
+    short_spec = idle_at_key(1000)
+    short = min(run_seconds(short_spec) for _ in range(3))
+    long_spec = idle_at_key(8000)
+    best_long = float("inf")
+    for _ in range(3):
+        best_long = min(best_long, run_seconds(long_spec))
+        if best_long / short < 12:
+            break
+    assert best_long / short < 12
