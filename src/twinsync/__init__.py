@@ -27,7 +27,6 @@ from .sync import (
     ReplicaState,
     VirtualTwin,
     apply_delta,
-    compute_delta,
     reconcile,
     verify_delta,
 )
@@ -39,7 +38,7 @@ from .frames import (
     decode_frame,
     encode_frame,
 )
-from .netsim import Channel, Clock, Direction, SplitMix64
+from .netsim import Channel, Direction, SplitMix64
 from .adversary import Adversary, AttackAction, AttackKind
 from .detector import (
     DetectionEvent,
@@ -60,7 +59,6 @@ __all__ = [
     "AttackKind",
     "Channel",
     "ChannelError",
-    "Clock",
     "CommandRecord",
     "DeltaRecord",
     "DetectionEvent",
@@ -83,7 +81,6 @@ __all__ = [
     "TwinMachine",
     "VirtualTwin",
     "apply_delta",
-    "compute_delta",
     "consistency_audit",
     "decode_frame",
     "encode_frame",

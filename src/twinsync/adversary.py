@@ -52,23 +52,13 @@ class AttackAction:
         }
 
 
-@dataclass(frozen=True)
-class CapturedFrame:
-    slot: int
-    direction: Direction
-    index: int
-    data: bytes
-
-
 class CaptureLog:
     """Append-only log of frames the adversary has seen in flight."""
 
     def __init__(self) -> None:
-        self.frames: list[CapturedFrame] = []
         self._by_ref: dict[tuple[int, Direction, int], bytes] = {}
 
     def add(self, slot: int, direction: Direction, index: int, data: bytes) -> None:
-        self.frames.append(CapturedFrame(slot, direction, index, data))
         self._by_ref[(slot, direction, index)] = data
 
     def lookup(self, slot: int, direction: Direction, index: int) -> bytes | None:

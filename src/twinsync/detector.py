@@ -108,8 +108,8 @@ class DirectionExpectation:
     grace_slots: int = 1
 
 
-class ExpectationTable:
-    """Tracks which periodic emissions have produced an accepted arrival.
+class Detector:
+    """Turns channel errors, liveness gaps, and semantic failures into events.
 
     An emission at slot e (e divisible by the period) is due at
     e + latency + grace; if no authenticated frame claiming emission slot e
@@ -120,29 +120,8 @@ class ExpectationTable:
         self.expectations = dict(expectations)
         self._satisfied: set[tuple[Direction, int]] = set()
 
-    def record_arrival(self, direction: Direction, emission_slot: int) -> None:
-        self._satisfied.add((direction, emission_slot))
-
-    def overdue(self, slot: int) -> list[tuple[Direction, int]]:
-        """Emission slots that became overdue exactly at this slot."""
-        out = []
-        for direction, cfg in self.expectations.items():
-            emission = slot - cfg.latency_slots - cfg.grace_slots
-            if emission < 0 or emission % cfg.sync_period != 0:
-                continue
-            if (direction, emission) not in self._satisfied:
-                out.append((direction, emission))
-        return out
-
-
-class Detector:
-    """Turns channel errors, liveness gaps, and semantic failures into events."""
-
-    def __init__(self, expectations: ExpectationTable):
-        self.expectations = expectations
-
     def on_frame_accepted(self, direction: Direction, emission_slot: int) -> None:
-        self.expectations.record_arrival(direction, emission_slot)
+        self._satisfied.add((direction, emission_slot))
 
     def on_channel_error(
         self, err: ChannelError, slot: int, direction: Direction
@@ -162,8 +141,14 @@ class Detector:
         )
 
     def on_slot_boundary(self, slot: int) -> list[DetectionEvent]:
+        """MISSED_SYNC for each emission that became overdue exactly at this slot."""
         events = []
-        for direction, emission in self.expectations.overdue(slot):
+        for direction, cfg in self.expectations.items():
+            emission = slot - cfg.latency_slots - cfg.grace_slots
+            if emission < 0 or emission % cfg.sync_period != 0:
+                continue
+            if (direction, emission) in self._satisfied:
+                continue
             events.append(
                 DetectionEvent(
                     kind=EventKind.MISSED_SYNC,

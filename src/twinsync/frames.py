@@ -108,10 +108,6 @@ class SequenceTracker:
     def commit(self, sender_id: int, session_id: int, seq: int) -> None:
         self._peers[sender_id] = _PeerState(session_id=session_id, highest_seq=seq)
 
-    def peer(self, sender_id: int) -> tuple[int, int]:
-        peer = self._peers.get(sender_id, _PeerState())
-        return peer.session_id, peer.highest_seq
-
 
 def _tag(key: bytes, body: bytes) -> bytes:
     return hmac.new(key, body, hashlib.sha256).digest()

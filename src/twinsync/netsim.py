@@ -44,15 +44,6 @@ class Direction(str, Enum):
     VIRT_TO_PHYS = "virt_to_phys"
 
 
-@dataclass
-class Clock:
-    current_slot: int = 0
-
-    def tick(self) -> int:
-        self.current_slot += 1
-        return self.current_slot
-
-
 @dataclass(frozen=True)
 class QueuedFrame:
     deliver_at_slot: int

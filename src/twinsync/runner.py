@@ -27,7 +27,6 @@ from .detector import (
     DetectionEvent,
     DirectionExpectation,
     EventKind,
-    ExpectationTable,
     consistency_audit,
 )
 from .frames import (
@@ -167,36 +166,59 @@ def _encode(value, parts: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+class _Link:
+    """One direction of the session, sender and receiver ends together.
+
+    The sender numbers, encodes and tags each record and enqueues it on the
+    channel; the receiver checks records against this direction's key and
+    replay window.  `sent` holds the hex of the frames sent in the current
+    slot, for the report row.
+    """
+
+    def __init__(
+        self, direction: Direction, sender_id: int, spec: ScenarioSpec, seeds: SplitMix64
+    ):
+        self.direction = direction
+        self.name = direction.value
+        self.sender_id = sender_id
+        self.session_id = spec.session_id
+        self.key = spec.keys[direction]
+        cfg = spec.channels[direction]
+        self.channel = Channel(
+            direction, SplitMix64(seeds.next_u64()), cfg.latency_slots, cfg.drop_probability
+        )
+        self.tracker = SequenceTracker()
+        self.seq = 0
+        self.sent: list[str] = []
+
+    def send(self, msg_type: MsgType, slot: int, payload: bytes) -> None:
+        self.seq += 1
+        frame = Frame(msg_type, self.sender_id, self.session_id, self.seq, slot, payload)
+        data = encode_frame(frame, self.key)
+        self.channel.send(data, slot)
+        self.sent.append(data.hex())
+
+
 def run_scenario(spec: ScenarioSpec) -> RunReport:
     machine = spec.machine
     period = spec.sync_period_slots
     physical = PhysicalTwin(machine, sync_period=period)
     virtual = VirtualTwin(machine, sync_period=period)
 
-    seed_stream = SplitMix64(spec.seed)
-    channels = {}
-    for direction in Direction:  # seed order: phys_to_virt, virt_to_phys, adversary
-        cfg = spec.channels[direction]
-        channels[direction] = Channel(
-            direction=direction,
-            rng=SplitMix64(seed_stream.next_u64()),
-            latency_slots=cfg.latency_slots,
-            drop_probability=cfg.drop_probability,
-        )
+    seed_stream = SplitMix64(spec.seed)  # seed order: phys_to_virt, virt_to_phys, adversary
+    up = _Link(Direction.PHYS_TO_VIRT, PHYSICAL_SENDER_ID, spec, seed_stream)
+    down = _Link(Direction.VIRT_TO_PHYS, VIRTUAL_SENDER_ID, spec, seed_stream)
+    links = (up, down)  # deliveries go physical-to-virtual first
     adversary = Adversary(spec.attacks, SplitMix64(seed_stream.next_u64()))
-
-    trackers = {d: SequenceTracker() for d in Direction}
     detector = Detector(
-        ExpectationTable(
-            {
-                d: DirectionExpectation(
-                    sync_period=period,
-                    latency_slots=spec.channels[d].latency_slots,
-                    grace_slots=spec.grace_slots,
-                )
-                for d in Direction
-            }
-        )
+        {
+            link.direction: DirectionExpectation(
+                sync_period=period,
+                latency_slots=link.channel.latency_slots,
+                grace_slots=spec.grace_slots,
+            )
+            for link in links
+        }
     )
 
     phys_inputs: dict[int, list[int]] = {}
@@ -206,23 +228,17 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     for slot, sym in spec.operator_inputs_virtual:
         virt_inputs.setdefault(slot, []).append(sym)
 
-    seqs = {Direction.PHYS_TO_VIRT: 0, Direction.VIRT_TO_PHYS: 0}
-
-    def next_seq(direction: Direction) -> int:
-        seqs[direction] += 1
-        return seqs[direction]
-
     events: list[DetectionEvent] = []
     audits: list[dict] = []
     rows: list[dict] = []
     physical_keys: list[int] = []  # physical key state at the end of each slot
 
     for slot in range(spec.total_slots):
-        sent = {d.value: [] for d in Direction}
-        delivered = {d.value: [] for d in Direction}
+        up.sent = []
+        down.sent = []
         # Drops and attacks are only ever logged at the current slot, so this
         # slot's entries are whatever the logs gain from here on.
-        drops_from = {d: len(channels[d].drop_log) for d in Direction}
+        drops_from = [len(link.channel.drop_log) for link in links]
         applied_from = len(adversary.applied)
 
         # Phase 1: operator inputs, then command inputs reconciled last slot.
@@ -239,71 +255,23 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         # Phase 2: ticks and sends.
         delta = physical.tick(slot)
         if delta is not None:
-            data = encode_frame(
-                Frame(
-                    msg_type=MsgType.STATE_SYNC,
-                    sender_id=PHYSICAL_SENDER_ID,
-                    session_id=spec.session_id,
-                    seq=next_seq(Direction.PHYS_TO_VIRT),
-                    slot=slot,
-                    payload=encode_delta_payload(delta),
-                ),
-                spec.keys[Direction.PHYS_TO_VIRT],
-            )
-            channels[Direction.PHYS_TO_VIRT].send(data, slot)
-            sent[Direction.PHYS_TO_VIRT.value].append(data.hex())
-
+            up.send(MsgType.STATE_SYNC, slot, encode_delta_payload(delta))
         if slot % period == 0:
             commands = virtual.tick(slot)
-            outbound = []
-            if commands:
-                for command in commands:
-                    outbound.append(
-                        Frame(
-                            msg_type=MsgType.COMMAND,
-                            sender_id=VIRTUAL_SENDER_ID,
-                            session_id=spec.session_id,
-                            seq=next_seq(Direction.VIRT_TO_PHYS),
-                            slot=slot,
-                            payload=encode_command_payload(command),
-                        )
-                    )
-            else:
+            for command in commands:
+                down.send(MsgType.COMMAND, slot, encode_command_payload(command))
+            if not commands:
                 # Idle heartbeat on the reverse path: acknowledge the newest
                 # accepted sync so this channel has per-period liveness too.
-                outbound.append(
-                    Frame(
-                        msg_type=MsgType.ACK,
-                        sender_id=VIRTUAL_SENDER_ID,
-                        session_id=spec.session_id,
-                        seq=next_seq(Direction.VIRT_TO_PHYS),
-                        slot=slot,
-                        payload=encode_ack_payload(virtual.last_sync_seq),
-                    )
-                )
-            for frame in outbound:
-                data = encode_frame(frame, spec.keys[Direction.VIRT_TO_PHYS])
-                channels[Direction.VIRT_TO_PHYS].send(data, slot)
-                sent[Direction.VIRT_TO_PHYS.value].append(data.hex())
+                down.send(MsgType.ACK, slot, encode_ack_payload(virtual.last_sync_seq))
 
         # Phase 3: deliveries, physical-to-virtual first.
-        for direction in Direction:
-            due = channels[direction].deliver_due(slot, adversary.intercept)
-            for data in due:
-                outcome = _receive(
-                    data,
-                    direction,
-                    slot,
-                    spec,
-                    trackers,
-                    detector,
-                    physical,
-                    virtual,
-                    events,
-                )
-                delivered[direction.value].append(
-                    {"frame_hex": data.hex(), "outcome": outcome}
-                )
+        delivered = {}
+        for link in links:
+            received = delivered[link.name] = []
+            for data in link.channel.deliver_due(slot, adversary.intercept):
+                outcome = _receive(data, link, slot, spec, detector, physical, virtual, events)
+                received.append({"frame_hex": data.hex(), "outcome": outcome})
 
         # Phase 4: liveness expectations and the consistency audit.
         events.extend(detector.on_slot_boundary(slot))
@@ -313,7 +281,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
             machine,
             virtual.replica,
             slot,
-            latency_slots=spec.channels[Direction.PHYS_TO_VIRT].latency_slots,
+            latency_slots=up.channel.latency_slots,
             sync_period=period,
         )
         audit_row = {
@@ -325,10 +293,6 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
             audit_row["expected"] = audit_event.detail["expected"]
         audits.append(audit_row)
 
-        dropped = {
-            d.value: [f.data.hex() for f in channels[d].drop_log[drops_from[d] :]]
-            for d in Direction
-        }
         rows.append(
             {
                 "slot": slot,
@@ -336,16 +300,19 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 "physical_key_state": physical_keys[slot],
                 "replica_key_state": virtual.replica.last_synced_key,
                 "replica_synced_slot": virtual.replica.last_synced_slot,
-                "sent": sent,
+                "sent": {up.name: up.sent, down.name: down.sent},
                 "delivered": delivered,
-                "dropped": dropped,
+                "dropped": {
+                    link.name: [f.data.hex() for f in link.channel.drop_log[start:]]
+                    for link, start in zip(links, drops_from)
+                },
                 "adversary_actions": [
                     action.to_dict() for _, action in adversary.applied[applied_from:]
                 ],
             }
         )
 
-    summary, annotated = _summarize(spec, events, channels)
+    summary, annotated = _summarize(spec, events, links)
     return RunReport(
         scenario=spec.to_dict(),
         slots=rows,
@@ -357,16 +324,16 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
 
 def _receive(
     data: bytes,
-    direction: Direction,
+    link: _Link,
     slot: int,
     spec: ScenarioSpec,
-    trackers: dict[Direction, SequenceTracker],
     detector: Detector,
     physical: PhysicalTwin,
     virtual: VirtualTwin,
     events: list[DetectionEvent],
 ) -> str:
-    result = decode_frame(data, spec.keys[direction], trackers[direction])
+    direction = link.direction
+    result = decode_frame(data, link.key, link.tracker)
     if isinstance(result, ChannelError):
         events.append(detector.on_channel_error(result, slot, direction))
         return result.kind.value
@@ -401,9 +368,7 @@ def _receive(
 
 
 def _summarize(
-    spec: ScenarioSpec,
-    events: list[DetectionEvent],
-    channels: dict[Direction, Channel],
+    spec: ScenarioSpec, events: list[DetectionEvent], links: tuple[_Link, ...]
 ) -> tuple[dict, list[dict]]:
     # An event is in an attack's window when it is on the attacked direction
     # within `window` slots after the attack's slot.
@@ -452,9 +417,7 @@ def _summarize(
         )
 
     dropped_at = {
-        (direction, f.sent_at_slot)
-        for direction, channel in channels.items()
-        for f in channel.drop_log
+        (link.direction, f.sent_at_slot) for link in links for f in link.channel.drop_log
     }
     annotated = []
     spurious = 0

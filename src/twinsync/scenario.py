@@ -123,19 +123,20 @@ def resolve_machine(spec: object, problems: list[str]) -> TwinMachine | None:
 
 
 def _uint(obj: dict, key: str, problems: list[str], default: int | None = None,
-          minimum: int = 0, maximum: int | None = None) -> int | None:
+          minimum: int = 0, maximum: int | None = None, where: str = "") -> int | None:
+    """obj[key] as a bounded integer; `where` prefixes the key in problems."""
     if key not in obj:
         if default is None:
-            problems.append(f"{key}: required")
+            problems.append(f"{where}{key}: required")
             return None
         return default
     val = obj[key]
     if not isinstance(val, int) or isinstance(val, bool):
-        problems.append(f"{key}: must be an integer")
+        problems.append(f"{where}{key}: must be an integer")
         return default
     if val < minimum or (maximum is not None and val > maximum):
         hi = f" and <= {maximum}" if maximum is not None else ""
-        problems.append(f"{key}: must be >= {minimum}{hi}")
+        problems.append(f"{where}{key}: must be >= {minimum}{hi}")
         return default
     return val
 
@@ -224,6 +225,7 @@ _ATTACK_PARAM_KEYS = {
     AttackKind.INSERT: {"raw_hex", "template"},
     AttackKind.REPLAY: {"capture_slot", "capture_index"},
 }
+_ATTACK_INT_PARAMS = ("index", "byte_offset", "xor_mask", "capture_slot", "capture_index")
 
 
 def _parse_attacks(
@@ -251,7 +253,7 @@ def _parse_attacks(
                 f"{where}.direction: must be one of {[d.value for d in Direction]}"
             )
             continue
-        slot = _uint(entry, "slot", problems)
+        slot = _uint(entry, "slot", problems, where=f"{where}.")
         if slot is None:
             continue
         if total_slots is not None and slot >= total_slots:
@@ -265,13 +267,24 @@ def _parse_attacks(
             problems.append(
                 f"{where}.params: unknown keys for {kind.value}: {sorted(unknown)}"
             )
+        at = f"{where}.params."
+        ints = {
+            k: _uint(params, k, problems, where=at) for k in _ATTACK_INT_PARAMS if k in params
+        }
+        for key in ("raw_hex", "payload_hex"):
+            if key in params:
+                try:
+                    bytes.fromhex(params[key])
+                except (TypeError, ValueError):
+                    problems.append(f"{at}{key}: must be a hex string")
+        if not isinstance(params.get("template", {}), dict):
+            problems.append(f"{at}template: must be an object")
         if kind is AttackKind.REPLAY:
             if "capture_slot" not in params:
-                problems.append(f"{where}.params.capture_slot: required for REPLAY")
-            elif slot is not None and int(params["capture_slot"]) > slot:
+                problems.append(f"{at}capture_slot: required for REPLAY")
+            elif ints["capture_slot"] is not None and ints["capture_slot"] > slot:
                 problems.append(
-                    f"{where}.params.capture_slot: cannot replay a frame captured "
-                    f"after the attack slot"
+                    f"{at}capture_slot: cannot replay a frame captured after the attack slot"
                 )
         if kind is AttackKind.MODIFY:
             if "payload_hex" not in params and (
@@ -281,11 +294,6 @@ def _parse_attacks(
                     f"{where}.params: MODIFY needs byte_offset and xor_mask, "
                     f"or payload_hex"
                 )
-        if kind is AttackKind.INSERT and "raw_hex" in params:
-            try:
-                bytes.fromhex(params["raw_hex"])
-            except (TypeError, ValueError):
-                problems.append(f"{where}.params.raw_hex: must be a hex string")
         out.append(AttackAction(kind=kind, slot=slot, direction=direction, params=params))
     return out
 

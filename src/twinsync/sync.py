@@ -25,7 +25,7 @@ from .machine import (
     LogEntry,
     MachineError,
     TwinMachine,
-    project_key_state,
+    project_key_state,  # unused; kept because bench/probes.py traces sync.project_key_state
     step,
 )
 
@@ -93,32 +93,6 @@ def fold_key_state(
         if state in machine.key_states:
             last_key = state
     return state, last_key
-
-
-def compute_delta(
-    log: ExecutionLog, machine: TwinMachine, since_slot: int
-) -> DeltaRecord | None:
-    """Delta covering everything after since_slot, or None when nothing happened.
-
-    since_slot must be a slot at which the machine occupied the key state in
-    force (slot 0, or the slot of a key crossing); the emitting side's tick
-    maintains that anchor.
-    """
-    after = [e for e in log.entries if e.slot > since_slot]
-    if not after:
-        return None
-    base = machine.initial
-    for entry in log.entries:
-        if entry.slot > since_slot:
-            break
-        if entry.is_key_crossing:
-            base = entry.to_state
-    return DeltaRecord(
-        base_state=base,
-        result_state=project_key_state(log, machine),
-        applied_inputs=tuple(e.input for e in after),
-        slot=after[-1].slot,
-    )
 
 
 def verify_delta(

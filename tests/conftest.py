@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,17 @@ from twinsync.scenario import load_fixture_json
 HEAT = 1
 IDLE = 2
 COOL = 3
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def import_bench_module(name: str):
+    """Import a module of the benchmark harness in bench/ by name."""
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH_DIR))
 
 
 @pytest.fixture

@@ -49,8 +49,10 @@ class TestCaptureLog:
         adv = adversary()
         adv.intercept(2, P2V, [b"a", b"b"])
         adv.intercept(2, V2P, [b"c"])
-        refs = [(f.slot, f.direction, f.index, f.data) for f in adv.captures.frames]
-        assert refs == [(2, P2V, 0, b"a"), (2, P2V, 1, b"b"), (2, V2P, 0, b"c")]
+        assert adv.captures.lookup(2, P2V, 0) == b"a"
+        assert adv.captures.lookup(2, P2V, 1) == b"b"
+        assert adv.captures.lookup(2, V2P, 0) == b"c"
+        assert adv.captures.lookup(2, V2P, 1) is None
 
 
 class TestDelete:

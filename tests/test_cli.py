@@ -115,6 +115,20 @@ class TestValidate:
         assert err.count("scenario:") == 3
 
 
+    def test_non_integer_capture_slot_exits_two(self, tmp_path):
+        doc = json.loads(fixture_path("attack_matrix.json").read_text())
+        doc["attacks"][3]["params"]["capture_slot"] = "x"
+        path = write_json(tmp_path, "replay.json", doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "twinsync", "validate", "--scenario", path],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_INVALID
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "scenario: attacks[3].params.capture_slot: must be an integer\n"
+
+
 class TestOracle:
     def test_bundled_machine(self, capsys):
         rc = main(["oracle", "--machine", "kettle", "--max-len", "3"])

@@ -9,7 +9,6 @@ from twinsync.detector import (
     Detector,
     DirectionExpectation,
     EventKind,
-    ExpectationTable,
     Requirement,
     consistency_audit,
     delivered_emission,
@@ -25,10 +24,8 @@ R2 = Requirement.R2
 R3 = Requirement.R3
 
 
-def table(period=1, latency=1, grace=1, directions=(P2V, V2P)) -> ExpectationTable:
-    return ExpectationTable(
-        {d: DirectionExpectation(period, latency, grace) for d in directions}
-    )
+def table(period=1, latency=1, grace=1, directions=(P2V, V2P)) -> dict:
+    return {d: DirectionExpectation(period, latency, grace) for d in directions}
 
 
 class TestRequirementTables:

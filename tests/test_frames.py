@@ -220,7 +220,7 @@ class TestReplayProtection:
         corrupted = bytearray(self._frame(seq=3))
         corrupted[-1] ^= 0x01
         self._decode(bytes(corrupted))
-        assert self.tracker.peer(1) == (0, 0)
+        assert self.tracker.validate(1, 1, 1) is None
         assert isinstance(self._decode(self._frame(seq=3)), Frame)
 
 

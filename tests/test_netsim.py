@@ -1,6 +1,6 @@
 """Deterministic RNG, clock, and the slotted channels."""
 
-from twinsync.netsim import Channel, Clock, Direction, SplitMix64
+from twinsync.netsim import Channel, Direction, SplitMix64
 
 
 class TestSplitMix64:
@@ -33,14 +33,6 @@ class TestSplitMix64:
         a.chance(0.5)
         b.next_u64()
         assert a.next_u64() == b.next_u64()
-
-
-class TestClock:
-    def test_starts_at_zero_and_ticks_by_one(self):
-        clock = Clock()
-        assert clock.current_slot == 0
-        assert clock.tick() == 1
-        assert clock.tick() == 2
 
 
 class TestChannel:

@@ -2,20 +2,17 @@
 
 import hashlib
 import json
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import import_bench_module
 from twinsync.cli import EXIT_OK, main
 from twinsync.machine import machine_from_dict
 from twinsync.oracle import build_schedule_scenario
 from twinsync.runner import json_text, run_scenario
 from twinsync.scenario import fixture_path, scenario_from_dict
-
-BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 def reference(value) -> str:
@@ -67,11 +64,7 @@ def test_non_string_keys_are_refused(keyed):
 
 
 def _workload_specs(name: str, seed: int = 0):
-    sys.path.insert(0, str(BENCH_DIR))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(BENCH_DIR))
+    workloads = import_bench_module("workloads")
     workload = workloads.WORKLOADS[name]
     for doc in workload.generate(seed):
         spec = scenario_from_dict(doc)

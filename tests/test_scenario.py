@@ -222,6 +222,26 @@ class TestProblems:
         )
         assert problems_of(doc) == ["attacks[0].params.raw_hex: must be a hex string"]
 
+    @pytest.mark.parametrize(
+        "index,params,problem",
+        [
+            (3, {"capture_slot": "x"}, "capture_slot: must be an integer"),
+            (3, {"capture_slot": 6, "capture_index": "a"}, "capture_index: must be an integer"),
+            (0, {"index": "a"}, "index: must be an integer"),
+            (0, {"index": -1}, "index: must be >= 0"),
+            (0, {"index": True}, "index: must be an integer"),
+            (2, {"byte_offset": 24, "xor_mask": "s"}, "xor_mask: must be an integer"),
+            (2, {"byte_offset": -1, "xor_mask": 1}, "byte_offset: must be >= 0"),
+            (2, {"payload_hex": "zz"}, "payload_hex: must be a hex string"),
+            (1, {"template": "deadbeef"}, "template: must be an object"),
+        ],
+    )
+    def test_attack_param_values_are_checked(self, index, params, problem):
+        """Each of these used to pass validation and then crash or misbehave mid-run."""
+        doc = load_fixture_json("attack_matrix")
+        doc["attacks"][index]["params"] = params
+        assert problems_of(doc) == [f"attacks[{index}].params.{problem}"]
+
     def test_every_problem_is_collected(self):
         doc = {
             "machine": "nope",

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import COOL, HEAT, IDLE
-from twinsync.machine import ExecutionLog, key_trace, project_key_state, run_schedule
+from twinsync.machine import key_trace, project_key_state
 from twinsync.sync import (
     CommandRecord,
     DeltaRecord,
@@ -18,7 +18,6 @@ from twinsync.sync import (
     ReplicaState,
     VirtualTwin,
     apply_delta,
-    compute_delta,
     fold_key_state,
     reconcile,
     verify_delta,
@@ -41,38 +40,6 @@ class TestFold:
 
     def test_empty_inputs(self, kettle):
         assert fold_key_state(kettle, 100, ()) == (100, 100)
-
-
-class TestComputeDelta:
-    def test_empty_log_yields_none(self, kettle):
-        assert compute_delta(ExecutionLog("kettle"), kettle, 0) is None
-
-    def test_full_heating_run(self, kettle):
-        log = run_schedule(kettle, 0, [(s, HEAT) for s in (1, 2, 3, 4)])
-        assert compute_delta(log, kettle, 0) == DeltaRecord(
-            base_state=0,
-            result_state=100,
-            applied_inputs=(HEAT, HEAT, HEAT, HEAT),
-            slot=4,
-        )
-
-    def test_idle_slot_is_a_self_loop_delta(self, kettle):
-        log = run_schedule(kettle, 0, [(1, IDLE)])
-        assert compute_delta(log, kettle, 0) == DeltaRecord(
-            base_state=0, result_state=0, applied_inputs=(IDLE,), slot=1
-        )
-
-    def test_since_slot_rebases_onto_last_crossing(self, kettle_cool):
-        schedule = [(s, HEAT) for s in (1, 2, 3, 4)] + [(5, COOL)]
-        log = run_schedule(kettle_cool, 0, schedule)
-        delta = compute_delta(log, kettle_cool, 4)
-        assert delta == DeltaRecord(
-            base_state=100, result_state=100, applied_inputs=(COOL,), slot=5
-        )
-
-    def test_nothing_after_since_slot(self, kettle):
-        log = run_schedule(kettle, 0, [(1, HEAT)])
-        assert compute_delta(log, kettle, 1) is None
 
 
 class TestVerifyDelta:
@@ -170,8 +137,14 @@ class TestReconcile:
 class TestPhysicalTwin:
     def test_heartbeat_when_nothing_happened(self, kettle):
         twin = PhysicalTwin(kettle)
+        assert twin.tick(0) == DeltaRecord(0, 0, (), slot=0)
         assert twin.tick(1) == DeltaRecord(0, 0, (), slot=1)
         assert twin.tick(2) == DeltaRecord(0, 0, (), slot=2)
+
+    def test_idle_slot_is_a_self_loop_delta(self, kettle):
+        twin = PhysicalTwin(kettle)
+        twin.apply_input(1, IDLE)
+        assert twin.tick(1) == DeltaRecord(0, 0, (IDLE,), 1)
 
     def test_emissions_follow_the_walkthrough(self, kettle):
         twin = PhysicalTwin(kettle)
