@@ -141,6 +141,13 @@ class TestPhysicalTwin:
         assert twin.tick(1) == DeltaRecord(0, 0, (), slot=1)
         assert twin.tick(2) == DeltaRecord(0, 0, (), slot=2)
 
+    def test_empty_log_yields_heartbeat(self, kettle):
+        twin = PhysicalTwin(kettle)
+        record = twin.tick(0)
+        assert record == DeltaRecord(0, 0, (), slot=0)
+        replica = ReplicaState(last_synced_key=0)
+        assert apply_delta(replica, record, kettle) == replica
+
     def test_idle_slot_is_a_self_loop_delta(self, kettle):
         twin = PhysicalTwin(kettle)
         twin.apply_input(1, IDLE)
