@@ -52,30 +52,17 @@ class AttackAction:
         }
 
 
-class CaptureLog:
-    """Append-only log of frames the adversary has seen in flight."""
-
-    def __init__(self) -> None:
-        self._by_ref: dict[tuple[int, Direction, int], bytes] = {}
-
-    def add(self, slot: int, direction: Direction, index: int, data: bytes) -> None:
-        self._by_ref[(slot, direction, index)] = data
-
-    def lookup(self, slot: int, direction: Direction, index: int) -> bytes | None:
-        return self._by_ref.get((slot, direction, index))
-
-
 def forge_frame_bytes(template: dict, rng: SplitMix64) -> bytes:
     """Structurally valid frame with an attacker-chosen header and a random tag."""
     payload = bytes.fromhex(template.get("payload_hex", ""))
     body = HEADER_STRUCT.pack(
         MAGIC,
         VERSION,
-        int(template.get("msg_type", 1)),
-        int(template.get("sender_id", 0)),
-        int(template.get("session_id", 0)),
-        int(template.get("seq", 1)),
-        int(template.get("slot", 0)),
+        template.get("msg_type", 1),
+        template.get("sender_id", 0),
+        template.get("session_id", 0),
+        template.get("seq", 1),
+        template.get("slot", 0),
         len(payload),
     ) + payload
     tag = b"".join(struct.pack(">Q", rng.next_u64()) for _ in range(4))
@@ -95,12 +82,13 @@ class Adversary:
         for action in self.actions:
             self._scheduled.setdefault((action.slot, action.direction), []).append(action)
         self.rng = rng
-        self.captures = CaptureLog()
+        # Every frame seen in flight, by (slot, direction, index in its batch).
+        self.captures: dict[tuple[int, Direction, int], bytes] = {}
         self.applied: list[tuple[int, AttackAction]] = []
 
     def intercept(self, slot: int, direction: Direction, frames: list[bytes]) -> list[bytes]:
         for index, data in enumerate(frames):
-            self.captures.add(slot, direction, index, data)
+            self.captures[(slot, direction, index)] = data
         out = list(frames)
         for action in self._scheduled.get((slot, direction), ()):
             out = self._apply(action, slot, out)
@@ -110,7 +98,7 @@ class Adversary:
     def _apply(self, action: AttackAction, slot: int, frames: list[bytes]) -> list[bytes]:
         params = action.params
         if action.kind == AttackKind.DELETE:
-            index = int(params.get("index", 0))
+            index = params.get("index", 0)
             if index >= len(frames):
                 raise AttackTargetMissing(
                     f"DELETE at slot {slot} on {action.direction.value}: "
@@ -119,7 +107,7 @@ class Adversary:
             return frames[:index] + frames[index + 1 :]
 
         if action.kind == AttackKind.MODIFY:
-            index = int(params.get("index", 0))
+            index = params.get("index", 0)
             if index >= len(frames):
                 raise AttackTargetMissing(
                     f"MODIFY at slot {slot} on {action.direction.value}: "
@@ -137,9 +125,9 @@ class Adversary:
             return frames + [forged]
 
         if action.kind == AttackKind.REPLAY:
-            ref_slot = int(params["capture_slot"])
-            ref_index = int(params.get("capture_index", 0))
-            data = self.captures.lookup(ref_slot, action.direction, ref_index)
+            ref_slot = params["capture_slot"]
+            ref_index = params.get("capture_index", 0)
+            data = self.captures.get((ref_slot, action.direction, ref_index))
             if data is None:
                 raise ReplayReferenceMissing(
                     f"REPLAY at slot {slot} references uncaptured frame "
@@ -161,13 +149,13 @@ class Adversary:
             header = bytearray(data[:HEADER_LEN])
             struct.pack_into(">H", header, 32, len(new_payload))
             return bytes(header) + new_payload + data[-TAG_LEN:]
-        offset = int(params["byte_offset"])
-        mask = int(params["xor_mask"])
+        offset = params["byte_offset"]
+        mask = params["xor_mask"]
         if offset >= len(data):
             raise AttackTargetMissing(
                 f"MODIFY at slot {slot}: byte_offset {offset} outside a "
                 f"{len(data)}-byte frame"
             )
         mutated = bytearray(data)
-        mutated[offset] ^= mask & 0xFF
+        mutated[offset] ^= mask
         return bytes(mutated)

@@ -207,27 +207,15 @@ def consistency_audit(
     slot: int,
     latency_slots: int,
     sync_period: int = 1,
-) -> DetectionEvent | None:
+) -> int | None:
     """Compare the replica against the physical history it should mirror.
 
     physical_keys[s] is the physical key state at the end of slot s, for
     every slot up to the audited one.  The replica must hold the key state
     of the newest emission that can have been delivered by the end of
-    `slot`, or the initial state before any can have been.  Returns None
-    when consistent.
+    `slot`, or the initial state before any can have been.  Returns that
+    expected key state when the replica differs, None when consistent.
     """
     emission = delivered_emission(slot, latency_slots, sync_period)
     expected = machine.initial if emission is None else physical_keys[emission]
-    if replica.last_synced_key == expected:
-        return None
-    return DetectionEvent(
-        kind=EventKind.STATE_MISMATCH,
-        slot=slot,
-        direction=Direction.PHYS_TO_VIRT,
-        requirements=_R1,
-        detail={
-            "audit": True,
-            "expected": expected,
-            "got": replica.last_synced_key,
-        },
-    )
+    return None if replica.last_synced_key == expected else expected

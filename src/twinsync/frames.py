@@ -40,6 +40,11 @@ MIN_FRAME_LEN = HEADER_LEN + TAG_LEN
 MAX_PAYLOAD_LEN = 0xFFFF
 
 HEADER_STRUCT = struct.Struct(">2sBBIQQQH")
+# Largest values of the unsigned wire fields; scenario validation bounds
+# every value that reaches a header or a payload by these.
+U8_MAX = 0xFF
+U32_MAX = 0xFFFF_FFFF
+U64_MAX = 0xFFFF_FFFF_FFFF_FFFF
 
 
 class MsgType(IntEnum):
@@ -83,30 +88,24 @@ class ChannelError:
     seq: int | None = None
 
 
-@dataclass
-class _PeerState:
-    session_id: int = 0
-    highest_seq: int = 0
-
-
 class SequenceTracker:
     """Per-sender replay window: highest accepted seq within the current session."""
 
     def __init__(self) -> None:
-        self._peers: dict[int, _PeerState] = {}
+        self._peers: dict[int, tuple[int, int]] = {}  # sender -> (session, highest seq)
 
     def validate(self, sender_id: int, session_id: int, seq: int) -> str | None:
-        peer = self._peers.get(sender_id, _PeerState())
-        if session_id < peer.session_id:
-            return f"session {session_id} older than current session {peer.session_id}"
-        if session_id == peer.session_id and seq <= peer.highest_seq:
-            return f"seq {seq} not above highest accepted seq {peer.highest_seq}"
+        session, highest = self._peers.get(sender_id, (0, 0))
+        if session_id < session:
+            return f"session {session_id} older than current session {session}"
+        if session_id == session and seq <= highest:
+            return f"seq {seq} not above highest accepted seq {highest}"
         if seq < 1:
             return f"seq {seq} below initial value 1"
         return None
 
     def commit(self, sender_id: int, session_id: int, seq: int) -> None:
-        self._peers[sender_id] = _PeerState(session_id=session_id, highest_seq=seq)
+        self._peers[sender_id] = (session_id, seq)
 
 
 def _tag(key: bytes, body: bytes) -> bytes:
@@ -129,14 +128,6 @@ def encode_frame(frame: Frame, key: bytes) -> bytes:
     return body + _tag(key, body)
 
 
-def _claimed_header(data: bytes) -> tuple[int | None, int | None, int | None]:
-    # Best-effort header fields for error reports; the bytes may be garbage.
-    if len(data) < HEADER_LEN:
-        return None, None, None
-    _, _, _, sender_id, _, seq, slot, _ = HEADER_STRUCT.unpack_from(data)
-    return slot, sender_id, seq
-
-
 def decode_frame(
     data: bytes, key: bytes, tracker: SequenceTracker
 ) -> Frame | ChannelError:
@@ -145,54 +136,47 @@ def decode_frame(
     Returns the Frame on success (tracker advanced), otherwise a ChannelError
     and the tracker is left untouched.
     """
-    slot, sender, seq = _claimed_header(data)
     if len(data) < MIN_FRAME_LEN:
         return ChannelError(
             kind=ChannelErrorKind.MALFORMED,
             reason=f"frame of {len(data)} bytes shorter than minimum {MIN_FRAME_LEN}",
         )
     body, tag = data[:-TAG_LEN], data[-TAG_LEN:]
-    if not hmac.compare_digest(_tag(key, body), tag):
-        return ChannelError(
-            kind=ChannelErrorKind.AUTH_FAIL,
-            reason="tag mismatch",
-            slot=slot,
-            sender_id=sender,
-            seq=seq,
-        )
-
-    magic, version, msg_type, sender_id, session_id, seq_n, slot_n, payload_len = (
+    # Unpacked first only so that a frame failing the tag check can report its claims.
+    magic, version, msg_type, sender_id, session_id, seq, slot, payload_len = (
         HEADER_STRUCT.unpack_from(body)
     )
+    if not hmac.compare_digest(_tag(key, body), tag):
+        return ChannelError(ChannelErrorKind.AUTH_FAIL, "tag mismatch", slot, sender_id, seq)
     if magic != MAGIC:
-        return ChannelError(ChannelErrorKind.MALFORMED, "bad magic", slot_n, sender_id, seq_n)
+        return ChannelError(ChannelErrorKind.MALFORMED, "bad magic", slot, sender_id, seq)
     if version != VERSION:
         return ChannelError(
-            ChannelErrorKind.MALFORMED, f"unsupported version {version}", slot_n, sender_id, seq_n
+            ChannelErrorKind.MALFORMED, f"unsupported version {version}", slot, sender_id, seq
         )
     if msg_type not in (MsgType.STATE_SYNC, MsgType.COMMAND, MsgType.ACK):
         return ChannelError(
-            ChannelErrorKind.MALFORMED, f"unknown msg_type {msg_type}", slot_n, sender_id, seq_n
+            ChannelErrorKind.MALFORMED, f"unknown msg_type {msg_type}", slot, sender_id, seq
         )
     if payload_len != len(data) - MIN_FRAME_LEN:
         return ChannelError(
             ChannelErrorKind.MALFORMED,
             f"payload_len {payload_len} does not match frame size",
-            slot_n,
+            slot,
             sender_id,
-            seq_n,
+            seq,
         )
 
-    stale = tracker.validate(sender_id, session_id, seq_n)
+    stale = tracker.validate(sender_id, session_id, seq)
     if stale is not None:
-        return ChannelError(ChannelErrorKind.REPLAY, stale, slot_n, sender_id, seq_n)
-    tracker.commit(sender_id, session_id, seq_n)
+        return ChannelError(ChannelErrorKind.REPLAY, stale, slot, sender_id, seq)
+    tracker.commit(sender_id, session_id, seq)
     return Frame(
         msg_type=msg_type,
         sender_id=sender_id,
         session_id=session_id,
-        seq=seq_n,
-        slot=slot_n,
+        seq=seq,
+        slot=slot,
         payload=body[HEADER_LEN:],
     )
 

@@ -55,12 +55,6 @@ class TwinMachine:
     transitions: dict[tuple[int, int], int]
     labels: dict[str, dict[str, str]] = field(default_factory=dict)
 
-    def input_label(self, sym: int) -> str:
-        return self.labels.get("inputs", {}).get(str(sym), str(sym))
-
-    def state_label(self, state: int) -> str:
-        return self.labels.get("states", {}).get(str(state), str(state))
-
 
 @dataclass(frozen=True)
 class LogEntry:

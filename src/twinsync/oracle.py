@@ -16,8 +16,7 @@ from itertools import product
 from .detector import delivered_emission
 from .machine import TwinMachine, validate_machine
 from .runner import run_scenario
-from .scenario import ChannelConfig, ScenarioSpec
-from .netsim import Direction
+from .scenario import ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -99,10 +98,6 @@ def build_schedule_scenario(
         total_slots=total,
         name="oracle",
         operator_inputs_physical=[(slot + 1, sym) for slot, sym in enumerate(schedule)],
-        channels={
-            Direction.PHYS_TO_VIRT: ChannelConfig(),
-            Direction.VIRT_TO_PHYS: ChannelConfig(),
-        },
         seed=seed,
     )
 

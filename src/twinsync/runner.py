@@ -256,14 +256,14 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         delta = physical.tick(slot)
         if delta is not None:
             up.send(MsgType.STATE_SYNC, slot, encode_delta_payload(delta))
-        if slot % period == 0:
-            commands = virtual.tick(slot)
+        commands = virtual.tick(slot)
+        if commands:
             for command in commands:
                 down.send(MsgType.COMMAND, slot, encode_command_payload(command))
-            if not commands:
-                # Idle heartbeat on the reverse path: acknowledge the newest
-                # accepted sync so this channel has per-period liveness too.
-                down.send(MsgType.ACK, slot, encode_ack_payload(virtual.last_sync_seq))
+        elif commands is not None:
+            # Idle heartbeat on the reverse path: acknowledge the newest
+            # accepted sync so this channel has per-period liveness too.
+            down.send(MsgType.ACK, slot, encode_ack_payload(virtual.last_sync_seq))
 
         # Phase 3: deliveries, physical-to-virtual first.
         delivered = {}
@@ -276,7 +276,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         # Phase 4: liveness expectations and the consistency audit.
         events.extend(detector.on_slot_boundary(slot))
         physical_keys.append(physical.current_key())
-        audit_event = consistency_audit(
+        expected = consistency_audit(
             physical_keys,
             machine,
             virtual.replica,
@@ -286,11 +286,11 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         )
         audit_row = {
             "slot": slot,
-            "ok": audit_event is None,
+            "ok": expected is None,
             "replica_key_state": virtual.replica.last_synced_key,
         }
-        if audit_event is not None:
-            audit_row["expected"] = audit_event.detail["expected"]
+        if expected is not None:
+            audit_row["expected"] = expected
         audits.append(audit_row)
 
         rows.append(
@@ -349,7 +349,7 @@ def _receive(
                 return "state_mismatch"
         elif frame.msg_type == MsgType.COMMAND:
             command = decode_command_payload(frame.payload)
-            verdict = reconcile(physical.current_key(), command, spec.machine)
+            verdict = reconcile(command, spec.machine)
             if isinstance(verdict, Reject):
                 events.append(detector.on_semantic_mismatch(verdict, slot, direction))
                 return "command_rejected"
@@ -405,13 +405,8 @@ def _summarize(
                 "matched": matched,
             }
         )
-        cell = matrix.setdefault(attack.kind.value, {}).setdefault(
-            attack.direction.value, []
-        )
-        for r in sorted(detected):
-            if r.value not in cell:
-                cell.append(r.value)
-        cell.sort()
+        cell = matrix.setdefault(attack.kind.value, {}).setdefault(attack.direction.value, [])
+        cell[:] = sorted({*cell, *(r.value for r in detected)})
         expected_matrix.setdefault(attack.kind.value, {})[attack.direction.value] = sorted(
             r.value for r in expected
         )

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .adversary import AttackAction, AttackKind
+from .frames import MAX_PAYLOAD_LEN, U8_MAX, U32_MAX, U64_MAX
 from .machine import (
     MachineFormatError,
     TwinMachine,
@@ -119,7 +120,9 @@ def resolve_machine(spec: object, problems: list[str]) -> TwinMachine | None:
     result = validate_machine(machine)
     for issue in result.errors:
         problems.append(f"machine: {issue.code}: {issue.message}")
-    return machine if result.ok else None
+    wide = [n for n in ("states", "inputs") if max(getattr(machine, n), default=0) > U32_MAX]
+    problems.extend(f"machine.{n}: must be <= {U32_MAX}, the wire's u32" for n in wide)
+    return machine if result.ok and not wide else None
 
 
 def _uint(obj: dict, key: str, problems: list[str], default: int | None = None,
@@ -177,7 +180,6 @@ def _parse_keys(obj: dict, problems: list[str]) -> dict[Direction, bytes]:
         return keys
     for direction in Direction:
         if direction.value not in raw:
-            keys[direction] = DEFAULT_KEYS[direction]
             continue
         val = raw[direction.value]
         try:
@@ -225,7 +227,39 @@ _ATTACK_PARAM_KEYS = {
     AttackKind.INSERT: {"raw_hex", "template"},
     AttackKind.REPLAY: {"capture_slot", "capture_index"},
 }
-_ATTACK_INT_PARAMS = ("index", "byte_offset", "xor_mask", "capture_slot", "capture_index")
+# Bounds of every integer attack parameter and INSERT template field.  A
+# template's integers are as wide as the header fields they fill.
+_INT_BOUNDS = {
+    "index": (0, None),
+    "byte_offset": (0, None),
+    "xor_mask": (1, U8_MAX),  # a zero mask flips nothing
+    "capture_slot": (0, None),
+    "capture_index": (0, None),
+    "msg_type": (0, U8_MAX),
+    "sender_id": (0, U32_MAX),
+    "session_id": (0, U64_MAX),
+    "seq": (0, U64_MAX),
+    "slot": (0, U64_MAX),
+}
+_TEMPLATE_KEYS = {"msg_type", "sender_id", "session_id", "seq", "slot", "payload_hex"}
+
+
+def _check_values(obj: dict, problems: list[str], where: str) -> dict[str, int | None]:
+    """Check the hex and integer values of attack params or a template; return the integers."""
+    for key in ("raw_hex", "payload_hex"):
+        if key in obj:
+            try:
+                size = len(bytes.fromhex(obj[key]))
+            except (TypeError, ValueError):
+                problems.append(f"{where}{key}: must be a hex string")
+                continue
+            if key == "payload_hex" and size > MAX_PAYLOAD_LEN:
+                problems.append(f"{where}{key}: must be at most {MAX_PAYLOAD_LEN} bytes")
+    return {
+        k: _uint(obj, k, problems, minimum=lo, maximum=hi, where=where)
+        for k, (lo, hi) in _INT_BOUNDS.items()
+        if k in obj
+    }
 
 
 def _parse_attacks(
@@ -268,17 +302,15 @@ def _parse_attacks(
                 f"{where}.params: unknown keys for {kind.value}: {sorted(unknown)}"
             )
         at = f"{where}.params."
-        ints = {
-            k: _uint(params, k, problems, where=at) for k in _ATTACK_INT_PARAMS if k in params
-        }
-        for key in ("raw_hex", "payload_hex"):
-            if key in params:
-                try:
-                    bytes.fromhex(params[key])
-                except (TypeError, ValueError):
-                    problems.append(f"{at}{key}: must be a hex string")
-        if not isinstance(params.get("template", {}), dict):
+        ints = _check_values(params, problems, at)
+        template = params.get("template", {})
+        if not isinstance(template, dict):
             problems.append(f"{at}template: must be an object")
+        else:
+            unknown = set(template) - _TEMPLATE_KEYS
+            if unknown:
+                problems.append(f"{at}template: unknown keys: {sorted(unknown)}")
+            _check_values(template, problems, f"{at}template.")
         if kind is AttackKind.REPLAY:
             if "capture_slot" not in params:
                 problems.append(f"{at}capture_slot: required for REPLAY")
@@ -311,9 +343,9 @@ def scenario_from_dict(obj: dict) -> ScenarioSpec:
 
     total_slots = _uint(obj, "total_slots", problems, minimum=1)
     sync_period = _uint(obj, "sync_period_slots", problems, default=1, minimum=1)
-    session_id = _uint(obj, "session_id", problems, default=1, minimum=1)
+    session_id = _uint(obj, "session_id", problems, default=1, minimum=1, maximum=U64_MAX)
     grace = _uint(obj, "grace_slots", problems, default=1)
-    seed = _uint(obj, "seed", problems, default=0, maximum=2**64 - 1)
+    seed = _uint(obj, "seed", problems, default=0, maximum=U64_MAX)
     channels = _parse_channels(obj, problems)
     keys = _parse_keys(obj, problems)
     phys_inputs = _parse_inputs(obj, "operator_inputs_physical", machine, total_slots, problems)

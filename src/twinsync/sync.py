@@ -17,7 +17,7 @@ tell silence from a deleted message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .machine import (
@@ -46,11 +46,10 @@ class CommandRecord:
 
 @dataclass(frozen=True)
 class ReplicaState:
-    """The digital twin's view: last confirmed key state plus queued commands."""
+    """The digital twin's view: the last confirmed key state and its slot."""
 
     last_synced_key: int
     last_synced_slot: int = 0
-    pending_commands: tuple[CommandRecord, ...] = ()
 
 
 class MismatchKind(str, Enum):
@@ -149,19 +148,13 @@ def apply_delta(
     err = verify_delta(machine, delta, replica.last_synced_key)
     if err is not None:
         return err
-    return replace(
-        replica, last_synced_key=delta.result_state, last_synced_slot=delta.slot
-    )
+    return ReplicaState(last_synced_key=delta.result_state, last_synced_slot=delta.slot)
 
 
-def reconcile(
-    physical_key: int, command: CommandRecord, machine: TwinMachine
-) -> tuple[int, ...] | Reject:
+def reconcile(command: CommandRecord, machine: TwinMachine) -> tuple[int, ...] | Reject:
     """Vet an operator command before the physical twin executes it.
 
-    Accepted commands come back as the input tuple to execute at the next
-    slot. physical_key is part of the contract so rejection rules that
-    depend on the current key state can hang off this hook.
+    Accepted commands come back as the input tuple to execute at the next slot.
     """
     if not command.inputs:
         return Reject(reason="empty_command")
@@ -249,20 +242,16 @@ class VirtualTwin:
         self.sync_period = sync_period
         self.replica = ReplicaState(last_synced_key=machine.initial)
         self.last_sync_seq = 0
+        self.pending_commands: list[CommandRecord] = []
 
     def queue_operator_inputs(self, slot: int, inputs: tuple[int, ...]) -> None:
-        command = CommandRecord(inputs=inputs, issued_slot=slot)
-        self.replica = replace(
-            self.replica, pending_commands=self.replica.pending_commands + (command,)
-        )
+        self.pending_commands.append(CommandRecord(inputs=inputs, issued_slot=slot))
 
-    def tick(self, slot: int) -> list[CommandRecord]:
-        """Flush queued commands at sync boundaries."""
+    def tick(self, slot: int) -> list[CommandRecord] | None:
+        """Flush queued commands at sync boundaries; None between them."""
         if slot % self.sync_period != 0:
-            return []
-        commands = list(self.replica.pending_commands)
-        if commands:
-            self.replica = replace(self.replica, pending_commands=())
+            return None
+        commands, self.pending_commands = self.pending_commands, []
         return commands
 
     def apply_sync(self, seq: int, delta: DeltaRecord) -> MismatchError | None:

@@ -7,7 +7,6 @@ from twinsync.adversary import (
     AttackAction,
     AttackKind,
     AttackTargetMissing,
-    CaptureLog,
     ReplayReferenceMissing,
     forge_frame_bytes,
 )
@@ -38,21 +37,11 @@ def adversary(*actions: AttackAction) -> Adversary:
 
 
 class TestCaptureLog:
-    def test_lookup_by_reference(self):
-        log = CaptureLog()
-        log.add(3, P2V, 0, b"abc")
-        assert log.lookup(3, P2V, 0) == b"abc"
-        assert log.lookup(3, V2P, 0) is None
-        assert log.lookup(4, P2V, 0) is None
-
     def test_everything_passing_is_captured(self):
         adv = adversary()
         adv.intercept(2, P2V, [b"a", b"b"])
         adv.intercept(2, V2P, [b"c"])
-        assert adv.captures.lookup(2, P2V, 0) == b"a"
-        assert adv.captures.lookup(2, P2V, 1) == b"b"
-        assert adv.captures.lookup(2, V2P, 0) == b"c"
-        assert adv.captures.lookup(2, V2P, 1) is None
+        assert adv.captures == {(2, P2V, 0): b"a", (2, P2V, 1): b"b", (2, V2P, 0): b"c"}
 
 
 class TestDelete:
@@ -77,7 +66,7 @@ class TestDelete:
     def test_deleted_frame_was_still_captured(self):
         adv = adversary(AttackAction(AttackKind.DELETE, 4, P2V))
         adv.intercept(4, P2V, [b"gone"])
-        assert adv.captures.lookup(4, P2V, 0) == b"gone"
+        assert adv.captures[(4, P2V, 0)] == b"gone"
 
 
 class TestModify:

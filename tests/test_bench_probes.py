@@ -3,6 +3,8 @@
 `python3 bench/run.py --trace 1` rebinds twinsync names where the runner
 looks them up (bench/probes.py).  A rename or deletion in `src/` that
 leaves a target behind would only show up there, so it is checked here.
+The probes also read instance attributes (`twin.log.entries`,
+`channel.drop_log`, `adversary.applied`), which only a traced run reaches.
 """
 
 import importlib
@@ -12,13 +14,18 @@ import pytest
 
 import twinsync
 from conftest import import_bench_module
+from twinsync.scenario import load_bundled_scenario
 
 MODULES = ("scenario", "runner", "oracle", "sync", "frames", "netsim", "adversary", "detector")
 
 
+def twinsync_modules() -> SimpleNamespace:
+    return SimpleNamespace(**{m: importlib.import_module(f"twinsync.{m}") for m in MODULES})
+
+
 def tracer_targets() -> list:
     probes = import_bench_module("probes")
-    ts = SimpleNamespace(**{m: importlib.import_module(f"twinsync.{m}") for m in MODULES})
+    ts = twinsync_modules()
     return probes.targets(ts) + probes.setup_targets(ts)
 
 
@@ -29,3 +36,15 @@ def test_tracer_target_is_defined_on_its_owner(target):
 
 def test_every_export_resolves():
     assert [name for name in twinsync.__all__ if not hasattr(twinsync, name)] == []
+
+
+@pytest.mark.parametrize("name", ["fig4_walkthrough", "attack_matrix"])
+def test_traced_run_gives_the_untraced_report(name):
+    probes = import_bench_module("probes")
+    spans = import_bench_module("spans")
+    ts = twinsync_modules()
+    untraced = ts.runner.run_scenario(load_bundled_scenario(name)).to_json_bytes()
+    with spans.Tracer(probes.targets(ts)) as tracer:
+        traced = ts.runner.run_scenario(load_bundled_scenario(name)).to_json_bytes()
+    assert tracer.counters["runner.slots"] > 0
+    assert traced == untraced

@@ -112,7 +112,6 @@ class TestOracleEfficacy:
                 return sync_mod.ReplicaState(
                     last_synced_key=replica.last_synced_key,
                     last_synced_slot=out.last_synced_slot,
-                    pending_commands=out.pending_commands,
                 )
             return out
 

@@ -100,3 +100,22 @@ def test_bundled_reports_match_pinned_digests(name, tmp_path):
     rc = main(["run", "--scenario", str(fixture_path(name + ".json")), "--out", str(out)])
     assert rc == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[name]
+
+
+# SHA-256 over each bench workload's seed-0 reports, concatenated in
+# `_workload_specs` order.  Unlike the two bundled scenarios these cover
+# lossy drops, template INSERTs, payload splices and the oracle sweep.
+PINNED_WORKLOAD_REPORTS = {
+    "idle_at_key": "59a658e14f52aef16f56bb595aa3dfa25d0cdfb351f9889883fcb028df6fc52c",
+    "idle_between_keys": "30cfc16b14822ea90a7629b81e40128a9a58a75938e1ad3ba635404bfe7b37f8",
+    "attack_dense": "4e87ec3176eb0ec967b796bc1540b0a6146fa3dda23e7c0b89b024a9c1ab6318",
+    "oracle_sweep": "42c8271fcb49b6d56a9df80a27b1fbde4c14474377a7b97e9506caa9cd87bfa4",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_WORKLOAD_REPORTS))
+def test_bench_workload_reports_match_pinned_digests(workload):
+    digest = hashlib.sha256()
+    for spec in _workload_specs(workload):
+        digest.update(run_scenario(spec).to_json_bytes())
+    assert digest.hexdigest() == PINNED_WORKLOAD_REPORTS[workload]

@@ -6,7 +6,9 @@ import jsonschema
 import pytest
 
 from twinsync.adversary import AttackKind
+from twinsync.frames import MAX_PAYLOAD_LEN, U8_MAX, U32_MAX, U64_MAX
 from twinsync.netsim import Direction
+from twinsync.runner import run_scenario
 from twinsync.scenario import (
     BUNDLED_FIXTURES,
     DEFAULT_KEYS,
@@ -83,6 +85,36 @@ class TestBundledFixtures:
             cls=jsonschema.Draft202012Validator,
         )
 
+    def test_schema_maxima_are_the_wire_widths(self):
+        schema = scenario_schema()
+        defs = schema["$defs"]
+        machine = defs["machine"]["properties"]
+        params = defs["attack"]["properties"]["params"]["properties"]
+        template = defs["template"]["properties"]
+        maxima = {
+            "seed": schema["properties"]["seed"]["maximum"],
+            "session_id": schema["properties"]["session_id"]["maximum"],
+            "machine.states": machine["states"]["items"]["maximum"],
+            "machine.inputs": machine["inputs"]["items"]["maximum"],
+            "params.xor_mask": params["xor_mask"]["maximum"],
+            "payload_hex bytes": defs["payloadHex"]["maxLength"] // 2,
+        }
+        for key in ("msg_type", "sender_id", "session_id", "seq", "slot"):
+            maxima[f"template.{key}"] = template[key]["maximum"]
+        assert maxima == {
+            "seed": U64_MAX,
+            "session_id": U64_MAX,
+            "machine.states": U32_MAX,
+            "machine.inputs": U32_MAX,
+            "params.xor_mask": U8_MAX,
+            "payload_hex bytes": MAX_PAYLOAD_LEN,
+            "template.msg_type": U8_MAX,
+            "template.sender_id": U32_MAX,
+            "template.session_id": U64_MAX,
+            "template.seq": U64_MAX,
+            "template.slot": U64_MAX,
+        }
+
     def test_machine_fixture_validates_against_the_schema(self):
         doc = {"machine": load_fixture_json("kettle"), "total_slots": 1}
         jsonschema.validate(doc, scenario_schema(), cls=jsonschema.Draft202012Validator)
@@ -120,6 +152,10 @@ class TestDefaults:
         spec = scenario_from_dict(doc)
         assert spec.channels[P2V] == ChannelConfig(latency_slots=3, drop_probability=0.0)
         assert spec.channels[V2P] == ChannelConfig()
+
+    def test_partial_keys(self):
+        spec = scenario_from_dict(minimal_doc(keys={"virt_to_phys": "ab"}))
+        assert spec.keys == {P2V: DEFAULT_KEYS[P2V], V2P: b"\xab"}
 
     def test_inputs_are_sorted_by_slot(self):
         doc = minimal_doc(operator_inputs_physical=[[3, 1], [1, 2], [2, 1]])
@@ -234,6 +270,19 @@ class TestProblems:
             (2, {"byte_offset": -1, "xor_mask": 1}, "byte_offset: must be >= 0"),
             (2, {"payload_hex": "zz"}, "payload_hex: must be a hex string"),
             (1, {"template": "deadbeef"}, "template: must be an object"),
+            (1, {"template": {"seq": "a"}}, "template.seq: must be an integer"),
+            (1, {"template": {"payload_hex": "zz"}}, "template.payload_hex: must be a hex string"),
+            (1, {"template": {"msg_type": 256}}, "template.msg_type: must be >= 0 and <= 255"),
+            (1, {"template": {"slot": 2**64}}, f"template.slot: must be >= 0 and <= {U64_MAX}"),
+            (
+                1,
+                {"template": {"payload_hex": "00" * 70_000}},
+                "template.payload_hex: must be at most 65535 bytes",
+            ),
+            (1, {"template": {"nonce": 1}}, "template: unknown keys: ['nonce']"),
+            (2, {"payload_hex": "00" * 70_000}, "payload_hex: must be at most 65535 bytes"),
+            (2, {"byte_offset": 24, "xor_mask": 0}, "xor_mask: must be >= 1 and <= 255"),
+            (2, {"byte_offset": 24, "xor_mask": 256}, "xor_mask: must be >= 1 and <= 255"),
         ],
     )
     def test_attack_param_values_are_checked(self, index, params, problem):
@@ -241,6 +290,52 @@ class TestProblems:
         doc = load_fixture_json("attack_matrix")
         doc["attacks"][index]["params"] = params
         assert problems_of(doc) == [f"attacks[{index}].params.{problem}"]
+
+    def test_widest_values_run(self):
+        """The largest value of each bounded field parses and runs to a pass."""
+        doc = load_fixture_json("attack_matrix")
+        doc["session_id"] = U64_MAX
+        doc["attacks"][1]["params"] = {
+            "template": {
+                "msg_type": U8_MAX,
+                "sender_id": U32_MAX,
+                "session_id": U64_MAX,
+                "seq": U64_MAX,
+                "slot": U64_MAX,
+                "payload_hex": "00" * MAX_PAYLOAD_LEN,
+            }
+        }
+        doc["attacks"][2]["params"] = {"byte_offset": 24, "xor_mask": 255}
+        jsonschema.validate(doc, scenario_schema(), cls=jsonschema.Draft202012Validator)
+        assert run_scenario(scenario_from_dict(doc)).summary["verdict"] == "pass"
+
+    def test_session_id_is_bounded_by_its_u64(self):
+        assert problems_of(minimal_doc(session_id=2**70)) == [
+            f"session_id: must be >= 1 and <= {U64_MAX}"
+        ]
+
+    @pytest.mark.parametrize("field", ["states", "inputs"])
+    @pytest.mark.parametrize("value, ok", [(2**32, False), (U32_MAX, True)])
+    def test_machine_is_bounded_by_the_wire_u32(self, field, value, ok):
+        """A walkthrough whose key state 100 (or input HEAT) is renamed to value."""
+        doc = load_fixture_json("fig4_walkthrough")
+        machine = load_fixture_json("kettle")
+        old = 100 if field == "states" else 1
+        rename = lambda v: value if v == old else v  # noqa: E731
+        machine["labels"] = {}
+        machine[field] = [rename(v) for v in machine[field]]
+        if field == "states":
+            machine["key_states"] = [rename(v) for v in machine["key_states"]]
+            machine["delta"] = [[rename(a), b, rename(c)] for a, b, c in machine["delta"]]
+        else:
+            machine["delta"] = [[a, rename(b), c] for a, b, c in machine["delta"]]
+            for key in ("operator_inputs_physical", "operator_inputs_virtual"):
+                doc[key] = [[slot, rename(sym)] for slot, sym in doc[key]]
+        doc["machine"] = machine
+        if ok:
+            assert run_scenario(scenario_from_dict(doc)).summary["verdict"] == "pass"
+        else:
+            assert problems_of(doc) == [f"machine.{field}: must be <= {U32_MAX}, the wire's u32"]
 
     def test_every_problem_is_collected(self):
         doc = {

@@ -123,14 +123,14 @@ class TestApplyDelta:
 class TestReconcile:
     def test_accepts_known_inputs(self, kettle):
         cmd = CommandRecord(inputs=(HEAT, IDLE), issued_slot=3)
-        assert reconcile(0, cmd, kettle) == (HEAT, IDLE)
+        assert reconcile(cmd, kettle) == (HEAT, IDLE)
 
     def test_rejects_empty_command(self, kettle):
-        out = reconcile(0, CommandRecord(inputs=(), issued_slot=3), kettle)
+        out = reconcile(CommandRecord(inputs=(), issued_slot=3), kettle)
         assert out == Reject(reason="empty_command")
 
     def test_rejects_unknown_input(self, kettle):
-        out = reconcile(0, CommandRecord(inputs=(HEAT, 99), issued_slot=3), kettle)
+        out = reconcile(CommandRecord(inputs=(HEAT, 99), issued_slot=3), kettle)
         assert out == Reject(reason="unknown_input", detail=99)
 
 
@@ -229,7 +229,7 @@ class TestVirtualTwin:
     def test_flush_respects_period(self, kettle):
         twin = VirtualTwin(kettle, sync_period=2)
         twin.queue_operator_inputs(1, (HEAT,))
-        assert twin.tick(1) == []
+        assert twin.tick(1) is None
         assert twin.tick(2) == [CommandRecord(inputs=(HEAT,), issued_slot=1)]
 
     def test_apply_sync_tracks_seq(self, kettle):
