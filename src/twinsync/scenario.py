@@ -9,6 +9,7 @@ problem it can find; a scenario that parses is guaranteed to run.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -28,6 +29,8 @@ DEFAULT_KEYS = {
     Direction.VIRT_TO_PHYS: bytes(range(32, 64)),
 }
 BUNDLED_FIXTURES = ("kettle", "fig4_walkthrough", "attack_matrix")
+# The schema's hex pattern: whole bytes, no spaces (bytes.fromhex skips them).
+_HEX = re.compile(r"(?:[0-9a-fA-F]{2})*")
 
 
 class ScenarioInvalid(Exception):
@@ -125,6 +128,13 @@ def resolve_machine(spec: object, problems: list[str]) -> TwinMachine | None:
     return machine if result.ok and not wide else None
 
 
+def _hex(val: object) -> bytes | None:
+    """val decoded as a hex string of whole bytes, or None when it is not one."""
+    if not isinstance(val, str) or not _HEX.fullmatch(val):
+        return None
+    return bytes.fromhex(val)
+
+
 def _uint(obj: dict, key: str, problems: list[str], default: int | None = None,
           minimum: int = 0, maximum: int | None = None, where: str = "") -> int | None:
     """obj[key] as a bounded integer; `where` prefixes the key in problems."""
@@ -181,15 +191,10 @@ def _parse_keys(obj: dict, problems: list[str]) -> dict[Direction, bytes]:
     for direction in Direction:
         if direction.value not in raw:
             continue
-        val = raw[direction.value]
-        try:
-            if not isinstance(val, str):
-                raise ValueError("not a string")
-            decoded = bytes.fromhex(val)
-            if not decoded:
-                raise ValueError("empty")
+        decoded = _hex(raw[direction.value])
+        if decoded:
             keys[direction] = decoded
-        except ValueError:
+        else:
             problems.append(f"keys.{direction.value}: must be a nonempty hex string")
     return keys
 
@@ -248,12 +253,11 @@ def _check_values(obj: dict, problems: list[str], where: str) -> dict[str, int |
     """Check the hex and integer values of attack params or a template; return the integers."""
     for key in ("raw_hex", "payload_hex"):
         if key in obj:
-            try:
-                size = len(bytes.fromhex(obj[key]))
-            except (TypeError, ValueError):
+            decoded = _hex(obj[key])
+            if decoded is None:
                 problems.append(f"{where}{key}: must be a hex string")
                 continue
-            if key == "payload_hex" and size > MAX_PAYLOAD_LEN:
+            if key == "payload_hex" and len(decoded) > MAX_PAYLOAD_LEN:
                 problems.append(f"{where}{key}: must be at most {MAX_PAYLOAD_LEN} bytes")
     return {
         k: _uint(obj, k, problems, minimum=lo, maximum=hi, where=where)
@@ -263,7 +267,7 @@ def _check_values(obj: dict, problems: list[str], where: str) -> dict[str, int |
 
 
 def _parse_attacks(
-    obj: dict, total_slots: int | None, problems: list[str]
+    obj: dict, total_slots: int | None, grace_slots: int, problems: list[str]
 ) -> list[AttackAction]:
     out: list[AttackAction] = []
     raw = obj.get("attacks", [])
@@ -292,6 +296,16 @@ def _parse_attacks(
             continue
         if total_slots is not None and slot >= total_slots:
             problems.append(f"{where}.slot: {slot} outside the run of {total_slots} slots")
+        elif (
+            kind is AttackKind.DELETE
+            and total_slots is not None
+            and slot + grace_slots >= total_slots
+        ):
+            # Only MISSED_SYNC detects a deletion, grace_slots after the delivery.
+            problems.append(
+                f"{where}.slot: a DELETE at slot {slot} is detected at slot "
+                f"{slot + grace_slots}, after the run of {total_slots} slots"
+            )
         params = entry.get("params", {})
         if not isinstance(params, dict):
             problems.append(f"{where}.params: must be an object")
@@ -350,7 +364,7 @@ def scenario_from_dict(obj: dict) -> ScenarioSpec:
     keys = _parse_keys(obj, problems)
     phys_inputs = _parse_inputs(obj, "operator_inputs_physical", machine, total_slots, problems)
     virt_inputs = _parse_inputs(obj, "operator_inputs_virtual", machine, total_slots, problems)
-    attacks = _parse_attacks(obj, total_slots, problems)
+    attacks = _parse_attacks(obj, total_slots, grace, problems)
     name = obj.get("name", "")
     if not isinstance(name, str):
         problems.append("name: must be a string")

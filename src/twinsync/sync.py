@@ -13,11 +13,19 @@ in force was last established), so every record verifies from the replica's
 current key even when the machine is partway between key states.  A slot with
 no activity still produces an empty heartbeat record so the other side can
 tell silence from a deleted message.
+
+Neither side re-walks a cumulative record in Python.  The physical twin keeps
+the inputs since its anchor as a plain list and copies it into each record.
+The replica keeps the last fold it verified; a record with the same base
+whose inputs extend that fold's inputs is checked by comparing the prefix
+(in C) and folding only the new suffix from the kept state and last key.  A
+left fold resumed from its own accumulator ends where the full fold ends, so
+every accept, reject and mismatch is what the full fold would give.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .machine import (
@@ -44,12 +52,22 @@ class CommandRecord:
     issued_slot: int
 
 
+# A fold already walked, from base over inputs to state, last visiting last_key:
+# (machine, base, inputs, state, last_key).  A plain tuple: one is built per record.
+_Fold = tuple[TwinMachine, int, tuple[int, ...], int, int | None]
+
+
 @dataclass(frozen=True)
 class ReplicaState:
-    """The digital twin's view: the last confirmed key state and its slot."""
+    """The digital twin's view: the last confirmed key state and its slot.
+
+    `fold` is the last verified fold, kept so the next cumulative record
+    folds only its new inputs; it takes no part in equality.
+    """
 
     last_synced_key: int
     last_synced_slot: int = 0
+    fold: _Fold | None = field(default=None, compare=False, repr=False)
 
 
 class MismatchKind(str, Enum):
@@ -77,16 +95,18 @@ class Reject:
 
 
 def fold_key_state(
-    machine: TwinMachine, base: int, inputs: tuple[int, ...]
+    machine: TwinMachine, base: int, inputs: tuple[int, ...], last_key: int | None = None
 ) -> tuple[int, int | None]:
     """Walk the inputs from base; return (final state, last key state visited).
 
     The last key visited starts as base itself when base is a key state and
     is None otherwise, so a record based outside the key set can never claim
-    a reachable result.
+    a reachable result.  An earlier fold resumes from its final state as
+    base and its last key visited as last_key.
     """
     state = base
-    last_key = base if base in machine.key_states else None
+    if base in machine.key_states:
+        last_key = base
     for sym in inputs:
         state = step(machine, state, sym)
         if state in machine.key_states:
@@ -102,6 +122,17 @@ def verify_delta(
     Returns None when the record is consistent: the base matches and folding
     the inputs through the machine visits result_state as the last key state.
     """
+    result = _verify(machine, delta, expected_base, None)
+    return result if isinstance(result, MismatchError) else None
+
+
+def _verify(
+    machine: TwinMachine, delta: DeltaRecord, expected_base: int, kept: _Fold | None
+) -> MismatchError | _Fold:
+    """verify_delta, resuming the fold `kept` when the record extends it.
+
+    A consistent record gives back the fold it was verified by.
+    """
     if delta.base_state != expected_base:
         return MismatchError(
             kind=MismatchKind.BASE_MISMATCH,
@@ -109,8 +140,17 @@ def verify_delta(
             got=delta.base_state,
             reason="delta base does not match replica key state",
         )
+    base, inputs = delta.base_state, delta.applied_inputs
+    start, done, last_key = base, (), None
+    if (
+        kept is not None
+        and kept[0] is machine
+        and kept[1] == base
+        and inputs[: len(kept[2])] == kept[2]
+    ):
+        _, _, done, start, last_key = kept
     try:
-        _, last_key = fold_key_state(machine, delta.base_state, delta.applied_inputs)
+        state, last_key = fold_key_state(machine, start, inputs[len(done) :], last_key)
     except MachineError as exc:
         return MismatchError(
             kind=MismatchKind.UNREACHABLE_RESULT,
@@ -125,7 +165,7 @@ def verify_delta(
             got=delta.result_state,
             reason="claimed result not reached by folding the inputs",
         )
-    return None
+    return machine, base, inputs, state, last_key
 
 
 def apply_delta(
@@ -145,10 +185,15 @@ def apply_delta(
             got=delta.slot,
             reason="delta slot predates the replica's sync point",
         )
-    err = verify_delta(machine, delta, replica.last_synced_key)
-    if err is not None:
-        return err
-    return ReplicaState(last_synced_key=delta.result_state, last_synced_slot=delta.slot)
+    fold = _verify(machine, delta, replica.last_synced_key, replica.fold)
+    if isinstance(fold, MismatchError):
+        return fold
+    # A heartbeat keeps the fold it would otherwise replace with an empty one.
+    return ReplicaState(
+        last_synced_key=delta.result_state,
+        last_synced_slot=delta.slot,
+        fold=fold if delta.applied_inputs else replica.fold,
+    )
 
 
 def reconcile(command: CommandRecord, machine: TwinMachine) -> tuple[int, ...] | Reject:
@@ -167,9 +212,9 @@ def reconcile(command: CommandRecord, machine: TwinMachine) -> tuple[int, ...] |
 class PhysicalTwin:
     """Stateful physical endpoint: executes inputs, emits one record per sync period.
 
-    The emission anchor tracks the log position just after the last key
-    crossing already shipped, so records stay verifiable from the replica's
-    key state even while the machine sits between key states.
+    The emission anchor sits just after the last key crossing already
+    shipped, so records stay verifiable from the replica's key state even
+    while the machine sits between key states.
     """
 
     def __init__(self, machine: TwinMachine, sync_period: int = 1):
@@ -179,12 +224,12 @@ class PhysicalTwin:
         self.sync_period = sync_period
         self.state = machine.initial
         self.log = ExecutionLog(machine.machine_id)
-        # Both keys are kept current on every append, so no tick rescans the log.
+        # Kept current on every input, so no tick reads the log.
         self._key = machine.initial  # key state after the whole log
-        self._crossed_index = 0  # log length just after the last key crossing
-        self._anchor_index = 0
         self._anchor_key = machine.initial  # key state in force at the anchor
-        self._emitted_index = 0
+        self._inputs: list[int] = []  # every input logged since the anchor
+        self._crossed = 0  # len(_inputs) just after the last key crossing
+        self._shipped = 0  # how many of _inputs the last record carried
         self.pending_reconciled: list[tuple[int, ...]] = []
         self.acked: list[tuple[int, int]] = []  # (slot, acked seq) pairs
 
@@ -202,9 +247,10 @@ class PhysicalTwin:
         )
         self.log.append(entry)
         self.state = nxt
+        self._inputs.append(sym)
         if entry.is_key_crossing:
             self._key = nxt
-            self._crossed_index = len(self.log.entries)
+            self._crossed = len(self._inputs)
         return entry
 
     def record_ack(self, slot: int, acked_seq: int) -> None:
@@ -214,20 +260,21 @@ class PhysicalTwin:
         """End-of-slot emission: a delta when the log moved, a heartbeat otherwise."""
         if slot % self.sync_period != 0:
             return None
-        entries = self.log.entries
-        if len(entries) == self._emitted_index:
+        inputs = self._inputs
+        if len(inputs) == self._shipped:
             key = self._key
             return DeltaRecord(base_state=key, result_state=key, applied_inputs=(), slot=slot)
         record = DeltaRecord(
             base_state=self._anchor_key,
             result_state=self._key,
-            applied_inputs=tuple(e.input for e in entries[self._anchor_index :]),
+            applied_inputs=tuple(inputs),
             slot=slot,
         )
         # Every crossing up to here is now shipped: the next record starts
         # just after the last one, from the key state it established.
-        self._emitted_index = len(entries)
-        self._anchor_index = self._crossed_index
+        del inputs[: self._crossed]
+        self._crossed = 0
+        self._shipped = len(inputs)
         self._anchor_key = self._key
         return record
 

@@ -48,3 +48,18 @@ def test_traced_run_gives_the_untraced_report(name):
         traced = ts.runner.run_scenario(load_bundled_scenario(name)).to_json_bytes()
     assert tracer.counters["runner.slots"] > 0
     assert traced == untraced
+
+
+def test_fold_work_is_linear_and_traced():
+    """Between key states each record repeats every earlier input, and the
+    replica folds only the new ones: at most two folded inputs per slot."""
+    probes = import_bench_module("probes")
+    spans = import_bench_module("spans")
+    (doc,) = import_bench_module("workloads").idle_between_keys(0)
+    ts = twinsync_modules()
+    untraced = ts.runner.run_scenario(ts.scenario.scenario_from_dict(doc)).to_json_bytes()
+    spec = ts.scenario.scenario_from_dict(doc)
+    with spans.Tracer(probes.targets(ts)) as tracer:
+        traced = ts.runner.run_scenario(spec).to_json_bytes()
+    assert tracer.counters["sync.fold.inputs"] <= 2 * spec.total_slots
+    assert traced == untraced

@@ -5,7 +5,7 @@ import json
 import jsonschema
 import pytest
 
-from twinsync.adversary import AttackKind
+from twinsync.adversary import AttackAction, AttackKind
 from twinsync.frames import MAX_PAYLOAD_LEN, U8_MAX, U32_MAX, U64_MAX
 from twinsync.netsim import Direction
 from twinsync.runner import run_scenario
@@ -229,6 +229,27 @@ class TestProblems:
         doc = minimal_doc(attacks=[{"kind": "DELETE", "slot": 9, "direction": "phys_to_virt"}])
         assert problems_of(doc) == ["attacks[0].slot: 9 outside the run of 5 slots"]
 
+    @pytest.mark.parametrize("direction", [P2V, V2P])
+    @pytest.mark.parametrize(
+        "grace, slot, ok", [(1, 8, True), (1, 9, False), (2, 7, True), (2, 8, False), (2, 9, False)]
+    )
+    def test_delete_must_be_detectable_within_the_run(self, direction, grace, slot, ok):
+        """MISSED_SYNC fires grace_slots after the deleted delivery, so it must fit the run."""
+        doc = minimal_doc(total_slots=10, grace_slots=grace)
+        spec = scenario_from_dict(doc)
+        spec.attacks.append(AttackAction(AttackKind.DELETE, slot, direction, {}))
+        verdict = run_scenario(spec).summary["verdict"]
+        doc["attacks"] = [{"kind": "DELETE", "slot": slot, "direction": direction.value}]
+        if ok:
+            assert verdict == "pass"
+            assert scenario_from_dict(doc).attacks == spec.attacks
+        else:
+            assert verdict == "detection_mismatch"
+            assert problems_of(doc) == [
+                f"attacks[0].slot: a DELETE at slot {slot} is detected at slot "
+                f"{slot + grace}, after the run of 10 slots"
+            ]
+
     def test_unknown_attack_params(self):
         doc = minimal_doc(
             attacks=[{"kind": "DELETE", "slot": 1, "direction": "phys_to_virt",
@@ -290,6 +311,28 @@ class TestProblems:
         doc = load_fixture_json("attack_matrix")
         doc["attacks"][index]["params"] = params
         assert problems_of(doc) == [f"attacks[{index}].params.{problem}"]
+
+    @pytest.mark.parametrize(
+        "index, params, problem",
+        [
+            (1, {"raw_hex": "de ad"}, "raw_hex: must be a hex string"),
+            (2, {"payload_hex": "de ad"}, "payload_hex: must be a hex string"),
+            (1, {"template": {"payload_hex": "de ad"}}, "template.payload_hex: must be a hex string"),
+        ],
+    )
+    def test_spaced_attack_hex_fails_both_checks(self, index, params, problem):
+        """bytes.fromhex skips spaces; the validator follows the schema's pattern instead."""
+        doc = load_fixture_json("attack_matrix")
+        doc["attacks"][index]["params"] = params
+        assert problems_of(doc) == [f"attacks[{index}].params.{problem}"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, scenario_schema(), cls=jsonschema.Draft202012Validator)
+
+    def test_spaced_key_fails_both_checks(self):
+        doc = minimal_doc(keys={"phys_to_virt": "00 01"})
+        assert problems_of(doc) == ["keys.phys_to_virt: must be a nonempty hex string"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, scenario_schema(), cls=jsonschema.Draft202012Validator)
 
     def test_widest_values_run(self):
         """The largest value of each bounded field parses and runs to a pass."""

@@ -1,11 +1,13 @@
 """Delta computation, verification, application, and the twin endpoint classes."""
 
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import twinsync.sync as sync_mod
 from conftest import COOL, HEAT, IDLE
 from twinsync.machine import key_trace, project_key_state
 from twinsync.sync import (
@@ -118,6 +120,56 @@ class TestApplyDelta:
         replica = ReplicaState(last_synced_key=100, last_synced_slot=8)
         out = apply_delta(replica, DeltaRecord(100, 100, (), slot=8), kettle)
         assert out == ReplicaState(last_synced_key=100, last_synced_slot=8)
+
+
+UNDECLARED = 99
+
+
+@pytest.mark.parametrize("case", ["empty", "extended", "one_differs", "undeclared", "rebased"])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_resumed_fold_gives_the_full_fold(four_state_machines, case, data):
+    """Verifying (base, P), maybe a heartbeat, and then (base, P + X) gives what
+    a replica without the kept fold gives: the same state or the same error.
+    Only X is folded when the second record extends the first one's inputs;
+    "rebased" ships P + X from the key the first record reached instead."""
+    machine = data.draw(st.sampled_from(four_state_machines))
+    symbols = sorted(machine.inputs)
+    base = data.draw(st.sampled_from(sorted(machine.key_states)))
+    prefix = tuple(data.draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=8)))
+    extra = tuple(
+        data.draw(st.lists(st.sampled_from(symbols), min_size=case == "extended", max_size=4))
+    )
+    if case == "empty":
+        extra = ()
+    if case == "undeclared":
+        at = data.draw(st.integers(0, len(extra)))
+        extra = extra[:at] + (UNDECLARED,) + extra[at:]
+    inputs = prefix + extra
+    if case == "one_differs":
+        at = data.draw(st.integers(0, len(prefix) - 1))
+        swap = data.draw(st.sampled_from([s for s in symbols if s != prefix[at]]))
+        inputs = prefix[:at] + (swap,) + prefix[at + 1 :] + extra
+
+    _, first_key = fold_key_state(machine, base, prefix)
+    first = apply_delta(ReplicaState(base), DeltaRecord(base, first_key, prefix, 1), machine)
+    if data.draw(st.booleans()):
+        first = apply_delta(first, DeltaRecord(first_key, first_key, (), 2), machine)
+    assert isinstance(first, ReplicaState)
+    second_base = first_key if case == "rebased" else base
+    claims = sorted(machine.states)
+    if case != "undeclared":
+        claims.append(fold_key_state(machine, second_base, inputs)[1])
+    record = DeltaRecord(second_base, data.draw(st.sampled_from(claims)), inputs, slot=3)
+    fresh = ReplicaState(first.last_synced_key, first.last_synced_slot)
+
+    with mock.patch.object(sync_mod, "fold_key_state", wraps=fold_key_state) as fold:
+        resumed = apply_delta(first, record, machine)
+    assert resumed == apply_delta(fresh, record, machine)
+    if first_key == second_base:
+        resumes = second_base == base and case != "one_differs"
+        folded = sum(len(call.args[2]) for call in fold.call_args_list)
+        assert folded == (len(extra) if resumes else len(inputs))
 
 
 class TestReconcile:
