@@ -141,16 +141,17 @@ def _verify(
             reason="delta base does not match replica key state",
         )
     base, inputs = delta.base_state, delta.applied_inputs
-    start, done, last_key = base, (), None
-    if (
-        kept is not None
-        and kept[0] is machine
-        and kept[1] == base
-        and inputs[: len(kept[2])] == kept[2]
-    ):
-        _, _, done, start, last_key = kept
     try:
-        state, last_key = fold_key_state(machine, start, inputs[len(done) :], last_key)
+        if (
+            kept is not None
+            and kept[0] is machine
+            and kept[1] == base
+            and inputs[: len(kept[2])] == kept[2]
+        ):
+            _, _, done, state, last_key = kept
+            state, last_key = fold_key_state(machine, state, inputs[len(done) :], last_key)
+        else:
+            state, last_key = fold_key_state(machine, base, inputs)
     except MachineError as exc:
         return MismatchError(
             kind=MismatchKind.UNREACHABLE_RESULT,
@@ -189,11 +190,9 @@ def apply_delta(
     if isinstance(fold, MismatchError):
         return fold
     # A heartbeat keeps the fold it would otherwise replace with an empty one.
-    return ReplicaState(
-        last_synced_key=delta.result_state,
-        last_synced_slot=delta.slot,
-        fold=fold if delta.applied_inputs else replica.fold,
-    )
+    kept = fold if delta.applied_inputs else replica.fold
+    # Positional arguments: this runs once per record, and keywords cost more.
+    return ReplicaState(delta.result_state, delta.slot, kept)
 
 
 def reconcile(command: CommandRecord, machine: TwinMachine) -> tuple[int, ...] | Reject:

@@ -231,7 +231,8 @@ class TestProblems:
 
     @pytest.mark.parametrize("direction", [P2V, V2P])
     @pytest.mark.parametrize(
-        "grace, slot, ok", [(1, 8, True), (1, 9, False), (2, 7, True), (2, 8, False), (2, 9, False)]
+        "grace, slot, ok",
+        [(1, 8, True), (1, 9, False), (2, 7, True), (2, 8, False), (2, 9, False)],
     )
     def test_delete_must_be_detectable_within_the_run(self, direction, grace, slot, ok):
         """MISSED_SYNC fires grace_slots after the deleted delivery, so it must fit the run."""
