@@ -48,7 +48,7 @@ class AttackAction:
             "kind": self.kind.value,
             "slot": self.slot,
             "direction": self.direction.value,
-            "params": dict(sorted(self.params.items())),
+            "params": self.params,
         }
 
 

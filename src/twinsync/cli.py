@@ -52,8 +52,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     payload = report.to_json_bytes()
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"report: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     else:
         sys.stdout.buffer.write(payload)
     verdict = report.summary["verdict"]
@@ -75,7 +79,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     try:
         machine = _load_machine_arg(args.machine)
         report = oracle_check(machine, args.max_len)
-    except (ScenarioInvalid, MachineError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (ScenarioInvalid, MachineError, OSError, ValueError, RecursionError) as exc:
         print(f"oracle: {exc}", file=sys.stderr)
         return EXIT_INVALID
     print(json.dumps(report.to_dict(), sort_keys=True, indent=2))

@@ -59,7 +59,7 @@ class DetectionEvent:
             "slot": self.slot,
             "direction": self.direction.value,
             "requirements": sorted(r.value for r in self.requirements),
-            "detail": {k: self.detail[k] for k in sorted(self.detail)},
+            "detail": self.detail,
         }
 
 

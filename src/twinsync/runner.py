@@ -10,15 +10,15 @@ Every slot runs the same four phases:
     4. the detector checks liveness expectations and the consistency audit
        compares the replica against the physical history
 
-The resulting report is plain JSON with sorted keys and no wall-clock or
-environment dependence, so identical (scenario, seed) pairs produce byte
-identical reports.
+The report is compact ASCII JSON with sorted keys, written by the stdlib's
+`json.dumps`, with no wall-clock or environment dependence, so identical
+(scenario, seed) pairs produce byte identical reports.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _quote
 
 from .adversary import Adversary
 from .detector import (
@@ -74,96 +74,14 @@ class RunReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        return (json_text(self.to_json_dict()) + "\n").encode("utf-8")
+        """Compact ASCII JSON with sorted keys, then one newline.
 
-
-def json_text(value) -> str:
-    """The text of `json.dumps(value, sort_keys=True, indent=2)`, built faster.
-
-    Dict keys must be strings, as they are throughout a report.
-
-    With an indent the stdlib encoder takes its pure-Python, generator-based
-    path.  This one appends to plain lists and leaves string escaping to the
-    same C escaper.  Each element of a top-level list is joined on its own,
-    so no more than one element's small strings are alive at once.
-    """
-    parts: list[str] = []
-    _encode(value, parts, "\n")
-    return "".join(parts)
-
-
-_INFINITY = float("inf")
-
-
-def _float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _encode(value, parts: list[str], newline: str) -> None:
-    """Append the text of value to parts; newline is a line break plus value's indent.
-
-    Str and int members are written inline, as they are most of a report.
-    """
-    if isinstance(value, dict):
-        if not value:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            head = sep + _quote(key) + ": "  # raises TypeError unless key is a str
-            kind = type(item)
-            if kind is str:
-                parts.append(head + _quote(item))
-            elif kind is int:
-                parts.append(head + int.__repr__(item))
-            else:
-                parts.append(head)
-                _encode(item, parts, inner)
-            sep = "," + inner
-        parts.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        top_level = len(newline) <= 3
-        for item in value:
-            kind = type(item)
-            if kind is str:
-                parts.append(sep + _quote(item))
-            elif kind is int:
-                parts.append(sep + int.__repr__(item))
-            elif top_level:
-                own: list[str] = [sep]
-                _encode(item, own, inner)
-                parts.append("".join(own))
-            else:
-                parts.append(sep)
-                _encode(item, parts, inner)
-            sep = "," + inner
-        parts.append(newline + "]")
-    elif isinstance(value, str):
-        parts.append(_quote(value))
-    elif value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif isinstance(value, float):
-        parts.append(_float(value))
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        One expression, so the text is freed before the newline is added to
+        its bytes rather than held alongside both copies.
+        """
+        return json.dumps(
+            self.to_json_dict(), sort_keys=True, separators=(",", ":")
+        ).encode() + b"\n"
 
 
 class _Link:
@@ -355,7 +273,8 @@ def _receive(
                 return "command_rejected"
             physical.pending_reconciled.append(verdict)
         else:
-            physical.record_ack(slot, decode_ack_payload(frame.payload))
+            # Nothing reads the acked seq; decoding still rejects a malformed ACK.
+            decode_ack_payload(frame.payload)
     except MalformedPayload as exc:
         # Authenticated frames with broken payloads cannot come from the
         # honest peer; classify like any other forgery.

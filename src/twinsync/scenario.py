@@ -196,6 +196,11 @@ def _parse_keys(obj: dict, problems: list[str]) -> dict[Direction, bytes]:
             keys[direction] = decoded
         else:
             problems.append(f"keys.{direction.value}: must be a nonempty hex string")
+    # One key per direction (RFC 7296 §2.14, RFC 4303 §2.1): with equal keys a
+    # frame reflected onto the other direction passes its tag check.
+    p2v, v2p = (keys.get(d, DEFAULT_KEYS[d]) for d in Direction)
+    if p2v == v2p:
+        problems.append("keys: phys_to_virt and virt_to_phys must differ")
     return keys
 
 
@@ -394,8 +399,10 @@ def load_scenario_file(path: str) -> ScenarioSpec:
             doc = json.load(fh)
     except OSError as exc:
         raise ScenarioInvalid([f"cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioInvalid([f"{path} is not valid JSON: {exc}"]) from exc
+    except RecursionError as exc:
+        raise ScenarioInvalid([f"{path} nests too deeply to parse"]) from exc
     return scenario_from_dict(doc)
 
 

@@ -230,7 +230,6 @@ class PhysicalTwin:
         self._crossed = 0  # len(_inputs) just after the last key crossing
         self._shipped = 0  # how many of _inputs the last record carried
         self.pending_reconciled: list[tuple[int, ...]] = []
-        self.acked: list[tuple[int, int]] = []  # (slot, acked seq) pairs
 
     def current_key(self) -> int:
         return self._key
@@ -251,9 +250,6 @@ class PhysicalTwin:
             self._key = nxt
             self._crossed = len(self._inputs)
         return entry
-
-    def record_ack(self, slot: int, acked_seq: int) -> None:
-        self.acked.append((slot, acked_seq))
 
     def tick(self, slot: int) -> DeltaRecord | None:
         """End-of-slot emission: a delta when the log moved, a heartbeat otherwise."""

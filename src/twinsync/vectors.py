@@ -88,7 +88,8 @@ def emit_golden_vectors(path: str) -> int:
 
 def verify_golden_vectors(path: str) -> int:
     """Check a vector file byte for byte; returns the number of frames verified."""
-    with open(path, "r", encoding="ascii") as fh:
+    # A non-ASCII byte decodes to U+FFFD and so fails below as a non-hex line.
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     expected = golden_frame_bytes()
     if len(lines) != len(expected):

@@ -184,6 +184,38 @@ class TestVectors:
         assert rc == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (["run", "--scenario", "{walkthrough}", "--out", "{tmp}/absent/r.json"],
+         EXIT_INVALID, "report: "),
+        (["validate", "--scenario", "{tmp}/latin1.json"], EXIT_INVALID, "scenario: "),
+        (["run", "--scenario", "{tmp}/latin1.json"], EXIT_INVALID, "scenario: "),
+        (["vectors", "verify", "--path", "{tmp}/latin1.hex"], EXIT_MISMATCH, "vectors: "),
+        (["validate", "--scenario", "{tmp}/deep.json"], EXIT_INVALID, "scenario: "),
+        (["oracle", "--machine", "{tmp}/deep.json"], EXIT_INVALID, "oracle: "),
+    ],
+    ids=[
+        "run_out_dir_missing", "validate_not_utf8", "run_not_utf8", "vectors_not_ascii",
+        "validate_too_deep", "oracle_too_deep",
+    ],
+)
+def test_bad_file_gives_one_line_not_a_traceback(argv, code, prefix, walkthrough_path, tmp_path):
+    (tmp_path / "latin1.json").write_bytes(b'{"name": "caf\xe9"}')
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    vectors = tmp_path / "latin1.hex"
+    main(["vectors", "emit", "--path", str(vectors)])
+    vectors.write_bytes(b"\xe9" + vectors.read_bytes()[1:])
+    args = [a.format(walkthrough=walkthrough_path, tmp=tmp_path) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "twinsync", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(prefix)
+    assert proc.stderr.count("\n") == 1
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, walkthrough_path):
         proc = subprocess.run(

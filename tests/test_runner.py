@@ -8,9 +8,9 @@ import jsonschema
 import pytest
 
 from conftest import HEAT, IDLE
-from twinsync.frames import HEADER_STRUCT
+from twinsync.frames import HEADER_STRUCT, Frame, MsgType, encode_frame
 from twinsync.netsim import Direction
-from twinsync.runner import run_scenario
+from twinsync.runner import VIRTUAL_SENDER_ID, run_scenario
 from twinsync.scenario import (
     load_bundled_scenario,
     load_fixture_json,
@@ -179,6 +179,24 @@ class TestAttackMatrix:
         jsonschema.validate(
             report.to_json_dict(), report_schema(), cls=jsonschema.Draft202012Validator
         )
+
+
+def test_authenticated_ack_with_a_short_payload_is_a_forged_insert():
+    """The runner decodes every ACK it accepts, though nothing reads the acked seq."""
+    doc = load_fixture_json("fig4_walkthrough")
+    # The virtual twin sends one frame per slot, so the one sent at slot 6 is
+    # seq 7 and arrives at slot 7, the last; seq 8 is fresh there.
+    ack = Frame(MsgType.ACK, VIRTUAL_SENDER_ID, doc["session_id"], 8, 7, bytes(7))
+    forged = encode_frame(ack, bytes.fromhex(doc["keys"][V2P]))
+    doc["attacks"] = [
+        {"kind": "INSERT", "slot": 7, "direction": V2P, "params": {"raw_hex": forged.hex()}}
+    ]
+    report = run_scenario(scenario_from_dict(doc))
+    delivered = report.slots[7]["delivered"][V2P]
+    assert [d["outcome"] for d in delivered] == ["accepted", "malformed_payload"]
+    events = [(e["kind"], e["direction"], e["requirements"]) for e in report.detection_events]
+    assert events == [("FORGED_INSERT", V2P, ["R1", "R3"])]
+    assert report.summary["verdict"] == "pass"
 
 
 class TestBenignLoss:

@@ -217,6 +217,21 @@ class TestProblems:
         problems = problems_of(minimal_doc(keys={"virt_to_phys": ""}))
         assert problems == ["keys.virt_to_phys: must be a nonempty hex string"]
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            {"phys_to_virt": "11" * 32, "virt_to_phys": "11" * 32},
+            {"phys_to_virt": DEFAULT_KEYS[V2P].hex()},
+            {"virt_to_phys": DEFAULT_KEYS[P2V].hex().upper()},
+        ],
+        ids=["both_given", "p2v_equals_default_v2p", "v2p_equals_default_p2v"],
+    )
+    def test_equal_direction_keys_rejected(self, keys):
+        """Checked after the defaults are merged; the schema cannot express it."""
+        assert problems_of(minimal_doc(keys=keys)) == [
+            "keys: phys_to_virt and virt_to_phys must differ"
+        ]
+
     def test_bad_attack_kind(self):
         doc = minimal_doc(attacks=[{"kind": "EXFILTRATE", "slot": 1, "direction": "phys_to_virt"}])
         assert "attacks[0].kind" in problems_of(doc)[0]

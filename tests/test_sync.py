@@ -261,11 +261,6 @@ class TestPhysicalTwin:
         with pytest.raises(ValueError):
             PhysicalTwin(kettle, sync_period=0)
 
-    def test_record_ack(self, kettle):
-        twin = PhysicalTwin(kettle)
-        twin.record_ack(4, 3)
-        assert twin.acked == [(4, 3)]
-
 
 class TestVirtualTwin:
     def test_queue_and_flush(self, kettle):
