@@ -5,6 +5,10 @@ insert, modify, and replay frames.  It observes every frame that passes
 through (captures are append-only) but cannot compute valid tags, so
 anything it fabricates or mutates is detectable downstream.  Attack actions
 are scheduled per (slot, direction) by the scenario.
+
+An action whose target is absent (no frame at its index, an offset outside
+the frame, a replay of a frame never seen) leaves the batch as it was and is
+recorded as not found: there is nothing to attack, so nothing to detect.
 """
 
 from __future__ import annotations
@@ -15,18 +19,6 @@ from enum import Enum
 
 from .frames import HEADER_LEN, HEADER_STRUCT, MAGIC, TAG_LEN, VERSION
 from .netsim import Direction, SplitMix64
-
-
-class AdversaryError(Exception):
-    """Scenario authoring error discovered while applying an attack."""
-
-
-class ReplayReferenceMissing(AdversaryError):
-    pass
-
-
-class AttackTargetMissing(AdversaryError):
-    pass
 
 
 class AttackKind(str, Enum):
@@ -84,39 +76,23 @@ class Adversary:
         self.rng = rng
         # Every frame seen in flight, by (slot, direction, index in its batch).
         self.captures: dict[tuple[int, Direction, int], bytes] = {}
-        self.applied: list[tuple[int, AttackAction]] = []
+        # Every scheduled action met, in order, with whether it found its target.
+        self.applied: list[tuple[AttackAction, bool]] = []
 
     def intercept(self, slot: int, direction: Direction, frames: list[bytes]) -> list[bytes]:
         for index, data in enumerate(frames):
             self.captures[(slot, direction, index)] = data
         out = list(frames)
         for action in self._scheduled.get((slot, direction), ()):
-            out = self._apply(action, slot, out)
-            self.applied.append((slot, action))
+            result = self._apply(action, out)
+            if result is not None:
+                out = result
+            self.applied.append((action, result is not None))
         return out
 
-    def _apply(self, action: AttackAction, slot: int, frames: list[bytes]) -> list[bytes]:
+    def _apply(self, action: AttackAction, frames: list[bytes]) -> list[bytes] | None:
+        """The batch after `action`, or None when its target is absent."""
         params = action.params
-        if action.kind == AttackKind.DELETE:
-            index = params.get("index", 0)
-            if index >= len(frames):
-                raise AttackTargetMissing(
-                    f"DELETE at slot {slot} on {action.direction.value}: "
-                    f"no frame at index {index}"
-                )
-            return frames[:index] + frames[index + 1 :]
-
-        if action.kind == AttackKind.MODIFY:
-            index = params.get("index", 0)
-            if index >= len(frames):
-                raise AttackTargetMissing(
-                    f"MODIFY at slot {slot} on {action.direction.value}: "
-                    f"no frame at index {index}"
-                )
-            frames = list(frames)
-            frames[index] = self._mutate(frames[index], params, slot, action)
-            return frames
-
         if action.kind == AttackKind.INSERT:
             if "raw_hex" in params:
                 forged = bytes.fromhex(params["raw_hex"])
@@ -125,37 +101,35 @@ class Adversary:
             return frames + [forged]
 
         if action.kind == AttackKind.REPLAY:
-            ref_slot = params["capture_slot"]
-            ref_index = params.get("capture_index", 0)
-            data = self.captures.get((ref_slot, action.direction, ref_index))
-            if data is None:
-                raise ReplayReferenceMissing(
-                    f"REPLAY at slot {slot} references uncaptured frame "
-                    f"({ref_slot}, {action.direction.value}, {ref_index})"
-                )
-            return frames + [data]
+            key = (params["capture_slot"], action.direction, params.get("capture_index", 0))
+            data = self.captures.get(key)
+            return None if data is None else frames + [data]
 
-        raise AdversaryError(f"unknown attack kind {action.kind!r}")
+        index = params.get("index", 0)
+        if index >= len(frames):
+            return None
+        if action.kind == AttackKind.DELETE:
+            return frames[:index] + frames[index + 1 :]
+        mutated = _mutate(frames[index], params)
+        if mutated is None:
+            return None
+        return frames[:index] + [mutated] + frames[index + 1 :]
 
-    def _mutate(self, data: bytes, params: dict, slot: int, action: AttackAction) -> bytes:
-        if "payload_hex" in params:
-            # Splice in a new payload and fix the declared length; the tag is
-            # left as it was, which is the point: the adversary cannot redo it.
-            new_payload = bytes.fromhex(params["payload_hex"])
-            if len(data) < HEADER_LEN + TAG_LEN:
-                raise AttackTargetMissing(
-                    f"MODIFY at slot {slot}: frame too short to carry a payload"
-                )
-            header = bytearray(data[:HEADER_LEN])
-            struct.pack_into(">H", header, 32, len(new_payload))
-            return bytes(header) + new_payload + data[-TAG_LEN:]
-        offset = params["byte_offset"]
-        mask = params["xor_mask"]
-        if offset >= len(data):
-            raise AttackTargetMissing(
-                f"MODIFY at slot {slot}: byte_offset {offset} outside a "
-                f"{len(data)}-byte frame"
-            )
-        mutated = bytearray(data)
-        mutated[offset] ^= mask
-        return bytes(mutated)
+
+def _mutate(data: bytes, params: dict) -> bytes | None:
+    """The modified frame, or None when the frame has no such offset or payload."""
+    if "payload_hex" in params:
+        # Splice in a new payload and fix the declared length; the tag is
+        # left as it was, which is the point: the adversary cannot redo it.
+        if len(data) < HEADER_LEN + TAG_LEN:
+            return None
+        new_payload = bytes.fromhex(params["payload_hex"])
+        header = bytearray(data[:HEADER_LEN])
+        struct.pack_into(">H", header, 32, len(new_payload))
+        return bytes(header) + new_payload + data[-TAG_LEN:]
+    offset = params["byte_offset"]
+    if offset >= len(data):
+        return None
+    mutated = bytearray(data)
+    mutated[offset] ^= params["xor_mask"]
+    return bytes(mutated)

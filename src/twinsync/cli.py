@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 
-from .adversary import AdversaryError
 from .frames import PayloadTooLarge
 from .machine import MachineError, load_machine_file
 from .oracle import oracle_check
@@ -41,9 +40,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ScenarioInvalid as exc:
         for problem in exc.problems:
             print(f"scenario: {problem}", file=sys.stderr)
-        return EXIT_INVALID
-    except AdversaryError as exc:
-        print(f"attack schedule: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except PayloadTooLarge as exc:
         # Validation does not bound how many inputs one record carries, so a

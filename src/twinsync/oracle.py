@@ -106,8 +106,8 @@ def oracle_check(
     machine: TwinMachine, max_schedule_len: int, max_states: int = 6
 ) -> OracleReport:
     """Diff the full stack against the closed form on every schedule up to the cap."""
-    if max_schedule_len > 8:
-        raise ValueError("exhaustive enumeration capped at schedule length 8")
+    if not 0 <= max_schedule_len <= 8:
+        raise ValueError("exhaustive enumeration takes schedule lengths 0 to 8")
     if len(machine.states) > max_states or len(machine.inputs) > 3:
         raise ValueError(
             f"oracle_check is for small machines "

@@ -225,12 +225,14 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                     for link, start in zip(links, drops_from)
                 },
                 "adversary_actions": [
-                    action.to_dict() for _, action in adversary.applied[applied_from:]
+                    action.to_dict() if found else {**action.to_dict(), "no_target": True}
+                    for action, found in adversary.applied[applied_from:]
                 ],
             }
         )
 
-    summary, annotated = _summarize(spec, events, links)
+    missed = {id(action) for action, found in adversary.applied if not found}
+    summary, annotated = _summarize(spec, events, links, missed)
     return RunReport(
         scenario=spec.to_dict(),
         slots=rows,
@@ -287,15 +289,18 @@ def _receive(
 
 
 def _summarize(
-    spec: ScenarioSpec, events: list[DetectionEvent], links: tuple[_Link, ...]
+    spec: ScenarioSpec, events: list[DetectionEvent], links: tuple[_Link, ...], missed: set[int]
 ) -> tuple[dict, list[dict]]:
     # An event is in an attack's window when it is on the attacked direction
-    # within `window` slots after the attack's slot.
+    # within `window` slots after the attack's slot.  An attack in `missed`
+    # (by `id`) found no target, so it had nothing to detect and caused
+    # nothing: it is marked, and kept out of the matrix, the verdict and the
+    # attribution of events.
     window = spec.grace_slots + 1
     events_at: dict[tuple[Direction, int], list[DetectionEvent]] = {}
     for event in events:
         events_at.setdefault((event.direction, event.slot), []).append(event)
-    attacked = {(attack.direction, attack.slot) for attack in spec.attacks}
+    attacked = {(a.direction, a.slot) for a in spec.attacks if id(a) not in missed}
 
     attack_rows = []
     all_matched = True
@@ -312,18 +317,20 @@ def _summarize(
             detected |= e.requirements
         expected = ATTACK_EXPECTATIONS[(attack.kind, attack.direction)]
         matched = detected == expected
+        row = {
+            "kind": attack.kind.value,
+            "slot": attack.slot,
+            "direction": attack.direction.value,
+            "expected_requirements": sorted(r.value for r in expected),
+            "detected_requirements": sorted(r.value for r in detected),
+            "event_count": len(hits),
+            "matched": matched,
+        }
+        attack_rows.append(row)
+        if id(attack) in missed:
+            row["no_target"] = True
+            continue
         all_matched = all_matched and matched
-        attack_rows.append(
-            {
-                "kind": attack.kind.value,
-                "slot": attack.slot,
-                "direction": attack.direction.value,
-                "expected_requirements": sorted(r.value for r in expected),
-                "detected_requirements": sorted(r.value for r in detected),
-                "event_count": len(hits),
-                "matched": matched,
-            }
-        )
         cell = matrix.setdefault(attack.kind.value, {}).setdefault(attack.direction.value, [])
         cell[:] = sorted({*cell, *(r.value for r in detected)})
         expected_matrix.setdefault(attack.kind.value, {})[attack.direction.value] = sorted(

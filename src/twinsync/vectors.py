@@ -90,15 +90,15 @@ def verify_golden_vectors(path: str) -> int:
     """Check a vector file byte for byte; returns the number of frames verified."""
     # A non-ASCII byte decodes to U+FFFD and so fails below as a non-hex line.
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
     expected = golden_frame_bytes()
     if len(lines) != len(expected):
         raise VectorMismatch(
-            line=len(lines) + 1,
+            line=lines[-1][0] + 1 if lines else 1,
             byte_offset=None,
             reason=f"expected {len(expected)} frames, file has {len(lines)}",
         )
-    for lineno, (line, want) in enumerate(zip(lines, expected), start=1):
+    for (lineno, line), want in zip(lines, expected):
         try:
             got = bytes.fromhex(line)
         except ValueError as exc:

@@ -1,13 +1,13 @@
-"""Adversary capture log and the four attack primitives."""
+"""Adversary capture log and the four attack primitives.
 
-import pytest
+An action whose target is absent, a scheduling mistake or a frame lost on
+the way, leaves its batch unchanged and is recorded as not found.
+"""
 
 from twinsync.adversary import (
     Adversary,
     AttackAction,
     AttackKind,
-    AttackTargetMissing,
-    ReplayReferenceMissing,
     forge_frame_bytes,
 )
 from twinsync.frames import (
@@ -59,9 +59,16 @@ class TestDelete:
         assert adv.intercept(4, V2P, [b"a"]) == [b"a"]
 
     def test_no_due_frame_is_an_authoring_error(self):
-        adv = adversary(AttackAction(AttackKind.DELETE, 4, P2V))
-        with pytest.raises(AttackTargetMissing):
-            adv.intercept(4, P2V, [])
+        action = AttackAction(AttackKind.DELETE, 4, P2V)
+        adv = adversary(action)
+        assert adv.intercept(4, P2V, []) == []
+        assert adv.applied == [(action, False)]
+
+    def test_index_past_the_batch_has_no_target(self):
+        action = AttackAction(AttackKind.DELETE, 4, P2V, {"index": 2**70})
+        adv = adversary(action)
+        assert adv.intercept(4, P2V, [b"a"]) == [b"a"]
+        assert adv.applied == [(action, False)]
 
     def test_deleted_frame_was_still_captured(self):
         adv = adversary(AttackAction(AttackKind.DELETE, 4, P2V))
@@ -106,18 +113,23 @@ class TestModify:
         assert decoded.kind is ChannelErrorKind.AUTH_FAIL
 
     def test_offset_outside_frame_is_an_authoring_error(self):
-        adv = adversary(
-            AttackAction(AttackKind.MODIFY, 4, P2V, {"byte_offset": 900, "xor_mask": 1})
-        )
-        with pytest.raises(AttackTargetMissing):
-            adv.intercept(4, P2V, [frame_bytes(seq=1)])
+        action = AttackAction(AttackKind.MODIFY, 4, P2V, {"byte_offset": 900, "xor_mask": 1})
+        adv = adversary(action)
+        data = frame_bytes(seq=1)
+        assert adv.intercept(4, P2V, [data]) == [data]
+        assert adv.applied == [(action, False)]
+
+    def test_payload_splice_on_a_short_frame_has_no_target(self):
+        action = AttackAction(AttackKind.MODIFY, 4, P2V, {"payload_hex": "deadbeef"})
+        adv = adversary(action)
+        assert adv.intercept(4, P2V, [b"short"]) == [b"short"]
+        assert adv.applied == [(action, False)]
 
     def test_no_due_frame_is_an_authoring_error(self):
-        adv = adversary(
-            AttackAction(AttackKind.MODIFY, 4, P2V, {"byte_offset": 0, "xor_mask": 1})
-        )
-        with pytest.raises(AttackTargetMissing):
-            adv.intercept(4, P2V, [])
+        action = AttackAction(AttackKind.MODIFY, 4, P2V, {"byte_offset": 0, "xor_mask": 1})
+        adv = adversary(action)
+        assert adv.intercept(4, P2V, []) == []
+        assert adv.applied == [(action, False)]
 
 
 class TestInsert:
@@ -162,25 +174,28 @@ class TestReplay:
         assert adv.intercept(4, P2V, [data]) == [data, data]
 
     def test_directions_have_separate_capture_spaces(self):
-        adv = adversary(AttackAction(AttackKind.REPLAY, 6, V2P, {"capture_slot": 4}))
+        action = AttackAction(AttackKind.REPLAY, 6, V2P, {"capture_slot": 4})
+        adv = adversary(action)
         adv.intercept(4, P2V, [b"only here"])
-        with pytest.raises(ReplayReferenceMissing):
-            adv.intercept(6, V2P, [])
+        assert adv.intercept(6, V2P, []) == []
+        assert adv.applied == [(action, False)]
 
     def test_uncaptured_reference_is_an_authoring_error(self):
-        adv = adversary(AttackAction(AttackKind.REPLAY, 6, P2V, {"capture_slot": 2}))
-        with pytest.raises(ReplayReferenceMissing):
-            adv.intercept(6, P2V, [])
+        action = AttackAction(AttackKind.REPLAY, 6, P2V, {"capture_slot": 2})
+        adv = adversary(action)
+        assert adv.intercept(6, P2V, [b"next"]) == [b"next"]
+        assert adv.applied == [(action, False)]
 
 
 class TestScheduling:
     def test_applied_actions_are_recorded_in_order(self):
         first = AttackAction(AttackKind.INSERT, 4, P2V, {"raw_hex": "aa"})
         second = AttackAction(AttackKind.DELETE, 4, P2V, {"index": 0})
-        adv = adversary(first, second)
+        third = AttackAction(AttackKind.DELETE, 4, P2V, {"index": 1})
+        adv = adversary(first, second, third)
         out = adv.intercept(4, P2V, [b"x"])
         assert out == [b"\xaa"]
-        assert adv.applied == [(4, first), (4, second)]
+        assert adv.applied == [(first, True), (second, True), (third, False)]
 
     def test_unapplied_actions_stay_unapplied(self):
         adv = adversary(AttackAction(AttackKind.DELETE, 9, P2V))

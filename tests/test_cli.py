@@ -64,7 +64,7 @@ class TestRun:
         rc = main(["run", "--scenario", str(tmp_path / "absent.json")])
         assert rc == EXIT_INVALID
 
-    def test_bad_attack_schedule_exits_two(self, tmp_path, capsys):
+    def test_attack_without_target_runs_and_exits_zero(self, tmp_path):
         doc = {
             "machine": "kettle",
             "total_slots": 6,
@@ -74,9 +74,15 @@ class TestRun:
             ],
         }
         path = write_json(tmp_path, "authoring.json", doc)
-        rc = main(["run", "--scenario", path])
-        assert rc == EXIT_INVALID
-        assert "attack schedule" in capsys.readouterr().err
+        out = tmp_path / "report.json"
+        rc = main(["run", "--scenario", path, "--out", str(out)])
+        assert rc == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["slots"][3]["adversary_actions"][0]["no_target"] is True
+        (row,) = report["summary"]["attacks"]
+        assert row["no_target"] is True
+        assert report["summary"]["matrix"] == report["summary"]["expected_matrix"] == {}
+        assert report["summary"]["verdict"] == "pass"
 
     def test_record_too_big_for_a_frame_exits_two(self, tmp_path):
         """Valid, yet one record would carry 16,383 inputs: exit 2, no traceback."""
@@ -142,6 +148,11 @@ class TestOracle:
         rc = main(["oracle", "--machine", path, "--max-len", "2"])
         assert rc == EXIT_OK
 
+    def test_negative_max_len_exits_two(self, capsys):
+        rc = main(["oracle", "--machine", "kettle", "--max-len", "-1"])
+        assert rc == EXIT_INVALID
+        assert capsys.readouterr().err.startswith("oracle: ")
+
     def test_missing_machine_file_exits_two(self, tmp_path):
         rc = main(["oracle", "--machine", str(tmp_path / "absent.json")])
         assert rc == EXIT_INVALID
@@ -178,6 +189,15 @@ class TestVectors:
         rc = main(["vectors", "verify", "--path", str(path)])
         assert rc == EXIT_MISMATCH
         assert "differs from the canonical encoding" in capsys.readouterr().err
+
+    def test_mismatch_names_the_file_line(self, tmp_path, capsys):
+        path = tmp_path / "frames.hex"
+        main(["vectors", "emit", "--path", str(path)])
+        first, _, third = path.read_text().splitlines()
+        path.write_text(f"\n\n{first}\nzz\n{third}\n")
+        rc = main(["vectors", "verify", "--path", str(path)])
+        assert rc == EXIT_MISMATCH
+        assert capsys.readouterr().err.startswith("vectors: line 4: not valid hex")
 
     def test_missing_vector_file_exits_two(self, tmp_path):
         rc = main(["vectors", "verify", "--path", str(tmp_path / "absent.hex")])

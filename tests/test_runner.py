@@ -181,6 +181,64 @@ class TestAttackMatrix:
         )
 
 
+class TestNoTarget:
+    """An attack with nothing to act on is reported, not matched and not aborted."""
+
+    def test_second_copy_of_a_delete_has_no_target(self, matrix_report):
+        doc = load_fixture_json("attack_matrix")
+        doc["attacks"].insert(1, dict(doc["attacks"][0]))
+        report = run_scenario(scenario_from_dict(doc))
+        first, second = report.slots[4]["adversary_actions"]
+        assert "no_target" not in first
+        assert second == {**first, "no_target": True}
+        rows = report.summary["attacks"]
+        assert [row.get("no_target", False) for row in rows] == [False, True] + [False] * 7
+        assert [r for r in rows if "no_target" not in r] == matrix_report.summary["attacks"]
+        assert report.summary["matrix"] == matrix_report.summary["matrix"]
+        assert report.summary["expected_matrix"] == matrix_report.summary["expected_matrix"]
+        assert report.summary["verdict"] == "pass"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(sync_period_slots=3),
+            lambda d: d["channels"]["phys_to_virt"].update(latency_slots=1000000),
+            lambda d: d["channels"]["phys_to_virt"].update(drop_probability=1.0),
+            lambda d: d["attacks"][0]["params"].update(index=2**70),
+            lambda d: d["attacks"][2]["params"].update(byte_offset=10**6),
+        ],
+        ids=["period_3", "latency_1e6", "drop_all", "delete_index_2_70", "modify_offset_1e6"],
+    )
+    def test_valid_edits_of_the_matrix_run_to_pass(self, edit):
+        doc = load_fixture_json("attack_matrix")
+        edit(doc)
+        report = run_scenario(scenario_from_dict(doc))
+        assert any(row.get("no_target") for row in report.summary["attacks"])
+        assert report.summary["verdict"] == "pass"
+
+    def test_missed_attack_excuses_no_event(self):
+        """Records after a deleted crossing all mismatch; a missed REPLAY among them
+        leaves those events spurious."""
+        doc = {
+            "machine": "kettle",
+            "total_slots": 12,
+            "operator_inputs_physical": [[1, 1], [2, 1], [3, 1], [4, 1]],
+            "attacks": [
+                {"kind": "DELETE", "slot": 5, "direction": P2V, "params": {}},
+            ],
+        }
+        before = run_scenario(scenario_from_dict(doc))
+        doc["attacks"].append(
+            {"kind": "REPLAY", "slot": 8, "direction": P2V,
+             "params": {"capture_slot": 8, "capture_index": 7}}
+        )
+        after = run_scenario(scenario_from_dict(doc))
+        assert after.summary["attacks"][1]["no_target"] is True
+        assert after.detection_events == before.detection_events
+        assert after.summary["spurious_event_count"] == before.summary["spurious_event_count"]
+        assert after.summary["spurious_event_count"] > 0
+
+
 def test_authenticated_ack_with_a_short_payload_is_a_forged_insert():
     """The runner decodes every ACK it accepts, though nothing reads the acked seq."""
     doc = load_fixture_json("fig4_walkthrough")
