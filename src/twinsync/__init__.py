@@ -11,11 +11,9 @@ from .machine import (
     ExecutionLog,
     LogEntry,
     TwinMachine,
-    key_trace,
     machine_from_dict,
     machine_to_dict,
     project_key_state,
-    run_schedule,
     step,
     validate_machine,
 )
@@ -28,7 +26,6 @@ from .sync import (
     VirtualTwin,
     apply_delta,
     reconcile,
-    verify_delta,
 )
 from .frames import (
     ChannelError,
@@ -84,16 +81,13 @@ __all__ = [
     "consistency_audit",
     "decode_frame",
     "encode_frame",
-    "key_trace",
     "machine_from_dict",
     "machine_to_dict",
     "oracle_check",
     "project_key_state",
     "reconcile",
     "run_scenario",
-    "run_schedule",
     "scenario_from_dict",
     "step",
     "validate_machine",
-    "verify_delta",
 ]

@@ -113,7 +113,8 @@ class Detector:
 
     An emission at slot e (e divisible by the period) is due at
     e + latency + grace; if no authenticated frame claiming emission slot e
-    has arrived by then, that emission was lost.
+    has arrived by then, that emission was lost.  Each emission is looked up
+    once, at that slot, so an arrival is forgotten once it is found.
     """
 
     def __init__(self, expectations: dict[Direction, DirectionExpectation]):
@@ -148,6 +149,7 @@ class Detector:
             if emission < 0 or emission % cfg.sync_period != 0:
                 continue
             if (direction, emission) in self._satisfied:
+                self._satisfied.remove((direction, emission))
                 continue
             events.append(
                 DetectionEvent(

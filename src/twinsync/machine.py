@@ -3,9 +3,9 @@
 A machine is a total deterministic transition table over small unsigned
 integers.  A subset of the states is marked as *key states*: the states the
 digital twin actually tracks.  Everything the sync protocol ships across the
-wire is expressed in terms of key states, so the projection helpers here
-(`project_key_state`, `key_trace`) are the ground truth the rest of the
-package is checked against.
+wire is expressed in terms of key states; `oracle.expected_traces`, a plain
+fold of this table, is the ground truth the rest of the package is checked
+against.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ class UnknownState(MachineError):
 
 
 class UnknownInput(MachineError):
-    pass
-
-
-class NonMonotonicSchedule(MachineError):
     pass
 
 
@@ -72,8 +68,7 @@ class ExecutionLog:
     previous one ended, and slots may never decrease.
     """
 
-    def __init__(self, machine_id: str):
-        self.machine_id = machine_id
+    def __init__(self) -> None:
         self.entries: list[LogEntry] = []
 
     def append(self, entry: LogEntry) -> None:
@@ -89,14 +84,6 @@ class ExecutionLog:
                 )
         self.entries.append(entry)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-# A key trace is the sequence of key states visited, as (slot, state) pairs.
-# The first element is always (0, initial).
-KeyTrace = list[tuple[int, int]]
-
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -107,7 +94,6 @@ class ValidationIssue:
 @dataclass
 class ValidationResult:
     errors: list[ValidationIssue] = field(default_factory=list)
-    warnings: list[ValidationIssue] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -123,36 +109,6 @@ def step(machine: TwinMachine, state: int, sym: int) -> int:
     return machine.transitions[(state, sym)]
 
 
-def run_schedule(
-    machine: TwinMachine, start: int, schedule: list[tuple[int, int]]
-) -> ExecutionLog:
-    """Execute (slot, input) pairs in order and return the resulting log.
-
-    Schedule slots must be nondecreasing; several inputs may share a slot.
-    """
-    if start not in machine.states:
-        raise UnknownState(f"start state {start} not in machine {machine.machine_id!r}")
-    log = ExecutionLog(machine.machine_id)
-    state = start
-    prev_slot = None
-    for slot, sym in schedule:
-        if prev_slot is not None and slot < prev_slot:
-            raise NonMonotonicSchedule(f"slot {slot} after slot {prev_slot}")
-        prev_slot = slot
-        nxt = step(machine, state, sym)
-        log.append(
-            LogEntry(
-                slot=slot,
-                input=sym,
-                from_state=state,
-                to_state=nxt,
-                is_key_crossing=nxt in machine.key_states,
-            )
-        )
-        state = nxt
-    return log
-
-
 def project_key_state(log: ExecutionLog, machine: TwinMachine) -> int:
     """Key state in force after the whole log: the last crossing, else initial."""
     for entry in reversed(log.entries):
@@ -161,23 +117,12 @@ def project_key_state(log: ExecutionLog, machine: TwinMachine) -> int:
     return machine.initial
 
 
-def key_trace(log: ExecutionLog, machine: TwinMachine) -> KeyTrace:
-    trace: KeyTrace = [(0, machine.initial)]
-    for entry in log.entries:
-        if entry.is_key_crossing:
-            trace.append((entry.slot, entry.to_state))
-    return trace
-
-
 def validate_machine(machine: TwinMachine) -> ValidationResult:
-    """Report structural problems. Errors make the machine unusable, warnings do not."""
+    """Report the structural problems that make the machine unusable."""
     result = ValidationResult()
 
     def err(code: str, message: str) -> None:
         result.errors.append(ValidationIssue(code, message))
-
-    def warn(code: str, message: str) -> None:
-        result.warnings.append(ValidationIssue(code, message))
 
     if machine.initial not in machine.states:
         err("unknown_initial", f"initial state {machine.initial} not declared")
@@ -200,28 +145,6 @@ def validate_machine(machine: TwinMachine) -> ValidationResult:
                     "non_total_transition",
                     f"no transition defined for state {src} on input {sym}",
                 )
-
-    if result.errors:
-        return result
-
-    # Reachability from the initial state.
-    seen = {machine.initial}
-    frontier = [machine.initial]
-    while frontier:
-        src = frontier.pop()
-        for sym in machine.inputs:
-            dst = machine.transitions[(src, sym)]
-            if dst not in seen:
-                seen.add(dst)
-                frontier.append(dst)
-    for state in sorted(machine.states - seen):
-        warn("unreachable_state", f"state {state} unreachable from initial")
-
-    if machine.key_states == machine.states:
-        warn(
-            "key_states_cover_all_states",
-            "every state is a key state; the twin gains nothing from projection",
-        )
     return result
 
 

@@ -18,6 +18,8 @@ from .machine import TwinMachine, validate_machine
 from .runner import run_scenario
 from .scenario import ScenarioSpec
 
+MAX_STATES = 6  # exhaustive enumeration stays small only for small machines
+
 
 @dataclass(frozen=True)
 class Divergence:
@@ -102,17 +104,13 @@ def build_schedule_scenario(
     )
 
 
-def oracle_check(
-    machine: TwinMachine, max_schedule_len: int, max_states: int = 6
-) -> OracleReport:
+def oracle_check(machine: TwinMachine, max_schedule_len: int) -> OracleReport:
     """Diff the full stack against the closed form on every schedule up to the cap."""
     if not 0 <= max_schedule_len <= 8:
         raise ValueError("exhaustive enumeration takes schedule lengths 0 to 8")
-    if len(machine.states) > max_states or len(machine.inputs) > 3:
-        raise ValueError(
-            f"oracle_check is for small machines "
-            f"(<= {max_states} states, <= 3 inputs)"
-        )
+    if len(machine.states) > MAX_STATES or len(machine.inputs) > 3:
+        limits = f"<= {MAX_STATES} states, <= 3 inputs"
+        raise ValueError(f"oracle_check is for small machines ({limits})")
     result = validate_machine(machine)
     if not result.ok:
         raise ValueError(f"machine does not validate: {result.errors}")

@@ -54,6 +54,12 @@ VIRTUAL_SENDER_ID = 2
 
 REPORT_SCHEMA = "twinsync.report.v1"
 
+# The message types each direction carries; the sender id must be its sender's.
+MSG_TYPES = {
+    Direction.PHYS_TO_VIRT: (MsgType.STATE_SYNC,),
+    Direction.VIRT_TO_PHYS: (MsgType.COMMAND, MsgType.ACK),
+}
+
 
 @dataclass
 class RunReport:
@@ -258,6 +264,14 @@ def _receive(
         events.append(detector.on_channel_error(result, slot, direction))
         return result.kind.value
     frame = result
+    if frame.sender_id != link.sender_id or frame.msg_type not in MSG_TYPES[direction]:
+        # The other direction's frame, reflected (it authenticates only under a
+        # shared key); checked first so it never counts as an emission here.
+        wrong = ChannelError(
+            ChannelErrorKind.MALFORMED, "wrong direction", frame.slot, frame.sender_id, frame.seq
+        )
+        events.append(detector.on_channel_error(wrong, slot, direction))
+        return "wrong_direction"
     detector.on_frame_accepted(direction, frame.slot)
 
     try:

@@ -114,24 +114,15 @@ def fold_key_state(
     return state, last_key
 
 
-def verify_delta(
-    machine: TwinMachine, delta: DeltaRecord, expected_base: int
-) -> MismatchError | None:
-    """Check a received delta against the replica's current key state.
-
-    Returns None when the record is consistent: the base matches and folding
-    the inputs through the machine visits result_state as the last key state.
-    """
-    result = _verify(machine, delta, expected_base, None)
-    return result if isinstance(result, MismatchError) else None
-
-
 def _verify(
     machine: TwinMachine, delta: DeltaRecord, expected_base: int, kept: _Fold | None
 ) -> MismatchError | _Fold:
-    """verify_delta, resuming the fold `kept` when the record extends it.
+    """Check a received delta against the replica's current key state.
 
-    A consistent record gives back the fold it was verified by.
+    The record is consistent when the base matches and folding the inputs
+    through the machine visits result_state as the last key state; the fold
+    resumes `kept` when the record extends it.  A consistent record gives
+    back the fold it was verified by.
     """
     if delta.base_state != expected_base:
         return MismatchError(
@@ -222,7 +213,7 @@ class PhysicalTwin:
         self.machine = machine
         self.sync_period = sync_period
         self.state = machine.initial
-        self.log = ExecutionLog(machine.machine_id)
+        self.log = ExecutionLog()
         # Kept current on every input, so no tick reads the log.
         self._key = machine.initial  # key state after the whole log
         self._anchor_key = machine.initial  # key state in force at the anchor

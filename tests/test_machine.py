@@ -10,18 +10,30 @@ from twinsync.machine import (
     LogContiguityError,
     LogEntry,
     MachineFormatError,
-    NonMonotonicSchedule,
     UnknownInput,
     UnknownState,
-    key_trace,
     load_machine_file,
     machine_from_dict,
     machine_to_dict,
     project_key_state,
-    run_schedule,
     step,
     validate_machine,
 )
+from twinsync.oracle import expected_traces
+from twinsync.sync import PhysicalTwin
+
+
+def execute(machine, schedule):
+    """A physical twin after applying (slot, input) pairs in order."""
+    twin = PhysicalTwin(machine)
+    for slot, sym in schedule:
+        twin.apply_input(slot, sym)
+    return twin
+
+
+def key_visits(twin):
+    """(slot, key state) for every logged input that landed in a key state."""
+    return [(e.slot, e.to_state) for e in twin.log.entries if e.is_key_crossing]
 
 
 class TestStep:
@@ -51,65 +63,60 @@ class TestStep:
 
 class TestRunSchedule:
     def test_four_heats_reach_boiling(self, kettle):
-        log = run_schedule(kettle, 0, [(s, HEAT) for s in (1, 2, 3, 4)])
-        assert [e.to_state for e in log.entries] == [25, 50, 75, 100]
-        assert [e.is_key_crossing for e in log.entries] == [False, False, False, True]
-
-    def test_schedule_slots_must_not_decrease(self, kettle):
-        with pytest.raises(NonMonotonicSchedule):
-            run_schedule(kettle, 0, [(2, HEAT), (1, HEAT)])
+        twin = execute(kettle, [(s, HEAT) for s in (1, 2, 3, 4)])
+        assert [e.to_state for e in twin.log.entries] == [25, 50, 75, 100]
+        assert [e.is_key_crossing for e in twin.log.entries] == [False, False, False, True]
 
     def test_multiple_inputs_in_one_slot(self, kettle):
-        log = run_schedule(kettle, 0, [(3, HEAT), (3, HEAT)])
-        assert [e.to_state for e in log.entries] == [25, 50]
-
-    def test_unknown_start_state(self, kettle):
-        with pytest.raises(UnknownState):
-            run_schedule(kettle, 7, [(1, HEAT)])
+        twin = execute(kettle, [(3, HEAT), (3, HEAT)])
+        assert [e.to_state for e in twin.log.entries] == [25, 50]
 
 
 class TestProjection:
     def test_empty_log_projects_to_initial(self, kettle):
-        assert project_key_state(ExecutionLog("kettle"), kettle) == 0
+        assert project_key_state(ExecutionLog(), kettle) == 0
+        assert PhysicalTwin(kettle).current_key() == 0
 
     def test_mid_range_states_project_back_to_initial(self, kettle):
-        log = run_schedule(kettle, 0, [(1, HEAT), (2, HEAT)])
-        assert project_key_state(log, kettle) == 0
+        twin = execute(kettle, [(1, HEAT), (2, HEAT)])
+        assert project_key_state(twin.log, kettle) == twin.current_key() == 0
 
     def test_projection_after_boiling(self, kettle):
-        log = run_schedule(kettle, 0, [(s, HEAT) for s in (1, 2, 3, 4)])
-        assert project_key_state(log, kettle) == 100
+        twin = execute(kettle, [(s, HEAT) for s in (1, 2, 3, 4)])
+        assert project_key_state(twin.log, kettle) == twin.current_key() == 100
 
     def test_key_trace_records_crossings_only(self, kettle):
-        log = run_schedule(kettle, 0, [(s, HEAT) for s in (1, 2, 3, 4)])
-        assert key_trace(log, kettle) == [(0, 0), (4, 100)]
+        twin = execute(kettle, [(s, HEAT) for s in (1, 2, 3, 4)])
+        assert key_visits(twin) == [(4, 100)]
+        _, physical_keys, _ = expected_traces(kettle, {s: [HEAT] for s in (1, 2, 3, 4)}, 5)
+        assert physical_keys == [0, 0, 0, 0, 100]
 
     def test_boil_then_cool_cycle(self, kettle_cool):
         schedule = [(s, HEAT) for s in (1, 2, 3, 4)] + [(s, COOL) for s in (5, 6, 7, 8)]
-        log = run_schedule(kettle_cool, 0, schedule)
-        assert key_trace(log, kettle_cool) == [(0, 0), (4, 100), (8, 0)]
-        assert project_key_state(log, kettle_cool) == 0
+        twin = execute(kettle_cool, schedule)
+        assert key_visits(twin) == [(4, 100), (8, 0)]
+        assert project_key_state(twin.log, kettle_cool) == twin.current_key() == 0
 
     def test_idle_at_a_key_state_reconfirms_it(self, kettle):
         """Self-loops landing in a key state are visits; projection is unchanged."""
-        log = run_schedule(kettle, 0, [(s, IDLE) for s in (1, 2)])
-        assert key_trace(log, kettle) == [(0, 0), (1, 0), (2, 0)]
-        assert project_key_state(log, kettle) == 0
+        twin = execute(kettle, [(s, IDLE) for s in (1, 2)])
+        assert key_visits(twin) == [(1, 0), (2, 0)]
+        assert project_key_state(twin.log, kettle) == twin.current_key() == 0
 
     def test_idle_between_key_states_records_nothing(self, kettle):
-        log = run_schedule(kettle, 0, [(1, HEAT), (2, IDLE), (3, IDLE)])
-        assert key_trace(log, kettle) == [(0, 0)]
+        twin = execute(kettle, [(1, HEAT), (2, IDLE), (3, IDLE)])
+        assert key_visits(twin) == []
 
 
 class TestExecutionLog:
     def test_append_enforces_state_contiguity(self):
-        log = ExecutionLog("m")
+        log = ExecutionLog()
         log.append(LogEntry(slot=1, input=1, from_state=0, to_state=25, is_key_crossing=False))
         with pytest.raises(LogContiguityError):
             log.append(LogEntry(slot=2, input=1, from_state=50, to_state=75, is_key_crossing=False))
 
     def test_append_enforces_slot_monotonicity(self):
-        log = ExecutionLog("m")
+        log = ExecutionLog()
         log.append(LogEntry(slot=5, input=1, from_state=0, to_state=25, is_key_crossing=False))
         with pytest.raises(LogContiguityError):
             log.append(LogEntry(slot=4, input=1, from_state=25, to_state=50, is_key_crossing=False))
@@ -119,7 +126,7 @@ class TestValidation:
     def test_kettle_is_clean(self, kettle):
         result = validate_machine(kettle)
         assert result.ok
-        assert result.warnings == []
+        assert result.errors == []
 
     def test_missing_transition_is_an_error(self, kettle):
         doc = machine_to_dict(kettle)
@@ -158,7 +165,7 @@ class TestValidation:
             "transition_target_unknown",
         } <= codes
 
-    def test_unreachable_state_is_a_warning(self):
+    def test_unreachable_state_is_not_an_error(self):
         machine = machine_from_dict(
             {
                 "machine_id": "island",
@@ -171,9 +178,9 @@ class TestValidation:
         )
         result = validate_machine(machine)
         assert result.ok
-        assert [w.code for w in result.warnings] == ["unreachable_state"]
+        assert result.errors == []
 
-    def test_all_states_key_is_a_warning(self):
+    def test_all_states_key_is_not_an_error(self):
         machine = machine_from_dict(
             {
                 "machine_id": "allkey",
@@ -186,7 +193,7 @@ class TestValidation:
         )
         result = validate_machine(machine)
         assert result.ok
-        assert [w.code for w in result.warnings] == ["key_states_cover_all_states"]
+        assert result.errors == []
 
 
 class TestDocumentForm:
@@ -237,11 +244,12 @@ def test_execution_is_deterministic(schedule):
 
     machine = machine_from_dict(load_fixture_json("kettle"))
     pairs = [(i + 1, sym) for i, sym in enumerate(schedule)]
-    first = run_schedule(machine, 0, pairs)
-    second = run_schedule(machine, 0, pairs)
-    assert first.entries == second.entries
+    first = execute(machine, pairs)
+    second = execute(machine, pairs)
+    assert first.log.entries == second.log.entries
+    assert (first.state, first.current_key()) == (second.state, second.current_key())
     # Contiguity invariant holds along any legal run.
-    for prev, cur in zip(first.entries, first.entries[1:]):
+    for prev, cur in zip(first.log.entries, first.log.entries[1:]):
         assert cur.from_state == prev.to_state
         assert cur.slot >= prev.slot
 
@@ -255,7 +263,8 @@ def test_projection_matches_last_trace_point(schedule):
     for state in doc["states"]:
         doc["delta"].append([state, COOL, max(state - 25, 0)])
     machine = machine_from_dict(doc)
-    log = run_schedule(machine, 0, [(i + 1, sym) for i, sym in enumerate(schedule)])
-    trace = key_trace(log, machine)
-    assert trace[0] == (0, 0)
-    assert project_key_state(log, machine) == trace[-1][1]
+    twin = execute(machine, [(i + 1, sym) for i, sym in enumerate(schedule)])
+    inputs_by_slot = {i + 1: [sym] for i, sym in enumerate(schedule)}
+    _, physical_keys, _ = expected_traces(machine, inputs_by_slot, len(schedule) + 1)
+    assert physical_keys[0] == 0
+    assert project_key_state(twin.log, machine) == twin.current_key() == physical_keys[-1]

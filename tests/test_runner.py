@@ -1,13 +1,21 @@
 """End-to-end scenario runs: traces, events, reports, and determinism."""
 
+import dataclasses
+import functools
 import gc
 import json
 import time
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import twinsync.runner as runner_mod
 from conftest import HEAT, IDLE
+from twinsync.adversary import AttackAction, AttackKind
+from twinsync.detector import Detector
 from twinsync.frames import HEADER_STRUCT, Frame, MsgType, encode_frame
 from twinsync.netsim import Direction
 from twinsync.runner import VIRTUAL_SENDER_ID, run_scenario
@@ -257,6 +265,101 @@ def test_authenticated_ack_with_a_short_payload_is_a_forged_insert():
     assert report.summary["verdict"] == "pass"
 
 
+OTHER_DIRECTION = {
+    Direction.PHYS_TO_VIRT: Direction.VIRT_TO_PHYS,
+    Direction.VIRT_TO_PHYS: Direction.PHYS_TO_VIRT,
+}
+
+
+@functools.cache
+def shared_key_run(name: str):
+    """A bundled scenario with one key for both directions, and its report.
+
+    Validation rejects equal keys, but a spec built directly can have them;
+    then each direction's frames authenticate on the other direction too.
+    """
+    key = bytes.fromhex("11" * 32)
+    spec = dataclasses.replace(load_bundled_scenario(name), keys={d: key for d in Direction})
+    return spec, run_scenario(spec)
+
+
+def sent_frames(report) -> list[tuple[int, Direction, str]]:
+    """(slot, direction, frame hex) for every frame the twins sent."""
+    return [
+        (row["slot"], d, data)
+        for row in report.slots
+        for d in Direction
+        for data in row["sent"][d.value]
+    ]
+
+
+def reflection_problems(name: str, frame_hex: str, target: Direction, at: int) -> list[str]:
+    """Insert an honest frame onto `target` at slot `at`; list what went wrong.
+
+    The reflected frame must be rejected as `wrong_direction`, detected as
+    the INSERT it is, and change no state.  The verdict is checked unless the
+    reflection lands in the window of one of the scenario's own attacks on
+    `target`: attribution is by time window, so that attack is credited with
+    the reflection's requirements too.
+    """
+    spec, honest = shared_key_run(name)
+    attack = AttackAction(AttackKind.INSERT, at, target, {"raw_hex": frame_hex})
+    report = run_scenario(dataclasses.replace(spec, attacks=[*spec.attacks, attack]))
+    where = f"{frame_hex[:16]}... onto {target.value} at slot {at}"
+    problems = []
+    delivered = report.slots[at]["delivered"][target.value]
+    outcomes = [d["outcome"] for d in delivered if d["frame_hex"] == frame_hex]
+    if outcomes != ["wrong_direction"]:
+        problems.append(f"{where}: outcomes {outcomes}")
+    if not report.summary["attacks"][-1]["matched"]:
+        problems.append(f"{where}: {report.summary['attacks'][-1]}")
+    if report.summary["spurious_event_count"]:
+        problems.append(f"{where}: spurious events")
+    keys = ("physical_state", "physical_key_state", "replica_key_state", "replica_synced_slot")
+    if [[r[k] for k in keys] for r in report.slots] != [[r[k] for k in keys] for r in honest.slots]:
+        problems.append(f"{where}: the reflection changed a state")
+    window = spec.grace_slots + 1
+    shared = any(a.direction == target and a.slot <= at <= a.slot + window for a in spec.attacks)
+    if not shared and report.summary["verdict"] != "pass":
+        problems.append(f"{where}: verdict {report.summary['verdict']}")
+    return problems
+
+
+class TestReflection:
+    """Under a shared key, a frame reflected onto the other direction is a forged insert."""
+
+    @pytest.mark.parametrize("name", ["fig4_walkthrough", "attack_matrix"])
+    def test_every_frame_reflected_one_slot_later_is_a_forged_insert(self, name):
+        spec, honest = shared_key_run(name)
+        problems = []
+        for slot, direction, data in sent_frames(honest):
+            if slot + 1 < spec.total_slots:
+                problems += reflection_problems(name, data, OTHER_DIRECTION[direction], slot + 1)
+        assert problems == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["fig4_walkthrough", "attack_matrix"]), data=st.data())
+    def test_a_frame_reflected_at_any_later_slot_is_a_forged_insert(self, name, data):
+        spec, honest = shared_key_run(name)
+        earlier = [f for f in sent_frames(honest) if f[0] + 1 < spec.total_slots]
+        slot, direction, frame_hex = data.draw(st.sampled_from(earlier))
+        at = data.draw(st.integers(slot + 1, spec.total_slots - 1))
+        assert reflection_problems(name, frame_hex, OTHER_DIRECTION[direction], at) == []
+
+    def test_reflected_crossing_is_a_forged_insert_on_the_actuation_channel(self):
+        """The record carrying the crossing to 100, sent at slot 4 as seq 5."""
+        spec, honest = shared_key_run("fig4_walkthrough")
+        (crossing,) = honest.slots[4]["sent"][P2V]
+        attack = AttackAction(AttackKind.INSERT, 5, Direction.VIRT_TO_PHYS, {"raw_hex": crossing})
+        report = run_scenario(dataclasses.replace(spec, attacks=[attack]))
+        (event,) = report.detection_events
+        assert (event["kind"], event["slot"], event["direction"]) == ("FORGED_INSERT", 5, V2P)
+        assert event["requirements"] == ["R1", "R3"]
+        assert event["detail"] == {
+            "reason": "wrong direction", "claimed_slot": 4, "claimed_seq": 5
+        }
+
+
 class TestBenignLoss:
     def test_random_drops_are_explained_not_blamed(self):
         doc = {
@@ -377,6 +480,20 @@ def idle_at_key(total_slots: int):
             "operator_inputs_physical": physical,
         }
     )
+
+
+def test_liveness_set_stays_small_on_a_long_run():
+    """Each accepted emission is forgotten once its deadline check finds it."""
+    detectors = []
+
+    def recording_detector(expectations):
+        detectors.append(Detector(expectations))
+        return detectors[-1]
+
+    with mock.patch.object(runner_mod, "Detector", recording_detector):
+        run_scenario(idle_at_key(2000))
+    (detector,) = detectors
+    assert len(detector._satisfied) <= 2
 
 
 def run_seconds(spec) -> float:

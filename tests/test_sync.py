@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import twinsync.sync as sync_mod
 from conftest import COOL, HEAT, IDLE
-from twinsync.machine import key_trace, project_key_state
 from twinsync.sync import (
     CommandRecord,
     DeltaRecord,
@@ -22,7 +21,6 @@ from twinsync.sync import (
     apply_delta,
     fold_key_state,
     reconcile,
-    verify_delta,
 )
 
 
@@ -47,29 +45,29 @@ class TestFold:
 class TestVerifyDelta:
     def test_accepts_consistent_record(self, kettle):
         delta = DeltaRecord(0, 100, (HEAT, HEAT, HEAT, HEAT), slot=4)
-        assert verify_delta(kettle, delta, expected_base=0) is None
+        assert apply_delta(ReplicaState(0), delta, kettle) == ReplicaState(100, 4)
 
     def test_base_mismatch(self, kettle):
         delta = DeltaRecord(100, 100, (IDLE,), slot=5)
-        err = verify_delta(kettle, delta, expected_base=0)
-        assert err is not None
+        err = apply_delta(ReplicaState(0), delta, kettle)
+        assert isinstance(err, MismatchError)
         assert err.kind is MismatchKind.BASE_MISMATCH
         assert (err.expected, err.got) == (0, 100)
 
     def test_unreachable_result(self, kettle):
         delta = DeltaRecord(0, 100, (HEAT,), slot=1)
-        err = verify_delta(kettle, delta, expected_base=0)
-        assert err is not None
+        err = apply_delta(ReplicaState(0), delta, kettle)
+        assert isinstance(err, MismatchError)
         assert err.kind is MismatchKind.UNREACHABLE_RESULT
 
     def test_liveness_record_verifies(self, kettle):
         delta = DeltaRecord(0, 0, (IDLE, IDLE), slot=2)
-        assert verify_delta(kettle, delta, expected_base=0) is None
+        assert apply_delta(ReplicaState(0), delta, kettle) == ReplicaState(0, 2)
 
     def test_undeclared_input_is_unreachable(self, kettle):
         delta = DeltaRecord(0, 0, (77,), slot=1)
-        err = verify_delta(kettle, delta, expected_base=0)
-        assert err is not None
+        err = apply_delta(ReplicaState(0), delta, kettle)
+        assert isinstance(err, MismatchError)
         assert err.kind is MismatchKind.UNREACHABLE_RESULT
 
     def test_exhaustive_small_machine(self, four_state_machines):
@@ -82,12 +80,12 @@ class TestVerifyDelta:
                 _, last_key = fold_key_state(machine, base, inputs)
                 for claim in sorted(machine.states):
                     delta = DeltaRecord(base, claim, inputs, slot=max(length, 1))
-                    err = verify_delta(machine, delta, expected_base=base)
+                    out = apply_delta(ReplicaState(base), delta, machine)
                     if claim == last_key:
-                        assert err is None
+                        assert out == ReplicaState(claim, delta.slot)
                     else:
-                        assert err is not None
-                        assert err.kind is MismatchKind.UNREACHABLE_RESULT
+                        assert isinstance(out, MismatchError)
+                        assert out.kind is MismatchKind.UNREACHABLE_RESULT
                     checked += 1
         assert checked == 4 * (1 + 2 + 4 + 8) * 4
 
@@ -295,7 +293,7 @@ class TestVirtualTwin:
 
 @given(st.lists(st.sampled_from([HEAT, IDLE, COOL, None]), max_size=40))
 def test_replica_tracks_physical_key_trace(schedule):
-    """Applying every emission in order reproduces the key trace exactly."""
+    """Applying every emission in order keeps the replica on the physical key."""
     from twinsync.machine import machine_from_dict
     from twinsync.scenario import load_fixture_json
 
@@ -313,6 +311,4 @@ def test_replica_tracks_physical_key_trace(schedule):
         out = apply_delta(replica, twin.tick(slot), machine)
         assert isinstance(out, ReplicaState)
         replica = out
-        assert replica.last_synced_key == project_key_state(twin.log, machine)
-    trace = key_trace(twin.log, machine)
-    assert replica.last_synced_key == trace[-1][1]
+        assert replica.last_synced_key == twin.current_key()
