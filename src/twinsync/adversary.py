@@ -17,7 +17,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .frames import HEADER_LEN, HEADER_STRUCT, MAGIC, TAG_LEN, VERSION
+from .frames import MIN_FRAME_LEN, TAG_LEN, Frame, frame_body, splice_payload
 from .netsim import Direction, SplitMix64
 
 
@@ -46,17 +46,16 @@ class AttackAction:
 
 def forge_frame_bytes(template: dict, rng: SplitMix64) -> bytes:
     """Structurally valid frame with an attacker-chosen header and a random tag."""
-    payload = bytes.fromhex(template.get("payload_hex", ""))
-    body = HEADER_STRUCT.pack(
-        MAGIC,
-        VERSION,
-        template.get("msg_type", 1),
-        template.get("sender_id", 0),
-        template.get("session_id", 0),
-        template.get("seq", 1),
-        template.get("slot", 0),
-        len(payload),
-    ) + payload
+    body = frame_body(
+        Frame(
+            template.get("msg_type", 1),
+            template.get("sender_id", 0),
+            template.get("session_id", 0),
+            template.get("seq", 1),
+            template.get("slot", 0),
+            bytes.fromhex(template.get("payload_hex", "")),
+        )
+    )
     tag = b"".join(struct.pack(">Q", rng.next_u64()) for _ in range(4))
     return body + tag
 
@@ -121,12 +120,9 @@ def _mutate(data: bytes, params: dict) -> bytes | None:
     if "payload_hex" in params:
         # Splice in a new payload and fix the declared length; the tag is
         # left as it was, which is the point: the adversary cannot redo it.
-        if len(data) < HEADER_LEN + TAG_LEN:
+        if len(data) < MIN_FRAME_LEN:
             return None
-        new_payload = bytes.fromhex(params["payload_hex"])
-        header = bytearray(data[:HEADER_LEN])
-        struct.pack_into(">H", header, 32, len(new_payload))
-        return bytes(header) + new_payload + data[-TAG_LEN:]
+        return splice_payload(data, bytes.fromhex(params["payload_hex"])) + data[-TAG_LEN:]
     offset = params["byte_offset"]
     if offset >= len(data):
         return None

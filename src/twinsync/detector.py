@@ -74,6 +74,8 @@ _CHANNEL_EVENT_KIND = {
     ChannelErrorKind.AUTH_FAIL: EventKind.TAMPER,
     ChannelErrorKind.REPLAY: EventKind.REPLAY_ATTACK,
     ChannelErrorKind.MALFORMED: EventKind.FORGED_INSERT,
+    ChannelErrorKind.WRONG_DIRECTION: EventKind.FORGED_INSERT,
+    ChannelErrorKind.MALFORMED_PAYLOAD: EventKind.FORGED_INSERT,
 }
 
 EVENT_REQUIREMENTS: dict[tuple[EventKind, Direction], frozenset[Requirement]] = {

@@ -13,13 +13,17 @@ Frame layout, all integers big-endian:
     [34..34+L)    payload
     [34+L..66+L)  tag = HMAC-SHA-256(key, bytes[0 .. 34+L))
 
-The tag covers header and payload, so the shortest valid frame is 66 bytes.
-decode_frame checks the tag before anything else: any bit flipped anywhere in
-a frame therefore fails authentication rather than surfacing as a parse
-error, and structural checks only ever run on authentic bytes.  Sequence
+This module is the only one that packs or reads a header.  The tag covers
+header and payload, so the shortest valid frame is 66 bytes.  decode_frame
+decides whether a link accepts a frame, with its checks in this order:
+length, tag, structure, the link's sender id and message types, and last
+the replay window.  Any bit flipped anywhere in a frame therefore fails
+authentication rather than surfacing as a parse error, structural checks
+only ever run on authentic bytes, and, as in RFC 4303 section 3.4.3, the
+window moves only for a frame that passed every other check.  Sequence
 numbers are per sender and session, start at 1, and must increase on every
 accepted frame; a frame from an older session is treated the same as a stale
-sequence number.  The tracker is updated only when the whole decode succeeds.
+sequence number.
 """
 
 from __future__ import annotations
@@ -74,7 +78,9 @@ class Frame:
 class ChannelErrorKind(str, Enum):
     MALFORMED = "malformed"
     AUTH_FAIL = "auth_fail"
+    WRONG_DIRECTION = "wrong_direction"
     REPLAY = "replay"
+    MALFORMED_PAYLOAD = "malformed_payload"
 
 
 @dataclass(frozen=True)
@@ -84,7 +90,6 @@ class ChannelError:
     kind: ChannelErrorKind
     reason: str
     slot: int | None = None
-    sender_id: int | None = None
     seq: int | None = None
 
 
@@ -94,7 +99,8 @@ class SequenceTracker:
     def __init__(self) -> None:
         self._peers: dict[int, tuple[int, int]] = {}  # sender -> (session, highest seq)
 
-    def validate(self, sender_id: int, session_id: int, seq: int) -> str | None:
+    def advance(self, sender_id: int, session_id: int, seq: int) -> str | None:
+        """Move the window to `seq`, or leave it and say why `seq` is stale."""
         session, highest = self._peers.get(sender_id, (0, 0))
         if session_id < session:
             return f"session {session_id} older than current session {session}"
@@ -102,39 +108,47 @@ class SequenceTracker:
             return f"seq {seq} not above highest accepted seq {highest}"
         if seq < 1:
             return f"seq {seq} below initial value 1"
-        return None
-
-    def commit(self, sender_id: int, session_id: int, seq: int) -> None:
         self._peers[sender_id] = (session_id, seq)
+        return None
 
 
 def _tag(key: bytes, body: bytes) -> bytes:
     return hmac.new(key, body, hashlib.sha256).digest()
 
 
+def _pack(header: tuple, payload: bytes) -> bytes:
+    """The header fields before payload_len, then the length, then the payload."""
+    if len(payload) > MAX_PAYLOAD_LEN:
+        raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds u16 length")
+    return HEADER_STRUCT.pack(*header, len(payload)) + payload
+
+
+def frame_body(frame: Frame) -> bytes:
+    """Header and payload of `frame`: the bytes its tag covers."""
+    header = (
+        MAGIC, VERSION, frame.msg_type, frame.sender_id, frame.session_id, frame.seq, frame.slot
+    )
+    return _pack(header, frame.payload)
+
+
+def splice_payload(data: bytes, payload: bytes) -> bytes:
+    """`data`'s header as it is, declaring `payload`'s length, then `payload`; no tag."""
+    return _pack(HEADER_STRUCT.unpack_from(data)[:-1], payload)
+
+
 def encode_frame(frame: Frame, key: bytes) -> bytes:
-    if len(frame.payload) > MAX_PAYLOAD_LEN:
-        raise PayloadTooLarge(f"payload of {len(frame.payload)} bytes exceeds u16 length")
-    body = HEADER_STRUCT.pack(
-        MAGIC,
-        VERSION,
-        frame.msg_type,
-        frame.sender_id,
-        frame.session_id,
-        frame.seq,
-        frame.slot,
-        len(frame.payload),
-    ) + frame.payload
+    body = frame_body(frame)
     return body + _tag(key, body)
 
 
 def decode_frame(
-    data: bytes, key: bytes, tracker: SequenceTracker
+    data: bytes, key: bytes, tracker: SequenceTracker, sender_id: int, msg_types: tuple[int, ...]
 ) -> Frame | ChannelError:
-    """Authenticate, parse, and replay-check one frame.
+    """Accept or reject one frame arriving on a link.
 
-    Returns the Frame on success (tracker advanced), otherwise a ChannelError
-    and the tracker is left untouched.
+    The link's sender has `sender_id` and sends `msg_types`.  Returns the
+    Frame on success (tracker advanced), otherwise a ChannelError and the
+    tracker is left untouched.
     """
     if len(data) < MIN_FRAME_LEN:
         return ChannelError(
@@ -143,42 +157,30 @@ def decode_frame(
         )
     body, tag = data[:-TAG_LEN], data[-TAG_LEN:]
     # Unpacked first only so that a frame failing the tag check can report its claims.
-    magic, version, msg_type, sender_id, session_id, seq, slot, payload_len = (
+    magic, version, msg_type, sender, session_id, seq, slot, payload_len = (
         HEADER_STRUCT.unpack_from(body)
     )
+    kind = ChannelErrorKind.MALFORMED
     if not hmac.compare_digest(_tag(key, body), tag):
-        return ChannelError(ChannelErrorKind.AUTH_FAIL, "tag mismatch", slot, sender_id, seq)
-    if magic != MAGIC:
-        return ChannelError(ChannelErrorKind.MALFORMED, "bad magic", slot, sender_id, seq)
-    if version != VERSION:
-        return ChannelError(
-            ChannelErrorKind.MALFORMED, f"unsupported version {version}", slot, sender_id, seq
-        )
-    if msg_type not in (MsgType.STATE_SYNC, MsgType.COMMAND, MsgType.ACK):
-        return ChannelError(
-            ChannelErrorKind.MALFORMED, f"unknown msg_type {msg_type}", slot, sender_id, seq
-        )
-    if payload_len != len(data) - MIN_FRAME_LEN:
-        return ChannelError(
-            ChannelErrorKind.MALFORMED,
-            f"payload_len {payload_len} does not match frame size",
-            slot,
-            sender_id,
-            seq,
-        )
-
-    stale = tracker.validate(sender_id, session_id, seq)
-    if stale is not None:
-        return ChannelError(ChannelErrorKind.REPLAY, stale, slot, sender_id, seq)
-    tracker.commit(sender_id, session_id, seq)
-    return Frame(
-        msg_type=msg_type,
-        sender_id=sender_id,
-        session_id=session_id,
-        seq=seq,
-        slot=slot,
-        payload=body[HEADER_LEN:],
-    )
+        kind, reason = ChannelErrorKind.AUTH_FAIL, "tag mismatch"
+    elif magic != MAGIC:
+        reason = "bad magic"
+    elif version != VERSION:
+        reason = f"unsupported version {version}"
+    elif msg_type not in (MsgType.STATE_SYNC, MsgType.COMMAND, MsgType.ACK):
+        reason = f"unknown msg_type {msg_type}"
+    elif payload_len != len(data) - MIN_FRAME_LEN:
+        reason = f"payload_len {payload_len} does not match frame size"
+    elif sender != sender_id or msg_type not in msg_types:
+        # The other direction's frame, reflected: it authenticates only under
+        # a shared key, and must not move this link's window.
+        kind, reason = ChannelErrorKind.WRONG_DIRECTION, "wrong direction"
+    else:
+        reason = tracker.advance(sender, session_id, seq)
+        if reason is None:
+            return Frame(msg_type, sender, session_id, seq, slot, body[HEADER_LEN:])
+        kind = ChannelErrorKind.REPLAY
+    return ChannelError(kind, reason, slot, seq)
 
 
 # Payload codecs. These run on authenticated bytes only, so failures raise

@@ -10,7 +10,7 @@ input schedules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 from .detector import delivered_emission
@@ -42,22 +42,7 @@ class OracleReport:
         return not self.divergences
 
     def to_dict(self) -> dict:
-        return {
-            "machine_id": self.machine_id,
-            "max_schedule_len": self.max_schedule_len,
-            "schedules_checked": self.schedules_checked,
-            "divergences": [
-                {
-                    "schedule": list(d.schedule),
-                    "slot": d.slot,
-                    "expected": d.expected,
-                    "got": d.got,
-                    "what": d.what,
-                }
-                for d in self.divergences
-            ],
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def expected_traces(

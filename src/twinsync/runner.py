@@ -54,12 +54,6 @@ VIRTUAL_SENDER_ID = 2
 
 REPORT_SCHEMA = "twinsync.report.v1"
 
-# The message types each direction carries; the sender id must be its sender's.
-MSG_TYPES = {
-    Direction.PHYS_TO_VIRT: (MsgType.STATE_SYNC,),
-    Direction.VIRT_TO_PHYS: (MsgType.COMMAND, MsgType.ACK),
-}
-
 
 @dataclass
 class RunReport:
@@ -94,17 +88,23 @@ class _Link:
     """One direction of the session, sender and receiver ends together.
 
     The sender numbers, encodes and tags each record and enqueues it on the
-    channel; the receiver checks records against this direction's key and
-    replay window.  `sent` holds the hex of the frames sent in the current
-    slot, for the report row.
+    channel; the receiver accepts only frames of this direction's key, sender
+    id and message types, within its replay window.  `sent` holds the hex of
+    the frames sent in the current slot, for the report row.
     """
 
     def __init__(
-        self, direction: Direction, sender_id: int, spec: ScenarioSpec, seeds: SplitMix64
+        self,
+        direction: Direction,
+        sender_id: int,
+        msg_types: tuple[MsgType, ...],
+        spec: ScenarioSpec,
+        seeds: SplitMix64,
     ):
         self.direction = direction
         self.name = direction.value
         self.sender_id = sender_id
+        self.msg_types = msg_types
         self.session_id = spec.session_id
         self.key = spec.keys[direction]
         cfg = spec.channels[direction]
@@ -130,8 +130,12 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     virtual = VirtualTwin(machine, sync_period=period)
 
     seed_stream = SplitMix64(spec.seed)  # seed order: phys_to_virt, virt_to_phys, adversary
-    up = _Link(Direction.PHYS_TO_VIRT, PHYSICAL_SENDER_ID, spec, seed_stream)
-    down = _Link(Direction.VIRT_TO_PHYS, VIRTUAL_SENDER_ID, spec, seed_stream)
+    up = _Link(
+        Direction.PHYS_TO_VIRT, PHYSICAL_SENDER_ID, (MsgType.STATE_SYNC,), spec, seed_stream
+    )
+    down = _Link(
+        Direction.VIRT_TO_PHYS, VIRTUAL_SENDER_ID, (MsgType.COMMAND, MsgType.ACK), spec, seed_stream
+    )
     links = (up, down)  # deliveries go physical-to-virtual first
     adversary = Adversary(spec.attacks, SplitMix64(seed_stream.next_u64()))
     detector = Detector(
@@ -156,6 +160,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     audits: list[dict] = []
     rows: list[dict] = []
     physical_keys: list[int] = []  # physical key state at the end of each slot
+    reconciled: list[tuple[int, ...]] = []  # command inputs accepted, applied next slot
 
     for slot in range(spec.total_slots):
         up.sent = []
@@ -168,11 +173,10 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         # Phase 1: operator inputs, then command inputs reconciled last slot.
         for sym in phys_inputs.get(slot, []):
             physical.apply_input(slot, sym)
-        pending = physical.pending_reconciled
-        physical.pending_reconciled = []
-        for inputs in pending:
+        for inputs in reconciled:
             for sym in inputs:
                 physical.apply_input(slot, sym)
+        reconciled.clear()
         if slot in virt_inputs:
             virtual.queue_operator_inputs(slot, tuple(virt_inputs[slot]))
 
@@ -194,7 +198,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         for link in links:
             received = delivered[link.name] = []
             for data in link.channel.deliver_due(slot, adversary.intercept):
-                outcome = _receive(data, link, slot, spec, detector, physical, virtual, events)
+                outcome = _receive(data, link, slot, spec, detector, virtual, reconciled, events)
                 received.append({"frame_hex": data.hex(), "outcome": outcome})
 
         # Phase 4: liveness expectations and the consistency audit.
@@ -254,52 +258,39 @@ def _receive(
     slot: int,
     spec: ScenarioSpec,
     detector: Detector,
-    physical: PhysicalTwin,
     virtual: VirtualTwin,
+    reconciled: list[tuple[int, ...]],
     events: list[DetectionEvent],
 ) -> str:
     direction = link.direction
-    result = decode_frame(data, link.key, link.tracker)
-    if isinstance(result, ChannelError):
-        events.append(detector.on_channel_error(result, slot, direction))
-        return result.kind.value
-    frame = result
-    if frame.sender_id != link.sender_id or frame.msg_type not in MSG_TYPES[direction]:
-        # The other direction's frame, reflected (it authenticates only under a
-        # shared key); checked first so it never counts as an emission here.
-        wrong = ChannelError(
-            ChannelErrorKind.MALFORMED, "wrong direction", frame.slot, frame.sender_id, frame.seq
-        )
-        events.append(detector.on_channel_error(wrong, slot, direction))
-        return "wrong_direction"
-    detector.on_frame_accepted(direction, frame.slot)
-
-    try:
-        if frame.msg_type == MsgType.STATE_SYNC:
-            delta = decode_delta_payload(frame.payload, frame.slot)
-            err = virtual.apply_sync(frame.seq, delta)
-            if err is not None:
-                events.append(detector.on_semantic_mismatch(err, slot, direction))
-                return "state_mismatch"
-        elif frame.msg_type == MsgType.COMMAND:
-            command = decode_command_payload(frame.payload)
-            verdict = reconcile(command, spec.machine)
-            if isinstance(verdict, Reject):
-                events.append(detector.on_semantic_mismatch(verdict, slot, direction))
-                return "command_rejected"
-            physical.pending_reconciled.append(verdict)
-        else:
-            # Nothing reads the acked seq; decoding still rejects a malformed ACK.
-            decode_ack_payload(frame.payload)
-    except MalformedPayload as exc:
-        # Authenticated frames with broken payloads cannot come from the
-        # honest peer; classify like any other forgery.
-        synthetic = ChannelError(
-            kind=ChannelErrorKind.MALFORMED, reason=str(exc), slot=frame.slot
-        )
-        events.append(detector.on_channel_error(synthetic, slot, direction))
-        return "malformed_payload"
-    return "accepted"
+    result = decode_frame(data, link.key, link.tracker, link.sender_id, link.msg_types)
+    if isinstance(result, Frame):
+        frame = result
+        detector.on_frame_accepted(direction, frame.slot)
+        try:
+            if frame.msg_type == MsgType.STATE_SYNC:
+                delta = decode_delta_payload(frame.payload, frame.slot)
+                err = virtual.apply_sync(frame.seq, delta)
+                if err is not None:
+                    events.append(detector.on_semantic_mismatch(err, slot, direction))
+                    return "state_mismatch"
+            elif frame.msg_type == MsgType.COMMAND:
+                command = decode_command_payload(frame.payload)
+                verdict = reconcile(command, spec.machine)
+                if isinstance(verdict, Reject):
+                    events.append(detector.on_semantic_mismatch(verdict, slot, direction))
+                    return "command_rejected"
+                reconciled.append(verdict)
+            else:
+                # Nothing reads the acked seq; decoding still rejects a malformed ACK.
+                decode_ack_payload(frame.payload)
+            return "accepted"
+        except MalformedPayload as exc:
+            # Authenticated frames with broken payloads cannot come from the
+            # honest peer; classify like any other forgery.
+            result = ChannelError(ChannelErrorKind.MALFORMED_PAYLOAD, str(exc), frame.slot)
+    events.append(detector.on_channel_error(result, slot, direction))
+    return result.kind.value
 
 
 def _summarize(
@@ -314,7 +305,7 @@ def _summarize(
     events_at: dict[tuple[Direction, int], list[DetectionEvent]] = {}
     for event in events:
         events_at.setdefault((event.direction, event.slot), []).append(event)
-    attacked = {(a.direction, a.slot) for a in spec.attacks if id(a) not in missed}
+    attributed: set[int] = set()  # ids of the events in the window of an attack that found one
 
     attack_rows = []
     all_matched = True
@@ -344,6 +335,7 @@ def _summarize(
         if id(attack) in missed:
             row["no_target"] = True
             continue
+        attributed.update(map(id, hits))
         all_matched = all_matched and matched
         cell = matrix.setdefault(attack.kind.value, {}).setdefault(attack.direction.value, [])
         cell[:] = sorted({*cell, *(r.value for r in detected)})
@@ -359,10 +351,7 @@ def _summarize(
     benign_loss = 0
     for event in events:
         entry = event.to_dict()
-        scheduled = any(
-            (event.direction, s) in attacked
-            for s in range(event.slot - window, event.slot + 1)
-        )
+        scheduled = id(event) in attributed
         entry["attack_scheduled"] = scheduled
         if event.kind == EventKind.MISSED_SYNC:
             emission = event.detail.get("expected_emission_slot")

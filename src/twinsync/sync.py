@@ -220,7 +220,6 @@ class PhysicalTwin:
         self._inputs: list[int] = []  # every input logged since the anchor
         self._crossed = 0  # len(_inputs) just after the last key crossing
         self._shipped = 0  # how many of _inputs the last record carried
-        self.pending_reconciled: list[tuple[int, ...]] = []
 
     def current_key(self) -> int:
         return self._key

@@ -25,6 +25,7 @@ from twinsync.frames import (
     ChannelError,
     ChannelErrorKind,
     Frame,
+    MsgType,
     SequenceTracker,
     decode_frame,
     encode_frame,
@@ -32,7 +33,7 @@ from twinsync.frames import (
 from twinsync.machine import machine_from_dict, validate_machine
 from twinsync.netsim import Direction, SplitMix64
 from twinsync.oracle import oracle_check
-from twinsync.runner import run_scenario
+from twinsync.runner import PHYSICAL_SENDER_ID, run_scenario
 from twinsync.scenario import (
     ScenarioSpec,
     fixture_path,
@@ -209,7 +210,8 @@ def test_acceptance_4_tamper_and_replay_completeness():
             for bit in range(8):
                 corrupted = bytearray(data)
                 corrupted[offset] ^= 1 << bit
-                out = decode_frame(bytes(corrupted), vector.key, SequenceTracker())
+                link = (vector.frame.sender_id, (vector.frame.msg_type,))
+                out = decode_frame(bytes(corrupted), vector.key, SequenceTracker(), *link)
                 flips += 1
                 if isinstance(out, ChannelError) and out.kind is ChannelErrorKind.AUTH_FAIL:
                     auth_fails += 1
@@ -218,7 +220,9 @@ def test_acceptance_4_tamper_and_replay_completeness():
     key = b"\x42" * 32
     duplicates = 0
     replays = 0
-    candidates = [(v.key, data) for v, data in zip(GOLDEN_VECTORS[1:], golden_frame_bytes()[1:])]
+    candidates = [
+        (v.key, v.frame, data) for v, data in zip(GOLDEN_VECTORS[1:], golden_frame_bytes()[1:])
+    ]
     for seq in range(1, 21):
         frame = Frame(
             msg_type=(seq % 3) + 1,
@@ -228,12 +232,13 @@ def test_acceptance_4_tamper_and_replay_completeness():
             slot=seq,
             payload=bytes(seq % 9),
         )
-        candidates.append((key, encode_frame(frame, key)))
-    for frame_key, data in candidates:
+        candidates.append((key, frame, encode_frame(frame, key)))
+    for frame_key, frame, data in candidates:
         tracker = SequenceTracker()
-        first = decode_frame(data, frame_key, tracker)
+        link = (frame.sender_id, (frame.msg_type,))
+        first = decode_frame(data, frame_key, tracker, *link)
         assert isinstance(first, Frame), f"vector did not decode cleanly: {first}"
-        second = decode_frame(data, frame_key, tracker)
+        second = decode_frame(data, frame_key, tracker, *link)
         duplicates += 1
         if isinstance(second, ChannelError) and second.kind is ChannelErrorKind.REPLAY:
             replays += 1
@@ -259,6 +264,7 @@ def test_acceptance_5_forgery_resistance():
     for index in range(10_000):
         if index % 2 == 0:
             data = rng.randbytes(rng.randint(0, 200))
+            link = (PHYSICAL_SENDER_ID, (MsgType.STATE_SYNC,))
         else:
             template = {
                 "msg_type": rng.randint(1, 3),
@@ -269,7 +275,8 @@ def test_acceptance_5_forgery_resistance():
                 "payload_hex": rng.randbytes(rng.randint(0, 40)).hex(),
             }
             data = forge_frame_bytes(template, forge_rng)
-        out = decode_frame(data, key, tracker)
+            link = (template["sender_id"], (template["msg_type"],))
+        out = decode_frame(data, key, tracker, *link)
         if isinstance(out, Frame):
             accepted += 1
         else:

@@ -95,7 +95,7 @@ class TestModify:
             AttackAction(AttackKind.MODIFY, 4, P2V, {"byte_offset": 30, "xor_mask": 0xFF})
         )
         (out,) = adv.intercept(4, P2V, [data])
-        decoded = decode_frame(out, KEY, SequenceTracker())
+        decoded = decode_frame(out, KEY, SequenceTracker(), 1, (MsgType.STATE_SYNC,))
         assert isinstance(decoded, ChannelError)
         assert decoded.kind is ChannelErrorKind.AUTH_FAIL
 
@@ -108,7 +108,7 @@ class TestModify:
         assert out[HEADER_LEN:-32] == bytes.fromhex("deadbeef")
         assert out[32:34] == (4).to_bytes(2, "big")
         assert out[-32:] == data[-32:]
-        decoded = decode_frame(out, KEY, SequenceTracker())
+        decoded = decode_frame(out, KEY, SequenceTracker(), 1, (MsgType.STATE_SYNC,))
         assert isinstance(decoded, ChannelError)
         assert decoded.kind is ChannelErrorKind.AUTH_FAIL
 
@@ -147,7 +147,7 @@ class TestInsert:
         adv = adversary(AttackAction(AttackKind.INSERT, 4, P2V, {"template": template}))
         (out,) = adv.intercept(4, P2V, [])
         assert len(out) == 66 + 8
-        decoded = decode_frame(out, KEY, SequenceTracker())
+        decoded = decode_frame(out, KEY, SequenceTracker(), 1, (MsgType.ACK,))
         assert isinstance(decoded, ChannelError)
         assert decoded.kind is ChannelErrorKind.AUTH_FAIL
 

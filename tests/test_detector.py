@@ -64,6 +64,8 @@ class TestChannelErrorEvents:
             (ChannelErrorKind.AUTH_FAIL, EventKind.TAMPER),
             (ChannelErrorKind.REPLAY, EventKind.REPLAY_ATTACK),
             (ChannelErrorKind.MALFORMED, EventKind.FORGED_INSERT),
+            (ChannelErrorKind.WRONG_DIRECTION, EventKind.FORGED_INSERT),
+            (ChannelErrorKind.MALFORMED_PAYLOAD, EventKind.FORGED_INSERT),
         ],
     )
     @pytest.mark.parametrize("direction", [P2V, V2P])

@@ -1,10 +1,14 @@
 """Wire format: golden vectors, tag-first decoding, replay tracking, payload codecs."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import manual_hmac_sha256
+import twinsync
 from twinsync.frames import (
     HEADER_STRUCT,
     MAGIC,
@@ -88,7 +92,7 @@ class TestGoldenVectors:
     def test_zero_field_frame_is_not_a_protocol_frame(self):
         """Vector 1 pins layout and tag only; msg_type 0 never decodes to a Frame."""
         data = bytes.fromhex(GOLDEN_HEX[0])
-        out = decode_frame(data, bytes(32), SequenceTracker())
+        out = decode_frame(data, bytes(32), SequenceTracker(), 0, (0,))
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.MALFORMED
         assert "msg_type" in out.reason
@@ -107,22 +111,27 @@ class TestDecode:
         )
         self.data = encode_frame(self.frame, self.key)
 
+    def _decode(self, data, key=None):
+        """Decode on the link of this frame's own sender and type."""
+        link = (self.frame.sender_id, (self.frame.msg_type,))
+        return decode_frame(data, key or self.key, SequenceTracker(), *link)
+
     def test_round_trip(self):
-        out = decode_frame(self.data, self.key, SequenceTracker())
+        out = self._decode(self.data)
         assert out == self.frame
 
     def test_short_frame_is_malformed(self):
-        out = decode_frame(self.data[:65], self.key, SequenceTracker())
+        out = self._decode(self.data[:65])
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.MALFORMED
 
     def test_empty_frame_is_malformed(self):
-        out = decode_frame(b"", self.key, SequenceTracker())
+        out = self._decode(b"")
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.MALFORMED
 
     def test_wrong_key_fails_authentication(self):
-        out = decode_frame(self.data, bytes(32), SequenceTracker())
+        out = self._decode(self.data, bytes(32))
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.AUTH_FAIL
 
@@ -132,14 +141,14 @@ class TestDecode:
         """Tag is checked first, so corruption is auth failure, not a parse error."""
         corrupted = bytearray(self.data)
         corrupted[offset] ^= 1 << bit
-        out = decode_frame(bytes(corrupted), self.key, SequenceTracker())
+        out = self._decode(bytes(corrupted))
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.AUTH_FAIL
 
     def test_authentic_bad_magic_is_malformed(self):
         body = HEADER_STRUCT.pack(b"XX", 1, 1, 1, 1, 1, 4, 0)
         data = body + manual_hmac_sha256(self.key, body)
-        out = decode_frame(data, self.key, SequenceTracker())
+        out = self._decode(data)
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.MALFORMED
         assert out.reason == "bad magic"
@@ -147,7 +156,7 @@ class TestDecode:
     def test_authentic_bad_version_is_malformed(self):
         body = HEADER_STRUCT.pack(MAGIC, 2, 1, 1, 1, 1, 4, 0)
         data = body + manual_hmac_sha256(self.key, body)
-        out = decode_frame(data, self.key, SequenceTracker())
+        out = self._decode(data)
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.MALFORMED
         assert "version" in out.reason
@@ -155,15 +164,15 @@ class TestDecode:
     def test_authentic_length_field_mismatch_is_malformed(self):
         body = HEADER_STRUCT.pack(MAGIC, 1, 1, 1, 1, 1, 4, 5) + b"abc"
         data = body + manual_hmac_sha256(self.key, body)
-        out = decode_frame(data, self.key, SequenceTracker())
+        out = self._decode(data)
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.MALFORMED
         assert "payload_len" in out.reason
 
     def test_error_reports_carry_claimed_header_fields(self):
-        out = decode_frame(self.data, bytes(32), SequenceTracker())
+        out = self._decode(self.data, bytes(32))
         assert isinstance(out, ChannelError)
-        assert (out.slot, out.sender_id, out.seq) == (4, 1, 1)
+        assert (out.slot, out.seq) == (4, 1)
 
 
 class TestReplayProtection:
@@ -177,8 +186,8 @@ class TestReplayProtection:
             self.key,
         )
 
-    def _decode(self, data):
-        return decode_frame(data, self.key, self.tracker)
+    def _decode(self, data, sender=1):
+        return decode_frame(data, self.key, self.tracker, sender, (MsgType.ACK,))
 
     def test_duplicate_delivery_is_replay(self):
         data = self._frame(seq=1)
@@ -214,14 +223,67 @@ class TestReplayProtection:
 
     def test_senders_are_tracked_independently(self):
         assert isinstance(self._decode(self._frame(seq=1, sender=1)), Frame)
-        assert isinstance(self._decode(self._frame(seq=1, sender=2)), Frame)
+        assert isinstance(self._decode(self._frame(seq=1, sender=2), sender=2), Frame)
 
     def test_tracker_not_advanced_by_rejected_frames(self):
         corrupted = bytearray(self._frame(seq=3))
         corrupted[-1] ^= 0x01
         self._decode(bytes(corrupted))
-        assert self.tracker.validate(1, 1, 1) is None
+        assert isinstance(self._decode(self._frame(seq=1)), Frame)
         assert isinstance(self._decode(self._frame(seq=3)), Frame)
+
+
+class TestLinkBinding:
+    """A link accepts only its sender's id and message types, checked before the window."""
+
+    def setup_method(self):
+        self.key = b"\x07" * 32
+        self.tracker = SequenceTracker()
+        # An ACK of sender 2, as the virtual twin sends on virt_to_phys.
+        self.ack = encode_frame(Frame(MsgType.ACK, 2, 1, 5, 3, encode_ack_payload(0)), self.key)
+
+    def test_other_sender_is_wrong_direction(self):
+        out = decode_frame(self.ack, self.key, self.tracker, 1, (MsgType.ACK,))
+        assert isinstance(out, ChannelError)
+        assert out.kind is ChannelErrorKind.WRONG_DIRECTION
+        assert (out.reason, out.slot, out.seq) == ("wrong direction", 3, 5)
+
+    def test_other_message_type_is_wrong_direction(self):
+        out = decode_frame(self.ack, self.key, self.tracker, 2, (MsgType.STATE_SYNC,))
+        assert isinstance(out, ChannelError)
+        assert out.kind is ChannelErrorKind.WRONG_DIRECTION
+
+    def test_wrong_direction_leaves_the_window_unchanged(self):
+        """The same bytes rejected twice on the wrong link still decode for their own sender."""
+        for _ in range(2):
+            out = decode_frame(self.ack, self.key, self.tracker, 1, (MsgType.STATE_SYNC,))
+            assert out.kind is ChannelErrorKind.WRONG_DIRECTION
+        assert isinstance(decode_frame(self.ack, self.key, self.tracker, 2, (MsgType.ACK,)), Frame)
+
+    def test_direction_is_checked_before_the_window(self):
+        assert isinstance(decode_frame(self.ack, self.key, self.tracker, 2, (MsgType.ACK,)), Frame)
+        out = decode_frame(self.ack, self.key, self.tracker, 1, (MsgType.ACK,))
+        assert out.kind is ChannelErrorKind.WRONG_DIRECTION
+
+    def test_tag_is_checked_before_direction(self):
+        out = decode_frame(self.ack, bytes(32), self.tracker, 1, (MsgType.STATE_SYNC,))
+        assert out.kind is ChannelErrorKind.AUTH_FAIL
+
+
+HEADER_NAMES = {"HEADER_STRUCT", "MAGIC", "VERSION", "HEADER_LEN"}
+
+
+def test_only_frames_py_imports_the_header_layout():
+    """Every header is packed and read in frames.py, so no other module needs its layout."""
+    offenders = []
+    for path in sorted(Path(twinsync.__file__).parent.glob("*.py")):
+        if path.name == "frames.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = HEADER_NAMES & {alias.name for alias in node.names}
+                offenders += [f"{path.name}:{node.lineno} {name}" for name in sorted(names)]
+    assert offenders == []
 
 
 class TestPayloadCodecs:
@@ -298,5 +360,5 @@ class TestPayloadCodecs:
 )
 def test_encode_decode_round_trip(msg_type, sender_id, session_id, seq, slot, payload, key):
     frame = Frame(msg_type, sender_id, session_id, seq, slot, payload)
-    out = decode_frame(encode_frame(frame, key), key, SequenceTracker())
+    out = decode_frame(encode_frame(frame, key), key, SequenceTracker(), sender_id, (msg_type,))
     assert out == frame
