@@ -103,24 +103,20 @@ ATTACK_EXPECTATIONS: dict[tuple[AttackKind, Direction], frozenset[Requirement]] 
 }
 
 
-@dataclass(frozen=True)
-class DirectionExpectation:
-    sync_period: int
-    latency_slots: int
-    grace_slots: int = 1
-
-
 class Detector:
     """Turns channel errors, liveness gaps, and semantic failures into events.
 
     An emission at slot e (e divisible by the period) is due at
     e + latency + grace; if no authenticated frame claiming emission slot e
     has arrived by then, that emission was lost.  Each emission is looked up
-    once, at that slot, so an arrival is forgotten once it is found.
+    once, at that slot, so an arrival is forgotten once it is found.  Each
+    direction has its own latency; the period and the grace are the run's.
     """
 
-    def __init__(self, expectations: dict[Direction, DirectionExpectation]):
-        self.expectations = dict(expectations)
+    def __init__(self, latency_slots: dict[Direction, int], sync_period: int, grace_slots: int):
+        self.latency_slots = dict(latency_slots)
+        self.sync_period = sync_period
+        self.grace_slots = grace_slots
         self._satisfied: set[tuple[Direction, int]] = set()
 
     def on_frame_accepted(self, direction: Direction, emission_slot: int) -> None:
@@ -146,9 +142,9 @@ class Detector:
     def on_slot_boundary(self, slot: int) -> list[DetectionEvent]:
         """MISSED_SYNC for each emission that became overdue exactly at this slot."""
         events = []
-        for direction, cfg in self.expectations.items():
-            emission = slot - cfg.latency_slots - cfg.grace_slots
-            if emission < 0 or emission % cfg.sync_period != 0:
+        for direction, latency in self.latency_slots.items():
+            emission = slot - latency - self.grace_slots
+            if emission < 0 or emission % self.sync_period != 0:
                 continue
             if (direction, emission) in self._satisfied:
                 self._satisfied.remove((direction, emission))

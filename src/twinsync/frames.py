@@ -20,10 +20,10 @@ length, tag, structure, the link's sender id and message types, and last
 the replay window.  Any bit flipped anywhere in a frame therefore fails
 authentication rather than surfacing as a parse error, structural checks
 only ever run on authentic bytes, and, as in RFC 4303 section 3.4.3, the
-window moves only for a frame that passed every other check.  Sequence
-numbers are per sender and session, start at 1, and must increase on every
-accepted frame; a frame from an older session is treated the same as a stale
-sequence number.
+window moves only for a frame that passed every other check.  A link has
+one sender, so it keeps one window.  Sequence numbers are per session,
+start at 1, and must increase on every accepted frame; a frame from an
+older session is treated the same as a stale sequence number.
 """
 
 from __future__ import annotations
@@ -94,21 +94,20 @@ class ChannelError:
 
 
 class SequenceTracker:
-    """Per-sender replay window: highest accepted seq within the current session."""
+    """One link's replay window: highest accepted seq within the current session."""
 
     def __init__(self) -> None:
-        self._peers: dict[int, tuple[int, int]] = {}  # sender -> (session, highest seq)
+        self.session, self.highest = 0, 0
 
-    def advance(self, sender_id: int, session_id: int, seq: int) -> str | None:
+    def advance(self, session_id: int, seq: int) -> str | None:
         """Move the window to `seq`, or leave it and say why `seq` is stale."""
-        session, highest = self._peers.get(sender_id, (0, 0))
-        if session_id < session:
-            return f"session {session_id} older than current session {session}"
-        if session_id == session and seq <= highest:
-            return f"seq {seq} not above highest accepted seq {highest}"
+        if session_id < self.session:
+            return f"session {session_id} older than current session {self.session}"
+        if session_id == self.session and seq <= self.highest:
+            return f"seq {seq} not above highest accepted seq {self.highest}"
         if seq < 1:
             return f"seq {seq} below initial value 1"
-        self._peers[sender_id] = (session_id, seq)
+        self.session, self.highest = session_id, seq
         return None
 
 
@@ -176,7 +175,7 @@ def decode_frame(
         # a shared key, and must not move this link's window.
         kind, reason = ChannelErrorKind.WRONG_DIRECTION, "wrong direction"
     else:
-        reason = tracker.advance(sender, session_id, seq)
+        reason = tracker.advance(session_id, seq)
         if reason is None:
             return Frame(msg_type, sender, session_id, seq, slot, body[HEADER_LEN:])
         kind = ChannelErrorKind.REPLAY

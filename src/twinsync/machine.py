@@ -10,7 +10,6 @@ against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -91,15 +90,6 @@ class ValidationIssue:
     message: str
 
 
-@dataclass
-class ValidationResult:
-    errors: list[ValidationIssue] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
 def step(machine: TwinMachine, state: int, sym: int) -> int:
     """Apply one input symbol. Raises on undeclared states or inputs."""
     if state not in machine.states:
@@ -117,12 +107,12 @@ def project_key_state(log: ExecutionLog, machine: TwinMachine) -> int:
     return machine.initial
 
 
-def validate_machine(machine: TwinMachine) -> ValidationResult:
-    """Report the structural problems that make the machine unusable."""
-    result = ValidationResult()
+def validate_machine(machine: TwinMachine) -> list[ValidationIssue]:
+    """The structural problems that make the machine unusable; empty when none."""
+    errors: list[ValidationIssue] = []
 
     def err(code: str, message: str) -> None:
-        result.errors.append(ValidationIssue(code, message))
+        errors.append(ValidationIssue(code, message))
 
     if machine.initial not in machine.states:
         err("unknown_initial", f"initial state {machine.initial} not declared")
@@ -145,7 +135,7 @@ def validate_machine(machine: TwinMachine) -> ValidationResult:
                     "non_total_transition",
                     f"no transition defined for state {src} on input {sym}",
                 )
-    return result
+    return errors
 
 
 def machine_from_dict(obj: dict) -> TwinMachine:
@@ -187,8 +177,11 @@ def machine_from_dict(obj: dict) -> TwinMachine:
         transitions[(src, sym)] = dst
 
     labels = obj.get("labels", {})
-    if not isinstance(labels, dict):
-        raise MachineFormatError("labels must be an object")
+    if not isinstance(labels, dict) or not all(
+        isinstance(group, dict) and all(isinstance(v, str) for v in (*group, *group.values()))
+        for group in labels.values()
+    ):
+        raise MachineFormatError("labels must be an object of groups mapping strings to strings")
 
     return TwinMachine(
         machine_id=obj["machine_id"],
@@ -213,8 +206,3 @@ def machine_to_dict(machine: TwinMachine) -> dict:
     if machine.labels:
         out["labels"] = machine.labels
     return out
-
-
-def load_machine_file(path: str) -> TwinMachine:
-    with open(path, "r", encoding="utf-8") as fh:
-        return machine_from_dict(json.load(fh))

@@ -96,9 +96,9 @@ def oracle_check(machine: TwinMachine, max_schedule_len: int) -> OracleReport:
     if len(machine.states) > MAX_STATES or len(machine.inputs) > 3:
         limits = f"<= {MAX_STATES} states, <= 3 inputs"
         raise ValueError(f"oracle_check is for small machines ({limits})")
-    result = validate_machine(machine)
-    if not result.ok:
-        raise ValueError(f"machine does not validate: {result.errors}")
+    errors = validate_machine(machine)
+    if errors:
+        raise ValueError(f"machine does not validate: {errors}")
 
     report = OracleReport(machine_id=machine.machine_id, max_schedule_len=max_schedule_len)
     symbols = sorted(machine.inputs)

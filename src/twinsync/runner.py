@@ -25,7 +25,6 @@ from .detector import (
     ATTACK_EXPECTATIONS,
     Detector,
     DetectionEvent,
-    DirectionExpectation,
     EventKind,
     consistency_audit,
 )
@@ -139,14 +138,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     links = (up, down)  # deliveries go physical-to-virtual first
     adversary = Adversary(spec.attacks, SplitMix64(seed_stream.next_u64()))
     detector = Detector(
-        {
-            link.direction: DirectionExpectation(
-                sync_period=period,
-                latency_slots=link.channel.latency_slots,
-                grace_slots=spec.grace_slots,
-            )
-            for link in links
-        }
+        {link.direction: link.channel.latency_slots for link in links}, period, spec.grace_slots
     )
 
     phys_inputs: dict[int, list[int]] = {}

@@ -31,6 +31,15 @@ DEFAULT_KEYS = {
 BUNDLED_FIXTURES = ("kettle", "fig4_walkthrough", "attack_matrix")
 # The schema's hex pattern: whole bytes, no spaces (bytes.fromhex skips them).
 _HEX = re.compile(r"(?:[0-9a-fA-F]{2})*")
+# The keys each object of the schema allows; attack params depend on the kind.
+_SCENARIO_KEYS = {
+    "name", "machine", "total_slots", "sync_period_slots", "channels", "keys", "session_id",
+    "operator_inputs_physical", "operator_inputs_virtual", "attacks", "seed", "grace_slots",
+}
+_MACHINE_KEYS = {"machine_id", "states", "inputs", "labels", "initial", "key_states", "delta"}
+_DIRECTIONS = {d.value for d in Direction}
+_CHANNEL_KEYS = {"latency_slots", "drop_probability"}
+_ATTACK_KEYS = {"kind", "slot", "direction", "params"}
 
 
 class ScenarioInvalid(Exception):
@@ -100,7 +109,21 @@ def load_fixture_json(name: str) -> dict:
         return json.load(fh)
 
 
+def read_json_file(path: str) -> object:
+    """The JSON document in the file at `path`, or ScenarioInvalid saying why not."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ScenarioInvalid([f"cannot read {path}: {exc}"]) from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ScenarioInvalid([f"{path} is not valid JSON: {exc}"]) from exc
+    except RecursionError as exc:
+        raise ScenarioInvalid([f"{path} nests too deeply to parse"]) from exc
+
+
 def resolve_machine(spec: object, problems: list[str]) -> TwinMachine | None:
+    """The machine a fixture name or a definition gives, or None and its problems."""
     if isinstance(spec, str):
         if spec not in BUNDLED_FIXTURES:
             problems.append(f"machine: no bundled fixture named {spec!r}")
@@ -115,17 +138,28 @@ def resolve_machine(spec: object, problems: list[str]) -> TwinMachine | None:
     if not isinstance(spec, dict):
         problems.append("machine: must be a fixture name or an inline definition object")
         return None
+    before = len(problems)
+    _object(spec, "machine", _MACHINE_KEYS, problems)
     try:
         machine = machine_from_dict(spec)
     except MachineFormatError as exc:
         problems.append(f"machine: {exc}")
         return None
-    result = validate_machine(machine)
-    for issue in result.errors:
-        problems.append(f"machine: {issue.code}: {issue.message}")
+    problems.extend(f"machine: {i.code}: {i.message}" for i in validate_machine(machine))
     wide = [n for n in ("states", "inputs") if max(getattr(machine, n), default=0) > U32_MAX]
     problems.extend(f"machine.{n}: must be <= {U32_MAX}, the wire's u32" for n in wide)
-    return machine if result.ok and not wide else None
+    return machine if len(problems) == before else None
+
+
+def _object(value: object, where: str, keys: set[str], problems: list[str]) -> dict | None:
+    """`value` if it is an object, or None; any key outside `keys` is a problem."""
+    if not isinstance(value, dict):
+        problems.append(f"{where}: must be an object")
+        return None
+    unknown = set(value) - keys
+    if unknown:
+        problems.append(f"{where}: unknown keys: {sorted(unknown)}")
+    return value
 
 
 def _hex(val: object) -> bytes | None:
@@ -156,24 +190,18 @@ def _uint(obj: dict, key: str, problems: list[str], default: int | None = None,
 
 def _parse_channels(obj: dict, problems: list[str]) -> dict[Direction, ChannelConfig]:
     channels: dict[Direction, ChannelConfig] = {}
-    raw = obj.get("channels", {})
-    if not isinstance(raw, dict):
-        problems.append("channels: must be an object keyed by direction")
+    raw = _object(obj.get("channels", {}), "channels", _DIRECTIONS, problems)
+    if raw is None:
         return channels
-    for key in raw:
-        if key not in (d.value for d in Direction):
-            problems.append(f"channels.{key}: unknown direction")
     for direction in Direction:
-        cfg = raw.get(direction.value, {})
-        if not isinstance(cfg, dict):
-            problems.append(f"channels.{direction.value}: must be an object")
+        where = f"channels.{direction.value}"
+        cfg = _object(raw.get(direction.value, {}), where, _CHANNEL_KEYS, problems)
+        if cfg is None:
             continue
-        latency = _uint(cfg, "latency_slots", problems, default=1)
+        latency = _uint(cfg, "latency_slots", problems, default=1, where=f"{where}.")
         drop = cfg.get("drop_probability", 0.0)
         if not isinstance(drop, (int, float)) or isinstance(drop, bool) or not 0 <= drop <= 1:
-            problems.append(
-                f"channels.{direction.value}.drop_probability: must be in [0, 1]"
-            )
+            problems.append(f"{where}.drop_probability: must be in [0, 1]")
             drop = 0.0
         channels[direction] = ChannelConfig(
             latency_slots=latency if latency is not None else 1,
@@ -184,9 +212,8 @@ def _parse_channels(obj: dict, problems: list[str]) -> dict[Direction, ChannelCo
 
 def _parse_keys(obj: dict, problems: list[str]) -> dict[Direction, bytes]:
     keys: dict[Direction, bytes] = {}
-    raw = obj.get("keys", {})
-    if not isinstance(raw, dict):
-        problems.append("keys: must be an object keyed by direction")
+    raw = _object(obj.get("keys", {}), "keys", _DIRECTIONS, problems)
+    if raw is None:
         return keys
     for direction in Direction:
         if direction.value not in raw:
@@ -281,8 +308,7 @@ def _parse_attacks(
         return out
     for i, entry in enumerate(raw):
         where = f"attacks[{i}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{where}: must be an object")
+        if _object(entry, where, _ATTACK_KEYS, problems) is None:
             continue
         try:
             kind = AttackKind(entry.get("kind"))
@@ -311,24 +337,15 @@ def _parse_attacks(
                 f"{where}.slot: a DELETE at slot {slot} is detected at slot "
                 f"{slot + grace_slots}, after the run of {total_slots} slots"
             )
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            problems.append(f"{where}.params: must be an object")
+        params = _object(
+            entry.get("params", {}), f"{where}.params", _ATTACK_PARAM_KEYS[kind], problems
+        )
+        if params is None:
             continue
-        unknown = set(params) - _ATTACK_PARAM_KEYS[kind]
-        if unknown:
-            problems.append(
-                f"{where}.params: unknown keys for {kind.value}: {sorted(unknown)}"
-            )
         at = f"{where}.params."
         ints = _check_values(params, problems, at)
-        template = params.get("template", {})
-        if not isinstance(template, dict):
-            problems.append(f"{at}template: must be an object")
-        else:
-            unknown = set(template) - _TEMPLATE_KEYS
-            if unknown:
-                problems.append(f"{at}template: unknown keys: {sorted(unknown)}")
+        template = _object(params.get("template", {}), f"{at}template", _TEMPLATE_KEYS, problems)
+        if template is not None:
             _check_values(template, problems, f"{at}template.")
         if kind is AttackKind.REPLAY:
             if "capture_slot" not in params:
@@ -353,6 +370,7 @@ def scenario_from_dict(obj: dict) -> ScenarioSpec:
     if not isinstance(obj, dict):
         raise ScenarioInvalid(["scenario document must be an object"])
     problems: list[str] = []
+    _object(obj, "document", _SCENARIO_KEYS, problems)
 
     machine = None
     if "machine" not in obj:
@@ -394,16 +412,7 @@ def scenario_from_dict(obj: dict) -> ScenarioSpec:
 
 
 def load_scenario_file(path: str) -> ScenarioSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ScenarioInvalid([f"cannot read {path}: {exc}"]) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ScenarioInvalid([f"{path} is not valid JSON: {exc}"]) from exc
-    except RecursionError as exc:
-        raise ScenarioInvalid([f"{path} nests too deeply to parse"]) from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(read_json_file(path))
 
 
 def load_bundled_scenario(name: str) -> ScenarioSpec:

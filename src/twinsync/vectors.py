@@ -66,11 +66,7 @@ GOLDEN_VECTORS: tuple[GoldenVector, ...] = (
 
 
 class VectorMismatch(Exception):
-    def __init__(self, line: int, byte_offset: int | None, reason: str):
-        self.line = line
-        self.byte_offset = byte_offset
-        self.reason = reason
-        super().__init__(f"line {line}: {reason}")
+    """A vector file that differs from the canonical frames, as `line N: reason`."""
 
 
 def golden_frame_bytes() -> list[bytes]:
@@ -93,24 +89,19 @@ def verify_golden_vectors(path: str) -> int:
         lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
     expected = golden_frame_bytes()
     if len(lines) != len(expected):
-        raise VectorMismatch(
-            line=lines[-1][0] + 1 if lines else 1,
-            byte_offset=None,
-            reason=f"expected {len(expected)} frames, file has {len(lines)}",
-        )
+        at = lines[-1][0] + 1 if lines else 1
+        raise VectorMismatch(f"line {at}: expected {len(expected)} frames, file has {len(lines)}")
     for (lineno, line), want in zip(lines, expected):
         try:
             got = bytes.fromhex(line)
         except ValueError as exc:
-            raise VectorMismatch(lineno, None, f"not valid hex: {exc}") from exc
+            raise VectorMismatch(f"line {lineno}: not valid hex: {exc}") from exc
         if got != want:
             offset = next(
                 (i for i, (a, b) in enumerate(zip(got, want)) if a != b),
                 min(len(got), len(want)),
             )
             raise VectorMismatch(
-                lineno,
-                offset,
-                f"frame differs from the canonical encoding at byte {offset}",
+                f"line {lineno}: frame differs from the canonical encoding at byte {offset}"
             )
     return len(expected)

@@ -102,7 +102,7 @@ def _random_machine(rng: random.Random, index: int):
             "delta": delta,
         }
     )
-    assert validate_machine(machine).ok
+    assert validate_machine(machine) == []
     return machine
 
 

@@ -8,7 +8,17 @@ import pytest
 
 from twinsync.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from twinsync.machine import machine_to_dict
-from twinsync.scenario import fixture_path
+from twinsync.scenario import fixture_path, load_fixture_json
+
+# A machine whose second key state does not fit the wire's u32.
+WIDE_MACHINE = {
+    "machine_id": "wide",
+    "states": [0, 2**32],
+    "inputs": [1],
+    "initial": 0,
+    "key_states": [0, 2**32],
+    "delta": [[0, 1, 2**32], [2**32, 1, 0]],
+}
 
 
 @pytest.fixture
@@ -172,6 +182,14 @@ class TestOracle:
         assert "oracle:" in capsys.readouterr().err
 
 
+    def test_machine_file_gets_the_inline_checks(self, tmp_path, capsys):
+        path = write_json(tmp_path, "wide.json", WIDE_MACHINE)
+        assert main(["oracle", "--machine", path]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "oracle: machine.states: must be <= 4294967295, the wire's u32\n"
+        )
+
+
 class TestVectors:
     def test_emit_then_verify(self, tmp_path, capsys):
         path = str(tmp_path / "frames.hex")
@@ -214,15 +232,23 @@ class TestVectors:
         (["vectors", "verify", "--path", "{tmp}/latin1.hex"], EXIT_MISMATCH, "vectors: "),
         (["validate", "--scenario", "{tmp}/deep.json"], EXIT_INVALID, "scenario: "),
         (["oracle", "--machine", "{tmp}/deep.json"], EXIT_INVALID, "oracle: "),
+        (["oracle", "--machine", "{tmp}/wide.json"], EXIT_INVALID, "oracle: "),
+        (["validate", "--scenario", "{tmp}/labels_scenario.json"], EXIT_INVALID, "scenario: "),
+        (["oracle", "--machine", "{tmp}/labels_machine.json"], EXIT_INVALID, "oracle: "),
     ],
     ids=[
         "run_out_dir_missing", "validate_not_utf8", "run_not_utf8", "vectors_not_ascii",
-        "validate_too_deep", "oracle_too_deep",
+        "validate_too_deep", "oracle_too_deep", "oracle_wider_than_u32", "validate_bad_labels",
+        "oracle_bad_labels",
     ],
 )
 def test_bad_file_gives_one_line_not_a_traceback(argv, code, prefix, walkthrough_path, tmp_path):
     (tmp_path / "latin1.json").write_bytes(b'{"name": "caf\xe9"}')
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    write_json(tmp_path, "wide.json", WIDE_MACHINE)
+    bad_labels = {**load_fixture_json("kettle"), "labels": {"states": 5}}
+    write_json(tmp_path, "labels_machine.json", bad_labels)
+    write_json(tmp_path, "labels_scenario.json", {"machine": bad_labels, "total_slots": 4})
     vectors = tmp_path / "latin1.hex"
     main(["vectors", "emit", "--path", str(vectors)])
     vectors.write_bytes(b"\xe9" + vectors.read_bytes()[1:])

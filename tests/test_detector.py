@@ -7,7 +7,6 @@ from twinsync.detector import (
     ATTACK_EXPECTATIONS,
     EVENT_REQUIREMENTS,
     Detector,
-    DirectionExpectation,
     EventKind,
     Requirement,
     consistency_audit,
@@ -24,8 +23,8 @@ R2 = Requirement.R2
 R3 = Requirement.R3
 
 
-def table(period=1, latency=1, grace=1, directions=(P2V, V2P)) -> dict:
-    return {d: DirectionExpectation(period, latency, grace) for d in directions}
+def make_detector(period=1, latency=1, grace=1, directions=(P2V, V2P)) -> Detector:
+    return Detector({d: latency for d in directions}, period, grace)
 
 
 class TestRequirementTables:
@@ -70,7 +69,7 @@ class TestChannelErrorEvents:
     )
     @pytest.mark.parametrize("direction", [P2V, V2P])
     def test_kind_and_requirements(self, err_kind, event_kind, direction):
-        detector = Detector(table())
+        detector = make_detector()
         err = ChannelError(kind=err_kind, reason="r", slot=7, seq=3)
         event = detector.on_channel_error(err, slot=8, direction=direction)
         assert event.kind is event_kind
@@ -84,7 +83,7 @@ class TestLiveness:
     def test_deleted_emission_alarms_after_grace(self):
         """The frame emitted at slot 3 is deleted in flight: latency 1 plus
         grace 1 means the alarm fires exactly at slot 5."""
-        detector = Detector(table(directions=(P2V,)))
+        detector = make_detector(directions=(P2V,))
         for emission in (0, 1, 2):
             detector.on_frame_accepted(P2V, emission_slot=emission)
         assert detector.on_slot_boundary(3) == []
@@ -96,14 +95,14 @@ class TestLiveness:
         assert events[0].detail == {"expected_emission_slot": 3}
 
     def test_timely_arrival_keeps_quiet(self):
-        detector = Detector(table(directions=(P2V,)))
+        detector = make_detector(directions=(P2V,))
         for slot in range(0, 10):
             detector.on_frame_accepted(P2V, emission_slot=slot)
         for slot in range(0, 12):
             assert detector.on_slot_boundary(slot) == []
 
     def test_arrival_within_grace_keeps_quiet(self):
-        detector = Detector(table(directions=(P2V,)))
+        detector = make_detector(directions=(P2V,))
         detector.on_frame_accepted(P2V, emission_slot=0)
         assert detector.on_slot_boundary(1) == []
         assert detector.on_slot_boundary(2) == []
@@ -111,7 +110,7 @@ class TestLiveness:
         assert detector.on_slot_boundary(3) == []
 
     def test_each_lost_emission_alarms_once(self):
-        detector = Detector(table(directions=(P2V,)))
+        detector = make_detector(directions=(P2V,))
         seen = []
         for slot in range(0, 8):
             seen += detector.on_slot_boundary(slot)
@@ -119,7 +118,7 @@ class TestLiveness:
         assert [e.slot for e in seen] == list(range(2, 8))
 
     def test_period_skips_non_boundary_slots(self):
-        detector = Detector(table(period=2, directions=(P2V,)))
+        detector = make_detector(period=2, directions=(P2V,))
         detector.on_frame_accepted(P2V, emission_slot=0)
         detector.on_frame_accepted(P2V, emission_slot=2)
         assert detector.on_slot_boundary(2) == []
@@ -129,7 +128,7 @@ class TestLiveness:
         assert [e.detail["expected_emission_slot"] for e in events] == [4]
 
     def test_directions_alarm_independently(self):
-        detector = Detector(table())
+        detector = make_detector()
         detector.on_frame_accepted(P2V, emission_slot=0)
         events = detector.on_slot_boundary(2)
         assert [(e.kind, e.direction) for e in events] == [(EventKind.MISSED_SYNC, V2P)]
@@ -138,7 +137,7 @@ class TestLiveness:
 
 class TestSemanticEvents:
     def test_mismatch_error(self):
-        detector = Detector(table())
+        detector = make_detector()
         err = MismatchError(MismatchKind.BASE_MISMATCH, expected=0, got=100, reason="x")
         event = detector.on_semantic_mismatch(err, slot=6, direction=P2V)
         assert event.kind is EventKind.STATE_MISMATCH
@@ -147,7 +146,7 @@ class TestSemanticEvents:
         assert (event.detail["expected"], event.detail["got"]) == (0, 100)
 
     def test_command_reject(self):
-        detector = Detector(table())
+        detector = make_detector()
         event = detector.on_semantic_mismatch(
             Reject(reason="unknown_input", detail=99), slot=6, direction=V2P
         )

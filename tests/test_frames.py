@@ -186,8 +186,8 @@ class TestReplayProtection:
             self.key,
         )
 
-    def _decode(self, data, sender=1):
-        return decode_frame(data, self.key, self.tracker, sender, (MsgType.ACK,))
+    def _decode(self, data, sender=1, tracker=None):
+        return decode_frame(data, self.key, tracker or self.tracker, sender, (MsgType.ACK,))
 
     def test_duplicate_delivery_is_replay(self):
         data = self._frame(seq=1)
@@ -222,8 +222,14 @@ class TestReplayProtection:
         assert out.kind is ChannelErrorKind.REPLAY
 
     def test_senders_are_tracked_independently(self):
-        assert isinstance(self._decode(self._frame(seq=1, sender=1)), Frame)
-        assert isinstance(self._decode(self._frame(seq=1, sender=2), sender=2), Frame)
+        """Each link has one sender and its own tracker, so seq 1 is new on both."""
+        other_link = SequenceTracker()
+        second = self._frame(seq=1, sender=2)
+        assert isinstance(self._decode(self._frame(seq=1)), Frame)
+        assert isinstance(self._decode(second, sender=2, tracker=other_link), Frame)
+        out = self._decode(second, sender=2, tracker=other_link)
+        assert out.kind is ChannelErrorKind.REPLAY
+        assert (self.tracker.session, self.tracker.highest) == (1, 1)
 
     def test_tracker_not_advanced_by_rejected_frames(self):
         corrupted = bytearray(self._frame(seq=3))

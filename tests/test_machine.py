@@ -12,7 +12,6 @@ from twinsync.machine import (
     MachineFormatError,
     UnknownInput,
     UnknownState,
-    load_machine_file,
     machine_from_dict,
     machine_to_dict,
     project_key_state,
@@ -124,28 +123,25 @@ class TestExecutionLog:
 
 class TestValidation:
     def test_kettle_is_clean(self, kettle):
-        result = validate_machine(kettle)
-        assert result.ok
-        assert result.errors == []
+        assert validate_machine(kettle) == []
 
     def test_missing_transition_is_an_error(self, kettle):
         doc = machine_to_dict(kettle)
         doc["delta"] = [row for row in doc["delta"] if row[:2] != [50, HEAT]]
-        result = validate_machine(machine_from_dict(doc))
-        assert not result.ok
-        assert [i.code for i in result.errors] == ["non_total_transition"]
+        errors = validate_machine(machine_from_dict(doc))
+        assert [i.code for i in errors] == ["non_total_transition"]
 
     def test_initial_must_be_a_key_state(self, kettle):
         doc = machine_to_dict(kettle)
         doc["key_states"] = [100]
-        result = validate_machine(machine_from_dict(doc))
-        assert "initial_not_key_state" in [i.code for i in result.errors]
+        errors = validate_machine(machine_from_dict(doc))
+        assert "initial_not_key_state" in [i.code for i in errors]
 
     def test_undeclared_key_state(self, kettle):
         doc = machine_to_dict(kettle)
         doc["key_states"] = [0, 100, 42]
-        result = validate_machine(machine_from_dict(doc))
-        assert "key_state_unknown" in [i.code for i in result.errors]
+        errors = validate_machine(machine_from_dict(doc))
+        assert "key_state_unknown" in [i.code for i in errors]
 
     def test_undeclared_transition_endpoints(self):
         machine = machine_from_dict(
@@ -158,7 +154,7 @@ class TestValidation:
                 "delta": [[0, 1, 0], [9, 1, 0], [0, 2, 0], [0, 3, 9]],
             }
         )
-        codes = {i.code for i in validate_machine(machine).errors}
+        codes = {i.code for i in validate_machine(machine)}
         assert {
             "transition_source_unknown",
             "transition_input_unknown",
@@ -176,9 +172,7 @@ class TestValidation:
                 "delta": [[0, 1, 1], [1, 1, 0], [2, 1, 2]],
             }
         )
-        result = validate_machine(machine)
-        assert result.ok
-        assert result.errors == []
+        assert validate_machine(machine) == []
 
     def test_all_states_key_is_not_an_error(self):
         machine = machine_from_dict(
@@ -191,9 +185,7 @@ class TestValidation:
                 "delta": [[0, 1, 1], [1, 1, 0]],
             }
         )
-        result = validate_machine(machine)
-        assert result.ok
-        assert result.errors == []
+        assert validate_machine(machine) == []
 
 
 class TestDocumentForm:
@@ -230,12 +222,26 @@ class TestDocumentForm:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "labels", [5, [], {"states": 5}, {"states": ["COLD"]}, {"states": {"0": 1}}]
+    )
+    def test_labels_must_map_strings_to_strings(self, kettle, labels):
+        doc = machine_to_dict(kettle)
+        doc["labels"] = labels
+        with pytest.raises(MachineFormatError, match="labels must be an object of groups"):
+            machine_from_dict(doc)
+
     def test_load_from_file(self, tmp_path, kettle):
+        """A machine file is read and checked the way an inline machine is."""
         import json
+
+        from twinsync.scenario import read_json_file, resolve_machine
 
         path = tmp_path / "m.json"
         path.write_text(json.dumps(machine_to_dict(kettle)))
-        assert load_machine_file(str(path)) == kettle
+        problems: list[str] = []
+        assert resolve_machine(read_json_file(str(path)), problems) == kettle
+        assert problems == []
 
 
 @given(st.lists(st.sampled_from([HEAT, IDLE]), max_size=30))

@@ -509,8 +509,8 @@ def test_liveness_set_stays_small_on_a_long_run():
     """Each accepted emission is forgotten once its deadline check finds it."""
     detectors = []
 
-    def recording_detector(expectations):
-        detectors.append(Detector(expectations))
+    def recording_detector(*args):
+        detectors.append(Detector(*args))
         return detectors[-1]
 
     with mock.patch.object(runner_mod, "Detector", recording_detector):

@@ -8,6 +8,7 @@ import pytest
 from twinsync.adversary import AttackAction, AttackKind
 from twinsync.frames import MAX_PAYLOAD_LEN, U8_MAX, U32_MAX, U64_MAX
 from twinsync.netsim import Direction
+from twinsync import scenario as scenario_mod
 from twinsync.runner import run_scenario
 from twinsync.scenario import (
     BUNDLED_FIXTURES,
@@ -200,6 +201,10 @@ class TestProblems:
         problems = problems_of(minimal_doc(operator_inputs_physical=[[1]]))
         assert "operator_inputs_physical[0]" in problems[0]
 
+    def test_bad_latency_names_its_channel(self):
+        problems = problems_of(minimal_doc(channels={"virt_to_phys": {"latency_slots": -1}}))
+        assert problems == ["channels.virt_to_phys.latency_slots: must be >= 0"]
+
     def test_bad_drop_probability(self):
         doc = minimal_doc(channels={"phys_to_virt": {"drop_probability": 1.5}})
         problems = problems_of(doc)
@@ -207,7 +212,7 @@ class TestProblems:
 
     def test_unknown_channel_direction(self):
         problems = problems_of(minimal_doc(channels={"sideways": {}}))
-        assert problems == ["channels.sideways: unknown direction"]
+        assert problems == ["channels: unknown keys: ['sideways']"]
 
     def test_bad_key_hex(self):
         problems = problems_of(minimal_doc(keys={"phys_to_virt": "zz"}))
@@ -271,7 +276,7 @@ class TestProblems:
             attacks=[{"kind": "DELETE", "slot": 1, "direction": "phys_to_virt",
                       "params": {"capture_slot": 0}}]
         )
-        assert "unknown keys for DELETE" in problems_of(doc)[0]
+        assert problems_of(doc) == ["attacks[0].params: unknown keys: ['capture_slot']"]
 
     def test_replay_requires_capture_slot(self):
         doc = minimal_doc(attacks=[{"kind": "REPLAY", "slot": 2, "direction": "phys_to_virt"}])
@@ -429,3 +434,71 @@ class TestFileLoading:
         with pytest.raises(ScenarioInvalid) as exc_info:
             load_scenario_file(str(path))
         assert "not valid JSON" in exc_info.value.problems[0]
+
+
+# Each allowed-key set in scenario.py and the schema object whose properties
+# it must equal.  Attack params are left out: their keys depend on the kind.
+KEY_SETS = [
+    ("_SCENARIO_KEYS", ()),
+    ("_MACHINE_KEYS", ("$defs", "machine")),
+    ("_DIRECTIONS", ("properties", "channels")),
+    ("_DIRECTIONS", ("properties", "keys")),
+    ("_CHANNEL_KEYS", ("$defs", "channel")),
+    ("_ATTACK_KEYS", ("$defs", "attack")),
+    ("_TEMPLATE_KEYS", ("$defs", "template")),
+]
+
+# Every object level of strict_fixture(), by the path its problems name.
+UNKNOWN_KEY_SITES = [
+    ("document", ()),
+    ("machine", ("machine",)),
+    ("channels", ("channels",)),
+    ("channels.phys_to_virt", ("channels", "phys_to_virt")),
+    ("keys", ("keys",)),
+    ("attacks[1]", ("attacks", 1)),
+    ("attacks[1].params.template", ("attacks", 1, "params", "template")),
+]
+
+
+def strict_fixture() -> dict:
+    """attack_matrix with its machine inline and one INSERT forged from a template."""
+    doc = load_fixture_json("attack_matrix")
+    doc["machine"] = load_fixture_json("kettle")
+    doc["attacks"][1]["params"] = {"template": {"seq": 1}}
+    return doc
+
+
+class TestUnknownKeys:
+    """The validator and the schema reject an unknown key at the same places."""
+
+    @pytest.mark.parametrize(
+        "name, path", KEY_SETS, ids=[path[-1] if path else "document" for _, path in KEY_SETS]
+    )
+    def test_allowed_keys_are_the_schema_properties(self, name, path):
+        obj = scenario_schema()
+        for key in path:
+            obj = obj[key]
+        assert obj["additionalProperties"] is False
+        assert getattr(scenario_mod, name) == set(obj["properties"])
+
+    def test_every_key_set_is_compared(self):
+        sets = {name for name, val in vars(scenario_mod).items() if isinstance(val, set)}
+        assert sets == {name for name, _ in KEY_SETS}
+
+    def test_the_fixture_passes_both_checks(self):
+        doc = strict_fixture()
+        jsonschema.validate(doc, scenario_schema(), cls=jsonschema.Draft202012Validator)
+        assert run_scenario(scenario_from_dict(doc)).summary["verdict"] == "pass"
+
+    @pytest.mark.parametrize(
+        "where, path", UNKNOWN_KEY_SITES, ids=[where for where, _ in UNKNOWN_KEY_SITES]
+    )
+    def test_unknown_key_fails_both_checks(self, where, path):
+        doc = strict_fixture()
+        target = doc
+        for key in path:
+            target = target[key]
+        target["bogus"] = 1
+        assert problems_of(doc) == [f"{where}: unknown keys: ['bogus']"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, scenario_schema(), cls=jsonschema.Draft202012Validator)
