@@ -28,6 +28,7 @@ older session is treated the same as a stale sequence number.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import struct
@@ -65,7 +66,7 @@ class MalformedPayload(ValueError):
     """An authenticated payload that does not parse as its message type."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Frame:
     msg_type: int
     sender_id: int
@@ -111,8 +112,20 @@ class SequenceTracker:
         return None
 
 
+@functools.lru_cache(maxsize=32)
+def _pads(key: bytes) -> tuple:
+    """SHA-256 states after K' ^ ipad and K' ^ opad (RFC 2104 section 4); shared, so copied."""
+    key = (hashlib.sha256(key).digest() if len(key) > 64 else key).ljust(64, b"\x00")
+    return tuple(hashlib.sha256(bytes(b ^ pad for b in key)) for pad in (0x36, 0x5C))
+
+
 def _tag(key: bytes, body: bytes) -> bytes:
-    return hmac.new(key, body, hashlib.sha256).digest()
+    """HMAC-SHA-256 of `body`, resumed from copies of the key's cached pad states."""
+    ipad, opad = _pads(key)
+    inner, outer = ipad.copy(), opad.copy()
+    inner.update(body)
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def _pack(header: tuple, payload: bytes) -> bytes:

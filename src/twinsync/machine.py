@@ -51,7 +51,7 @@ class TwinMachine:
     labels: dict[str, dict[str, str]] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogEntry:
     slot: int
     input: int

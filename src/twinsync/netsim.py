@@ -13,6 +13,7 @@ same generator.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -46,7 +47,8 @@ class Direction(str, Enum):
 
 @dataclass(frozen=True)
 class QueuedFrame:
-    deliver_at_slot: int
+    """A frame dropped at send: its send slot and the very bytes object sent."""
+
     sent_at_slot: int
     data: bytes
 
@@ -62,7 +64,8 @@ class Channel:
     rng: SplitMix64
     latency_slots: int = 1
     drop_probability: float = 0.0
-    queue: list[QueuedFrame] = field(default_factory=list)
+    # (deliver_at_slot, data): sent in slot order at one latency, so in delivery order.
+    queue: deque[tuple[int, bytes]] = field(default_factory=deque)
     drop_log: list[QueuedFrame] = field(default_factory=list)
 
     def send(self, data: bytes, slot: int) -> None:
@@ -71,20 +74,20 @@ class Channel:
         The drop decision happens here, before the adversary ever sees the
         frame: a benignly lost frame is not capturable.
         """
-        frame = QueuedFrame(
-            deliver_at_slot=slot + self.latency_slots, sent_at_slot=slot, data=data
-        )
         # One draw per send, unconditionally, so the stream position is a pure
         # function of the send count.
         if self.rng.chance(self.drop_probability):
-            self.drop_log.append(frame)
+            self.drop_log.append(QueuedFrame(slot, data))
             return
-        self.queue.append(frame)
+        self.queue.append((slot + self.latency_slots, data))
 
     def deliver_due(self, slot: int, interceptor: Interceptor | None = None) -> list[bytes]:
         """Remove and return the frames due this slot, FIFO, via the interceptor."""
-        due = [f.data for f in self.queue if f.deliver_at_slot == slot]
-        self.queue = [f for f in self.queue if f.deliver_at_slot != slot]
+        queue, due = self.queue, []  # a frame due at a slot never asked for goes undelivered
+        while queue and queue[0][0] <= slot:
+            deliver_at, data = queue.popleft()
+            if deliver_at == slot:
+                due.append(data)
         if interceptor is not None:
             due = interceptor(slot, self.direction, due)
         return due

@@ -38,7 +38,7 @@ from .machine import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeltaRecord:
     base_state: int
     result_state: int
@@ -46,7 +46,7 @@ class DeltaRecord:
     slot: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommandRecord:
     inputs: tuple[int, ...]
     issued_slot: int
@@ -57,7 +57,7 @@ class CommandRecord:
 _Fold = tuple[TwinMachine, int, tuple[int, ...], int, int | None]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReplicaState:
     """The digital twin's view: the last confirmed key state and its slot.
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import manual_hmac_sha256
 import twinsync
+from twinsync import frames
 from twinsync.frames import (
     HEADER_STRUCT,
     MAGIC,
@@ -68,6 +69,38 @@ class TestHmacReference:
         assert tag.hex() == (
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         )
+
+
+RFC4231_CASES = [
+    (b"\x0b" * 20, b"Hi There"),
+    (b"Jefe", b"what do ya want for nothing?"),
+    (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First"),
+]
+
+
+class TestTag:
+    """frames._tag, resumed from cached pad states, is HMAC-SHA-256."""
+
+    @pytest.mark.parametrize("key, msg", RFC4231_CASES)
+    def test_rfc4231_cases(self, key, msg):
+        assert frames._tag(key, msg) == manual_hmac_sha256(key, msg)
+
+    @given(
+        keys=st.lists(
+            (st.sampled_from([63, 64, 65]) | st.integers(min_value=1, max_value=200)).flatmap(
+                lambda n: st.binary(min_size=n, max_size=n)
+            ),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        ),
+        bodies=st.lists(st.binary(max_size=300), min_size=4, max_size=8),
+    )
+    def test_matches_reference_with_alternating_keys(self, keys, bodies):
+        """Each key is used at least twice, so a cached state updated in place shows."""
+        for i, body in enumerate(bodies):
+            key = keys[i % 2]
+            assert frames._tag(key, body) == manual_hmac_sha256(key, body)
 
 
 class TestGoldenVectors:
@@ -290,6 +323,47 @@ def test_only_frames_py_imports_the_header_layout():
                 names = HEADER_NAMES & {alias.name for alias in node.names}
                 offenders += [f"{path.name}:{node.lineno} {name}" for name in sorted(names)]
     assert offenders == []
+
+
+def test_each_frame_is_tagged_once_through_frames_tag(monkeypatch):
+    """The bench times HMAC by rebinding frames._tag; every tag must go through it."""
+    real, calls = frames._tag, []
+
+    def counting(key: bytes, body: bytes) -> bytes:
+        calls.append(len(body))
+        return real(key, body)
+
+    monkeypatch.setattr(frames, "_tag", counting)
+    key = bytes(range(32))
+    data = encode_frame(Frame(MsgType.ACK, 2, 1, 1, 0, encode_ack_payload(0)), key)
+    assert calls == [len(data) - 32]
+    for junk in (b"", bytes(MIN_FRAME_LEN - 1)):
+        decode_frame(junk, key, SequenceTracker(), 2, (MsgType.ACK,))
+    assert len(calls) == 1
+    for frame in (bytes(MIN_FRAME_LEN), data, data):
+        decode_frame(frame, key, SequenceTracker(), 2, (MsgType.ACK,))
+    assert calls == [len(data) - 32, MIN_FRAME_LEN - 32, len(data) - 32, len(data) - 32]
+
+
+HASH_CALLS = {("hmac", "new"), ("hmac", "digest"), ("hashlib", "sha256"), ("hashlib", "new")}
+
+
+def test_only_tag_and_its_key_cache_hash():
+    """frames.hmac in the bench is the time spent in _tag; no hashing may bypass it."""
+    tree = ast.parse(Path(frames.__file__).read_text())
+    found = []
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.ImportFrom) and node.module in ("hmac", "hashlib"):
+                found.append((owner, f"from {node.module} import"))
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) in HASH_CALLS
+            ):
+                found.append((owner, f"{node.value.id}.{node.attr}"))
+    assert found and {owner for owner, _ in found} <= {"_tag", "_pads"}, found
 
 
 class TestPayloadCodecs:

@@ -1,5 +1,8 @@
 """Deterministic RNG, clock, and the slotted channels."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from twinsync.netsim import Channel, Direction, SplitMix64
 
 
@@ -66,13 +69,13 @@ class TestChannel:
         ch.send(b"a", slot=1)
         assert ch.deliver_due(2) == [b"a"]
         assert ch.deliver_due(2) == []
-        assert ch.queue == []
+        assert len(ch.queue) == 0
 
     def test_drop_probability_one_drops_everything(self):
         ch = self._channel(drop_probability=1.0)
         for slot in range(5):
             ch.send(b"x", slot=slot)
-        assert ch.queue == []
+        assert len(ch.queue) == 0
         assert len(ch.drop_log) == 5
         assert [f.sent_at_slot for f in ch.drop_log] == list(range(5))
 
@@ -125,3 +128,55 @@ class TestChannel:
 
         ch.deliver_due(1, interceptor)
         assert calls == [1]
+
+
+class ListScanChannel:
+    """Model: the channel as a list rescanned on every delivery, FIFO by construction."""
+
+    def __init__(self, rng: SplitMix64, latency_slots: int, drop_probability: float):
+        self.rng, self.latency, self.drop = rng, latency_slots, drop_probability
+        self.queue: list[tuple[int, bytes]] = []
+        self.dropped: list[tuple[int, bytes]] = []
+
+    def send(self, data: bytes, slot: int) -> None:
+        if self.rng.chance(self.drop):
+            self.dropped.append((slot, data))
+        else:
+            self.queue.append((slot + self.latency, data))
+
+    def deliver_due(self, slot: int) -> list[bytes]:
+        due = [data for at, data in self.queue if at == slot]
+        self.queue = [(at, data) for at, data in self.queue if at != slot]
+        return due
+
+
+@given(
+    latency=st.integers(min_value=0, max_value=3),
+    drop=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    # (slots to advance, frames to send): 0 repeats a slot, 2 or more skips slots.
+    steps=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
+        max_size=40,
+    ),
+)
+def test_channel_delivers_what_a_list_scan_delivers(latency, drop, seed, steps):
+    ch = Channel(Direction.PHYS_TO_VIRT, SplitMix64(seed), latency, drop)
+    model = ListScanChannel(SplitMix64(seed), latency, drop)
+    slot = sent = 0
+    for advance, sends in steps:
+        slot += advance
+        for _ in range(sends):
+            data = sent.to_bytes(2, "big")
+            sent += 1
+            ch.send(data, slot)
+            model.send(data, slot)
+        assert ch.deliver_due(slot) == model.deliver_due(slot)
+    assert [(f.sent_at_slot, f.data) for f in ch.drop_log] == model.dropped
+
+
+def test_drop_log_keeps_the_sent_object():
+    ch = Channel(Direction.PHYS_TO_VIRT, SplitMix64(0), drop_probability=1.0)
+    data = bytes(70)
+    ch.send(data, slot=3)
+    assert ch.drop_log[-1].data is data
