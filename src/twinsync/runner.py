@@ -182,7 +182,8 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 down.send(MsgType.COMMAND, slot, encode_command_payload(command))
         elif commands is not None:
             # Idle heartbeat on the reverse path: acknowledge the newest
-            # accepted sync so this channel has per-period liveness too.
+            # accepted sync, the physical twin's next anchor; it also keeps
+            # per-period liveness on this channel.
             down.send(MsgType.ACK, slot, encode_ack_payload(virtual.last_sync_seq))
 
         # Phase 3: deliveries, physical-to-virtual first.
@@ -190,7 +191,9 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         for link in links:
             received = delivered[link.name] = []
             for data in link.channel.deliver_due(slot, adversary.intercept):
-                outcome = _receive(data, link, slot, spec, detector, virtual, reconciled, events)
+                outcome = _receive(
+                    data, link, slot, spec, detector, physical, virtual, reconciled, events
+                )
                 received.append({"frame_hex": data.hex(), "outcome": outcome})
 
         # Phase 4: liveness expectations and the consistency audit.
@@ -250,6 +253,7 @@ def _receive(
     slot: int,
     spec: ScenarioSpec,
     detector: Detector,
+    physical: PhysicalTwin,
     virtual: VirtualTwin,
     reconciled: list[tuple[int, ...]],
     events: list[DetectionEvent],
@@ -274,8 +278,7 @@ def _receive(
                     return "command_rejected"
                 reconciled.append(verdict)
             else:
-                # Nothing reads the acked seq; decoding still rejects a malformed ACK.
-                decode_ack_payload(frame.payload)
+                physical.on_ack(decode_ack_payload(frame.payload))
             return "accepted"
         except MalformedPayload as exc:
             # Authenticated frames with broken payloads cannot come from the

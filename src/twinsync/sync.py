@@ -1,26 +1,24 @@
 """Delta-based key-state replication between the physical twin and its replica.
 
-The physical twin executes the machine and periodically emits a DeltaRecord:
-the key state it started from, the inputs applied since, and the key state it
-claims to have reached.  The replica never force-sets its state; it re-folds
-the inputs through its own copy of the transition table and only accepts the
-result if the fold confirms the claim.  The reverse path carries operator
-inputs (CommandRecord), never states: the physical twin re-executes them
-itself after a plausibility check.
+The physical twin executes the machine and once per sync period emits a
+DeltaRecord: the state at its anchor, the inputs applied since, and the key
+state it claims to be in.  The replica never force-sets its state; it
+re-folds the inputs through its own copy of the transition table and only
+accepts the result if the fold confirms the claim.  The reverse path carries
+operator inputs (CommandRecord), never states: the physical twin re-executes
+them itself after a plausibility check.
 
-Between key crossings a delta is cumulative (all inputs since the key state
-in force was last established), so every record verifies from the replica's
-current key even when the machine is partway between key states.  A slot with
+The anchor is the newest emission the replica has acknowledged, as in the
+delta intervals of delta-state CRDTs (Almeida, Shoker and Baquero, JPDC 2018)
+and TCP's cumulative acknowledgement (RFC 9293 section 3.4).  A record lost
+or deleted in transit is re-covered by the next one, which starts from the
+same anchor, and an acknowledged record cuts the next one short.  The anchor
+may be a state outside the key set.  The replica holds every state it reached
+at an accepted emission, with the key states in force there, and verifies a
+record from any of them.  An emission with no state change since the anchor
+moves the anchor itself: such inputs cannot desync the replica.  A slot with
 no activity still produces an empty heartbeat record so the other side can
 tell silence from a deleted message.
-
-Neither side re-walks a cumulative record in Python.  The physical twin keeps
-the inputs since its anchor as a plain list and copies it into each record.
-The replica keeps the last fold it verified; a record with the same base
-whose inputs extend that fold's inputs is checked by comparing the prefix
-(in C) and folding only the new suffix from the kept state and last key.  A
-left fold resumed from its own accumulator ends where the full fold ends, so
-every accept, reject and mismatch is what the full fold would give.
 """
 
 from __future__ import annotations
@@ -52,22 +50,23 @@ class CommandRecord:
     issued_slot: int
 
 
-# A fold already walked, from base over inputs to state, last visiting last_key:
-# (machine, base, inputs, state, last_key).  A plain tuple: one is built per record.
-_Fold = tuple[TwinMachine, int, tuple[int, ...], int, int | None]
-
-
 @dataclass(slots=True)
 class ReplicaState:
     """The digital twin's view: the last confirmed key state and its slot.
 
-    `fold` is the last verified fold, kept so the next cumulative record
-    folds only its new inputs; it takes no part in equality.
+    `held` maps every state the replica reached at an accepted emission to
+    the key states in force there; a record verifies from any of them.  It
+    starts as the confirmed key held with itself, is bounded by the machine's
+    size rather than the run's length, and takes no part in equality.
     """
 
     last_synced_key: int
     last_synced_slot: int = 0
-    fold: _Fold | None = field(default=None, compare=False, repr=False)
+    held: dict[int, frozenset[int]] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.held is None:
+            self.held = {self.last_synced_key: frozenset((self.last_synced_key,))}
 
 
 class MismatchKind(str, Enum):
@@ -95,69 +94,20 @@ class Reject:
 
 
 def fold_key_state(
-    machine: TwinMachine, base: int, inputs: tuple[int, ...], last_key: int | None = None
+    machine: TwinMachine, base: int, inputs: tuple[int, ...]
 ) -> tuple[int, int | None]:
     """Walk the inputs from base; return (final state, last key state visited).
 
     The last key visited starts as base itself when base is a key state and
-    is None otherwise, so a record based outside the key set can never claim
-    a reachable result.  An earlier fold resumes from its final state as
-    base and its last key visited as last_key.
+    is None otherwise.
     """
     state = base
-    if base in machine.key_states:
-        last_key = base
+    last_key = base if base in machine.key_states else None
     for sym in inputs:
         state = step(machine, state, sym)
         if state in machine.key_states:
             last_key = state
     return state, last_key
-
-
-def _verify(
-    machine: TwinMachine, delta: DeltaRecord, expected_base: int, kept: _Fold | None
-) -> MismatchError | _Fold:
-    """Check a received delta against the replica's current key state.
-
-    The record is consistent when the base matches and folding the inputs
-    through the machine visits result_state as the last key state; the fold
-    resumes `kept` when the record extends it.  A consistent record gives
-    back the fold it was verified by.
-    """
-    if delta.base_state != expected_base:
-        return MismatchError(
-            kind=MismatchKind.BASE_MISMATCH,
-            expected=expected_base,
-            got=delta.base_state,
-            reason="delta base does not match replica key state",
-        )
-    base, inputs = delta.base_state, delta.applied_inputs
-    try:
-        if (
-            kept is not None
-            and kept[0] is machine
-            and kept[1] == base
-            and inputs[: len(kept[2])] == kept[2]
-        ):
-            _, _, done, state, last_key = kept
-            state, last_key = fold_key_state(machine, state, inputs[len(done) :], last_key)
-        else:
-            state, last_key = fold_key_state(machine, base, inputs)
-    except MachineError as exc:
-        return MismatchError(
-            kind=MismatchKind.UNREACHABLE_RESULT,
-            expected=delta.result_state,
-            got=delta.result_state,
-            reason=f"fold failed: {exc}",
-        )
-    if last_key != delta.result_state:
-        return MismatchError(
-            kind=MismatchKind.UNREACHABLE_RESULT,
-            expected=last_key if last_key is not None else delta.base_state,
-            got=delta.result_state,
-            reason="claimed result not reached by folding the inputs",
-        )
-    return machine, base, inputs, state, last_key
 
 
 def apply_delta(
@@ -166,7 +116,10 @@ def apply_delta(
     """Advance the replica by a verified delta; on any error the replica is unchanged.
 
     A record carrying a slot older than the replica's sync point is rejected
-    as replayed before its content is even looked at.
+    as replayed before its content is even looked at.  Otherwise its base
+    must be a state the replica holds, and the full fold of its inputs from
+    there must confirm the claim: the last key state the fold visits, or,
+    when it visits none, one of the key states held with the base.
     """
     if delta is None:
         return replica
@@ -177,13 +130,38 @@ def apply_delta(
             got=delta.slot,
             reason="delta slot predates the replica's sync point",
         )
-    fold = _verify(machine, delta, replica.last_synced_key, replica.fold)
-    if isinstance(fold, MismatchError):
-        return fold
-    # A heartbeat keeps the fold it would otherwise replace with an empty one.
-    kept = fold if delta.applied_inputs else replica.fold
+    held = replica.held
+    base, claim = delta.base_state, delta.result_state
+    if base not in held:
+        return MismatchError(
+            kind=MismatchKind.BASE_MISMATCH,
+            expected=replica.last_synced_key,
+            got=base,
+            reason="delta base is no state the replica has held",
+        )
+    try:
+        state, last_key = fold_key_state(machine, base, delta.applied_inputs)
+    except MachineError as exc:
+        return MismatchError(
+            kind=MismatchKind.UNREACHABLE_RESULT,
+            expected=claim,
+            got=claim,
+            reason=f"fold failed: {exc}",
+        )
+    confirmed = claim == last_key if last_key is not None else claim in held[base]
+    if not confirmed:
+        return MismatchError(
+            kind=MismatchKind.UNREACHABLE_RESULT,
+            expected=last_key if last_key is not None else base,
+            got=claim,
+            reason="claimed result not reached by folding the inputs",
+        )
+    keys = held.get(state, frozenset())
+    if claim not in keys:
+        # Copied, not updated in place: the replica passed in stays as it was.
+        held = {**held, state: keys | {claim}}
     # Positional arguments: this runs once per record, and keywords cost more.
-    return ReplicaState(delta.result_state, delta.slot, kept)
+    return ReplicaState(claim, delta.slot, held)
 
 
 def reconcile(command: CommandRecord, machine: TwinMachine) -> tuple[int, ...] | Reject:
@@ -202,9 +180,11 @@ def reconcile(command: CommandRecord, machine: TwinMachine) -> tuple[int, ...] |
 class PhysicalTwin:
     """Stateful physical endpoint: executes inputs, emits one record per sync period.
 
-    The emission anchor sits just after the last key crossing already
-    shipped, so records stay verifiable from the replica's key state even
-    while the machine sits between key states.
+    Record k goes out as up-link frame seq k.  Each record carries the state
+    at the anchor, the current key state and every input since the anchor.
+    The anchor moves to the newest record the replica has acknowledged
+    (`on_ack`), or to an emission whose inputs never left the anchor's state,
+    so a record stays a few inputs long however long the machine idles.
     """
 
     def __init__(self, machine: TwinMachine, sync_period: int = 1):
@@ -214,12 +194,15 @@ class PhysicalTwin:
         self.sync_period = sync_period
         self.state = machine.initial
         self.log = ExecutionLog()
-        # Kept current on every input, so no tick reads the log.
+        self.emitted = 0  # records emitted, and so the seq of the newest
+        # Kept current on every input, so no tick reads the log.  Positions
+        # count every input logged since the start.
         self._key = machine.initial  # key state after the whole log
-        self._anchor_key = machine.initial  # key state in force at the anchor
+        self._base = machine.initial  # state at the anchor
+        self._anchor = 0  # position of the anchor
+        self._changed = 0  # position just after the last input that changed the state
         self._inputs: list[int] = []  # every input logged since the anchor
-        self._crossed = 0  # len(_inputs) just after the last key crossing
-        self._shipped = 0  # how many of _inputs the last record carried
+        self._unacked: list[tuple[int, int, int]] = []  # (seq, position, state) after the anchor
 
     def current_key(self) -> int:
         return self._key
@@ -234,34 +217,46 @@ class PhysicalTwin:
             is_key_crossing=nxt in self.machine.key_states,
         )
         self.log.append(entry)
-        self.state = nxt
         self._inputs.append(sym)
+        if nxt != self.state:
+            self._changed = self._anchor + len(self._inputs)
+        self.state = nxt
         if entry.is_key_crossing:
             self._key = nxt
-            self._crossed = len(self._inputs)
         return entry
 
     def tick(self, slot: int) -> DeltaRecord | None:
-        """End-of-slot emission: a delta when the log moved, a heartbeat otherwise."""
+        """End-of-slot emission: the inputs since the anchor, a heartbeat when none."""
         if slot % self.sync_period != 0:
             return None
+        self.emitted += 1
         inputs = self._inputs
-        if len(inputs) == self._shipped:
-            key = self._key
-            return DeltaRecord(base_state=key, result_state=key, applied_inputs=(), slot=slot)
-        record = DeltaRecord(
-            base_state=self._anchor_key,
-            result_state=self._key,
-            applied_inputs=tuple(inputs),
-            slot=slot,
-        )
-        # Every crossing up to here is now shipped: the next record starts
-        # just after the last one, from the key state it established.
-        del inputs[: self._crossed]
-        self._crossed = 0
-        self._shipped = len(inputs)
-        self._anchor_key = self._key
+        # Positional arguments: this runs once per record, and keywords cost more.
+        record = DeltaRecord(self._base, self._key, tuple(inputs), slot)
+        if self._changed > self._anchor:
+            self._unacked.append((self.emitted, self._anchor + len(inputs), self.state))
+        else:
+            # Every state since the anchor is the anchor's own, so the
+            # replica cannot miss one: the anchor moves here unacknowledged.
+            self._anchor += len(inputs)
+            inputs.clear()
+            self._unacked.clear()
         return record
+
+    def on_ack(self, seq: int) -> None:
+        """Anchor at the newest unacknowledged record at or below seq.
+
+        An acknowledgement at or behind the anchor changes nothing.
+        """
+        unacked = self._unacked
+        n = 0
+        while n < len(unacked) and unacked[n][0] <= seq:
+            n += 1
+        if n:
+            _, position, self._base = unacked[n - 1]
+            del unacked[:n]
+            del self._inputs[: position - self._anchor]
+            self._anchor = position
 
 
 class VirtualTwin:
@@ -280,10 +275,18 @@ class VirtualTwin:
         self.pending_commands.append(CommandRecord(inputs=inputs, issued_slot=slot))
 
     def tick(self, slot: int) -> list[CommandRecord] | None:
-        """Flush queued commands at sync boundaries; None between them."""
+        """Flush queued commands at sync boundaries; None between them.
+
+        Commands queued over one period go out as one record, issued at the
+        first of them.  Liveness counts on one frame per period each way: a
+        second frame would hide the deletion of the first.
+        """
         if slot % self.sync_period != 0:
             return None
         commands, self.pending_commands = self.pending_commands, []
+        if len(commands) > 1:
+            inputs = tuple(sym for command in commands for sym in command.inputs)
+            commands = [CommandRecord(inputs, commands[0].issued_slot)]
         return commands
 
     def apply_sync(self, seq: int, delta: DeltaRecord) -> MismatchError | None:

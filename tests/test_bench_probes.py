@@ -51,8 +51,10 @@ def test_traced_run_gives_the_untraced_report(name):
 
 
 def test_fold_work_is_linear_and_traced():
-    """Between key states each record repeats every earlier input, and the
-    replica folds only the new ones: at most two folded inputs per slot."""
+    """Between key states each record carries the inputs since the newest
+    acknowledged record, or one idle input once the state has stopped
+    changing, and the replica folds each record in full: at most two folded
+    inputs per slot."""
     probes = import_bench_module("probes")
     spans = import_bench_module("spans")
     (doc,) = import_bench_module("workloads").idle_between_keys(0)

@@ -49,12 +49,16 @@ class TestRun:
         assert report["summary"]["verdict"] == "pass"
 
     def test_detection_mismatch_exits_one(self, tmp_path):
+        """The INSERT's forged frame lands in the DELETE's window, so the DELETE
+        is credited R1 and R2 where R1 alone is expected."""
         doc = {
             "machine": "kettle",
             "total_slots": 8,
             "operator_inputs_physical": [[1, 1], [2, 1], [3, 1], [4, 1]],
             "attacks": [
-                {"kind": "DELETE", "slot": 5, "direction": "phys_to_virt", "params": {}}
+                {"kind": "DELETE", "slot": 5, "direction": "phys_to_virt", "params": {}},
+                {"kind": "INSERT", "slot": 6, "direction": "phys_to_virt",
+                 "params": {"raw_hex": "deadbeef" * 5}},
             ],
         }
         path = write_json(tmp_path, "diverge.json", doc)
@@ -63,6 +67,7 @@ class TestRun:
         assert rc == EXIT_MISMATCH
         report = json.loads(out.read_text())
         assert report["summary"]["verdict"] == "detection_mismatch"
+        assert [a["matched"] for a in report["summary"]["attacks"]] == [False, True]
 
     def test_invalid_scenario_exits_two(self, tmp_path, capsys):
         path = write_json(tmp_path, "bad.json", {"machine": "kettle"})

@@ -59,18 +59,17 @@ def test_bench_workload_reports_match_stdlib(workload):
 
 
 # SHA-256 of `twinsync run` reports on the bundled scenarios, re-indented by
-# `indented`: the text of every report since the first release, so the
-# compact reports lose nothing.  Bounded, ack-anchored delta records (ROADMAP
-# item 5) change what the physical twin ships, so they will change these on
-# purpose.
+# `indented`: the text every report had from the first release until delta
+# records were anchored at the newest acknowledged record, which changed what
+# the physical twin ships and so every digest here, once.
 PINNED_REPORTS = {
-    "fig4_walkthrough": "07fc38bae6c86a4f7bb86b66817e936ebcf0ab71ae465e3eb451ff17ea678a7a",
-    "attack_matrix": "59401e448e7a0d339bc62f53f565479a6e3968b6c3287a7a30e1cf1333ef9205",
+    "fig4_walkthrough": "1b9e415b886aef4e8aef473a4dab5a7954335691bb04d1c3afd93c69c274f2b8",
+    "attack_matrix": "13aa3b41ee9cc8f91d66e47235e187e72509bef04e142fb2a95c6759819a2a12",
 }
 # SHA-256 of the same reports as written: compact, sorted keys, one newline.
 PINNED_COMPACT_REPORTS = {
-    "fig4_walkthrough": "3747752f13aca04d3d4d4a9fc763f3eba610655a47cc6dc13626942ede9db456",
-    "attack_matrix": "316c0837f83101773d3f623a4aa166ad8895b635d7cdfd04c4b7b29e6713089b",
+    "fig4_walkthrough": "58301ad769a1ad338827c2a3d2e184ed9f3d6257dd4e47df2ef8e793acbeb06f",
+    "attack_matrix": "e18d81513f0ba5b6b5645f2c4aa615dede3fd3dac9219df03d9e0f0a9510eade",
 }
 
 
@@ -88,16 +87,16 @@ def test_bundled_reports_match_pinned_digests(name, tmp_path):
 # and concatenated in `_workload_specs` order.  Unlike the two bundled scenarios these cover
 # lossy drops, template INSERTs, payload splices and the oracle sweep.
 PINNED_WORKLOAD_REPORTS = {
-    "idle_at_key": "59a658e14f52aef16f56bb595aa3dfa25d0cdfb351f9889883fcb028df6fc52c",
-    "idle_between_keys": "30cfc16b14822ea90a7629b81e40128a9a58a75938e1ad3ba635404bfe7b37f8",
-    "attack_dense": "4e87ec3176eb0ec967b796bc1540b0a6146fa3dda23e7c0b89b024a9c1ab6318",
-    "oracle_sweep": "42c8271fcb49b6d56a9df80a27b1fbde4c14474377a7b97e9506caa9cd87bfa4",
+    "idle_at_key": "6df8ee6d9293661b70b1680a9746521c85c861f0ee997966ad087448b556322c",
+    "idle_between_keys": "1f54fdcb48b88ddbb8d695909425cb0b7b8d3c010a2788a217b0dd5cc458e799",
+    "attack_dense": "5a6d16ff2a40aa590eb81bef025430d44fe99ff574cebe66795d251737138378",
+    "oracle_sweep": "a00ceb0c12e69ab4f82a776a39bc53fff3fa2b383735db4040a1515bf3338d50",
 }
 PINNED_COMPACT_WORKLOAD_REPORTS = {
-    "idle_at_key": "d34407742c11e0dcb738263359d2a1d3ccded27d9e52bf08b13b861bd8958014",
-    "idle_between_keys": "f054b38dff1f5d77214c462ff144ab9f8cb8e5ee4285ff2e583e67bf0345afb9",
-    "attack_dense": "5d3e31d0785b297e0d148c90c9d81e974e4206ba38a38d54bf1df4de7c25cbf6",
-    "oracle_sweep": "89f3f378af823e9c43d50a6545df0662b653d415977a03f480cbe1e53e38ca27",
+    "idle_at_key": "eda35f1ba469e55427af531e1f026f61badef1398f3013a22a66a97340ddf590",
+    "idle_between_keys": "66cb696e5518b8cd3b2a534385bb7d95889423fd2ae697b6e68ba683452b1a14",
+    "attack_dense": "ca2fa1e1354ea49b5ffd66d416fe95eb25d30941b1c9e9820218f7ee33aeafa1",
+    "oracle_sweep": "2697fd2973325e9cae6d417a470b87850aa5bda1a2b8337a16251083658f71e6",
 }
 
 

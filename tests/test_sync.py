@@ -1,13 +1,11 @@
 """Delta computation, verification, application, and the twin endpoint classes."""
 
 from itertools import product
-from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-import twinsync.sync as sync_mod
 from conftest import COOL, HEAT, IDLE
 from twinsync.sync import (
     CommandRecord,
@@ -71,23 +69,46 @@ class TestVerifyDelta:
         assert err.kind is MismatchKind.UNREACHABLE_RESULT
 
     def test_exhaustive_small_machine(self, four_state_machines):
-        """Acceptance is exactly `last key visited == claim`; everything else rejects."""
+        """A record is accepted exactly when its base is held and the fold confirms
+        the claim: the last key visited, or a key held with the base when the fold
+        visits none.  An accepted record holds the fold's end with the claim."""
         machine = four_state_machines[0]  # ring4, keys {0, 2}
         symbols = sorted(machine.inputs)
         checked = 0
-        for base, length in product(sorted(machine.states), range(4)):
-            for inputs in product(symbols, repeat=length):
-                _, last_key = fold_key_state(machine, base, inputs)
+        for held, key, length in product(sorted(machine.states), [0, 2], range(4)):
+            replica = ReplicaState(key, 0, {held: frozenset((key,))})
+            for base, inputs in product(sorted(machine.states), product(symbols, repeat=length)):
+                end, last_key = fold_key_state(machine, base, inputs)
                 for claim in sorted(machine.states):
-                    delta = DeltaRecord(base, claim, inputs, slot=max(length, 1))
-                    out = apply_delta(ReplicaState(base), delta, machine)
-                    if claim == last_key:
-                        assert out == ReplicaState(claim, delta.slot)
+                    delta = DeltaRecord(base, claim, inputs, slot=1)
+                    out = apply_delta(replica, delta, machine)
+                    if base != held:
+                        assert out.kind is MismatchKind.BASE_MISMATCH
+                    elif claim == last_key or (last_key is None and claim == key):
+                        assert out == ReplicaState(claim, 1)
+                        keys = replica.held.get(end, frozenset())
+                        assert out.held == {**replica.held, end: keys | {claim}}
                     else:
-                        assert isinstance(out, MismatchError)
                         assert out.kind is MismatchKind.UNREACHABLE_RESULT
+                    assert replica.held == {held: frozenset((key,))}
                     checked += 1
-        assert checked == 4 * (1 + 2 + 4 + 8) * 4
+        assert checked == 4 * 2 * 4 * (1 + 2 + 4 + 8) * 4
+
+    def test_base_held_from_an_earlier_emission_verifies(self, kettle):
+        """A record re-covering inputs the replica already folded still verifies."""
+        replica = apply_delta(ReplicaState(0), DeltaRecord(0, 0, (HEAT, HEAT), 2), kettle)
+        assert replica.held == {0: {0}, 50: {0}}
+        again = apply_delta(replica, DeltaRecord(0, 0, (HEAT, HEAT, HEAT), 3), kettle)
+        assert again == ReplicaState(0, 3)
+        onward = apply_delta(again, DeltaRecord(50, 100, (HEAT, HEAT), 4), kettle)
+        assert onward == ReplicaState(100, 4)
+        assert onward.held == {0: {0}, 50: {0}, 75: {0}, 100: {100}}
+
+    def test_base_never_held_is_a_base_mismatch(self, kettle):
+        replica = apply_delta(ReplicaState(0), DeltaRecord(0, 0, (HEAT,), 1), kettle)
+        err = apply_delta(replica, DeltaRecord(50, 0, (), 2), kettle)
+        assert err.kind is MismatchKind.BASE_MISMATCH
+        assert (err.expected, err.got) == (0, 50)
 
 
 class TestApplyDelta:
@@ -118,56 +139,6 @@ class TestApplyDelta:
         replica = ReplicaState(last_synced_key=100, last_synced_slot=8)
         out = apply_delta(replica, DeltaRecord(100, 100, (), slot=8), kettle)
         assert out == ReplicaState(last_synced_key=100, last_synced_slot=8)
-
-
-UNDECLARED = 99
-
-
-@pytest.mark.parametrize("case", ["empty", "extended", "one_differs", "undeclared", "rebased"])
-@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_resumed_fold_gives_the_full_fold(four_state_machines, case, data):
-    """Verifying (base, P), maybe a heartbeat, and then (base, P + X) gives what
-    a replica without the kept fold gives: the same state or the same error.
-    Only X is folded when the second record extends the first one's inputs;
-    "rebased" ships P + X from the key the first record reached instead."""
-    machine = data.draw(st.sampled_from(four_state_machines))
-    symbols = sorted(machine.inputs)
-    base = data.draw(st.sampled_from(sorted(machine.key_states)))
-    prefix = tuple(data.draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=8)))
-    extra = tuple(
-        data.draw(st.lists(st.sampled_from(symbols), min_size=case == "extended", max_size=4))
-    )
-    if case == "empty":
-        extra = ()
-    if case == "undeclared":
-        at = data.draw(st.integers(0, len(extra)))
-        extra = extra[:at] + (UNDECLARED,) + extra[at:]
-    inputs = prefix + extra
-    if case == "one_differs":
-        at = data.draw(st.integers(0, len(prefix) - 1))
-        swap = data.draw(st.sampled_from([s for s in symbols if s != prefix[at]]))
-        inputs = prefix[:at] + (swap,) + prefix[at + 1 :] + extra
-
-    _, first_key = fold_key_state(machine, base, prefix)
-    first = apply_delta(ReplicaState(base), DeltaRecord(base, first_key, prefix, 1), machine)
-    if data.draw(st.booleans()):
-        first = apply_delta(first, DeltaRecord(first_key, first_key, (), 2), machine)
-    assert isinstance(first, ReplicaState)
-    second_base = first_key if case == "rebased" else base
-    claims = sorted(machine.states)
-    if case != "undeclared":
-        claims.append(fold_key_state(machine, second_base, inputs)[1])
-    record = DeltaRecord(second_base, data.draw(st.sampled_from(claims)), inputs, slot=3)
-    fresh = ReplicaState(first.last_synced_key, first.last_synced_slot)
-
-    with mock.patch.object(sync_mod, "fold_key_state", wraps=fold_key_state) as fold:
-        resumed = apply_delta(first, record, machine)
-    assert resumed == apply_delta(fresh, record, machine)
-    if first_key == second_base:
-        resumes = second_base == base and case != "one_differs"
-        folded = sum(len(call.args[2]) for call in fold.call_args_list)
-        assert folded == (len(extra) if resumes else len(inputs))
 
 
 class TestReconcile:
@@ -204,29 +175,75 @@ class TestPhysicalTwin:
         assert twin.tick(1) == DeltaRecord(0, 0, (IDLE,), 1)
 
     def test_emissions_follow_the_walkthrough(self, kettle):
+        """Each record starts at the newest acknowledged one; the ACK for the
+        record of slot t arrives after the tick of slot t + 3, as in a run
+        with one slot of latency each way."""
         twin = PhysicalTwin(kettle)
         emitted = []
-        for slot in range(1, 8):
+        for slot in range(1, 9):
             if slot <= 4:
                 twin.apply_input(slot, HEAT)
             emitted.append(twin.tick(slot))
+            twin.on_ack(slot - 3)
         assert emitted == [
             DeltaRecord(0, 0, (HEAT,), 1),
             DeltaRecord(0, 0, (HEAT, HEAT), 2),
             DeltaRecord(0, 0, (HEAT, HEAT, HEAT), 3),
             DeltaRecord(0, 100, (HEAT, HEAT, HEAT, HEAT), 4),
-            DeltaRecord(100, 100, (), 5),
-            DeltaRecord(100, 100, (), 6),
-            DeltaRecord(100, 100, (), 7),
+            DeltaRecord(25, 100, (HEAT, HEAT, HEAT), 5),
+            DeltaRecord(50, 100, (HEAT, HEAT), 6),
+            DeltaRecord(75, 100, (HEAT,), 7),
+            DeltaRecord(100, 100, (), 8),
         ]
+        assert twin.emitted == 8
 
     def test_anchor_advances_past_shipped_crossing(self, kettle_cool):
+        """Only once the record that shipped the crossing is acknowledged."""
         twin = PhysicalTwin(kettle_cool)
         for slot in (1, 2, 3, 4):
             twin.apply_input(slot, HEAT)
             twin.tick(slot)
         twin.apply_input(5, COOL)
-        assert twin.tick(5) == DeltaRecord(100, 100, (COOL,), slot=5)
+        assert twin.tick(5) == DeltaRecord(0, 100, (HEAT,) * 4 + (COOL,), slot=5)
+        twin.on_ack(4)
+        twin.apply_input(6, COOL)
+        assert twin.tick(6) == DeltaRecord(100, 100, (COOL, COOL), slot=6)
+
+    def test_ack_at_or_behind_the_anchor_changes_nothing(self, kettle):
+        twin = PhysicalTwin(kettle)
+        for slot in (1, 2, 3):
+            twin.apply_input(slot, HEAT)
+            twin.tick(slot)
+        twin.on_ack(2)
+        twin.on_ack(2)
+        twin.on_ack(1)
+        twin.on_ack(0)
+        assert twin.tick(4) == DeltaRecord(50, 0, (HEAT,), slot=4)
+
+    def test_ack_ahead_of_every_record_anchors_at_the_newest(self, kettle):
+        twin = PhysicalTwin(kettle)
+        for slot in (1, 2):
+            twin.apply_input(slot, HEAT)
+            twin.tick(slot)
+        twin.on_ack(99)
+        assert twin.tick(3) == DeltaRecord(50, 0, (), slot=3)
+
+    def test_inputs_that_never_leave_the_anchor_state_move_it(self, kettle):
+        """At a key state and between them alike, an idle slot ships one input."""
+        twin = PhysicalTwin(kettle)
+        twin.apply_input(1, HEAT)
+        assert twin.tick(1) == DeltaRecord(0, 0, (HEAT,), slot=1)
+        twin.apply_input(2, IDLE)
+        assert twin.tick(2) == DeltaRecord(0, 0, (HEAT, IDLE), slot=2)
+        twin.on_ack(1)
+        twin.apply_input(3, IDLE)
+        assert twin.tick(3) == DeltaRecord(25, 0, (IDLE, IDLE), slot=3)
+        for slot in (4, 5):
+            twin.apply_input(slot, IDLE)
+            assert twin.tick(slot) == DeltaRecord(25, 0, (IDLE,), slot=slot)
+        twin.on_ack(2)  # behind the anchor the idle records moved
+        twin.apply_input(6, HEAT)
+        assert twin.tick(6) == DeltaRecord(25, 0, (HEAT,), slot=6)
 
     def test_unshipped_crossing_stays_in_the_record(self, kettle_cool):
         """Inputs land across two slots with no emission between: one cumulative record."""
@@ -248,6 +265,8 @@ class TestPhysicalTwin:
             assert isinstance(out, ReplicaState)
             replica = out
             assert replica.last_synced_key == twin.current_key()
+            if slot % 3 == 0:
+                twin.on_ack(slot - 1)
 
     def test_period_skips_off_slots(self, kettle):
         twin = PhysicalTwin(kettle, sync_period=3)
@@ -265,11 +284,15 @@ class TestVirtualTwin:
         twin = VirtualTwin(kettle)
         twin.queue_operator_inputs(2, (HEAT,))
         twin.queue_operator_inputs(2, (IDLE,))
-        assert twin.tick(2) == [
-            CommandRecord(inputs=(HEAT,), issued_slot=2),
-            CommandRecord(inputs=(IDLE,), issued_slot=2),
-        ]
+        assert twin.tick(2) == [CommandRecord(inputs=(HEAT, IDLE), issued_slot=2)]
         assert twin.tick(3) == []
+
+    def test_commands_of_one_period_share_one_record(self, kettle):
+        twin = VirtualTwin(kettle, sync_period=3)
+        twin.queue_operator_inputs(1, (HEAT, HEAT))
+        twin.queue_operator_inputs(2, (IDLE,))
+        twin.queue_operator_inputs(3, (HEAT,))
+        assert twin.tick(3) == [CommandRecord(inputs=(HEAT, HEAT, IDLE, HEAT), issued_slot=1)]
 
     def test_flush_respects_period(self, kettle):
         twin = VirtualTwin(kettle, sync_period=2)
@@ -291,9 +314,16 @@ class TestVirtualTwin:
         assert twin.replica.last_synced_key == 0
 
 
-@given(st.lists(st.sampled_from([HEAT, IDLE, COOL, None]), max_size=40))
-def test_replica_tracks_physical_key_trace(schedule):
-    """Applying every emission in order keeps the replica on the physical key."""
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([HEAT, IDLE, COOL, None]), st.booleans(), st.booleans()),
+        max_size=40,
+    ),
+    st.integers(0, 3),
+)
+def test_replica_tracks_physical_key_trace(schedule, ack_lag):
+    """Records and ACKs lost at random, ACKs `ack_lag` slots late: every record
+    that arrives verifies and puts the replica on the physical key."""
     from twinsync.machine import machine_from_dict
     from twinsync.scenario import load_fixture_json
 
@@ -305,10 +335,18 @@ def test_replica_tracks_physical_key_trace(schedule):
 
     twin = PhysicalTwin(machine)
     replica = ReplicaState(last_synced_key=machine.initial)
-    for slot, sym in enumerate(schedule, start=1):
+    accepted = [0]  # newest accepted seq at the end of each slot
+    for slot, (sym, record_lost, ack_lost) in enumerate(schedule, start=1):
         if sym is not None:
             twin.apply_input(slot, sym)
-        out = apply_delta(replica, twin.tick(slot), machine)
-        assert isinstance(out, ReplicaState)
-        replica = out
-        assert replica.last_synced_key == twin.current_key()
+        record = twin.tick(slot)
+        if not record_lost:
+            out = apply_delta(replica, record, machine)
+            assert isinstance(out, ReplicaState)
+            replica = out
+            assert replica.last_synced_key == twin.current_key()
+            accepted.append(twin.emitted)
+        else:
+            accepted.append(accepted[-1])
+        if not ack_lost and slot > ack_lag:
+            twin.on_ack(accepted[slot - ack_lag])
