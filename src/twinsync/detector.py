@@ -89,17 +89,18 @@ EVENT_REQUIREMENTS: dict[tuple[EventKind, Direction], frozenset[Requirement]] = 
     (EventKind.REPLAY_ATTACK, Direction.VIRT_TO_PHYS): _R1R3,
 }
 
-# What a run is expected to detect for each scheduled attack, by the channel
-# it targets. Total over all attack kinds and both directions.
+# The event each attack kind raises.  A scheduled attack is expected to be
+# detected with that event's requirements on the channel it targets.
+_ATTACK_EVENT = {
+    AttackKind.DELETE: EventKind.MISSED_SYNC,
+    AttackKind.REPLAY: EventKind.REPLAY_ATTACK,
+    AttackKind.INSERT: EventKind.FORGED_INSERT,
+    AttackKind.MODIFY: EventKind.TAMPER,
+}
 ATTACK_EXPECTATIONS: dict[tuple[AttackKind, Direction], frozenset[Requirement]] = {
-    (AttackKind.DELETE, Direction.PHYS_TO_VIRT): _R1,
-    (AttackKind.REPLAY, Direction.PHYS_TO_VIRT): _R1,
-    (AttackKind.INSERT, Direction.PHYS_TO_VIRT): _R1R2,
-    (AttackKind.MODIFY, Direction.PHYS_TO_VIRT): _R1R2,
-    (AttackKind.DELETE, Direction.VIRT_TO_PHYS): _R1R3,
-    (AttackKind.REPLAY, Direction.VIRT_TO_PHYS): _R1R3,
-    (AttackKind.INSERT, Direction.VIRT_TO_PHYS): _R1R3,
-    (AttackKind.MODIFY, Direction.VIRT_TO_PHYS): _R1R3,
+    (kind, direction): EVENT_REQUIREMENTS[(event, direction)]
+    for kind, event in _ATTACK_EVENT.items()
+    for direction in Direction
 }
 
 

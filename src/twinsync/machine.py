@@ -30,7 +30,7 @@ class LogContiguityError(MachineError):
 
 
 class MachineFormatError(MachineError):
-    """Raised when a machine definition document is structurally broken."""
+    """Raised when a machine definition repeats a transition row."""
 
 
 @dataclass(frozen=True)
@@ -139,50 +139,16 @@ def validate_machine(machine: TwinMachine) -> list[ValidationIssue]:
 
 
 def machine_from_dict(obj: dict) -> TwinMachine:
-    """Build a machine from its JSON document form.
+    """Build a machine from a definition that matches the scenario schema's `machine`.
 
-    Only the document shape is checked here; semantic gaps (missing
+    Only a repeated transition row is caught here; semantic gaps (missing
     transitions and the like) are left to `validate_machine`.
     """
-    if not isinstance(obj, dict):
-        raise MachineFormatError("machine definition must be an object")
-    required = ["machine_id", "states", "inputs", "initial", "key_states", "delta"]
-    for key in required:
-        if key not in obj:
-            raise MachineFormatError(f"missing field {key!r}")
-    if not isinstance(obj["machine_id"], str):
-        raise MachineFormatError("machine_id must be a string")
-    for key in ("states", "inputs", "key_states"):
-        vals = obj[key]
-        if not isinstance(vals, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in vals
-        ):
-            raise MachineFormatError(f"{key} must be a list of unsigned integers")
-    if not isinstance(obj["initial"], int) or isinstance(obj["initial"], bool) or obj["initial"] < 0:
-        raise MachineFormatError("initial must be an unsigned integer")
-
     transitions: dict[tuple[int, int], int] = {}
-    if not isinstance(obj["delta"], list):
-        raise MachineFormatError("delta must be a list of [from, input, to] triples")
-    for row in obj["delta"]:
-        if (
-            not isinstance(row, list)
-            or len(row) != 3
-            or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in row)
-        ):
-            raise MachineFormatError(f"bad transition row {row!r}")
-        src, sym, dst = row
+    for src, sym, dst in obj["delta"]:
         if (src, sym) in transitions:
             raise MachineFormatError(f"duplicate transition for state {src} input {sym}")
         transitions[(src, sym)] = dst
-
-    labels = obj.get("labels", {})
-    if not isinstance(labels, dict) or not all(
-        isinstance(group, dict) and all(isinstance(v, str) for v in (*group, *group.values()))
-        for group in labels.values()
-    ):
-        raise MachineFormatError("labels must be an object of groups mapping strings to strings")
-
     return TwinMachine(
         machine_id=obj["machine_id"],
         states=frozenset(obj["states"]),
@@ -190,7 +156,7 @@ def machine_from_dict(obj: dict) -> TwinMachine:
         initial=obj["initial"],
         key_states=frozenset(obj["key_states"]),
         transitions=transitions,
-        labels={k: dict(v) for k, v in labels.items()},
+        labels={k: dict(v) for k, v in obj.get("labels", {}).items()},
     )
 
 

@@ -2,19 +2,23 @@
 
 A scenario names the machine (inline or a bundled fixture), the channel
 parameters and keys, the operator input schedules for both sides, the attack
-schedule, and the run length.  Validation is strict and collects every
-problem it can find; a scenario that parses is guaranteed to run.
+schedule, and the run length.  schemas/scenario.schema.json is the one
+statement of the document's keys, types and bounds; `_check` walks a
+document against it, and the few rules it cannot state are checked after.
+Validation collects every problem it can find.  A scenario that parses runs
+to a report, except that a run whose records outgrow the u16 payload stops
+with `PayloadTooLarge` (see "Cost per slot" in the README).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .adversary import AttackAction, AttackKind
-from .frames import MAX_PAYLOAD_LEN, U8_MAX, U32_MAX, U64_MAX
 from .machine import (
     MachineFormatError,
     TwinMachine,
@@ -29,17 +33,21 @@ DEFAULT_KEYS = {
     Direction.VIRT_TO_PHYS: bytes(range(32, 64)),
 }
 BUNDLED_FIXTURES = ("kettle", "fig4_walkthrough", "attack_matrix")
-# The schema's hex pattern: whole bytes, no spaces (bytes.fromhex skips them).
-_HEX = re.compile(r"(?:[0-9a-fA-F]{2})*")
-# The keys each object of the schema allows; attack params depend on the kind.
-_SCENARIO_KEYS = {
-    "name", "machine", "total_slots", "sync_period_slots", "channels", "keys", "session_id",
-    "operator_inputs_physical", "operator_inputs_virtual", "attacks", "seed", "grace_slots",
+_SCHEMA = json.loads(
+    resources.files("twinsync").joinpath("schemas", "scenario.schema.json").read_text("utf-8")
+)
+# Each JSON Schema type as the Python classes json.load gives it (a bool is
+# never a number) and its name in problems.  1.0 is not an integer here.
+_TYPES = {
+    "object": (dict, "an object"),
+    "array": (list, "a list"),
+    "string": (str, "a string"),
+    "integer": (int, "an integer"),
+    "number": ((int, float), "a number"),
 }
-_MACHINE_KEYS = {"machine_id", "states", "inputs", "labels", "initial", "key_states", "delta"}
-_DIRECTIONS = {d.value for d in Direction}
-_CHANNEL_KEYS = {"latency_slots", "drop_probability"}
-_ATTACK_KEYS = {"kind", "slot", "direction", "params"}
+# The document's top-level values that ScenarioSpec takes as they are.
+_SCALARS = ("name", "total_slots", "sync_period_slots", "session_id", "seed", "grace_slots")
+_INPUTS = ("operator_inputs_physical", "operator_inputs_virtual")
 
 
 class ScenarioInvalid(Exception):
@@ -86,7 +94,8 @@ class ScenarioSpec:
             "channels": {
                 d.value: {
                     "latency_slots": self.channels[d].latency_slots,
-                    "drop_probability": self.channels[d].drop_probability,
+                    # A document may give 0 or 1; the echo is always a float.
+                    "drop_probability": float(self.channels[d].drop_probability),
                 }
                 for d in Direction
             },
@@ -139,276 +148,153 @@ def resolve_machine(spec: object, problems: list[str]) -> TwinMachine | None:
         problems.append("machine: must be a fixture name or an inline definition object")
         return None
     before = len(problems)
-    _object(spec, "machine", _MACHINE_KEYS, problems)
+    _check(spec, _SCHEMA["$defs"]["machine"], "machine", problems)
+    if len(problems) > before:
+        return None
     try:
         machine = machine_from_dict(spec)
     except MachineFormatError as exc:
         problems.append(f"machine: {exc}")
         return None
     problems.extend(f"machine: {i.code}: {i.message}" for i in validate_machine(machine))
-    wide = [n for n in ("states", "inputs") if max(getattr(machine, n), default=0) > U32_MAX]
-    problems.extend(f"machine.{n}: must be <= {U32_MAX}, the wire's u32" for n in wide)
     return machine if len(problems) == before else None
 
 
-def _object(value: object, where: str, keys: set[str], problems: list[str]) -> dict | None:
-    """`value` if it is an object, or None; any key outside `keys` is a problem."""
-    if not isinstance(value, dict):
-        problems.append(f"{where}: must be an object")
-        return None
-    unknown = set(value) - keys
-    if unknown:
-        problems.append(f"{where}: unknown keys: {sorted(unknown)}")
-    return value
+def _check(value: object, schema: dict, where: object, problems: list[str]) -> None:
+    """Append each way `value` breaks `schema` to `problems`, named by the path `where`.
+
+    Handles the keywords scenario.schema.json uses, except the `oneOf` on
+    `machine`, which `resolve_machine` decides.  As in JSON Schema, a
+    keyword about one JSON type ignores values of the others.  `where` is a
+    name or a (parent, key) pair, spelt out by `_path` only for a problem.
+    """
+    if "$ref" in schema:  # only "#/$defs/<name>" occurs
+        _check(value, _SCHEMA["$defs"][schema["$ref"].rpartition("/")[2]], where, problems)
+    if "type" in schema:
+        cls, noun = _TYPES[schema["type"]]
+        if not isinstance(value, cls) or isinstance(value, bool):
+            problems.append(f"{_path(where)}: must be {noun}")
+            return
+    if "const" in schema and value != schema["const"]:
+        problems.append(f"{_path(where)}: must be {schema['const']!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        problems.append(f"{_path(where)}: must be one of {schema['enum']}")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        lo, hi = schema.get("minimum"), schema.get("maximum")
+        # Written so that NaN, which json.load reads, fails any bound.
+        if (lo is not None and not lo <= value) or (hi is not None and not value <= hi):
+            bounds = [f"{op} {b}" for op, b in ((">=", lo), ("<=", hi)) if b is not None]
+            problems.append(f"{_path(where)}: must be {' and '.join(bounds)}")
+    elif isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                problems.append(f"{_path((where, key))}: required")
+        known = schema.get("properties", {})
+        for key, sub in known.items():
+            if key in value:
+                _check(value[key], sub, (where, key), problems)
+        extra = schema.get("additionalProperties")
+        if extra is False:
+            unknown = sorted(key for key in value if key not in known)
+            if unknown:
+                problems.append(f"{_path(where) or 'document'}: unknown keys: {unknown}")
+        elif extra is not None:
+            for key in value.keys() - known.keys():
+                _check(value[key], extra, (where, key), problems)
+    elif isinstance(value, list):
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not lo <= len(value) <= hi:
+            problems.append(f"{_path(where)}: must have {lo if lo == hi else f'{lo} to {hi}'} items")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check(item, schema["items"], (where, i), problems)
+    elif isinstance(value, str):
+        if "pattern" in schema and not re.fullmatch(schema["pattern"], value):
+            problems.append(f"{_path(where)}: must be a string matching {schema['pattern']}")
+        if len(value) > schema.get("maxLength", math.inf):
+            problems.append(f"{_path(where)}: must be at most {schema['maxLength']} characters")
+    for sub in schema.get("allOf", ()):
+        _check(value, sub, where, problems)
+    if "if" in schema:
+        probe: list[str] = []
+        _check(value, schema["if"], where, probe)
+        if not probe:
+            _check(value, schema.get("then", {}), where, problems)
 
 
-def _hex(val: object) -> bytes | None:
-    """val decoded as a hex string of whole bytes, or None when it is not one."""
-    if not isinstance(val, str) or not _HEX.fullmatch(val):
-        return None
-    return bytes.fromhex(val)
-
-
-def _uint(obj: dict, key: str, problems: list[str], default: int | None = None,
-          minimum: int = 0, maximum: int | None = None, where: str = "") -> int | None:
-    """obj[key] as a bounded integer; `where` prefixes the key in problems."""
-    if key not in obj:
-        if default is None:
-            problems.append(f"{where}{key}: required")
-            return None
-        return default
-    val = obj[key]
-    if not isinstance(val, int) or isinstance(val, bool):
-        problems.append(f"{where}{key}: must be an integer")
-        return default
-    if val < minimum or (maximum is not None and val > maximum):
-        hi = f" and <= {maximum}" if maximum is not None else ""
-        problems.append(f"{where}{key}: must be >= {minimum}{hi}")
-        return default
-    return val
-
-
-def _parse_channels(obj: dict, problems: list[str]) -> dict[Direction, ChannelConfig]:
-    channels: dict[Direction, ChannelConfig] = {}
-    raw = _object(obj.get("channels", {}), "channels", _DIRECTIONS, problems)
-    if raw is None:
-        return channels
-    for direction in Direction:
-        where = f"channels.{direction.value}"
-        cfg = _object(raw.get(direction.value, {}), where, _CHANNEL_KEYS, problems)
-        if cfg is None:
-            continue
-        latency = _uint(cfg, "latency_slots", problems, default=1, where=f"{where}.")
-        drop = cfg.get("drop_probability", 0.0)
-        if not isinstance(drop, (int, float)) or isinstance(drop, bool) or not 0 <= drop <= 1:
-            problems.append(f"{where}.drop_probability: must be in [0, 1]")
-            drop = 0.0
-        channels[direction] = ChannelConfig(
-            latency_slots=latency if latency is not None else 1,
-            drop_probability=float(drop),
-        )
-    return channels
-
-
-def _parse_keys(obj: dict, problems: list[str]) -> dict[Direction, bytes]:
-    keys: dict[Direction, bytes] = {}
-    raw = _object(obj.get("keys", {}), "keys", _DIRECTIONS, problems)
-    if raw is None:
-        return keys
-    for direction in Direction:
-        if direction.value not in raw:
-            continue
-        decoded = _hex(raw[direction.value])
-        if decoded:
-            keys[direction] = decoded
-        else:
-            problems.append(f"keys.{direction.value}: must be a nonempty hex string")
-    # One key per direction (RFC 7296 §2.14, RFC 4303 §2.1): with equal keys a
-    # frame reflected onto the other direction passes its tag check.
-    p2v, v2p = (keys.get(d, DEFAULT_KEYS[d]) for d in Direction)
-    if p2v == v2p:
-        problems.append("keys: phys_to_virt and virt_to_phys must differ")
-    return keys
-
-
-def _parse_inputs(
-    obj: dict, key: str, machine: TwinMachine | None, total_slots: int | None,
-    problems: list[str],
-) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    raw = obj.get(key, [])
-    if not isinstance(raw, list):
-        problems.append(f"{key}: must be a list of [slot, input] pairs")
-        return out
-    for i, pair in enumerate(raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in pair)
-        ):
-            problems.append(f"{key}[{i}]: must be a [slot, input] pair of unsigned integers")
-            continue
-        slot, sym = pair
-        if total_slots is not None and slot >= total_slots:
-            problems.append(f"{key}[{i}]: slot {slot} outside the run of {total_slots} slots")
-        if machine is not None and sym not in machine.inputs:
-            problems.append(f"{key}[{i}]: input {sym} not defined by the machine")
-        out.append((slot, sym))
-    out.sort(key=lambda p: p[0])
-    return out
-
-
-_ATTACK_PARAM_KEYS = {
-    AttackKind.DELETE: {"index"},
-    AttackKind.MODIFY: {"index", "byte_offset", "xor_mask", "payload_hex"},
-    AttackKind.INSERT: {"raw_hex", "template"},
-    AttackKind.REPLAY: {"capture_slot", "capture_index"},
-}
-# Bounds of every integer attack parameter and INSERT template field.  A
-# template's integers are as wide as the header fields they fill.
-_INT_BOUNDS = {
-    "index": (0, None),
-    "byte_offset": (0, None),
-    "xor_mask": (1, U8_MAX),  # a zero mask flips nothing
-    "capture_slot": (0, None),
-    "capture_index": (0, None),
-    "msg_type": (0, U8_MAX),
-    "sender_id": (0, U32_MAX),
-    "session_id": (0, U64_MAX),
-    "seq": (0, U64_MAX),
-    "slot": (0, U64_MAX),
-}
-_TEMPLATE_KEYS = {"msg_type", "sender_id", "session_id", "seq", "slot", "payload_hex"}
-
-
-def _check_values(obj: dict, problems: list[str], where: str) -> dict[str, int | None]:
-    """Check the hex and integer values of attack params or a template; return the integers."""
-    for key in ("raw_hex", "payload_hex"):
-        if key in obj:
-            decoded = _hex(obj[key])
-            if decoded is None:
-                problems.append(f"{where}{key}: must be a hex string")
-                continue
-            if key == "payload_hex" and len(decoded) > MAX_PAYLOAD_LEN:
-                problems.append(f"{where}{key}: must be at most {MAX_PAYLOAD_LEN} bytes")
-    return {
-        k: _uint(obj, k, problems, minimum=lo, maximum=hi, where=where)
-        for k, (lo, hi) in _INT_BOUNDS.items()
-        if k in obj
-    }
-
-
-def _parse_attacks(
-    obj: dict, total_slots: int | None, grace_slots: int, problems: list[str]
-) -> list[AttackAction]:
-    out: list[AttackAction] = []
-    raw = obj.get("attacks", [])
-    if not isinstance(raw, list):
-        problems.append("attacks: must be a list")
-        return out
-    for i, entry in enumerate(raw):
-        where = f"attacks[{i}]"
-        if _object(entry, where, _ATTACK_KEYS, problems) is None:
-            continue
-        try:
-            kind = AttackKind(entry.get("kind"))
-        except ValueError:
-            problems.append(f"{where}.kind: must be one of {[k.value for k in AttackKind]}")
-            continue
-        try:
-            direction = Direction(entry.get("direction"))
-        except ValueError:
-            problems.append(
-                f"{where}.direction: must be one of {[d.value for d in Direction]}"
-            )
-            continue
-        slot = _uint(entry, "slot", problems, where=f"{where}.")
-        if slot is None:
-            continue
-        if total_slots is not None and slot >= total_slots:
-            problems.append(f"{where}.slot: {slot} outside the run of {total_slots} slots")
-        elif (
-            kind is AttackKind.DELETE
-            and total_slots is not None
-            and slot + grace_slots >= total_slots
-        ):
-            # Only MISSED_SYNC detects a deletion, grace_slots after the delivery.
-            problems.append(
-                f"{where}.slot: a DELETE at slot {slot} is detected at slot "
-                f"{slot + grace_slots}, after the run of {total_slots} slots"
-            )
-        params = _object(
-            entry.get("params", {}), f"{where}.params", _ATTACK_PARAM_KEYS[kind], problems
-        )
-        if params is None:
-            continue
-        at = f"{where}.params."
-        ints = _check_values(params, problems, at)
-        template = _object(params.get("template", {}), f"{at}template", _TEMPLATE_KEYS, problems)
-        if template is not None:
-            _check_values(template, problems, f"{at}template.")
-        if kind is AttackKind.REPLAY:
-            if "capture_slot" not in params:
-                problems.append(f"{at}capture_slot: required for REPLAY")
-            elif ints["capture_slot"] is not None and ints["capture_slot"] > slot:
-                problems.append(
-                    f"{at}capture_slot: cannot replay a frame captured after the attack slot"
-                )
-        if kind is AttackKind.MODIFY:
-            if "payload_hex" not in params and (
-                "byte_offset" not in params or "xor_mask" not in params
-            ):
-                problems.append(
-                    f"{where}.params: MODIFY needs byte_offset and xor_mask, "
-                    f"or payload_hex"
-                )
-        out.append(AttackAction(kind=kind, slot=slot, direction=direction, params=params))
-    return out
+def _path(where: object) -> str:
+    """The name of a place in the document: `a.b[2].c`, or "" for the document."""
+    if not isinstance(where, tuple):
+        return where
+    parent, key = where
+    head = _path(parent)
+    return f"{head}[{key}]" if isinstance(key, int) else f"{head}.{key}" if head else key
 
 
 def scenario_from_dict(obj: dict) -> ScenarioSpec:
+    """The scenario a document describes, or ScenarioInvalid with every problem found.
+
+    The document is first checked against scenario.schema.json.  Only when it
+    matches are the rules the schema cannot state checked: inputs and attacks
+    inside the run and the machine, a DELETE detectable before the run ends,
+    a REPLAY capturing no later than it replays, a MODIFY that mutates, and
+    one key per direction.
+    """
     if not isinstance(obj, dict):
         raise ScenarioInvalid(["scenario document must be an object"])
     problems: list[str] = []
-    _object(obj, "document", _SCENARIO_KEYS, problems)
-
-    machine = None
-    if "machine" not in obj:
-        problems.append("machine: required")
-    else:
-        machine = resolve_machine(obj["machine"], problems)
-
-    total_slots = _uint(obj, "total_slots", problems, minimum=1)
-    sync_period = _uint(obj, "sync_period_slots", problems, default=1, minimum=1)
-    session_id = _uint(obj, "session_id", problems, default=1, minimum=1, maximum=U64_MAX)
-    grace = _uint(obj, "grace_slots", problems, default=1)
-    seed = _uint(obj, "seed", problems, default=0, maximum=U64_MAX)
-    channels = _parse_channels(obj, problems)
-    keys = _parse_keys(obj, problems)
-    phys_inputs = _parse_inputs(obj, "operator_inputs_physical", machine, total_slots, problems)
-    virt_inputs = _parse_inputs(obj, "operator_inputs_virtual", machine, total_slots, problems)
-    attacks = _parse_attacks(obj, total_slots, grace, problems)
-    name = obj.get("name", "")
-    if not isinstance(name, str):
-        problems.append("name: must be a string")
-        name = ""
-
-    if problems or machine is None or total_slots is None:
-        raise ScenarioInvalid(problems or ["scenario invalid"])
-    return ScenarioSpec(
+    _check(obj, _SCHEMA, "", problems)
+    machine = resolve_machine(obj["machine"], problems) if "machine" in obj else None
+    if problems:
+        raise ScenarioInvalid(problems)
+    inputs = {key: [(slot, sym) for slot, sym in obj.get(key, [])] for key in _INPUTS}
+    spec = ScenarioSpec(
         machine=machine,
-        total_slots=total_slots,
-        name=name,
-        sync_period_slots=sync_period,
-        channels=channels,
-        keys=keys,
-        session_id=session_id,
-        operator_inputs_physical=phys_inputs,
-        operator_inputs_virtual=virt_inputs,
-        attacks=attacks,
-        seed=seed,
-        grace_slots=grace,
+        **{key: obj[key] for key in _SCALARS if key in obj},
+        **{key: sorted(pairs, key=lambda p: p[0]) for key, pairs in inputs.items()},
+        channels={
+            Direction(d): ChannelConfig(**cfg) for d, cfg in obj.get("channels", {}).items()
+        },
+        keys={Direction(d): bytes.fromhex(h) for d, h in obj.get("keys", {}).items()},
+        attacks=[
+            AttackAction(AttackKind(a["kind"]), a["slot"], Direction(a["direction"]),
+                         a.get("params", {}))
+            for a in obj.get("attacks", [])
+        ],
     )
+    total = spec.total_slots
+    for key, pairs in inputs.items():
+        for i, (slot, sym) in enumerate(pairs):
+            if slot >= total:
+                problems.append(f"{key}[{i}]: slot {slot} outside the run of {total} slots")
+            if sym not in machine.inputs:
+                problems.append(f"{key}[{i}]: input {sym} not defined by the machine")
+    for i, attack in enumerate(spec.attacks):
+        where, slot, params = f"attacks[{i}]", attack.slot, attack.params
+        if slot >= total:
+            problems.append(f"{where}.slot: {slot} outside the run of {total} slots")
+        elif attack.kind is AttackKind.DELETE and slot + spec.grace_slots >= total:
+            # Only MISSED_SYNC detects a deletion, grace_slots after the delivery.
+            problems.append(
+                f"{where}.slot: a DELETE at slot {slot} is detected at slot "
+                f"{slot + spec.grace_slots}, after the run of {total} slots"
+            )
+        if attack.kind is AttackKind.REPLAY and params["capture_slot"] > slot:
+            problems.append(f"{where}.params.capture_slot: cannot replay a frame "
+                            "captured after the attack slot")
+        if attack.kind is AttackKind.MODIFY and "payload_hex" not in params and (
+            "byte_offset" not in params or "xor_mask" not in params
+        ):
+            problems.append(
+                f"{where}.params: MODIFY needs byte_offset and xor_mask, or payload_hex"
+            )
+    # One key per direction (RFC 7296 §2.14, RFC 4303 §2.1): with equal keys a
+    # frame reflected onto the other direction passes its tag check.
+    if spec.keys[Direction.PHYS_TO_VIRT] == spec.keys[Direction.VIRT_TO_PHYS]:
+        problems.append("keys: phys_to_virt and virt_to_phys must differ")
+    if problems:
+        raise ScenarioInvalid(problems)
+    return spec
 
 
 def load_scenario_file(path: str) -> ScenarioSpec:

@@ -136,6 +136,19 @@ class TestValidate:
         assert err.count("scenario:") == 3
 
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_drop_probability_exits_two(self, tmp_path, capsys, number):
+        """json.load reads these non-JSON numbers; each fails the [0, 1] bound."""
+        path = tmp_path / "lossy.json"
+        path.write_text(
+            '{"machine": "kettle", "total_slots": 5,'
+            f' "channels": {{"phys_to_virt": {{"drop_probability": {number}}}}}}}'
+        )
+        assert main(["validate", "--scenario", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "scenario: channels.phys_to_virt.drop_probability: must be >= 0 and <= 1\n"
+        )
+
     def test_non_integer_capture_slot_exits_two(self, tmp_path):
         doc = json.loads(fixture_path("attack_matrix.json").read_text())
         doc["attacks"][3]["params"]["capture_slot"] = "x"
@@ -191,7 +204,7 @@ class TestOracle:
         path = write_json(tmp_path, "wide.json", WIDE_MACHINE)
         assert main(["oracle", "--machine", path]) == EXIT_INVALID
         assert capsys.readouterr().err == (
-            "oracle: machine.states: must be <= 4294967295, the wire's u32\n"
+            "oracle: machine.states[1]: must be >= 0 and <= 4294967295\n"
         )
 
 

@@ -19,6 +19,7 @@ from twinsync.machine import (
     validate_machine,
 )
 from twinsync.oracle import expected_traces
+from twinsync.scenario import read_json_file, resolve_machine
 from twinsync.sync import PhysicalTwin
 
 
@@ -188,54 +189,68 @@ class TestValidation:
         assert validate_machine(machine) == []
 
 
+def shape_problems(doc) -> list[str]:
+    """The problems `resolve_machine` finds in a machine definition."""
+    problems: list[str] = []
+    assert resolve_machine(doc, problems) is None
+    return problems
+
+
 class TestDocumentForm:
+    """resolve_machine checks a definition's shape; machine_from_dict builds a valid one."""
+
     def test_round_trip(self, kettle):
         assert machine_from_dict(machine_to_dict(kettle)) == kettle
 
     def test_missing_field(self):
-        with pytest.raises(MachineFormatError):
-            machine_from_dict({"machine_id": "m"})
+        assert shape_problems({"machine_id": "m"}) == [
+            f"machine.{key}: required"
+            for key in ("states", "inputs", "initial", "key_states", "delta")
+        ]
 
     def test_duplicate_transition_rejected(self):
+        doc = {
+            "machine_id": "dup",
+            "states": [0],
+            "inputs": [1],
+            "initial": 0,
+            "key_states": [0],
+            "delta": [[0, 1, 0], [0, 1, 0]],
+        }
         with pytest.raises(MachineFormatError):
-            machine_from_dict(
-                {
-                    "machine_id": "dup",
-                    "states": [0],
-                    "inputs": [1],
-                    "initial": 0,
-                    "key_states": [0],
-                    "delta": [[0, 1, 0], [0, 1, 0]],
-                }
-            )
+            machine_from_dict(doc)
+        assert shape_problems(doc) == ["machine: duplicate transition for state 0 input 1"]
 
     def test_negative_values_rejected(self):
-        with pytest.raises(MachineFormatError):
-            machine_from_dict(
-                {
-                    "machine_id": "neg",
-                    "states": [0, -1],
-                    "inputs": [1],
-                    "initial": 0,
-                    "key_states": [0],
-                    "delta": [],
-                }
-            )
+        doc = {
+            "machine_id": "neg",
+            "states": [0, -1],
+            "inputs": [1],
+            "initial": 0,
+            "key_states": [0],
+            "delta": [],
+        }
+        assert shape_problems(doc) == ["machine.states[1]: must be >= 0 and <= 4294967295"]
 
     @pytest.mark.parametrize(
-        "labels", [5, [], {"states": 5}, {"states": ["COLD"]}, {"states": {"0": 1}}]
+        "labels, problem",
+        [
+            (5, "labels: must be an object"),
+            ([], "labels: must be an object"),
+            ({"states": 5}, "labels.states: must be an object"),
+            ({"states": ["COLD"]}, "labels.states: must be an object"),
+            ({"states": {"0": 1}}, "labels.states.0: must be a string"),
+        ],
+        ids=["5", "labels1", "labels2", "labels3", "labels4"],
     )
-    def test_labels_must_map_strings_to_strings(self, kettle, labels):
+    def test_labels_must_map_strings_to_strings(self, kettle, labels, problem):
         doc = machine_to_dict(kettle)
         doc["labels"] = labels
-        with pytest.raises(MachineFormatError, match="labels must be an object of groups"):
-            machine_from_dict(doc)
+        assert shape_problems(doc) == [f"machine.{problem}"]
 
     def test_load_from_file(self, tmp_path, kettle):
         """A machine file is read and checked the way an inline machine is."""
         import json
-
-        from twinsync.scenario import read_json_file, resolve_machine
 
         path = tmp_path / "m.json"
         path.write_text(json.dumps(machine_to_dict(kettle)))

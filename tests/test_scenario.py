@@ -1,5 +1,6 @@
 """Scenario parsing, strict validation, and the bundled fixtures."""
 
+import dataclasses
 import json
 
 import jsonschema
@@ -15,6 +16,7 @@ from twinsync.scenario import (
     DEFAULT_KEYS,
     ChannelConfig,
     ScenarioInvalid,
+    ScenarioSpec,
     fixture_path,
     load_bundled_scenario,
     load_fixture_json,
@@ -25,6 +27,9 @@ from twinsync.scenario import (
 
 P2V = Direction.PHYS_TO_VIRT
 V2P = Direction.VIRT_TO_PHYS
+# The problems the schema's two hex patterns give.
+HEX = "must be a string matching ^([0-9a-fA-F]{2})*$"
+KEY_HEX = "must be a string matching ^([0-9a-fA-F]{2})+$"
 
 
 def scenario_schema() -> dict:
@@ -32,6 +37,18 @@ def scenario_schema() -> dict:
 
     path = resources.files("twinsync").joinpath("schemas", "scenario.schema.json")
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def schema_rejects(doc) -> bool:
+    validator = jsonschema.Draft202012Validator(scenario_schema())
+    return next(validator.iter_errors(doc), None) is not None
+
+
+def kind_params(schema: dict, kind: str) -> dict:
+    """The `params` properties the schema allows for one attack kind."""
+    (rule,) = [r for r in schema["$defs"]["attack"]["allOf"]
+               if r["if"]["properties"]["kind"]["const"] == kind]
+    return rule["then"]["properties"]["params"]["properties"]
 
 
 def minimal_doc(**overrides) -> dict:
@@ -90,7 +107,7 @@ class TestBundledFixtures:
         schema = scenario_schema()
         defs = schema["$defs"]
         machine = defs["machine"]["properties"]
-        params = defs["attack"]["properties"]["params"]["properties"]
+        params = kind_params(schema, "MODIFY")
         template = defs["template"]["properties"]
         maxima = {
             "seed": schema["properties"]["seed"]["maximum"],
@@ -208,7 +225,7 @@ class TestProblems:
     def test_bad_drop_probability(self):
         doc = minimal_doc(channels={"phys_to_virt": {"drop_probability": 1.5}})
         problems = problems_of(doc)
-        assert problems == ["channels.phys_to_virt.drop_probability: must be in [0, 1]"]
+        assert problems == ["channels.phys_to_virt.drop_probability: must be >= 0 and <= 1"]
 
     def test_unknown_channel_direction(self):
         problems = problems_of(minimal_doc(channels={"sideways": {}}))
@@ -216,11 +233,11 @@ class TestProblems:
 
     def test_bad_key_hex(self):
         problems = problems_of(minimal_doc(keys={"phys_to_virt": "zz"}))
-        assert problems == ["keys.phys_to_virt: must be a nonempty hex string"]
+        assert problems == [f"keys.phys_to_virt: {KEY_HEX}"]
 
     def test_empty_key_rejected(self):
         problems = problems_of(minimal_doc(keys={"virt_to_phys": ""}))
-        assert problems == ["keys.virt_to_phys: must be a nonempty hex string"]
+        assert problems == [f"keys.virt_to_phys: {KEY_HEX}"]
 
     @pytest.mark.parametrize(
         "keys",
@@ -277,10 +294,15 @@ class TestProblems:
                       "params": {"capture_slot": 0}}]
         )
         assert problems_of(doc) == ["attacks[0].params: unknown keys: ['capture_slot']"]
+        assert schema_rejects(doc)
 
     def test_replay_requires_capture_slot(self):
         doc = minimal_doc(attacks=[{"kind": "REPLAY", "slot": 2, "direction": "phys_to_virt"}])
-        assert problems_of(doc) == ["attacks[0].params.capture_slot: required for REPLAY"]
+        assert problems_of(doc) == ["attacks[0].params: required"]
+        assert schema_rejects(doc)
+        doc["attacks"][0]["params"] = {"capture_index": 0}
+        assert problems_of(doc) == ["attacks[0].params.capture_slot: required"]
+        assert schema_rejects(doc)
 
     def test_replay_cannot_capture_the_future(self):
         doc = minimal_doc(
@@ -298,7 +320,7 @@ class TestProblems:
             attacks=[{"kind": "INSERT", "slot": 1, "direction": "phys_to_virt",
                       "params": {"raw_hex": "xyz"}}]
         )
-        assert problems_of(doc) == ["attacks[0].params.raw_hex: must be a hex string"]
+        assert problems_of(doc) == [f"attacks[0].params.raw_hex: {HEX}"]
 
     @pytest.mark.parametrize(
         "index,params,problem",
@@ -310,19 +332,19 @@ class TestProblems:
             (0, {"index": True}, "index: must be an integer"),
             (2, {"byte_offset": 24, "xor_mask": "s"}, "xor_mask: must be an integer"),
             (2, {"byte_offset": -1, "xor_mask": 1}, "byte_offset: must be >= 0"),
-            (2, {"payload_hex": "zz"}, "payload_hex: must be a hex string"),
+            (2, {"payload_hex": "zz"}, f"payload_hex: {HEX}"),
             (1, {"template": "deadbeef"}, "template: must be an object"),
             (1, {"template": {"seq": "a"}}, "template.seq: must be an integer"),
-            (1, {"template": {"payload_hex": "zz"}}, "template.payload_hex: must be a hex string"),
+            (1, {"template": {"payload_hex": "zz"}}, f"template.payload_hex: {HEX}"),
             (1, {"template": {"msg_type": 256}}, "template.msg_type: must be >= 0 and <= 255"),
             (1, {"template": {"slot": 2**64}}, f"template.slot: must be >= 0 and <= {U64_MAX}"),
             (
                 1,
                 {"template": {"payload_hex": "00" * 70_000}},
-                "template.payload_hex: must be at most 65535 bytes",
+                "template.payload_hex: must be at most 131070 characters",
             ),
             (1, {"template": {"nonce": 1}}, "template: unknown keys: ['nonce']"),
-            (2, {"payload_hex": "00" * 70_000}, "payload_hex: must be at most 65535 bytes"),
+            (2, {"payload_hex": "00" * 70_000}, "payload_hex: must be at most 131070 characters"),
             (2, {"byte_offset": 24, "xor_mask": 0}, "xor_mask: must be >= 1 and <= 255"),
             (2, {"byte_offset": 24, "xor_mask": 256}, "xor_mask: must be >= 1 and <= 255"),
         ],
@@ -332,13 +354,14 @@ class TestProblems:
         doc = load_fixture_json("attack_matrix")
         doc["attacks"][index]["params"] = params
         assert problems_of(doc) == [f"attacks[{index}].params.{problem}"]
+        assert schema_rejects(doc)
 
     @pytest.mark.parametrize(
         "index, params, problem",
         [
-            (1, {"raw_hex": "de ad"}, "raw_hex: must be a hex string"),
-            (2, {"payload_hex": "de ad"}, "payload_hex: must be a hex string"),
-            (1, {"template": {"payload_hex": "de ad"}}, "template.payload_hex: must be a hex string"),
+            (1, {"raw_hex": "de ad"}, f"raw_hex: {HEX}"),
+            (2, {"payload_hex": "de ad"}, f"payload_hex: {HEX}"),
+            (1, {"template": {"payload_hex": "de ad"}}, f"template.payload_hex: {HEX}"),
         ],
     )
     def test_spaced_attack_hex_fails_both_checks(self, index, params, problem):
@@ -351,7 +374,7 @@ class TestProblems:
 
     def test_spaced_key_fails_both_checks(self):
         doc = minimal_doc(keys={"phys_to_virt": "00 01"})
-        assert problems_of(doc) == ["keys.phys_to_virt: must be a nonempty hex string"]
+        assert problems_of(doc) == [f"keys.phys_to_virt: {KEY_HEX}"]
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, scenario_schema(), cls=jsonschema.Draft202012Validator)
 
@@ -399,7 +422,8 @@ class TestProblems:
         if ok:
             assert run_scenario(scenario_from_dict(doc)).summary["verdict"] == "pass"
         else:
-            assert problems_of(doc) == [f"machine.{field}: must be <= {U32_MAX}, the wire's u32"]
+            at = machine[field].index(value)
+            assert problems_of(doc) == [f"machine.{field}[{at}]: must be >= 0 and <= {U32_MAX}"]
 
     def test_every_problem_is_collected(self):
         doc = {
@@ -436,16 +460,16 @@ class TestFileLoading:
         assert "not valid JSON" in exc_info.value.problems[0]
 
 
-# Each allowed-key set in scenario.py and the schema object whose properties
-# it must equal.  Attack params are left out: their keys depend on the kind.
+# Each object the schema closes with additionalProperties: false, by its path
+# in the schema.  Attack params are closed per kind, in the attack's allOf.
 KEY_SETS = [
-    ("_SCENARIO_KEYS", ()),
-    ("_MACHINE_KEYS", ("$defs", "machine")),
-    ("_DIRECTIONS", ("properties", "channels")),
-    ("_DIRECTIONS", ("properties", "keys")),
-    ("_CHANNEL_KEYS", ("$defs", "channel")),
-    ("_ATTACK_KEYS", ("$defs", "attack")),
-    ("_TEMPLATE_KEYS", ("$defs", "template")),
+    ("document", ()),
+    ("machine", ("$defs", "machine")),
+    ("channels", ("properties", "channels")),
+    ("keys", ("properties", "keys")),
+    ("channel", ("$defs", "channel")),
+    ("attack", ("$defs", "attack")),
+    ("template", ("$defs", "template")),
 ]
 
 # Every object level of strict_fixture(), by the path its problems name.
@@ -471,19 +495,35 @@ def strict_fixture() -> dict:
 class TestUnknownKeys:
     """The validator and the schema reject an unknown key at the same places."""
 
-    @pytest.mark.parametrize(
-        "name, path", KEY_SETS, ids=[path[-1] if path else "document" for _, path in KEY_SETS]
-    )
+    @pytest.mark.parametrize("name, path", KEY_SETS, ids=[name for name, _ in KEY_SETS])
     def test_allowed_keys_are_the_schema_properties(self, name, path):
+        """The walker allows exactly the keys the closed object lists."""
         obj = scenario_schema()
         for key in path:
             obj = obj[key]
         assert obj["additionalProperties"] is False
-        assert getattr(scenario_mod, name) == set(obj["properties"])
+        problems: list[str] = []
+        scenario_mod._check(dict.fromkeys(obj["properties"]), obj, name, problems)
+        assert not [p for p in problems if "unknown keys" in p]
+        scenario_mod._check({**dict.fromkeys(obj["properties"]), "bogus": 1}, obj, name, problems)
+        assert f"{name}: unknown keys: ['bogus']" in problems
 
     def test_every_key_set_is_compared(self):
-        sets = {name for name, val in vars(scenario_mod).items() if isinstance(val, set)}
-        assert sets == {name for name, _ in KEY_SETS}
+        """Every closed object outside the per-kind attack params is in KEY_SETS."""
+        def closed(schema, path=()):
+            if isinstance(schema, dict):
+                if schema.get("additionalProperties") is False:
+                    yield path
+                for key, sub in schema.items():
+                    yield from closed(sub, (*path, key))
+            elif isinstance(schema, list):
+                for i, sub in enumerate(schema):
+                    yield from closed(sub, (*path, i))
+
+        paths = set(closed(scenario_schema()))
+        per_kind = {p for p in paths if "allOf" in p}
+        assert len(per_kind) == 4
+        assert paths - per_kind == {path for _, path in KEY_SETS}
 
     def test_the_fixture_passes_both_checks(self):
         doc = strict_fixture()
@@ -502,3 +542,57 @@ class TestUnknownKeys:
         assert problems_of(doc) == [f"{where}: unknown keys: ['bogus']"]
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, scenario_schema(), cls=jsonschema.Draft202012Validator)
+
+
+# The keywords `_check` handles, and the annotations it may ignore.
+WALKED = {
+    "$ref", "type", "const", "enum", "minimum", "maximum", "pattern", "maxLength",
+    "items", "minItems", "maxItems", "properties", "required", "additionalProperties",
+    "allOf", "if", "then",
+}
+ANNOTATIONS = {"$schema", "$id", "title", "default", "$defs"}
+
+
+def schema_keywords(schema: dict, path: tuple = ()):
+    """(keyword, value, path of its schema) for every keyword of `schema` and its subschemas."""
+    for key, val in schema.items():
+        yield key, val, path
+        if key in ("properties", "$defs"):
+            for name, sub in val.items():
+                yield from schema_keywords(sub, (*path, key, name))
+        elif key in ("items", "if", "then", "additionalProperties") and isinstance(val, dict):
+            yield from schema_keywords(val, (*path, key))
+        elif key in ("allOf", "oneOf"):
+            for i, sub in enumerate(val):
+                yield from schema_keywords(sub, (*path, key, i))
+
+
+class TestSchemaWalk:
+    def test_every_schema_keyword_is_walked(self):
+        """A keyword `_check` does not handle would be ignored, so none may appear."""
+        seen = list(schema_keywords(scenario_schema()))
+        assert {key for key, _, _ in seen} - WALKED - ANNOTATIONS == {"oneOf"}
+        # resolve_machine decides the one oneOf: a fixture name or a definition.
+        assert [path for key, _, path in seen if key == "oneOf"] == [("properties", "machine")]
+        assert {val for key, val, _ in seen if key == "type"} <= set(scenario_mod._TYPES)
+
+    def test_each_document_key_is_a_spec_field(self):
+        fields = {f.name for f in dataclasses.fields(ScenarioSpec)}
+        assert set(scenario_schema()["properties"]) == fields
+        channel = scenario_schema()["$defs"]["channel"]["properties"]
+        assert set(channel) == {f.name for f in dataclasses.fields(ChannelConfig)}
+
+    def test_schema_defaults_are_the_dataclass_defaults(self):
+        schema = scenario_schema()
+        owners = [
+            (schema["properties"], ScenarioSpec),
+            (schema["$defs"]["channel"]["properties"], ChannelConfig),
+        ]
+        compared = 0
+        for properties, cls in owners:
+            fields = {f.name: f.default for f in dataclasses.fields(cls)}
+            for key, sub in properties.items():
+                if "default" in sub:
+                    assert sub["default"] == fields[key], key
+                    compared += 1
+        assert compared == 6
