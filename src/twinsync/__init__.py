@@ -22,9 +22,7 @@ from .sync import (
     DeltaRecord,
     MismatchError,
     PhysicalTwin,
-    ReplicaState,
     VirtualTwin,
-    apply_delta,
     reconcile,
 )
 from .frames import (
@@ -68,7 +66,6 @@ __all__ = [
     "MismatchError",
     "MsgType",
     "PhysicalTwin",
-    "ReplicaState",
     "Requirement",
     "RunReport",
     "ScenarioInvalid",
@@ -77,7 +74,6 @@ __all__ = [
     "SplitMix64",
     "TwinMachine",
     "VirtualTwin",
-    "apply_delta",
     "consistency_audit",
     "decode_frame",
     "encode_frame",

@@ -27,7 +27,7 @@ from .adversary import AttackKind
 from .frames import ChannelError, ChannelErrorKind
 from .machine import TwinMachine
 from .netsim import Direction
-from .sync import MismatchError, Reject, ReplicaState
+from .sync import MismatchError, Reject
 
 
 class Requirement(str, Enum):
@@ -204,7 +204,7 @@ def delivered_emission(slot: int, latency_slots: int, sync_period: int = 1) -> i
 def consistency_audit(
     physical_keys: list[int],
     machine: TwinMachine,
-    replica: ReplicaState,
+    replica_key: int,
     slot: int,
     latency_slots: int,
     sync_period: int = 1,
@@ -212,11 +212,11 @@ def consistency_audit(
     """Compare the replica against the physical history it should mirror.
 
     physical_keys[s] is the physical key state at the end of slot s, for
-    every slot up to the audited one.  The replica must hold the key state
-    of the newest emission that can have been delivered by the end of
+    every slot up to the audited one.  `replica_key` must be the key state of
+    the newest emission that can have been delivered by the end of
     `slot`, or the initial state before any can have been.  Returns that
     expected key state when the replica differs, None when consistent.
     """
     emission = delivered_emission(slot, latency_slots, sync_period)
     expected = machine.initial if emission is None else physical_keys[emission]
-    return None if replica.last_synced_key == expected else expected
+    return None if replica_key == expected else expected

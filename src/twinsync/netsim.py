@@ -3,8 +3,8 @@
 Time advances in integer slots.  Each direction is a separate unidirectional
 channel with a fixed latency and an optional random drop applied at send
 time; whatever survives the drop sits in a FIFO queue until its delivery
-slot.  At delivery the whole due batch is handed to an interceptor hook (the
-adversary) which may rewrite it arbitrarily.
+slot, when it comes out in the slot's due batch.  The channel never sees the
+adversary: the runner hands it every batch, empty ones too.
 
 Drop decisions come from a SplitMix64 stream so that identical (scenario,
 seed) pairs reproduce identical delivery traces in any implementation of the
@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -53,14 +52,10 @@ class QueuedFrame:
     data: bytes
 
 
-Interceptor = Callable[[int, "Direction", list[bytes]], list[bytes]]
-
-
 @dataclass
 class Channel:
     """One direction of the link. Frames are raw bytes; the channel never inspects them."""
 
-    direction: Direction
     rng: SplitMix64
     latency_slots: int = 1
     drop_probability: float = 0.0
@@ -81,13 +76,11 @@ class Channel:
             return
         self.queue.append((slot + self.latency_slots, data))
 
-    def deliver_due(self, slot: int, interceptor: Interceptor | None = None) -> list[bytes]:
-        """Remove and return the frames due this slot, FIFO, via the interceptor."""
+    def deliver_due(self, slot: int) -> list[bytes]:
+        """Remove and return the frames due this slot, FIFO."""
         queue, due = self.queue, []  # a frame due at a slot never asked for goes undelivered
         while queue and queue[0][0] <= slot:
             deliver_at, data = queue.popleft()
             if deliver_at == slot:
                 due.append(data)
-        if interceptor is not None:
-            due = interceptor(slot, self.direction, due)
         return due

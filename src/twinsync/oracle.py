@@ -114,24 +114,19 @@ def _check_one(
 ) -> None:
     spec = build_schedule_scenario(machine, schedule)
     inputs_by_slot = {slot + 1: [sym] for slot, sym in enumerate(schedule)}
-    exp_state, exp_key, exp_replica = expected_traces(
-        machine, inputs_by_slot, spec.total_slots
+    exp_state, exp_key, exp_replica = expected_traces(machine, inputs_by_slot, spec.total_slots)
+    compared = (  # (row field, expected trace, divergence name)
+        ("physical_state", exp_state, "physical_state"),
+        ("physical_key_state", exp_key, "physical_key"),
+        ("replica_key_state", exp_replica, "replica_key"),
     )
     run = run_scenario(spec)
     for row in run.slots:
         slot = row["slot"]
-        if row["physical_state"] != exp_state[slot]:
-            report.divergences.append(
-                Divergence(schedule, slot, exp_state[slot], row["physical_state"], "physical_state")
-            )
-        if row["physical_key_state"] != exp_key[slot]:
-            report.divergences.append(
-                Divergence(schedule, slot, exp_key[slot], row["physical_key_state"], "physical_key")
-            )
-        if row["replica_key_state"] != exp_replica[slot]:
-            report.divergences.append(
-                Divergence(schedule, slot, exp_replica[slot], row["replica_key_state"], "replica_key")
-            )
+        for column, trace, what in compared:
+            got = row[column]
+            if got != trace[slot]:
+                report.divergences.append(Divergence(schedule, slot, trace[slot], got, what))
     if run.detection_events:
         report.divergences.append(
             Divergence(schedule, -1, 0, len(run.detection_events), "unexpected_detection_events")

@@ -108,7 +108,7 @@ class _Link:
         self.key = spec.keys[direction]
         cfg = spec.channels[direction]
         self.channel = Channel(
-            direction, SplitMix64(seeds.next_u64()), cfg.latency_slots, cfg.drop_probability
+            SplitMix64(seeds.next_u64()), cfg.latency_slots, cfg.drop_probability
         )
         self.tracker = SequenceTracker()
         self.seq = 0
@@ -176,21 +176,22 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         delta = physical.tick(slot)
         if delta is not None:
             up.send(MsgType.STATE_SYNC, slot, encode_delta_payload(delta))
-        commands = virtual.tick(slot)
-        if commands:
-            for command in commands:
+        command = virtual.tick(slot)
+        if command is not None:
+            if command.inputs:
                 down.send(MsgType.COMMAND, slot, encode_command_payload(command))
-        elif commands is not None:
-            # Idle heartbeat on the reverse path: acknowledge the newest
-            # accepted sync, the physical twin's next anchor; it also keeps
-            # per-period liveness on this channel.
-            down.send(MsgType.ACK, slot, encode_ack_payload(virtual.last_sync_seq))
+            else:
+                # Idle heartbeat on the reverse path: acknowledge the newest
+                # accepted sync, the physical twin's next anchor; it also
+                # keeps per-period liveness on this channel.
+                down.send(MsgType.ACK, slot, encode_ack_payload(virtual.last_sync_seq))
 
-        # Phase 3: deliveries, physical-to-virtual first.
+        # Phase 3: deliveries, physical-to-virtual first.  The adversary sees
+        # every batch, so it can insert where nothing is due.
         delivered = {}
         for link in links:
             received = delivered[link.name] = []
-            for data in link.channel.deliver_due(slot, adversary.intercept):
+            for data in adversary.intercept(slot, link.direction, link.channel.deliver_due(slot)):
                 outcome = _receive(
                     data, link, slot, spec, detector, physical, virtual, reconciled, events
                 )
@@ -202,7 +203,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         expected = consistency_audit(
             physical_keys,
             machine,
-            virtual.replica,
+            virtual.last_synced_key,
             slot,
             latency_slots=up.channel.latency_slots,
             sync_period=period,
@@ -210,7 +211,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         audit_row = {
             "slot": slot,
             "ok": expected is None,
-            "replica_key_state": virtual.replica.last_synced_key,
+            "replica_key_state": virtual.last_synced_key,
         }
         if expected is not None:
             audit_row["expected"] = expected
@@ -221,8 +222,8 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 "slot": slot,
                 "physical_state": physical.state,
                 "physical_key_state": physical_keys[slot],
-                "replica_key_state": virtual.replica.last_synced_key,
-                "replica_synced_slot": virtual.replica.last_synced_slot,
+                "replica_key_state": virtual.last_synced_key,
+                "replica_synced_slot": virtual.last_synced_slot,
                 "sent": {up.name: up.sent, down.name: down.sent},
                 "delivered": delivered,
                 "dropped": {

@@ -13,17 +13,18 @@ delta intervals of delta-state CRDTs (Almeida, Shoker and Baquero, JPDC 2018)
 and TCP's cumulative acknowledgement (RFC 9293 section 3.4).  A record lost
 or deleted in transit is re-covered by the next one, which starts from the
 same anchor, and an acknowledged record cuts the next one short.  The anchor
-may be a state outside the key set.  The replica holds every state it reached
-at an accepted emission, with the key states in force there, and verifies a
-record from any of them.  An emission with no state change since the anchor
-moves the anchor itself: such inputs cannot desync the replica.  A slot with
-no activity still produces an empty heartbeat record so the other side can
-tell silence from a deleted message.
+may be a state outside the key set.  The replica is the VirtualTwin itself:
+its `held` map keeps every state it reached at an accepted emission, with
+the key states in force there, and `apply_sync` verifies a record from any
+of them.  An emission with no state change since the anchor moves the anchor
+itself: such inputs cannot desync the replica.  A period with no activity
+still produces an empty heartbeat record from each twin so the other side
+can tell silence from a deleted message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .machine import (
@@ -48,25 +49,6 @@ class DeltaRecord:
 class CommandRecord:
     inputs: tuple[int, ...]
     issued_slot: int
-
-
-@dataclass(slots=True)
-class ReplicaState:
-    """The digital twin's view: the last confirmed key state and its slot.
-
-    `held` maps every state the replica reached at an accepted emission to
-    the key states in force there; a record verifies from any of them.  It
-    starts as the confirmed key held with itself, is bounded by the machine's
-    size rather than the run's length, and takes no part in equality.
-    """
-
-    last_synced_key: int
-    last_synced_slot: int = 0
-    held: dict[int, frozenset[int]] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.held is None:
-            self.held = {self.last_synced_key: frozenset((self.last_synced_key,))}
 
 
 class MismatchKind(str, Enum):
@@ -108,60 +90,6 @@ def fold_key_state(
         if state in machine.key_states:
             last_key = state
     return state, last_key
-
-
-def apply_delta(
-    replica: ReplicaState, delta: DeltaRecord | None, machine: TwinMachine
-) -> ReplicaState | MismatchError:
-    """Advance the replica by a verified delta; on any error the replica is unchanged.
-
-    A record carrying a slot older than the replica's sync point is rejected
-    as replayed before its content is even looked at.  Otherwise its base
-    must be a state the replica holds, and the full fold of its inputs from
-    there must confirm the claim: the last key state the fold visits, or,
-    when it visits none, one of the key states held with the base.
-    """
-    if delta is None:
-        return replica
-    if delta.slot < replica.last_synced_slot:
-        return MismatchError(
-            kind=MismatchKind.REPLAYED_BASE,
-            expected=replica.last_synced_slot,
-            got=delta.slot,
-            reason="delta slot predates the replica's sync point",
-        )
-    held = replica.held
-    base, claim = delta.base_state, delta.result_state
-    if base not in held:
-        return MismatchError(
-            kind=MismatchKind.BASE_MISMATCH,
-            expected=replica.last_synced_key,
-            got=base,
-            reason="delta base is no state the replica has held",
-        )
-    try:
-        state, last_key = fold_key_state(machine, base, delta.applied_inputs)
-    except MachineError as exc:
-        return MismatchError(
-            kind=MismatchKind.UNREACHABLE_RESULT,
-            expected=claim,
-            got=claim,
-            reason=f"fold failed: {exc}",
-        )
-    confirmed = claim == last_key if last_key is not None else claim in held[base]
-    if not confirmed:
-        return MismatchError(
-            kind=MismatchKind.UNREACHABLE_RESULT,
-            expected=last_key if last_key is not None else base,
-            got=claim,
-            reason="claimed result not reached by folding the inputs",
-        )
-    keys = held.get(state, frozenset())
-    if claim not in keys:
-        # Copied, not updated in place: the replica passed in stays as it was.
-        held = {**held, state: keys | {claim}}
-    # Positional arguments: this runs once per record, and keywords cost more.
-    return ReplicaState(claim, delta.slot, held)
 
 
 def reconcile(command: CommandRecord, machine: TwinMachine) -> tuple[int, ...] | Reject:
@@ -207,7 +135,7 @@ class PhysicalTwin:
     def current_key(self) -> int:
         return self._key
 
-    def apply_input(self, slot: int, sym: int) -> LogEntry:
+    def apply_input(self, slot: int, sym: int) -> None:
         nxt = step(self.machine, self.state, sym)
         entry = LogEntry(
             slot=slot,
@@ -223,7 +151,6 @@ class PhysicalTwin:
         self.state = nxt
         if entry.is_key_crossing:
             self._key = nxt
-        return entry
 
     def tick(self, slot: int) -> DeltaRecord | None:
         """End-of-slot emission: the inputs since the anchor, a heartbeat when none."""
@@ -260,39 +187,89 @@ class PhysicalTwin:
 
 
 class VirtualTwin:
-    """Stateful digital endpoint: applies verified deltas, queues operator commands."""
+    """Stateful digital endpoint, the replica: verifies delta records, queues operator commands.
+
+    `held` maps every state the replica reached at an accepted emission to
+    the key states in force there; a record verifies from any of them.  It
+    starts as the initial key state held with itself, and is bounded by the
+    machine's size rather than the run's length.
+    """
 
     def __init__(self, machine: TwinMachine, sync_period: int = 1):
         if sync_period < 1:
             raise ValueError("sync_period must be >= 1")
         self.machine = machine
         self.sync_period = sync_period
-        self.replica = ReplicaState(last_synced_key=machine.initial)
+        self.last_synced_key = machine.initial
+        self.last_synced_slot = 0
         self.last_sync_seq = 0
-        self.pending_commands: list[CommandRecord] = []
+        self.held: dict[int, set[int]] = {machine.initial: {machine.initial}}
+        self.pending: CommandRecord | None = None  # inputs queued since the last boundary
 
     def queue_operator_inputs(self, slot: int, inputs: tuple[int, ...]) -> None:
-        self.pending_commands.append(CommandRecord(inputs=inputs, issued_slot=slot))
+        if self.pending is None:
+            self.pending = CommandRecord(inputs, slot)
+        else:
+            self.pending.inputs += inputs
 
-    def tick(self, slot: int) -> list[CommandRecord] | None:
-        """Flush queued commands at sync boundaries; None between them.
+    def tick(self, slot: int) -> CommandRecord | None:
+        """One record per sync boundary; None between them.
 
-        Commands queued over one period go out as one record, issued at the
-        first of them.  Liveness counts on one frame per period each way: a
-        second frame would hide the deletion of the first.
+        The record holds every input queued over the period, issued at the
+        first of them, and is empty when none was: the idle heartbeat.
+        Liveness counts on one frame per period each way: a second frame
+        would hide the deletion of the first.
         """
         if slot % self.sync_period != 0:
             return None
-        commands, self.pending_commands = self.pending_commands, []
-        if len(commands) > 1:
-            inputs = tuple(sym for command in commands for sym in command.inputs)
-            commands = [CommandRecord(inputs, commands[0].issued_slot)]
-        return commands
+        command, self.pending = self.pending, None
+        return CommandRecord((), slot) if command is None else command
 
     def apply_sync(self, seq: int, delta: DeltaRecord) -> MismatchError | None:
-        result = apply_delta(self.replica, delta, self.machine)
-        if isinstance(result, MismatchError):
-            return result
-        self.replica = result
+        """Advance by a verified delta record; on any error nothing changes.
+
+        A record carrying a slot older than the replica's sync point is
+        rejected as replayed before its content is even looked at.
+        Otherwise its base must be a state the replica holds, and the full
+        fold of its inputs from there must confirm the claim: the last key
+        state the fold visits, or, when it visits none, one of the key
+        states held with the base.
+        """
+        if delta.slot < self.last_synced_slot:
+            return MismatchError(
+                kind=MismatchKind.REPLAYED_BASE,
+                expected=self.last_synced_slot,
+                got=delta.slot,
+                reason="delta slot predates the replica's sync point",
+            )
+        held = self.held
+        base, claim = delta.base_state, delta.result_state
+        if base not in held:
+            return MismatchError(
+                kind=MismatchKind.BASE_MISMATCH,
+                expected=self.last_synced_key,
+                got=base,
+                reason="delta base is no state the replica has held",
+            )
+        try:
+            state, last_key = fold_key_state(self.machine, base, delta.applied_inputs)
+        except MachineError as exc:
+            return MismatchError(
+                kind=MismatchKind.UNREACHABLE_RESULT,
+                expected=claim,
+                got=claim,
+                reason=f"fold failed: {exc}",
+            )
+        confirmed = claim == last_key if last_key is not None else claim in held[base]
+        if not confirmed:
+            return MismatchError(
+                kind=MismatchKind.UNREACHABLE_RESULT,
+                expected=last_key if last_key is not None else base,
+                got=claim,
+                reason="claimed result not reached by folding the inputs",
+            )
+        held.setdefault(state, set()).add(claim)
+        self.last_synced_key = claim
+        self.last_synced_slot = delta.slot
         self.last_sync_seq = seq
         return None

@@ -14,7 +14,7 @@ from twinsync.detector import (
 )
 from twinsync.frames import ChannelError, ChannelErrorKind
 from twinsync.netsim import Direction
-from twinsync.sync import MismatchError, MismatchKind, Reject, ReplicaState
+from twinsync.sync import MismatchError, MismatchKind, Reject
 
 P2V = Direction.PHYS_TO_VIRT
 V2P = Direction.VIRT_TO_PHYS
@@ -162,28 +162,23 @@ BOIL_KEYS = [0, 0, 0, 0, 100, 100]
 
 class TestConsistencyAudit:
     def test_clean_mirror_passes(self, kettle):
-        replica = ReplicaState(last_synced_key=100, last_synced_slot=4)
-        assert consistency_audit(BOIL_KEYS, kettle, replica, slot=5, latency_slots=1) is None
+        assert consistency_audit(BOIL_KEYS, kettle, 100, slot=5, latency_slots=1) is None
 
     def test_replica_lags_by_latency(self, kettle):
         """At the crossing slot itself the replica legitimately still holds the old key."""
-        replica = ReplicaState(last_synced_key=0, last_synced_slot=3)
-        assert consistency_audit(BOIL_KEYS, kettle, replica, slot=4, latency_slots=1) is None
+        assert consistency_audit(BOIL_KEYS, kettle, 0, slot=4, latency_slots=1) is None
 
     def test_before_anything_can_arrive(self, kettle):
-        replica = ReplicaState(last_synced_key=0)
-        assert consistency_audit([0], kettle, replica, 0, 1) is None
+        assert consistency_audit([0], kettle, 0, 0, 1) is None
 
     def test_stale_replica_is_flagged(self, kettle):
-        replica = ReplicaState(last_synced_key=0, last_synced_slot=3)
-        assert consistency_audit(BOIL_KEYS, kettle, replica, slot=5, latency_slots=1) == 100
+        assert consistency_audit(BOIL_KEYS, kettle, 0, slot=5, latency_slots=1) == 100
 
     def test_horizon_respects_sync_period(self, kettle):
         """Period 2: a crossing at slot 3 is only shippable at the slot-4 boundary."""
         keys = [0, 0, 0, 100, 100, 100]  # HEAT at slots 0-3
-        replica = ReplicaState(last_synced_key=0, last_synced_slot=2)
-        assert consistency_audit(keys, kettle, replica, 4, 1, sync_period=2) is None
-        assert consistency_audit(keys, kettle, replica, 5, 1, sync_period=2) == 100
+        assert consistency_audit(keys, kettle, 0, 4, 1, sync_period=2) is None
+        assert consistency_audit(keys, kettle, 0, 5, 1, sync_period=2) == 100
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twinsync.netsim import Channel, Direction, SplitMix64
+from twinsync.netsim import Channel, SplitMix64
 
 
 class TestSplitMix64:
@@ -40,7 +40,7 @@ class TestSplitMix64:
 
 class TestChannel:
     def _channel(self, **kwargs) -> Channel:
-        defaults = dict(direction=Direction.PHYS_TO_VIRT, rng=SplitMix64(0))
+        defaults = dict(rng=SplitMix64(0))
         defaults.update(kwargs)
         return Channel(**defaults)
 
@@ -105,30 +105,6 @@ class TestChannel:
             lossy.send(b"x", slot=slot)
         assert quiet.rng.next_u64() == lossy.rng.next_u64()
 
-    def test_interceptor_sees_and_rewrites_the_batch(self):
-        ch = self._channel()
-        ch.send(b"a", slot=1)
-        ch.send(b"b", slot=1)
-        seen = []
-
-        def interceptor(slot, direction, frames):
-            seen.append((slot, direction, list(frames)))
-            return [b"z"]
-
-        assert ch.deliver_due(2, interceptor) == [b"z"]
-        assert seen == [(2, Direction.PHYS_TO_VIRT, [b"a", b"b"])]
-
-    def test_interceptor_runs_even_for_empty_slots(self):
-        ch = self._channel()
-        calls = []
-
-        def interceptor(slot, direction, frames):
-            calls.append(slot)
-            return frames
-
-        ch.deliver_due(1, interceptor)
-        assert calls == [1]
-
 
 class ListScanChannel:
     """Model: the channel as a list rescanned on every delivery, FIFO by construction."""
@@ -161,7 +137,7 @@ class ListScanChannel:
     ),
 )
 def test_channel_delivers_what_a_list_scan_delivers(latency, drop, seed, steps):
-    ch = Channel(Direction.PHYS_TO_VIRT, SplitMix64(seed), latency, drop)
+    ch = Channel(SplitMix64(seed), latency, drop)
     model = ListScanChannel(SplitMix64(seed), latency, drop)
     slot = sent = 0
     for advance, sends in steps:
@@ -176,7 +152,7 @@ def test_channel_delivers_what_a_list_scan_delivers(latency, drop, seed, steps):
 
 
 def test_drop_log_keeps_the_sent_object():
-    ch = Channel(Direction.PHYS_TO_VIRT, SplitMix64(0), drop_probability=1.0)
+    ch = Channel(SplitMix64(0), drop_probability=1.0)
     data = bytes(70)
     ch.send(data, slot=3)
     assert ch.drop_log[-1].data is data

@@ -102,20 +102,17 @@ class TestOracleEfficacy:
     """The oracle must actually catch a stack that lies."""
 
     def test_replica_that_never_advances_is_caught(self, kettle, monkeypatch):
-        import twinsync.sync as sync_mod
+        from twinsync.sync import VirtualTwin
 
-        real = sync_mod.apply_delta
+        real = VirtualTwin.apply_sync
 
-        def lying_apply_delta(replica, delta, machine):
-            out = real(replica, delta, machine)
-            if isinstance(out, sync_mod.ReplicaState):
-                return sync_mod.ReplicaState(
-                    last_synced_key=replica.last_synced_key,
-                    last_synced_slot=out.last_synced_slot,
-                )
-            return out
+        def lying_apply_sync(twin, seq, delta):
+            key = twin.last_synced_key
+            err = real(twin, seq, delta)
+            twin.last_synced_key = key
+            return err
 
-        monkeypatch.setattr(sync_mod, "apply_delta", lying_apply_delta)
+        monkeypatch.setattr(VirtualTwin, "apply_sync", lying_apply_sync)
         report = oracle_check(kettle, 4)
         assert not report.ok
         assert any(d.what == "replica_key" for d in report.divergences)

@@ -276,6 +276,27 @@ def test_authenticated_ack_with_a_short_payload_is_a_forged_insert():
     assert report.summary["verdict"] == "pass"
 
 
+def test_an_insert_where_no_frame_is_due_is_delivered_and_detected():
+    """The runner hands the adversary every slot's batch, empty ones too.
+
+    With a period of two and one slot of latency, frames arrive on odd slots
+    only, so nothing is due on either link at slot 4.
+    """
+    forged = "deadbeef" * 5
+    doc = {
+        "machine": "kettle",
+        "total_slots": 8,
+        "sync_period_slots": 2,
+        "attacks": [{"kind": "INSERT", "slot": 4, "direction": P2V, "params": {"raw_hex": forged}}],
+    }
+    report = run_scenario(scenario_from_dict(doc))
+    delivered = report.slots[4]["delivered"]
+    assert delivered == {P2V: [{"frame_hex": forged, "outcome": "malformed"}], V2P: []}
+    events = [(e["kind"], e["slot"], e["direction"]) for e in report.detection_events]
+    assert events == [("FORGED_INSERT", 4, P2V)]
+    assert report.summary["verdict"] == "pass"
+
+
 OTHER_DIRECTION = {
     Direction.PHYS_TO_VIRT: Direction.VIRT_TO_PHYS,
     Direction.VIRT_TO_PHYS: Direction.PHYS_TO_VIRT,

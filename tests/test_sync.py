@@ -1,4 +1,4 @@
-"""Delta computation, verification, application, and the twin endpoint classes."""
+"""Delta records, their verification by the virtual twin, and both twin endpoints."""
 
 from itertools import product
 
@@ -14,9 +14,7 @@ from twinsync.sync import (
     MismatchKind,
     PhysicalTwin,
     Reject,
-    ReplicaState,
     VirtualTwin,
-    apply_delta,
     fold_key_state,
     reconcile,
 )
@@ -40,105 +38,134 @@ class TestFold:
         assert fold_key_state(kettle, 100, ()) == (100, 100)
 
 
+def replica(machine, key, held_state, slot=0):
+    """A virtual twin on `key` at `slot` that holds `held_state` with `key` only."""
+    twin = VirtualTwin(machine)
+    twin.last_synced_key, twin.last_synced_slot = key, slot
+    twin.held = {held_state: {key}}
+    return twin
+
+
+def replica_state(twin):
+    """Everything `apply_sync` may change, copied."""
+    held = {state: set(keys) for state, keys in twin.held.items()}
+    return twin.last_synced_key, twin.last_synced_slot, twin.last_sync_seq, held
+
+
 class TestVerifyDelta:
     def test_accepts_consistent_record(self, kettle):
-        delta = DeltaRecord(0, 100, (HEAT, HEAT, HEAT, HEAT), slot=4)
-        assert apply_delta(ReplicaState(0), delta, kettle) == ReplicaState(100, 4)
+        twin = VirtualTwin(kettle)
+        assert twin.apply_sync(1, DeltaRecord(0, 100, (HEAT, HEAT, HEAT, HEAT), slot=4)) is None
+        assert (twin.last_synced_key, twin.last_synced_slot) == (100, 4)
 
     def test_base_mismatch(self, kettle):
-        delta = DeltaRecord(100, 100, (IDLE,), slot=5)
-        err = apply_delta(ReplicaState(0), delta, kettle)
+        err = VirtualTwin(kettle).apply_sync(1, DeltaRecord(100, 100, (IDLE,), slot=5))
         assert isinstance(err, MismatchError)
         assert err.kind is MismatchKind.BASE_MISMATCH
         assert (err.expected, err.got) == (0, 100)
 
     def test_unreachable_result(self, kettle):
-        delta = DeltaRecord(0, 100, (HEAT,), slot=1)
-        err = apply_delta(ReplicaState(0), delta, kettle)
+        err = VirtualTwin(kettle).apply_sync(1, DeltaRecord(0, 100, (HEAT,), slot=1))
         assert isinstance(err, MismatchError)
         assert err.kind is MismatchKind.UNREACHABLE_RESULT
 
     def test_liveness_record_verifies(self, kettle):
-        delta = DeltaRecord(0, 0, (IDLE, IDLE), slot=2)
-        assert apply_delta(ReplicaState(0), delta, kettle) == ReplicaState(0, 2)
+        twin = VirtualTwin(kettle)
+        assert twin.apply_sync(1, DeltaRecord(0, 0, (IDLE, IDLE), slot=2)) is None
+        assert (twin.last_synced_key, twin.last_synced_slot) == (0, 2)
 
     def test_undeclared_input_is_unreachable(self, kettle):
-        delta = DeltaRecord(0, 0, (77,), slot=1)
-        err = apply_delta(ReplicaState(0), delta, kettle)
+        err = VirtualTwin(kettle).apply_sync(1, DeltaRecord(0, 0, (77,), slot=1))
         assert isinstance(err, MismatchError)
         assert err.kind is MismatchKind.UNREACHABLE_RESULT
 
     def test_exhaustive_small_machine(self, four_state_machines):
         """A record is accepted exactly when its base is held and the fold confirms
         the claim: the last key visited, or a key held with the base when the fold
-        visits none.  An accepted record holds the fold's end with the claim."""
+        visits none.  An accepted record holds the fold's end with the claim; a
+        rejected one, of any kind, changes nothing."""
         machine = four_state_machines[0]  # ring4, keys {0, 2}
         symbols = sorted(machine.inputs)
+        undeclared = max(symbols) + 1
         checked = 0
+        kinds = set()
+
+        def rejected(twin, delta, kind):
+            before = replica_state(twin)
+            err = twin.apply_sync(7, delta)
+            assert err.kind is kind
+            assert replica_state(twin) == before
+            kinds.add(err.kind)
+            return err
+
         for held, key, length in product(sorted(machine.states), [0, 2], range(4)):
-            replica = ReplicaState(key, 0, {held: frozenset((key,))})
+            held_before = {held: {key}}
             for base, inputs in product(sorted(machine.states), product(symbols, repeat=length)):
                 end, last_key = fold_key_state(machine, base, inputs)
                 for claim in sorted(machine.states):
+                    twin = replica(machine, key, held, slot=1)
                     delta = DeltaRecord(base, claim, inputs, slot=1)
-                    out = apply_delta(replica, delta, machine)
                     if base != held:
-                        assert out.kind is MismatchKind.BASE_MISMATCH
+                        rejected(twin, delta, MismatchKind.BASE_MISMATCH)
                     elif claim == last_key or (last_key is None and claim == key):
-                        assert out == ReplicaState(claim, 1)
-                        keys = replica.held.get(end, frozenset())
-                        assert out.held == {**replica.held, end: keys | {claim}}
+                        assert twin.apply_sync(7, delta) is None
+                        after = {**held_before, end: held_before.get(end, set()) | {claim}}
+                        assert replica_state(twin) == (claim, 1, 7, after)
                     else:
-                        assert out.kind is MismatchKind.UNREACHABLE_RESULT
-                    assert replica.held == {held: frozenset((key,))}
+                        rejected(twin, delta, MismatchKind.UNREACHABLE_RESULT)
                     checked += 1
+            twin = replica(machine, key, held, slot=1)
+            rejected(twin, DeltaRecord(held, key, (), slot=0), MismatchKind.REPLAYED_BASE)
+            unfoldable = DeltaRecord(held, key, (undeclared,), slot=1)
+            err = rejected(twin, unfoldable, MismatchKind.UNREACHABLE_RESULT)
+            assert err.reason.startswith("fold failed")
         assert checked == 4 * 2 * 4 * (1 + 2 + 4 + 8) * 4
+        assert kinds == set(MismatchKind)
 
     def test_base_held_from_an_earlier_emission_verifies(self, kettle):
         """A record re-covering inputs the replica already folded still verifies."""
-        replica = apply_delta(ReplicaState(0), DeltaRecord(0, 0, (HEAT, HEAT), 2), kettle)
-        assert replica.held == {0: {0}, 50: {0}}
-        again = apply_delta(replica, DeltaRecord(0, 0, (HEAT, HEAT, HEAT), 3), kettle)
-        assert again == ReplicaState(0, 3)
-        onward = apply_delta(again, DeltaRecord(50, 100, (HEAT, HEAT), 4), kettle)
-        assert onward == ReplicaState(100, 4)
-        assert onward.held == {0: {0}, 50: {0}, 75: {0}, 100: {100}}
+        twin = VirtualTwin(kettle)
+        assert twin.apply_sync(1, DeltaRecord(0, 0, (HEAT, HEAT), 2)) is None
+        assert twin.held == {0: {0}, 50: {0}}
+        assert twin.apply_sync(2, DeltaRecord(0, 0, (HEAT, HEAT, HEAT), 3)) is None
+        assert (twin.last_synced_key, twin.last_synced_slot) == (0, 3)
+        assert twin.apply_sync(3, DeltaRecord(50, 100, (HEAT, HEAT), 4)) is None
+        assert (twin.last_synced_key, twin.last_synced_slot) == (100, 4)
+        assert twin.held == {0: {0}, 50: {0}, 75: {0}, 100: {100}}
 
     def test_base_never_held_is_a_base_mismatch(self, kettle):
-        replica = apply_delta(ReplicaState(0), DeltaRecord(0, 0, (HEAT,), 1), kettle)
-        err = apply_delta(replica, DeltaRecord(50, 0, (), 2), kettle)
+        twin = VirtualTwin(kettle)
+        assert twin.apply_sync(1, DeltaRecord(0, 0, (HEAT,), 1)) is None
+        err = twin.apply_sync(2, DeltaRecord(50, 0, (), 2))
         assert err.kind is MismatchKind.BASE_MISMATCH
         assert (err.expected, err.got) == (0, 50)
 
 
 class TestApplyDelta:
-    def test_none_is_identity(self, kettle):
-        replica = ReplicaState(last_synced_key=0, last_synced_slot=3)
-        assert apply_delta(replica, None, kettle) is replica
+    """A delta record applied through `VirtualTwin.apply_sync`."""
 
     def test_advances_key_and_slot(self, kettle):
-        replica = ReplicaState(last_synced_key=0)
-        out = apply_delta(replica, DeltaRecord(0, 100, (HEAT,) * 4, slot=4), kettle)
-        assert out == ReplicaState(last_synced_key=100, last_synced_slot=4)
+        twin = VirtualTwin(kettle)
+        assert twin.apply_sync(1, DeltaRecord(0, 100, (HEAT,) * 4, slot=4)) is None
+        assert (twin.last_synced_key, twin.last_synced_slot) == (100, 4)
 
     def test_error_leaves_replica_unchanged(self, kettle):
-        replica = ReplicaState(last_synced_key=0, last_synced_slot=2)
-        out = apply_delta(replica, DeltaRecord(100, 100, (), slot=3), kettle)
-        assert isinstance(out, MismatchError)
-        assert replica == ReplicaState(last_synced_key=0, last_synced_slot=2)
+        twin = replica(kettle, 0, 0, slot=2)
+        before = replica_state(twin)
+        assert isinstance(twin.apply_sync(1, DeltaRecord(100, 100, (), slot=3)), MismatchError)
+        assert replica_state(twin) == before
 
     def test_stale_slot_rejected_before_content(self, kettle):
-        replica = ReplicaState(last_synced_key=100, last_synced_slot=8)
-        stale = DeltaRecord(100, 100, (), slot=5)
-        out = apply_delta(replica, stale, kettle)
+        twin = replica(kettle, 100, 100, slot=8)
+        out = twin.apply_sync(1, DeltaRecord(100, 100, (), slot=5))
         assert isinstance(out, MismatchError)
         assert out.kind is MismatchKind.REPLAYED_BASE
         assert (out.expected, out.got) == (8, 5)
 
     def test_equal_slot_heartbeat_is_accepted(self, kettle):
-        replica = ReplicaState(last_synced_key=100, last_synced_slot=8)
-        out = apply_delta(replica, DeltaRecord(100, 100, (), slot=8), kettle)
-        assert out == ReplicaState(last_synced_key=100, last_synced_slot=8)
+        twin = replica(kettle, 100, 100, slot=8)
+        assert twin.apply_sync(1, DeltaRecord(100, 100, (), slot=8)) is None
+        assert (twin.last_synced_key, twin.last_synced_slot) == (100, 8)
 
 
 class TestReconcile:
@@ -166,8 +193,10 @@ class TestPhysicalTwin:
         twin = PhysicalTwin(kettle)
         record = twin.tick(0)
         assert record == DeltaRecord(0, 0, (), slot=0)
-        replica = ReplicaState(last_synced_key=0)
-        assert apply_delta(replica, record, kettle) == replica
+        virtual = VirtualTwin(kettle)
+        before = replica_state(virtual)
+        assert virtual.apply_sync(0, record) is None
+        assert replica_state(virtual) == before
 
     def test_idle_slot_is_a_self_loop_delta(self, kettle):
         twin = PhysicalTwin(kettle)
@@ -257,14 +286,13 @@ class TestPhysicalTwin:
 
     def test_every_emission_verifies_in_sequence(self, kettle_cool):
         twin = PhysicalTwin(kettle_cool)
-        replica = ReplicaState(last_synced_key=kettle_cool.initial)
+        virtual = VirtualTwin(kettle_cool)
         schedule = [HEAT, HEAT, COOL, HEAT, HEAT, HEAT, COOL, COOL, COOL, COOL, HEAT]
         for slot, sym in enumerate(schedule, start=1):
             twin.apply_input(slot, sym)
-            out = apply_delta(replica, twin.tick(slot), kettle_cool)
-            assert isinstance(out, ReplicaState)
-            replica = out
-            assert replica.last_synced_key == twin.current_key()
+            record = twin.tick(slot)
+            assert virtual.apply_sync(twin.emitted, record) is None
+            assert virtual.last_synced_key == twin.current_key()
             if slot % 3 == 0:
                 twin.on_ack(slot - 1)
 
@@ -281,37 +309,38 @@ class TestPhysicalTwin:
 
 class TestVirtualTwin:
     def test_queue_and_flush(self, kettle):
+        """One record per boundary; an empty one, the idle heartbeat, when nothing was queued."""
         twin = VirtualTwin(kettle)
         twin.queue_operator_inputs(2, (HEAT,))
         twin.queue_operator_inputs(2, (IDLE,))
-        assert twin.tick(2) == [CommandRecord(inputs=(HEAT, IDLE), issued_slot=2)]
-        assert twin.tick(3) == []
+        assert twin.tick(2) == CommandRecord(inputs=(HEAT, IDLE), issued_slot=2)
+        assert twin.tick(3) == CommandRecord(inputs=(), issued_slot=3)
 
     def test_commands_of_one_period_share_one_record(self, kettle):
         twin = VirtualTwin(kettle, sync_period=3)
         twin.queue_operator_inputs(1, (HEAT, HEAT))
         twin.queue_operator_inputs(2, (IDLE,))
         twin.queue_operator_inputs(3, (HEAT,))
-        assert twin.tick(3) == [CommandRecord(inputs=(HEAT, HEAT, IDLE, HEAT), issued_slot=1)]
+        assert twin.tick(3) == CommandRecord(inputs=(HEAT, HEAT, IDLE, HEAT), issued_slot=1)
 
     def test_flush_respects_period(self, kettle):
         twin = VirtualTwin(kettle, sync_period=2)
         twin.queue_operator_inputs(1, (HEAT,))
         assert twin.tick(1) is None
-        assert twin.tick(2) == [CommandRecord(inputs=(HEAT,), issued_slot=1)]
+        assert twin.tick(2) == CommandRecord(inputs=(HEAT,), issued_slot=1)
 
     def test_apply_sync_tracks_seq(self, kettle):
         twin = VirtualTwin(kettle)
         assert twin.apply_sync(5, DeltaRecord(0, 100, (HEAT,) * 4, slot=4)) is None
         assert twin.last_sync_seq == 5
-        assert twin.replica.last_synced_key == 100
+        assert twin.last_synced_key == 100
 
     def test_apply_sync_rejects_without_side_effects(self, kettle):
         twin = VirtualTwin(kettle)
         err = twin.apply_sync(5, DeltaRecord(100, 100, (), slot=4))
         assert isinstance(err, MismatchError)
         assert twin.last_sync_seq == 0
-        assert twin.replica.last_synced_key == 0
+        assert twin.last_synced_key == 0
 
 
 @given(
@@ -334,19 +363,15 @@ def test_replica_tracks_physical_key_trace(schedule, ack_lag):
     machine = machine_from_dict(doc)
 
     twin = PhysicalTwin(machine)
-    replica = ReplicaState(last_synced_key=machine.initial)
+    virtual = VirtualTwin(machine)
     accepted = [0]  # newest accepted seq at the end of each slot
     for slot, (sym, record_lost, ack_lost) in enumerate(schedule, start=1):
         if sym is not None:
             twin.apply_input(slot, sym)
         record = twin.tick(slot)
         if not record_lost:
-            out = apply_delta(replica, record, machine)
-            assert isinstance(out, ReplicaState)
-            replica = out
-            assert replica.last_synced_key == twin.current_key()
-            accepted.append(twin.emitted)
-        else:
-            accepted.append(accepted[-1])
+            assert virtual.apply_sync(twin.emitted, record) is None
+            assert virtual.last_synced_key == twin.current_key()
+        accepted.append(virtual.last_sync_seq)
         if not ack_lost and slot > ack_lag:
             twin.on_ack(accepted[slot - ack_lag])
