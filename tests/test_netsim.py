@@ -3,7 +3,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twinsync.netsim import Channel, SplitMix64
+from twinsync.adversary import Adversary, AttackAction, AttackKind
+from twinsync.netsim import Channel, Direction, SplitMix64
 
 
 class TestSplitMix64:
@@ -104,6 +105,32 @@ class TestChannel:
             quiet.send(b"x", slot=slot)
             lossy.send(b"x", slot=slot)
         assert quiet.rng.next_u64() == lossy.rng.next_u64()
+
+    # The channel has no hook: the runner hands each due batch to the adversary.
+
+    def test_interceptor_sees_and_rewrites_the_batch(self):
+        ch = self._channel()
+        ch.send(b"a", slot=1)
+        ch.send(b"b", slot=1)
+        adv = Adversary(
+            [AttackAction(AttackKind.DELETE, 2, Direction.PHYS_TO_VIRT)], SplitMix64(0)
+        )
+        assert adv.intercept(2, Direction.PHYS_TO_VIRT, ch.deliver_due(2)) == [b"b"]
+        assert adv.captures == {
+            (2, Direction.PHYS_TO_VIRT, 0): b"a",
+            (2, Direction.PHYS_TO_VIRT, 1): b"b",
+        }
+
+    def test_interceptor_runs_even_for_empty_slots(self):
+        ch = self._channel()
+        insert = AttackAction(
+            AttackKind.INSERT, 1, Direction.PHYS_TO_VIRT, {"raw_hex": "deadbeef"}
+        )
+        adv = Adversary([insert], SplitMix64(0))
+        batch = ch.deliver_due(1)
+        assert batch == []
+        assert adv.intercept(1, Direction.PHYS_TO_VIRT, batch) == [bytes.fromhex("deadbeef")]
+        assert adv.applied == [(insert, True)]
 
 
 class ListScanChannel:
