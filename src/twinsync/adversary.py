@@ -79,15 +79,15 @@ class Adversary:
         self.applied: list[tuple[AttackAction, bool]] = []
 
     def intercept(self, slot: int, direction: Direction, frames: list[bytes]) -> list[bytes]:
+        """The batch as delivered: `frames` itself when no action changes it."""
         for index, data in enumerate(frames):
             self.captures[(slot, direction, index)] = data
-        out = list(frames)
         for action in self._scheduled.get((slot, direction), ()):
-            result = self._apply(action, out)
+            result = self._apply(action, frames)  # a new list; `frames` is never mutated
             if result is not None:
-                out = result
+                frames = result
             self.applied.append((action, result is not None))
-        return out
+        return frames
 
     def _apply(self, action: AttackAction, frames: list[bytes]) -> list[bytes] | None:
         """The batch after `action`, or None when its target is absent."""

@@ -142,13 +142,13 @@ class Detector:
 
     def on_slot_boundary(self, slot: int) -> list[DetectionEvent]:
         """MISSED_SYNC for each emission that became overdue exactly at this slot."""
-        events = []
+        events, satisfied = [], self._satisfied
         for direction, latency in self.latency_slots.items():
             emission = slot - latency - self.grace_slots
-            if emission < 0 or emission % self.sync_period != 0:
+            if emission < 0 or emission % self.sync_period:
                 continue
-            if (direction, emission) in self._satisfied:
-                self._satisfied.remove((direction, emission))
+            if (direction, emission) in satisfied:
+                satisfied.remove((direction, emission))
                 continue
             events.append(
                 DetectionEvent(

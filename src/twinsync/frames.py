@@ -58,6 +58,9 @@ class MsgType(IntEnum):
     ACK = 3
 
 
+_MSG_TYPES = frozenset(MsgType)
+
+
 class PayloadTooLarge(ValueError):
     pass
 
@@ -116,7 +119,7 @@ class SequenceTracker:
 def _pads(key: bytes) -> tuple:
     """SHA-256 states after K' ^ ipad and K' ^ opad (RFC 2104 section 4); shared, so copied."""
     key = (hashlib.sha256(key).digest() if len(key) > 64 else key).ljust(64, b"\x00")
-    return tuple(hashlib.sha256(bytes(b ^ pad for b in key)) for pad in (0x36, 0x5C))
+    return tuple(hashlib.sha256(bytes([b ^ pad for b in key])) for pad in (0x36, 0x5C))
 
 
 def _tag(key: bytes, body: bytes) -> bytes:
@@ -149,7 +152,14 @@ def splice_payload(data: bytes, payload: bytes) -> bytes:
 
 
 def encode_frame(frame: Frame, key: bytes) -> bytes:
-    body = frame_body(frame)
+    """`frame_body(frame)` and its tag, packed here in one call: every frame sent comes here."""
+    payload = frame.payload
+    if len(payload) > MAX_PAYLOAD_LEN:
+        raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds u16 length")
+    body = HEADER_STRUCT.pack(
+        MAGIC, VERSION, frame.msg_type, frame.sender_id, frame.session_id, frame.seq, frame.slot,
+        len(payload),
+    ) + payload
     return body + _tag(key, body)
 
 
@@ -172,14 +182,14 @@ def decode_frame(
     magic, version, msg_type, sender, session_id, seq, slot, payload_len = (
         HEADER_STRUCT.unpack_from(body)
     )
-    kind = ChannelErrorKind.MALFORMED
+    kind = None  # None means MALFORMED; the enum is looked up only on that path
     if not hmac.compare_digest(_tag(key, body), tag):
         kind, reason = ChannelErrorKind.AUTH_FAIL, "tag mismatch"
     elif magic != MAGIC:
         reason = "bad magic"
     elif version != VERSION:
         reason = f"unsupported version {version}"
-    elif msg_type not in (MsgType.STATE_SYNC, MsgType.COMMAND, MsgType.ACK):
+    elif msg_type not in _MSG_TYPES:
         reason = f"unknown msg_type {msg_type}"
     elif payload_len != len(data) - MIN_FRAME_LEN:
         reason = f"payload_len {payload_len} does not match frame size"
@@ -192,31 +202,31 @@ def decode_frame(
         if reason is None:
             return Frame(msg_type, sender, session_id, seq, slot, body[HEADER_LEN:])
         kind = ChannelErrorKind.REPLAY
-    return ChannelError(kind, reason, slot, seq)
+    return ChannelError(ChannelErrorKind.MALFORMED if kind is None else kind, reason, slot, seq)
 
 
 # Payload codecs. These run on authenticated bytes only, so failures raise
 # rather than flow back as channel errors.
 
+_DELTA_HEAD = struct.Struct(">IIH")  # base state, result state, input count
+
 def encode_delta_payload(record: DeltaRecord) -> bytes:
-    n = len(record.applied_inputs)
+    inputs = record.applied_inputs
+    n = len(inputs)
     if 10 + 4 * n > MAX_PAYLOAD_LEN:
         raise PayloadTooLarge(f"{n} inputs do not fit in one frame")
-    return struct.pack(">IIH", record.base_state, record.result_state, n) + struct.pack(
-        f">{n}I" if n else ">", *record.applied_inputs
-    )
+    return struct.pack(f">IIH{n}I", record.base_state, record.result_state, n, *inputs)
 
 
 def decode_delta_payload(data: bytes, slot: int) -> DeltaRecord:
     if len(data) < 10:
         raise MalformedPayload(f"delta payload of {len(data)} bytes truncated")
-    base, result, n = struct.unpack_from(">IIH", data)
+    base, result, n = _DELTA_HEAD.unpack_from(data)
     if len(data) != 10 + 4 * n:
         raise MalformedPayload(
             f"delta payload length {len(data)} does not match {n} declared inputs"
         )
-    inputs = struct.unpack_from(f">{n}I", data, 10) if n else ()
-    return DeltaRecord(base_state=base, result_state=result, applied_inputs=inputs, slot=slot)
+    return DeltaRecord(base, result, struct.unpack_from(f">{n}I", data, 10), slot)
 
 
 def encode_command_payload(record: CommandRecord) -> bytes:

@@ -91,12 +91,20 @@ class ValidationIssue:
 
 
 def step(machine: TwinMachine, state: int, sym: int) -> int:
-    """Apply one input symbol. Raises on undeclared states or inputs."""
+    """Apply one input symbol. Raises on undeclared states or inputs.
+
+    The table is looked up first: for a machine that passes `validate_machine`
+    it holds exactly the declared (state, input) pairs.
+    """
+    try:
+        return machine.transitions[(state, sym)]
+    except KeyError:
+        pass
     if state not in machine.states:
         raise UnknownState(f"machine {machine.machine_id!r} has no state {state}")
     if sym not in machine.inputs:
         raise UnknownInput(f"machine {machine.machine_id!r} has no input {sym}")
-    return machine.transitions[(state, sym)]
+    raise KeyError((state, sym))  # declared, but the table is not total
 
 
 def project_key_state(log: ExecutionLog, machine: TwinMachine) -> int:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -27,16 +28,18 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
     def chance(self, probability: float) -> bool:
-        """True with the given probability; exact at 0 and 1."""
-        threshold = int(probability * 2.0**64)
-        return self.next_u64() < threshold
+        """True with the given probability; exact at 0 and 1.  One draw, left unmixed at 0."""
+        if probability == 0.0:
+            self._state = (self._state + _GAMMA) & _MASK64
+            return False
+        return self.next_u64() < int(probability * 2.0**64)
 
 
 class Direction(str, Enum):
@@ -63,8 +66,8 @@ class Channel:
     queue: deque[tuple[int, bytes]] = field(default_factory=deque)
     drop_log: list[QueuedFrame] = field(default_factory=list)
 
-    def send(self, data: bytes, slot: int) -> None:
-        """Enqueue for delivery at slot + latency; may drop instead.
+    def send(self, data: bytes, slot: int) -> bool:
+        """Enqueue for delivery at slot + latency and return True, or drop and return False.
 
         The drop decision happens here, before the adversary ever sees the
         frame: a benignly lost frame is not capturable.
@@ -73,8 +76,9 @@ class Channel:
         # function of the send count.
         if self.rng.chance(self.drop_probability):
             self.drop_log.append(QueuedFrame(slot, data))
-            return
+            return False
         self.queue.append((slot + self.latency_slots, data))
+        return True
 
     def deliver_due(self, slot: int) -> list[bytes]:
         """Remove and return the frames due this slot, FIFO."""

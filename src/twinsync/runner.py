@@ -76,10 +76,11 @@ class RunReport:
         """Compact ASCII JSON with sorted keys, then one newline.
 
         One expression, so the text is freed before the newline is added to
-        its bytes rather than held alongside both copies.
+        its bytes rather than held alongside both copies.  The report is a
+        tree built afresh by `run_scenario`, so no cycle check is needed.
         """
         return json.dumps(
-            self.to_json_dict(), sort_keys=True, separators=(",", ":")
+            self.to_json_dict(), sort_keys=True, separators=(",", ":"), check_circular=False
         ).encode() + b"\n"
 
 
@@ -89,7 +90,8 @@ class _Link:
     The sender numbers, encodes and tags each record and enqueues it on the
     channel; the receiver accepts only frames of this direction's key, sender
     id and message types, within its replay window.  `sent` holds the hex of
-    the frames sent in the current slot, for the report row.
+    the frames sent in the current slot, and `dropped` that of those the
+    channel dropped, for the report row.
     """
 
     def __init__(
@@ -113,13 +115,16 @@ class _Link:
         self.tracker = SequenceTracker()
         self.seq = 0
         self.sent: list[str] = []
+        self.dropped: list[str] = []
 
     def send(self, msg_type: MsgType, slot: int, payload: bytes) -> None:
         self.seq += 1
         frame = Frame(msg_type, self.sender_id, self.session_id, self.seq, slot, payload)
         data = encode_frame(frame, self.key)
-        self.channel.send(data, slot)
-        self.sent.append(data.hex())
+        text = data.hex()
+        self.sent.append(text)
+        if not self.channel.send(data, slot):
+            self.dropped.append(text)
 
 
 def run_scenario(spec: ScenarioSpec) -> RunReport:
@@ -153,17 +158,18 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     rows: list[dict] = []
     physical_keys: list[int] = []  # physical key state at the end of each slot
     reconciled: list[tuple[int, ...]] = []  # command inputs accepted, applied next slot
+    applied = adversary.applied
+    audit_latency = up.channel.latency_slots
 
     for slot in range(spec.total_slots):
-        up.sent = []
-        down.sent = []
-        # Drops and attacks are only ever logged at the current slot, so this
-        # slot's entries are whatever the logs gain from here on.
-        drops_from = [len(link.channel.drop_log) for link in links]
-        applied_from = len(adversary.applied)
+        up.sent, up.dropped = [], []
+        down.sent, down.dropped = [], []
+        # Attacks are only ever logged at the current slot, so this slot's
+        # are whatever the log gains from here on.
+        applied_from = len(applied)
 
         # Phase 1: operator inputs, then command inputs reconciled last slot.
-        for sym in phys_inputs.get(slot, []):
+        for sym in phys_inputs.get(slot, ()):
             physical.apply_input(slot, sym)
         for inputs in reconciled:
             for sym in inputs:
@@ -199,20 +205,13 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
 
         # Phase 4: liveness expectations and the consistency audit.
         events.extend(detector.on_slot_boundary(slot))
-        physical_keys.append(physical.current_key())
+        key = physical.key_state
+        physical_keys.append(key)
+        replica_key = virtual.last_synced_key
         expected = consistency_audit(
-            physical_keys,
-            machine,
-            virtual.last_synced_key,
-            slot,
-            latency_slots=up.channel.latency_slots,
-            sync_period=period,
+            physical_keys, machine, replica_key, slot, audit_latency, period
         )
-        audit_row = {
-            "slot": slot,
-            "ok": expected is None,
-            "replica_key_state": virtual.last_synced_key,
-        }
+        audit_row = {"slot": slot, "ok": expected is None, "replica_key_state": replica_key}
         if expected is not None:
             audit_row["expected"] = expected
         audits.append(audit_row)
@@ -221,19 +220,18 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
             {
                 "slot": slot,
                 "physical_state": physical.state,
-                "physical_key_state": physical_keys[slot],
-                "replica_key_state": virtual.last_synced_key,
+                "physical_key_state": key,
+                "replica_key_state": replica_key,
                 "replica_synced_slot": virtual.last_synced_slot,
                 "sent": {up.name: up.sent, down.name: down.sent},
                 "delivered": delivered,
-                "dropped": {
-                    link.name: [f.data.hex() for f in link.channel.drop_log[start:]]
-                    for link, start in zip(links, drops_from)
-                },
+                "dropped": {up.name: up.dropped, down.name: down.dropped},
                 "adversary_actions": [
                     action.to_dict() if found else {**action.to_dict(), "no_target": True}
-                    for action, found in adversary.applied[applied_from:]
-                ],
+                    for action, found in applied[applied_from:]
+                ]
+                if len(applied) > applied_from
+                else [],
             }
         )
 

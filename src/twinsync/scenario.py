@@ -12,6 +12,7 @@ with `PayloadTooLarge` (see "Cost per slot" in the README).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -137,13 +138,10 @@ def resolve_machine(spec: object, problems: list[str]) -> TwinMachine | None:
         if spec not in BUNDLED_FIXTURES:
             problems.append(f"machine: no bundled fixture named {spec!r}")
             return None
-        doc = load_fixture_json(spec)
-        if "machine" in doc:  # scenario fixtures embed or name their machine
-            inner = doc["machine"]
-            if isinstance(inner, str):
-                return resolve_machine(inner, problems)
-            doc = inner
-        spec = doc
+        machine, found = _bundled_machine(spec)
+        problems.extend(found)
+        # A machine of its own for each caller: its dicts are mutable.
+        return None if machine is None else machine_from_dict(machine_to_dict(machine))
     if not isinstance(spec, dict):
         problems.append("machine: must be a fixture name or an inline definition object")
         return None
@@ -158,6 +156,14 @@ def resolve_machine(spec: object, problems: list[str]) -> TwinMachine | None:
         return None
     problems.extend(f"machine: {i.code}: {i.message}" for i in validate_machine(machine))
     return machine if len(problems) == before else None
+
+
+@functools.cache
+def _bundled_machine(name: str) -> tuple[TwinMachine | None, tuple[str, ...]]:
+    """`resolve_machine` of a bundled fixture's machine, read and checked once per name."""
+    problems: list[str] = []
+    doc = load_fixture_json(name)  # a scenario fixture embeds or names its machine
+    return resolve_machine(doc.get("machine", doc), problems), tuple(problems)
 
 
 def _check(value: object, schema: dict, where: object, problems: list[str]) -> None:

@@ -83,11 +83,11 @@ def fold_key_state(
     The last key visited starts as base itself when base is a key state and
     is None otherwise.
     """
-    state = base
-    last_key = base if base in machine.key_states else None
+    state, key_states = base, machine.key_states
+    last_key = base if base in key_states else None
     for sym in inputs:
         state = step(machine, state, sym)
-        if state in machine.key_states:
+        if state in key_states:
             last_key = state
     return state, last_key
 
@@ -121,36 +121,28 @@ class PhysicalTwin:
         self.machine = machine
         self.sync_period = sync_period
         self.state = machine.initial
+        self.key_state = machine.initial  # key state after the whole log
         self.log = ExecutionLog()
         self.emitted = 0  # records emitted, and so the seq of the newest
         # Kept current on every input, so no tick reads the log.  Positions
         # count every input logged since the start.
-        self._key = machine.initial  # key state after the whole log
         self._base = machine.initial  # state at the anchor
         self._anchor = 0  # position of the anchor
         self._changed = 0  # position just after the last input that changed the state
         self._inputs: list[int] = []  # every input logged since the anchor
         self._unacked: list[tuple[int, int, int]] = []  # (seq, position, state) after the anchor
 
-    def current_key(self) -> int:
-        return self._key
-
     def apply_input(self, slot: int, sym: int) -> None:
-        nxt = step(self.machine, self.state, sym)
-        entry = LogEntry(
-            slot=slot,
-            input=sym,
-            from_state=self.state,
-            to_state=nxt,
-            is_key_crossing=nxt in self.machine.key_states,
-        )
-        self.log.append(entry)
+        state = self.state
+        nxt = step(self.machine, state, sym)
+        crossing = nxt in self.machine.key_states
+        self.log.append(LogEntry(slot, sym, state, nxt, crossing))
         self._inputs.append(sym)
-        if nxt != self.state:
+        if nxt != state:
             self._changed = self._anchor + len(self._inputs)
         self.state = nxt
-        if entry.is_key_crossing:
-            self._key = nxt
+        if crossing:
+            self.key_state = nxt
 
     def tick(self, slot: int) -> DeltaRecord | None:
         """End-of-slot emission: the inputs since the anchor, a heartbeat when none."""
@@ -159,7 +151,7 @@ class PhysicalTwin:
         self.emitted += 1
         inputs = self._inputs
         # Positional arguments: this runs once per record, and keywords cost more.
-        record = DeltaRecord(self._base, self._key, tuple(inputs), slot)
+        record = DeltaRecord(self._base, self.key_state, tuple(inputs), slot)
         if self._changed > self._anchor:
             self._unacked.append((self.emitted, self._anchor + len(inputs), self.state))
         else:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from twinsync.machine import TwinMachine, machine_from_dict
-from twinsync.scenario import load_fixture_json
+from twinsync.scenario import ScenarioSpec, load_fixture_json, scenario_from_dict
 
 HEAT = 1
 IDLE = 2
@@ -26,6 +26,20 @@ def import_bench_module(name: str):
         return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH_DIR))
+
+
+def heat_once_then_idle(total_slots: int, drop: float = 0.0) -> ScenarioSpec:
+    """One HEAT leaves the kettle between key states; it idles there for the run."""
+    physical = [[1, HEAT]] + [[s, IDLE] for s in range(2, total_slots)]
+    drop_all = {"drop_probability": drop}
+    return scenario_from_dict(
+        {
+            "machine": "kettle",
+            "total_slots": total_slots,
+            "channels": {"phys_to_virt": drop_all, "virt_to_phys": drop_all},
+            "operator_inputs_physical": physical,
+        }
+    )
 
 
 @pytest.fixture

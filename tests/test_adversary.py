@@ -43,6 +43,14 @@ class TestCaptureLog:
         adv.intercept(2, V2P, [b"c"])
         assert adv.captures == {(2, P2V, 0): b"a", (2, P2V, 1): b"b", (2, V2P, 0): b"c"}
 
+    def test_batch_is_handed_back_as_is_and_never_mutated(self):
+        adv = adversary(AttackAction(AttackKind.DELETE, 4, P2V))
+        batch = [b"a", b"b"]
+        assert adv.intercept(3, P2V, batch) is batch
+        assert adv.intercept(4, P2V, batch) == [b"b"]
+        assert batch == [b"a", b"b"]
+        assert adv.captures[(4, P2V, 1)] == b"b"
+
 
 class TestDelete:
     def test_removes_first_due_frame_by_default(self):

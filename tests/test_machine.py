@@ -1,5 +1,7 @@
 """Machine execution, key-state projection, and definition validation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -55,6 +57,17 @@ class TestStep:
         with pytest.raises(UnknownInput):
             step(kettle, 0, 99)
 
+    def test_declared_pair_missing_from_a_partial_table_raises_key_error(self, kettle):
+        partial = dict(kettle.transitions)
+        del partial[(50, HEAT)]
+        machine = dataclasses.replace(kettle, transitions=partial)
+        with pytest.raises(KeyError):
+            step(machine, 50, HEAT)
+        with pytest.raises(UnknownState):
+            step(machine, 33, HEAT)
+        with pytest.raises(UnknownInput):
+            step(machine, 50, 99)
+
     def test_cool_floors_at_zero(self, kettle_cool):
         assert step(kettle_cool, 25, COOL) == 0
         assert step(kettle_cool, 0, COOL) == 0
@@ -75,15 +88,15 @@ class TestRunSchedule:
 class TestProjection:
     def test_empty_log_projects_to_initial(self, kettle):
         assert project_key_state(ExecutionLog(), kettle) == 0
-        assert PhysicalTwin(kettle).current_key() == 0
+        assert PhysicalTwin(kettle).key_state == 0
 
     def test_mid_range_states_project_back_to_initial(self, kettle):
         twin = execute(kettle, [(1, HEAT), (2, HEAT)])
-        assert project_key_state(twin.log, kettle) == twin.current_key() == 0
+        assert project_key_state(twin.log, kettle) == twin.key_state == 0
 
     def test_projection_after_boiling(self, kettle):
         twin = execute(kettle, [(s, HEAT) for s in (1, 2, 3, 4)])
-        assert project_key_state(twin.log, kettle) == twin.current_key() == 100
+        assert project_key_state(twin.log, kettle) == twin.key_state == 100
 
     def test_key_trace_records_crossings_only(self, kettle):
         twin = execute(kettle, [(s, HEAT) for s in (1, 2, 3, 4)])
@@ -95,13 +108,13 @@ class TestProjection:
         schedule = [(s, HEAT) for s in (1, 2, 3, 4)] + [(s, COOL) for s in (5, 6, 7, 8)]
         twin = execute(kettle_cool, schedule)
         assert key_visits(twin) == [(4, 100), (8, 0)]
-        assert project_key_state(twin.log, kettle_cool) == twin.current_key() == 0
+        assert project_key_state(twin.log, kettle_cool) == twin.key_state == 0
 
     def test_idle_at_a_key_state_reconfirms_it(self, kettle):
         """Self-loops landing in a key state are visits; projection is unchanged."""
         twin = execute(kettle, [(s, IDLE) for s in (1, 2)])
         assert key_visits(twin) == [(1, 0), (2, 0)]
-        assert project_key_state(twin.log, kettle) == twin.current_key() == 0
+        assert project_key_state(twin.log, kettle) == twin.key_state == 0
 
     def test_idle_between_key_states_records_nothing(self, kettle):
         twin = execute(kettle, [(1, HEAT), (2, IDLE), (3, IDLE)])
@@ -268,7 +281,7 @@ def test_execution_is_deterministic(schedule):
     first = execute(machine, pairs)
     second = execute(machine, pairs)
     assert first.log.entries == second.log.entries
-    assert (first.state, first.current_key()) == (second.state, second.current_key())
+    assert (first.state, first.key_state) == (second.state, second.key_state)
     # Contiguity invariant holds along any legal run.
     for prev, cur in zip(first.log.entries, first.log.entries[1:]):
         assert cur.from_state == prev.to_state
@@ -288,4 +301,4 @@ def test_projection_matches_last_trace_point(schedule):
     inputs_by_slot = {i + 1: [sym] for i, sym in enumerate(schedule)}
     _, physical_keys, _ = expected_traces(machine, inputs_by_slot, len(schedule) + 1)
     assert physical_keys[0] == 0
-    assert project_key_state(twin.log, machine) == twin.current_key() == physical_keys[-1]
+    assert project_key_state(twin.log, machine) == twin.key_state == physical_keys[-1]

@@ -33,10 +33,11 @@ class TestSplitMix64:
         assert all(rng.chance(1.0) for _ in range(1000))
 
     def test_chance_consumes_one_draw(self):
-        a, b = SplitMix64(7), SplitMix64(7)
-        a.chance(0.5)
-        b.next_u64()
-        assert a.next_u64() == b.next_u64()
+        for probability in (0.0, 0.5, 1.0):
+            a, b = SplitMix64(7), SplitMix64(7)
+            a.chance(probability)
+            b.next_u64()
+            assert a.next_u64() == b.next_u64()
 
 
 class TestChannel:
@@ -75,7 +76,7 @@ class TestChannel:
     def test_drop_probability_one_drops_everything(self):
         ch = self._channel(drop_probability=1.0)
         for slot in range(5):
-            ch.send(b"x", slot=slot)
+            assert ch.send(b"x", slot=slot) is False
         assert len(ch.queue) == 0
         assert len(ch.drop_log) == 5
         assert [f.sent_at_slot for f in ch.drop_log] == list(range(5))
@@ -83,7 +84,7 @@ class TestChannel:
     def test_drop_probability_zero_drops_nothing(self):
         ch = self._channel(drop_probability=0.0)
         for slot in range(50):
-            ch.send(b"x", slot=slot)
+            assert ch.send(b"x", slot=slot) is True
         assert ch.drop_log == []
         assert len(ch.queue) == 50
 

@@ -1,11 +1,12 @@
 """Report serialization: compact sorted-key ASCII JSON, and pinned report digests."""
 
+import functools
 import hashlib
 import json
 
 import pytest
 
-from conftest import import_bench_module
+from conftest import heat_once_then_idle, import_bench_module
 from twinsync.cli import EXIT_OK, main
 from twinsync.machine import machine_from_dict
 from twinsync.oracle import build_schedule_scenario
@@ -110,3 +111,40 @@ def test_bench_workload_reports_match_pinned_digests(workload):
         compact_digest.update(data)
     assert digest.hexdigest() == PINNED_WORKLOAD_REPORTS[workload]
     assert compact_digest.hexdigest() == PINNED_COMPACT_WORKLOAD_REPORTS[workload]
+
+
+def _lossy_attack_matrix():
+    """`attack_matrix` at 0.3 loss on both links: 7 up-link and 9 down-link drops."""
+    doc = json.loads(fixture_path("attack_matrix.json").read_text())
+    for channel in doc["channels"].values():
+        channel["drop_probability"] = 0.3
+    return scenario_from_dict(doc)
+
+
+# SHA-256 of two reports whose runs drop frames on both links, up-link
+# records included, which none of the bench workloads does: compact as
+# written, then re-indented by `indented`.
+PINNED_LOSSY_REPORTS = {
+    "attack_matrix_loss_0.3": (
+        _lossy_attack_matrix,
+        "e098ece82a190bb9b3b6786757b08be0f2b0a992c373c36324e517e76ae0e152",
+        "3f199b11a803c8434c5340f65236e0cbfe08a212f11f10ab0aefb6bad4631fbd",
+    ),
+    "idle_between_keys_loss_0.1": (
+        functools.partial(heat_once_then_idle, 2000, drop=0.1),
+        "7a5034aaadbe25fb2966050b7d3950fb0614b31f764ca134b644c2f6ba0b6607",
+        "73e943faa47cff5efaaaff200014be0a30b4af166e3e94a37afe2497f6036f9d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOSSY_REPORTS))
+def test_lossy_reports_match_pinned_digests(name):
+    build, compact_sha, indented_sha = PINNED_LOSSY_REPORTS[name]
+    report = run_scenario(build())
+    for link in ("phys_to_virt", "virt_to_phys"):
+        assert any(row["dropped"][link] for row in report.slots)
+    assert report.summary["verdict"] == "pass"
+    data = report.to_json_bytes()
+    assert hashlib.sha256(data).hexdigest() == compact_sha
+    assert hashlib.sha256(indented(data)).hexdigest() == indented_sha

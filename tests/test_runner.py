@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import gc
 import json
+import sys
 import time
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinsync.runner as runner_mod
-from conftest import HEAT, IDLE
+from conftest import HEAT, IDLE, heat_once_then_idle, import_bench_module
 from twinsync.adversary import AttackAction, AttackKind
 from twinsync.detector import Detector
 from twinsync.frames import (
@@ -579,18 +580,54 @@ def test_slot_cost_does_not_grow_with_run_length():
     assert long / short < 12
 
 
-def heat_once_then_idle(total_slots: int, drop: float = 0.0):
-    """One HEAT leaves the kettle between key states; it idles there for the run."""
-    physical = [[1, HEAT]] + [[s, IDLE] for s in range(2, total_slots)]
-    drop_all = {"drop_probability": drop}
-    return scenario_from_dict(
-        {
-            "machine": "kettle",
-            "total_slots": total_slots,
-            "channels": {"phys_to_virt": drop_all, "virt_to_phys": drop_all},
-            "operator_inputs_physical": physical,
-        }
-    )
+SINGLE_ATTACKS = {
+    "DELETE": lambda slot: {},
+    "INSERT": lambda slot: {"raw_hex": "deadbeef" * 5},
+    "MODIFY": lambda slot: {"byte_offset": 24, "xor_mask": 1},
+    "REPLAY": lambda slot: {"capture_slot": slot - 1, "capture_index": 0},
+}
+
+
+def test_every_single_attack_on_the_matrix_run_passes():
+    """Each attack kind on each direction at every slot from 2 to 34 of
+    `attack_matrix`'s honest run, one attack per run: 264 runs.  Each attack
+    finds its target, a REPLAY the frame delivered one slot before, and is
+    detected exactly as expected with no other event."""
+    honest = load_fixture_json("attack_matrix")
+    honest["attacks"] = []
+    failed = []
+    for kind, params in SINGLE_ATTACKS.items():
+        for direction in (P2V, V2P):
+            for slot in range(2, 35):
+                attack = {"kind": kind, "slot": slot, "direction": direction}
+                doc = {**honest, "attacks": [{**attack, "params": params(slot)}]}
+                summary = run_scenario(scenario_from_dict(doc)).summary
+                (row,) = summary["attacks"]
+                if summary["verdict"] != "pass" or not row["matched"] or "no_target" in row:
+                    failed.append(attack)
+    assert failed == []
+
+
+def test_python_calls_per_idle_slot():
+    """A deterministic guard on the per-slot constant: the Python function
+    calls `run_scenario` makes per slot of the benchmark's `idle_at_key`
+    workload at seed 0, counted by a profile hook, so host load cannot move
+    it.  Calls into C are not counted."""
+    (doc,) = import_bench_module("workloads").idle_at_key(0)
+    spec = scenario_from_dict(doc)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        run_scenario(spec)
+    finally:
+        sys.setprofile(None)
+    assert calls / spec.total_slots <= 50
 
 
 def test_idling_between_keys_ships_one_input_per_record():

@@ -90,6 +90,17 @@ class TestBundledFixtures:
         assert resolve_machine("attack_matrix", problems) == kettle
         assert problems == []
 
+    def test_specs_naming_one_fixture_share_no_machine_dicts(self):
+        """The fixture is read once per process; each spec still gets its own machine."""
+        doc = {"machine": "kettle", "total_slots": 5}
+        first, second = scenario_from_dict(doc).machine, scenario_from_dict(doc).machine
+        assert first == second
+        assert first.transitions is not second.transitions
+        assert first.labels is not second.labels
+        assert first.labels["states"] is not second.labels["states"]
+        first.transitions[(0, 1)] = 0
+        assert resolve_machine("kettle", []).transitions[(0, 1)] == 25
+
     def test_unknown_fixture_name(self):
         problems: list[str] = []
         assert resolve_machine("nope", problems) is None

@@ -292,7 +292,7 @@ class TestPhysicalTwin:
             twin.apply_input(slot, sym)
             record = twin.tick(slot)
             assert virtual.apply_sync(twin.emitted, record) is None
-            assert virtual.last_synced_key == twin.current_key()
+            assert virtual.last_synced_key == twin.key_state
             if slot % 3 == 0:
                 twin.on_ack(slot - 1)
 
@@ -371,7 +371,7 @@ def test_replica_tracks_physical_key_trace(schedule, ack_lag):
         record = twin.tick(slot)
         if not record_lost:
             assert virtual.apply_sync(twin.emitted, record) is None
-            assert virtual.last_synced_key == twin.current_key()
+            assert virtual.last_synced_key == twin.key_state
         accepted.append(virtual.last_sync_seq)
         if not ack_lost and slot > ack_lag:
             twin.on_ack(accepted[slot - ack_lag])
