@@ -1,10 +1,10 @@
 """Channel-controlling adversary without key material.
 
 The adversary sits in the delivery path of both channels and can delete,
-insert, modify, and replay frames.  It observes every frame that passes
-through (captures are append-only) but cannot compute valid tags, so
-anything it fabricates or mutates is detectable downstream.  Attack actions
-are scheduled per (slot, direction) by the scenario.
+insert, modify, and replay frames.  It sees every frame that passes through
+and keeps those its scheduled replays name, but it cannot compute valid
+tags, so anything it fabricates or mutates is detectable downstream.  Attack
+actions are scheduled per (slot, direction) by the scenario.
 
 An action whose target is absent (no frame at its index, an offset outside
 the frame, a replay of a frame never seen) leaves the batch as it was and is
@@ -63,25 +63,31 @@ def forge_frame_bytes(template: dict, rng: SplitMix64) -> bytes:
 class Adversary:
     """Applies scheduled attack actions to each due batch of frames.
 
-    Every incoming frame is captured before any action runs, so a replay may
-    reference a frame from the very batch it is injected into.
+    A frame a scheduled REPLAY names is captured before any action runs, so a
+    replay may reference a frame from the very batch it is injected into.
     """
 
     def __init__(self, actions: list[AttackAction], rng: SplitMix64):
         self.actions = list(actions)
         self._scheduled: dict[tuple[int, Direction], list[AttackAction]] = {}
+        # The batch indices some REPLAY names, by the (slot, direction) of their batch.
+        self._wanted: dict[tuple[int, Direction], set[int]] = {}
         for action in self.actions:
             self._scheduled.setdefault((action.slot, action.direction), []).append(action)
+            if action.kind == AttackKind.REPLAY:
+                batch = (action.params["capture_slot"], action.direction)
+                self._wanted.setdefault(batch, set()).add(action.params.get("capture_index", 0))
         self.rng = rng
-        # Every frame seen in flight, by (slot, direction, index in its batch).
+        # The frames named by a REPLAY, by (slot, direction, index in its batch).
         self.captures: dict[tuple[int, Direction, int], bytes] = {}
         # Every scheduled action met, in order, with whether it found its target.
         self.applied: list[tuple[AttackAction, bool]] = []
 
     def intercept(self, slot: int, direction: Direction, frames: list[bytes]) -> list[bytes]:
         """The batch as delivered: `frames` itself when no action changes it."""
-        for index, data in enumerate(frames):
-            self.captures[(slot, direction, index)] = data
+        for index in self._wanted.get((slot, direction), ()):
+            if index < len(frames):
+                self.captures[(slot, direction, index)] = frames[index]
         for action in self._scheduled.get((slot, direction), ()):
             result = self._apply(action, frames)  # a new list; `frames` is never mutated
             if result is not None:

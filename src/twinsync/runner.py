@@ -12,7 +12,9 @@ Every slot runs the same four phases:
 
 The report is compact ASCII JSON with sorted keys, written by the stdlib's
 `json.dumps`, with no wall-clock or environment dependence, so identical
-(scenario, seed) pairs produce byte identical reports.
+(scenario, seed) pairs produce byte identical reports.  `frames` holds each
+distinct frame's hex once, in the order first seen, and slot rows name frames
+by their index there: the hex of frame `id` is `report.frames[id]`.
 """
 
 from __future__ import annotations
@@ -51,13 +53,17 @@ from .sync import PhysicalTwin, Reject, VirtualTwin, reconcile
 PHYSICAL_SENDER_ID = 1
 VIRTUAL_SENDER_ID = 2
 
-REPORT_SCHEMA = "twinsync.report.v1"
+REPORT_SCHEMA = "twinsync.report.v2"
+
+# Module aliases: an enum member lookup costs several times a global one.
+STATE_SYNC, COMMAND, ACK = MsgType.STATE_SYNC, MsgType.COMMAND, MsgType.ACK
 
 
 @dataclass
 class RunReport:
     scenario: dict
     slots: list[dict]
+    frames: list[str]
     detection_events: list[dict]
     audits: list[dict]
     summary: dict
@@ -67,6 +73,7 @@ class RunReport:
             "schema": REPORT_SCHEMA,
             "scenario": self.scenario,
             "slots": self.slots,
+            "frames": self.frames,
             "detection_events": self.detection_events,
             "consistency_audit": self.audits,
             "summary": self.summary,
@@ -89,9 +96,9 @@ class _Link:
 
     The sender numbers, encodes and tags each record and enqueues it on the
     channel; the receiver accepts only frames of this direction's key, sender
-    id and message types, within its replay window.  `sent` holds the hex of
-    the frames sent in the current slot, and `dropped` that of those the
-    channel dropped, for the report row.
+    id and message types, within its replay window.  `sent` and `dropped` hold
+    the ids of the current slot's frames sent and dropped, for the report row:
+    their index in `ids`, the run's distinct frames, which both links share.
     """
 
     def __init__(
@@ -101,6 +108,7 @@ class _Link:
         msg_types: tuple[MsgType, ...],
         spec: ScenarioSpec,
         seeds: SplitMix64,
+        ids: dict[bytes, int],
     ):
         self.direction = direction
         self.name = direction.value
@@ -114,17 +122,18 @@ class _Link:
         )
         self.tracker = SequenceTracker()
         self.seq = 0
-        self.sent: list[str] = []
-        self.dropped: list[str] = []
+        self.ids = ids
+        self.sent: list[int] = []
+        self.dropped: list[int] = []
 
     def send(self, msg_type: MsgType, slot: int, payload: bytes) -> None:
         self.seq += 1
         frame = Frame(msg_type, self.sender_id, self.session_id, self.seq, slot, payload)
         data = encode_frame(frame, self.key)
-        text = data.hex()
-        self.sent.append(text)
+        frame_id = self.ids.setdefault(data, len(self.ids))
+        self.sent.append(frame_id)
         if not self.channel.send(data, slot):
-            self.dropped.append(text)
+            self.dropped.append(frame_id)
 
 
 def run_scenario(spec: ScenarioSpec) -> RunReport:
@@ -133,12 +142,13 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     physical = PhysicalTwin(machine, sync_period=period)
     virtual = VirtualTwin(machine, sync_period=period)
 
+    ids: dict[bytes, int] = {}  # each distinct frame's bytes to its index in `frames`
     seed_stream = SplitMix64(spec.seed)  # seed order: phys_to_virt, virt_to_phys, adversary
     up = _Link(
-        Direction.PHYS_TO_VIRT, PHYSICAL_SENDER_ID, (MsgType.STATE_SYNC,), spec, seed_stream
+        Direction.PHYS_TO_VIRT, PHYSICAL_SENDER_ID, (STATE_SYNC,), spec, seed_stream, ids
     )
     down = _Link(
-        Direction.VIRT_TO_PHYS, VIRTUAL_SENDER_ID, (MsgType.COMMAND, MsgType.ACK), spec, seed_stream
+        Direction.VIRT_TO_PHYS, VIRTUAL_SENDER_ID, (COMMAND, ACK), spec, seed_stream, ids
     )
     links = (up, down)  # deliveries go physical-to-virtual first
     adversary = Adversary(spec.attacks, SplitMix64(seed_stream.next_u64()))
@@ -181,16 +191,16 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         # Phase 2: ticks and sends.
         delta = physical.tick(slot)
         if delta is not None:
-            up.send(MsgType.STATE_SYNC, slot, encode_delta_payload(delta))
+            up.send(STATE_SYNC, slot, encode_delta_payload(delta))
         command = virtual.tick(slot)
         if command is not None:
             if command.inputs:
-                down.send(MsgType.COMMAND, slot, encode_command_payload(command))
+                down.send(COMMAND, slot, encode_command_payload(command))
             else:
                 # Idle heartbeat on the reverse path: acknowledge the newest
                 # accepted sync, the physical twin's next anchor; it also
                 # keeps per-period liveness on this channel.
-                down.send(MsgType.ACK, slot, encode_ack_payload(virtual.last_sync_seq))
+                down.send(ACK, slot, encode_ack_payload(virtual.last_sync_seq))
 
         # Phase 3: deliveries, physical-to-virtual first.  The adversary sees
         # every batch, so it can insert where nothing is due.
@@ -201,7 +211,8 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 outcome = _receive(
                     data, link, slot, spec, detector, physical, virtual, reconciled, events
                 )
-                received.append({"frame_hex": data.hex(), "outcome": outcome})
+                # A replayed or reflected frame keeps its id; one the adversary made gets the next.
+                received.append([ids.setdefault(data, len(ids)), outcome])
 
         # Phase 4: liveness expectations and the consistency audit.
         events.extend(detector.on_slot_boundary(slot))
@@ -240,6 +251,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     return RunReport(
         scenario=spec.to_dict(),
         slots=rows,
+        frames=[data.hex() for data in ids],
         detection_events=annotated,
         audits=audits,
         summary=summary,
@@ -263,13 +275,13 @@ def _receive(
         frame = result
         detector.on_frame_accepted(direction, frame.slot)
         try:
-            if frame.msg_type == MsgType.STATE_SYNC:
+            if frame.msg_type == STATE_SYNC:
                 delta = decode_delta_payload(frame.payload, frame.slot)
                 err = virtual.apply_sync(frame.seq, delta)
                 if err is not None:
                     events.append(detector.on_semantic_mismatch(err, slot, direction))
                     return "state_mismatch"
-            elif frame.msg_type == MsgType.COMMAND:
+            elif frame.msg_type == COMMAND:
                 command = decode_command_payload(frame.payload)
                 verdict = reconcile(command, spec.machine)
                 if isinstance(verdict, Reject):

@@ -42,6 +42,31 @@ def heat_once_then_idle(total_slots: int, drop: float = 0.0) -> ScenarioSpec:
     )
 
 
+def v1_report(doc: dict) -> dict:
+    """A `twinsync.report.v2` document as v1 wrote it: each frame id replaced
+    by `frames[id]`, each delivered pair by {"frame_hex", "outcome"}, and no
+    `frames` table."""
+    frames = doc["frames"]
+
+    def hexes(ids_by_link: dict) -> dict:
+        return {link: [frames[i] for i in ids] for link, ids in ids_by_link.items()}
+
+    slots = [
+        {
+            **row,
+            "sent": hexes(row["sent"]),
+            "dropped": hexes(row["dropped"]),
+            "delivered": {
+                link: [{"frame_hex": frames[i], "outcome": outcome} for i, outcome in pairs]
+                for link, pairs in row["delivered"].items()
+            },
+        }
+        for row in doc["slots"]
+    ]
+    rest = {key: value for key, value in doc.items() if key != "frames"}
+    return {**rest, "schema": "twinsync.report.v1", "slots": slots}
+
+
 @pytest.fixture
 def kettle() -> TwinMachine:
     return machine_from_dict(load_fixture_json("kettle"))

@@ -37,14 +37,23 @@ def adversary(*actions: AttackAction) -> Adversary:
 
 
 class TestCaptureLog:
-    def test_everything_passing_is_captured(self):
-        adv = adversary()
+    def test_only_frames_a_replay_names_are_captured(self):
+        adv = adversary(
+            AttackAction(AttackKind.REPLAY, 5, P2V, {"capture_slot": 2, "capture_index": 1}),
+            AttackAction(AttackKind.REPLAY, 5, V2P, {"capture_slot": 2}),
+            AttackAction(AttackKind.REPLAY, 5, V2P, {"capture_slot": 3, "capture_index": 4}),
+        )
+        adv.intercept(1, P2V, [b"x"])
         adv.intercept(2, P2V, [b"a", b"b"])
-        adv.intercept(2, V2P, [b"c"])
-        assert adv.captures == {(2, P2V, 0): b"a", (2, P2V, 1): b"b", (2, V2P, 0): b"c"}
+        adv.intercept(2, V2P, [b"c", b"d"])
+        adv.intercept(3, V2P, [b"e"])
+        assert adv.captures == {(2, P2V, 1): b"b", (2, V2P, 0): b"c"}
 
     def test_batch_is_handed_back_as_is_and_never_mutated(self):
-        adv = adversary(AttackAction(AttackKind.DELETE, 4, P2V))
+        adv = adversary(
+            AttackAction(AttackKind.DELETE, 4, P2V),
+            AttackAction(AttackKind.REPLAY, 6, P2V, {"capture_slot": 4, "capture_index": 1}),
+        )
         batch = [b"a", b"b"]
         assert adv.intercept(3, P2V, batch) is batch
         assert adv.intercept(4, P2V, batch) == [b"b"]
@@ -79,9 +88,13 @@ class TestDelete:
         assert adv.applied == [(action, False)]
 
     def test_deleted_frame_was_still_captured(self):
-        adv = adversary(AttackAction(AttackKind.DELETE, 4, P2V))
+        adv = adversary(
+            AttackAction(AttackKind.DELETE, 4, P2V),
+            AttackAction(AttackKind.REPLAY, 6, P2V, {"capture_slot": 4}),
+        )
         adv.intercept(4, P2V, [b"gone"])
         assert adv.captures[(4, P2V, 0)] == b"gone"
+        assert adv.intercept(6, P2V, []) == [b"gone"]
 
 
 class TestModify:

@@ -113,14 +113,16 @@ class TestChannel:
         ch = self._channel()
         ch.send(b"a", slot=1)
         ch.send(b"b", slot=1)
+        replay = {"capture_slot": 2, "capture_index": 1}
         adv = Adversary(
-            [AttackAction(AttackKind.DELETE, 2, Direction.PHYS_TO_VIRT)], SplitMix64(0)
+            [
+                AttackAction(AttackKind.DELETE, 2, Direction.PHYS_TO_VIRT),
+                AttackAction(AttackKind.REPLAY, 3, Direction.PHYS_TO_VIRT, replay),
+            ],
+            SplitMix64(0),
         )
         assert adv.intercept(2, Direction.PHYS_TO_VIRT, ch.deliver_due(2)) == [b"b"]
-        assert adv.captures == {
-            (2, Direction.PHYS_TO_VIRT, 0): b"a",
-            (2, Direction.PHYS_TO_VIRT, 1): b"b",
-        }
+        assert adv.captures == {(2, Direction.PHYS_TO_VIRT, 1): b"b"}
 
     def test_interceptor_runs_even_for_empty_slots(self):
         ch = self._channel()
