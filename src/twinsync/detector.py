@@ -66,10 +66,10 @@ class DetectionEvent:
 _R1 = frozenset({Requirement.R1})
 _R1R2 = frozenset({Requirement.R1, Requirement.R2})
 _R1R3 = frozenset({Requirement.R1, Requirement.R3})
-_R3 = frozenset({Requirement.R3})
 
-# Channel-level event kinds by evidence, and the requirements enforced,
-# keyed by the direction the anomaly was observed on.
+# Channel-level event kinds by evidence, and the requirements each event
+# enforces, keyed by the direction it was observed on: a semantic event has
+# one, the direction of the records or commands that raise it.
 _CHANNEL_EVENT_KIND = {
     ChannelErrorKind.AUTH_FAIL: EventKind.TAMPER,
     ChannelErrorKind.REPLAY: EventKind.REPLAY_ATTACK,
@@ -87,6 +87,8 @@ EVENT_REQUIREMENTS: dict[tuple[EventKind, Direction], frozenset[Requirement]] = 
     (EventKind.FORGED_INSERT, Direction.VIRT_TO_PHYS): _R1R3,
     (EventKind.REPLAY_ATTACK, Direction.PHYS_TO_VIRT): _R1,
     (EventKind.REPLAY_ATTACK, Direction.VIRT_TO_PHYS): _R1R3,
+    (EventKind.STATE_MISMATCH, Direction.PHYS_TO_VIRT): _R1R2,
+    (EventKind.COMMAND_REJECTED, Direction.VIRT_TO_PHYS): frozenset({Requirement.R3}),
 }
 
 # The event each attack kind raises.  A scheduled attack is expected to be
@@ -165,27 +167,24 @@ class Detector:
         self, err: MismatchError | Reject, slot: int, direction: Direction
     ) -> DetectionEvent:
         if isinstance(err, Reject):
+            kind = EventKind.COMMAND_REJECTED
             detail = {"reason": err.reason}
             if err.detail is not None:
                 detail["input"] = err.detail
-            return DetectionEvent(
-                kind=EventKind.COMMAND_REJECTED,
-                slot=slot,
-                direction=direction,
-                requirements=_R3,
-                detail=detail,
-            )
-        return DetectionEvent(
-            kind=EventKind.STATE_MISMATCH,
-            slot=slot,
-            direction=direction,
-            requirements=_R1R2,
-            detail={
+        else:
+            kind = EventKind.STATE_MISMATCH
+            detail = {
                 "mismatch": err.kind.value,
                 "expected": err.expected,
                 "got": err.got,
                 "reason": err.reason,
-            },
+            }
+        return DetectionEvent(
+            kind=kind,
+            slot=slot,
+            direction=direction,
+            requirements=EVENT_REQUIREMENTS[(kind, direction)],
+            detail=detail,
         )
 
 

@@ -13,7 +13,10 @@ Frame layout, all integers big-endian:
     [34..34+L)    payload
     [34+L..66+L)  tag = HMAC-SHA-256(key, bytes[0 .. 34+L))
 
-This module is the only one that packs or reads a header.  The tag covers
+This module is the only one that packs or reads a header, and `frame_body`
+is the one place a header is packed: `encode_frame` tags what it returns,
+the adversary's forgeries append a random tag to it, and `splice_payload`
+keeps a captured header's bytes and rewrites only its length.  The tag covers
 header and payload, so the shortest valid frame is 66 bytes.  decode_frame
 decides whether a link accepts a frame, with its checks in this order:
 length, tag, structure, the link's sender id and message types, and last
@@ -131,35 +134,27 @@ def _tag(key: bytes, body: bytes) -> bytes:
     return outer.digest()
 
 
-def _pack(header: tuple, payload: bytes) -> bytes:
-    """The header fields before payload_len, then the length, then the payload."""
-    if len(payload) > MAX_PAYLOAD_LEN:
-        raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds u16 length")
-    return HEADER_STRUCT.pack(*header, len(payload)) + payload
-
-
 def frame_body(frame: Frame) -> bytes:
-    """Header and payload of `frame`: the bytes its tag covers."""
-    header = (
-        MAGIC, VERSION, frame.msg_type, frame.sender_id, frame.session_id, frame.seq, frame.slot
-    )
-    return _pack(header, frame.payload)
-
-
-def splice_payload(data: bytes, payload: bytes) -> bytes:
-    """`data`'s header as it is, declaring `payload`'s length, then `payload`; no tag."""
-    return _pack(HEADER_STRUCT.unpack_from(data)[:-1], payload)
-
-
-def encode_frame(frame: Frame, key: bytes) -> bytes:
-    """`frame_body(frame)` and its tag, packed here in one call: every frame sent comes here."""
+    """Header and payload of `frame`: the bytes its tag covers, and the one header pack."""
     payload = frame.payload
     if len(payload) > MAX_PAYLOAD_LEN:
         raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds u16 length")
-    body = HEADER_STRUCT.pack(
+    return HEADER_STRUCT.pack(
         MAGIC, VERSION, frame.msg_type, frame.sender_id, frame.session_id, frame.seq, frame.slot,
         len(payload),
     ) + payload
+
+
+def splice_payload(data: bytes, payload: bytes) -> bytes:
+    """`data`'s header before payload_len as it is, `payload`'s length, then `payload`; no tag."""
+    if len(payload) > MAX_PAYLOAD_LEN:
+        raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds u16 length")
+    return data[: HEADER_LEN - 2] + len(payload).to_bytes(2, "big") + payload
+
+
+def encode_frame(frame: Frame, key: bytes) -> bytes:
+    """`frame_body(frame)` and its tag: every frame sent comes here."""
+    body = frame_body(frame)
     return body + _tag(key, body)
 
 
@@ -235,11 +230,7 @@ def encode_command_payload(record: CommandRecord) -> bytes:
         raise ValueError("command must carry at least one input")
     if 10 + 4 * n > MAX_PAYLOAD_LEN:
         raise PayloadTooLarge(f"{n} inputs do not fit in one frame")
-    return (
-        struct.pack(">H", n)
-        + struct.pack(f">{n}I", *record.inputs)
-        + struct.pack(">Q", record.issued_slot)
-    )
+    return struct.pack(f">H{n}IQ", n, *record.inputs, record.issued_slot)
 
 
 def decode_command_payload(data: bytes) -> CommandRecord:
@@ -252,9 +243,8 @@ def decode_command_payload(data: bytes) -> CommandRecord:
         raise MalformedPayload(
             f"command payload length {len(data)} does not match {n} declared inputs"
         )
-    inputs = struct.unpack_from(f">{n}I", data, 2)
-    (issued_slot,) = struct.unpack_from(">Q", data, 2 + 4 * n)
-    return CommandRecord(inputs=inputs, issued_slot=issued_slot)
+    fields = struct.unpack(f">H{n}IQ", data)
+    return CommandRecord(inputs=fields[1:-1], issued_slot=fields[-1])
 
 
 def encode_ack_payload(acked_seq: int) -> bytes:

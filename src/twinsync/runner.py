@@ -203,14 +203,45 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 down.send(ACK, slot, encode_ack_payload(virtual.last_sync_seq))
 
         # Phase 3: deliveries, physical-to-virtual first.  The adversary sees
-        # every batch, so it can insert where nothing is due.
+        # every batch, so it can insert where nothing is due.  Each frame gets
+        # at most one event and one outcome.
         delivered = {}
         for link in links:
             received = delivered[link.name] = []
-            for data in adversary.intercept(slot, link.direction, link.channel.deliver_due(slot)):
-                outcome = _receive(
-                    data, link, slot, spec, detector, physical, virtual, reconciled, events
-                )
+            direction = link.direction
+            for data in adversary.intercept(slot, direction, link.channel.deliver_due(slot)):
+                result = decode_frame(data, link.key, link.tracker, link.sender_id, link.msg_types)
+                outcome = "accepted"
+                if isinstance(result, Frame):
+                    frame = result
+                    detector.on_frame_accepted(direction, frame.slot)
+                    try:
+                        if frame.msg_type == STATE_SYNC:
+                            record = decode_delta_payload(frame.payload, frame.slot)
+                            err = virtual.apply_sync(frame.seq, record)
+                            if err is not None:
+                                events.append(detector.on_semantic_mismatch(err, slot, direction))
+                                outcome = "state_mismatch"
+                        elif frame.msg_type == COMMAND:
+                            verdict = reconcile(decode_command_payload(frame.payload), machine)
+                            if isinstance(verdict, Reject):
+                                events.append(
+                                    detector.on_semantic_mismatch(verdict, slot, direction)
+                                )
+                                outcome = "command_rejected"
+                            else:
+                                reconciled.append(verdict)
+                        else:
+                            physical.on_ack(decode_ack_payload(frame.payload))
+                    except MalformedPayload as exc:
+                        # Authenticated frames with broken payloads cannot come from
+                        # the honest peer; classify like any other forgery.
+                        result = ChannelError(
+                            ChannelErrorKind.MALFORMED_PAYLOAD, str(exc), frame.slot
+                        )
+                if isinstance(result, ChannelError):
+                    events.append(detector.on_channel_error(result, slot, direction))
+                    outcome = result.kind.value
                 # A replayed or reflected frame keeps its id; one the adversary made gets the next.
                 received.append([ids.setdefault(data, len(ids)), outcome])
 
@@ -256,47 +287,6 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         audits=audits,
         summary=summary,
     )
-
-
-def _receive(
-    data: bytes,
-    link: _Link,
-    slot: int,
-    spec: ScenarioSpec,
-    detector: Detector,
-    physical: PhysicalTwin,
-    virtual: VirtualTwin,
-    reconciled: list[tuple[int, ...]],
-    events: list[DetectionEvent],
-) -> str:
-    direction = link.direction
-    result = decode_frame(data, link.key, link.tracker, link.sender_id, link.msg_types)
-    if isinstance(result, Frame):
-        frame = result
-        detector.on_frame_accepted(direction, frame.slot)
-        try:
-            if frame.msg_type == STATE_SYNC:
-                delta = decode_delta_payload(frame.payload, frame.slot)
-                err = virtual.apply_sync(frame.seq, delta)
-                if err is not None:
-                    events.append(detector.on_semantic_mismatch(err, slot, direction))
-                    return "state_mismatch"
-            elif frame.msg_type == COMMAND:
-                command = decode_command_payload(frame.payload)
-                verdict = reconcile(command, spec.machine)
-                if isinstance(verdict, Reject):
-                    events.append(detector.on_semantic_mismatch(verdict, slot, direction))
-                    return "command_rejected"
-                reconciled.append(verdict)
-            else:
-                physical.on_ack(decode_ack_payload(frame.payload))
-            return "accepted"
-        except MalformedPayload as exc:
-            # Authenticated frames with broken payloads cannot come from the
-            # honest peer; classify like any other forgery.
-            result = ChannelError(ChannelErrorKind.MALFORMED_PAYLOAD, str(exc), frame.slot)
-    events.append(detector.on_channel_error(result, slot, direction))
-    return result.kind.value
 
 
 def _summarize(

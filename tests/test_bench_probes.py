@@ -50,6 +50,27 @@ def test_traced_run_gives_the_untraced_report(name):
     assert traced == untraced
 
 
+# Spans the bundled fixtures' traced runs do not reach, each with its reason.
+UNREACHED_SPANS = {
+    "machine.project_key_state": "sync.py imports it unused, only so that this probe finds it",
+    "oracle.expected_traces": "the oracle's fold, which run_scenario does not call",
+    "detector.on_semantic_mismatch": "neither fixture has a state mismatch or a rejected command",
+}
+
+
+def test_traced_fixture_runs_reach_every_span():
+    """A name reached through an alias the tracer does not rebind escapes it and reads 0."""
+    probes = import_bench_module("probes")
+    spans = import_bench_module("spans")
+    ts = twinsync_modules()
+    targets = probes.targets(ts)
+    with spans.Tracer(targets) as tracer:
+        for name in ("fig4_walkthrough", "attack_matrix"):
+            ts.runner.run_scenario(load_bundled_scenario(name)).to_json_bytes()
+    reached = {span.name for span in tracer.spans}
+    assert {t.span for t in targets} - reached == set(UNREACHED_SPANS)
+
+
 def test_fold_work_is_linear_and_traced():
     """Between key states each record carries the inputs since the newest
     acknowledged record, or one idle input once the state has stopped

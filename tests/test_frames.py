@@ -13,6 +13,7 @@ from twinsync import frames
 from twinsync.frames import (
     HEADER_STRUCT,
     MAGIC,
+    MAX_PAYLOAD_LEN,
     MIN_FRAME_LEN,
     ChannelError,
     ChannelErrorKind,
@@ -29,6 +30,7 @@ from twinsync.frames import (
     encode_command_payload,
     encode_delta_payload,
     encode_frame,
+    splice_payload,
 )
 from twinsync.sync import CommandRecord, DeltaRecord
 from twinsync.vectors import GOLDEN_VECTORS, golden_frame_bytes
@@ -323,6 +325,35 @@ def test_only_frames_py_imports_the_header_layout():
                 names = HEADER_NAMES & {alias.name for alias in node.names}
                 offenders += [f"{path.name}:{node.lineno} {name}" for name in sorted(names)]
     assert offenders == []
+
+
+def test_frame_body_is_the_one_header_pack():
+    """Sent frames and forgeries share one header layout only while one function packs it."""
+    packs = []
+    for path in sorted(Path(twinsync.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "pack"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "HEADER_STRUCT"
+                ):
+                    packs.append((path.name, getattr(stmt, "name", "<module>")))
+    assert packs == [("frames.py", "frame_body")]
+
+
+def test_splice_keeps_the_header_bytes_and_declares_the_new_length():
+    """Bytes 0-31 are copied, not re-packed: a flipped magic and version stay flipped."""
+    data = bytearray(encode_frame(Frame(MsgType.ACK, 2, 5, 9, 7, encode_ack_payload(3)), bytes(32)))
+    data[0] ^= 0xFF
+    data[2] ^= 0x80
+    out = splice_payload(bytes(data), b"\x01\x02\x03")
+    assert out[:32] == data[:32]
+    assert out[32:] == b"\x00\x03\x01\x02\x03"
+    with pytest.raises(PayloadTooLarge):
+        splice_payload(bytes(data), bytes(MAX_PAYLOAD_LEN + 1))
 
 
 def test_each_frame_is_tagged_once_through_frames_tag(monkeypatch):

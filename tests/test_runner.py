@@ -617,12 +617,11 @@ def test_every_single_attack_on_the_matrix_run_passes():
     assert failed == []
 
 
-def test_python_calls_per_idle_slot():
-    """A deterministic guard on the per-slot constant: the Python function
-    calls `run_scenario` makes per slot of the benchmark's `idle_at_key`
-    workload at seed 0, counted by a profile hook, so host load cannot move
-    it.  Calls into C are not counted."""
-    (doc,) = import_bench_module("workloads").idle_at_key(0)
+def python_calls_per_slot(workload: str) -> float:
+    """The Python function calls `run_scenario` makes per slot of the
+    benchmark's `workload` at seed 0, counted by a profile hook, so host
+    load cannot move it.  Calls into C are not counted."""
+    (doc,) = getattr(import_bench_module("workloads"), workload)(0)
     spec = scenario_from_dict(doc)
     calls = 0
 
@@ -636,7 +635,17 @@ def test_python_calls_per_idle_slot():
         run_scenario(spec)
     finally:
         sys.setprofile(None)
-    assert calls / spec.total_slots <= 50
+    return calls / spec.total_slots
+
+
+def test_python_calls_per_idle_slot():
+    """A deterministic guard on the per-slot constant of the frame path: about 49.6."""
+    assert python_calls_per_slot("idle_at_key") <= 50
+
+
+def test_python_calls_per_attack_slot():
+    """The same guard on the adversary and detector paths: about 70.3 on `attack_dense`."""
+    assert python_calls_per_slot("attack_dense") <= 72
 
 
 def test_report_bytes_per_idle_slot():
