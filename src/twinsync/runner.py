@@ -14,7 +14,10 @@ The report is compact ASCII JSON with sorted keys, written by the stdlib's
 `json.dumps`, with no wall-clock or environment dependence, so identical
 (scenario, seed) pairs produce byte identical reports.  `frames` holds each
 distinct frame's hex once, in the order first seen, and slot rows name frames
-by their index there: the hex of frame `id` is `report.frames[id]`.
+by their index there: the hex of frame `id` is `report.frames[id]`.  A row
+states only what happened: `sent`, `delivered` and `dropped` hold only the
+links with frames, an accepted frame is its bare id, and `adversary_actions`
+and failed audits appear only when there are any.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .sync import PhysicalTwin, Reject, VirtualTwin, reconcile
 PHYSICAL_SENDER_ID = 1
 VIRTUAL_SENDER_ID = 2
 
-REPORT_SCHEMA = "twinsync.report.v2"
+REPORT_SCHEMA = "twinsync.report.v3"
 
 # Module aliases: an enum member lookup costs several times a global one.
 STATE_SYNC, COMMAND, ACK = MsgType.STATE_SYNC, MsgType.COMMAND, MsgType.ACK
@@ -97,8 +100,9 @@ class _Link:
     The sender numbers, encodes and tags each record and enqueues it on the
     channel; the receiver accepts only frames of this direction's key, sender
     id and message types, within its replay window.  `sent` and `dropped` hold
-    the ids of the current slot's frames sent and dropped, for the report row:
-    their index in `ids`, the run's distinct frames, which both links share.
+    the ids of the frames sent and dropped since the last report row took
+    them: their index in `ids`, the run's distinct frames, which both links
+    share.
     """
 
     def __init__(
@@ -172,8 +176,6 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     audit_latency = up.channel.latency_slots
 
     for slot in range(spec.total_slots):
-        up.sent, up.dropped = [], []
-        down.sent, down.dropped = [], []
         # Attacks are only ever logged at the current slot, so this slot's
         # are whatever the log gains from here on.
         applied_from = len(applied)
@@ -204,14 +206,19 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
 
         # Phase 3: deliveries, physical-to-virtual first.  The adversary sees
         # every batch, so it can insert where nothing is due.  Each frame gets
-        # at most one event and one outcome.
-        delivered = {}
+        # at most one event and one outcome.  The row takes each link's
+        # non-empty lists of this slot's frames; an accepted frame is its id.
+        sent, delivered, dropped = {}, {}, {}
         for link in links:
-            received = delivered[link.name] = []
+            if link.sent:
+                sent[link.name], link.sent = link.sent, []
+            if link.dropped:
+                dropped[link.name], link.dropped = link.dropped, []
+            received = []
             direction = link.direction
             for data in adversary.intercept(slot, direction, link.channel.deliver_due(slot)):
                 result = decode_frame(data, link.key, link.tracker, link.sender_id, link.msg_types)
-                outcome = "accepted"
+                outcome = None
                 if isinstance(result, Frame):
                     frame = result
                     detector.on_frame_accepted(direction, frame.slot)
@@ -243,7 +250,10 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                     events.append(detector.on_channel_error(result, slot, direction))
                     outcome = result.kind.value
                 # A replayed or reflected frame keeps its id; one the adversary made gets the next.
-                received.append([ids.setdefault(data, len(ids)), outcome])
+                frame_id = ids.setdefault(data, len(ids))
+                received.append(frame_id if outcome is None else [frame_id, outcome])
+            if received:
+                delivered[link.name] = received
 
         # Phase 4: liveness expectations and the consistency audit.
         events.extend(detector.on_slot_boundary(slot))
@@ -253,29 +263,28 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         expected = consistency_audit(
             physical_keys, machine, replica_key, slot, audit_latency, period
         )
-        audit_row = {"slot": slot, "ok": expected is None, "replica_key_state": replica_key}
         if expected is not None:
-            audit_row["expected"] = expected
-        audits.append(audit_row)
+            audits.append({"slot": slot, "replica_key_state": replica_key, "expected": expected})
 
-        rows.append(
-            {
-                "slot": slot,
-                "physical_state": physical.state,
-                "physical_key_state": key,
-                "replica_key_state": replica_key,
-                "replica_synced_slot": virtual.last_synced_slot,
-                "sent": {up.name: up.sent, down.name: down.sent},
-                "delivered": delivered,
-                "dropped": {up.name: up.dropped, down.name: down.dropped},
-                "adversary_actions": [
-                    action.to_dict() if found else {**action.to_dict(), "no_target": True}
-                    for action, found in applied[applied_from:]
-                ]
-                if len(applied) > applied_from
-                else [],
-            }
-        )
+        row = {
+            "slot": slot,
+            "physical_state": physical.state,
+            "physical_key_state": key,
+            "replica_key_state": replica_key,
+            "replica_synced_slot": virtual.last_synced_slot,
+        }
+        if sent:
+            row["sent"] = sent
+        if delivered:
+            row["delivered"] = delivered
+        if dropped:
+            row["dropped"] = dropped
+        if len(applied) > applied_from:
+            row["adversary_actions"] = [
+                action.to_dict() if found else {**action.to_dict(), "no_target": True}
+                for action, found in applied[applied_from:]
+            ]
+        rows.append(row)
 
     missed = {id(action) for action, found in adversary.applied if not found}
     summary, annotated = _summarize(spec, events, links, missed)

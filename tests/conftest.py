@@ -42,6 +42,42 @@ def heat_once_then_idle(total_slots: int, drop: float = 0.0) -> ScenarioSpec:
     )
 
 
+LINKS = ("phys_to_virt", "virt_to_phys")
+
+
+def v2_report(doc: dict) -> dict:
+    """A `twinsync.report.v3` document as v2 wrote it: every row with `sent`,
+    `delivered` and `dropped` for both links and `adversary_actions`, each
+    delivered frame as an `[id, outcome]` pair, and one audit row per slot,
+    passing or not."""
+    failed = {audit["slot"]: audit for audit in doc["consistency_audit"]}
+    slots, audits = [], []
+    for row in doc["slots"]:
+        slots.append(
+            {
+                **row,
+                "sent": {link: row.get("sent", {}).get(link, []) for link in LINKS},
+                "delivered": {
+                    link: [
+                        item if isinstance(item, list) else [item, "accepted"]
+                        for item in row.get("delivered", {}).get(link, [])
+                    ]
+                    for link in LINKS
+                },
+                "dropped": {link: row.get("dropped", {}).get(link, []) for link in LINKS},
+                "adversary_actions": row.get("adversary_actions", []),
+            }
+        )
+        slot = row["slot"]
+        if slot in failed:
+            audits.append({**failed[slot], "ok": False})
+        else:
+            audits.append(
+                {"slot": slot, "ok": True, "replica_key_state": row["replica_key_state"]}
+            )
+    return {**doc, "schema": "twinsync.report.v2", "slots": slots, "consistency_audit": audits}
+
+
 def v1_report(doc: dict) -> dict:
     """A `twinsync.report.v2` document as v1 wrote it: each frame id replaced
     by `frames[id]`, each delivered pair by {"frame_hex", "outcome"}, and no

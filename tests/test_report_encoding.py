@@ -1,18 +1,21 @@
 """Report serialization: compact sorted-key ASCII JSON, the frame table, and
 pinned report digests.
 
-Every report is pinned twice: as written (`twinsync.report.v2`), and projected
-back to v1 by `conftest.v1_report`, whose digests are those v1 reports had
-when written, so the projection shows v2 changed how frames are named and
-nothing else."""
+Every report is pinned as written (`twinsync.report.v3`), projected back to
+v2 by `conftest.v2_report`, and from there to v1 by `conftest.v1_report`.
+The v2 and v1 digests are those the reports had when written in those
+versions, so the projections show that v2 changed how frames are named, v3
+left out what said nothing, and neither changed anything else."""
 
 import functools
 import hashlib
 import json
+from importlib import resources
 
+import jsonschema
 import pytest
 
-from conftest import heat_once_then_idle, import_bench_module, v1_report
+from conftest import heat_once_then_idle, import_bench_module, v1_report, v2_report
 from twinsync.cli import EXIT_OK, main
 from twinsync.machine import machine_from_dict
 from twinsync.oracle import build_schedule_scenario
@@ -29,9 +32,14 @@ def indented(data: bytes) -> bytes:
     return (json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n").encode()
 
 
+def as_v2(data: bytes) -> bytes:
+    """A written v3 report projected to v2, compact as v2 was written."""
+    return compact(v2_report(json.loads(data)))
+
+
 def as_v1(data: bytes) -> bytes:
-    """A written v2 report projected to v1, compact as v1 was written."""
-    return compact(v1_report(json.loads(data)))
+    """A written v3 report projected to v1, compact as v1 was written."""
+    return compact(v1_report(v2_report(json.loads(data))))
 
 
 @pytest.mark.parametrize("bad", [object(), {"k": {1, 2}}, [b"bytes"], {("a",): 1}])
@@ -86,10 +94,23 @@ PINNED_COMPACT_REPORTS = {
     "fig4_walkthrough": "58301ad769a1ad338827c2a3d2e184ed9f3d6257dd4e47df2ef8e793acbeb06f",
     "attack_matrix": "e18d81513f0ba5b6b5645f2c4aa615dede3fd3dac9219df03d9e0f0a9510eade",
 }
-# SHA-256 of the same reports as written.
+# SHA-256 of the same reports as v2 wrote them, projected by `as_v2`.
 PINNED_V2_REPORTS = {
     "fig4_walkthrough": "8c1ec97d83b1349169f0a19be40303b7073d22330022729c1804935ce125aef9",
     "attack_matrix": "2d3f6c4293063da502f9748a8353dd3e27db0d9d953a438675f104dc0eabc8ff",
+}
+# SHA-256 of every pinned report as written (`twinsync.report.v3`): the two
+# bundled scenarios above, the four bench workloads and the two lossy runs
+# below, a workload's reports concatenated as its other digests are.
+PINNED_V3_REPORTS = {
+    "fig4_walkthrough": "a7bf3218c0849f6abf7ede1ca9af99046aacc1695098f0da60a870ffeced704d",
+    "attack_matrix": "457cf6eda6f0aadbb0602852ea2afd699855a7130a3d80eeb1a72ff95fd01f6b",
+    "idle_at_key": "a474a6a9aa9601731762f47e708b18c830d5b015e4ae390c98eb380cd1c26d5e",
+    "idle_between_keys": "4ae716b43e872ecb1fa6674f08bc65d184e97d54bf181af6beb256fdb34546fa",
+    "attack_dense": "c94e7fbfdc07d8ccf54950698c96f85c382fcbbea52e85164f24f015ffe1cf4d",
+    "oracle_sweep": "766642c4faea3696cce72b56b0a7cdb0d23e375235722ce726d5aed2061d1fee",
+    "attack_matrix_loss_0.3": "4db1d7ea15485c77dde07fefed238753adda4114371a9a3d3775891ec4b90e32",
+    "idle_between_keys_loss_0.1": "803bb9ce85d8aa445d7b72f1201ebacc2d20a1d0a66bfff64d8495d29cb3af62",
 }
 
 
@@ -99,7 +120,8 @@ def test_bundled_reports_match_pinned_digests(name, tmp_path):
     rc = main(["run", "--scenario", str(fixture_path(name + ".json")), "--out", str(out)])
     assert rc == EXIT_OK
     data = out.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == PINNED_V2_REPORTS[name]
+    assert hashlib.sha256(data).hexdigest() == PINNED_V3_REPORTS[name]
+    assert hashlib.sha256(as_v2(data)).hexdigest() == PINNED_V2_REPORTS[name]
     v1 = as_v1(data)
     assert hashlib.sha256(indented(v1)).hexdigest() == PINNED_REPORTS[name]
     assert hashlib.sha256(v1).hexdigest() == PINNED_COMPACT_REPORTS[name]
@@ -134,12 +156,15 @@ def test_bench_workload_reports_match_pinned_digests(workload):
     digest = hashlib.sha256()
     compact_digest = hashlib.sha256()
     v2_digest = hashlib.sha256()
+    v3_digest = hashlib.sha256()
     for spec in _workload_specs(workload):
         data = run_scenario(spec).to_json_bytes()
-        v2_digest.update(data)
+        v3_digest.update(data)
+        v2_digest.update(as_v2(data))
         v1 = as_v1(data)
         digest.update(indented(v1))
         compact_digest.update(v1)
+    assert v3_digest.hexdigest() == PINNED_V3_REPORTS[workload]
     assert v2_digest.hexdigest() == PINNED_V2_WORKLOAD_REPORTS[workload]
     assert digest.hexdigest() == PINNED_WORKLOAD_REPORTS[workload]
     assert compact_digest.hexdigest() == PINNED_COMPACT_WORKLOAD_REPORTS[workload]
@@ -154,8 +179,8 @@ def _lossy_attack_matrix():
 
 
 # SHA-256 of two reports whose runs drop frames on both links, up-link
-# records included, which none of the bench workloads does: as written, then
-# projected to v1 compact, then that re-indented by `indented`.
+# records included, which none of the bench workloads does: projected to v2,
+# then projected to v1 compact, then that re-indented by `indented`.
 PINNED_LOSSY_REPORTS = {
     "attack_matrix_loss_0.3": (
         _lossy_attack_matrix,
@@ -177,10 +202,11 @@ def test_lossy_reports_match_pinned_digests(name):
     build, v2_sha, compact_sha, indented_sha = PINNED_LOSSY_REPORTS[name]
     report = run_scenario(build())
     for link in ("phys_to_virt", "virt_to_phys"):
-        assert any(row["dropped"][link] for row in report.slots)
+        assert any(link in row.get("dropped", {}) for row in report.slots)
     assert report.summary["verdict"] == "pass"
     data = report.to_json_bytes()
-    assert hashlib.sha256(data).hexdigest() == v2_sha
+    assert hashlib.sha256(data).hexdigest() == PINNED_V3_REPORTS[name]
+    assert hashlib.sha256(as_v2(data)).hexdigest() == v2_sha
     v1 = as_v1(data)
     assert hashlib.sha256(v1).hexdigest() == compact_sha
     assert hashlib.sha256(indented(v1)).hexdigest() == indented_sha
@@ -201,7 +227,7 @@ def _pinned_runs(name: str):
 )
 def test_frame_table_holds_each_frame_once_and_every_id_points_into_it(name):
     for spec in _pinned_runs(name):
-        doc = run_scenario(spec).to_json_dict()
+        doc = v2_report(run_scenario(spec).to_json_dict())
         frames = doc["frames"]
         assert len(set(frames)) == len(frames)
         ids = [
@@ -213,3 +239,45 @@ def test_frame_table_holds_each_frame_once_and_every_id_points_into_it(name):
         ]
         assert all(isinstance(i, int) and 0 <= i < len(frames) for i in ids)
         assert set(ids) == set(range(len(frames)))
+
+
+REPORT_VALIDATOR = jsonschema.Draft202012Validator(
+    json.loads(
+        resources.files("twinsync").joinpath("schemas", "report.schema.json").read_text("utf-8")
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "name", [*PINNED_REPORTS, *PINNED_WORKLOAD_REPORTS, *PINNED_LOSSY_REPORTS]
+)
+def test_report_validates_against_the_schema(name):
+    for spec in _pinned_runs(name):
+        REPORT_VALIDATOR.validate(run_scenario(spec).to_json_dict())
+
+
+def _accepted_as_a_pair(doc: dict) -> None:
+    received = doc["slots"][1]["delivered"]["phys_to_virt"]
+    received[0] = [received[0], "accepted"]
+
+
+@pytest.mark.parametrize(
+    "respell",
+    [
+        lambda doc: doc["slots"][1].update(dropped={}),
+        lambda doc: doc["slots"][1].update(adversary_actions=[]),
+        _accepted_as_a_pair,
+        lambda doc: doc["consistency_audit"].append(
+            {"slot": 1, "ok": False, "replica_key_state": 0, "expected": 25}
+        ),
+    ],
+    ids=["empty_dropped", "empty_adversary_actions", "accepted_pair", "audit_with_ok"],
+)
+def test_schema_rejects_a_second_spelling_of_a_fact(respell):
+    """A v3 row states each fact one way: an empty map or list, an
+    `[id, "accepted"]` pair and an audit's `ok` are v2's spellings."""
+    doc = run_scenario(load_bundled_scenario("fig4_walkthrough")).to_json_dict()
+    REPORT_VALIDATOR.validate(doc)
+    respell(doc)
+    with pytest.raises(jsonschema.ValidationError):
+        REPORT_VALIDATOR.validate(doc)

@@ -3,12 +3,10 @@
 import dataclasses
 import functools
 import gc
-import json
 import sys
 import time
 from unittest import mock
 
-import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,19 +37,21 @@ V2P = Direction.VIRT_TO_PHYS.value
 
 def sent_hex(report, row: dict, link: str) -> list[str]:
     """The hex of the frames `row` sent on `link`, looked up in the report's frame table."""
-    return [report.frames[i] for i in row["sent"][link]]
+    return [report.frames[i] for i in row.get("sent", {}).get(link, [])]
+
+
+def delivered_pairs(row: dict, link: str) -> list[list]:
+    """`[id, outcome]` of each frame delivered on `link` in `row`; the row
+    writes an accepted frame as its bare id."""
+    return [
+        item if isinstance(item, list) else [item, "accepted"]
+        for item in row.get("delivered", {}).get(link, [])
+    ]
 
 
 def outcomes(row: dict, link: str) -> list[str]:
     """The outcome of each frame delivered on `link` in `row`."""
-    return [outcome for _, outcome in row["delivered"][link]]
-
-
-def report_schema() -> dict:
-    from importlib import resources
-
-    path = resources.files("twinsync").joinpath("schemas", "report.schema.json")
-    return json.loads(path.read_text(encoding="utf-8"))
+    return [outcome for _, outcome in delivered_pairs(row, link)]
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,7 @@ class TestWalkthrough:
 
     def test_no_events_and_clean_audits(self, walkthrough):
         assert walkthrough.detection_events == []
-        assert all(a["ok"] for a in walkthrough.audits)
+        assert walkthrough.audits == []
         assert walkthrough.summary["event_count"] == 0
         assert walkthrough.summary["spurious_event_count"] == 0
         assert walkthrough.summary["verdict"] == "pass"
@@ -117,13 +117,6 @@ class TestWalkthrough:
         assert [r["replica_synced_slot"] for r in walkthrough.slots] == [
             0, 0, 1, 2, 3, 4, 5, 6,
         ]
-
-    def test_report_validates_against_the_schema(self, walkthrough):
-        jsonschema.validate(
-            walkthrough.to_json_dict(),
-            report_schema(),
-            cls=jsonschema.Draft202012Validator,
-        )
 
     def test_report_bytes_are_reproducible_in_process(self):
         a = run_scenario(load_bundled_scenario("fig4_walkthrough")).to_json_bytes()
@@ -180,7 +173,7 @@ class TestAttackMatrix:
     def test_verdict(self, report):
         assert report.summary["verdict"] == "pass"
         assert report.summary["spurious_event_count"] == 0
-        assert all(a["ok"] for a in report.audits)
+        assert report.audits == []
 
     def test_control_run_is_silent(self):
         doc = load_fixture_json("attack_matrix")
@@ -193,17 +186,12 @@ class TestAttackMatrix:
         by_slot = {
             row["slot"]: [a["kind"] for a in row["adversary_actions"]]
             for row in report.slots
-            if row["adversary_actions"]
+            if "adversary_actions" in row
         }
         assert by_slot == {
             4: ["DELETE"], 8: ["INSERT"], 12: ["MODIFY"], 16: ["REPLAY"],
             20: ["DELETE"], 24: ["INSERT"], 28: ["MODIFY"], 32: ["REPLAY"],
         }
-
-    def test_report_validates_against_the_schema(self, report):
-        jsonschema.validate(
-            report.to_json_dict(), report_schema(), cls=jsonschema.Draft202012Validator
-        )
 
 
 class TestNoTarget:
@@ -300,7 +288,7 @@ def test_an_insert_where_no_frame_is_due_is_delivered_and_detected():
     }
     report = run_scenario(scenario_from_dict(doc))
     forged_id = report.frames.index(forged)
-    assert report.slots[4]["delivered"] == {P2V: [[forged_id, "malformed"]], V2P: []}
+    assert report.slots[4]["delivered"] == {P2V: [[forged_id, "malformed"]]}
     events = [(e["kind"], e["slot"], e["direction"]) for e in report.detection_events]
     assert events == [("FORGED_INSERT", 4, P2V)]
     assert report.summary["verdict"] == "pass"
@@ -348,7 +336,7 @@ def reflection_problems(name: str, frame_hex: str, target: Direction, at: int) -
     report = run_scenario(dataclasses.replace(spec, attacks=[*spec.attacks, attack]))
     where = f"{frame_hex[:16]}... onto {target.value} at slot {at}"
     problems = []
-    delivered = report.slots[at]["delivered"][target.value]
+    delivered = delivered_pairs(report.slots[at], target.value)
     found = [outcome for i, outcome in delivered if report.frames[i] == frame_hex]
     if found != ["wrong_direction"]:
         problems.append(f"{where}: outcomes {found}")
@@ -415,7 +403,7 @@ class TestReflection:
         report = run_scenario(dataclasses.replace(spec, attacks=attacks))
         (ack_id,) = honest.slots[1]["sent"][V2P]
         found = [
-            outcome for row in report.slots for i, outcome in row["delivered"][P2V]
+            outcome for row in report.slots for i, outcome in delivered_pairs(row, P2V)
             if i == ack_id
         ]
         assert found == ["wrong_direction", "wrong_direction"]
@@ -451,7 +439,7 @@ class TestBenignLoss:
             "channels": {"phys_to_virt": {"drop_probability": 1.0}},
         }
         report = run_scenario(scenario_from_dict(doc))
-        assert all(a["ok"] for a in report.audits)
+        assert report.audits == []
 
 
 @pytest.fixture(scope="module")
@@ -480,14 +468,13 @@ class TestStateDivergence:
         assert kinds == [("MISSED_SYNC", 6)]
 
     def test_audit_pinpoints_the_divergence_onset(self, report):
-        assert [a["ok"] for a in report.audits] == [True] * 5 + [False] + [True] * 2
-        (failed,) = [a for a in report.audits if not a["ok"]]
+        (failed,) = report.audits
         assert (failed["slot"], failed["expected"], failed["replica_key_state"]) == (5, 100, 0)
 
     def test_replica_recovers_at_the_next_record(self, report):
         assert [r["replica_key_state"] for r in report.slots] == [0] * 6 + [100] * 2
         (record,) = report.slots[5]["sent"][P2V]
-        assert report.slots[6]["delivered"][P2V] == [[record, "accepted"]]
+        assert report.slots[6]["delivered"][P2V] == [record]
 
     def test_delete_is_credited_r1_only(self, report):
         (attack,) = report.summary["attacks"]
@@ -509,10 +496,10 @@ class TestSyncPeriod:
         report = run_scenario(scenario_from_dict(doc))
         for row in report.slots:
             expected = 1 if row["slot"] % 2 == 0 else 0
-            assert len(row["sent"][P2V]) == expected
-            assert len(row["sent"][V2P]) == expected
+            assert len(sent_hex(report, row, P2V)) == expected
+            assert len(sent_hex(report, row, V2P)) == expected
         assert report.detection_events == []
-        assert all(a["ok"] for a in report.audits)
+        assert report.audits == []
         assert [r["replica_key_state"] for r in report.slots] == [
             0, 0, 0, 0, 0, 100, 100, 100,
         ]
@@ -532,7 +519,7 @@ class TestSyncPeriod:
         assert [r["replica_key_state"] for r in report.slots] == [
             0, 0, 0, 0, 0, 0, 100, 100, 100,
         ]
-        assert all(a["ok"] for a in report.audits)
+        assert report.audits == []
 
 
 def idle_at_key(total_slots: int):
@@ -650,11 +637,39 @@ def test_python_calls_per_attack_slot():
 
 def test_report_bytes_per_idle_slot():
     """The written report of the benchmark's `idle_at_key` workload at seed
-    0 holds each frame's hex once: about 697 B per slot, where writing it
-    under both `sent` and `delivered` took 1,035."""
+    0 holds each frame's hex once, and its rows only what happened: about
+    555 B per slot, where v2's rows with every empty list, every `accepted`
+    and an audit row per slot took 697, and writing each frame's hex under
+    both `sent` and `delivered` took 1,035."""
     (doc,) = import_bench_module("workloads").idle_at_key(0)
     spec = scenario_from_dict(doc)
-    assert len(run_scenario(spec).to_json_bytes()) / spec.total_slots <= 720
+    assert len(run_scenario(spec).to_json_bytes()) / spec.total_slots <= 570
+
+
+def containers(value) -> int:
+    """The dicts and lists reachable from `value`, itself included."""
+    count, stack = 0, [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            count += 1
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            count += 1
+            stack.extend(item)
+    return count
+
+
+def test_held_containers_per_idle_slot():
+    """The dicts and lists a run holds until its report is written, per slot
+    of the benchmark's `idle_at_key` workload at seed 0: about 7.1, a row and
+    the `sent` and `delivered` maps with one list per link.  v2's rows, with
+    their empty lists and `[id, "accepted"]` pairs, and an audit row per
+    slot, held 13.9."""
+    (doc,) = import_bench_module("workloads").idle_at_key(0)
+    spec = scenario_from_dict(doc)
+    report = run_scenario(spec)
+    assert (containers(report.slots) + containers(report.audits)) / spec.total_slots <= 8
 
 
 def test_idling_between_keys_ships_one_input_per_record():
@@ -673,7 +688,7 @@ def test_long_lossy_idle_between_keys_completes():
     """20k slots at 10% loss on both channels: no record outgrows its frame."""
     report = run_scenario(heat_once_then_idle(20000, drop=0.1))
     assert report.summary["verdict"] == "pass"
-    assert all(a["ok"] for a in report.audits)
+    assert report.audits == []
     assert max(len(data) // 2 for row in report.slots for data in sent_hex(report, row, P2V)) <= 92
 
 
