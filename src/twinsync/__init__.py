@@ -8,12 +8,9 @@ enforcement caught it.
 """
 
 from .machine import (
-    ExecutionLog,
-    LogEntry,
     TwinMachine,
     machine_from_dict,
     machine_to_dict,
-    project_key_state,
     step,
     validate_machine,
 )
@@ -60,9 +57,7 @@ __all__ = [
     "Detector",
     "Direction",
     "EventKind",
-    "ExecutionLog",
     "Frame",
-    "LogEntry",
     "MismatchError",
     "MsgType",
     "PhysicalTwin",
@@ -80,7 +75,6 @@ __all__ = [
     "machine_from_dict",
     "machine_to_dict",
     "oracle_check",
-    "project_key_state",
     "reconcile",
     "run_scenario",
     "scenario_from_dict",

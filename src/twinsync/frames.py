@@ -48,8 +48,8 @@ MIN_FRAME_LEN = HEADER_LEN + TAG_LEN
 MAX_PAYLOAD_LEN = 0xFFFF
 
 HEADER_STRUCT = struct.Struct(">2sBBIQQQH")
-# Largest values of the unsigned wire fields; scenario validation bounds
-# every value that reaches a header or a payload by these.
+# Largest values of the unsigned wire fields.  The scenario schema states its
+# own literal maxima; the tests check those against these.
 U8_MAX = 0xFF
 U32_MAX = 0xFFFF_FFFF
 U64_MAX = 0xFFFF_FFFF_FFFF_FFFF

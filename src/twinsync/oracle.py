@@ -96,7 +96,7 @@ def oracle_check(machine: TwinMachine, max_schedule_len: int) -> OracleReport:
     if len(machine.states) > MAX_STATES or len(machine.inputs) > 3:
         limits = f"<= {MAX_STATES} states, <= 3 inputs"
         raise ValueError(f"oracle_check is for small machines ({limits})")
-    errors = validate_machine(machine)
+    errors = "; ".join(f"{issue.code}: {issue.message}" for issue in validate_machine(machine))
     if errors:
         raise ValueError(f"machine does not validate: {errors}")
 

@@ -208,12 +208,12 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         # every batch, so it can insert where nothing is due.  Each frame gets
         # at most one event and one outcome.  The row takes each link's
         # non-empty lists of this slot's frames; an accepted frame is its id.
-        sent, delivered, dropped = {}, {}, {}
+        row = {"slot": slot}
         for link in links:
             if link.sent:
-                sent[link.name], link.sent = link.sent, []
+                row.setdefault("sent", {})[link.name], link.sent = link.sent, []
             if link.dropped:
-                dropped[link.name], link.dropped = link.dropped, []
+                row.setdefault("dropped", {})[link.name], link.dropped = link.dropped, []
             received = []
             direction = link.direction
             for data in adversary.intercept(slot, direction, link.channel.deliver_due(slot)):
@@ -253,7 +253,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 frame_id = ids.setdefault(data, len(ids))
                 received.append(frame_id if outcome is None else [frame_id, outcome])
             if received:
-                delivered[link.name] = received
+                row.setdefault("delivered", {})[link.name] = received
 
         # Phase 4: liveness expectations and the consistency audit.
         events.extend(detector.on_slot_boundary(slot))
@@ -266,19 +266,10 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         if expected is not None:
             audits.append({"slot": slot, "replica_key_state": replica_key, "expected": expected})
 
-        row = {
-            "slot": slot,
-            "physical_state": physical.state,
-            "physical_key_state": key,
-            "replica_key_state": replica_key,
-            "replica_synced_slot": virtual.last_synced_slot,
-        }
-        if sent:
-            row["sent"] = sent
-        if delivered:
-            row["delivered"] = delivered
-        if dropped:
-            row["dropped"] = dropped
+        row["physical_state"] = physical.state
+        row["physical_key_state"] = key
+        row["replica_key_state"] = replica_key
+        row["replica_synced_slot"] = virtual.last_synced_slot
         if len(applied) > applied_from:
             row["adversary_actions"] = [
                 action.to_dict() if found else {**action.to_dict(), "no_target": True}

@@ -12,7 +12,6 @@ with `PayloadTooLarge` (see "Cost per slot" in the README).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
@@ -133,15 +132,13 @@ def read_json_file(path: str) -> object:
 
 
 def resolve_machine(spec: object, problems: list[str]) -> TwinMachine | None:
-    """The machine a fixture name or a definition gives, or None and its problems."""
+    """A new machine from a fixture name or a definition, or None and its problems."""
     if isinstance(spec, str):
         if spec not in BUNDLED_FIXTURES:
             problems.append(f"machine: no bundled fixture named {spec!r}")
             return None
-        machine, found = _bundled_machine(spec)
-        problems.extend(found)
-        # A machine of its own for each caller: its dicts are mutable.
-        return None if machine is None else machine_from_dict(machine_to_dict(machine))
+        doc = load_fixture_json(spec)  # a scenario fixture embeds or names its machine
+        return resolve_machine(doc.get("machine", doc), problems)
     if not isinstance(spec, dict):
         problems.append("machine: must be a fixture name or an inline definition object")
         return None
@@ -156,14 +153,6 @@ def resolve_machine(spec: object, problems: list[str]) -> TwinMachine | None:
         return None
     problems.extend(f"machine: {i.code}: {i.message}" for i in validate_machine(machine))
     return machine if len(problems) == before else None
-
-
-@functools.cache
-def _bundled_machine(name: str) -> tuple[TwinMachine | None, tuple[str, ...]]:
-    """`resolve_machine` of a bundled fixture's machine, read and checked once per name."""
-    problems: list[str] = []
-    doc = load_fixture_json(name)  # a scenario fixture embeds or names its machine
-    return resolve_machine(doc.get("machine", doc), problems), tuple(problems)
 
 
 def _check(value: object, schema: dict, where: object, problems: list[str]) -> None:

@@ -93,6 +93,19 @@ class TestOracleCheck:
         with pytest.raises(ValueError):
             oracle_check(machine_from_dict(doc), 3)
 
+    def test_refusal_names_each_issue(self, kettle):
+        from twinsync.machine import machine_to_dict
+
+        doc = machine_to_dict(kettle)
+        doc["delta"] = [row for row in doc["delta"] if row[0] != 100]
+        with pytest.raises(ValueError) as refused:
+            oracle_check(machine_from_dict(doc), 3)
+        assert str(refused.value) == (
+            "machine does not validate: "
+            "non_total_transition: no transition defined for state 100 on input 1; "
+            "non_total_transition: no transition defined for state 100 on input 2"
+        )
+
     def test_divergence_report_shape(self):
         d = Divergence(schedule=(1, 2), slot=3, expected=0, got=100, what="replica_key")
         assert d.schedule == (1, 2)

@@ -565,12 +565,12 @@ def test_slot_cost_does_not_grow_with_run_length():
     """Eight times the slots must take about eight times as long.
 
     A step that rescans the history every slot makes it 19 or more.  Best
-    of three runs each, the short and long runs taken in turn, so a slow
+    of five runs each, the short and long runs taken in turn, so a slow
     spell on a shared host falls on both sizes rather than on one.
     """
     short_spec, long_spec = idle_at_key(1000), idle_at_key(8000)
     short = long = float("inf")
-    for _ in range(3):
+    for _ in range(5):
         short = min(short, run_seconds(short_spec))
         long = min(long, run_seconds(long_spec))
     assert long / short < 12

@@ -91,7 +91,7 @@ class TestBundledFixtures:
         assert problems == []
 
     def test_specs_naming_one_fixture_share_no_machine_dicts(self):
-        """The fixture is read once per process; each spec still gets its own machine."""
+        """Each spec that names a fixture gets a machine of its own."""
         doc = {"machine": "kettle", "total_slots": 5}
         first, second = scenario_from_dict(doc).machine, scenario_from_dict(doc).machine
         assert first == second
