@@ -42,8 +42,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"scenario: {problem}", file=sys.stderr)
         return EXIT_INVALID
     except PayloadTooLarge as exc:
-        # Validation does not bound how many inputs one record carries, so a
-        # valid scenario can still build a record too big for a frame.
+        # Valid, yet a machine cycling while no ACK arrives, or 16,382 virtual
+        # inputs in one period, builds a record too big for a frame.
         print(f"scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
     payload = report.to_json_bytes()

@@ -4,7 +4,7 @@ Three security requirements anchor every verdict:
 
     R1  synchronized, timely state replication between the twins
     R2  the digital twin's state may only change through verified sync records
-    R3  physical actuation only through commands vetted against the live state
+    R3  physical actuation only through commands vetted against the input alphabet
 
 Each anomaly is mapped to the requirements whose enforcement caught it, and
 the mapping depends on which side of the link was attacked: anomalies on the
@@ -168,9 +168,7 @@ class Detector:
     ) -> DetectionEvent:
         if isinstance(err, Reject):
             kind = EventKind.COMMAND_REJECTED
-            detail = {"reason": err.reason}
-            if err.detail is not None:
-                detail["input"] = err.detail
+            detail = {"reason": err.reason, "input": err.detail}
         else:
             kind = EventKind.STATE_MISMATCH
             detail = {

@@ -230,7 +230,7 @@ def encode_command_payload(record: CommandRecord) -> bytes:
         raise ValueError("command must carry at least one input")
     if 10 + 4 * n > MAX_PAYLOAD_LEN:
         raise PayloadTooLarge(f"{n} inputs do not fit in one frame")
-    return struct.pack(f">H{n}IQ", n, *record.inputs, record.issued_slot)
+    return struct.pack(f">H{n}IQ", n, *record.inputs, record.acked_seq)
 
 
 def decode_command_payload(data: bytes) -> CommandRecord:
@@ -244,7 +244,7 @@ def decode_command_payload(data: bytes) -> CommandRecord:
             f"command payload length {len(data)} does not match {n} declared inputs"
         )
     fields = struct.unpack(f">H{n}IQ", data)
-    return CommandRecord(inputs=fields[1:-1], issued_slot=fields[-1])
+    return CommandRecord(inputs=fields[1:-1], acked_seq=fields[-1])
 
 
 def encode_ack_payload(acked_seq: int) -> bytes:

@@ -188,7 +188,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 physical.apply_input(slot, sym)
         reconciled.clear()
         if slot in virt_inputs:
-            virtual.queue_operator_inputs(slot, tuple(virt_inputs[slot]))
+            virtual.queue_operator_inputs(tuple(virt_inputs[slot]))
 
         # Phase 2: ticks and sends.
         delta = physical.tick(slot)
@@ -196,13 +196,12 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
             up.send(STATE_SYNC, slot, encode_delta_payload(delta))
         command = virtual.tick(slot)
         if command is not None:
+            # Both acknowledge the newest accepted sync, the physical twin's
+            # next anchor; the ACK is the idle heartbeat on this channel.
             if command.inputs:
                 down.send(COMMAND, slot, encode_command_payload(command))
             else:
-                # Idle heartbeat on the reverse path: acknowledge the newest
-                # accepted sync, the physical twin's next anchor; it also
-                # keeps per-period liveness on this channel.
-                down.send(ACK, slot, encode_ack_payload(virtual.last_sync_seq))
+                down.send(ACK, slot, encode_ack_payload(command.acked_seq))
 
         # Phase 3: deliveries, physical-to-virtual first.  The adversary sees
         # every batch, so it can insert where nothing is due.  Each frame gets
@@ -230,7 +229,9 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                                 events.append(detector.on_semantic_mismatch(err, slot, direction))
                                 outcome = "state_mismatch"
                         elif frame.msg_type == COMMAND:
-                            verdict = reconcile(decode_command_payload(frame.payload), machine)
+                            command = decode_command_payload(frame.payload)
+                            physical.on_ack(command.acked_seq)
+                            verdict = reconcile(command, machine)
                             if isinstance(verdict, Reject):
                                 events.append(
                                     detector.on_semantic_mismatch(verdict, slot, direction)

@@ -6,8 +6,8 @@ schedule, and the run length.  schemas/scenario.schema.json is the one
 statement of the document's keys, types and bounds; `_check` walks a
 document against it, and the few rules it cannot state are checked after.
 Validation collects every problem it can find.  A scenario that parses runs
-to a report, except that a run whose records outgrow the u16 payload stops
-with `PayloadTooLarge` (see "Cost per slot" in the README).
+to a report unless a record outgrows the u16 payload (`PayloadTooLarge`): a
+machine cycling while no ACK arrives, or 16,382 virtual inputs in one period.
 """
 
 from __future__ import annotations

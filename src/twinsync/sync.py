@@ -1,23 +1,24 @@
 """Delta-based key-state replication between the physical twin and its replica.
 
 The physical twin executes the machine and once per sync period emits a
-DeltaRecord: the state at its anchor, the inputs applied since, and the key
-state it claims to be in.  The replica never force-sets its state; it
-re-folds the inputs through its own copy of the transition table and only
-accepts the result if the fold confirms the claim.  The reverse path carries
-operator inputs (CommandRecord), never states: the physical twin re-executes
-them itself after a plausibility check.
+DeltaRecord: the state at its anchor, the inputs since then that changed
+the state, and the key state it claims to be in.  A self-loop is never
+shipped: it moves neither the fold's end state nor the last key state the
+fold visits.  The replica never force-sets its state; it re-folds the inputs
+through its own copy of the transition table and only accepts the result if
+the fold confirms the claim.  The reverse path carries operator inputs
+(CommandRecord), never states: the physical twin re-executes them itself
+after a plausibility check.
 
 The anchor is the newest emission the replica has acknowledged, as in the
 delta intervals of delta-state CRDTs (Almeida, Shoker and Baquero, JPDC 2018)
-and TCP's cumulative acknowledgement (RFC 9293 section 3.4).  A record lost
-or deleted in transit is re-covered by the next one, which starts from the
-same anchor, and an acknowledged record cuts the next one short.  The anchor
-may be a state outside the key set.  The replica is the VirtualTwin itself:
-its `held` map keeps every state it reached at an accepted emission, with
-the key states in force there, and `apply_sync` verifies a record from any
-of them.  An emission with no state change since the anchor moves the anchor
-itself: such inputs cannot desync the replica.  A period with no activity
+and TCP's cumulative acknowledgement (RFC 9293 section 3.4): every down-link
+record, a command or the idle ACK, carries the newest accepted seq.  A record
+lost or deleted in transit is re-covered by the next one, which starts from
+the same anchor.  The anchor may be a state outside the key set.  The
+replica is the VirtualTwin itself: its `held` map keeps every state it
+reached at an accepted emission, with the key states in force there, and
+`apply_sync` verifies a record from any of them.  A period with no activity
 still produces an empty heartbeat record from each twin so the other side
 can tell silence from a deleted message.
 """
@@ -48,7 +49,7 @@ class DeltaRecord:
 @dataclass(slots=True)
 class CommandRecord:
     inputs: tuple[int, ...]
-    issued_slot: int
+    acked_seq: int
 
 
 class MismatchKind(str, Enum):
@@ -72,7 +73,7 @@ class Reject:
     """Reconciliation refusal for an operator command."""
 
     reason: str
-    detail: int | None = None
+    detail: int
 
 
 def fold_key_state(
@@ -97,8 +98,6 @@ def reconcile(command: CommandRecord, machine: TwinMachine) -> tuple[int, ...] |
 
     Accepted commands come back as the input tuple to execute at the next slot.
     """
-    if not command.inputs:
-        return Reject(reason="empty_command")
     for sym in command.inputs:
         if sym not in machine.inputs:
             return Reject(reason="unknown_input", detail=sym)
@@ -109,10 +108,10 @@ class PhysicalTwin:
     """Stateful physical endpoint: executes inputs, emits one record per sync period.
 
     Record k goes out as up-link frame seq k.  Each record carries the state
-    at the anchor, the current key state and every input since the anchor.
-    The anchor moves to the newest record the replica has acknowledged
-    (`on_ack`), or to an emission whose inputs never left the anchor's state,
-    so a record stays a few inputs long however long the machine idles.
+    at the anchor, the current key state and every input since the anchor
+    that changed the state, so a record stays a few inputs long however long
+    the machine idles.  The anchor moves to the newest record the replica
+    has acknowledged (`on_ack`).
     """
 
     def __init__(self, machine: TwinMachine, sync_period: int = 1):
@@ -125,11 +124,10 @@ class PhysicalTwin:
         self.log = ExecutionLog()
         self.emitted = 0  # records emitted, and so the seq of the newest
         # Kept current on every input, so no tick reads the log.  Positions
-        # count every input logged since the start.
+        # count every state-changing input since the start.
         self._base = machine.initial  # state at the anchor
         self._anchor = 0  # position of the anchor
-        self._changed = 0  # position just after the last input that changed the state
-        self._inputs: list[int] = []  # every input logged since the anchor
+        self._inputs: list[int] = []  # every state-changing input since the anchor
         self._unacked: list[tuple[int, int, int]] = []  # (seq, position, state) after the anchor
 
     def apply_input(self, slot: int, sym: int) -> None:
@@ -137,29 +135,24 @@ class PhysicalTwin:
         nxt = step(self.machine, state, sym)
         crossing = nxt in self.machine.key_states
         self.log.append(LogEntry(slot, sym, state, nxt, crossing))
-        self._inputs.append(sym)
         if nxt != state:
-            self._changed = self._anchor + len(self._inputs)
-        self.state = nxt
-        if crossing:
-            self.key_state = nxt
+            self._inputs.append(sym)
+            self.state = nxt
+            if crossing:
+                self.key_state = nxt
 
     def tick(self, slot: int) -> DeltaRecord | None:
         """End-of-slot emission: the inputs since the anchor, a heartbeat when none."""
         if slot % self.sync_period != 0:
             return None
         self.emitted += 1
-        inputs = self._inputs
+        inputs, unacked = self._inputs, self._unacked
         # Positional arguments: this runs once per record, and keywords cost more.
         record = DeltaRecord(self._base, self.key_state, tuple(inputs), slot)
-        if self._changed > self._anchor:
-            self._unacked.append((self.emitted, self._anchor + len(inputs), self.state))
-        else:
-            # Every state since the anchor is the anchor's own, so the
-            # replica cannot miss one: the anchor moves here unacknowledged.
-            self._anchor += len(inputs)
-            inputs.clear()
-            self._unacked.clear()
+        end = self._anchor + len(inputs)
+        # Keep only records with inputs past the newest kept one: len(_unacked) <= len(_inputs).
+        if end > (unacked[-1][1] if unacked else self._anchor):
+            unacked.append((self.emitted, end, self.state))
         return record
 
     def on_ack(self, seq: int) -> None:
@@ -196,26 +189,24 @@ class VirtualTwin:
         self.last_synced_slot = 0
         self.last_sync_seq = 0
         self.held: dict[int, set[int]] = {machine.initial: {machine.initial}}
-        self.pending: CommandRecord | None = None  # inputs queued since the last boundary
+        self.pending: tuple[int, ...] = ()  # inputs queued since the last boundary
 
-    def queue_operator_inputs(self, slot: int, inputs: tuple[int, ...]) -> None:
-        if self.pending is None:
-            self.pending = CommandRecord(inputs, slot)
-        else:
-            self.pending.inputs += inputs
+    def queue_operator_inputs(self, inputs: tuple[int, ...]) -> None:
+        self.pending += inputs
 
     def tick(self, slot: int) -> CommandRecord | None:
         """One record per sync boundary; None between them.
 
-        The record holds every input queued over the period, issued at the
-        first of them, and is empty when none was: the idle heartbeat.
-        Liveness counts on one frame per period each way: a second frame
-        would hide the deletion of the first.
+        The record holds every input queued over the period, and is empty
+        when none was: the idle heartbeat.  Either way it acknowledges the
+        newest accepted sync.  Liveness counts on one frame per period each
+        way: a second frame would hide the deletion of the first.
         """
         if slot % self.sync_period != 0:
             return None
-        command, self.pending = self.pending, None
-        return CommandRecord((), slot) if command is None else command
+        command = CommandRecord(self.pending, self.last_sync_seq)
+        self.pending = ()
+        return command
 
     def apply_sync(self, seq: int, delta: DeltaRecord) -> MismatchError | None:
         """Advance by a verified delta record; on any error nothing changes.

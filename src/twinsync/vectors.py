@@ -59,7 +59,7 @@ GOLDEN_VECTORS: tuple[GoldenVector, ...] = (
             session_id=1,
             seq=7,
             slot=9,
-            payload=encode_command_payload(CommandRecord(inputs=(1, 2), issued_slot=9)),
+            payload=encode_command_payload(CommandRecord(inputs=(1, 2), acked_seq=9)),
         ),
     ),
 )

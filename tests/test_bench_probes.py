@@ -72,8 +72,8 @@ def test_traced_fixture_runs_reach_every_span():
 
 
 def test_fold_work_is_linear_and_traced():
-    """Between key states each record carries the inputs since the newest
-    acknowledged record, or one idle input once the state has stopped
+    """Between key states each record carries the state-changing inputs
+    since the newest acknowledged record, none once the state has stopped
     changing, and the replica folds each record in full: at most two folded
     inputs per slot."""
     probes = import_bench_module("probes")

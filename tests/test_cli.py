@@ -100,11 +100,21 @@ class TestRun:
         assert report["summary"]["verdict"] == "pass"
 
     def test_record_too_big_for_a_frame_exits_two(self, tmp_path):
-        """Valid, yet one record would carry 16,383 inputs: exit 2, no traceback."""
+        """Valid, yet one record would carry 16,383 inputs: exit 2, no traceback.
+
+        Every input of a toggle changes its state, so each one ships."""
+        toggle = {
+            "machine_id": "toggle",
+            "states": [0, 1],
+            "inputs": [1],
+            "initial": 0,
+            "key_states": [0],
+            "delta": [[0, 1, 1], [1, 1, 0]],
+        }
         doc = {
-            "machine": "kettle",
+            "machine": toggle,
             "total_slots": 4,
-            "operator_inputs_physical": [[1, 2]] * 16383,
+            "operator_inputs_physical": [[1, 1]] * 16383,
         }
         path = write_json(tmp_path, "burst.json", doc)
         assert main(["validate", "--scenario", path]) == EXIT_OK

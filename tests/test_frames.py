@@ -426,17 +426,17 @@ class TestPayloadCodecs:
             decode_delta_payload(bad, slot=4)
 
     def test_two_input_command_payload_layout(self):
-        payload = encode_command_payload(CommandRecord(inputs=(1, 2), issued_slot=9))
+        payload = encode_command_payload(CommandRecord(inputs=(1, 2), acked_seq=9))
         assert len(payload) == 18
         assert payload.hex() == "0002" + "00000001" + "00000002" + "0000000000000009"
 
     def test_command_round_trip(self):
-        record = CommandRecord(inputs=(2,), issued_slot=3)
+        record = CommandRecord(inputs=(2,), acked_seq=3)
         assert decode_command_payload(encode_command_payload(record)) == record
 
     def test_empty_command_cannot_be_encoded(self):
         with pytest.raises(ValueError):
-            encode_command_payload(CommandRecord(inputs=(), issued_slot=1))
+            encode_command_payload(CommandRecord(inputs=(), acked_seq=1))
 
     def test_zero_count_command_payload_rejected(self):
         with pytest.raises(MalformedPayload):

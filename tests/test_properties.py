@@ -12,6 +12,8 @@ The clauses:
 - two runs give the same bytes, and the report validates against
   `report.schema.json`;
 - no record ever fails verification: there is no STATE_MISMATCH event;
+- every input of every accepted STATE_SYNC record changes the state it is
+  folded from: a self-loop is never shipped;
 - every attack that found a target is matched exactly, and no event is
   spurious, lossless or lossy;
 - lossless and with no attacks, every audit is ok and the replica's key
@@ -26,6 +28,8 @@ import jsonschema
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinsync.frames import HEADER_LEN, TAG_LEN, decode_delta_payload
+from twinsync.machine import step
 from twinsync.netsim import Direction
 from twinsync.oracle import expected_traces
 from twinsync.runner import run_scenario
@@ -127,6 +131,27 @@ def test_a_scenario_that_parses_runs_the_same_twice_to_a_valid_report(doc):
     data = report.to_json_bytes()
     assert run_scenario(scenario_from_dict(doc)).to_json_bytes() == data
     jsonschema.validate(json.loads(data), REPORT_SCHEMA)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_every_accepted_record_ships_only_state_changing_inputs(doc):
+    try:
+        spec = scenario_from_dict(doc)
+    except ScenarioInvalid:
+        return
+    report = run_scenario(spec)
+    for row in report.slots:
+        for frame_id in row.get("delivered", {}).get("phys_to_virt", ()):
+            if isinstance(frame_id, list):  # rejected, with its outcome
+                continue
+            payload = bytes.fromhex(report.frames[frame_id])[HEADER_LEN:-TAG_LEN]
+            record = decode_delta_payload(payload, row["slot"])
+            state = record.base_state
+            for sym in record.applied_inputs:
+                nxt = step(spec.machine, state, sym)
+                assert nxt != state, (record, state, sym)
+                state = nxt
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,7 +5,10 @@ Every report is pinned as written (`twinsync.report.v3`), projected back to
 v2 by `conftest.v2_report`, and from there to v1 by `conftest.v1_report`.
 The v2 and v1 digests are those the reports had when written in those
 versions, so the projections show that v2 changed how frames are named, v3
-left out what said nothing, and neither changed anything else."""
+left out what said nothing, and neither changed anything else.  When the
+records stopped shipping self-loops and every down-link record began to
+acknowledge, only frame bytes changed: each report is also pinned with its
+`frames` table left out, by digests taken before that change."""
 
 import functools
 import hashlib
@@ -40,6 +43,13 @@ def as_v2(data: bytes) -> bytes:
 def as_v1(data: bytes) -> bytes:
     """A written v3 report projected to v1, compact as v1 was written."""
     return compact(v1_report(v2_report(json.loads(data))))
+
+
+def outside_frames(data: bytes) -> bytes:
+    """A written v3 report without its `frames` table, compact."""
+    doc = json.loads(data)
+    del doc["frames"]
+    return compact(doc)
 
 
 @pytest.mark.parametrize("bad", [object(), {"k": {1, 2}}, [b"bytes"], {("a",): 1}])
@@ -83,34 +93,50 @@ def test_bench_workload_reports_match_stdlib(workload):
 # SHA-256 of `twinsync run` reports on the bundled scenarios, projected to
 # v1 and re-indented by `indented`: the text every report had from the first
 # release until delta records were anchored at the newest acknowledged
-# record, which changed what the physical twin ships and so every digest
-# here, once.
+# record.  That changed what the physical twin ships and so every digest
+# here, once; dropping self-loops from records and the COMMAND's issued slot
+# for an acknowledged seq changed the frames of `fig4_walkthrough` and of
+# every pinned run below but the two `attack_matrix` ones, once more.
 PINNED_REPORTS = {
-    "fig4_walkthrough": "1b9e415b886aef4e8aef473a4dab5a7954335691bb04d1c3afd93c69c274f2b8",
+    "fig4_walkthrough": "d7e50a63e7a8414196a0f36a157ad06880ff734723ba70de7c20a0e9dcf2739e",
     "attack_matrix": "13aa3b41ee9cc8f91d66e47235e187e72509bef04e142fb2a95c6759819a2a12",
 }
 # SHA-256 of the same v1 projections, compact, sorted keys, one newline.
 PINNED_COMPACT_REPORTS = {
-    "fig4_walkthrough": "58301ad769a1ad338827c2a3d2e184ed9f3d6257dd4e47df2ef8e793acbeb06f",
+    "fig4_walkthrough": "32eecc6608c0ca8edfd085237b019df2ed3985ca806873f123caba00c1a79e8e",
     "attack_matrix": "e18d81513f0ba5b6b5645f2c4aa615dede3fd3dac9219df03d9e0f0a9510eade",
 }
 # SHA-256 of the same reports as v2 wrote them, projected by `as_v2`.
 PINNED_V2_REPORTS = {
-    "fig4_walkthrough": "8c1ec97d83b1349169f0a19be40303b7073d22330022729c1804935ce125aef9",
+    "fig4_walkthrough": "6e35f5e92ba28f70fddaae348ab2e8e8d975f9aa3860343509e6df3800eeefd9",
     "attack_matrix": "2d3f6c4293063da502f9748a8353dd3e27db0d9d953a438675f104dc0eabc8ff",
 }
 # SHA-256 of every pinned report as written (`twinsync.report.v3`): the two
 # bundled scenarios above, the four bench workloads and the two lossy runs
 # below, a workload's reports concatenated as its other digests are.
 PINNED_V3_REPORTS = {
-    "fig4_walkthrough": "a7bf3218c0849f6abf7ede1ca9af99046aacc1695098f0da60a870ffeced704d",
+    "fig4_walkthrough": "c9dd6e2b9812ae247f568cda26f51ee56589293b8c0ee24b08a8966762d6e420",
     "attack_matrix": "457cf6eda6f0aadbb0602852ea2afd699855a7130a3d80eeb1a72ff95fd01f6b",
-    "idle_at_key": "a474a6a9aa9601731762f47e708b18c830d5b015e4ae390c98eb380cd1c26d5e",
-    "idle_between_keys": "4ae716b43e872ecb1fa6674f08bc65d184e97d54bf181af6beb256fdb34546fa",
-    "attack_dense": "c94e7fbfdc07d8ccf54950698c96f85c382fcbbea52e85164f24f015ffe1cf4d",
-    "oracle_sweep": "766642c4faea3696cce72b56b0a7cdb0d23e375235722ce726d5aed2061d1fee",
+    "idle_at_key": "bfac959be6dbf059ffa54c7c0ee158abd8e51abd457d0857bbd71d203f40f215",
+    "idle_between_keys": "ef8d9684a053e3a176a6fe7e5fbba7c5bfac98d42c51f4ce2595b0902640192e",
+    "attack_dense": "093dea16db07c3d12243db62e6bedc8c718d6bef573047919b027a3521440221",
+    "oracle_sweep": "0cd8205b4d191f7ef127c257e683748bad8c4cad78c28605d2e3f2db5f5eed6d",
     "attack_matrix_loss_0.3": "4db1d7ea15485c77dde07fefed238753adda4114371a9a3d3775891ec4b90e32",
-    "idle_between_keys_loss_0.1": "803bb9ce85d8aa445d7b72f1201ebacc2d20a1d0a66bfff64d8495d29cb3af62",
+    "idle_between_keys_loss_0.1": "31bd69b5ea226e2328b2ad6a080316eb4fb74c7c2404550d98a1bee40af79949",
+}
+# SHA-256 of every pinned report as written, without its `frames` table
+# (`outside_frames`), taken before records stopped shipping self-loops: what
+# a report says about a run, as opposed to the bytes it sent, held across
+# that change.
+PINNED_OUTSIDE_FRAMES = {
+    "fig4_walkthrough": "5179ab397efce656465cdfa15492d03fe62b24dcab19e6692df5540d3afa3e6c",
+    "attack_matrix": "55f164df6faa20562816d26c44a0c41eca19e05124dffe392e8521acdae35f9a",
+    "idle_at_key": "5c3254c1575407fc10085c1e31b7685c919d0a07e9b50cec8ab2d82e87a5e2e1",
+    "idle_between_keys": "374549b41e923a020f63db79c06da191c4bd0d6fbf9f0a1160efd2aeff03e3b0",
+    "attack_dense": "d6937c7288c1590fbbfe543e6fb5f3dfb56d84e76ce1fb2a1279ef7ca5e1fd30",
+    "oracle_sweep": "03122a6a66792e168ae3170239e4abf6d97a9564d2aacbe7041899bf502d0fb6",
+    "attack_matrix_loss_0.3": "8dda6fe5d0f0c59cad8a2307f4eef1790b498c3bf8da209edcb208ba39ff9eee",
+    "idle_between_keys_loss_0.1": "7153a2ad78de56d1f0582558b6a4b875f5b56dc494155c703e0bf3d83ae55d53",
 }
 
 
@@ -121,6 +147,7 @@ def test_bundled_reports_match_pinned_digests(name, tmp_path):
     assert rc == EXIT_OK
     data = out.read_bytes()
     assert hashlib.sha256(data).hexdigest() == PINNED_V3_REPORTS[name]
+    assert hashlib.sha256(outside_frames(data)).hexdigest() == PINNED_OUTSIDE_FRAMES[name]
     assert hashlib.sha256(as_v2(data)).hexdigest() == PINNED_V2_REPORTS[name]
     v1 = as_v1(data)
     assert hashlib.sha256(indented(v1)).hexdigest() == PINNED_REPORTS[name]
@@ -132,22 +159,22 @@ def test_bundled_reports_match_pinned_digests(name, tmp_path):
 # the two bundled scenarios these cover lossy drops, template INSERTs,
 # payload splices and the oracle sweep.
 PINNED_WORKLOAD_REPORTS = {
-    "idle_at_key": "6df8ee6d9293661b70b1680a9746521c85c861f0ee997966ad087448b556322c",
-    "idle_between_keys": "1f54fdcb48b88ddbb8d695909425cb0b7b8d3c010a2788a217b0dd5cc458e799",
-    "attack_dense": "5a6d16ff2a40aa590eb81bef025430d44fe99ff574cebe66795d251737138378",
-    "oracle_sweep": "a00ceb0c12e69ab4f82a776a39bc53fff3fa2b383735db4040a1515bf3338d50",
+    "idle_at_key": "e1a9ba5b10f770c0aea7976521c2a3ce0d7b909126f92a57e77f8550558f5de6",
+    "idle_between_keys": "4f2a6ba045e24cb40ec160bf4685f33361892b9666fd6a8f0021ce76f424339d",
+    "attack_dense": "d440df5763d736c1968b766e9809a3df19359207963c7c5a36561981e4347b0c",
+    "oracle_sweep": "374d0039dc3c7d7b66bf3093abe76a6a46cd5f339847e22212c531205e2c0539",
 }
 PINNED_COMPACT_WORKLOAD_REPORTS = {
-    "idle_at_key": "eda35f1ba469e55427af531e1f026f61badef1398f3013a22a66a97340ddf590",
-    "idle_between_keys": "66cb696e5518b8cd3b2a534385bb7d95889423fd2ae697b6e68ba683452b1a14",
-    "attack_dense": "ca2fa1e1354ea49b5ffd66d416fe95eb25d30941b1c9e9820218f7ee33aeafa1",
-    "oracle_sweep": "2697fd2973325e9cae6d417a470b87850aa5bda1a2b8337a16251083658f71e6",
+    "idle_at_key": "9d5aa45298cd1b1e91aaa95bd22504638824f69c36b8f8ddfdc522b41ab91ca8",
+    "idle_between_keys": "ad3a760cd650add99a4cde45e1b635bc59b8da777632ecf95c50679fd4e670ab",
+    "attack_dense": "d7eabd36dd97dbedb1058fd30b67e197b0d9c995b3e7860d5f7e7f1d7ebcf98c",
+    "oracle_sweep": "b020275d6d5a57de75ccfd5bf955850ff32851c1ee99616d6cf940caa9975f1b",
 }
 PINNED_V2_WORKLOAD_REPORTS = {
-    "idle_at_key": "1cc7721e70367f46b1b6e5f2967b2604c8cdf0e15be4f65b335e3fa0b847b35c",
-    "idle_between_keys": "6d635ee7a18315102c86b93189e395759f824bfd177bff6204590f0b4f9c31fc",
-    "attack_dense": "c78e808492d025435332f325f2b7658d60149d1b89ba53007b6efae3c3b54722",
-    "oracle_sweep": "20c9ef70fd1e44131930f78ac586e6810d58cae8b48334f073491b5bd70b2e28",
+    "idle_at_key": "0d7c8805c4690d08845ec58ac3b5e7bfd64702497506488d44b958f49875ed7f",
+    "idle_between_keys": "9a90653ba4b4af7046e8cbdbea55c9c105cdf9b0f1f576686e1270145888ebda",
+    "attack_dense": "83cfc57bdbc49ea72fc7503a7465ff3177927c1e53514d67f22f682dd5d08b4e",
+    "oracle_sweep": "b927831c665e4c7cb6042f53a33e59650da3223f5bc61407c89875eb9a08ce6e",
 }
 
 
@@ -157,14 +184,17 @@ def test_bench_workload_reports_match_pinned_digests(workload):
     compact_digest = hashlib.sha256()
     v2_digest = hashlib.sha256()
     v3_digest = hashlib.sha256()
+    outside_digest = hashlib.sha256()
     for spec in _workload_specs(workload):
         data = run_scenario(spec).to_json_bytes()
         v3_digest.update(data)
+        outside_digest.update(outside_frames(data))
         v2_digest.update(as_v2(data))
         v1 = as_v1(data)
         digest.update(indented(v1))
         compact_digest.update(v1)
     assert v3_digest.hexdigest() == PINNED_V3_REPORTS[workload]
+    assert outside_digest.hexdigest() == PINNED_OUTSIDE_FRAMES[workload]
     assert v2_digest.hexdigest() == PINNED_V2_WORKLOAD_REPORTS[workload]
     assert digest.hexdigest() == PINNED_WORKLOAD_REPORTS[workload]
     assert compact_digest.hexdigest() == PINNED_COMPACT_WORKLOAD_REPORTS[workload]
@@ -190,9 +220,9 @@ PINNED_LOSSY_REPORTS = {
     ),
     "idle_between_keys_loss_0.1": (
         functools.partial(heat_once_then_idle, 2000, drop=0.1),
-        "34029cccbef8959d4e722c0a4196b9f6adb2708c83781ab59e110081014afc5d",
-        "7a5034aaadbe25fb2966050b7d3950fb0614b31f764ca134b644c2f6ba0b6607",
-        "73e943faa47cff5efaaaff200014be0a30b4af166e3e94a37afe2497f6036f9d",
+        "c3461b21f48f31c46ed453d1d66352d20d7d4761859558cfa17cdff5a65e6cc2",
+        "b04672aeddd83b48a1e3dc7d0e140f13a3d1c4511f9861f73c38d6c4a28acd3a",
+        "0e12ae1b1a815eda96f45843c4078777a2016682cc6ca5e9fea75b96da5fde2d",
     ),
 }
 
@@ -206,6 +236,7 @@ def test_lossy_reports_match_pinned_digests(name):
     assert report.summary["verdict"] == "pass"
     data = report.to_json_bytes()
     assert hashlib.sha256(data).hexdigest() == PINNED_V3_REPORTS[name]
+    assert hashlib.sha256(outside_frames(data)).hexdigest() == PINNED_OUTSIDE_FRAMES[name]
     assert hashlib.sha256(as_v2(data)).hexdigest() == v2_sha
     v1 = as_v1(data)
     assert hashlib.sha256(v1).hexdigest() == compact_sha

@@ -21,10 +21,12 @@ from twinsync.frames import (
     TAG_LEN,
     MsgType,
     decode_delta_payload,
+    encode_command_payload,
     encode_frame,
 )
 from twinsync.netsim import Direction
 from twinsync.runner import VIRTUAL_SENDER_ID, run_scenario
+from twinsync.sync import CommandRecord
 from twinsync.scenario import (
     load_bundled_scenario,
     load_fixture_json,
@@ -270,6 +272,38 @@ def test_authenticated_ack_with_a_short_payload_is_a_forged_insert():
     assert outcomes(report.slots[7], V2P) == ["accepted", "malformed_payload"]
     events = [(e["kind"], e["direction"], e["requirements"]) for e in report.detection_events]
     assert events == [("FORGED_INSERT", V2P, ["R1", "R3"])]
+    assert report.summary["verdict"] == "pass"
+
+
+def test_authenticated_commands_are_decoded_then_vetted():
+    """A validly tagged COMMAND with no inputs fails to decode, a FORGED_INSERT;
+    one naming an input the machine lacks decodes, and `reconcile` rejects it."""
+    doc = load_fixture_json("fig4_walkthrough")
+    key = bytes.fromhex(doc["keys"][V2P])
+    payloads = {
+        8: bytes(2) + bytes(8),  # a count of 0, then the acknowledged seq
+        9: encode_command_payload(CommandRecord(inputs=(99,), acked_seq=0)),
+    }
+    # Seq 7 is the last frame the virtual twin sends; 8 and 9 are fresh at slot 7.
+    doc["attacks"] = [
+        {
+            "kind": "INSERT",
+            "slot": 7,
+            "direction": V2P,
+            "params": {
+                "raw_hex": encode_frame(
+                    Frame(MsgType.COMMAND, VIRTUAL_SENDER_ID, doc["session_id"], seq, 7, payload),
+                    key,
+                ).hex()
+            },
+        }
+        for seq, payload in payloads.items()
+    ]
+    report = run_scenario(scenario_from_dict(doc))
+    assert outcomes(report.slots[7], V2P) == ["accepted", "malformed_payload", "command_rejected"]
+    events = [(e["kind"], e["requirements"], e["detail"]) for e in report.detection_events]
+    assert events[0][:2] == ("FORGED_INSERT", ["R1", "R3"])
+    assert events[1:] == [("COMMAND_REJECTED", ["R3"], {"reason": "unknown_input", "input": 99})]
     assert report.summary["verdict"] == "pass"
 
 
@@ -672,15 +706,15 @@ def test_held_containers_per_idle_slot():
     assert (containers(report.slots) + containers(report.audits)) / spec.total_slots <= 8
 
 
-def test_idling_between_keys_ships_one_input_per_record():
-    """The ACK for the record that carried the HEAT lands at slot 4; slot 5's
-    record re-covers the IDLEs since and moves the anchor itself, and from
-    slot 6 on every record is one IDLE: 80 bytes on the wire."""
+def test_idling_between_keys_ships_heartbeats():
+    """The records of slots 1-4 re-cover the HEAT until the ACK for its record
+    lands at slot 4; the IDLEs are self-loops and ship nothing, so from slot 5
+    on every record is a heartbeat: 76 bytes on the wire."""
     report = run_scenario(heat_once_then_idle(8000))
     sizes = [len(data) // 2 for row in report.slots for data in sent_hex(report, row, P2V)]
     assert len(sizes) == 8000
-    assert max(sizes[:6]) <= 92
-    assert set(sizes[6:]) == {80}
+    assert sizes[1:5] == [80] * 4
+    assert set(sizes[5:]) == {76}
     assert report.summary["verdict"] == "pass"
 
 
@@ -690,6 +724,61 @@ def test_long_lossy_idle_between_keys_completes():
     assert report.summary["verdict"] == "pass"
     assert report.audits == []
     assert max(len(data) // 2 for row in report.slots for data in sent_hex(report, row, P2V)) <= 92
+
+
+TOGGLE = {
+    "machine_id": "toggle",
+    "states": [0, 1],
+    "inputs": [1],
+    "initial": 0,
+    "key_states": [0],
+    "delta": [[0, 1, 1], [1, 1, 0]],
+}
+
+
+def kettle_commanded_every_slot(total_slots: int) -> dict:
+    """Heated once, then an IDLE and a virtual IDLE command every slot."""
+    return {
+        "machine": "kettle",
+        "total_slots": total_slots,
+        "operator_inputs_physical": [[1, HEAT]] + [[s, IDLE] for s in range(2, total_slots)],
+        "operator_inputs_virtual": [[s, IDLE] for s in range(2, total_slots)],
+    }
+
+
+def toggle_commanded_every_slot(total_slots: int) -> dict:
+    """Every input changes a toggle's state, so only acknowledgements cut its records."""
+    every_slot = [[s, 1] for s in range(total_slots)]
+    return {
+        "machine": TOGGLE,
+        "total_slots": total_slots,
+        "operator_inputs_physical": every_slot,
+        "operator_inputs_virtual": every_slot,
+    }
+
+
+def kettle_deaf(total_slots: int) -> dict:
+    """Heated once, then idle, with every down-link frame lost."""
+    return {
+        "machine": "kettle",
+        "total_slots": total_slots,
+        "channels": {"virt_to_phys": {"drop_probability": 1.0}},
+        "operator_inputs_physical": [[1, HEAT]] + [[s, IDLE] for s in range(2, total_slots)],
+    }
+
+
+@pytest.mark.parametrize(
+    "build", [kettle_commanded_every_slot, toggle_commanded_every_slot, kettle_deaf]
+)
+def test_report_bytes_per_slot_stay_flat_without_idle_acks(build):
+    """A boundary that sends a command sends no ACK, but the command itself
+    acknowledges, and a self-loop ships nothing.  So records stay a few
+    inputs long: 8,300 slots, where they once outgrew a frame near slot
+    8,190, cost within 5% per slot of 500."""
+    short = run_scenario(scenario_from_dict(build(500))).to_json_bytes()
+    report = run_scenario(scenario_from_dict(build(8300)))
+    assert report.summary["verdict"] == "pass"
+    assert len(report.to_json_bytes()) / 8300 <= 1.05 * len(short) / 500
 
 
 @pytest.mark.parametrize("name", ["fig4_walkthrough", "attack_matrix"])
@@ -751,15 +840,16 @@ class TestAckAnchoring:
             (0, ()),
             (0, (HEAT,)),
             (0, (HEAT, HEAT)),
-            (0, (HEAT, HEAT, IDLE)),
-            (0, (HEAT, HEAT, IDLE, IDLE)),
-            (25, (HEAT, IDLE, IDLE, IDLE)),
-            (50, (IDLE, IDLE, IDLE, IDLE)),
-        ] + [(50, (IDLE,))] * 9
+            (0, (HEAT, HEAT)),
+            (0, (HEAT, HEAT)),
+            (25, (HEAT,)),
+        ] + [(50, ())] * 10
 
     def test_without_acks_every_record_starts_at_the_initial_state(self):
+        """With every ACK lost the anchor never moves, yet the IDLEs are self-loops
+        and ship nothing: the record stays two inputs long."""
         report = run_scenario(ack_anchoring_spec([], ack_drop=1.0))
-        assert records(report)[-1] == (0, (HEAT, HEAT) + (IDLE,) * 13)
+        assert records(report)[2:] == [(0, (HEAT, HEAT))] * 14
         assert report.summary["verdict"] == "pass"
 
     @pytest.mark.parametrize(

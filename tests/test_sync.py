@@ -170,15 +170,11 @@ class TestApplyDelta:
 
 class TestReconcile:
     def test_accepts_known_inputs(self, kettle):
-        cmd = CommandRecord(inputs=(HEAT, IDLE), issued_slot=3)
+        cmd = CommandRecord(inputs=(HEAT, IDLE), acked_seq=3)
         assert reconcile(cmd, kettle) == (HEAT, IDLE)
 
-    def test_rejects_empty_command(self, kettle):
-        out = reconcile(CommandRecord(inputs=(), issued_slot=3), kettle)
-        assert out == Reject(reason="empty_command")
-
     def test_rejects_unknown_input(self, kettle):
-        out = reconcile(CommandRecord(inputs=(HEAT, 99), issued_slot=3), kettle)
+        out = reconcile(CommandRecord(inputs=(HEAT, 99), acked_seq=3), kettle)
         assert out == Reject(reason="unknown_input", detail=99)
 
 
@@ -199,9 +195,11 @@ class TestPhysicalTwin:
         assert replica_state(virtual) == before
 
     def test_idle_slot_is_a_self_loop_delta(self, kettle):
+        """A self-loop is logged but never shipped: its record is a heartbeat."""
         twin = PhysicalTwin(kettle)
         twin.apply_input(1, IDLE)
-        assert twin.tick(1) == DeltaRecord(0, 0, (IDLE,), 1)
+        assert twin.tick(1) == DeltaRecord(0, 0, (), 1)
+        assert len(twin.log.entries) == 1
 
     def test_emissions_follow_the_walkthrough(self, kettle):
         """Each record starts at the newest acknowledged one; the ACK for the
@@ -257,22 +255,25 @@ class TestPhysicalTwin:
         twin.on_ack(99)
         assert twin.tick(3) == DeltaRecord(50, 0, (), slot=3)
 
-    def test_inputs_that_never_leave_the_anchor_state_move_it(self, kettle):
-        """At a key state and between them alike, an idle slot ships one input."""
+    def test_inputs_that_never_leave_the_state_are_not_shipped(self, kettle):
+        """At a key state and between them alike, an idle slot ships no input,
+        and a record with no input past the last one is not kept for an ACK:
+        acknowledging it anchors where the record before it ended."""
         twin = PhysicalTwin(kettle)
         twin.apply_input(1, HEAT)
         assert twin.tick(1) == DeltaRecord(0, 0, (HEAT,), slot=1)
         twin.apply_input(2, IDLE)
-        assert twin.tick(2) == DeltaRecord(0, 0, (HEAT, IDLE), slot=2)
-        twin.on_ack(1)
-        twin.apply_input(3, IDLE)
-        assert twin.tick(3) == DeltaRecord(25, 0, (IDLE, IDLE), slot=3)
+        assert twin.tick(2) == DeltaRecord(0, 0, (HEAT,), slot=2)
+        twin.apply_input(3, HEAT)
+        assert twin.tick(3) == DeltaRecord(0, 0, (HEAT, HEAT), slot=3)
+        twin.on_ack(2)
         for slot in (4, 5):
             twin.apply_input(slot, IDLE)
-            assert twin.tick(slot) == DeltaRecord(25, 0, (IDLE,), slot=slot)
-        twin.on_ack(2)  # behind the anchor the idle records moved
-        twin.apply_input(6, HEAT)
-        assert twin.tick(6) == DeltaRecord(25, 0, (HEAT,), slot=6)
+            assert twin.tick(slot) == DeltaRecord(25, 0, (HEAT,), slot=slot)
+        twin.on_ack(5)
+        twin.apply_input(6, IDLE)
+        assert twin.tick(6) == DeltaRecord(50, 0, (), slot=6)
+        assert twin._unacked == []
 
     def test_unshipped_crossing_stays_in_the_record(self, kettle_cool):
         """Inputs land across two slots with no emission between: one cumulative record."""
@@ -311,23 +312,32 @@ class TestVirtualTwin:
     def test_queue_and_flush(self, kettle):
         """One record per boundary; an empty one, the idle heartbeat, when nothing was queued."""
         twin = VirtualTwin(kettle)
-        twin.queue_operator_inputs(2, (HEAT,))
-        twin.queue_operator_inputs(2, (IDLE,))
-        assert twin.tick(2) == CommandRecord(inputs=(HEAT, IDLE), issued_slot=2)
-        assert twin.tick(3) == CommandRecord(inputs=(), issued_slot=3)
+        twin.queue_operator_inputs((HEAT,))
+        twin.queue_operator_inputs((IDLE,))
+        assert twin.tick(2) == CommandRecord(inputs=(HEAT, IDLE), acked_seq=0)
+        assert twin.tick(3) == CommandRecord(inputs=(), acked_seq=0)
+
+    def test_every_record_acknowledges_the_newest_accepted_sync(self, kettle):
+        """A command and the idle heartbeat alike carry the replica's sync seq."""
+        twin = VirtualTwin(kettle)
+        assert twin.apply_sync(5, DeltaRecord(0, 0, (HEAT,), slot=1)) is None
+        twin.queue_operator_inputs((HEAT,))
+        assert twin.tick(1) == CommandRecord(inputs=(HEAT,), acked_seq=5)
+        assert twin.apply_sync(6, DeltaRecord(0, 100, (HEAT,), slot=2)) is not None
+        assert twin.tick(2) == CommandRecord(inputs=(), acked_seq=5)
 
     def test_commands_of_one_period_share_one_record(self, kettle):
         twin = VirtualTwin(kettle, sync_period=3)
-        twin.queue_operator_inputs(1, (HEAT, HEAT))
-        twin.queue_operator_inputs(2, (IDLE,))
-        twin.queue_operator_inputs(3, (HEAT,))
-        assert twin.tick(3) == CommandRecord(inputs=(HEAT, HEAT, IDLE, HEAT), issued_slot=1)
+        twin.queue_operator_inputs((HEAT, HEAT))
+        twin.queue_operator_inputs((IDLE,))
+        twin.queue_operator_inputs((HEAT,))
+        assert twin.tick(3) == CommandRecord(inputs=(HEAT, HEAT, IDLE, HEAT), acked_seq=0)
 
     def test_flush_respects_period(self, kettle):
         twin = VirtualTwin(kettle, sync_period=2)
-        twin.queue_operator_inputs(1, (HEAT,))
+        twin.queue_operator_inputs((HEAT,))
         assert twin.tick(1) is None
-        assert twin.tick(2) == CommandRecord(inputs=(HEAT,), issued_slot=1)
+        assert twin.tick(2) == CommandRecord(inputs=(HEAT,), acked_seq=0)
 
     def test_apply_sync_tracks_seq(self, kettle):
         twin = VirtualTwin(kettle)
