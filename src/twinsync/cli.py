@@ -7,13 +7,14 @@
 
 Exit codes: 0 when everything the scenario expects was detected (or the
 check passed), 1 on a detection or verification mismatch, 2 on invalid
-input of any kind.
+input of any kind or a standard output closed before it was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .frames import PayloadTooLarge
@@ -42,20 +43,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"scenario: {problem}", file=sys.stderr)
         return EXIT_INVALID
     except PayloadTooLarge as exc:
-        # Valid, yet a machine cycling while no ACK arrives, or 16,382 virtual
-        # inputs in one period, builds a record too big for a frame.
+        # Valid, yet a machine cycling while no ACK arrives builds a record
+        # too big for a frame.
         print(f"scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    payload = report.to_json_bytes()
+    # The report goes out piece by piece, never whole in memory.
     if args.out:
         try:
             with open(args.out, "wb") as fh:
-                fh.write(payload)
+                fh.writelines(report.json_pieces())
         except OSError as exc:
             print(f"report: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_INVALID
     else:
-        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.writelines(report.json_pieces())
     verdict = report.summary["verdict"]
     print(f"verdict: {verdict}", file=sys.stderr)
     return EXIT_OK if verdict == "pass" else EXIT_MISMATCH
@@ -149,7 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at /dev/null so that
+        # flush cannot fail too (the `signal` docs' note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("twinsync: stdout closed before the output was written", file=sys.stderr)
+        return EXIT_INVALID
+    return code
 
 
 if __name__ == "__main__":

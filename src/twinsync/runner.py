@@ -10,19 +10,21 @@ Every slot runs the same four phases:
     4. the detector checks liveness expectations and the consistency audit
        compares the replica against the physical history
 
-The report is compact ASCII JSON with sorted keys, written by the stdlib's
-`json.dumps`, with no wall-clock or environment dependence, so identical
-(scenario, seed) pairs produce byte identical reports.  `frames` holds each
-distinct frame's hex once, in the order first seen, and slot rows name frames
-by their index there: the hex of frame `id` is `report.frames[id]`.  A row
-states only what happened: `sent`, `delivered` and `dropped` hold only the
-links with frames, an accepted frame is its bare id, and `adversary_actions`
-and failed audits appear only when there are any.
+The report is compact ASCII JSON with sorted keys, the bytes of the stdlib's
+`json.dumps` written in bounded pieces by its C encoder, with no wall-clock
+or environment dependence, so identical (scenario, seed) pairs produce byte
+identical reports.  `frames` holds each distinct frame's hex once, in the
+order first seen, and slot rows name frames by their index there: the hex of
+frame `id` is `report.frames[id]`.  A row states only what happened: `sent`,
+`delivered` and `dropped` hold only the links with frames, an accepted frame
+is its bare id, and `adversary_actions` and failed audits appear only when
+there are any.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .adversary import Adversary
@@ -61,6 +63,13 @@ REPORT_SCHEMA = "twinsync.report.v3"
 # Module aliases: an enum member lookup costs several times a global one.
 STATE_SYNC, COMMAND, ACK = MsgType.STATE_SYNC, MsgType.COMMAND, MsgType.ACK
 
+# A top-level report list longer than CHUNK is encoded CHUNK elements at a
+# time.  The C encoder keeps every token of one call as its own str until it
+# joins them, so a call's transient grows with what it encodes.  A report is
+# a tree built afresh by `run_scenario`, so no cycle check is needed.
+CHUNK = 64
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
 
 @dataclass
 class RunReport:
@@ -82,16 +91,42 @@ class RunReport:
             "summary": self.summary,
         }
 
-    def to_json_bytes(self) -> bytes:
-        """Compact ASCII JSON with sorted keys, then one newline.
+    def json_pieces(self) -> Iterator[bytes]:
+        """The report as byte pieces that join to `json.dumps(self.to_json_dict(),
+        sort_keys=True, separators=(",", ":"))` plus one newline.
 
-        One expression, so the text is freed before the newline is added to
-        its bytes rather than held alongside both copies.  The report is a
-        tree built afresh by `run_scenario`, so no cycle check is needed.
+        Each top-level list longer than CHUNK is encoded a chunk at a time,
+        and the other top-level values one call per run of them, in key
+        order, between such lists.  A report whose lists all fit in one
+        chunk is one call.
         """
-        return json.dumps(
-            self.to_json_dict(), sort_keys=True, separators=(",", ":"), check_circular=False
-        ).encode() + b"\n"
+        encode = _ENCODER.encode
+        doc = self.to_json_dict()
+        run: dict = {}  # values since the last long list, encoded together
+        sep = b"{"
+        for key in sorted(doc):
+            items = doc[key]
+            if not (isinstance(items, list) and len(items) > CHUNK):
+                run[key] = items
+                continue
+            if run:
+                yield sep + encode(run)[1:-1].encode()
+                run, sep = {}, b","
+            yield sep + encode(key).encode() + b":["
+            for start in range(0, len(items), CHUNK):
+                chunk = encode(items[start : start + CHUNK])[1:-1].encode()
+                yield b"," + chunk if start else chunk
+            sep = b"],"
+        # `summary`, a dict, is last in key order, so the last run holds it.
+        # With no long list before it, that run is the whole report.
+        last = encode(run).encode()
+        yield last if sep == b"{" else sep + last[1:]
+        yield b"\n"
+
+    def to_json_bytes(self) -> bytes:
+        """Compact ASCII JSON with sorted keys, then one newline: `json_pieces`
+        joined, with no copy of the whole beyond the one join."""
+        return b"".join(self.json_pieces())
 
 
 class _Link:

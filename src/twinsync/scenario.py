@@ -6,8 +6,8 @@ schedule, and the run length.  schemas/scenario.schema.json is the one
 statement of the document's keys, types and bounds; `_check` walks a
 document against it, and the few rules it cannot state are checked after.
 Validation collects every problem it can find.  A scenario that parses runs
-to a report unless a record outgrows the u16 payload (`PayloadTooLarge`): a
-machine cycling while no ACK arrives, or 16,382 virtual inputs in one period.
+to a report unless a delta record outgrows the u16 payload
+(`PayloadTooLarge`): a machine cycling while no ACK arrives.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -26,6 +27,7 @@ from .machine import (
     machine_to_dict,
     validate_machine,
 )
+from .frames import MAX_PAYLOAD_LEN
 from .netsim import Direction
 
 DEFAULT_KEYS = {
@@ -45,6 +47,9 @@ _TYPES = {
     "integer": (int, "an integer"),
     "number": ((int, float), "a number"),
 }
+# The most operator inputs one COMMAND carries: a u16 count, a u32 per input
+# and the u64 acknowledged seq.
+MAX_COMMAND_INPUTS = (MAX_PAYLOAD_LEN - 10) // 4
 # The document's top-level values that ScenarioSpec takes as they are.
 _SCALARS = ("name", "total_slots", "sync_period_slots", "session_id", "seed", "grace_slots")
 _INPUTS = ("operator_inputs_physical", "operator_inputs_virtual")
@@ -231,7 +236,8 @@ def scenario_from_dict(obj: dict) -> ScenarioSpec:
 
     The document is first checked against scenario.schema.json.  Only when it
     matches are the rules the schema cannot state checked: inputs and attacks
-    inside the run and the machine, a DELETE detectable before the run ends,
+    inside the run and the machine, no more virtual inputs in one period than
+    a COMMAND holds, a DELETE detectable before the run ends,
     a REPLAY capturing no later than it replays, a MODIFY that mutates, and
     one key per direction.
     """
@@ -264,6 +270,16 @@ def scenario_from_dict(obj: dict) -> ScenarioSpec:
                 problems.append(f"{key}[{i}]: slot {slot} outside the run of {total} slots")
             if sym not in machine.inputs:
                 problems.append(f"{key}[{i}]: input {sym} not defined by the machine")
+    # The virtual twin sends a period's inputs in one COMMAND at its boundary.
+    period = spec.sync_period_slots
+    virtual = inputs["operator_inputs_virtual"]
+    boundaries = Counter(-(-slot // period) * period for slot, _ in virtual)
+    for boundary, count in sorted(boundaries.items()):
+        if boundary < total and count > MAX_COMMAND_INPUTS:
+            problems.append(
+                f"operator_inputs_virtual: {count} inputs go out in the COMMAND at slot "
+                f"{boundary}, which holds at most {MAX_COMMAND_INPUTS}"
+            )
     for i, attack in enumerate(spec.attacks):
         where, slot, params = f"attacks[{i}]", attack.slot, attack.params
         if slot >= total:

@@ -1,6 +1,7 @@
 """Command line behavior and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -299,3 +300,36 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert "scenario ok" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "{walkthrough}"],
+        ["oracle", "--machine", "kettle", "--max-len", "1"],
+        ["validate", "--scenario", "{walkthrough}"],
+        ["vectors", "verify", "--path", "{vectors}"],
+    ],
+    ids=["run", "oracle", "validate", "vectors"],
+)
+def test_closed_stdout_exits_two_with_one_line(argv, unbuffered, walkthrough_path):
+    """Started on a pipe whose read end is already closed, so every write to
+    stdout fails however soon it comes.  Buffered, `print` fails only when
+    stdout is flushed; unbuffered, at once."""
+    vectors = str(fixture_path("golden_frames.hex"))
+    args = [a.format(walkthrough=walkthrough_path, vectors=vectors) for a in argv]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "twinsync", *args],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == EXIT_INVALID
+    assert proc.stderr == "twinsync: stdout closed before the output was written\n"

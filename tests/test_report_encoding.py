@@ -1,5 +1,5 @@
-"""Report serialization: compact sorted-key ASCII JSON, the frame table, and
-pinned report digests.
+"""Report serialization: compact sorted-key ASCII JSON written in bounded
+pieces, the frame table, and pinned report digests.
 
 Every report is pinned as written (`twinsync.report.v3`), projected back to
 v2 by `conftest.v2_report`, and from there to v1 by `conftest.v1_report`.
@@ -10,9 +10,11 @@ records stopped shipping self-loops and every down-link record began to
 acknowledge, only frame bytes changed: each report is also pinned with its
 `frames` table left out, by digests taken before that change."""
 
+import dataclasses
 import functools
 import hashlib
 import json
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -22,7 +24,8 @@ from conftest import heat_once_then_idle, import_bench_module, v1_report, v2_rep
 from twinsync.cli import EXIT_OK, main
 from twinsync.machine import machine_from_dict
 from twinsync.oracle import build_schedule_scenario
-from twinsync.runner import RunReport, run_scenario
+from twinsync import runner
+from twinsync.runner import CHUNK, RunReport, run_scenario
 from twinsync.scenario import fixture_path, load_bundled_scenario, scenario_from_dict
 
 
@@ -52,16 +55,111 @@ def outside_frames(data: bytes) -> bytes:
     return compact(doc)
 
 
-@pytest.mark.parametrize("bad", [object(), {"k": {1, 2}}, [b"bytes"], {("a",): 1}])
-def test_unencodable_values_raise_like_stdlib(bad):
-    """The report takes no fallback encoder: what json.dumps refuses, it refuses."""
+BAD_VALUES = [object(), {"k": {1, 2}}, [b"bytes"], {("a",): 1}]
+
+
+@pytest.mark.parametrize(
+    "bad, at",
+    [(bad, 0) for bad in BAD_VALUES] + [(bad, CHUNK + 1) for bad in BAD_VALUES],
+    ids=[f"bad{i}" for i in range(4)] + [f"bad{i}_at_chunk_plus_1" for i in range(4)],
+)
+def test_unencodable_values_raise_like_stdlib(bad, at):
+    """The report takes no fallback encoder: what json.dumps refuses, it
+    refuses, also in a later chunk of a long list."""
     with pytest.raises(TypeError):
         json.dumps(bad)
+    slots = [{"slot": i} for i in range(at)] + [bad] + [{"slot": 0}] * at
     report = RunReport(
-        scenario={}, slots=[bad], frames=[], detection_events=[], audits=[], summary={}
+        scenario={}, slots=slots, frames=[], detection_events=[], audits=[], summary={}
     )
     with pytest.raises(TypeError):
         report.to_json_bytes()
+
+
+LISTS = ("slots", "frames", "detection_events", "audits")
+
+
+@functools.cache
+def _attack_matrix_report() -> RunReport:
+    return run_scenario(load_bundled_scenario("attack_matrix"))
+
+
+def _resized(report: RunReport, sizes: dict[str, int]) -> RunReport:
+    """`report` with each named top-level list cycled or cut to a length.
+
+    `attack_matrix` passes its audits, so audit rows are made up."""
+    fields = {}
+    for name, size in sizes.items():
+        pool = getattr(report, name) or [
+            {"slot": 7, "replica_key_state": 0, "expected": 25}
+        ]
+        fields[name] = [pool[i % len(pool)] for i in range(size)]
+    return dataclasses.replace(report, **fields)
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("name", LISTS)
+def test_pieces_join_to_the_stdlib_text(name, size):
+    report = _resized(_attack_matrix_report(), {name: size})
+    assert report.to_json_bytes() == compact(report.to_json_dict())
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_pieces_join_to_the_stdlib_text_with_every_list_that_long(size):
+    """Long lists next to each other in key order, and short values between."""
+    report = _resized(_attack_matrix_report(), dict.fromkeys(LISTS, size))
+    assert report.to_json_bytes() == compact(report.to_json_dict())
+
+
+def test_a_report_whose_lists_fit_one_chunk_is_one_encoder_call(monkeypatch):
+    calls = []
+
+    class Counting(json.JSONEncoder):
+        def encode(self, o):
+            calls.append(o)
+            return super().encode(o)
+
+    encoder = Counting(sort_keys=True, separators=(",", ":"), check_circular=False)
+    monkeypatch.setattr(runner, "_ENCODER", encoder)
+    report = _resized(_attack_matrix_report(), dict.fromkeys(LISTS, CHUNK))
+    assert report.to_json_bytes() == compact(report.to_json_dict())
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["fig4_walkthrough", "attack_matrix"])
+def test_twinsync_run_writes_to_json_bytes(name, tmp_path, capsysbinary):
+    """Streamed to `--out` or to stdout, the report has the bytes of
+    `to_json_bytes()`."""
+    path = str(fixture_path(name + ".json"))
+    expected = run_scenario(load_bundled_scenario(name)).to_json_bytes()
+    out = tmp_path / "report.json"
+    assert main(["run", "--scenario", path, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == expected
+    assert main(["run", "--scenario", path]) == EXIT_OK
+    assert capsysbinary.readouterr().out == expected
+
+
+def test_report_memory_is_bounded_by_its_output(tmp_path):
+    """Seed-0 `idle_at_key`, 1,000 slots: joining the pieces peaks at the
+    pieces and their join, and writing them to a file holds about one piece.
+    One `json.dumps` call held 5.2x its output on top of the report."""
+    (doc,) = import_bench_module("workloads").WORKLOADS["idle_at_key"].generate(0)
+    report = run_scenario(scenario_from_dict(doc))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        size = len(report.to_json_bytes())
+        joined = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with open(tmp_path / "report.json", "wb") as fh:
+            fh.writelines(report.json_pieces())
+        streamed = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert size > 500_000
+    assert joined <= 2.5 * size
+    assert streamed <= 0.5 * size
 
 
 def _workload_specs(name: str, seed: int = 0):

@@ -7,10 +7,18 @@ import jsonschema
 import pytest
 
 from twinsync.adversary import AttackAction, AttackKind
-from twinsync.frames import MAX_PAYLOAD_LEN, U8_MAX, U32_MAX, U64_MAX
+from twinsync.frames import (
+    MAX_PAYLOAD_LEN,
+    U8_MAX,
+    U32_MAX,
+    U64_MAX,
+    PayloadTooLarge,
+    encode_command_payload,
+)
 from twinsync.netsim import Direction
 from twinsync import scenario as scenario_mod
 from twinsync.runner import run_scenario
+from twinsync.sync import CommandRecord
 from twinsync.scenario import (
     BUNDLED_FIXTURES,
     DEFAULT_KEYS,
@@ -449,6 +457,52 @@ class TestProblems:
 
     def test_zero_total_slots(self):
         assert problems_of(minimal_doc(total_slots=0)) == ["total_slots: must be >= 1"]
+
+
+IDLE = 2
+
+
+def queued_in_one_period(count: int, total_slots: int = 5) -> dict:
+    """`count` virtual IDLE commands over slots 1-4, sent together at slot 4."""
+    inputs = [[1 + i % 4, IDLE] for i in range(count)]
+    return minimal_doc(
+        total_slots=total_slots, sync_period_slots=4, operator_inputs_virtual=inputs
+    )
+
+
+class TestCommandCapacity:
+    """The inputs queued over one period share one COMMAND, whose u16 payload
+    holds a u16 count, a u32 per input and a u64 acknowledged seq."""
+
+    def test_limit_is_what_the_command_codec_encodes(self):
+        limit = scenario_mod.MAX_COMMAND_INPUTS
+        assert limit == 16381
+        encode_command_payload(CommandRecord((IDLE,) * limit, 0))
+        with pytest.raises(PayloadTooLarge):
+            encode_command_payload(CommandRecord((IDLE,) * (limit + 1), 0))
+
+    def test_a_full_command_validates_and_runs(self):
+        report = run_scenario(scenario_from_dict(queued_in_one_period(16381)))
+        assert report.summary["verdict"] == "pass"
+
+    def test_one_input_more_is_rejected_naming_its_boundary(self):
+        assert problems_of(queued_in_one_period(16382)) == [
+            "operator_inputs_virtual: 16382 inputs go out in the COMMAND at slot 4, "
+            "which holds at most 16381"
+        ]
+
+    def test_inputs_split_across_two_periods_are_accepted(self):
+        doc = queued_in_one_period(16381, total_slots=9)
+        doc["operator_inputs_virtual"] += [[5, IDLE]] * 16381
+        report = run_scenario(scenario_from_dict(doc))
+        assert report.summary["verdict"] == "pass"
+
+    def test_inputs_sent_after_the_run_are_not_counted(self):
+        """Queued at slot 5 of 6, they would go out at slot 8: never sent."""
+        doc = minimal_doc(
+            total_slots=6, sync_period_slots=4, operator_inputs_virtual=[[5, IDLE]] * 16382
+        )
+        assert scenario_from_dict(doc).total_slots == 6
 
 
 class TestFileLoading:

@@ -32,7 +32,7 @@ from twinsync.scenario import ScenarioInvalid, load_fixture_json, scenario_from_
 CODE_ONLY = re.compile(
     r"no bundled fixture named|machine: duplicate transition|machine: [a-z_]+: "
     r"|not defined by the machine|outside the run of|after the run of"
-    r"|cannot replay a frame captured after|MODIFY needs|must differ"
+    r"|cannot replay a frame captured after|MODIFY needs|must differ|go out in the COMMAND"
 )
 
 
