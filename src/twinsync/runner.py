@@ -13,17 +13,19 @@ Every slot runs the same four phases:
 The report is compact ASCII JSON with sorted keys, the bytes of the stdlib's
 `json.dumps` written in bounded pieces by its C encoder, with no wall-clock
 or environment dependence, so identical (scenario, seed) pairs produce byte
-identical reports.  `frames` holds each distinct frame's hex once, in the
-order first seen, and slot rows name frames by their index there: the hex of
-frame `id` is `report.frames[id]`.  A row states only what happened: `sent`,
-`delivered` and `dropped` hold only the links with frames, an accepted frame
-is its bare id, and `adversary_actions` and failed audits appear only when
-there are any.
+identical reports.  `frames` holds each distinct frame once, in the order
+first seen, as canonical padded base64 (RFC 4648 section 4), and slot rows
+name frames by their index there: the bytes of frame `id` are
+`base64.b64decode(report.frames[id])`.  A row states only what happened:
+`sent`, `delivered` and `dropped` hold only the links with frames, an
+accepted frame is its bare id, and `adversary_actions` and failed audits
+appear only when there are any.
 """
 
 from __future__ import annotations
 
 import json
+from binascii import b2a_base64
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -58,7 +60,7 @@ from .sync import PhysicalTwin, Reject, VirtualTwin, reconcile
 PHYSICAL_SENDER_ID = 1
 VIRTUAL_SENDER_ID = 2
 
-REPORT_SCHEMA = "twinsync.report.v3"
+REPORT_SCHEMA = "twinsync.report.v4"
 
 # Module aliases: an enum member lookup costs several times a global one.
 STATE_SYNC, COMMAND, ACK = MsgType.STATE_SYNC, MsgType.COMMAND, MsgType.ACK
@@ -318,7 +320,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     return RunReport(
         scenario=spec.to_dict(),
         slots=rows,
-        frames=[data.hex() for data in ids],
+        frames=[b2a_base64(data, newline=False).decode() for data in ids],
         detection_events=annotated,
         audits=audits,
         summary=summary,

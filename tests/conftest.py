@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import importlib
+import json
+import re
 import sys
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from twinsync.machine import TwinMachine, machine_from_dict
@@ -43,6 +48,28 @@ def heat_once_then_idle(total_slots: int, drop: float = 0.0) -> ScenarioSpec:
 
 
 LINKS = ("phys_to_virt", "virt_to_phys")
+
+
+def whole_pattern(validator, pattern, instance, schema):
+    """JSON Schema's `pattern` as ECMA-262 reads it, where `$` matches only
+    at the end: jsonschema's `re.search` also lets `$` match before a final
+    newline.  Every pattern in the package's schemas is anchored at both
+    ends, so matching it whole is the same test."""
+    if isinstance(instance, str) and not re.fullmatch(pattern, instance):
+        yield jsonschema.ValidationError(f"{instance!r} does not match {pattern!r}")
+
+
+# The report schema with patterns matched as ECMA-262 does.
+REPORT_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator, validators={"pattern": whole_pattern}
+)(json.loads(resources.files("twinsync").joinpath("schemas", "report.schema.json").read_text()))
+
+
+def v3_report(doc: dict) -> dict:
+    """A `twinsync.report.v4` document as v3 wrote it: each frame in the
+    `frames` table as hex, not base64."""
+    frames = [base64.b64decode(frame, validate=True).hex() for frame in doc["frames"]]
+    return {**doc, "schema": "twinsync.report.v3", "frames": frames}
 
 
 def v2_report(doc: dict) -> dict:

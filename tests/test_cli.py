@@ -39,7 +39,7 @@ class TestRun:
         rc = main(["run", "--scenario", walkthrough_path, "--out", str(out)])
         assert rc == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["schema"] == "twinsync.report.v3"
+        assert report["schema"] == "twinsync.report.v4"
         assert report["summary"]["verdict"] == "pass"
         assert "verdict: pass" in capsys.readouterr().err
 

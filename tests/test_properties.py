@@ -21,13 +21,13 @@ The clauses:
   the slot after it arrives.
 """
 
+import base64
 import json
-from importlib import resources
 
-import jsonschema
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REPORT_VALIDATOR
 from twinsync.frames import HEADER_LEN, TAG_LEN, decode_delta_payload
 from twinsync.machine import step
 from twinsync.netsim import Direction
@@ -37,9 +37,6 @@ from twinsync.scenario import ScenarioInvalid, scenario_from_dict
 
 MAX_SLOTS = 40
 DIRECTIONS = ("phys_to_virt", "virt_to_phys")
-REPORT_SCHEMA = json.loads(
-    resources.files("twinsync").joinpath("schemas", "report.schema.json").read_text("utf-8")
-)
 
 
 def hex_bytes(min_size: int, max_size: int) -> st.SearchStrategy:
@@ -130,7 +127,7 @@ def test_a_scenario_that_parses_runs_the_same_twice_to_a_valid_report(doc):
     report = run_scenario(spec)
     data = report.to_json_bytes()
     assert run_scenario(scenario_from_dict(doc)).to_json_bytes() == data
-    jsonschema.validate(json.loads(data), REPORT_SCHEMA)
+    REPORT_VALIDATOR.validate(json.loads(data))
 
 
 @settings(max_examples=150, deadline=None)
@@ -145,7 +142,7 @@ def test_every_accepted_record_ships_only_state_changing_inputs(doc):
         for frame_id in row.get("delivered", {}).get("phys_to_virt", ()):
             if isinstance(frame_id, list):  # rejected, with its outcome
                 continue
-            payload = bytes.fromhex(report.frames[frame_id])[HEADER_LEN:-TAG_LEN]
+            payload = base64.b64decode(report.frames[frame_id])[HEADER_LEN:-TAG_LEN]
             record = decode_delta_payload(payload, row["slot"])
             state = record.base_state
             for sym in record.applied_inputs:

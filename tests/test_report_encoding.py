@@ -1,31 +1,50 @@
 """Report serialization: compact sorted-key ASCII JSON written in bounded
 pieces, the frame table, and pinned report digests.
 
-Every report is pinned as written (`twinsync.report.v3`), projected back to
-v2 by `conftest.v2_report`, and from there to v1 by `conftest.v1_report`.
-The v2 and v1 digests are those the reports had when written in those
-versions, so the projections show that v2 changed how frames are named, v3
-left out what said nothing, and neither changed anything else.  When the
+Every report is pinned as written (`twinsync.report.v4`), projected back to
+v3 by `conftest.v3_report`, from there to v2 by `conftest.v2_report`, and
+from there to v1 by `conftest.v1_report`.  The v3, v2 and v1 digests are
+those the reports had when written in those versions, so the projections
+show that v4 changed only how a frame is spelled, v2 how frames are named,
+v3 left out what said nothing, and none changed anything else.  When the
 records stopped shipping self-loops and every down-link record began to
 acknowledge, only frame bytes changed: each report is also pinned with its
 `frames` table left out, by digests taken before that change."""
 
+import base64
 import dataclasses
 import functools
 import hashlib
 import json
 import tracemalloc
-from importlib import resources
 
 import jsonschema
 import pytest
 
-from conftest import heat_once_then_idle, import_bench_module, v1_report, v2_report
+from conftest import (
+    REPORT_VALIDATOR,
+    heat_once_then_idle,
+    import_bench_module,
+    v1_report,
+    v2_report,
+    v3_report,
+)
 from twinsync.cli import EXIT_OK, main
+from twinsync.frames import Frame, SequenceTracker, decode_frame
 from twinsync.machine import machine_from_dict
+from twinsync.netsim import Direction
 from twinsync.oracle import build_schedule_scenario
 from twinsync import runner
-from twinsync.runner import CHUNK, RunReport, run_scenario
+from twinsync.runner import (
+    ACK,
+    CHUNK,
+    COMMAND,
+    PHYSICAL_SENDER_ID,
+    STATE_SYNC,
+    VIRTUAL_SENDER_ID,
+    RunReport,
+    run_scenario,
+)
 from twinsync.scenario import fixture_path, load_bundled_scenario, scenario_from_dict
 
 
@@ -38,19 +57,24 @@ def indented(data: bytes) -> bytes:
     return (json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n").encode()
 
 
+def as_v3(data: bytes) -> bytes:
+    """A written v4 report projected to v3, compact as v3 was written."""
+    return compact(v3_report(json.loads(data)))
+
+
 def as_v2(data: bytes) -> bytes:
-    """A written v3 report projected to v2, compact as v2 was written."""
-    return compact(v2_report(json.loads(data)))
+    """A written v4 report projected to v2, compact as v2 was written."""
+    return compact(v2_report(v3_report(json.loads(data))))
 
 
 def as_v1(data: bytes) -> bytes:
-    """A written v3 report projected to v1, compact as v1 was written."""
-    return compact(v1_report(v2_report(json.loads(data))))
+    """A written v4 report projected to v1, compact as v1 was written."""
+    return compact(v1_report(v2_report(v3_report(json.loads(data)))))
 
 
 def outside_frames(data: bytes) -> bytes:
-    """A written v3 report without its `frames` table, compact."""
-    doc = json.loads(data)
+    """A written v4 report projected to v3, without its `frames` table, compact."""
+    doc = v3_report(json.loads(data))
     del doc["frames"]
     return compact(doc)
 
@@ -157,7 +181,7 @@ def test_report_memory_is_bounded_by_its_output(tmp_path):
         streamed = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert size > 500_000
+    assert size > 400_000
     assert joined <= 2.5 * size
     assert streamed <= 0.5 * size
 
@@ -209,9 +233,20 @@ PINNED_V2_REPORTS = {
     "fig4_walkthrough": "6e35f5e92ba28f70fddaae348ab2e8e8d975f9aa3860343509e6df3800eeefd9",
     "attack_matrix": "2d3f6c4293063da502f9748a8353dd3e27db0d9d953a438675f104dc0eabc8ff",
 }
-# SHA-256 of every pinned report as written (`twinsync.report.v3`): the two
+# SHA-256 of every pinned report as written (`twinsync.report.v4`): the two
 # bundled scenarios above, the four bench workloads and the two lossy runs
 # below, a workload's reports concatenated as its other digests are.
+PINNED_V4_REPORTS = {
+    "fig4_walkthrough": "dea0a815afa5aac1ad153d4e7362571a2d2bb299cdb75b9c917da8670c51d35d",
+    "attack_matrix": "229d088cbbf5add07e87d7af292fce72b2ba4bab325ceb68c025a8ffe4364b83",
+    "idle_at_key": "8f883dea8cf3782cb39943ad7cbc983dadd6f6de30e1debb7f28612ebec90876",
+    "idle_between_keys": "536fa49f1a5021f301cd87a15c3fa454bfae17082193e85f64cce73147e7c1dc",
+    "attack_dense": "b9a4c039d1b54a43ebe683f15e3f46d938b4ce5b055c9b5ad7d6d053ed23e5ad",
+    "oracle_sweep": "4150bddeec1cecfae06dbb95a0d983c28f31257c5ce522cc7cacbc695b022689",
+    "attack_matrix_loss_0.3": "eb3047005bcd2a5718467f5f6efc15b69a3960d4ae99cb89e1ede263e7740ed1",
+    "idle_between_keys_loss_0.1": "9012ebbd3d797156fbedfbdc221217ee41083c919fee08f510d12a5c58eb23d4",
+}
+# SHA-256 of the same reports as v3 wrote them, projected by `as_v3`.
 PINNED_V3_REPORTS = {
     "fig4_walkthrough": "c9dd6e2b9812ae247f568cda26f51ee56589293b8c0ee24b08a8966762d6e420",
     "attack_matrix": "457cf6eda6f0aadbb0602852ea2afd699855a7130a3d80eeb1a72ff95fd01f6b",
@@ -222,10 +257,10 @@ PINNED_V3_REPORTS = {
     "attack_matrix_loss_0.3": "4db1d7ea15485c77dde07fefed238753adda4114371a9a3d3775891ec4b90e32",
     "idle_between_keys_loss_0.1": "31bd69b5ea226e2328b2ad6a080316eb4fb74c7c2404550d98a1bee40af79949",
 }
-# SHA-256 of every pinned report as written, without its `frames` table
-# (`outside_frames`), taken before records stopped shipping self-loops: what
-# a report says about a run, as opposed to the bytes it sent, held across
-# that change.
+# SHA-256 of every pinned report projected to v3, without its `frames`
+# table (`outside_frames`), taken before records stopped shipping
+# self-loops: what a report says about a run, as opposed to the bytes it
+# sent, held across that change.
 PINNED_OUTSIDE_FRAMES = {
     "fig4_walkthrough": "5179ab397efce656465cdfa15492d03fe62b24dcab19e6692df5540d3afa3e6c",
     "attack_matrix": "55f164df6faa20562816d26c44a0c41eca19e05124dffe392e8521acdae35f9a",
@@ -244,7 +279,8 @@ def test_bundled_reports_match_pinned_digests(name, tmp_path):
     rc = main(["run", "--scenario", str(fixture_path(name + ".json")), "--out", str(out)])
     assert rc == EXIT_OK
     data = out.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == PINNED_V3_REPORTS[name]
+    assert hashlib.sha256(data).hexdigest() == PINNED_V4_REPORTS[name]
+    assert hashlib.sha256(as_v3(data)).hexdigest() == PINNED_V3_REPORTS[name]
     assert hashlib.sha256(outside_frames(data)).hexdigest() == PINNED_OUTSIDE_FRAMES[name]
     assert hashlib.sha256(as_v2(data)).hexdigest() == PINNED_V2_REPORTS[name]
     v1 = as_v1(data)
@@ -282,15 +318,18 @@ def test_bench_workload_reports_match_pinned_digests(workload):
     compact_digest = hashlib.sha256()
     v2_digest = hashlib.sha256()
     v3_digest = hashlib.sha256()
+    v4_digest = hashlib.sha256()
     outside_digest = hashlib.sha256()
     for spec in _workload_specs(workload):
         data = run_scenario(spec).to_json_bytes()
-        v3_digest.update(data)
+        v4_digest.update(data)
+        v3_digest.update(as_v3(data))
         outside_digest.update(outside_frames(data))
         v2_digest.update(as_v2(data))
         v1 = as_v1(data)
         digest.update(indented(v1))
         compact_digest.update(v1)
+    assert v4_digest.hexdigest() == PINNED_V4_REPORTS[workload]
     assert v3_digest.hexdigest() == PINNED_V3_REPORTS[workload]
     assert outside_digest.hexdigest() == PINNED_OUTSIDE_FRAMES[workload]
     assert v2_digest.hexdigest() == PINNED_V2_WORKLOAD_REPORTS[workload]
@@ -307,8 +346,9 @@ def _lossy_attack_matrix():
 
 
 # SHA-256 of two reports whose runs drop frames on both links, up-link
-# records included, which none of the bench workloads does: projected to v2,
-# then projected to v1 compact, then that re-indented by `indented`.
+# records included, which none of the bench workloads does: projected to v2
+# through v3, then projected to v1 compact, then that re-indented by
+# `indented`.
 PINNED_LOSSY_REPORTS = {
     "attack_matrix_loss_0.3": (
         _lossy_attack_matrix,
@@ -333,7 +373,8 @@ def test_lossy_reports_match_pinned_digests(name):
         assert any(link in row.get("dropped", {}) for row in report.slots)
     assert report.summary["verdict"] == "pass"
     data = report.to_json_bytes()
-    assert hashlib.sha256(data).hexdigest() == PINNED_V3_REPORTS[name]
+    assert hashlib.sha256(data).hexdigest() == PINNED_V4_REPORTS[name]
+    assert hashlib.sha256(as_v3(data)).hexdigest() == PINNED_V3_REPORTS[name]
     assert hashlib.sha256(outside_frames(data)).hexdigest() == PINNED_OUTSIDE_FRAMES[name]
     assert hashlib.sha256(as_v2(data)).hexdigest() == v2_sha
     v1 = as_v1(data)
@@ -370,13 +411,6 @@ def test_frame_table_holds_each_frame_once_and_every_id_points_into_it(name):
         assert set(ids) == set(range(len(frames)))
 
 
-REPORT_VALIDATOR = jsonschema.Draft202012Validator(
-    json.loads(
-        resources.files("twinsync").joinpath("schemas", "report.schema.json").read_text("utf-8")
-    )
-)
-
-
 @pytest.mark.parametrize(
     "name", [*PINNED_REPORTS, *PINNED_WORKLOAD_REPORTS, *PINNED_LOSSY_REPORTS]
 )
@@ -385,9 +419,43 @@ def test_report_validates_against_the_schema(name):
         REPORT_VALIDATOR.validate(run_scenario(spec).to_json_dict())
 
 
+@pytest.mark.parametrize("name", [*PINNED_REPORTS, *PINNED_WORKLOAD_REPORTS])
+def test_every_sent_frame_decodes_from_base64_and_verifies_on_its_link(name):
+    """Each frame a twin sent or lost, read back from the report, is the
+    frame its link accepts, and its base64 is the one canonical spelling."""
+    for spec in _pinned_runs(name):
+        report = run_scenario(spec)
+        links = {
+            "phys_to_virt": (spec.keys[Direction.PHYS_TO_VIRT], PHYSICAL_SENDER_ID, (STATE_SYNC,)),
+            "virt_to_phys": (spec.keys[Direction.VIRT_TO_PHYS], VIRTUAL_SENDER_ID, (COMMAND, ACK)),
+        }
+        for row in report.slots:
+            for field in ("sent", "dropped"):
+                for link, ids in row.get(field, {}).items():
+                    key, sender_id, msg_types = links[link]
+                    for i in ids:
+                        text = report.frames[i]
+                        data = base64.b64decode(text, validate=True)
+                        result = decode_frame(data, key, SequenceTracker(), sender_id, msg_types)
+                        assert isinstance(result, Frame), (name, row["slot"], link, result)
+                        assert base64.b64encode(data).decode() == text
+
+
 def _accepted_as_a_pair(doc: dict) -> None:
     received = doc["slots"][1]["delivered"]["phys_to_virt"]
     received[0] = [received[0], "accepted"]
+
+
+def _respell_frame(change, wanted: str):
+    """Apply `change` to the first frame holding one of the characters in
+    `wanted`, so that it has something to change."""
+
+    def respell(doc: dict) -> None:
+        frames = doc["frames"]
+        i = next(i for i, frame in enumerate(frames) if set(frame) & set(wanted))
+        frames[i] = change(frames[i])
+
+    return respell
 
 
 @pytest.mark.parametrize(
@@ -399,12 +467,26 @@ def _accepted_as_a_pair(doc: dict) -> None:
         lambda doc: doc["consistency_audit"].append(
             {"slot": 1, "ok": False, "replica_key_state": 0, "expected": 25}
         ),
+        _respell_frame(lambda frame: frame.rstrip("="), "="),
+        _respell_frame(lambda frame: frame + "\n", "="),
+        _respell_frame(lambda frame: frame.translate(str.maketrans("+/", "-_")), "+/"),
     ],
-    ids=["empty_dropped", "empty_adversary_actions", "accepted_pair", "audit_with_ok"],
+    ids=[
+        "empty_dropped",
+        "empty_adversary_actions",
+        "accepted_pair",
+        "audit_with_ok",
+        "unpadded_frame",
+        "frame_with_newline",
+        "url_safe_frame",
+    ],
 )
 def test_schema_rejects_a_second_spelling_of_a_fact(respell):
-    """A v3 row states each fact one way: an empty map or list, an
-    `[id, "accepted"]` pair and an audit's `ok` are v2's spellings."""
+    """A v4 report states each fact one way: an empty map or list, an
+    `[id, "accepted"]` pair and an audit's `ok` are v2's spellings, and a
+    frame is canonical padded base64 (RFC 4648 section 4), not unpadded,
+    with a newline as `binascii.b2a_base64` ends it by default, or in the
+    URL-safe alphabet of section 5."""
     doc = run_scenario(load_bundled_scenario("fig4_walkthrough")).to_json_dict()
     REPORT_VALIDATOR.validate(doc)
     respell(doc)

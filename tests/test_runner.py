@@ -1,5 +1,6 @@
 """End-to-end scenario runs: traces, events, reports, and determinism."""
 
+import base64
 import dataclasses
 import functools
 import gc
@@ -37,9 +38,14 @@ P2V = Direction.PHYS_TO_VIRT.value
 V2P = Direction.VIRT_TO_PHYS.value
 
 
-def sent_hex(report, row: dict, link: str) -> list[str]:
-    """The hex of the frames `row` sent on `link`, looked up in the report's frame table."""
-    return [report.frames[i] for i in row.get("sent", {}).get(link, [])]
+def frame_bytes(report, frame_id: int) -> bytes:
+    """The bytes of frame `frame_id`, decoded from the report's base64 frame table."""
+    return base64.b64decode(report.frames[frame_id], validate=True)
+
+
+def sent_bytes(report, row: dict, link: str) -> list[bytes]:
+    """The bytes of the frames `row` sent on `link`, looked up in the report's frame table."""
+    return [frame_bytes(report, i) for i in row.get("sent", {}).get(link, [])]
 
 
 def delivered_pairs(row: dict, link: str) -> list[list]:
@@ -80,15 +86,13 @@ class TestWalkthrough:
         ]
 
     def test_crossing_delta_is_the_canonical_four_input_record(self, walkthrough):
-        (sent,) = sent_hex(walkthrough, walkthrough.slots[4], P2V)
-        payload = bytes.fromhex(sent)[34:-32]
+        (sent,) = sent_bytes(walkthrough, walkthrough.slots[4], P2V)
+        payload = sent[34:-32]
         assert payload.hex() == "00000000000000640004" + "00000001" * 4
 
     def test_remote_command_round_trip(self, walkthrough):
         # Queued at slot 2, sent at 2, delivered at 3, executed at 4.
-        sent_types = [
-            bytes.fromhex(h)[3] for h in sent_hex(walkthrough, walkthrough.slots[2], V2P)
-        ]
+        sent_types = [data[3] for data in sent_bytes(walkthrough, walkthrough.slots[2], V2P)]
         assert sent_types == [2]
         assert outcomes(walkthrough.slots[3], V2P) == ["accepted"]
         assert walkthrough.slots[3]["physical_state"] == 75
@@ -98,14 +102,14 @@ class TestWalkthrough:
         for slot, row in enumerate(walkthrough.slots):
             if slot == 2:
                 continue
-            types = [bytes.fromhex(h)[3] for h in sent_hex(walkthrough, row, V2P)]
+            types = [data[3] for data in sent_bytes(walkthrough, row, V2P)]
             assert types == [3]
 
     def test_sequence_numbers_count_sends_per_direction(self, walkthrough):
         seqs = []
         for row in walkthrough.slots:
-            for h in sent_hex(walkthrough, row, P2V):
-                seqs.append(HEADER_STRUCT.unpack_from(bytes.fromhex(h))[5])
+            for data in sent_bytes(walkthrough, row, P2V):
+                seqs.append(HEADER_STRUCT.unpack_from(data)[5])
         assert seqs == list(range(1, 9))
 
     def test_no_events_and_clean_audits(self, walkthrough):
@@ -321,7 +325,7 @@ def test_an_insert_where_no_frame_is_due_is_delivered_and_detected():
         "attacks": [{"kind": "INSERT", "slot": 4, "direction": P2V, "params": {"raw_hex": forged}}],
     }
     report = run_scenario(scenario_from_dict(doc))
-    forged_id = report.frames.index(forged)
+    forged_id = report.frames.index(base64.b64encode(bytes.fromhex(forged)).decode())
     assert report.slots[4]["delivered"] == {P2V: [[forged_id, "malformed"]]}
     events = [(e["kind"], e["slot"], e["direction"]) for e in report.detection_events]
     assert events == [("FORGED_INSERT", 4, P2V)]
@@ -346,17 +350,17 @@ def shared_key_run(name: str):
     return spec, run_scenario(spec)
 
 
-def sent_frames(report) -> list[tuple[int, Direction, str]]:
-    """(slot, direction, frame hex) for every frame the twins sent."""
+def sent_frames(report) -> list[tuple[int, Direction, bytes]]:
+    """(slot, direction, frame bytes) for every frame the twins sent."""
     return [
         (row["slot"], d, data)
         for row in report.slots
         for d in Direction
-        for data in sent_hex(report, row, d.value)
+        for data in sent_bytes(report, row, d.value)
     ]
 
 
-def reflection_problems(name: str, frame_hex: str, target: Direction, at: int) -> list[str]:
+def reflection_problems(name: str, frame: bytes, target: Direction, at: int) -> list[str]:
     """Insert an honest frame onto `target` at slot `at`; list what went wrong.
 
     The reflected frame must be rejected as `wrong_direction`, detected as
@@ -366,12 +370,12 @@ def reflection_problems(name: str, frame_hex: str, target: Direction, at: int) -
     the reflection's requirements too.
     """
     spec, honest = shared_key_run(name)
-    attack = AttackAction(AttackKind.INSERT, at, target, {"raw_hex": frame_hex})
+    attack = AttackAction(AttackKind.INSERT, at, target, {"raw_hex": frame.hex()})
     report = run_scenario(dataclasses.replace(spec, attacks=[*spec.attacks, attack]))
-    where = f"{frame_hex[:16]}... onto {target.value} at slot {at}"
+    where = f"{frame.hex()[:16]}... onto {target.value} at slot {at}"
     problems = []
     delivered = delivered_pairs(report.slots[at], target.value)
-    found = [outcome for i, outcome in delivered if report.frames[i] == frame_hex]
+    found = [outcome for i, outcome in delivered if frame_bytes(report, i) == frame]
     if found != ["wrong_direction"]:
         problems.append(f"{where}: outcomes {found}")
     if not report.summary["attacks"][-1]["matched"]:
@@ -405,15 +409,17 @@ class TestReflection:
     def test_a_frame_reflected_at_any_later_slot_is_a_forged_insert(self, name, data):
         spec, honest = shared_key_run(name)
         earlier = [f for f in sent_frames(honest) if f[0] + 1 < spec.total_slots]
-        slot, direction, frame_hex = data.draw(st.sampled_from(earlier))
+        slot, direction, frame = data.draw(st.sampled_from(earlier))
         at = data.draw(st.integers(slot + 1, spec.total_slots - 1))
-        assert reflection_problems(name, frame_hex, OTHER_DIRECTION[direction], at) == []
+        assert reflection_problems(name, frame, OTHER_DIRECTION[direction], at) == []
 
     def test_reflected_crossing_is_a_forged_insert_on_the_actuation_channel(self):
         """The record carrying the crossing to 100, sent at slot 4 as seq 5."""
         spec, honest = shared_key_run("fig4_walkthrough")
-        (crossing,) = sent_hex(honest, honest.slots[4], P2V)
-        attack = AttackAction(AttackKind.INSERT, 5, Direction.VIRT_TO_PHYS, {"raw_hex": crossing})
+        (crossing,) = sent_bytes(honest, honest.slots[4], P2V)
+        attack = AttackAction(
+            AttackKind.INSERT, 5, Direction.VIRT_TO_PHYS, {"raw_hex": crossing.hex()}
+        )
         report = run_scenario(dataclasses.replace(spec, attacks=[attack]))
         (event,) = report.detection_events
         assert (event["kind"], event["slot"], event["direction"]) == ("FORGED_INSERT", 5, V2P)
@@ -429,9 +435,9 @@ class TestReflection:
         at slots 2 and 5: both copies are `wrong_direction`, neither `replay`.
         """
         spec, honest = shared_key_run("fig4_walkthrough")
-        (ack,) = sent_hex(honest, honest.slots[1], V2P)
+        (ack,) = sent_bytes(honest, honest.slots[1], V2P)
         attacks = [
-            AttackAction(AttackKind.INSERT, at, Direction.PHYS_TO_VIRT, {"raw_hex": ack})
+            AttackAction(AttackKind.INSERT, at, Direction.PHYS_TO_VIRT, {"raw_hex": ack.hex()})
             for at in (2, 5)
         ]
         report = run_scenario(dataclasses.replace(spec, attacks=attacks))
@@ -530,8 +536,8 @@ class TestSyncPeriod:
         report = run_scenario(scenario_from_dict(doc))
         for row in report.slots:
             expected = 1 if row["slot"] % 2 == 0 else 0
-            assert len(sent_hex(report, row, P2V)) == expected
-            assert len(sent_hex(report, row, V2P)) == expected
+            assert len(sent_bytes(report, row, P2V)) == expected
+            assert len(sent_bytes(report, row, V2P)) == expected
         assert report.detection_events == []
         assert report.audits == []
         assert [r["replica_key_state"] for r in report.slots] == [
@@ -671,13 +677,14 @@ def test_python_calls_per_attack_slot():
 
 def test_report_bytes_per_idle_slot():
     """The written report of the benchmark's `idle_at_key` workload at seed
-    0 holds each frame's hex once, and its rows only what happened: about
-    555 B per slot, where v2's rows with every empty list, every `accepted`
-    and an audit row per slot took 697, and writing each frame's hex under
-    both `sent` and `delivered` took 1,035."""
+    0 holds each frame once, in base64, and its rows only what happened:
+    about 451 B per slot, where each frame's hex took 547, v2's rows with
+    every empty list, every `accepted` and an audit row per slot took 697,
+    and writing each frame's hex under both `sent` and `delivered` took
+    1,035."""
     (doc,) = import_bench_module("workloads").idle_at_key(0)
     spec = scenario_from_dict(doc)
-    assert len(run_scenario(spec).to_json_bytes()) / spec.total_slots <= 570
+    assert len(run_scenario(spec).to_json_bytes()) / spec.total_slots <= 465
 
 
 def containers(value) -> int:
@@ -711,7 +718,7 @@ def test_idling_between_keys_ships_heartbeats():
     lands at slot 4; the IDLEs are self-loops and ship nothing, so from slot 5
     on every record is a heartbeat: 76 bytes on the wire."""
     report = run_scenario(heat_once_then_idle(8000))
-    sizes = [len(data) // 2 for row in report.slots for data in sent_hex(report, row, P2V)]
+    sizes = [len(data) for row in report.slots for data in sent_bytes(report, row, P2V)]
     assert len(sizes) == 8000
     assert sizes[1:5] == [80] * 4
     assert set(sizes[5:]) == {76}
@@ -723,7 +730,7 @@ def test_long_lossy_idle_between_keys_completes():
     report = run_scenario(heat_once_then_idle(20000, drop=0.1))
     assert report.summary["verdict"] == "pass"
     assert report.audits == []
-    assert max(len(data) // 2 for row in report.slots for data in sent_hex(report, row, P2V)) <= 92
+    assert max(len(data) for row in report.slots for data in sent_bytes(report, row, P2V)) <= 92
 
 
 TOGGLE = {
@@ -798,8 +805,8 @@ def records(report) -> list[tuple[int, tuple[int, ...]]]:
     """(base, inputs) of every STATE_SYNC record sent, in order."""
     out = []
     for row in report.slots:
-        for data in sent_hex(report, row, P2V):
-            payload = bytes.fromhex(data)[HEADER_STRUCT.size : -TAG_LEN]
+        for data in sent_bytes(report, row, P2V):
+            payload = data[HEADER_STRUCT.size : -TAG_LEN]
             delta = decode_delta_payload(payload, row["slot"])
             out.append((delta.base_state, delta.applied_inputs))
     return out
@@ -895,8 +902,8 @@ class TestAckAnchoring:
         """Under a shared key, the up-link's record of the slot before, sent back
         down the ACK path, is rejected before its payload is read."""
         honest = run_scenario(ack_anchoring_spec([], shared_key=True))
-        (record,) = sent_hex(honest, honest.slots[ACK_SLOT - 1], P2V)
-        attack = on_ack_path("INSERT", raw_hex=record)
+        (record,) = sent_bytes(honest, honest.slots[ACK_SLOT - 1], P2V)
+        attack = on_ack_path("INSERT", raw_hex=record.hex())
         report = run_scenario(ack_anchoring_spec([attack], shared_key=True))
         assert outcomes(report.slots[ACK_SLOT], V2P) == ["accepted", "wrong_direction"]
         assert records(report) == records(honest)

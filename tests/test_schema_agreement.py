@@ -25,6 +25,7 @@ import jsonschema
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import whole_pattern
 from test_properties import scenarios
 from test_robustness import documents
 from twinsync.scenario import ScenarioInvalid, load_fixture_json, scenario_from_dict
@@ -36,15 +37,10 @@ CODE_ONLY = re.compile(
 )
 
 
-def _whole_pattern(validator, pattern, instance, schema):
-    if isinstance(instance, str) and not re.fullmatch(pattern, instance):
-        yield jsonschema.ValidationError(f"{instance!r} does not match {pattern!r}")
-
-
 _draft = jsonschema.Draft202012Validator
 REFERENCE = jsonschema.validators.extend(
     _draft,
-    validators={"pattern": _whole_pattern},
+    validators={"pattern": whole_pattern},
     type_checker=_draft.TYPE_CHECKER.redefine_many({
         "integer": lambda _, v: isinstance(v, int) and not isinstance(v, bool),
         "number": lambda _, v: isinstance(v, (int, float)) and not isinstance(v, bool)
