@@ -83,23 +83,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_vectors(args: argparse.Namespace) -> int:
-    if args.mode == "emit":
-        try:
-            count = emit_golden_vectors(args.path)
-        except OSError as exc:
-            print(f"vectors: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        print(f"wrote {count} frames to {args.path}")
-        return EXIT_OK
+    emit = args.mode == "emit"
     try:
-        count = verify_golden_vectors(args.path)
+        count = emit_golden_vectors(args.path) if emit else verify_golden_vectors(args.path)
     except OSError as exc:
         print(f"vectors: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except VectorMismatch as exc:
         print(f"vectors: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    print(f"verified {count} frames")
+    print(f"wrote {count} frames to {args.path}" if emit else f"verified {count} frames")
     return EXIT_OK
 
 

@@ -48,7 +48,7 @@ class Direction(str, Enum):
 
 
 @dataclass(frozen=True)
-class QueuedFrame:
+class DroppedFrame:
     """A frame dropped at send: its send slot and the very bytes object sent."""
 
     sent_at_slot: int
@@ -64,7 +64,7 @@ class Channel:
     drop_probability: float = 0.0
     # (deliver_at_slot, data): sent in slot order at one latency, so in delivery order.
     queue: deque[tuple[int, bytes]] = field(default_factory=deque)
-    drop_log: list[QueuedFrame] = field(default_factory=list)
+    drop_log: list[DroppedFrame] = field(default_factory=list)
 
     def send(self, data: bytes, slot: int) -> bool:
         """Enqueue for delivery at slot + latency and return True, or drop and return False.
@@ -75,7 +75,7 @@ class Channel:
         # One draw per send, unconditionally, so the stream position is a pure
         # function of the send count.
         if self.rng.chance(self.drop_probability):
-            self.drop_log.append(QueuedFrame(slot, data))
+            self.drop_log.append(DroppedFrame(slot, data))
             return False
         self.queue.append((slot + self.latency_slots, data))
         return True

@@ -4,7 +4,7 @@ Every slot runs the same four phases:
 
     1. operator inputs are applied (physical inputs first, then any
        reconciled command inputs queued from the previous slot)
-    2. both twins tick and send their frames
+    2. at a sync boundary, both twins tick and send their frames
     3. each channel delivers its due frames through the adversary, and the
        receiving endpoint decodes, verifies, and applies them
     4. the detector checks liveness expectations and the consistency audit
@@ -55,7 +55,7 @@ from .frames import (
 )
 from .netsim import Channel, Direction, SplitMix64
 from .scenario import ScenarioSpec
-from .sync import PhysicalTwin, Reject, VirtualTwin, reconcile
+from .sync import PhysicalTwin, Reject, VirtualTwin, command_inputs, reconcile
 
 PHYSICAL_SENDER_ID = 1
 VIRTUAL_SENDER_ID = 2
@@ -180,8 +180,8 @@ class _Link:
 def run_scenario(spec: ScenarioSpec) -> RunReport:
     machine = spec.machine
     period = spec.sync_period_slots
-    physical = PhysicalTwin(machine, sync_period=period)
-    virtual = VirtualTwin(machine, sync_period=period)
+    physical = PhysicalTwin(machine)
+    virtual = VirtualTwin(machine)
 
     ids: dict[bytes, int] = {}  # each distinct frame's bytes to its index in `frames`
     seed_stream = SplitMix64(spec.seed)  # seed order: phys_to_virt, virt_to_phys, adversary
@@ -200,9 +200,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     phys_inputs: dict[int, list[int]] = {}
     for slot, sym in spec.operator_inputs_physical:
         phys_inputs.setdefault(slot, []).append(sym)
-    virt_inputs: dict[int, list[int]] = {}
-    for slot, sym in spec.operator_inputs_virtual:
-        virt_inputs.setdefault(slot, []).append(sym)
+    commands = command_inputs(spec.operator_inputs_virtual, period)
 
     events: list[DetectionEvent] = []
     audits: list[dict] = []
@@ -224,15 +222,11 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
             for sym in inputs:
                 physical.apply_input(slot, sym)
         reconciled.clear()
-        if slot in virt_inputs:
-            virtual.queue_operator_inputs(tuple(virt_inputs[slot]))
 
-        # Phase 2: ticks and sends.
-        delta = physical.tick(slot)
-        if delta is not None:
-            up.send(STATE_SYNC, slot, encode_delta_payload(delta))
-        command = virtual.tick(slot)
-        if command is not None:
+        # Phase 2: at a sync boundary, both twins tick and send.
+        if slot % period == 0:
+            up.send(STATE_SYNC, slot, encode_delta_payload(physical.tick(slot)))
+            command = virtual.tick(commands.get(slot, ()))
             # Both acknowledge the newest accepted sync, the physical twin's
             # next anchor; the ACK is the idle heartbeat on this channel.
             if command.inputs:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -29,6 +28,7 @@ from .machine import (
 )
 from .frames import MAX_PAYLOAD_LEN
 from .netsim import Direction
+from .sync import command_inputs
 
 DEFAULT_KEYS = {
     Direction.PHYS_TO_VIRT: bytes(range(32)),
@@ -270,14 +270,11 @@ def scenario_from_dict(obj: dict) -> ScenarioSpec:
                 problems.append(f"{key}[{i}]: slot {slot} outside the run of {total} slots")
             if sym not in machine.inputs:
                 problems.append(f"{key}[{i}]: input {sym} not defined by the machine")
-    # The virtual twin sends a period's inputs in one COMMAND at its boundary.
-    period = spec.sync_period_slots
-    virtual = inputs["operator_inputs_virtual"]
-    boundaries = Counter(-(-slot // period) * period for slot, _ in virtual)
-    for boundary, count in sorted(boundaries.items()):
-        if boundary < total and count > MAX_COMMAND_INPUTS:
+    commands = command_inputs(spec.operator_inputs_virtual, spec.sync_period_slots)
+    for boundary, carried in sorted(commands.items()):
+        if boundary < total and len(carried) > MAX_COMMAND_INPUTS:
             problems.append(
-                f"operator_inputs_virtual: {count} inputs go out in the COMMAND at slot "
+                f"operator_inputs_virtual: {len(carried)} inputs go out in the COMMAND at slot "
                 f"{boundary}, which holds at most {MAX_COMMAND_INPUTS}"
             )
     for i, attack in enumerate(spec.attacks):

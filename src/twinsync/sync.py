@@ -18,9 +18,13 @@ lost or deleted in transit is re-covered by the next one, which starts from
 the same anchor.  The anchor may be a state outside the key set.  The
 replica is the VirtualTwin itself: its `held` map keeps every state it
 reached at an accepted emission, with the key states in force there, and
-`apply_sync` verifies a record from any of them.  A period with no activity
-still produces an empty heartbeat record from each twin so the other side
-can tell silence from a deleted message.
+`apply_sync` verifies a record from any of them.
+
+The runner is the one sync clock: it ticks both twins once at each boundary,
+every `period` slots, so a period with no activity still yields an empty
+heartbeat record from each and the other side can tell silence from a
+deleted message.  An operator input goes out in the COMMAND of the first
+boundary at or after its slot (`command_inputs`), which validation bounds.
 """
 
 from __future__ import annotations
@@ -104,8 +108,20 @@ def reconcile(command: CommandRecord, machine: TwinMachine) -> tuple[int, ...] |
     return command.inputs
 
 
+def command_inputs(schedule: list[tuple[int, int]], period: int) -> dict[int, tuple[int, ...]]:
+    """The operator's (slot, input) schedule grouped by the boundary whose COMMAND carries it.
+
+    An input goes out at the first boundary at or after its slot, in
+    schedule order.
+    """
+    groups: dict[int, list[int]] = {}
+    for slot, sym in schedule:
+        groups.setdefault(-(-slot // period) * period, []).append(sym)
+    return {boundary: tuple(inputs) for boundary, inputs in groups.items()}
+
+
 class PhysicalTwin:
-    """Stateful physical endpoint: executes inputs, emits one record per sync period.
+    """Stateful physical endpoint: executes inputs, emits a record at each tick.
 
     Record k goes out as up-link frame seq k.  Each record carries the state
     at the anchor, the current key state and every input since the anchor
@@ -114,11 +130,8 @@ class PhysicalTwin:
     has acknowledged (`on_ack`).
     """
 
-    def __init__(self, machine: TwinMachine, sync_period: int = 1):
-        if sync_period < 1:
-            raise ValueError("sync_period must be >= 1")
+    def __init__(self, machine: TwinMachine):
         self.machine = machine
-        self.sync_period = sync_period
         self.state = machine.initial
         self.key_state = machine.initial  # key state after the whole log
         self.log = ExecutionLog()
@@ -141,10 +154,8 @@ class PhysicalTwin:
             if crossing:
                 self.key_state = nxt
 
-    def tick(self, slot: int) -> DeltaRecord | None:
-        """End-of-slot emission: the inputs since the anchor, a heartbeat when none."""
-        if slot % self.sync_period != 0:
-            return None
+    def tick(self, slot: int) -> DeltaRecord:
+        """The boundary's emission: the inputs since the anchor, a heartbeat when none."""
         self.emitted += 1
         inputs, unacked = self._inputs, self._unacked
         # Positional arguments: this runs once per record, and keywords cost more.
@@ -172,7 +183,7 @@ class PhysicalTwin:
 
 
 class VirtualTwin:
-    """Stateful digital endpoint, the replica: verifies delta records, queues operator commands.
+    """Stateful digital endpoint, the replica: verifies delta records, sends operator commands.
 
     `held` maps every state the replica reached at an accepted emission to
     the key states in force there; a record verifies from any of them.  It
@@ -180,33 +191,22 @@ class VirtualTwin:
     machine's size rather than the run's length.
     """
 
-    def __init__(self, machine: TwinMachine, sync_period: int = 1):
-        if sync_period < 1:
-            raise ValueError("sync_period must be >= 1")
+    def __init__(self, machine: TwinMachine):
         self.machine = machine
-        self.sync_period = sync_period
         self.last_synced_key = machine.initial
         self.last_synced_slot = 0
         self.last_sync_seq = 0
         self.held: dict[int, set[int]] = {machine.initial: {machine.initial}}
-        self.pending: tuple[int, ...] = ()  # inputs queued since the last boundary
 
-    def queue_operator_inputs(self, inputs: tuple[int, ...]) -> None:
-        self.pending += inputs
+    def tick(self, inputs: tuple[int, ...]) -> CommandRecord:
+        """The boundary's record: the operator inputs it carries.
 
-    def tick(self, slot: int) -> CommandRecord | None:
-        """One record per sync boundary; None between them.
-
-        The record holds every input queued over the period, and is empty
-        when none was: the idle heartbeat.  Either way it acknowledges the
-        newest accepted sync.  Liveness counts on one frame per period each
-        way: a second frame would hide the deletion of the first.
+        It is empty when there are none: the idle heartbeat.  Either way it
+        acknowledges the newest accepted sync.  Liveness counts on one frame
+        per period each way: a second frame would hide the deletion of the
+        first.
         """
-        if slot % self.sync_period != 0:
-            return None
-        command = CommandRecord(self.pending, self.last_sync_seq)
-        self.pending = ()
-        return command
+        return CommandRecord(inputs, self.last_sync_seq)
 
     def apply_sync(self, seq: int, delta: DeltaRecord) -> MismatchError | None:
         """Advance by a verified delta record; on any error nothing changes.

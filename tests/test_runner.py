@@ -21,14 +21,19 @@ from twinsync.frames import (
     Frame,
     TAG_LEN,
     MsgType,
+    SequenceTracker,
+    decode_command_payload,
     decode_delta_payload,
+    decode_frame,
     encode_command_payload,
+    encode_delta_payload,
     encode_frame,
 )
 from twinsync.netsim import Direction
-from twinsync.runner import VIRTUAL_SENDER_ID, run_scenario
-from twinsync.sync import CommandRecord
+from twinsync.runner import PHYSICAL_SENDER_ID, VIRTUAL_SENDER_ID, run_scenario
+from twinsync.sync import CommandRecord, DeltaRecord
 from twinsync.scenario import (
+    DEFAULT_KEYS,
     load_bundled_scenario,
     load_fixture_json,
     scenario_from_dict,
@@ -309,6 +314,91 @@ def test_authenticated_commands_are_decoded_then_vetted():
     assert events[0][:2] == ("FORGED_INSERT", ["R1", "R3"])
     assert events[1:] == [("COMMAND_REJECTED", ["R3"], {"reason": "unknown_input", "input": 99})]
     assert report.summary["verdict"] == "pass"
+
+
+def replica_trace(report) -> list[tuple[int, int]]:
+    """The replica's key state and sync slot at the end of each slot."""
+    return [(row["replica_key_state"], row["replica_synced_slot"]) for row in report.slots]
+
+
+def key_holder_run(heats_per_slot: int, record: DeltaRecord | None = None):
+    """Four HEATs from slot 1, `heats_per_slot` a slot, boil the kettle in an
+    8-slot run.  `record`, if any, goes in at the last slot as a validly
+    tagged STATE_SYNC with a fresh seq: a key holder's lie."""
+    doc = {
+        "machine": "kettle",
+        "total_slots": 8,
+        "operator_inputs_physical": [[1 + i // heats_per_slot, HEAT] for i in range(4)],
+    }
+    if record is not None:
+        # The physical twin sends seq s + 1 at slot s, so seq 8 is fresh at
+        # slot 7.  Session 1 is the default.
+        payload = encode_delta_payload(record)
+        frame = Frame(MsgType.STATE_SYNC, PHYSICAL_SENDER_ID, 1, 8, record.slot, payload)
+        forged = encode_frame(frame, DEFAULT_KEYS[Direction.PHYS_TO_VIRT]).hex()
+        doc["attacks"] = [
+            {"kind": "INSERT", "slot": 7, "direction": P2V, "params": {"raw_hex": forged}}
+        ]
+    return run_scenario(scenario_from_dict(doc))
+
+
+@pytest.mark.parametrize(
+    "heats_per_slot, record, mismatch",
+    [
+        (4, DeltaRecord(100, 0, (), 7), "unreachable_result"),
+        (4, DeltaRecord(100, 100, (), 0), "replayed_base"),
+        (4, DeltaRecord(50, 100, (), 7), "base_mismatch"),
+        # Heated a HEAT a slot, the replica holds 50, with key state 0 only.
+        (1, DeltaRecord(50, 100, (), 7), "unreachable_result"),
+    ],
+)
+def test_a_key_holders_state_sync_is_refolded_and_refused(heats_per_slot, record, mismatch):
+    """A STATE_SYNC that passes its tag still has to pass the re-fold: each
+    lie raises one STATE_MISMATCH of its kind, and the replica stays where
+    the same run without it leaves it."""
+    report = key_holder_run(heats_per_slot, record)
+    assert outcomes(report.slots[7], P2V) == ["accepted", "state_mismatch"]
+    events = [(e["kind"], e["detail"]["mismatch"]) for e in report.detection_events]
+    assert events == [("STATE_MISMATCH", mismatch)]
+    assert report.summary["verdict"] == "pass"
+    assert replica_trace(report) == replica_trace(key_holder_run(heats_per_slot))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    period=st.integers(1, 4),
+    inputs=st.lists(st.tuples(st.integers(0, 11), st.sampled_from([HEAT, IDLE])), max_size=12),
+)
+def test_boundaries_alone_send_and_each_carries_its_inputs(period, inputs):
+    """Only a sync boundary sends, one frame each way.  The down-link frame
+    carries exactly the virtual inputs issued since the boundary before, in
+    order: a COMMAND when there are any, else the ACK heartbeat."""
+    spec = scenario_from_dict(
+        {
+            "machine": "kettle",
+            "total_slots": 12,
+            "sync_period_slots": period,
+            "operator_inputs_virtual": [list(pair) for pair in inputs],
+        }
+    )
+    report = run_scenario(spec)
+    key, tracker = spec.keys[Direction.VIRT_TO_PHYS], SequenceTracker()
+    issued = sorted(inputs, key=lambda pair: pair[0])
+    for row in report.slots:
+        slot = row["slot"]
+        if slot % period:
+            assert "sent" not in row
+            continue
+        assert {link: len(ids) for link, ids in row["sent"].items()} == {P2V: 1, V2P: 1}
+        (data,) = sent_bytes(report, row, V2P)
+        frame = decode_frame(data, key, tracker, VIRTUAL_SENDER_ID, (MsgType.COMMAND, MsgType.ACK))
+        assert frame.slot == slot
+        carried = tuple(sym for s, sym in issued if slot - period < s <= slot)
+        if carried:
+            assert frame.msg_type == MsgType.COMMAND
+            assert decode_command_payload(frame.payload).inputs == carried
+        else:
+            assert frame.msg_type == MsgType.ACK
 
 
 def test_an_insert_where_no_frame_is_due_is_delivered_and_detected():

@@ -2,7 +2,6 @@
 
 from itertools import product
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,6 +14,7 @@ from twinsync.sync import (
     PhysicalTwin,
     Reject,
     VirtualTwin,
+    command_inputs,
     fold_key_state,
     reconcile,
 )
@@ -276,14 +276,16 @@ class TestPhysicalTwin:
         assert twin._unacked == []
 
     def test_unshipped_crossing_stays_in_the_record(self, kettle_cool):
-        """Inputs land across two slots with no emission between: one cumulative record."""
-        twin = PhysicalTwin(kettle_cool, sync_period=2)
+        """Inputs land across two slots with no tick between: one cumulative record."""
+        twin = PhysicalTwin(kettle_cool)
         for slot in (1, 2, 3, 4):
             twin.apply_input(slot, HEAT)
-            assert twin.tick(slot) == (
-                DeltaRecord(0, 0, (HEAT, HEAT), 2) if slot == 2 else
-                DeltaRecord(0, 100, (HEAT,) * 4, 4) if slot == 4 else None
-            )
+            if slot % 2 == 0:
+                assert twin.tick(slot) == (
+                    DeltaRecord(0, 0, (HEAT, HEAT), 2) if slot == 2 else
+                    DeltaRecord(0, 100, (HEAT,) * 4, 4)
+                )
+        assert twin.emitted == 2
 
     def test_every_emission_verifies_in_sequence(self, kettle_cool):
         twin = PhysicalTwin(kettle_cool)
@@ -297,47 +299,41 @@ class TestPhysicalTwin:
             if slot % 3 == 0:
                 twin.on_ack(slot - 1)
 
-    def test_period_skips_off_slots(self, kettle):
-        twin = PhysicalTwin(kettle, sync_period=3)
-        assert twin.tick(1) is None
-        assert twin.tick(2) is None
-        assert twin.tick(3) is not None
 
-    def test_invalid_period(self, kettle):
-        with pytest.raises(ValueError):
-            PhysicalTwin(kettle, sync_period=0)
+class TestCommandInputs:
+    def test_period_skips_off_slots(self):
+        """Only boundaries carry inputs: an off-slot input waits for the next one."""
+        schedule = [(slot, HEAT) for slot in range(8)]
+        expected = {0: (HEAT,), 3: (HEAT,) * 3, 6: (HEAT,) * 3, 9: (HEAT,)}
+        assert command_inputs(schedule, 3) == expected
 
 
 class TestVirtualTwin:
-    def test_queue_and_flush(self, kettle):
-        """One record per boundary; an empty one, the idle heartbeat, when nothing was queued."""
+    def test_tick_carries_the_boundary_inputs_or_is_the_heartbeat(self, kettle):
+        """One record per tick; an empty one, the idle heartbeat, when it carries no input."""
         twin = VirtualTwin(kettle)
-        twin.queue_operator_inputs((HEAT,))
-        twin.queue_operator_inputs((IDLE,))
-        assert twin.tick(2) == CommandRecord(inputs=(HEAT, IDLE), acked_seq=0)
-        assert twin.tick(3) == CommandRecord(inputs=(), acked_seq=0)
+        assert twin.tick((HEAT, IDLE)) == CommandRecord(inputs=(HEAT, IDLE), acked_seq=0)
+        assert twin.tick(()) == CommandRecord(inputs=(), acked_seq=0)
 
     def test_every_record_acknowledges_the_newest_accepted_sync(self, kettle):
         """A command and the idle heartbeat alike carry the replica's sync seq."""
         twin = VirtualTwin(kettle)
         assert twin.apply_sync(5, DeltaRecord(0, 0, (HEAT,), slot=1)) is None
-        twin.queue_operator_inputs((HEAT,))
-        assert twin.tick(1) == CommandRecord(inputs=(HEAT,), acked_seq=5)
+        assert twin.tick((HEAT,)) == CommandRecord(inputs=(HEAT,), acked_seq=5)
         assert twin.apply_sync(6, DeltaRecord(0, 100, (HEAT,), slot=2)) is not None
-        assert twin.tick(2) == CommandRecord(inputs=(), acked_seq=5)
+        assert twin.tick(()) == CommandRecord(inputs=(), acked_seq=5)
 
     def test_commands_of_one_period_share_one_record(self, kettle):
-        twin = VirtualTwin(kettle, sync_period=3)
-        twin.queue_operator_inputs((HEAT, HEAT))
-        twin.queue_operator_inputs((IDLE,))
-        twin.queue_operator_inputs((HEAT,))
-        assert twin.tick(3) == CommandRecord(inputs=(HEAT, HEAT, IDLE, HEAT), acked_seq=0)
+        commands = command_inputs([(1, HEAT), (1, HEAT), (2, IDLE), (3, HEAT)], 3)
+        assert commands == {3: (HEAT, HEAT, IDLE, HEAT)}
+        command = VirtualTwin(kettle).tick(commands[3])
+        assert command == CommandRecord(inputs=(HEAT, HEAT, IDLE, HEAT), acked_seq=0)
 
     def test_flush_respects_period(self, kettle):
-        twin = VirtualTwin(kettle, sync_period=2)
-        twin.queue_operator_inputs((HEAT,))
-        assert twin.tick(1) is None
-        assert twin.tick(2) == CommandRecord(inputs=(HEAT,), acked_seq=0)
+        """An input issued just after a boundary goes out at the next one."""
+        commands = command_inputs([(1, HEAT)], 2)
+        assert 0 not in commands
+        assert VirtualTwin(kettle).tick(commands[2]) == CommandRecord(inputs=(HEAT,), acked_seq=0)
 
     def test_apply_sync_tracks_seq(self, kettle):
         twin = VirtualTwin(kettle)
