@@ -37,9 +37,9 @@ class AttackAction:
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind.value,
+            "kind": self.kind._value_,
             "slot": self.slot,
-            "direction": self.direction.value,
+            "direction": self.direction._value_,
             "params": self.params,
         }
 

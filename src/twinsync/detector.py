@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 
 from .adversary import AttackKind
 from .frames import ChannelError, ChannelErrorKind
@@ -54,13 +55,23 @@ class DetectionEvent:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        # `_value_` is the member's value as a plain attribute; `.value` is
+        # a property whose descriptor call costs several times the read.
         return {
-            "kind": self.kind.value,
+            "kind": self.kind._value_,
             "slot": self.slot,
-            "direction": self.direction.value,
-            "requirements": sorted(r.value for r in self.requirements),
+            "direction": self.direction._value_,
+            "requirements": list(REQUIREMENT_NAMES[self.requirements]),
             "detail": self.detail,
         }
+
+
+# The sorted names of each set of requirements, built once for all eight.
+REQUIREMENT_NAMES: dict[frozenset[Requirement], tuple[str, ...]] = {
+    frozenset(subset): tuple(sorted(r._value_ for r in subset))
+    for n in range(len(Requirement) + 1)
+    for subset in combinations(Requirement, n)
+}
 
 
 _R1 = frozenset({Requirement.R1})
@@ -117,9 +128,9 @@ class Detector:
     """
 
     def __init__(self, latency_slots: dict[Direction, int], sync_period: int, grace_slots: int):
-        self.latency_slots = dict(latency_slots)
         self.sync_period = sync_period
-        self.grace_slots = grace_slots
+        # Each direction with the slots from an emission to its deadline.
+        self._waits = [(d, latency + grace_slots) for d, latency in latency_slots.items()]
         self._satisfied: set[tuple[Direction, int]] = set()
 
     def on_frame_accepted(self, direction: Direction, emission_slot: int) -> None:
@@ -145,12 +156,13 @@ class Detector:
     def on_slot_boundary(self, slot: int) -> list[DetectionEvent]:
         """MISSED_SYNC for each emission that became overdue exactly at this slot."""
         events, satisfied = [], self._satisfied
-        for direction, latency in self.latency_slots.items():
-            emission = slot - latency - self.grace_slots
+        for direction, wait in self._waits:
+            emission = slot - wait
             if emission < 0 or emission % self.sync_period:
                 continue
-            if (direction, emission) in satisfied:
-                satisfied.remove((direction, emission))
+            key = (direction, emission)
+            if key in satisfied:
+                satisfied.remove(key)
                 continue
             events.append(
                 DetectionEvent(
@@ -172,7 +184,7 @@ class Detector:
         else:
             kind = EventKind.STATE_MISMATCH
             detail = {
-                "mismatch": err.kind.value,
+                "mismatch": err.kind._value_,
                 "expected": err.expected,
                 "got": err.got,
                 "reason": err.reason,

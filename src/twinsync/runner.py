@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from .adversary import Adversary
 from .detector import (
     ATTACK_EXPECTATIONS,
+    REQUIREMENT_NAMES,
     Detector,
     DetectionEvent,
     EventKind,
@@ -152,7 +153,7 @@ class _Link:
         ids: dict[bytes, int],
     ):
         self.direction = direction
-        self.name = direction.value
+        self.name = direction._value_
         self.sender_id = sender_id
         self.msg_types = msg_types
         self.session_id = spec.session_id
@@ -280,7 +281,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                         )
                 if isinstance(result, ChannelError):
                     events.append(detector.on_channel_error(result, slot, direction))
-                    outcome = result.kind.value
+                    outcome = result.kind._value_
                 # A replayed or reflected frame keeps its id; one the adversary made gets the next.
                 frame_id = ids.setdefault(data, len(ids))
                 received.append(frame_id if outcome is None else [frame_id, outcome])
@@ -337,25 +338,25 @@ def _summarize(
 
     attack_rows = []
     all_matched = True
-    matrix: dict[str, dict[str, list[str]]] = {}
-    expected_matrix: dict[str, dict[str, list[str]]] = {}
+    cells: dict[tuple, frozenset] = {}  # requirements detected, by (kind, direction) attacked
     for attack in spec.attacks:
         hits = [
             e
             for s in range(attack.slot, attack.slot + window + 1)
             for e in events_at.get((attack.direction, s), ())
         ]
-        detected: set = set()
+        detected = frozenset()
         for e in hits:
             detected |= e.requirements
-        expected = ATTACK_EXPECTATIONS[(attack.kind, attack.direction)]
+        cell = (attack.kind, attack.direction)
+        expected = ATTACK_EXPECTATIONS[cell]
         matched = detected == expected
         row = {
-            "kind": attack.kind.value,
+            "kind": attack.kind._value_,
             "slot": attack.slot,
-            "direction": attack.direction.value,
-            "expected_requirements": sorted(r.value for r in expected),
-            "detected_requirements": sorted(r.value for r in detected),
+            "direction": attack.direction._value_,
+            "expected_requirements": list(REQUIREMENT_NAMES[expected]),
+            "detected_requirements": list(REQUIREMENT_NAMES[detected]),
             "event_count": len(hits),
             "matched": matched,
         }
@@ -365,10 +366,13 @@ def _summarize(
             continue
         attributed.update(map(id, hits))
         all_matched = all_matched and matched
-        cell = matrix.setdefault(attack.kind.value, {}).setdefault(attack.direction.value, [])
-        cell[:] = sorted({*cell, *(r.value for r in detected)})
-        expected_matrix.setdefault(attack.kind.value, {})[attack.direction.value] = sorted(
-            r.value for r in expected
+        cells[cell] = cells.get(cell, frozenset()) | detected
+    matrix: dict[str, dict[str, list[str]]] = {}
+    expected_matrix: dict[str, dict[str, list[str]]] = {}
+    for (kind, direction), detected in cells.items():
+        matrix.setdefault(kind._value_, {})[direction._value_] = list(REQUIREMENT_NAMES[detected])
+        expected_matrix.setdefault(kind._value_, {})[direction._value_] = list(
+            REQUIREMENT_NAMES[ATTACK_EXPECTATIONS[(kind, direction)]]
         )
 
     dropped_at = {

@@ -97,14 +97,14 @@ class ScenarioSpec:
             "total_slots": self.total_slots,
             "sync_period_slots": self.sync_period_slots,
             "channels": {
-                d.value: {
+                d._value_: {
                     "latency_slots": self.channels[d].latency_slots,
                     # A document may give 0 or 1; the echo is always a float.
                     "drop_probability": float(self.channels[d].drop_probability),
                 }
                 for d in Direction
             },
-            "keys": {d.value: self.keys[d].hex() for d in Direction},
+            "keys": {d._value_: self.keys[d].hex() for d in Direction},
             "session_id": self.session_id,
             "operator_inputs_physical": [list(p) for p in self.operator_inputs_physical],
             "operator_inputs_virtual": [list(p) for p in self.operator_inputs_virtual],

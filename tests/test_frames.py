@@ -438,6 +438,11 @@ class TestPayloadCodecs:
         with pytest.raises(ValueError):
             encode_command_payload(CommandRecord(inputs=(), acked_seq=1))
 
+    @pytest.mark.parametrize("data", [b"", b"\x00"])
+    def test_command_payload_shorter_than_its_count_is_truncated(self, data):
+        with pytest.raises(MalformedPayload, match="truncated"):
+            decode_command_payload(data)
+
     def test_zero_count_command_payload_rejected(self):
         with pytest.raises(MalformedPayload):
             decode_command_payload(bytes.fromhex("0000" + "0000000000000001"))

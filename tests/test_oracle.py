@@ -1,5 +1,7 @@
 """Closed-form oracle: expected traces, exhaustive diffing, and self-efficacy."""
 
+import dataclasses
+
 import pytest
 
 from conftest import HEAT, IDLE
@@ -132,6 +134,22 @@ class TestOracleEfficacy:
         bad = next(d for d in report.divergences if d.what == "replica_key")
         assert bad.schedule == (HEAT, HEAT, HEAT, HEAT)
         assert (bad.expected, bad.got) == (100, 0)
+
+    def test_a_detection_event_on_an_honest_run_is_caught(self, kettle, monkeypatch):
+        import twinsync.oracle as oracle_mod
+
+        real_run = oracle_mod.run_scenario
+
+        def run_with_one_event(spec):
+            return dataclasses.replace(real_run(spec), detection_events=[{"kind": "TAMPER"}])
+
+        monkeypatch.setattr(oracle_mod, "run_scenario", run_with_one_event)
+        report = oracle_check(kettle, 1)
+        assert not report.ok
+        assert report.divergences == [
+            Divergence(schedule, -1, 0, 1, "unexpected_detection_events")
+            for schedule in [(), *((sym,) for sym in sorted(kettle.inputs))]
+        ]
 
     def test_physical_trace_corruption_is_caught(self, kettle, monkeypatch):
         from twinsync.machine import TwinMachine

@@ -16,6 +16,9 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import jsonschema
@@ -286,6 +289,24 @@ def test_bundled_reports_match_pinned_digests(name, tmp_path):
     v1 = as_v1(data)
     assert hashlib.sha256(indented(v1)).hexdigest() == PINNED_REPORTS[name]
     assert hashlib.sha256(v1).hexdigest() == PINNED_COMPACT_REPORTS[name]
+
+
+def test_bundled_reports_do_not_depend_on_the_hash_seed():
+    """Set and frozenset order follows string hashes, which `PYTHONHASHSEED`
+    salts: `twinsync run` writes each bundled report with its pinned bytes
+    under hash seeds 0, 1 and 12345."""
+    for name in sorted(PINNED_REPORTS):
+        path = str(fixture_path(name + ".json"))
+        digests = set()
+        for hash_seed in ("0", "1", "12345"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "twinsync", "run", "--scenario", path],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            digests.add(hashlib.sha256(proc.stdout).hexdigest())
+        assert digests == {PINNED_V4_REPORTS[name]}, name
 
 
 # SHA-256 over each bench workload's seed-0 reports, projected to v1,

@@ -6,6 +6,7 @@ import functools
 import gc
 import sys
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -18,6 +19,8 @@ from twinsync.adversary import AttackAction, AttackKind
 from twinsync.detector import Detector
 from twinsync.frames import (
     HEADER_STRUCT,
+    ChannelError,
+    ChannelErrorKind,
     Frame,
     TAG_LEN,
     MsgType,
@@ -29,7 +32,7 @@ from twinsync.frames import (
     encode_delta_payload,
     encode_frame,
 )
-from twinsync.netsim import Direction
+from twinsync.netsim import Direction, DroppedFrame
 from twinsync.runner import PHYSICAL_SENDER_ID, VIRTUAL_SENDER_ID, run_scenario
 from twinsync.sync import CommandRecord, DeltaRecord
 from twinsync.scenario import (
@@ -265,6 +268,78 @@ class TestNoTarget:
             assert after.summary[count] == before.summary[count]
         assert after.summary["benign_loss_event_count"] == len(missed) > 0
         assert after.summary["verdict"] == "pass"
+
+
+def summarize(grace: int, events: list, dropped: tuple[int, ...] = ()):
+    """`runner._summarize` of a 40-slot kettle run whose one attack DELETEs
+    the up-link frame of slot 4, given `events` and the up-link frames
+    dropped at the `dropped` send slots."""
+    doc = {
+        "machine": "kettle",
+        "total_slots": 40,
+        "grace_slots": grace,
+        "attacks": [{"kind": "DELETE", "slot": 4, "direction": P2V, "params": {}}],
+    }
+    drop_logs = {Direction.PHYS_TO_VIRT: [DroppedFrame(slot, b"") for slot in dropped]}
+    links = tuple(
+        SimpleNamespace(direction=d, channel=SimpleNamespace(drop_log=drop_logs.get(d, [])))
+        for d in Direction
+    )
+    return runner_mod._summarize(scenario_from_dict(doc), events, links, set())
+
+
+def up_link_detector(grace: int) -> Detector:
+    """A detector of `summarize`'s up-link alone: latency 1, period 1."""
+    return Detector({Direction.PHYS_TO_VIRT: 1}, 1, grace)
+
+
+class TestSummarize:
+    """The verdict's spurious half, and the edge of an attack's window."""
+
+    def test_events_no_attack_or_loss_explains_are_spurious(self):
+        detector = up_link_detector(grace=1)
+        events = [
+            *detector.on_slot_boundary(6),  # the DELETE's emission 4, overdue at 4 + 1 + 1
+            detector.on_channel_error(
+                ChannelError(ChannelErrorKind.AUTH_FAIL, "bad tag"), 20, Direction.PHYS_TO_VIRT
+            ),
+            *detector.on_slot_boundary(30),  # emission 28, sent and not dropped
+            *detector.on_slot_boundary(35),  # emission 33, dropped
+        ]
+        summary, annotated = summarize(1, events, dropped=(33,))
+        assert [(e["kind"], e["slot"]) for e in annotated] == [
+            ("MISSED_SYNC", 6), ("TAMPER", 20), ("MISSED_SYNC", 30), ("MISSED_SYNC", 35)
+        ]
+        assert [e["attack_scheduled"] for e in annotated] == [True, False, False, False]
+        missed = [e["explained_by_benign_loss"] for e in annotated if e["kind"] == "MISSED_SYNC"]
+        assert missed == [False, False, True]
+        (attack,) = summary["attacks"]
+        assert attack["matched"]
+        assert summary["spurious_event_count"] == 2
+        assert summary["benign_loss_event_count"] == 1
+        assert summary["verdict"] == "detection_mismatch"
+
+    @pytest.mark.parametrize("grace", [0, 1, 2, 3])
+    def test_the_window_ends_grace_plus_one_slots_after_the_attack(self, grace):
+        """The DELETE's MISSED_SYNC lands on slot + grace + 1, the last slot
+        of its window, and is the attack's; one slot later, it is not."""
+        edge = 4 + grace + 1
+        (event,) = up_link_detector(grace).on_slot_boundary(edge)
+        summary, (entry,) = summarize(grace, [event])
+        (attack,) = summary["attacks"]
+        assert (attack["detected_requirements"], attack["matched"]) == (["R1"], True)
+        assert entry["attack_scheduled"]
+        assert (summary["spurious_event_count"], summary["verdict"]) == (0, "pass")
+        assert summary["matrix"] == summary["expected_matrix"] == {"DELETE": {P2V: ["R1"]}}
+
+        (late,) = up_link_detector(grace).on_slot_boundary(edge + 1)
+        summary, (entry,) = summarize(grace, [late])
+        (attack,) = summary["attacks"]
+        assert (attack["detected_requirements"], attack["matched"]) == ([], False)
+        assert not entry["attack_scheduled"]
+        assert summary["matrix"] == {"DELETE": {P2V: []}}
+        assert summary["spurious_event_count"] == 1
+        assert summary["verdict"] == "detection_mismatch"
 
 
 def test_authenticated_ack_with_a_short_payload_is_a_forged_insert():
@@ -756,13 +831,13 @@ def python_calls_per_slot(workload: str) -> float:
 
 
 def test_python_calls_per_idle_slot():
-    """A deterministic guard on the per-slot constant of the frame path: about 49.6."""
+    """A deterministic guard on the per-slot constant of the frame path: about 47.8."""
     assert python_calls_per_slot("idle_at_key") <= 50
 
 
 def test_python_calls_per_attack_slot():
-    """The same guard on the adversary and detector paths: about 70.3 on `attack_dense`."""
-    assert python_calls_per_slot("attack_dense") <= 72
+    """The same guard on the adversary and detector paths: about 49.1 on `attack_dense`."""
+    assert python_calls_per_slot("attack_dense") <= 51
 
 
 def test_report_bytes_per_idle_slot():
