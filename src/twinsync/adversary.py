@@ -77,6 +77,8 @@ class Adversary:
             if action.kind == AttackKind.REPLAY:
                 batch = (action.params["capture_slot"], action.direction)
                 self._wanted.setdefault(batch, set()).add(action.params.get("capture_index", 0))
+        # Every slot some action or capture names: the others pass untouched.
+        self._slots = {slot for slot, _ in (*self._scheduled, *self._wanted)}
         self.rng = rng
         # The frames named by a REPLAY, by (slot, direction, index in its batch).
         self.captures: dict[tuple[int, Direction, int], bytes] = {}
@@ -85,6 +87,8 @@ class Adversary:
 
     def intercept(self, slot: int, direction: Direction, frames: list[bytes]) -> list[bytes]:
         """The batch as delivered: `frames` itself when no action changes it."""
+        if slot not in self._slots:
+            return frames
         for index in self._wanted.get((slot, direction), ()):
             if index < len(frames):
                 self.captures[(slot, direction, index)] = frames[index]

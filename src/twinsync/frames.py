@@ -204,12 +204,15 @@ def decode_frame(
 # rather than flow back as channel errors.
 
 _DELTA_HEAD = struct.Struct(">IIH")  # base state, result state, input count
+_ACK = struct.Struct(">Q")  # acked seq
 
 def encode_delta_payload(record: DeltaRecord) -> bytes:
     inputs = record.applied_inputs
     n = len(inputs)
     if 10 + 4 * n > MAX_PAYLOAD_LEN:
         raise PayloadTooLarge(f"{n} inputs do not fit in one frame")
+    if not n:
+        return _DELTA_HEAD.pack(record.base_state, record.result_state, 0)
     return struct.pack(f">IIH{n}I", record.base_state, record.result_state, n, *inputs)
 
 
@@ -221,7 +224,7 @@ def decode_delta_payload(data: bytes, slot: int) -> DeltaRecord:
         raise MalformedPayload(
             f"delta payload length {len(data)} does not match {n} declared inputs"
         )
-    return DeltaRecord(base, result, struct.unpack_from(f">{n}I", data, 10), slot)
+    return DeltaRecord(base, result, struct.unpack_from(f">{n}I", data, 10) if n else (), slot)
 
 
 def encode_command_payload(record: CommandRecord) -> bytes:
@@ -248,10 +251,10 @@ def decode_command_payload(data: bytes) -> CommandRecord:
 
 
 def encode_ack_payload(acked_seq: int) -> bytes:
-    return struct.pack(">Q", acked_seq)
+    return _ACK.pack(acked_seq)
 
 
 def decode_ack_payload(data: bytes) -> int:
     if len(data) != 8:
         raise MalformedPayload(f"ack payload must be 8 bytes, got {len(data)}")
-    return struct.unpack(">Q", data)[0]
+    return _ACK.unpack(data)[0]

@@ -11,9 +11,9 @@ Every slot runs the same four phases:
        compares the replica against the physical history
 
 The report is compact ASCII JSON with sorted keys, the bytes of the stdlib's
-`json.dumps` written in bounded pieces by its C encoder, with no wall-clock
-or environment dependence, so identical (scenario, seed) pairs produce byte
-identical reports.  `frames` holds each distinct frame once, in the order
+`json.dumps` written in bounded pieces, with no wall-clock or environment
+dependence, so identical (scenario, seed) pairs produce byte identical
+reports.  `frames` holds each distinct frame once, in the order
 first seen, as canonical padded base64 (RFC 4648 section 4), and slot rows
 name frames by their index there: the bytes of frame `id` are
 `base64.b64decode(report.frames[id])`.  A row states only what happened:
@@ -66,12 +66,46 @@ REPORT_SCHEMA = "twinsync.report.v4"
 # Module aliases: an enum member lookup costs several times a global one.
 STATE_SYNC, COMMAND, ACK = MsgType.STATE_SYNC, MsgType.COMMAND, MsgType.ACK
 
-# A top-level report list longer than CHUNK is encoded CHUNK elements at a
-# time.  The C encoder keeps every token of one call as its own str until it
-# joins them, so a call's transient grows with what it encodes.  A report is
-# a tree built afresh by `run_scenario`, so no cycle check is needed.
+# A report list longer than CHUNK is encoded CHUNK elements at a time.  The
+# C encoder keeps every token of one call as its own str until it joins them,
+# so a call's transient grows with what it encodes.  A report is a tree built
+# afresh by `run_scenario`, so no cycle check is needed.
 CHUNK = 64
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def _long(value) -> bool:
+    return isinstance(value, list) and len(value) > CHUNK
+
+
+def _pieces(doc: dict, encode, frames: list[str]) -> Iterator[bytes]:
+    """`doc`'s text in pieces, as `RunReport.json_pieces` says; `frames` is its frame table."""
+    run: dict = {}  # values since the last one written in pieces, encoded together
+    sep = b"{"
+    for key in sorted(doc):
+        value = doc[key]
+        nested = isinstance(value, dict) and any(map(_long, value.values()))
+        if not (nested or _long(value)):
+            run[key] = value
+            continue
+        if run:
+            yield sep + encode(run)[1:-1].encode()
+            run, sep = {}, b","
+        yield sep + encode(key).encode() + b":"
+        sep = b","
+        if nested:
+            yield from _pieces(value, encode, frames)
+            continue
+        for start in range(0, len(value), CHUNK):
+            part = value[start : start + CHUNK]
+            # Canonical padded base64 (RFC 4648 section 4), the one frame spelling
+            # the report schema allows, holds no character that JSON escapes, so
+            # the join is the text `encode(part)` writes.
+            text = '"' + '","'.join(part) + '"' if value is frames else encode(part)[1:-1]
+            yield (b"," if start else b"[") + text.encode()
+        yield b"]"
+    last = encode(run).encode()  # with nothing written in pieces, the whole dict
+    yield last if sep == b"{" else sep + last[1:] if run else b"}"
 
 
 @dataclass
@@ -98,32 +132,12 @@ class RunReport:
         """The report as byte pieces that join to `json.dumps(self.to_json_dict(),
         sort_keys=True, separators=(",", ":"))` plus one newline.
 
-        Each top-level list longer than CHUNK is encoded a chunk at a time,
-        and the other top-level values one call per run of them, in key
-        order, between such lists.  A report whose lists all fit in one
-        chunk is one call.
+        A list longer than CHUNK is written a chunk at a time, and a dict
+        holding one, such as the report or its scenario echo, key by key, the
+        other values one call per run of them between those.  A report whose
+        lists all fit in one chunk is one call.
         """
-        encode = _ENCODER.encode
-        doc = self.to_json_dict()
-        run: dict = {}  # values since the last long list, encoded together
-        sep = b"{"
-        for key in sorted(doc):
-            items = doc[key]
-            if not (isinstance(items, list) and len(items) > CHUNK):
-                run[key] = items
-                continue
-            if run:
-                yield sep + encode(run)[1:-1].encode()
-                run, sep = {}, b","
-            yield sep + encode(key).encode() + b":["
-            for start in range(0, len(items), CHUNK):
-                chunk = encode(items[start : start + CHUNK])[1:-1].encode()
-                yield b"," + chunk if start else chunk
-            sep = b"],"
-        # `summary`, a dict, is last in key order, so the last run holds it.
-        # With no long list before it, that run is the whole report.
-        last = encode(run).encode()
-        yield last if sep == b"{" else sep + last[1:]
+        yield from _pieces(self.to_json_dict(), _ENCODER.encode, self.frames)
         yield b"\n"
 
     def to_json_bytes(self) -> bytes:
@@ -240,11 +254,12 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         # at most one event and one outcome.  The row takes each link's
         # non-empty lists of this slot's frames; an accepted frame is its id.
         row = {"slot": slot}
+        sent, dropped, delivered = {}, {}, {}
         for link in links:
             if link.sent:
-                row.setdefault("sent", {})[link.name], link.sent = link.sent, []
+                sent[link.name], link.sent = link.sent, []
             if link.dropped:
-                row.setdefault("dropped", {})[link.name], link.dropped = link.dropped, []
+                dropped[link.name], link.dropped = link.dropped, []
             received = []
             direction = link.direction
             for data in adversary.intercept(slot, direction, link.channel.deliver_due(slot)):
@@ -286,7 +301,13 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 frame_id = ids.setdefault(data, len(ids))
                 received.append(frame_id if outcome is None else [frame_id, outcome])
             if received:
-                row.setdefault("delivered", {})[link.name] = received
+                delivered[link.name] = received
+        if sent:
+            row["sent"] = sent
+        if dropped:
+            row["dropped"] = dropped
+        if delivered:
+            row["delivered"] = delivered
 
         # Phase 4: liveness expectations and the consistency audit.
         events.extend(detector.on_slot_boundary(slot))

@@ -251,7 +251,9 @@ class VirtualTwin:
                 got=claim,
                 reason="claimed result not reached by folding the inputs",
             )
-        held.setdefault(state, set()).add(claim)
+        if state not in held:
+            held[state] = set()
+        held[state].add(claim)
         self.last_synced_key = claim
         self.last_synced_slot = delta.slot
         self.last_sync_seq = seq

@@ -60,6 +60,19 @@ class TestCaptureLog:
         assert batch == [b"a", b"b"]
         assert adv.captures[(4, P2V, 1)] == b"b"
 
+    def test_a_slot_no_action_or_capture_names_is_handed_back_untouched(self):
+        adv = adversary(
+            AttackAction(AttackKind.DELETE, 4, P2V),
+            AttackAction(AttackKind.REPLAY, 6, V2P, {"capture_slot": 2}),
+        )
+        for slot in (0, 1, 3, 5, 7):
+            for direction in (P2V, V2P):
+                batch = [b"a", b"b"]
+                assert adv.intercept(slot, direction, batch) is batch
+                assert batch == [b"a", b"b"]
+        assert adv.applied == []
+        assert adv.captures == {}
+
 
 class TestDelete:
     def test_removes_first_due_frame_by_default(self):

@@ -124,6 +124,27 @@ class TestGoldenVectors:
 
         assert verify_golden_vectors(str(fixture_path("golden_frames.hex"))) == 3
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["", GOLDEN_HEX[0], "zz", GOLDEN_HEX[2]], "line 3: not valid hex"),
+            (["", "", *GOLDEN_HEX[:2]], "line 5: expected 3 frames, file has 2"),
+            ([*GOLDEN_HEX, GOLDEN_HEX[0]], "line 5: expected 3 frames, file has 4"),
+            ([], "line 1: expected 3 frames, file has 0"),
+        ],
+        ids=["not_hex", "one_missing", "one_extra", "empty"],
+    )
+    def test_a_bad_vector_file_names_its_line(self, tmp_path, lines, message):
+        """The file line a mismatch is found at, blank lines counted: past
+        the last frame when the count differs."""
+        from twinsync.vectors import VectorMismatch, verify_golden_vectors
+
+        path = tmp_path / "frames.hex"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(VectorMismatch) as exc:
+            verify_golden_vectors(str(path))
+        assert str(exc.value).startswith(message)
+
     def test_zero_field_frame_is_not_a_protocol_frame(self):
         """Vector 1 pins layout and tag only; msg_type 0 never decodes to a Frame."""
         data = bytes.fromhex(GOLDEN_HEX[0])

@@ -781,6 +781,13 @@ def test_slot_cost_does_not_grow_with_run_length():
     assert long / short < 12
 
 
+def test_python_calls_per_slot_do_not_grow_with_run_length():
+    """The deterministic companion of the test above: 8,000 slots make at
+    most 1.01x the Python calls per slot of 1,000 (47.80 against 47.88), so
+    no per-slot step calls more as the history grows."""
+    assert calls_per_slot(idle_at_key(8000)) <= 1.01 * calls_per_slot(idle_at_key(1000))
+
+
 SINGLE_ATTACKS = {
     "DELETE": lambda slot: {},
     "INSERT": lambda slot: {"raw_hex": "deadbeef" * 5},
@@ -810,11 +817,15 @@ def test_every_single_attack_on_the_matrix_run_passes():
 
 
 def python_calls_per_slot(workload: str) -> float:
-    """The Python function calls `run_scenario` makes per slot of the
-    benchmark's `workload` at seed 0, counted by a profile hook, so host
-    load cannot move it.  Calls into C are not counted."""
+    """`calls_per_slot` of the benchmark's `workload` at seed 0."""
     (doc,) = getattr(import_bench_module("workloads"), workload)(0)
-    spec = scenario_from_dict(doc)
+    return calls_per_slot(scenario_from_dict(doc))
+
+
+def calls_per_slot(spec) -> float:
+    """The Python function calls `run_scenario(spec)` makes per slot,
+    counted by a profile hook, so host load cannot move it.  Calls into C
+    are not counted."""
     calls = 0
 
     def count(frame, event, arg):
