@@ -4,7 +4,8 @@ Three security requirements anchor every verdict:
 
     R1  synchronized, timely state replication between the twins
     R2  the digital twin's state may only change through verified sync records
-    R3  physical actuation only through commands vetted against the input alphabet
+    R3  physical actuation only through vetted commands; `reconcile` checks only
+        the input alphabet, so on a total machine R3 rests on the tags alone
 
 Each anomaly is mapped to the requirements whose enforcement caught it, and
 the mapping depends on which side of the link was attacked: anomalies on the

@@ -227,11 +227,15 @@ def decode_delta_payload(data: bytes, slot: int) -> DeltaRecord:
     return DeltaRecord(base, result, struct.unpack_from(f">{n}I", data, 10) if n else (), slot)
 
 
+# Most operator inputs one COMMAND carries: u16 count, u32 per input, u64 acknowledged seq.
+MAX_COMMAND_INPUTS = (MAX_PAYLOAD_LEN - 10) // 4
+
+
 def encode_command_payload(record: CommandRecord) -> bytes:
     n = len(record.inputs)
     if n == 0:
         raise ValueError("command must carry at least one input")
-    if 10 + 4 * n > MAX_PAYLOAD_LEN:
+    if n > MAX_COMMAND_INPUTS:
         raise PayloadTooLarge(f"{n} inputs do not fit in one frame")
     return struct.pack(f">H{n}IQ", n, *record.inputs, record.acked_seq)
 

@@ -26,7 +26,7 @@ from .machine import (
     machine_to_dict,
     validate_machine,
 )
-from .frames import MAX_PAYLOAD_LEN
+from .frames import MAX_COMMAND_INPUTS
 from .netsim import Direction
 from .sync import command_inputs
 
@@ -47,9 +47,6 @@ _TYPES = {
     "integer": (int, "an integer"),
     "number": ((int, float), "a number"),
 }
-# The most operator inputs one COMMAND carries: a u16 count, a u32 per input
-# and the u64 acknowledged seq.
-MAX_COMMAND_INPUTS = (MAX_PAYLOAD_LEN - 10) // 4
 # The document's top-level values that ScenarioSpec takes as they are.
 _SCALARS = ("name", "total_slots", "sync_period_slots", "session_id", "seed", "grace_slots")
 _INPUTS = ("operator_inputs_physical", "operator_inputs_virtual")

@@ -1,4 +1,4 @@
-"""The benchmark's tracer finds every name it rebinds, and every export resolves.
+"""The benchmark's tracer finds every name it rebinds.
 
 `python3 bench/run.py --trace 1` rebinds twinsync names where the runner
 looks them up (bench/probes.py).  A rename or deletion in `src/` that
@@ -12,7 +12,6 @@ from types import SimpleNamespace
 
 import pytest
 
-import twinsync
 from conftest import import_bench_module
 from twinsync.scenario import load_bundled_scenario
 
@@ -32,10 +31,6 @@ def tracer_targets() -> list:
 @pytest.mark.parametrize("target", tracer_targets(), ids=lambda t: t.span)
 def test_tracer_target_is_defined_on_its_owner(target):
     assert target.attr in vars(target.owner)
-
-
-def test_every_export_resolves():
-    assert [name for name in twinsync.__all__ if not hasattr(twinsync, name)] == []
 
 
 @pytest.mark.parametrize("name", ["fig4_walkthrough", "attack_matrix"])

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import twinsync
 from twinsync.cli import EXIT_INVALID, EXIT_MISMATCH, EXIT_OK, main
 from twinsync.machine import machine_to_dict
 from twinsync.scenario import fixture_path, load_fixture_json
@@ -300,6 +302,29 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert "scenario ok" in proc.stdout
+
+
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    """The package root imports nothing, so each entry point loads the modules
+    in its own order, and an import cycle must not fail whichever comes first.
+    `__init__` loads with each of them, and importing `__main__` runs the CLI."""
+    modules = sorted(
+        path.stem
+        for path in Path(twinsync.__file__).parent.glob("*.py")
+        if not path.stem.startswith("__")
+    )
+    script = (
+        "import importlib, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    for loaded in [m for m in sys.modules if m.partition('.')[0] == 'twinsync']:\n"
+        "        del sys.modules[loaded]\n"
+        "    importlib.import_module('twinsync.' + name)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *modules], capture_output=True, text=True
+    )
+    assert "cli" in modules
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
