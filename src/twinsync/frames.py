@@ -42,12 +42,12 @@ from .sync import CommandRecord, DeltaRecord
 
 MAGIC = b"\x44\x54"
 VERSION = 1
-HEADER_LEN = 34
+HEADER_STRUCT = struct.Struct(">2sBBIQQQH")
+HEADER_LEN = HEADER_STRUCT.size
 TAG_LEN = 32
 MIN_FRAME_LEN = HEADER_LEN + TAG_LEN
 MAX_PAYLOAD_LEN = 0xFFFF
 
-HEADER_STRUCT = struct.Struct(">2sBBIQQQH")
 # Largest values of the unsigned wire fields.  The scenario schema states its
 # own literal maxima; the tests check those against these.
 U8_MAX = 0xFF

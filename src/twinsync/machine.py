@@ -84,12 +84,6 @@ class ExecutionLog:
         self.entries.append(entry)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    code: str
-    message: str
-
-
 def step(machine: TwinMachine, state: int, sym: int) -> int:
     """Apply one input symbol. Raises on undeclared states or inputs.
 
@@ -115,12 +109,12 @@ def project_key_state(log: ExecutionLog, machine: TwinMachine) -> int:
     return machine.initial
 
 
-def validate_machine(machine: TwinMachine) -> list[ValidationIssue]:
-    """The structural problems that make the machine unusable; empty when none."""
-    errors: list[ValidationIssue] = []
+def validate_machine(machine: TwinMachine) -> list[str]:
+    """The structural problems that make the machine unusable, each `"code: message"`."""
+    errors: list[str] = []
 
     def err(code: str, message: str) -> None:
-        errors.append(ValidationIssue(code, message))
+        errors.append(f"{code}: {message}")
 
     if machine.initial not in machine.states:
         err("unknown_initial", f"initial state {machine.initial} not declared")

@@ -96,7 +96,7 @@ def oracle_check(machine: TwinMachine, max_schedule_len: int) -> OracleReport:
     if len(machine.states) > MAX_STATES or len(machine.inputs) > 3:
         limits = f"<= {MAX_STATES} states, <= 3 inputs"
         raise ValueError(f"oracle_check is for small machines ({limits})")
-    errors = "; ".join(f"{issue.code}: {issue.message}" for issue in validate_machine(machine))
+    errors = "; ".join(validate_machine(machine))
     if errors:
         raise ValueError(f"machine does not validate: {errors}")
 
@@ -113,7 +113,7 @@ def _check_one(
     machine: TwinMachine, schedule: tuple[int, ...], report: OracleReport
 ) -> None:
     spec = build_schedule_scenario(machine, schedule)
-    inputs_by_slot = {slot + 1: [sym] for slot, sym in enumerate(schedule)}
+    inputs_by_slot = {slot: [sym] for slot, sym in spec.operator_inputs_physical}
     exp_state, exp_key, exp_replica = expected_traces(machine, inputs_by_slot, spec.total_slots)
     compared = (  # (row field, expected trace, divergence name)
         ("physical_state", exp_state, "physical_state"),

@@ -2,8 +2,8 @@
 
 Every slot runs the same four phases:
 
-    1. operator inputs are applied (physical inputs first, then any
-       reconciled command inputs queued from the previous slot)
+    1. the slot's physical inputs are applied: the operator's, then the
+       vetted inputs of each COMMAND accepted in the previous slot
     2. at a sync boundary, both twins tick and send their frames
     3. each channel delivers its due frames through the adversary, and the
        receiving endpoint decodes, verifies, and applies them
@@ -212,7 +212,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         {link.direction: link.channel.latency_slots for link in links}, period, spec.grace_slots
     )
 
-    phys_inputs: dict[int, list[int]] = {}
+    phys_inputs: dict[int, list[int]] = {}  # the physical twin's inputs, by slot
     for slot, sym in spec.operator_inputs_physical:
         phys_inputs.setdefault(slot, []).append(sym)
     commands = command_inputs(spec.operator_inputs_virtual, period)
@@ -221,7 +221,6 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     audits: list[dict] = []
     rows: list[dict] = []
     physical_keys: list[int] = []  # physical key state at the end of each slot
-    reconciled: list[tuple[int, ...]] = []  # command inputs accepted, applied next slot
     applied = adversary.applied
     audit_latency = up.channel.latency_slots
 
@@ -230,13 +229,9 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         # are whatever the log gains from here on.
         applied_from = len(applied)
 
-        # Phase 1: operator inputs, then command inputs reconciled last slot.
+        # Phase 1: the slot's schedule, COMMAND inputs vetted last slot behind the operator's.
         for sym in phys_inputs.get(slot, ()):
             physical.apply_input(slot, sym)
-        for inputs in reconciled:
-            for sym in inputs:
-                physical.apply_input(slot, sym)
-        reconciled.clear()
 
         # Phase 2: at a sync boundary, both twins tick and send.
         if slot % period == 0:
@@ -285,7 +280,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                                 )
                                 outcome = "command_rejected"
                             else:
-                                reconciled.append(verdict)
+                                phys_inputs.setdefault(slot + 1, []).extend(verdict)
                         else:
                             physical.on_ack(decode_ack_payload(frame.payload))
                     except MalformedPayload as exc:

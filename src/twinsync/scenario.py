@@ -153,7 +153,7 @@ def resolve_machine(spec: object, problems: list[str]) -> TwinMachine | None:
     except MachineFormatError as exc:
         problems.append(f"machine: {exc}")
         return None
-    problems.extend(f"machine: {i.code}: {i.message}" for i in validate_machine(machine))
+    problems.extend(f"machine: {problem}" for problem in validate_machine(machine))
     return machine if len(problems) == before else None
 
 

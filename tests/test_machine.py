@@ -143,19 +143,19 @@ class TestValidation:
         doc = machine_to_dict(kettle)
         doc["delta"] = [row for row in doc["delta"] if row[:2] != [50, HEAT]]
         errors = validate_machine(machine_from_dict(doc))
-        assert [i.code for i in errors] == ["non_total_transition"]
+        assert [e.split(":", 1)[0] for e in errors] == ["non_total_transition"]
 
     def test_initial_must_be_a_key_state(self, kettle):
         doc = machine_to_dict(kettle)
         doc["key_states"] = [100]
         errors = validate_machine(machine_from_dict(doc))
-        assert "initial_not_key_state" in [i.code for i in errors]
+        assert "initial_not_key_state" in [e.split(":", 1)[0] for e in errors]
 
     def test_undeclared_key_state(self, kettle):
         doc = machine_to_dict(kettle)
         doc["key_states"] = [0, 100, 42]
         errors = validate_machine(machine_from_dict(doc))
-        assert "key_state_unknown" in [i.code for i in errors]
+        assert "key_state_unknown" in [e.split(":", 1)[0] for e in errors]
 
     def test_undeclared_transition_endpoints(self):
         machine = machine_from_dict(
@@ -168,7 +168,7 @@ class TestValidation:
                 "delta": [[0, 1, 0], [9, 1, 0], [0, 2, 0], [0, 3, 9]],
             }
         )
-        codes = {i.code for i in validate_machine(machine)}
+        codes = {e.split(":", 1)[0] for e in validate_machine(machine)}
         assert {
             "transition_source_unknown",
             "transition_input_unknown",

@@ -977,6 +977,30 @@ def test_record_k_goes_out_as_up_link_seq_k(name):
     assert twin.emitted == up.seq == load_bundled_scenario(name).total_slots
 
 
+def test_each_link_sends_seq_k_at_the_kth_boundary():
+    """Both links send one frame per boundary, stamped with that boundary's
+    slot, so a frame's seq is `slot // period + 1`: on both bundled fixtures
+    and the seed-0 single-scenario bench workloads, at periods 1-5.  The
+    physical twin's `emitted` count and `_Link.seq` both rest on this."""
+    workloads = import_bench_module("workloads")
+    docs = [load_fixture_json(name) for name in ("fig4_walkthrough", "attack_matrix")]
+    for name in ("idle_at_key", "idle_between_keys", "attack_dense"):
+        docs += getattr(workloads, name)(0)
+    checked, wrong = 0, []
+    for doc in docs:
+        for period in range(1, 6):
+            report = run_scenario(scenario_from_dict({**doc, "sync_period_slots": period}))
+            for row in report.slots:
+                for link in (P2V, V2P):
+                    for data in sent_bytes(report, row, link):
+                        seq, slot = HEADER_STRUCT.unpack_from(data)[5:7]
+                        checked += 1
+                        if (slot, seq) != (row["slot"], row["slot"] // period + 1):
+                            wrong.append((doc["name"], period, link, row["slot"], slot, seq))
+    assert checked > 0
+    assert wrong == []
+
+
 def records(report) -> list[tuple[int, tuple[int, ...]]]:
     """(base, inputs) of every STATE_SYNC record sent, in order."""
     out = []
