@@ -11,7 +11,9 @@ Each anomaly is mapped to the requirements whose enforcement caught it, and
 the mapping depends on which side of the link was attacked: anomalies on the
 physical-bound channel always implicate R3 because that channel drives
 actuation, while anomalies on the virtual-bound channel implicate R2
-whenever forged or altered content could have corrupted the replica.
+whenever forged or altered content could have corrupted the replica.  An
+event reads its requirements from that one table, and the run's verdict,
+`Detector.summarize`, lives beside the tables it reads.
 
 Liveness is the detector's own job: both endpoints emit one authenticated
 frame per sync period (heartbeats when idle), so a deleted message shows up
@@ -21,11 +23,11 @@ grace window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .adversary import AttackKind
+from .adversary import AttackAction, AttackKind
 from .frames import ChannelError, ChannelErrorKind
 from .machine import TwinMachine
 from .netsim import Direction
@@ -52,17 +54,22 @@ class DetectionEvent:
     kind: EventKind
     slot: int
     direction: Direction
-    requirements: frozenset[Requirement]
-    detail: dict = field(default_factory=dict)
+    detail: dict
+
+    @property
+    def requirements(self) -> frozenset[Requirement]:
+        return EVENT_REQUIREMENTS[(self.kind, self.direction)]
 
     def to_dict(self) -> dict:
-        # `_value_` is the member's value as a plain attribute; `.value` is
-        # a property whose descriptor call costs several times the read.
+        # `_value_` and the table are read directly: `.value` and
+        # `requirements` are descriptor calls costing several times the read.
         return {
             "kind": self.kind._value_,
             "slot": self.slot,
             "direction": self.direction._value_,
-            "requirements": list(REQUIREMENT_NAMES[self.requirements]),
+            "requirements": list(
+                REQUIREMENT_NAMES[EVENT_REQUIREMENTS[(self.kind, self.direction)]]
+            ),
             "detail": self.detail,
         }
 
@@ -130,6 +137,7 @@ class Detector:
 
     def __init__(self, latency_slots: dict[Direction, int], sync_period: int, grace_slots: int):
         self.sync_period = sync_period
+        self._window = grace_slots + 1  # slots after an attack that its events may land in
         # Each direction with the slots from an emission to its deadline.
         self._waits = [(d, latency + grace_slots) for d, latency in latency_slots.items()]
         self._satisfied: set[tuple[Direction, int]] = set()
@@ -146,13 +154,7 @@ class Detector:
             detail["claimed_slot"] = err.slot
         if err.seq is not None:
             detail["claimed_seq"] = err.seq
-        return DetectionEvent(
-            kind=kind,
-            slot=slot,
-            direction=direction,
-            requirements=EVENT_REQUIREMENTS[(kind, direction)],
-            detail=detail,
-        )
+        return DetectionEvent(kind, slot, direction, detail)
 
     def on_slot_boundary(self, slot: int) -> list[DetectionEvent]:
         """MISSED_SYNC for each emission that became overdue exactly at this slot."""
@@ -165,15 +167,8 @@ class Detector:
             if key in satisfied:
                 satisfied.remove(key)
                 continue
-            events.append(
-                DetectionEvent(
-                    kind=EventKind.MISSED_SYNC,
-                    slot=slot,
-                    direction=direction,
-                    requirements=EVENT_REQUIREMENTS[(EventKind.MISSED_SYNC, direction)],
-                    detail={"expected_emission_slot": emission},
-                )
-            )
+            detail = {"expected_emission_slot": emission}
+            events.append(DetectionEvent(EventKind.MISSED_SYNC, slot, direction, detail))
         return events
 
     def on_semantic_mismatch(
@@ -190,13 +185,97 @@ class Detector:
                 "got": err.got,
                 "reason": err.reason,
             }
-        return DetectionEvent(
-            kind=kind,
-            slot=slot,
-            direction=direction,
-            requirements=EVENT_REQUIREMENTS[(kind, direction)],
-            detail=detail,
-        )
+        return DetectionEvent(kind, slot, direction, detail)
+
+    def summarize(
+        self,
+        attacks: list[AttackAction],
+        events: list[DetectionEvent],
+        dropped: set[tuple[Direction, int]],
+        applied: list[tuple[AttackAction, bool]],
+    ) -> tuple[dict, list[dict]]:
+        """The run's summary and verdict, and its events as the report writes them.
+
+        An event is in an attack's window when it is on the attacked direction
+        within grace + 1 slots after the attack's slot.  An attack that found
+        no target, by the adversary's `applied` log, caused nothing: it is
+        marked, and kept out of the matrix, the verdict and the attribution of
+        events.  A MISSED_SYNC whose (direction, emission) the channels dropped
+        is benign loss.
+        """
+        window = self._window
+        missed = {id(action) for action, found in applied if not found}
+        events_at: dict[tuple[Direction, int], list[DetectionEvent]] = {}
+        for event in events:
+            events_at.setdefault((event.direction, event.slot), []).append(event)
+        attributed: set[int] = set()  # ids of events in the window of an attack that found one
+
+        attack_rows = []
+        all_matched = True
+        cells: dict[tuple, frozenset] = {}  # requirements detected, by (kind, direction) attacked
+        for attack in attacks:
+            hits = [
+                e
+                for s in range(attack.slot, attack.slot + window + 1)
+                for e in events_at.get((attack.direction, s), ())
+            ]
+            detected = frozenset()
+            for e in hits:
+                detected |= EVENT_REQUIREMENTS[(e.kind, e.direction)]
+            cell = (attack.kind, attack.direction)
+            expected = ATTACK_EXPECTATIONS[cell]
+            matched = detected == expected
+            row = {
+                "kind": attack.kind._value_,
+                "slot": attack.slot,
+                "direction": attack.direction._value_,
+                "expected_requirements": list(REQUIREMENT_NAMES[expected]),
+                "detected_requirements": list(REQUIREMENT_NAMES[detected]),
+                "event_count": len(hits),
+                "matched": matched,
+            }
+            attack_rows.append(row)
+            if id(attack) in missed:
+                row["no_target"] = True
+                continue
+            attributed.update(map(id, hits))
+            all_matched = all_matched and matched
+            cells[cell] = cells.get(cell, frozenset()) | detected
+        matrix: dict[str, dict[str, list[str]]] = {}
+        expected_matrix: dict[str, dict[str, list[str]]] = {}
+        for cell, detected in cells.items():
+            k, d = cell[0]._value_, cell[1]._value_  # attack kind, direction
+            matrix.setdefault(k, {})[d] = list(REQUIREMENT_NAMES[detected])
+            expected_matrix.setdefault(k, {})[d] = list(REQUIREMENT_NAMES[ATTACK_EXPECTATIONS[cell]])
+
+        annotated = []
+        spurious = 0
+        benign_loss = 0
+        for event in events:
+            entry = event.to_dict()
+            scheduled = id(event) in attributed
+            entry["attack_scheduled"] = scheduled
+            if event.kind == EventKind.MISSED_SYNC:
+                lost = (event.direction, event.detail["expected_emission_slot"]) in dropped
+                entry["explained_by_benign_loss"] = lost
+                if lost:
+                    benign_loss += 1
+                elif not scheduled:
+                    spurious += 1
+            elif not scheduled:
+                spurious += 1
+            annotated.append(entry)
+
+        summary = {
+            "attacks": attack_rows,
+            "matrix": matrix,
+            "expected_matrix": expected_matrix,
+            "event_count": len(events),
+            "spurious_event_count": spurious,
+            "benign_loss_event_count": benign_loss,
+            "verdict": "pass" if all_matched and spurious == 0 else "detection_mismatch",
+        }
+        return summary, annotated
 
 
 def delivered_emission(slot: int, latency_slots: int, sync_period: int = 1) -> int | None:

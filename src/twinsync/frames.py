@@ -206,10 +206,14 @@ def decode_frame(
 _DELTA_HEAD = struct.Struct(">IIH")  # base state, result state, input count
 _ACK = struct.Struct(">Q")  # acked seq
 
+# Most inputs one delta or COMMAND record carries: 10 fixed bytes, a u32 per input.
+MAX_RECORD_INPUTS = (MAX_PAYLOAD_LEN - 10) // 4
+
+
 def encode_delta_payload(record: DeltaRecord) -> bytes:
     inputs = record.applied_inputs
     n = len(inputs)
-    if 10 + 4 * n > MAX_PAYLOAD_LEN:
+    if n > MAX_RECORD_INPUTS:
         raise PayloadTooLarge(f"{n} inputs do not fit in one frame")
     if not n:
         return _DELTA_HEAD.pack(record.base_state, record.result_state, 0)
@@ -227,15 +231,11 @@ def decode_delta_payload(data: bytes, slot: int) -> DeltaRecord:
     return DeltaRecord(base, result, struct.unpack_from(f">{n}I", data, 10) if n else (), slot)
 
 
-# Most operator inputs one COMMAND carries: u16 count, u32 per input, u64 acknowledged seq.
-MAX_COMMAND_INPUTS = (MAX_PAYLOAD_LEN - 10) // 4
-
-
 def encode_command_payload(record: CommandRecord) -> bytes:
     n = len(record.inputs)
     if n == 0:
         raise ValueError("command must carry at least one input")
-    if n > MAX_COMMAND_INPUTS:
+    if n > MAX_RECORD_INPUTS:
         raise PayloadTooLarge(f"{n} inputs do not fit in one frame")
     return struct.pack(f">H{n}IQ", n, *record.inputs, record.acked_seq)
 

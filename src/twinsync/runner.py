@@ -10,11 +10,12 @@ Every slot runs the same four phases:
     4. the detector checks liveness expectations and the consistency audit
        compares the replica against the physical history
 
-The report is compact ASCII JSON with sorted keys, the bytes of the stdlib's
-`json.dumps` written in bounded pieces, with no wall-clock or environment
-dependence, so identical (scenario, seed) pairs produce byte identical
-reports.  `frames` holds each distinct frame once, in the order
-first seen, as canonical padded base64 (RFC 4648 section 4), and slot rows
+After the last slot, the detector judges the run.  The report is compact
+ASCII JSON with sorted keys, the bytes of the stdlib's `json.dumps` written
+in bounded pieces, with no wall-clock or environment dependence, so
+identical (scenario, seed) pairs produce byte identical reports.  `frames`
+holds each distinct frame once, in the order first seen, as canonical
+padded base64 (RFC 4648 section 4), and slot rows
 name frames by their index there: the bytes of frame `id` are
 `base64.b64decode(report.frames[id])`.  A row states only what happened:
 `sent`, `delivered` and `dropped` hold only the links with frames, an
@@ -30,14 +31,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .adversary import Adversary
-from .detector import (
-    ATTACK_EXPECTATIONS,
-    REQUIREMENT_NAMES,
-    Detector,
-    DetectionEvent,
-    EventKind,
-    consistency_audit,
-)
+from .detector import Detector, DetectionEvent, consistency_audit
 from .frames import (
     ChannelError,
     ChannelErrorKind,
@@ -326,8 +320,8 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
             ]
         rows.append(row)
 
-    missed = {id(action) for action, found in adversary.applied if not found}
-    summary, annotated = _summarize(spec, events, links, missed)
+    lost = {(link.direction, f.sent_at_slot) for link in links for f in link.channel.drop_log}
+    summary, annotated = detector.summarize(spec.attacks, events, lost, applied)
     return RunReport(
         scenario=spec.to_dict(),
         slots=rows,
@@ -336,91 +330,3 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         audits=audits,
         summary=summary,
     )
-
-
-def _summarize(
-    spec: ScenarioSpec, events: list[DetectionEvent], links: tuple[_Link, ...], missed: set[int]
-) -> tuple[dict, list[dict]]:
-    # An event is in an attack's window when it is on the attacked direction
-    # within `window` slots after the attack's slot.  An attack in `missed`
-    # (by `id`) found no target, so it had nothing to detect and caused
-    # nothing: it is marked, and kept out of the matrix, the verdict and the
-    # attribution of events.
-    window = spec.grace_slots + 1
-    events_at: dict[tuple[Direction, int], list[DetectionEvent]] = {}
-    for event in events:
-        events_at.setdefault((event.direction, event.slot), []).append(event)
-    attributed: set[int] = set()  # ids of the events in the window of an attack that found one
-
-    attack_rows = []
-    all_matched = True
-    cells: dict[tuple, frozenset] = {}  # requirements detected, by (kind, direction) attacked
-    for attack in spec.attacks:
-        hits = [
-            e
-            for s in range(attack.slot, attack.slot + window + 1)
-            for e in events_at.get((attack.direction, s), ())
-        ]
-        detected = frozenset()
-        for e in hits:
-            detected |= e.requirements
-        cell = (attack.kind, attack.direction)
-        expected = ATTACK_EXPECTATIONS[cell]
-        matched = detected == expected
-        row = {
-            "kind": attack.kind._value_,
-            "slot": attack.slot,
-            "direction": attack.direction._value_,
-            "expected_requirements": list(REQUIREMENT_NAMES[expected]),
-            "detected_requirements": list(REQUIREMENT_NAMES[detected]),
-            "event_count": len(hits),
-            "matched": matched,
-        }
-        attack_rows.append(row)
-        if id(attack) in missed:
-            row["no_target"] = True
-            continue
-        attributed.update(map(id, hits))
-        all_matched = all_matched and matched
-        cells[cell] = cells.get(cell, frozenset()) | detected
-    matrix: dict[str, dict[str, list[str]]] = {}
-    expected_matrix: dict[str, dict[str, list[str]]] = {}
-    for (kind, direction), detected in cells.items():
-        matrix.setdefault(kind._value_, {})[direction._value_] = list(REQUIREMENT_NAMES[detected])
-        expected_matrix.setdefault(kind._value_, {})[direction._value_] = list(
-            REQUIREMENT_NAMES[ATTACK_EXPECTATIONS[(kind, direction)]]
-        )
-
-    dropped_at = {
-        (link.direction, f.sent_at_slot) for link in links for f in link.channel.drop_log
-    }
-    annotated = []
-    spurious = 0
-    benign_loss = 0
-    for event in events:
-        entry = event.to_dict()
-        scheduled = id(event) in attributed
-        entry["attack_scheduled"] = scheduled
-        if event.kind == EventKind.MISSED_SYNC:
-            emission = event.detail.get("expected_emission_slot")
-            lost = (event.direction, emission) in dropped_at
-            entry["explained_by_benign_loss"] = lost
-            if lost:
-                benign_loss += 1
-            elif not scheduled:
-                spurious += 1
-        elif not scheduled:
-            spurious += 1
-        annotated.append(entry)
-
-    verdict = "pass" if all_matched and spurious == 0 else "detection_mismatch"
-    summary = {
-        "attacks": attack_rows,
-        "matrix": matrix,
-        "expected_matrix": expected_matrix,
-        "event_count": len(events),
-        "spurious_event_count": spurious,
-        "benign_loss_event_count": benign_loss,
-        "verdict": verdict,
-    }
-    return summary, annotated

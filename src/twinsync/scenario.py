@@ -26,7 +26,7 @@ from .machine import (
     machine_to_dict,
     validate_machine,
 )
-from .frames import MAX_COMMAND_INPUTS
+from .frames import MAX_RECORD_INPUTS
 from .netsim import Direction
 from .sync import command_inputs
 
@@ -269,10 +269,10 @@ def scenario_from_dict(obj: dict) -> ScenarioSpec:
                 problems.append(f"{key}[{i}]: input {sym} not defined by the machine")
     commands = command_inputs(spec.operator_inputs_virtual, spec.sync_period_slots)
     for boundary, carried in sorted(commands.items()):
-        if boundary < total and len(carried) > MAX_COMMAND_INPUTS:
+        if boundary < total and len(carried) > MAX_RECORD_INPUTS:
             problems.append(
                 f"operator_inputs_virtual: {len(carried)} inputs go out in the COMMAND at slot "
-                f"{boundary}, which holds at most {MAX_COMMAND_INPUTS}"
+                f"{boundary}, which holds at most {MAX_RECORD_INPUTS}"
             )
     for i, attack in enumerate(spec.attacks):
         where, slot, params = f"attacks[{i}]", attack.slot, attack.params

@@ -14,6 +14,7 @@ from twinsync.frames import (
     HEADER_STRUCT,
     MAGIC,
     MAX_PAYLOAD_LEN,
+    MAX_RECORD_INPUTS,
     MIN_FRAME_LEN,
     ChannelError,
     ChannelErrorKind,
@@ -423,6 +424,15 @@ class TestPayloadCodecs:
         payload = encode_delta_payload(DeltaRecord(0, 100, (1, 1, 1, 1), slot=4))
         assert len(payload) == 26
         assert payload.hex() == "00000000000000640004" + "00000001" * 4
+
+    def test_both_record_codecs_hold_the_same_number_of_inputs(self):
+        n = MAX_RECORD_INPUTS
+        assert len(encode_delta_payload(DeltaRecord(0, 1, (1,) * n, 0))) <= MAX_PAYLOAD_LEN
+        assert len(encode_command_payload(CommandRecord((1,) * n, 0))) <= MAX_PAYLOAD_LEN
+        with pytest.raises(PayloadTooLarge):
+            encode_delta_payload(DeltaRecord(0, 1, (1,) * (n + 1), 0))
+        with pytest.raises(PayloadTooLarge):
+            encode_command_payload(CommandRecord((1,) * (n + 1), 0))
 
     def test_heartbeat_delta_payload_is_ten_bytes(self):
         payload = encode_delta_payload(DeltaRecord(100, 100, (), slot=7))

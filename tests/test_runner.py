@@ -6,7 +6,6 @@ import functools
 import gc
 import sys
 import time
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -32,7 +31,7 @@ from twinsync.frames import (
     encode_delta_payload,
     encode_frame,
 )
-from twinsync.netsim import Direction, DroppedFrame
+from twinsync.netsim import Direction
 from twinsync.runner import PHYSICAL_SENDER_ID, VIRTUAL_SENDER_ID, run_scenario
 from twinsync.sync import CommandRecord, DeltaRecord
 from twinsync.scenario import (
@@ -271,21 +270,12 @@ class TestNoTarget:
 
 
 def summarize(grace: int, events: list, dropped: tuple[int, ...] = ()):
-    """`runner._summarize` of a 40-slot kettle run whose one attack DELETEs
-    the up-link frame of slot 4, given `events` and the up-link frames
-    dropped at the `dropped` send slots."""
-    doc = {
-        "machine": "kettle",
-        "total_slots": 40,
-        "grace_slots": grace,
-        "attacks": [{"kind": "DELETE", "slot": 4, "direction": P2V, "params": {}}],
-    }
-    drop_logs = {Direction.PHYS_TO_VIRT: [DroppedFrame(slot, b"") for slot in dropped]}
-    links = tuple(
-        SimpleNamespace(direction=d, channel=SimpleNamespace(drop_log=drop_logs.get(d, [])))
-        for d in Direction
-    )
-    return runner_mod._summarize(scenario_from_dict(doc), events, links, set())
+    """`Detector.summarize` of a run whose one attack, which found its
+    target, DELETEs the up-link frame of slot 4, given `events` and the
+    up-link frames lost at the `dropped` send slots."""
+    attack = AttackAction(AttackKind.DELETE, 4, Direction.PHYS_TO_VIRT)
+    lost = {(Direction.PHYS_TO_VIRT, slot) for slot in dropped}
+    return up_link_detector(grace).summarize([attack], events, lost, [(attack, True)])
 
 
 def up_link_detector(grace: int) -> Detector:

@@ -475,7 +475,7 @@ class TestCommandCapacity:
     holds a u16 count, a u32 per input and a u64 acknowledged seq."""
 
     def test_limit_is_what_the_command_codec_encodes(self):
-        limit = scenario_mod.MAX_COMMAND_INPUTS
+        limit = scenario_mod.MAX_RECORD_INPUTS
         assert limit == 16381
         encode_command_payload(CommandRecord((IDLE,) * limit, 0))
         with pytest.raises(PayloadTooLarge):
