@@ -51,7 +51,6 @@ def forge_frame_bytes(template: dict, rng: SplitMix64) -> bytes:
             template.get("msg_type", 1),
             template.get("sender_id", 0),
             template.get("session_id", 0),
-            template.get("seq", 1),
             template.get("slot", 0),
             bytes.fromhex(template.get("payload_hex", "")),
         )

@@ -92,6 +92,7 @@ _R1R3 = frozenset({Requirement.R1, Requirement.R3})
 _CHANNEL_EVENT_KIND = {
     ChannelErrorKind.AUTH_FAIL: EventKind.TAMPER,
     ChannelErrorKind.REPLAY: EventKind.REPLAY_ATTACK,
+    ChannelErrorKind.FUTURE: EventKind.FORGED_INSERT,
     ChannelErrorKind.MALFORMED: EventKind.FORGED_INSERT,
     ChannelErrorKind.WRONG_DIRECTION: EventKind.FORGED_INSERT,
     ChannelErrorKind.MALFORMED_PAYLOAD: EventKind.FORGED_INSERT,
@@ -152,8 +153,6 @@ class Detector:
         detail = {"reason": err.reason}
         if err.slot is not None:
             detail["claimed_slot"] = err.slot
-        if err.seq is not None:
-            detail["claimed_seq"] = err.seq
         return DetectionEvent(kind, slot, direction, detail)
 
     def on_slot_boundary(self, slot: int) -> list[DetectionEvent]:

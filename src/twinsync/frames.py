@@ -1,32 +1,34 @@
 """Authenticated wire format for twin synchronization traffic.
 
-Frame layout, all integers big-endian:
+Frame layout, wire version 2, all integers big-endian:
 
     [0..2)    magic 0x44 0x54
-    [2]       version (1)
+    [2]       version (2)
     [3]       msg_type: 1 STATE_SYNC, 2 COMMAND, 3 ACK
     [4..8)    sender_id  u32
     [8..16)   session_id u64
-    [16..24)  seq        u64
-    [24..32)  slot       u64
-    [32..34)  payload_len u16
-    [34..34+L)    payload
-    [34+L..66+L)  tag = HMAC-SHA-256(key, bytes[0 .. 34+L))
+    [16..24)  slot       u64, the sender's emission slot
+    [24..26)  payload_len u16
+    [26..26+L)    payload
+    [26+L..58+L)  tag = HMAC-SHA-256(key, bytes[0 .. 26+L))
 
 This module is the only one that packs or reads a header, and `frame_body`
 is the one place a header is packed: `encode_frame` tags what it returns,
 the adversary's forgeries append a random tag to it, and `splice_payload`
 keeps a captured header's bytes and rewrites only its length.  The tag covers
-header and payload, so the shortest valid frame is 66 bytes.  decode_frame
+header and payload, so the shortest valid frame is 58 bytes.  decode_frame
 decides whether a link accepts a frame, with its checks in this order:
-length, tag, structure, the link's sender id and message types, and last
-the replay window.  Any bit flipped anywhere in a frame therefore fails
+length, tag, structure, the link's sender id and message types, timing, and
+last the replay window.  Any bit flipped anywhere in a frame therefore fails
 authentication rather than surfacing as a parse error, structural checks
 only ever run on authentic bytes, and, as in RFC 4303 section 3.4.3, the
-window moves only for a frame that passed every other check.  A link has
-one sender, so it keeps one window.  Sequence numbers are per session,
-start at 1, and must increase on every accepted frame; a frame from an
-older session is treated the same as a stale sequence number.
+window moves only for a frame that passed every other check.  A link sends
+one frame per emission slot, so the slot is its sequence number, derived
+rather than sent, as TLS 1.3 derives its record numbers (RFC 8446 section
+5.3).  The window is the newest slot accepted in the current session, and
+like TCP's receive window (RFC 9293 section 3.10.7.4) it cannot run ahead
+of the present: the timing check refuses a frame stamped later than the
+arrival slot minus the link's latency, which no honest sender made.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from enum import Enum, IntEnum
 from .sync import CommandRecord, DeltaRecord
 
 MAGIC = b"\x44\x54"
-VERSION = 1
-HEADER_STRUCT = struct.Struct(">2sBBIQQQH")
+VERSION = 2
+HEADER_STRUCT = struct.Struct(">2sBBIQQH")
 HEADER_LEN = HEADER_STRUCT.size
 TAG_LEN = 32
 MIN_FRAME_LEN = HEADER_LEN + TAG_LEN
@@ -77,7 +79,6 @@ class Frame:
     msg_type: int
     sender_id: int
     session_id: int
-    seq: int
     slot: int
     payload: bytes = b""
 
@@ -87,6 +88,7 @@ class ChannelErrorKind(str, Enum):
     AUTH_FAIL = "auth_fail"
     WRONG_DIRECTION = "wrong_direction"
     REPLAY = "replay"
+    FUTURE = "future"
     MALFORMED_PAYLOAD = "malformed_payload"
 
 
@@ -97,25 +99,16 @@ class ChannelError:
     kind: ChannelErrorKind
     reason: str
     slot: int | None = None
-    seq: int | None = None
 
 
-class SequenceTracker:
-    """One link's replay window: highest accepted seq within the current session."""
+class ReplayWindow:
+    """One link's replay window: the newest slot accepted in the current session.
+
+    A frame of an older session is stale; one of a newer session starts it afresh.
+    """
 
     def __init__(self) -> None:
-        self.session, self.highest = 0, 0
-
-    def advance(self, session_id: int, seq: int) -> str | None:
-        """Move the window to `seq`, or leave it and say why `seq` is stale."""
-        if session_id < self.session:
-            return f"session {session_id} older than current session {self.session}"
-        if session_id == self.session and seq <= self.highest:
-            return f"seq {seq} not above highest accepted seq {self.highest}"
-        if seq < 1:
-            return f"seq {seq} below initial value 1"
-        self.session, self.highest = session_id, seq
-        return None
+        self.session, self.highest = 0, -1  # below slot 0, the first emission
 
 
 @functools.lru_cache(maxsize=32)
@@ -140,8 +133,7 @@ def frame_body(frame: Frame) -> bytes:
     if len(payload) > MAX_PAYLOAD_LEN:
         raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds u16 length")
     return HEADER_STRUCT.pack(
-        MAGIC, VERSION, frame.msg_type, frame.sender_id, frame.session_id, frame.seq, frame.slot,
-        len(payload),
+        MAGIC, VERSION, frame.msg_type, frame.sender_id, frame.session_id, frame.slot, len(payload)
     ) + payload
 
 
@@ -159,13 +151,19 @@ def encode_frame(frame: Frame, key: bytes) -> bytes:
 
 
 def decode_frame(
-    data: bytes, key: bytes, tracker: SequenceTracker, sender_id: int, msg_types: tuple[int, ...]
+    data: bytes,
+    key: bytes,
+    window: ReplayWindow,
+    sender_id: int,
+    msg_types: tuple[int, ...],
+    newest: int,
 ) -> Frame | ChannelError:
     """Accept or reject one frame arriving on a link.
 
-    The link's sender has `sender_id` and sends `msg_types`.  Returns the
-    Frame on success (tracker advanced), otherwise a ChannelError and the
-    tracker is left untouched.
+    The link's sender has `sender_id` and sends `msg_types`; `newest`, the
+    arrival slot minus the link's latency, is the latest slot an honest frame
+    can carry.  Returns the Frame on success (window advanced), otherwise a
+    ChannelError and the window is left untouched.
     """
     if len(data) < MIN_FRAME_LEN:
         return ChannelError(
@@ -174,7 +172,7 @@ def decode_frame(
         )
     body, tag = data[:-TAG_LEN], data[-TAG_LEN:]
     # Unpacked first only so that a frame failing the tag check can report its claims.
-    magic, version, msg_type, sender, session_id, seq, slot, payload_len = (
+    magic, version, msg_type, sender, session_id, slot, payload_len = (
         HEADER_STRUCT.unpack_from(body)
     )
     kind = None  # None means MALFORMED; the enum is looked up only on that path
@@ -192,19 +190,23 @@ def decode_frame(
         # The other direction's frame, reflected: it authenticates only under
         # a shared key, and must not move this link's window.
         kind, reason = ChannelErrorKind.WRONG_DIRECTION, "wrong direction"
-    else:
-        reason = tracker.advance(session_id, seq)
-        if reason is None:
-            return Frame(msg_type, sender, session_id, seq, slot, body[HEADER_LEN:])
+    elif slot > newest:
+        kind = ChannelErrorKind.FUTURE
+        reason = f"slot {slot} later than {newest}, the arrival slot minus latency"
+    elif (session_id, slot) <= (window.session, window.highest):
         kind = ChannelErrorKind.REPLAY
-    return ChannelError(ChannelErrorKind.MALFORMED if kind is None else kind, reason, slot, seq)
+        reason = f"(session, slot) {session_id, slot} not after {window.session, window.highest}"
+    else:
+        window.session, window.highest = session_id, slot
+        return Frame(msg_type, sender, session_id, slot, body[HEADER_LEN:])
+    return ChannelError(ChannelErrorKind.MALFORMED if kind is None else kind, reason, slot)
 
 
 # Payload codecs. These run on authenticated bytes only, so failures raise
 # rather than flow back as channel errors.
 
 _DELTA_HEAD = struct.Struct(">IIH")  # base state, result state, input count
-_ACK = struct.Struct(">Q")  # acked seq
+_ACK = struct.Struct(">Q")  # newest accepted emission slot + 1, 0 for none
 
 # Most inputs one delta or COMMAND record carries: 10 fixed bytes, a u32 per input.
 MAX_RECORD_INPUTS = (MAX_PAYLOAD_LEN - 10) // 4
@@ -237,7 +239,7 @@ def encode_command_payload(record: CommandRecord) -> bytes:
         raise ValueError("command must carry at least one input")
     if n > MAX_RECORD_INPUTS:
         raise PayloadTooLarge(f"{n} inputs do not fit in one frame")
-    return struct.pack(f">H{n}IQ", n, *record.inputs, record.acked_seq)
+    return struct.pack(f">H{n}IQ", n, *record.inputs, record.acked)
 
 
 def decode_command_payload(data: bytes) -> CommandRecord:
@@ -251,11 +253,11 @@ def decode_command_payload(data: bytes) -> CommandRecord:
             f"command payload length {len(data)} does not match {n} declared inputs"
         )
     fields = struct.unpack(f">H{n}IQ", data)
-    return CommandRecord(inputs=fields[1:-1], acked_seq=fields[-1])
+    return CommandRecord(inputs=fields[1:-1], acked=fields[-1])
 
 
-def encode_ack_payload(acked_seq: int) -> bytes:
-    return _ACK.pack(acked_seq)
+def encode_ack_payload(acked: int) -> bytes:
+    return _ACK.pack(acked)
 
 
 def decode_ack_payload(data: bytes) -> int:

@@ -38,7 +38,7 @@ from .frames import (
     Frame,
     MalformedPayload,
     MsgType,
-    SequenceTracker,
+    ReplayWindow,
     decode_ack_payload,
     decode_command_payload,
     decode_delta_payload,
@@ -143,12 +143,12 @@ class RunReport:
 class _Link:
     """One direction of the session, sender and receiver ends together.
 
-    The sender numbers, encodes and tags each record and enqueues it on the
-    channel; the receiver accepts only frames of this direction's key, sender
-    id and message types, within its replay window.  `sent` and `dropped` hold
-    the ids of the frames sent and dropped since the last report row took
-    them: their index in `ids`, the run's distinct frames, which both links
-    share.
+    The sender stamps each record with its emission slot, encodes and tags it
+    and enqueues it on the channel; the receiver accepts only frames of this
+    direction's key, sender id and message types, neither from the future nor
+    behind its replay window.  `sent` and `dropped` hold the ids of the frames
+    sent and dropped since the last report row took them: their index in
+    `ids`, the run's distinct frames, which both links share.
     """
 
     def __init__(
@@ -170,15 +170,13 @@ class _Link:
         self.channel = Channel(
             SplitMix64(seeds.next_u64()), cfg.latency_slots, cfg.drop_probability
         )
-        self.tracker = SequenceTracker()
-        self.seq = 0
+        self.window = ReplayWindow()
         self.ids = ids
         self.sent: list[int] = []
         self.dropped: list[int] = []
 
     def send(self, msg_type: MsgType, slot: int, payload: bytes) -> None:
-        self.seq += 1
-        frame = Frame(msg_type, self.sender_id, self.session_id, self.seq, slot, payload)
+        frame = Frame(msg_type, self.sender_id, self.session_id, slot, payload)
         data = encode_frame(frame, self.key)
         frame_id = self.ids.setdefault(data, len(self.ids))
         self.sent.append(frame_id)
@@ -236,7 +234,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
             if command.inputs:
                 down.send(COMMAND, slot, encode_command_payload(command))
             else:
-                down.send(ACK, slot, encode_ack_payload(command.acked_seq))
+                down.send(ACK, slot, encode_ack_payload(command.acked))
 
         # Phase 3: deliveries, physical-to-virtual first.  The adversary sees
         # every batch, so it can insert where nothing is due.  Each frame gets
@@ -251,8 +249,11 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 dropped[link.name], link.dropped = link.dropped, []
             received = []
             direction = link.direction
+            newest = slot - link.channel.latency_slots  # the newest slot an honest frame can carry
             for data in adversary.intercept(slot, direction, link.channel.deliver_due(slot)):
-                result = decode_frame(data, link.key, link.tracker, link.sender_id, link.msg_types)
+                result = decode_frame(
+                    data, link.key, link.window, link.sender_id, link.msg_types, newest
+                )
                 outcome = None
                 if isinstance(result, Frame):
                     frame = result
@@ -260,13 +261,13 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                     try:
                         if frame.msg_type == STATE_SYNC:
                             record = decode_delta_payload(frame.payload, frame.slot)
-                            err = virtual.apply_sync(frame.seq, record)
+                            err = virtual.apply_sync(record)
                             if err is not None:
                                 events.append(detector.on_semantic_mismatch(err, slot, direction))
                                 outcome = "state_mismatch"
                         elif frame.msg_type == COMMAND:
                             command = decode_command_payload(frame.payload)
-                            physical.on_ack(command.acked_seq)
+                            physical.on_ack(command.acked)
                             verdict = reconcile(command, machine)
                             if isinstance(verdict, Reject):
                                 events.append(

@@ -13,7 +13,8 @@ after a plausibility check.
 The anchor is the newest emission the replica has acknowledged, as in the
 delta intervals of delta-state CRDTs (Almeida, Shoker and Baquero, JPDC 2018)
 and TCP's cumulative acknowledgement (RFC 9293 section 3.4): every down-link
-record, a command or the idle ACK, carries the newest accepted seq.  A record
+record, a command or the idle ACK, carries the newest accepted emission
+slot, plus one so that slot 0 differs from nothing accepted.  A record
 lost or deleted in transit is re-covered by the next one, which starts from
 the same anchor.  The anchor may be a state outside the key set.  The
 replica is the VirtualTwin itself: its `held` map keeps every state it
@@ -53,7 +54,7 @@ class DeltaRecord:
 @dataclass(slots=True)
 class CommandRecord:
     inputs: tuple[int, ...]
-    acked_seq: int
+    acked: int  # newest accepted emission slot + 1, 0 for none
 
 
 class MismatchKind(str, Enum):
@@ -123,11 +124,11 @@ def command_inputs(schedule: list[tuple[int, int]], period: int) -> dict[int, tu
 class PhysicalTwin:
     """Stateful physical endpoint: executes inputs, emits a record at each tick.
 
-    Record k goes out as up-link frame seq k.  Each record carries the state
-    at the anchor, the current key state and every input since the anchor
-    that changed the state, so a record stays a few inputs long however long
-    the machine idles.  The anchor moves to the newest record the replica
-    has acknowledged (`on_ack`).
+    A record goes out in the up-link frame of its emission slot.  It carries
+    the state at the anchor, the current key state and every input since the
+    anchor that changed the state, so a record stays a few inputs long
+    however long the machine idles.  The anchor moves to the newest record
+    the replica has acknowledged (`on_ack`).
     """
 
     def __init__(self, machine: TwinMachine):
@@ -135,13 +136,12 @@ class PhysicalTwin:
         self.state = machine.initial
         self.key_state = machine.initial  # key state after the whole log
         self.log = ExecutionLog()
-        self.emitted = 0  # records emitted, and so the seq of the newest
         # Kept current on every input, so no tick reads the log.  Positions
         # count every state-changing input since the start.
         self._base = machine.initial  # state at the anchor
         self._anchor = 0  # position of the anchor
         self._inputs: list[int] = []  # every state-changing input since the anchor
-        self._unacked: list[tuple[int, int, int]] = []  # (seq, position, state) after the anchor
+        self._unacked: list[tuple[int, int, int]] = []  # (slot, position, state) after the anchor
 
     def apply_input(self, slot: int, sym: int) -> None:
         state = self.state
@@ -156,24 +156,24 @@ class PhysicalTwin:
 
     def tick(self, slot: int) -> DeltaRecord:
         """The boundary's emission: the inputs since the anchor, a heartbeat when none."""
-        self.emitted += 1
         inputs, unacked = self._inputs, self._unacked
         # Positional arguments: this runs once per record, and keywords cost more.
         record = DeltaRecord(self._base, self.key_state, tuple(inputs), slot)
         end = self._anchor + len(inputs)
         # Keep only records with inputs past the newest kept one: len(_unacked) <= len(_inputs).
         if end > (unacked[-1][1] if unacked else self._anchor):
-            unacked.append((self.emitted, end, self.state))
+            unacked.append((slot, end, self.state))
         return record
 
-    def on_ack(self, seq: int) -> None:
-        """Anchor at the newest unacknowledged record at or below seq.
+    def on_ack(self, acked: int) -> None:
+        """Anchor at the newest unacknowledged record emitted before slot `acked`.
 
+        `acked` is a CommandRecord's: the newest accepted emission slot + 1.
         An acknowledgement at or behind the anchor changes nothing.
         """
         unacked = self._unacked
         n = 0
-        while n < len(unacked) and unacked[n][0] <= seq:
+        while n < len(unacked) and unacked[n][0] < acked:
             n += 1
         if n:
             _, position, self._base = unacked[n - 1]
@@ -195,7 +195,7 @@ class VirtualTwin:
         self.machine = machine
         self.last_synced_key = machine.initial
         self.last_synced_slot = 0
-        self.last_sync_seq = 0
+        self.acked = 0  # newest accepted emission slot + 1, 0 for none
         self.held: dict[int, set[int]] = {machine.initial: {machine.initial}}
 
     def tick(self, inputs: tuple[int, ...]) -> CommandRecord:
@@ -206,9 +206,9 @@ class VirtualTwin:
         per period each way: a second frame would hide the deletion of the
         first.
         """
-        return CommandRecord(inputs, self.last_sync_seq)
+        return CommandRecord(inputs, self.acked)
 
-    def apply_sync(self, seq: int, delta: DeltaRecord) -> MismatchError | None:
+    def apply_sync(self, delta: DeltaRecord) -> MismatchError | None:
         """Advance by a verified delta record; on any error nothing changes.
 
         A record carrying a slot older than the replica's sync point is
@@ -256,5 +256,5 @@ class VirtualTwin:
         held[state].add(claim)
         self.last_synced_key = claim
         self.last_synced_slot = delta.slot
-        self.last_sync_seq = seq
+        self.acked = delta.slot + 1
         return None

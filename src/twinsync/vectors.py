@@ -34,7 +34,7 @@ GOLDEN_VECTORS: tuple[GoldenVector, ...] = (
     GoldenVector(
         description="empty payload, all header fields zero, zero key",
         key=bytes(32),
-        frame=Frame(msg_type=0, sender_id=0, session_id=0, seq=0, slot=0, payload=b""),
+        frame=Frame(msg_type=0, sender_id=0, session_id=0, slot=0, payload=b""),
     ),
     GoldenVector(
         description="state sync carrying a four-input delta",
@@ -43,7 +43,6 @@ GOLDEN_VECTORS: tuple[GoldenVector, ...] = (
             msg_type=MsgType.STATE_SYNC,
             sender_id=1,
             session_id=1,
-            seq=1,
             slot=4,
             payload=encode_delta_payload(
                 DeltaRecord(base_state=0, result_state=100, applied_inputs=(1, 1, 1, 1), slot=4)
@@ -57,9 +56,8 @@ GOLDEN_VECTORS: tuple[GoldenVector, ...] = (
             msg_type=MsgType.COMMAND,
             sender_id=2,
             session_id=1,
-            seq=7,
             slot=9,
-            payload=encode_command_payload(CommandRecord(inputs=(1, 2), acked_seq=9)),
+            payload=encode_command_payload(CommandRecord(inputs=(1, 2), acked=9)),
         ),
     ),
 )

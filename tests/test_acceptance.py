@@ -26,7 +26,8 @@ from twinsync.frames import (
     ChannelErrorKind,
     Frame,
     MsgType,
-    SequenceTracker,
+    U64_MAX,
+    ReplayWindow,
     decode_frame,
     encode_frame,
 )
@@ -211,7 +212,7 @@ def test_acceptance_4_tamper_and_replay_completeness():
                 corrupted = bytearray(data)
                 corrupted[offset] ^= 1 << bit
                 link = (vector.frame.sender_id, (vector.frame.msg_type,))
-                out = decode_frame(bytes(corrupted), vector.key, SequenceTracker(), *link)
+                out = decode_frame(bytes(corrupted), vector.key, ReplayWindow(), *link, U64_MAX)
                 flips += 1
                 if isinstance(out, ChannelError) and out.kind is ChannelErrorKind.AUTH_FAIL:
                     auth_fails += 1
@@ -223,22 +224,21 @@ def test_acceptance_4_tamper_and_replay_completeness():
     candidates = [
         (v.key, v.frame, data) for v, data in zip(GOLDEN_VECTORS[1:], golden_frame_bytes()[1:])
     ]
-    for seq in range(1, 21):
+    for slot in range(1, 21):
         frame = Frame(
-            msg_type=(seq % 3) + 1,
-            sender_id=seq % 4,
+            msg_type=(slot % 3) + 1,
+            sender_id=slot % 4,
             session_id=1,
-            seq=seq,
-            slot=seq,
-            payload=bytes(seq % 9),
+            slot=slot,
+            payload=bytes(slot % 9),
         )
         candidates.append((key, frame, encode_frame(frame, key)))
     for frame_key, frame, data in candidates:
-        tracker = SequenceTracker()
-        link = (frame.sender_id, (frame.msg_type,))
-        first = decode_frame(data, frame_key, tracker, *link)
+        window = ReplayWindow()
+        link = (frame.sender_id, (frame.msg_type,), frame.slot)
+        first = decode_frame(data, frame_key, window, *link)
         assert isinstance(first, Frame), f"vector did not decode cleanly: {first}"
-        second = decode_frame(data, frame_key, tracker, *link)
+        second = decode_frame(data, frame_key, window, *link)
         duplicates += 1
         if isinstance(second, ChannelError) and second.kind is ChannelErrorKind.REPLAY:
             replays += 1
@@ -257,7 +257,7 @@ def test_acceptance_5_forgery_resistance():
     rng = random.Random(0xF00D)
     forge_rng = SplitMix64(0xF00D)
     key = bytes(range(32))
-    tracker = SequenceTracker()
+    window = ReplayWindow()
     accepted = 0
     outcomes = {ChannelErrorKind.MALFORMED: 0, ChannelErrorKind.AUTH_FAIL: 0,
                 ChannelErrorKind.REPLAY: 0}
@@ -270,19 +270,18 @@ def test_acceptance_5_forgery_resistance():
                 "msg_type": rng.randint(1, 3),
                 "sender_id": rng.randrange(2**32),
                 "session_id": rng.randrange(2**64),
-                "seq": rng.randrange(1, 2**64),
                 "slot": rng.randrange(2**16),
                 "payload_hex": rng.randbytes(rng.randint(0, 40)).hex(),
             }
             data = forge_frame_bytes(template, forge_rng)
             link = (template["sender_id"], (template["msg_type"],))
-        out = decode_frame(data, key, tracker, *link)
+        out = decode_frame(data, key, window, *link, U64_MAX)
         if isinstance(out, Frame):
             accepted += 1
         else:
             outcomes[out.kind] += 1
     assert accepted == 0, f"{accepted} forged frames were accepted"
-    assert outcomes[ChannelErrorKind.REPLAY] == 0  # nothing ever advanced the tracker
+    assert outcomes[ChannelErrorKind.REPLAY] == 0  # nothing ever advanced the window
     assert outcomes[ChannelErrorKind.AUTH_FAIL] >= 5000  # every template forgery
     return (
         f"10000 frames rejected ({outcomes[ChannelErrorKind.MALFORMED]} malformed, "

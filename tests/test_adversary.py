@@ -12,11 +12,13 @@ from twinsync.adversary import (
 )
 from twinsync.frames import (
     HEADER_LEN,
+    MIN_FRAME_LEN,
+    U64_MAX,
     ChannelError,
     ChannelErrorKind,
     Frame,
     MsgType,
-    SequenceTracker,
+    ReplayWindow,
     decode_frame,
     encode_ack_payload,
     encode_frame,
@@ -28,8 +30,13 @@ P2V = Direction.PHYS_TO_VIRT
 V2P = Direction.VIRT_TO_PHYS
 
 
-def frame_bytes(seq: int, payload: bytes = b"") -> bytes:
-    return encode_frame(Frame(MsgType.STATE_SYNC, 1, 1, seq, slot=seq, payload=payload), KEY)
+def frame_bytes(slot: int, payload: bytes = b"") -> bytes:
+    return encode_frame(Frame(MsgType.STATE_SYNC, 1, 1, slot, payload=payload), KEY)
+
+
+def decode(data: bytes, msg_type: MsgType) -> Frame | ChannelError:
+    """`data` as sender 1's `msg_type` link decodes it, none of it from the future."""
+    return decode_frame(data, KEY, ReplayWindow(), 1, (msg_type,), U64_MAX)
 
 
 def adversary(*actions: AttackAction) -> Adversary:
@@ -112,7 +119,7 @@ class TestDelete:
 
 class TestModify:
     def test_xor_flips_exactly_one_byte(self):
-        data = frame_bytes(seq=1)
+        data = frame_bytes(slot=1)
         adv = adversary(
             AttackAction(AttackKind.MODIFY, 4, P2V, {"byte_offset": 24, "xor_mask": 1})
         )
@@ -124,32 +131,32 @@ class TestModify:
         assert out[24] == data[24] ^ 1
 
     def test_modified_frame_fails_authentication(self):
-        data = frame_bytes(seq=1)
+        data = frame_bytes(slot=1)
         adv = adversary(
             AttackAction(AttackKind.MODIFY, 4, P2V, {"byte_offset": 30, "xor_mask": 0xFF})
         )
         (out,) = adv.intercept(4, P2V, [data])
-        decoded = decode_frame(out, KEY, SequenceTracker(), 1, (MsgType.STATE_SYNC,))
+        decoded = decode(out, MsgType.STATE_SYNC)
         assert isinstance(decoded, ChannelError)
         assert decoded.kind is ChannelErrorKind.AUTH_FAIL
 
     def test_payload_splice_keeps_the_stale_tag(self):
-        data = frame_bytes(seq=1, payload=encode_ack_payload(5))
+        data = frame_bytes(slot=1, payload=encode_ack_payload(5))
         adv = adversary(
             AttackAction(AttackKind.MODIFY, 4, P2V, {"payload_hex": "deadbeef"})
         )
         (out,) = adv.intercept(4, P2V, [data])
         assert out[HEADER_LEN:-32] == bytes.fromhex("deadbeef")
-        assert out[32:34] == (4).to_bytes(2, "big")
+        assert out[HEADER_LEN - 2 : HEADER_LEN] == (4).to_bytes(2, "big")
         assert out[-32:] == data[-32:]
-        decoded = decode_frame(out, KEY, SequenceTracker(), 1, (MsgType.STATE_SYNC,))
+        decoded = decode(out, MsgType.STATE_SYNC)
         assert isinstance(decoded, ChannelError)
         assert decoded.kind is ChannelErrorKind.AUTH_FAIL
 
     def test_offset_outside_frame_is_an_authoring_error(self):
         action = AttackAction(AttackKind.MODIFY, 4, P2V, {"byte_offset": 900, "xor_mask": 1})
         adv = adversary(action)
-        data = frame_bytes(seq=1)
+        data = frame_bytes(slot=1)
         assert adv.intercept(4, P2V, [data]) == [data]
         assert adv.applied == [(action, False)]
 
@@ -176,14 +183,17 @@ class TestInsert:
         assert adv.intercept(4, P2V, []) == [b"\xff\x00"]
 
     def test_template_forgery_is_structurally_valid_but_unauthenticated(self):
+        """A template's `seq`, which wire version 1 sent, is accepted and ignored."""
         template = {"msg_type": 3, "sender_id": 1, "session_id": 1, "seq": 99,
                     "slot": 4, "payload_hex": encode_ack_payload(1).hex()}
         adv = adversary(AttackAction(AttackKind.INSERT, 4, P2V, {"template": template}))
         (out,) = adv.intercept(4, P2V, [])
-        assert len(out) == 66 + 8
-        decoded = decode_frame(out, KEY, SequenceTracker(), 1, (MsgType.ACK,))
+        assert len(out) == MIN_FRAME_LEN + 8
+        del template["seq"]
+        assert out[:-32] == forge_frame_bytes(template, SplitMix64(0))[:-32]
+        decoded = decode(out, MsgType.ACK)
         assert isinstance(decoded, ChannelError)
-        assert decoded.kind is ChannelErrorKind.AUTH_FAIL
+        assert (decoded.kind, decoded.slot) == (ChannelErrorKind.AUTH_FAIL, 4)
 
     def test_forged_tag_is_seed_deterministic(self):
         a = forge_frame_bytes({}, SplitMix64(7))
@@ -195,7 +205,7 @@ class TestInsert:
 
 class TestReplay:
     def test_replays_a_captured_frame(self):
-        data = frame_bytes(seq=1)
+        data = frame_bytes(slot=1)
         adv = adversary(
             AttackAction(AttackKind.REPLAY, 6, P2V, {"capture_slot": 4, "capture_index": 0})
         )
@@ -203,7 +213,7 @@ class TestReplay:
         assert adv.intercept(6, P2V, [b"next"]) == [b"next", data]
 
     def test_same_slot_capture_then_replay(self):
-        data = frame_bytes(seq=1)
+        data = frame_bytes(slot=1)
         adv = adversary(AttackAction(AttackKind.REPLAY, 4, P2V, {"capture_slot": 4}))
         assert adv.intercept(4, P2V, [data]) == [data, data]
 

@@ -62,6 +62,7 @@ class TestChannelErrorEvents:
         [
             (ChannelErrorKind.AUTH_FAIL, EventKind.TAMPER),
             (ChannelErrorKind.REPLAY, EventKind.REPLAY_ATTACK),
+            (ChannelErrorKind.FUTURE, EventKind.FORGED_INSERT),
             (ChannelErrorKind.MALFORMED, EventKind.FORGED_INSERT),
             (ChannelErrorKind.WRONG_DIRECTION, EventKind.FORGED_INSERT),
             (ChannelErrorKind.MALFORMED_PAYLOAD, EventKind.FORGED_INSERT),
@@ -70,13 +71,13 @@ class TestChannelErrorEvents:
     @pytest.mark.parametrize("direction", [P2V, V2P])
     def test_kind_and_requirements(self, err_kind, event_kind, direction):
         detector = make_detector()
-        err = ChannelError(kind=err_kind, reason="r", slot=7, seq=3)
+        err = ChannelError(kind=err_kind, reason="r", slot=7)
         event = detector.on_channel_error(err, slot=8, direction=direction)
         assert event.kind is event_kind
         assert event.slot == 8
         assert event.direction is direction
         assert event.requirements == EVENT_REQUIREMENTS[(event_kind, direction)]
-        assert event.detail == {"reason": "r", "claimed_slot": 7, "claimed_seq": 3}
+        assert event.detail == {"reason": "r", "claimed_slot": 7}
 
 
 class TestLiveness:

@@ -1,6 +1,7 @@
-"""Wire format: golden vectors, tag-first decoding, replay tracking, payload codecs."""
+"""Wire format: golden vectors, tag-first decoding, timing and replay checks, payload codecs."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,9 @@ from twinsync.frames import (
     MalformedPayload,
     MsgType,
     PayloadTooLarge,
-    SequenceTracker,
+    ReplayWindow,
+    U64_MAX,
+    VERSION,
     decode_ack_payload,
     decode_command_payload,
     decode_delta_payload,
@@ -36,19 +39,21 @@ from twinsync.frames import (
 from twinsync.sync import CommandRecord, DeltaRecord
 from twinsync.vectors import GOLDEN_VECTORS, golden_frame_bytes
 
+ANY_SLOT = U64_MAX  # as the newest arrivable slot, no frame is from the future
+
 # Frozen canonical encodings. Computed once with an independent HMAC
 # construction (see manual_hmac_sha256) and pinned; the encoder must
-# reproduce them byte for byte forever.
+# reproduce them byte for byte forever.  Wire version 2 re-pinned them once,
+# when the header lost its u64 seq.
 GOLDEN_HEX = (
-    "4454010000000000000000000000000000000000000000000000000000000000"
-    "00003fa573f43923db2156aa7097cdca5a48cc7ca00a2744f7dad7b9319a618f"
-    "a75e",
-    "4454010100000001000000000000000100000000000000010000000000000004"
-    "001a000000000000006400040000000100000001000000010000000198e34bfb"
-    "1955f140139d6e375fea4d8afbf4123fd6b869465753e359037f0eeb",
-    "4454010200000002000000000000000100000000000000070000000000000009"
-    "00120002000000010000000200000000000000091ade68c25a7e6d3b4824c9ce"
-    "bfb104d752ea9272cf6187cc7a72e3d7b89c3c11",
+    "445402000000000000000000000000000000000000000000000046356c6f1ec4"
+    "d2ce629485fc1428dbbc991d54a8f401ae24f7d2bf12800680ec",
+    "445402010000000100000000000000010000000000000004001a000000000000"
+    "006400040000000100000001000000010000000100344933fdd7a733a18345d5"
+    "7407ad1097bff89ff7df3c059236b7d975e25957",
+    "4454020200000002000000000000000100000000000000090012000200000001"
+    "00000002000000000000000918e4d890f79ee4e1836d49618c5c366c04602ac6"
+    "3a1fa0e42f2d0b05db29ef56",
 )
 
 
@@ -115,9 +120,9 @@ class TestGoldenVectors:
             body, tag = data[:-32], data[-32:]
             assert tag == manual_hmac_sha256(vector.key, body)
 
-    def test_minimum_frame_is_66_bytes(self):
-        assert MIN_FRAME_LEN == 66
-        assert len(bytes.fromhex(GOLDEN_HEX[0])) == 66
+    def test_minimum_frame_is_58_bytes(self):
+        assert MIN_FRAME_LEN == 58
+        assert len(bytes.fromhex(GOLDEN_HEX[0])) == 58
 
     def test_bundled_vector_file_matches(self):
         from twinsync.scenario import fixture_path
@@ -149,7 +154,7 @@ class TestGoldenVectors:
     def test_zero_field_frame_is_not_a_protocol_frame(self):
         """Vector 1 pins layout and tag only; msg_type 0 never decodes to a Frame."""
         data = bytes.fromhex(GOLDEN_HEX[0])
-        out = decode_frame(data, bytes(32), SequenceTracker(), 0, (0,))
+        out = decode_frame(data, bytes(32), ReplayWindow(), 0, (0,), ANY_SLOT)
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.MALFORMED
         assert "msg_type" in out.reason
@@ -162,7 +167,6 @@ class TestDecode:
             msg_type=MsgType.STATE_SYNC,
             sender_id=1,
             session_id=1,
-            seq=1,
             slot=4,
             payload=encode_delta_payload(DeltaRecord(0, 100, (1, 1, 1, 1), 4)),
         )
@@ -171,14 +175,14 @@ class TestDecode:
     def _decode(self, data, key=None):
         """Decode on the link of this frame's own sender and type."""
         link = (self.frame.sender_id, (self.frame.msg_type,))
-        return decode_frame(data, key or self.key, SequenceTracker(), *link)
+        return decode_frame(data, key or self.key, ReplayWindow(), *link, ANY_SLOT)
 
     def test_round_trip(self):
         out = self._decode(self.data)
         assert out == self.frame
 
     def test_short_frame_is_malformed(self):
-        out = self._decode(self.data[:65])
+        out = self._decode(self.data[: MIN_FRAME_LEN - 1])
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.MALFORMED
 
@@ -192,18 +196,23 @@ class TestDecode:
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.AUTH_FAIL
 
-    @pytest.mark.parametrize("offset", [0, 2, 3, 16, 33, 34, 59, 91])
+    @pytest.mark.parametrize("offset", [0, 2, 3, 16, 25, 26, 33, 34, 59, 91])
     @pytest.mark.parametrize("bit", [0, 7])
     def test_any_flipped_bit_fails_authentication(self, offset, bit):
-        """Tag is checked first, so corruption is auth failure, not a parse error."""
-        corrupted = bytearray(self.data)
+        """Tag is checked first, so corruption is auth failure, not a parse
+        error: in the header, at its last byte 25, in the payload from byte
+        26, and in the tag, whose last byte is 91 for a six-input delta."""
+        payload = encode_delta_payload(DeltaRecord(0, 100, (1,) * 6, 4))
+        data = encode_frame(dataclasses.replace(self.frame, payload=payload), self.key)
+        assert len(data) == 92
+        corrupted = bytearray(data)
         corrupted[offset] ^= 1 << bit
         out = self._decode(bytes(corrupted))
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.AUTH_FAIL
 
     def test_authentic_bad_magic_is_malformed(self):
-        body = HEADER_STRUCT.pack(b"XX", 1, 1, 1, 1, 1, 4, 0)
+        body = HEADER_STRUCT.pack(b"XX", VERSION, 1, 1, 1, 4, 0)
         data = body + manual_hmac_sha256(self.key, body)
         out = self._decode(data)
         assert isinstance(out, ChannelError)
@@ -211,7 +220,8 @@ class TestDecode:
         assert out.reason == "bad magic"
 
     def test_authentic_bad_version_is_malformed(self):
-        body = HEADER_STRUCT.pack(MAGIC, 2, 1, 1, 1, 1, 4, 0)
+        """Version 1, whose header still carried a seq, is no longer accepted."""
+        body = HEADER_STRUCT.pack(MAGIC, 1, 1, 1, 1, 4, 0)
         data = body + manual_hmac_sha256(self.key, body)
         out = self._decode(data)
         assert isinstance(out, ChannelError)
@@ -219,7 +229,7 @@ class TestDecode:
         assert "version" in out.reason
 
     def test_authentic_length_field_mismatch_is_malformed(self):
-        body = HEADER_STRUCT.pack(MAGIC, 1, 1, 1, 1, 1, 4, 5) + b"abc"
+        body = HEADER_STRUCT.pack(MAGIC, VERSION, 1, 1, 1, 4, 5) + b"abc"
         data = body + manual_hmac_sha256(self.key, body)
         out = self._decode(data)
         assert isinstance(out, ChannelError)
@@ -229,71 +239,98 @@ class TestDecode:
     def test_error_reports_carry_claimed_header_fields(self):
         out = self._decode(self.data, bytes(32))
         assert isinstance(out, ChannelError)
-        assert (out.slot, out.seq) == (4, 1)
+        assert out.slot == 4
 
 
 class TestReplayProtection:
+    """The slot is the sequence number: a link's window is its newest accepted slot."""
+
     def setup_method(self):
         self.key = b"\x07" * 32
-        self.tracker = SequenceTracker()
+        self.window = ReplayWindow()
 
-    def _frame(self, seq, session=1, sender=1):
+    def _frame(self, slot, session=1, sender=1):
         return encode_frame(
-            Frame(MsgType.ACK, sender, session, seq, slot=seq, payload=encode_ack_payload(0)),
-            self.key,
+            Frame(MsgType.ACK, sender, session, slot, payload=encode_ack_payload(0)), self.key
         )
 
-    def _decode(self, data, sender=1, tracker=None):
-        return decode_frame(data, self.key, tracker or self.tracker, sender, (MsgType.ACK,))
+    def _decode(self, data, sender=1, window=None, newest=ANY_SLOT):
+        return decode_frame(
+            data, self.key, window or self.window, sender, (MsgType.ACK,), newest
+        )
 
     def test_duplicate_delivery_is_replay(self):
-        data = self._frame(seq=1)
+        data = self._frame(slot=1)
         assert isinstance(self._decode(data), Frame)
         out = self._decode(data)
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.REPLAY
 
     def test_stale_seq_is_replay(self):
-        assert isinstance(self._decode(self._frame(seq=5)), Frame)
-        out = self._decode(self._frame(seq=3))
+        """A slot at or below the newest accepted one is stale."""
+        assert isinstance(self._decode(self._frame(slot=5)), Frame)
+        out = self._decode(self._frame(slot=3))
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.REPLAY
+        assert out.reason == "(session, slot) (1, 3) not after (1, 5)"
 
     def test_gaps_are_tolerated(self):
-        assert isinstance(self._decode(self._frame(seq=1)), Frame)
-        assert isinstance(self._decode(self._frame(seq=9)), Frame)
+        assert isinstance(self._decode(self._frame(slot=1)), Frame)
+        assert isinstance(self._decode(self._frame(slot=9)), Frame)
 
-    def test_seq_zero_never_accepted(self):
-        out = self._decode(self._frame(seq=0))
+    def test_slot_zero_is_accepted_once(self):
+        """The first emission is at slot 0, so an empty window is below it."""
+        assert isinstance(self._decode(self._frame(slot=0)), Frame)
+        out = self._decode(self._frame(slot=0))
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.REPLAY
 
     def test_session_restart_resets_the_window(self):
-        assert isinstance(self._decode(self._frame(seq=5, session=1)), Frame)
-        assert isinstance(self._decode(self._frame(seq=1, session=2)), Frame)
+        assert isinstance(self._decode(self._frame(slot=5, session=1)), Frame)
+        assert isinstance(self._decode(self._frame(slot=1, session=2)), Frame)
 
     def test_older_session_is_replay(self):
-        assert isinstance(self._decode(self._frame(seq=1, session=2)), Frame)
-        out = self._decode(self._frame(seq=9, session=1))
+        assert isinstance(self._decode(self._frame(slot=1, session=2)), Frame)
+        out = self._decode(self._frame(slot=9, session=1))
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.REPLAY
+        assert out.reason == "(session, slot) (1, 9) not after (2, 1)"
 
     def test_senders_are_tracked_independently(self):
-        """Each link has one sender and its own tracker, so seq 1 is new on both."""
-        other_link = SequenceTracker()
-        second = self._frame(seq=1, sender=2)
-        assert isinstance(self._decode(self._frame(seq=1)), Frame)
-        assert isinstance(self._decode(second, sender=2, tracker=other_link), Frame)
-        out = self._decode(second, sender=2, tracker=other_link)
+        """Each link has one sender and its own window, so slot 1 is new on both."""
+        other_link = ReplayWindow()
+        second = self._frame(slot=1, sender=2)
+        assert isinstance(self._decode(self._frame(slot=1)), Frame)
+        assert isinstance(self._decode(second, sender=2, window=other_link), Frame)
+        out = self._decode(second, sender=2, window=other_link)
         assert out.kind is ChannelErrorKind.REPLAY
-        assert (self.tracker.session, self.tracker.highest) == (1, 1)
+        assert (self.window.session, self.window.highest) == (1, 1)
 
     def test_tracker_not_advanced_by_rejected_frames(self):
-        corrupted = bytearray(self._frame(seq=3))
+        corrupted = bytearray(self._frame(slot=3))
         corrupted[-1] ^= 0x01
         self._decode(bytes(corrupted))
-        assert isinstance(self._decode(self._frame(seq=1)), Frame)
-        assert isinstance(self._decode(self._frame(seq=3)), Frame)
+        assert isinstance(self._decode(self._frame(slot=1)), Frame)
+        assert isinstance(self._decode(self._frame(slot=3)), Frame)
+
+    def test_a_frame_from_the_future_is_refused(self):
+        """A slot later than the arrival slot minus the latency is no honest
+        sender's; it is refused without moving the window, so the frames
+        that follow it are still accepted."""
+        out = self._decode(self._frame(slot=1000), newest=4)
+        assert isinstance(out, ChannelError)
+        assert (out.kind, out.slot) == (ChannelErrorKind.FUTURE, 1000)
+        assert out.reason == "slot 1000 later than 4, the arrival slot minus latency"
+        assert (self.window.session, self.window.highest) == (0, -1)
+        assert isinstance(self._decode(self._frame(slot=4), newest=4), Frame)
+        assert self._decode(self._frame(slot=5), newest=4).kind is ChannelErrorKind.FUTURE
+        assert isinstance(self._decode(self._frame(slot=5), newest=5), Frame)
+
+    def test_timing_is_checked_before_the_window(self):
+        """A frame both stale and from the future is refused as the latter."""
+        assert isinstance(self._decode(self._frame(slot=5)), Frame)
+        out = self._decode(self._frame(slot=3), newest=2)
+        assert out.kind is ChannelErrorKind.FUTURE
 
 
 class TestLinkBinding:
@@ -301,35 +338,43 @@ class TestLinkBinding:
 
     def setup_method(self):
         self.key = b"\x07" * 32
-        self.tracker = SequenceTracker()
+        self.window = ReplayWindow()
         # An ACK of sender 2, as the virtual twin sends on virt_to_phys.
-        self.ack = encode_frame(Frame(MsgType.ACK, 2, 1, 5, 3, encode_ack_payload(0)), self.key)
+        self.ack = encode_frame(Frame(MsgType.ACK, 2, 1, 3, encode_ack_payload(0)), self.key)
+
+    def _decode(self, key, sender, msg_types, newest=ANY_SLOT):
+        return decode_frame(self.ack, key, self.window, sender, msg_types, newest)
 
     def test_other_sender_is_wrong_direction(self):
-        out = decode_frame(self.ack, self.key, self.tracker, 1, (MsgType.ACK,))
+        out = self._decode(self.key, 1, (MsgType.ACK,))
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.WRONG_DIRECTION
-        assert (out.reason, out.slot, out.seq) == ("wrong direction", 3, 5)
+        assert (out.reason, out.slot) == ("wrong direction", 3)
 
     def test_other_message_type_is_wrong_direction(self):
-        out = decode_frame(self.ack, self.key, self.tracker, 2, (MsgType.STATE_SYNC,))
+        out = self._decode(self.key, 2, (MsgType.STATE_SYNC,))
         assert isinstance(out, ChannelError)
         assert out.kind is ChannelErrorKind.WRONG_DIRECTION
 
     def test_wrong_direction_leaves_the_window_unchanged(self):
         """The same bytes rejected twice on the wrong link still decode for their own sender."""
         for _ in range(2):
-            out = decode_frame(self.ack, self.key, self.tracker, 1, (MsgType.STATE_SYNC,))
+            out = self._decode(self.key, 1, (MsgType.STATE_SYNC,))
             assert out.kind is ChannelErrorKind.WRONG_DIRECTION
-        assert isinstance(decode_frame(self.ack, self.key, self.tracker, 2, (MsgType.ACK,)), Frame)
+        assert isinstance(self._decode(self.key, 2, (MsgType.ACK,)), Frame)
 
     def test_direction_is_checked_before_the_window(self):
-        assert isinstance(decode_frame(self.ack, self.key, self.tracker, 2, (MsgType.ACK,)), Frame)
-        out = decode_frame(self.ack, self.key, self.tracker, 1, (MsgType.ACK,))
+        assert isinstance(self._decode(self.key, 2, (MsgType.ACK,)), Frame)
+        out = self._decode(self.key, 1, (MsgType.ACK,))
+        assert out.kind is ChannelErrorKind.WRONG_DIRECTION
+
+    def test_direction_is_checked_before_the_timing(self):
+        """A reflected frame is named for its direction even when it is also early."""
+        out = self._decode(self.key, 1, (MsgType.ACK,), newest=2)
         assert out.kind is ChannelErrorKind.WRONG_DIRECTION
 
     def test_tag_is_checked_before_direction(self):
-        out = decode_frame(self.ack, bytes(32), self.tracker, 1, (MsgType.STATE_SYNC,))
+        out = self._decode(bytes(32), 1, (MsgType.STATE_SYNC,))
         assert out.kind is ChannelErrorKind.AUTH_FAIL
 
 
@@ -367,13 +412,13 @@ def test_frame_body_is_the_one_header_pack():
 
 
 def test_splice_keeps_the_header_bytes_and_declares_the_new_length():
-    """Bytes 0-31 are copied, not re-packed: a flipped magic and version stay flipped."""
-    data = bytearray(encode_frame(Frame(MsgType.ACK, 2, 5, 9, 7, encode_ack_payload(3)), bytes(32)))
+    """Bytes 0-23 are copied, not re-packed: a flipped magic and version stay flipped."""
+    data = bytearray(encode_frame(Frame(MsgType.ACK, 2, 5, 7, encode_ack_payload(3)), bytes(32)))
     data[0] ^= 0xFF
     data[2] ^= 0x80
     out = splice_payload(bytes(data), b"\x01\x02\x03")
-    assert out[:32] == data[:32]
-    assert out[32:] == b"\x00\x03\x01\x02\x03"
+    assert out[:24] == data[:24]
+    assert out[24:] == b"\x00\x03\x01\x02\x03"
     with pytest.raises(PayloadTooLarge):
         splice_payload(bytes(data), bytes(MAX_PAYLOAD_LEN + 1))
 
@@ -388,13 +433,13 @@ def test_each_frame_is_tagged_once_through_frames_tag(monkeypatch):
 
     monkeypatch.setattr(frames, "_tag", counting)
     key = bytes(range(32))
-    data = encode_frame(Frame(MsgType.ACK, 2, 1, 1, 0, encode_ack_payload(0)), key)
+    data = encode_frame(Frame(MsgType.ACK, 2, 1, 0, encode_ack_payload(0)), key)
     assert calls == [len(data) - 32]
     for junk in (b"", bytes(MIN_FRAME_LEN - 1)):
-        decode_frame(junk, key, SequenceTracker(), 2, (MsgType.ACK,))
+        decode_frame(junk, key, ReplayWindow(), 2, (MsgType.ACK,), ANY_SLOT)
     assert len(calls) == 1
     for frame in (bytes(MIN_FRAME_LEN), data, data):
-        decode_frame(frame, key, SequenceTracker(), 2, (MsgType.ACK,))
+        decode_frame(frame, key, ReplayWindow(), 2, (MsgType.ACK,), ANY_SLOT)
     assert calls == [len(data) - 32, MIN_FRAME_LEN - 32, len(data) - 32, len(data) - 32]
 
 
@@ -457,17 +502,17 @@ class TestPayloadCodecs:
             decode_delta_payload(bad, slot=4)
 
     def test_two_input_command_payload_layout(self):
-        payload = encode_command_payload(CommandRecord(inputs=(1, 2), acked_seq=9))
+        payload = encode_command_payload(CommandRecord(inputs=(1, 2), acked=9))
         assert len(payload) == 18
         assert payload.hex() == "0002" + "00000001" + "00000002" + "0000000000000009"
 
     def test_command_round_trip(self):
-        record = CommandRecord(inputs=(2,), acked_seq=3)
+        record = CommandRecord(inputs=(2,), acked=3)
         assert decode_command_payload(encode_command_payload(record)) == record
 
     def test_empty_command_cannot_be_encoded(self):
         with pytest.raises(ValueError):
-            encode_command_payload(CommandRecord(inputs=(), acked_seq=1))
+            encode_command_payload(CommandRecord(inputs=(), acked=1))
 
     @pytest.mark.parametrize("data", [b"", b"\x00"])
     def test_command_payload_shorter_than_its_count_is_truncated(self, data):
@@ -491,7 +536,7 @@ class TestPayloadCodecs:
             decode_ack_payload(b"\x00" * 7)
 
     def test_oversized_payload_rejected_at_encode(self):
-        frame = Frame(MsgType.STATE_SYNC, 1, 1, 1, 1, payload=b"\x00" * 65536)
+        frame = Frame(MsgType.STATE_SYNC, 1, 1, 1, payload=b"\x00" * 65536)
         with pytest.raises(PayloadTooLarge):
             encode_frame(frame, bytes(32))
 
@@ -500,12 +545,12 @@ class TestPayloadCodecs:
     msg_type=st.sampled_from([MsgType.STATE_SYNC, MsgType.COMMAND, MsgType.ACK]),
     sender_id=st.integers(min_value=0, max_value=2**32 - 1),
     session_id=st.integers(min_value=0, max_value=2**64 - 1),
-    seq=st.integers(min_value=1, max_value=2**64 - 1),
     slot=st.integers(min_value=0, max_value=2**64 - 1),
     payload=st.binary(max_size=80),
     key=st.binary(min_size=1, max_size=48),
 )
-def test_encode_decode_round_trip(msg_type, sender_id, session_id, seq, slot, payload, key):
-    frame = Frame(msg_type, sender_id, session_id, seq, slot, payload)
-    out = decode_frame(encode_frame(frame, key), key, SequenceTracker(), sender_id, (msg_type,))
+def test_encode_decode_round_trip(msg_type, sender_id, session_id, slot, payload, key):
+    frame = Frame(msg_type, sender_id, session_id, slot, payload)
+    window = ReplayWindow()
+    out = decode_frame(encode_frame(frame, key), key, window, sender_id, (msg_type,), slot)
     assert out == frame

@@ -121,9 +121,9 @@ class TestOracleEfficacy:
 
         real = VirtualTwin.apply_sync
 
-        def lying_apply_sync(twin, seq, delta):
+        def lying_apply_sync(twin, delta):
             key = twin.last_synced_key
-            err = real(twin, seq, delta)
+            err = real(twin, delta)
             twin.last_synced_key = key
             return err
 

@@ -116,7 +116,7 @@ def scenarios(draw, lossy: bool = True, attacked: bool = True) -> dict:
     }
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(scenarios())
 def test_a_scenario_that_parses_runs_the_same_twice_to_a_valid_report(doc):
     try:
@@ -130,7 +130,7 @@ def test_a_scenario_that_parses_runs_the_same_twice_to_a_valid_report(doc):
     REPORT_VALIDATOR.validate(json.loads(data))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(scenarios())
 def test_every_accepted_record_ships_only_state_changing_inputs(doc):
     try:
@@ -151,7 +151,7 @@ def test_every_accepted_record_ships_only_state_changing_inputs(doc):
                 state = nxt
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(scenarios())
 def test_every_attack_is_matched_exactly_and_no_event_is_spurious(doc):
     try:
@@ -166,7 +166,7 @@ def test_every_attack_is_matched_exactly_and_no_event_is_spurious(doc):
     assert report.summary["verdict"] == "pass"
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(scenarios(lossy=False, attacked=False))
 def test_lossless_attack_free_runs_follow_the_oracle(doc):
     spec = scenario_from_dict(doc)

@@ -34,7 +34,7 @@ from conftest import (
     v3_report,
 )
 from twinsync.cli import EXIT_OK, main
-from twinsync.frames import Frame, SequenceTracker, decode_frame
+from twinsync.frames import Frame, ReplayWindow, decode_frame
 from twinsync.machine import machine_from_dict
 from twinsync.netsim import Direction
 from twinsync.oracle import build_schedule_scenario
@@ -270,57 +270,63 @@ def test_bench_workload_reports_match_stdlib(workload):
 # record.  That changed what the physical twin ships and so every digest
 # here, once; dropping self-loops from records and the COMMAND's issued slot
 # for an acknowledged seq changed the frames of `fig4_walkthrough` and of
-# every pinned run below but the two `attack_matrix` ones, once more.
+# every pinned run below but the two `attack_matrix` ones, once more.  Wire
+# version 2, whose header has no seq, changed every frame and so every
+# digest in every table here once again.
 PINNED_REPORTS = {
-    "fig4_walkthrough": "d7e50a63e7a8414196a0f36a157ad06880ff734723ba70de7c20a0e9dcf2739e",
-    "attack_matrix": "13aa3b41ee9cc8f91d66e47235e187e72509bef04e142fb2a95c6759819a2a12",
+    "fig4_walkthrough": "063ff0f78006f2040da06490d5358f3869852beeb1c830bb2ef138675cf080ab",
+    "attack_matrix": "a39608c8c4fc2ab613c6f575ed4c7bf1fdaa9512821ad1e59af9eb9d7cdbe494",
 }
 # SHA-256 of the same v1 projections, compact, sorted keys, one newline.
 PINNED_COMPACT_REPORTS = {
-    "fig4_walkthrough": "32eecc6608c0ca8edfd085237b019df2ed3985ca806873f123caba00c1a79e8e",
-    "attack_matrix": "e18d81513f0ba5b6b5645f2c4aa615dede3fd3dac9219df03d9e0f0a9510eade",
+    "fig4_walkthrough": "1c88f92ba09d4f4d29dc939408fe3c0dcbdc0dea54fe6e4d79f7ca74b5783b3a",
+    "attack_matrix": "d32f6d9be62b38840626df39ca6645376ca22cbc6cc92f419df9a6c76039cd5a",
 }
 # SHA-256 of the same reports as v2 wrote them, projected by `as_v2`.
 PINNED_V2_REPORTS = {
-    "fig4_walkthrough": "6e35f5e92ba28f70fddaae348ab2e8e8d975f9aa3860343509e6df3800eeefd9",
-    "attack_matrix": "2d3f6c4293063da502f9748a8353dd3e27db0d9d953a438675f104dc0eabc8ff",
+    "fig4_walkthrough": "1aef6bd3fd4d338d781b5514b058b01eec98e6cc4851b4a94839b367aa78b6a4",
+    "attack_matrix": "e443736290f72e007aae2211bf2a2dedfbb9f45fa51609a605438bf97e0979ac",
 }
 # SHA-256 of every pinned report as written (`twinsync.report.v4`): the two
 # bundled scenarios above, the four bench workloads and the two lossy runs
 # below, a workload's reports concatenated as its other digests are.
 PINNED_V4_REPORTS = {
-    "fig4_walkthrough": "dea0a815afa5aac1ad153d4e7362571a2d2bb299cdb75b9c917da8670c51d35d",
-    "attack_matrix": "229d088cbbf5add07e87d7af292fce72b2ba4bab325ceb68c025a8ffe4364b83",
-    "idle_at_key": "8f883dea8cf3782cb39943ad7cbc983dadd6f6de30e1debb7f28612ebec90876",
-    "idle_between_keys": "536fa49f1a5021f301cd87a15c3fa454bfae17082193e85f64cce73147e7c1dc",
-    "attack_dense": "b9a4c039d1b54a43ebe683f15e3f46d938b4ce5b055c9b5ad7d6d053ed23e5ad",
-    "oracle_sweep": "4150bddeec1cecfae06dbb95a0d983c28f31257c5ce522cc7cacbc695b022689",
-    "attack_matrix_loss_0.3": "eb3047005bcd2a5718467f5f6efc15b69a3960d4ae99cb89e1ede263e7740ed1",
-    "idle_between_keys_loss_0.1": "9012ebbd3d797156fbedfbdc221217ee41083c919fee08f510d12a5c58eb23d4",
+    "fig4_walkthrough": "b31327d3df6216f10ef27eb3cc8ecc324fe992cbbe4ba2fd0a871b8a3e312fe7",
+    "attack_matrix": "f36051f33e599e03566852f2d8b3e15e71a3d544839ccaf13b7eca8b3c975419",
+    "idle_at_key": "fe5d3f9c8b90d8890fb3f58c4e862e15ced22c44a50e58c728e3136f6ca17a3d",
+    "idle_between_keys": "7d759e63f8175b816cc0cf3604c24e0dfcdcb49415a1433196cb9f2f72922d51",
+    "attack_dense": "e0cbbf7e9178e69f8395ef7e5645ccd8e3fa4ad4474d11c21d2ce4c940ebe76f",
+    "oracle_sweep": "3b1a97560e3d6d3d87f9da3141cd01d9f44c525814d62d3ec11aacc9c2b2ee13",
+    "attack_matrix_loss_0.3": "283d171c79486d5cd6bd178cf6cf7ead3726a00b536100abcff0010ca5970b91",
+    "idle_between_keys_loss_0.1": "002eef1ae6e9d70c3ee3b44f7c20a5be701d9539f2bef49f9f7daaaf46109553",
 }
 # SHA-256 of the same reports as v3 wrote them, projected by `as_v3`.
 PINNED_V3_REPORTS = {
-    "fig4_walkthrough": "c9dd6e2b9812ae247f568cda26f51ee56589293b8c0ee24b08a8966762d6e420",
-    "attack_matrix": "457cf6eda6f0aadbb0602852ea2afd699855a7130a3d80eeb1a72ff95fd01f6b",
-    "idle_at_key": "bfac959be6dbf059ffa54c7c0ee158abd8e51abd457d0857bbd71d203f40f215",
-    "idle_between_keys": "ef8d9684a053e3a176a6fe7e5fbba7c5bfac98d42c51f4ce2595b0902640192e",
-    "attack_dense": "093dea16db07c3d12243db62e6bedc8c718d6bef573047919b027a3521440221",
-    "oracle_sweep": "0cd8205b4d191f7ef127c257e683748bad8c4cad78c28605d2e3f2db5f5eed6d",
-    "attack_matrix_loss_0.3": "4db1d7ea15485c77dde07fefed238753adda4114371a9a3d3775891ec4b90e32",
-    "idle_between_keys_loss_0.1": "31bd69b5ea226e2328b2ad6a080316eb4fb74c7c2404550d98a1bee40af79949",
+    "fig4_walkthrough": "6d32362e7c9f9f19b938ee91756e4f7bccd1424e1fbcfe8e41aa48b99824c714",
+    "attack_matrix": "58f636e438df20bbffd4b48f8335937819754ac3a186455a3a7c6e136f0a42cb",
+    "idle_at_key": "fac45ced571a8ff8271b113ff48af6b4617ecaaf8744814521ae60d914385343",
+    "idle_between_keys": "b4518de700aa9966395f1b5faf7d2045cc93428d7d285126c5b0150cdd5bb4ef",
+    "attack_dense": "165b78569f0c1f0f2459a2a912dd2119694697c171bf0cf7c214f76b0d7fbd55",
+    "oracle_sweep": "33f087682ad608756a68ccd0a4664571581670b1f9c0fbe980b2f89e5d719d15",
+    "attack_matrix_loss_0.3": "d75aec63ce40db802145480010207b26b66ae30c004964fcbd0d9209106eb08f",
+    "idle_between_keys_loss_0.1": "75aa057283a0b8c9ac740e0831097123b465ece4cd5b0c7fddb57ec9ceffb86c",
 }
 # SHA-256 of every pinned report projected to v3, without its `frames`
 # table (`outside_frames`), taken before records stopped shipping
 # self-loops: what a report says about a run, as opposed to the bytes it
-# sent, held across that change.
+# sent, held across that change.  Wire version 2 re-pinned only the three
+# runs with attacks: their events lost `claimed_seq`, say 58 bytes for the
+# minimum length and a slot for the replay window, read `claimed_slot` at
+# its new offset, and raw INSERTs of 58-65 bytes became TAMPER.  The other
+# five held.
 PINNED_OUTSIDE_FRAMES = {
     "fig4_walkthrough": "5179ab397efce656465cdfa15492d03fe62b24dcab19e6692df5540d3afa3e6c",
-    "attack_matrix": "55f164df6faa20562816d26c44a0c41eca19e05124dffe392e8521acdae35f9a",
+    "attack_matrix": "7a1004499c13058fb9ef37c2ee90342272646fd7ce40d0cc0808f1d93d98148c",
     "idle_at_key": "5c3254c1575407fc10085c1e31b7685c919d0a07e9b50cec8ab2d82e87a5e2e1",
     "idle_between_keys": "374549b41e923a020f63db79c06da191c4bd0d6fbf9f0a1160efd2aeff03e3b0",
-    "attack_dense": "d6937c7288c1590fbbfe543e6fb5f3dfb56d84e76ce1fb2a1279ef7ca5e1fd30",
+    "attack_dense": "e3d1a2193deb1787f8aa8378629d49de3fb50b9c5ca34e8203a8753fde259809",
     "oracle_sweep": "03122a6a66792e168ae3170239e4abf6d97a9564d2aacbe7041899bf502d0fb6",
-    "attack_matrix_loss_0.3": "8dda6fe5d0f0c59cad8a2307f4eef1790b498c3bf8da209edcb208ba39ff9eee",
+    "attack_matrix_loss_0.3": "89be46c52e916eb9c8533ba3a8d05a22f0fde62ac9bbbc568b2ea1753b10cb40",
     "idle_between_keys_loss_0.1": "7153a2ad78de56d1f0582558b6a4b875f5b56dc494155c703e0bf3d83ae55d53",
 }
 
@@ -363,22 +369,22 @@ def test_bundled_reports_do_not_depend_on_the_hash_seed():
 # the two bundled scenarios these cover lossy drops, template INSERTs,
 # payload splices and the oracle sweep.
 PINNED_WORKLOAD_REPORTS = {
-    "idle_at_key": "e1a9ba5b10f770c0aea7976521c2a3ce0d7b909126f92a57e77f8550558f5de6",
-    "idle_between_keys": "4f2a6ba045e24cb40ec160bf4685f33361892b9666fd6a8f0021ce76f424339d",
-    "attack_dense": "d440df5763d736c1968b766e9809a3df19359207963c7c5a36561981e4347b0c",
-    "oracle_sweep": "374d0039dc3c7d7b66bf3093abe76a6a46cd5f339847e22212c531205e2c0539",
+    "idle_at_key": "486672bc6dd246eaaab262a176a68ed662aed2cd55ed54b92b35ce8c55f25252",
+    "idle_between_keys": "01d8965d6c6ce957e08c782ba601bbd7a9b39f4669f245ad123de82b5aa036b0",
+    "attack_dense": "f9418688d34964519657bc6ecdd1cdab664c42d6ab9367781ab5f239e2915d5c",
+    "oracle_sweep": "4f6df05155ab9cab74b42f5fdf329cba9484de4027b3df694e3798d689e7021d",
 }
 PINNED_COMPACT_WORKLOAD_REPORTS = {
-    "idle_at_key": "9d5aa45298cd1b1e91aaa95bd22504638824f69c36b8f8ddfdc522b41ab91ca8",
-    "idle_between_keys": "ad3a760cd650add99a4cde45e1b635bc59b8da777632ecf95c50679fd4e670ab",
-    "attack_dense": "d7eabd36dd97dbedb1058fd30b67e197b0d9c995b3e7860d5f7e7f1d7ebcf98c",
-    "oracle_sweep": "b020275d6d5a57de75ccfd5bf955850ff32851c1ee99616d6cf940caa9975f1b",
+    "idle_at_key": "01c05f6e007d1aa68a811db74dd7e5f75ce5c56424a0c57ec9c2c43ef059cb07",
+    "idle_between_keys": "382362cda9a1a2573e2544aa882368886147131bef344cf36deb9593e3fa4777",
+    "attack_dense": "fdcd37809d5e575c9ed751b28541630cc66b38f705d815e1fd198af9d26f1782",
+    "oracle_sweep": "4cea495b6ecba52ad45fb2d111433c656a50ba4589a471feb5e72d8ed22e6b88",
 }
 PINNED_V2_WORKLOAD_REPORTS = {
-    "idle_at_key": "0d7c8805c4690d08845ec58ac3b5e7bfd64702497506488d44b958f49875ed7f",
-    "idle_between_keys": "9a90653ba4b4af7046e8cbdbea55c9c105cdf9b0f1f576686e1270145888ebda",
-    "attack_dense": "83cfc57bdbc49ea72fc7503a7465ff3177927c1e53514d67f22f682dd5d08b4e",
-    "oracle_sweep": "b927831c665e4c7cb6042f53a33e59650da3223f5bc61407c89875eb9a08ce6e",
+    "idle_at_key": "73e30b9e68e44a590b3c1444b447f627c5b72cc370132afe9a00527e466a97b6",
+    "idle_between_keys": "0a6a3249dcc387540c14e1537a7dc884dc7a5ac7b69b4324c81b667d03efc1e7",
+    "attack_dense": "a476671a930c38c49e17c679c989ac16e351006967d9e4531a10898d1278c6d1",
+    "oracle_sweep": "18f2523f7539cc731c317b90e37dfc6ea0a2bc5e28222e91ba2631a9aa7c4705",
 }
 
 
@@ -422,15 +428,15 @@ def _lossy_attack_matrix():
 PINNED_LOSSY_REPORTS = {
     "attack_matrix_loss_0.3": (
         _lossy_attack_matrix,
-        "3d89307e02bad810042a27b4e318ba695a8e6622cb0ce78429e37908ecbb1a36",
-        "e098ece82a190bb9b3b6786757b08be0f2b0a992c373c36324e517e76ae0e152",
-        "3f199b11a803c8434c5340f65236e0cbfe08a212f11f10ab0aefb6bad4631fbd",
+        "32751ada77039f1aaf1aa8eb3493e12f64c58d6c08f80acd3a67934fa7bf0237",
+        "bb7a1853a06714f3126a08affd796898b3706177eec958f401afd27ab7abb657",
+        "458145fd9abc5f61182b6772e9bb1c2f82562f87940f4407efc23f73b627bfe9",
     ),
     "idle_between_keys_loss_0.1": (
         functools.partial(heat_once_then_idle, 2000, drop=0.1),
-        "c3461b21f48f31c46ed453d1d66352d20d7d4761859558cfa17cdff5a65e6cc2",
-        "b04672aeddd83b48a1e3dc7d0e140f13a3d1c4511f9861f73c38d6c4a28acd3a",
-        "0e12ae1b1a815eda96f45843c4078777a2016682cc6ca5e9fea75b96da5fde2d",
+        "47c32fe95c88382e9a301ab24bcffc3bcdaad960576459e002971281d97deba8",
+        "a36f65bca5e76335ce7d9501efaffac64ac8b7aa9c351d04cbfbe4d52c27d648",
+        "6bb6a5005dc137a2f0bc181a32bd6751364de5a4ce92b5d530ac39f83a24179a",
     ),
 }
 
@@ -506,7 +512,8 @@ def test_every_sent_frame_decodes_from_base64_and_verifies_on_its_link(name):
                     for i in ids:
                         text = report.frames[i]
                         data = base64.b64decode(text, validate=True)
-                        result = decode_frame(data, key, SequenceTracker(), sender_id, msg_types)
+                        window, slot = ReplayWindow(), row["slot"]
+                        result = decode_frame(data, key, window, sender_id, msg_types, slot)
                         assert isinstance(result, Frame), (name, row["slot"], link, result)
                         assert base64.b64encode(data).decode() == text
 

@@ -1,9 +1,11 @@
 """End-to-end scenario runs: traces, events, reports, and determinism."""
 
 import base64
+import copy
 import dataclasses
 import functools
 import gc
+import itertools
 import sys
 import time
 from unittest import mock
@@ -23,7 +25,7 @@ from twinsync.frames import (
     Frame,
     TAG_LEN,
     MsgType,
-    SequenceTracker,
+    ReplayWindow,
     decode_command_payload,
     decode_delta_payload,
     decode_frame,
@@ -94,7 +96,7 @@ class TestWalkthrough:
 
     def test_crossing_delta_is_the_canonical_four_input_record(self, walkthrough):
         (sent,) = sent_bytes(walkthrough, walkthrough.slots[4], P2V)
-        payload = sent[34:-32]
+        payload = sent[HEADER_STRUCT.size : -TAG_LEN]
         assert payload.hex() == "00000000000000640004" + "00000001" * 4
 
     def test_remote_command_round_trip(self, walkthrough):
@@ -113,11 +115,12 @@ class TestWalkthrough:
             assert types == [3]
 
     def test_sequence_numbers_count_sends_per_direction(self, walkthrough):
-        seqs = []
+        """The header's slot is the sequence number: one send per slot at period 1."""
+        slots = []
         for row in walkthrough.slots:
             for data in sent_bytes(walkthrough, row, P2V):
-                seqs.append(HEADER_STRUCT.unpack_from(data)[5])
-        assert seqs == list(range(1, 9))
+                slots.append(HEADER_STRUCT.unpack_from(data)[5])
+        assert slots == list(range(8))
 
     def test_no_events_and_clean_audits(self, walkthrough):
         assert walkthrough.detection_events == []
@@ -332,18 +335,35 @@ class TestSummarize:
         assert summary["verdict"] == "detection_mismatch"
 
 
+def losing(doc: dict, link: str, slots: set[int]) -> dict:
+    """`doc` at 0.25 loss on `link`, on the first seed that loses the frames
+    sent there at `slots` and at no other slot but the last.
+
+    A key holder's frame stamped with a lost slot then meets no honest frame
+    of that slot first, so the link's window has not passed it.  Each link
+    sends one frame per boundary whatever the adversary does, so attacks
+    added later do not move the losses.
+    """
+    for seed in itertools.count():
+        lossy = {**doc, "seed": seed, "channels": copy.deepcopy(doc.get("channels", {}))}
+        lossy["channels"].setdefault(link, {})["drop_probability"] = 0.25
+        report = run_scenario(scenario_from_dict(lossy))
+        if {row["slot"] for row in report.slots[:-1] if link in row.get("dropped", {})} == slots:
+            return lossy
+
+
 def test_authenticated_ack_with_a_short_payload_is_a_forged_insert():
-    """The runner decodes every ACK it accepts before the physical twin reads its seq."""
-    doc = load_fixture_json("fig4_walkthrough")
-    # The virtual twin sends one frame per slot, so the one sent at slot 6 is
-    # seq 7 and arrives at slot 7, the last; seq 8 is fresh there.
-    ack = Frame(MsgType.ACK, VIRTUAL_SENDER_ID, doc["session_id"], 8, 7, bytes(7))
+    """The runner decodes every ACK it accepts before the physical twin reads
+    its acknowledgement."""
+    # The down-link loses the ACK of slot 6, due at slot 7, the last.
+    doc = losing(load_fixture_json("fig4_walkthrough"), V2P, {6})
+    ack = Frame(MsgType.ACK, VIRTUAL_SENDER_ID, doc["session_id"], 6, bytes(7))
     forged = encode_frame(ack, bytes.fromhex(doc["keys"][V2P]))
     doc["attacks"] = [
         {"kind": "INSERT", "slot": 7, "direction": V2P, "params": {"raw_hex": forged.hex()}}
     ]
     report = run_scenario(scenario_from_dict(doc))
-    assert outcomes(report.slots[7], V2P) == ["accepted", "malformed_payload"]
+    assert outcomes(report.slots[7], V2P) == ["malformed_payload"]
     events = [(e["kind"], e["direction"], e["requirements"]) for e in report.detection_events]
     assert events == [("FORGED_INSERT", V2P, ["R1", "R3"])]
     assert report.summary["verdict"] == "pass"
@@ -352,13 +372,13 @@ def test_authenticated_ack_with_a_short_payload_is_a_forged_insert():
 def test_authenticated_commands_are_decoded_then_vetted():
     """A validly tagged COMMAND with no inputs fails to decode, a FORGED_INSERT;
     one naming an input the machine lacks decodes, and `reconcile` rejects it."""
-    doc = load_fixture_json("fig4_walkthrough")
+    # The down-link loses the frames of slots 5 and 6, both due by slot 7.
+    doc = losing(load_fixture_json("fig4_walkthrough"), V2P, {5, 6})
     key = bytes.fromhex(doc["keys"][V2P])
     payloads = {
-        8: bytes(2) + bytes(8),  # a count of 0, then the acknowledged seq
-        9: encode_command_payload(CommandRecord(inputs=(99,), acked_seq=0)),
+        5: bytes(2) + bytes(8),  # a count of 0, then the acknowledgement
+        6: encode_command_payload(CommandRecord(inputs=(99,), acked=0)),
     }
-    # Seq 7 is the last frame the virtual twin sends; 8 and 9 are fresh at slot 7.
     doc["attacks"] = [
         {
             "kind": "INSERT",
@@ -366,15 +386,15 @@ def test_authenticated_commands_are_decoded_then_vetted():
             "direction": V2P,
             "params": {
                 "raw_hex": encode_frame(
-                    Frame(MsgType.COMMAND, VIRTUAL_SENDER_ID, doc["session_id"], seq, 7, payload),
+                    Frame(MsgType.COMMAND, VIRTUAL_SENDER_ID, doc["session_id"], slot, payload),
                     key,
                 ).hex()
             },
         }
-        for seq, payload in payloads.items()
+        for slot, payload in payloads.items()
     ]
     report = run_scenario(scenario_from_dict(doc))
-    assert outcomes(report.slots[7], V2P) == ["accepted", "malformed_payload", "command_rejected"]
+    assert outcomes(report.slots[7], V2P) == ["malformed_payload", "command_rejected"]
     events = [(e["kind"], e["requirements"], e["detail"]) for e in report.detection_events]
     assert events[0][:2] == ("FORGED_INSERT", ["R1", "R3"])
     assert events[1:] == [("COMMAND_REJECTED", ["R3"], {"reason": "unknown_input", "input": 99})]
@@ -388,18 +408,19 @@ def replica_trace(report) -> list[tuple[int, int]]:
 
 def key_holder_run(heats_per_slot: int, record: DeltaRecord | None = None):
     """Four HEATs from slot 1, `heats_per_slot` a slot, boil the kettle in an
-    8-slot run.  `record`, if any, goes in at the last slot as a validly
-    tagged STATE_SYNC with a fresh seq: a key holder's lie."""
+    8-slot run whose up-link loses the record of slot 6.  `record`, if any,
+    goes in at the last slot as a validly tagged STATE_SYNC stamped with its
+    slot: a key holder's lie."""
     doc = {
         "machine": "kettle",
         "total_slots": 8,
         "operator_inputs_physical": [[1 + i // heats_per_slot, HEAT] for i in range(4)],
     }
+    doc = losing(doc, P2V, {6})
     if record is not None:
-        # The physical twin sends seq s + 1 at slot s, so seq 8 is fresh at
-        # slot 7.  Session 1 is the default.
+        # Session 1 is the default.
         payload = encode_delta_payload(record)
-        frame = Frame(MsgType.STATE_SYNC, PHYSICAL_SENDER_ID, 1, 8, record.slot, payload)
+        frame = Frame(MsgType.STATE_SYNC, PHYSICAL_SENDER_ID, 1, record.slot, payload)
         forged = encode_frame(frame, DEFAULT_KEYS[Direction.PHYS_TO_VIRT]).hex()
         doc["attacks"] = [
             {"kind": "INSERT", "slot": 7, "direction": P2V, "params": {"raw_hex": forged}}
@@ -410,23 +431,64 @@ def key_holder_run(heats_per_slot: int, record: DeltaRecord | None = None):
 @pytest.mark.parametrize(
     "heats_per_slot, record, mismatch",
     [
-        (4, DeltaRecord(100, 0, (), 7), "unreachable_result"),
+        (4, DeltaRecord(100, 0, (), 6), "unreachable_result"),
         (4, DeltaRecord(100, 100, (), 0), "replayed_base"),
-        (4, DeltaRecord(50, 100, (), 7), "base_mismatch"),
+        (4, DeltaRecord(50, 100, (), 6), "base_mismatch"),
         # Heated a HEAT a slot, the replica holds 50, with key state 0 only.
-        (1, DeltaRecord(50, 100, (), 7), "unreachable_result"),
+        (1, DeltaRecord(50, 100, (), 6), "unreachable_result"),
     ],
 )
 def test_a_key_holders_state_sync_is_refolded_and_refused(heats_per_slot, record, mismatch):
-    """A STATE_SYNC that passes its tag still has to pass the re-fold: each
-    lie raises one STATE_MISMATCH of its kind, and the replica stays where
-    the same run without it leaves it."""
+    """A STATE_SYNC that passes its tag, stamped with the lost slot 6, still
+    has to pass the re-fold: each lie raises one STATE_MISMATCH of its kind,
+    and the replica stays where the same run without it leaves it.
+
+    A slot the up-link has already accepted, such as slot 0, never reaches
+    the replica: the window refuses it as a REPLAY, which the attack table
+    expects of a REPLAY and not of an INSERT."""
     report = key_holder_run(heats_per_slot, record)
-    assert outcomes(report.slots[7], P2V) == ["accepted", "state_mismatch"]
-    events = [(e["kind"], e["detail"]["mismatch"]) for e in report.detection_events]
-    assert events == [("STATE_MISMATCH", mismatch)]
-    assert report.summary["verdict"] == "pass"
+    if mismatch == "replayed_base":
+        outcome, event, verdict = "replay", ("REPLAY_ATTACK", None), "detection_mismatch"
+    else:
+        outcome, event, verdict = "state_mismatch", ("STATE_MISMATCH", mismatch), "pass"
+    assert outcomes(report.slots[7], P2V) == [outcome]
+    events = [(e["kind"], e["detail"].get("mismatch")) for e in report.detection_events]
+    assert events == [event]
+    assert report.summary["verdict"] == verdict
     assert replica_trace(report) == replica_trace(key_holder_run(heats_per_slot))
+
+
+@pytest.mark.parametrize(
+    "link, msg_type, payload",
+    [
+        (P2V, MsgType.STATE_SYNC, encode_delta_payload(DeltaRecord(0, 0, (), 1000))),
+        (V2P, MsgType.COMMAND, encode_command_payload(CommandRecord((HEAT,), 0))),
+    ],
+    ids=["state_sync", "command"],
+)
+def test_a_key_holders_frame_from_the_future_cannot_lock_its_link(link, msg_type, payload):
+    """A validly tagged frame stamped slot 1000, put in at slot 5 of a
+    20-slot run, is refused as from the future without moving the window,
+    so every honest frame after it is still accepted: one FORGED_INSERT in
+    the INSERT's window, and the run passes."""
+    direction = Direction(link)
+    sender = PHYSICAL_SENDER_ID if direction is Direction.PHYS_TO_VIRT else VIRTUAL_SENDER_ID
+    forged = encode_frame(Frame(msg_type, sender, 1, 1000, payload), DEFAULT_KEYS[direction])
+    doc = {
+        "machine": "kettle",
+        "total_slots": 20,
+        "operator_inputs_physical": [[slot, HEAT] for slot in range(1, 5)],
+        "attacks": [
+            {"kind": "INSERT", "slot": 5, "direction": link, "params": {"raw_hex": forged.hex()}}
+        ],
+    }
+    report = run_scenario(scenario_from_dict(doc))
+    assert outcomes(report.slots[5], link) == ["accepted", "future"]
+    (event,) = report.detection_events
+    assert (event["kind"], event["slot"], event["direction"]) == ("FORGED_INSERT", 5, link)
+    assert event["detail"]["claimed_slot"] == 1000
+    assert report.summary["verdict"] == "pass"
+    assert all(outcomes(row, link) == ["accepted"] for row in report.slots[6:])
 
 
 @settings(max_examples=40, deadline=None)
@@ -447,7 +509,7 @@ def test_boundaries_alone_send_and_each_carries_its_inputs(period, inputs):
         }
     )
     report = run_scenario(spec)
-    key, tracker = spec.keys[Direction.VIRT_TO_PHYS], SequenceTracker()
+    key, window = spec.keys[Direction.VIRT_TO_PHYS], ReplayWindow()
     issued = sorted(inputs, key=lambda pair: pair[0])
     for row in report.slots:
         slot = row["slot"]
@@ -456,7 +518,8 @@ def test_boundaries_alone_send_and_each_carries_its_inputs(period, inputs):
             continue
         assert {link: len(ids) for link, ids in row["sent"].items()} == {P2V: 1, V2P: 1}
         (data,) = sent_bytes(report, row, V2P)
-        frame = decode_frame(data, key, tracker, VIRTUAL_SENDER_ID, (MsgType.COMMAND, MsgType.ACK))
+        link = (VIRTUAL_SENDER_ID, (MsgType.COMMAND, MsgType.ACK), slot)
+        frame = decode_frame(data, key, window, *link)
         assert frame.slot == slot
         carried = tuple(sym for s, sym in issued if slot - period < s <= slot)
         if carried:
@@ -569,7 +632,7 @@ class TestReflection:
         assert reflection_problems(name, frame, OTHER_DIRECTION[direction], at) == []
 
     def test_reflected_crossing_is_a_forged_insert_on_the_actuation_channel(self):
-        """The record carrying the crossing to 100, sent at slot 4 as seq 5."""
+        """The record carrying the crossing to 100, sent at slot 4."""
         spec, honest = shared_key_run("fig4_walkthrough")
         (crossing,) = sent_bytes(honest, honest.slots[4], P2V)
         attack = AttackAction(
@@ -579,12 +642,10 @@ class TestReflection:
         (event,) = report.detection_events
         assert (event["kind"], event["slot"], event["direction"]) == ("FORGED_INSERT", 5, V2P)
         assert event["requirements"] == ["R1", "R3"]
-        assert event["detail"] == {
-            "reason": "wrong direction", "claimed_slot": 4, "claimed_seq": 5
-        }
+        assert event["detail"] == {"reason": "wrong direction", "claimed_slot": 4}
 
     def test_a_frame_reflected_twice_is_two_forged_inserts(self):
-        """The wrong link's replay window never sees the reflected seq.
+        """The wrong link's replay window never sees the reflected slot.
 
         The ACK sent at slot 1 on virt_to_phys, reflected onto phys_to_virt
         at slots 2 and 5: both copies are `wrong_direction`, neither `replay`.
@@ -773,7 +834,7 @@ def test_slot_cost_does_not_grow_with_run_length():
 
 def test_python_calls_per_slot_do_not_grow_with_run_length():
     """The deterministic companion of the test above: 8,000 slots make at
-    most 1.01x the Python calls per slot of 1,000 (47.80 against 47.88), so
+    most 1.01x the Python calls per slot of 1,000 (45.85 against 45.92), so
     no per-slot step calls more as the history grows."""
     assert calls_per_slot(idle_at_key(8000)) <= 1.01 * calls_per_slot(idle_at_key(1000))
 
@@ -832,13 +893,16 @@ def calls_per_slot(spec) -> float:
 
 
 def test_python_calls_per_idle_slot():
-    """A deterministic guard on the per-slot constant of the frame path: about 47.8."""
-    assert python_calls_per_slot("idle_at_key") <= 50
+    """A deterministic guard on the per-slot constant of the frame path:
+    45.83.  Wire version 2 checks the replay window inside `decode_frame`,
+    one call fewer per frame than the 47.76 of the window's own method."""
+    assert python_calls_per_slot("idle_at_key") <= 48
 
 
 def test_python_calls_per_attack_slot():
-    """The same guard on the adversary and detector paths: about 49.1 on `attack_dense`."""
-    assert python_calls_per_slot("attack_dense") <= 51
+    """The same guard on the adversary and detector paths: 47.17 on
+    `attack_dense`, down from 49.12 for the same reason."""
+    assert python_calls_per_slot("attack_dense") <= 49
 
 
 def test_report_bytes_per_idle_slot():
@@ -882,12 +946,12 @@ def test_held_containers_per_idle_slot():
 def test_idling_between_keys_ships_heartbeats():
     """The records of slots 1-4 re-cover the HEAT until the ACK for its record
     lands at slot 4; the IDLEs are self-loops and ship nothing, so from slot 5
-    on every record is a heartbeat: 76 bytes on the wire."""
+    on every record is a heartbeat: 68 bytes on the wire."""
     report = run_scenario(heat_once_then_idle(8000))
     sizes = [len(data) for row in report.slots for data in sent_bytes(report, row, P2V)]
     assert len(sizes) == 8000
-    assert sizes[1:5] == [80] * 4
-    assert set(sizes[5:]) == {76}
+    assert sizes[1:5] == [72] * 4
+    assert set(sizes[5:]) == {68}
     assert report.summary["verdict"] == "pass"
 
 
@@ -896,7 +960,7 @@ def test_long_lossy_idle_between_keys_completes():
     report = run_scenario(heat_once_then_idle(20000, drop=0.1))
     assert report.summary["verdict"] == "pass"
     assert report.audits == []
-    assert max(len(data) for row in report.slots for data in sent_bytes(report, row, P2V)) <= 92
+    assert max(len(data) for row in report.slots for data in sent_bytes(report, row, P2V)) <= 84
 
 
 TOGGLE = {
@@ -956,38 +1020,68 @@ def test_report_bytes_per_slot_stay_flat_without_idle_acks(build):
 
 @pytest.mark.parametrize("name", ["fig4_walkthrough", "attack_matrix"])
 def test_record_k_goes_out_as_up_link_seq_k(name):
-    twins, links = [], []
-    with (
-        mock.patch.object(runner_mod, "PhysicalTwin", recorded(runner_mod.PhysicalTwin, twins)),
-        mock.patch.object(runner_mod, "_Link", recorded(runner_mod._Link, links)),
-    ):
-        run_scenario(load_bundled_scenario(name))
-    (twin,), (up, _) = twins, links
-    assert up.direction is Direction.PHYS_TO_VIRT
-    assert twin.emitted == up.seq == load_bundled_scenario(name).total_slots
+    """The record of emission slot k goes out in the up-link frame stamped
+    k, the sequence number the physical twin keeps its unacknowledged
+    records by."""
+    records = []
+    tick = runner_mod.PhysicalTwin.tick
+
+    def recording_tick(twin, slot):
+        records.append(tick(twin, slot))
+        return records[-1]
+
+    with mock.patch.object(runner_mod.PhysicalTwin, "tick", recording_tick):
+        report = run_scenario(load_bundled_scenario(name))
+    stamped = []  # each up-link frame's record, read with the slot its header carries
+    for row in report.slots:
+        for data in sent_bytes(report, row, P2V):
+            payload = data[HEADER_STRUCT.size : -TAG_LEN]
+            stamped.append(decode_delta_payload(payload, HEADER_STRUCT.unpack_from(data)[5]))
+    assert stamped == records
+    assert len(records) == load_bundled_scenario(name).total_slots
 
 
-def test_each_link_sends_seq_k_at_the_kth_boundary():
+def test_every_honest_frame_passes_the_timing_check():
     """Both links send one frame per boundary, stamped with that boundary's
-    slot, so a frame's seq is `slot // period + 1`: on both bundled fixtures
-    and the seed-0 single-scenario bench workloads, at periods 1-5.  The
-    physical twin's `emitted` count and `_Link.seq` both rest on this."""
+    slot, and each arrives exactly its link's latency later, so the timing
+    check never refuses one: on both bundled fixtures and the seed-0
+    single-scenario bench workloads, at periods 1-5, 10,270 frames.  The
+    9,872 delivered on time are all accepted, attacks or not: an INSERT or
+    a REPLAY, even of the frame itself, comes after it in its batch.  The
+    rest were deleted, modified or still in flight when the run ended.  No
+    honest frame is shorter than an ACK's 66 bytes, the bound below which
+    `attack_dense` draws its MODIFY offsets."""
     workloads = import_bench_module("workloads")
     docs = [load_fixture_json(name) for name in ("fig4_walkthrough", "attack_matrix")]
     for name in ("idle_at_key", "idle_between_keys", "attack_dense"):
         docs += getattr(workloads, name)(0)
-    checked, wrong = 0, []
+    stamps, deliveries, sizes, wrong = 0, 0, set(), []
     for doc in docs:
         for period in range(1, 6):
-            report = run_scenario(scenario_from_dict({**doc, "sync_period_slots": period}))
+            spec = scenario_from_dict({**doc, "sync_period_slots": period})
+            report = run_scenario(spec)
+            sent: dict[tuple[str, int], int] = {}  # (link, frame id) to its send slot
             for row in report.slots:
+                for link, ids in row.get("sent", {}).items():
+                    for frame_id in ids:
+                        sent[(link, frame_id)] = row["slot"]
+                        data = frame_bytes(report, frame_id)
+                        stamp = HEADER_STRUCT.unpack_from(data)[5]
+                        sizes.add(len(data))
+                        stamps += 1
+                        if stamp != row["slot"]:
+                            wrong.append((doc["name"], period, link, row["slot"], "stamp", stamp))
                 for link in (P2V, V2P):
-                    for data in sent_bytes(report, row, link):
-                        seq, slot = HEADER_STRUCT.unpack_from(data)[5:7]
-                        checked += 1
-                        if (slot, seq) != (row["slot"], row["slot"] // period + 1):
-                            wrong.append((doc["name"], period, link, row["slot"], slot, seq))
-    assert checked > 0
+                    latency = spec.channels[Direction(link)].latency_slots
+                    for frame_id, outcome in delivered_pairs(row, link):
+                        if sent.get((link, frame_id)) != row["slot"] - latency:
+                            continue  # not an honest frame, or not on time
+                        del sent[(link, frame_id)]
+                        deliveries += 1
+                        if outcome != "accepted":
+                            wrong.append((doc["name"], period, link, row["slot"], outcome))
+    assert stamps == 10_270 and deliveries == 9_872
+    assert min(sizes) == 66
     assert wrong == []
 
 
@@ -1060,7 +1154,6 @@ class TestAckAnchoring:
                         "msg_type": int(MsgType.ACK),
                         "sender_id": VIRTUAL_SENDER_ID,
                         "session_id": 1,
-                        "seq": 99,
                         "slot": ACK_SLOT - 1,
                         "payload_hex": (14).to_bytes(8, "big").hex(),
                     },

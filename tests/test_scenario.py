@@ -472,7 +472,7 @@ def queued_in_one_period(count: int, total_slots: int = 5) -> dict:
 
 class TestCommandCapacity:
     """The inputs queued over one period share one COMMAND, whose u16 payload
-    holds a u16 count, a u32 per input and a u64 acknowledged seq."""
+    holds a u16 count, a u32 per input and a u64 acknowledgement."""
 
     def test_limit_is_what_the_command_codec_encodes(self):
         limit = scenario_mod.MAX_RECORD_INPUTS

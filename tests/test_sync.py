@@ -49,33 +49,33 @@ def replica(machine, key, held_state, slot=0):
 def replica_state(twin):
     """Everything `apply_sync` may change, copied."""
     held = {state: set(keys) for state, keys in twin.held.items()}
-    return twin.last_synced_key, twin.last_synced_slot, twin.last_sync_seq, held
+    return twin.last_synced_key, twin.last_synced_slot, twin.acked, held
 
 
 class TestVerifyDelta:
     def test_accepts_consistent_record(self, kettle):
         twin = VirtualTwin(kettle)
-        assert twin.apply_sync(1, DeltaRecord(0, 100, (HEAT, HEAT, HEAT, HEAT), slot=4)) is None
+        assert twin.apply_sync(DeltaRecord(0, 100, (HEAT, HEAT, HEAT, HEAT), slot=4)) is None
         assert (twin.last_synced_key, twin.last_synced_slot) == (100, 4)
 
     def test_base_mismatch(self, kettle):
-        err = VirtualTwin(kettle).apply_sync(1, DeltaRecord(100, 100, (IDLE,), slot=5))
+        err = VirtualTwin(kettle).apply_sync(DeltaRecord(100, 100, (IDLE,), slot=5))
         assert isinstance(err, MismatchError)
         assert err.kind is MismatchKind.BASE_MISMATCH
         assert (err.expected, err.got) == (0, 100)
 
     def test_unreachable_result(self, kettle):
-        err = VirtualTwin(kettle).apply_sync(1, DeltaRecord(0, 100, (HEAT,), slot=1))
+        err = VirtualTwin(kettle).apply_sync(DeltaRecord(0, 100, (HEAT,), slot=1))
         assert isinstance(err, MismatchError)
         assert err.kind is MismatchKind.UNREACHABLE_RESULT
 
     def test_liveness_record_verifies(self, kettle):
         twin = VirtualTwin(kettle)
-        assert twin.apply_sync(1, DeltaRecord(0, 0, (IDLE, IDLE), slot=2)) is None
+        assert twin.apply_sync(DeltaRecord(0, 0, (IDLE, IDLE), slot=2)) is None
         assert (twin.last_synced_key, twin.last_synced_slot) == (0, 2)
 
     def test_undeclared_input_is_unreachable(self, kettle):
-        err = VirtualTwin(kettle).apply_sync(1, DeltaRecord(0, 0, (77,), slot=1))
+        err = VirtualTwin(kettle).apply_sync(DeltaRecord(0, 0, (77,), slot=1))
         assert isinstance(err, MismatchError)
         assert err.kind is MismatchKind.UNREACHABLE_RESULT
 
@@ -92,7 +92,7 @@ class TestVerifyDelta:
 
         def rejected(twin, delta, kind):
             before = replica_state(twin)
-            err = twin.apply_sync(7, delta)
+            err = twin.apply_sync(delta)
             assert err.kind is kind
             assert replica_state(twin) == before
             kinds.add(err.kind)
@@ -108,9 +108,9 @@ class TestVerifyDelta:
                     if base != held:
                         rejected(twin, delta, MismatchKind.BASE_MISMATCH)
                     elif claim == last_key or (last_key is None and claim == key):
-                        assert twin.apply_sync(7, delta) is None
+                        assert twin.apply_sync(delta) is None
                         after = {**held_before, end: held_before.get(end, set()) | {claim}}
-                        assert replica_state(twin) == (claim, 1, 7, after)
+                        assert replica_state(twin) == (claim, 1, 2, after)
                     else:
                         rejected(twin, delta, MismatchKind.UNREACHABLE_RESULT)
                     checked += 1
@@ -125,18 +125,18 @@ class TestVerifyDelta:
     def test_base_held_from_an_earlier_emission_verifies(self, kettle):
         """A record re-covering inputs the replica already folded still verifies."""
         twin = VirtualTwin(kettle)
-        assert twin.apply_sync(1, DeltaRecord(0, 0, (HEAT, HEAT), 2)) is None
+        assert twin.apply_sync(DeltaRecord(0, 0, (HEAT, HEAT), 2)) is None
         assert twin.held == {0: {0}, 50: {0}}
-        assert twin.apply_sync(2, DeltaRecord(0, 0, (HEAT, HEAT, HEAT), 3)) is None
+        assert twin.apply_sync(DeltaRecord(0, 0, (HEAT, HEAT, HEAT), 3)) is None
         assert (twin.last_synced_key, twin.last_synced_slot) == (0, 3)
-        assert twin.apply_sync(3, DeltaRecord(50, 100, (HEAT, HEAT), 4)) is None
+        assert twin.apply_sync(DeltaRecord(50, 100, (HEAT, HEAT), 4)) is None
         assert (twin.last_synced_key, twin.last_synced_slot) == (100, 4)
         assert twin.held == {0: {0}, 50: {0}, 75: {0}, 100: {100}}
 
     def test_base_never_held_is_a_base_mismatch(self, kettle):
         twin = VirtualTwin(kettle)
-        assert twin.apply_sync(1, DeltaRecord(0, 0, (HEAT,), 1)) is None
-        err = twin.apply_sync(2, DeltaRecord(50, 0, (), 2))
+        assert twin.apply_sync(DeltaRecord(0, 0, (HEAT,), 1)) is None
+        err = twin.apply_sync(DeltaRecord(50, 0, (), 2))
         assert err.kind is MismatchKind.BASE_MISMATCH
         assert (err.expected, err.got) == (0, 50)
 
@@ -146,35 +146,35 @@ class TestApplyDelta:
 
     def test_advances_key_and_slot(self, kettle):
         twin = VirtualTwin(kettle)
-        assert twin.apply_sync(1, DeltaRecord(0, 100, (HEAT,) * 4, slot=4)) is None
+        assert twin.apply_sync(DeltaRecord(0, 100, (HEAT,) * 4, slot=4)) is None
         assert (twin.last_synced_key, twin.last_synced_slot) == (100, 4)
 
     def test_error_leaves_replica_unchanged(self, kettle):
         twin = replica(kettle, 0, 0, slot=2)
         before = replica_state(twin)
-        assert isinstance(twin.apply_sync(1, DeltaRecord(100, 100, (), slot=3)), MismatchError)
+        assert isinstance(twin.apply_sync(DeltaRecord(100, 100, (), slot=3)), MismatchError)
         assert replica_state(twin) == before
 
     def test_stale_slot_rejected_before_content(self, kettle):
         twin = replica(kettle, 100, 100, slot=8)
-        out = twin.apply_sync(1, DeltaRecord(100, 100, (), slot=5))
+        out = twin.apply_sync(DeltaRecord(100, 100, (), slot=5))
         assert isinstance(out, MismatchError)
         assert out.kind is MismatchKind.REPLAYED_BASE
         assert (out.expected, out.got) == (8, 5)
 
     def test_equal_slot_heartbeat_is_accepted(self, kettle):
         twin = replica(kettle, 100, 100, slot=8)
-        assert twin.apply_sync(1, DeltaRecord(100, 100, (), slot=8)) is None
+        assert twin.apply_sync(DeltaRecord(100, 100, (), slot=8)) is None
         assert (twin.last_synced_key, twin.last_synced_slot) == (100, 8)
 
 
 class TestReconcile:
     def test_accepts_known_inputs(self, kettle):
-        cmd = CommandRecord(inputs=(HEAT, IDLE), acked_seq=3)
+        cmd = CommandRecord(inputs=(HEAT, IDLE), acked=3)
         assert reconcile(cmd, kettle) == (HEAT, IDLE)
 
     def test_rejects_unknown_input(self, kettle):
-        out = reconcile(CommandRecord(inputs=(HEAT, 99), acked_seq=3), kettle)
+        out = reconcile(CommandRecord(inputs=(HEAT, 99), acked=3), kettle)
         assert out == Reject(reason="unknown_input", detail=99)
 
 
@@ -190,9 +190,9 @@ class TestPhysicalTwin:
         record = twin.tick(0)
         assert record == DeltaRecord(0, 0, (), slot=0)
         virtual = VirtualTwin(kettle)
-        before = replica_state(virtual)
-        assert virtual.apply_sync(0, record) is None
-        assert replica_state(virtual) == before
+        key, slot, _, held = replica_state(virtual)
+        assert virtual.apply_sync(record) is None
+        assert replica_state(virtual) == (key, slot, 1, held)
 
     def test_idle_slot_is_a_self_loop_delta(self, kettle):
         """A self-loop is logged but never shipped: its record is a heartbeat."""
@@ -203,15 +203,15 @@ class TestPhysicalTwin:
 
     def test_emissions_follow_the_walkthrough(self, kettle):
         """Each record starts at the newest acknowledged one; the ACK for the
-        record of slot t arrives after the tick of slot t + 3, as in a run
-        with one slot of latency each way."""
+        record of slot t, which carries t + 1, arrives after the tick of slot
+        t + 3, as in a run with one slot of latency each way."""
         twin = PhysicalTwin(kettle)
         emitted = []
         for slot in range(1, 9):
             if slot <= 4:
                 twin.apply_input(slot, HEAT)
             emitted.append(twin.tick(slot))
-            twin.on_ack(slot - 3)
+            twin.on_ack(slot - 2)
         assert emitted == [
             DeltaRecord(0, 0, (HEAT,), 1),
             DeltaRecord(0, 0, (HEAT, HEAT), 2),
@@ -222,7 +222,6 @@ class TestPhysicalTwin:
             DeltaRecord(75, 100, (HEAT,), 7),
             DeltaRecord(100, 100, (), 8),
         ]
-        assert twin.emitted == 8
 
     def test_anchor_advances_past_shipped_crossing(self, kettle_cool):
         """Only once the record that shipped the crossing is acknowledged."""
@@ -232,15 +231,18 @@ class TestPhysicalTwin:
             twin.tick(slot)
         twin.apply_input(5, COOL)
         assert twin.tick(5) == DeltaRecord(0, 100, (HEAT,) * 4 + (COOL,), slot=5)
-        twin.on_ack(4)
+        twin.on_ack(5)  # the record of slot 4
         twin.apply_input(6, COOL)
         assert twin.tick(6) == DeltaRecord(100, 100, (COOL, COOL), slot=6)
 
     def test_ack_at_or_behind_the_anchor_changes_nothing(self, kettle):
+        """0 acknowledges nothing, not even a record of slot 0."""
         twin = PhysicalTwin(kettle)
-        for slot in (1, 2, 3):
+        for slot in (0, 1, 2):
             twin.apply_input(slot, HEAT)
             twin.tick(slot)
+        twin.on_ack(0)
+        assert twin.tick(3) == DeltaRecord(0, 0, (HEAT,) * 3, slot=3)
         twin.on_ack(2)
         twin.on_ack(2)
         twin.on_ack(1)
@@ -266,11 +268,11 @@ class TestPhysicalTwin:
         assert twin.tick(2) == DeltaRecord(0, 0, (HEAT,), slot=2)
         twin.apply_input(3, HEAT)
         assert twin.tick(3) == DeltaRecord(0, 0, (HEAT, HEAT), slot=3)
-        twin.on_ack(2)
+        twin.on_ack(3)  # the record of slot 2
         for slot in (4, 5):
             twin.apply_input(slot, IDLE)
             assert twin.tick(slot) == DeltaRecord(25, 0, (HEAT,), slot=slot)
-        twin.on_ack(5)
+        twin.on_ack(6)
         twin.apply_input(6, IDLE)
         assert twin.tick(6) == DeltaRecord(50, 0, (), slot=6)
         assert twin._unacked == []
@@ -285,7 +287,7 @@ class TestPhysicalTwin:
                     DeltaRecord(0, 0, (HEAT, HEAT), 2) if slot == 2 else
                     DeltaRecord(0, 100, (HEAT,) * 4, 4)
                 )
-        assert twin.emitted == 2
+        assert [slot for slot, _, _ in twin._unacked] == [2, 4]
 
     def test_every_emission_verifies_in_sequence(self, kettle_cool):
         twin = PhysicalTwin(kettle_cool)
@@ -294,10 +296,10 @@ class TestPhysicalTwin:
         for slot, sym in enumerate(schedule, start=1):
             twin.apply_input(slot, sym)
             record = twin.tick(slot)
-            assert virtual.apply_sync(twin.emitted, record) is None
+            assert virtual.apply_sync(record) is None
             assert virtual.last_synced_key == twin.key_state
             if slot % 3 == 0:
-                twin.on_ack(slot - 1)
+                twin.on_ack(slot)  # the record of the slot before
 
 
 class TestCommandInputs:
@@ -312,40 +314,46 @@ class TestVirtualTwin:
     def test_tick_carries_the_boundary_inputs_or_is_the_heartbeat(self, kettle):
         """One record per tick; an empty one, the idle heartbeat, when it carries no input."""
         twin = VirtualTwin(kettle)
-        assert twin.tick((HEAT, IDLE)) == CommandRecord(inputs=(HEAT, IDLE), acked_seq=0)
-        assert twin.tick(()) == CommandRecord(inputs=(), acked_seq=0)
+        assert twin.tick((HEAT, IDLE)) == CommandRecord(inputs=(HEAT, IDLE), acked=0)
+        assert twin.tick(()) == CommandRecord(inputs=(), acked=0)
 
     def test_every_record_acknowledges_the_newest_accepted_sync(self, kettle):
-        """A command and the idle heartbeat alike carry the replica's sync seq."""
+        """A command and the idle heartbeat alike carry the replica's newest
+        accepted emission slot, plus one."""
         twin = VirtualTwin(kettle)
-        assert twin.apply_sync(5, DeltaRecord(0, 0, (HEAT,), slot=1)) is None
-        assert twin.tick((HEAT,)) == CommandRecord(inputs=(HEAT,), acked_seq=5)
-        assert twin.apply_sync(6, DeltaRecord(0, 100, (HEAT,), slot=2)) is not None
-        assert twin.tick(()) == CommandRecord(inputs=(), acked_seq=5)
+        assert twin.apply_sync(DeltaRecord(0, 0, (HEAT,), slot=1)) is None
+        assert twin.tick((HEAT,)) == CommandRecord(inputs=(HEAT,), acked=2)
+        assert twin.apply_sync(DeltaRecord(0, 100, (HEAT,), slot=2)) is not None
+        assert twin.tick(()) == CommandRecord(inputs=(), acked=2)
 
     def test_commands_of_one_period_share_one_record(self, kettle):
         commands = command_inputs([(1, HEAT), (1, HEAT), (2, IDLE), (3, HEAT)], 3)
         assert commands == {3: (HEAT, HEAT, IDLE, HEAT)}
         command = VirtualTwin(kettle).tick(commands[3])
-        assert command == CommandRecord(inputs=(HEAT, HEAT, IDLE, HEAT), acked_seq=0)
+        assert command == CommandRecord(inputs=(HEAT, HEAT, IDLE, HEAT), acked=0)
 
     def test_flush_respects_period(self, kettle):
         """An input issued just after a boundary goes out at the next one."""
         commands = command_inputs([(1, HEAT)], 2)
         assert 0 not in commands
-        assert VirtualTwin(kettle).tick(commands[2]) == CommandRecord(inputs=(HEAT,), acked_seq=0)
+        assert VirtualTwin(kettle).tick(commands[2]) == CommandRecord(inputs=(HEAT,), acked=0)
 
     def test_apply_sync_tracks_seq(self, kettle):
+        """The slot is the sequence number; the acknowledgement is the newest
+        accepted one plus one, so that slot 0 differs from none."""
         twin = VirtualTwin(kettle)
-        assert twin.apply_sync(5, DeltaRecord(0, 100, (HEAT,) * 4, slot=4)) is None
-        assert twin.last_sync_seq == 5
+        assert twin.acked == 0
+        assert twin.apply_sync(DeltaRecord(0, 0, (), slot=0)) is None
+        assert twin.acked == 1
+        assert twin.apply_sync(DeltaRecord(0, 100, (HEAT,) * 4, slot=4)) is None
+        assert twin.acked == 5
         assert twin.last_synced_key == 100
 
     def test_apply_sync_rejects_without_side_effects(self, kettle):
         twin = VirtualTwin(kettle)
-        err = twin.apply_sync(5, DeltaRecord(100, 100, (), slot=4))
+        err = twin.apply_sync(DeltaRecord(100, 100, (), slot=4))
         assert isinstance(err, MismatchError)
-        assert twin.last_sync_seq == 0
+        assert twin.acked == 0
         assert twin.last_synced_key == 0
 
 
@@ -370,14 +378,14 @@ def test_replica_tracks_physical_key_trace(schedule, ack_lag):
 
     twin = PhysicalTwin(machine)
     virtual = VirtualTwin(machine)
-    accepted = [0]  # newest accepted seq at the end of each slot
+    accepted = [0]  # the replica's acknowledgement at the end of each slot
     for slot, (sym, record_lost, ack_lost) in enumerate(schedule, start=1):
         if sym is not None:
             twin.apply_input(slot, sym)
         record = twin.tick(slot)
         if not record_lost:
-            assert virtual.apply_sync(twin.emitted, record) is None
+            assert virtual.apply_sync(record) is None
             assert virtual.last_synced_key == twin.key_state
-        accepted.append(virtual.last_sync_seq)
+        accepted.append(virtual.acked)
         if not ack_lost and slot > ack_lag:
             twin.on_ack(accepted[slot - ack_lag])
