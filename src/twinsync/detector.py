@@ -11,9 +11,11 @@ Each anomaly is mapped to the requirements whose enforcement caught it, and
 the mapping depends on which side of the link was attacked: anomalies on the
 physical-bound channel always implicate R3 because that channel drives
 actuation, while anomalies on the virtual-bound channel implicate R2
-whenever forged or altered content could have corrupted the replica.  An
-event reads its requirements from that one table, and the run's verdict,
-`Detector.summarize`, lives beside the tables it reads.
+whenever forged or altered content could have corrupted the replica.  Each
+refused frame or record arrives as a `sync.Refusal`, and `OUTCOME_EVENT_KIND`
+names the event its outcome raises.  An event reads its requirements from
+`EVENT_REQUIREMENTS`, and the run's verdict, `Detector.summarize`, lives
+beside the tables it reads.
 
 Liveness is the detector's own job: both endpoints emit one authenticated
 frame per sync period (heartbeats when idle), so a deleted message shows up
@@ -28,10 +30,9 @@ from enum import Enum
 from itertools import combinations
 
 from .adversary import AttackAction, AttackKind
-from .frames import ChannelError, ChannelErrorKind
 from .machine import TwinMachine
 from .netsim import Direction
-from .sync import MismatchError, Reject
+from .sync import Refusal
 
 
 class Requirement(str, Enum):
@@ -86,18 +87,21 @@ _R1 = frozenset({Requirement.R1})
 _R1R2 = frozenset({Requirement.R1, Requirement.R2})
 _R1R3 = frozenset({Requirement.R1, Requirement.R3})
 
-# Channel-level event kinds by evidence, and the requirements each event
-# enforces, keyed by the direction it was observed on: a semantic event has
-# one, the direction of the records or commands that raise it.
-_CHANNEL_EVENT_KIND = {
-    ChannelErrorKind.AUTH_FAIL: EventKind.TAMPER,
-    ChannelErrorKind.REPLAY: EventKind.REPLAY_ATTACK,
-    ChannelErrorKind.FUTURE: EventKind.FORGED_INSERT,
-    ChannelErrorKind.MALFORMED: EventKind.FORGED_INSERT,
-    ChannelErrorKind.WRONG_DIRECTION: EventKind.FORGED_INSERT,
-    ChannelErrorKind.MALFORMED_PAYLOAD: EventKind.FORGED_INSERT,
+# The event each refusal raises, by the outcome its slot row writes.
+OUTCOME_EVENT_KIND: dict[str, EventKind] = {
+    "malformed": EventKind.FORGED_INSERT,
+    "auth_fail": EventKind.TAMPER,
+    "wrong_direction": EventKind.FORGED_INSERT,
+    "future": EventKind.FORGED_INSERT,
+    "replay": EventKind.REPLAY_ATTACK,
+    "malformed_payload": EventKind.FORGED_INSERT,
+    "state_mismatch": EventKind.STATE_MISMATCH,
+    "command_rejected": EventKind.COMMAND_REJECTED,
 }
 
+# The requirements each event enforces, keyed by the direction it was
+# observed on: a semantic event has one, the direction of the records or
+# commands that raise it.
 EVENT_REQUIREMENTS: dict[tuple[EventKind, Direction], frozenset[Requirement]] = {
     (EventKind.MISSED_SYNC, Direction.PHYS_TO_VIRT): _R1,
     (EventKind.MISSED_SYNC, Direction.VIRT_TO_PHYS): _R1R3,
@@ -127,7 +131,7 @@ ATTACK_EXPECTATIONS: dict[tuple[AttackKind, Direction], frozenset[Requirement]] 
 
 
 class Detector:
-    """Turns channel errors, liveness gaps, and semantic failures into events.
+    """Turns refusals and liveness gaps into events.
 
     An emission at slot e (e divisible by the period) is due at
     e + latency + grace; if no authenticated frame claiming emission slot e
@@ -146,14 +150,13 @@ class Detector:
     def on_frame_accepted(self, direction: Direction, emission_slot: int) -> None:
         self._satisfied.add((direction, emission_slot))
 
-    def on_channel_error(
-        self, err: ChannelError, slot: int, direction: Direction
-    ) -> DetectionEvent:
-        kind = _CHANNEL_EVENT_KIND[err.kind]
-        detail = {"reason": err.reason}
-        if err.slot is not None:
-            detail["claimed_slot"] = err.slot
-        return DetectionEvent(kind, slot, direction, detail)
+    def on_channel_error(self, refusal: Refusal, slot: int, direction: Direction) -> DetectionEvent:
+        """The event a refused frame or record raises, with the refusal's detail."""
+        return DetectionEvent(OUTCOME_EVENT_KIND[refusal.outcome], slot, direction, refusal.detail)
+
+    # An alias the runner never calls: bench/probes.py traces this name too,
+    # until its probe is retargeted to on_channel_error.
+    on_semantic_mismatch = on_channel_error
 
     def on_slot_boundary(self, slot: int) -> list[DetectionEvent]:
         """MISSED_SYNC for each emission that became overdue exactly at this slot."""
@@ -169,22 +172,6 @@ class Detector:
             detail = {"expected_emission_slot": emission}
             events.append(DetectionEvent(EventKind.MISSED_SYNC, slot, direction, detail))
         return events
-
-    def on_semantic_mismatch(
-        self, err: MismatchError | Reject, slot: int, direction: Direction
-    ) -> DetectionEvent:
-        if isinstance(err, Reject):
-            kind = EventKind.COMMAND_REJECTED
-            detail = {"reason": err.reason, "input": err.detail}
-        else:
-            kind = EventKind.STATE_MISMATCH
-            detail = {
-                "mismatch": err.kind._value_,
-                "expected": err.expected,
-                "got": err.got,
-                "reason": err.reason,
-            }
-        return DetectionEvent(kind, slot, direction, detail)
 
     def summarize(
         self,

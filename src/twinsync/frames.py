@@ -15,20 +15,22 @@ Frame layout, wire version 2, all integers big-endian:
 This module is the only one that packs or reads a header, and `frame_body`
 is the one place a header is packed: `encode_frame` tags what it returns,
 the adversary's forgeries append a random tag to it, and `splice_payload`
-keeps a captured header's bytes and rewrites only its length.  The tag covers
-header and payload, so the shortest valid frame is 58 bytes.  decode_frame
-decides whether a link accepts a frame, with its checks in this order:
-length, tag, structure, the link's sender id and message types, timing, and
-last the replay window.  Any bit flipped anywhere in a frame therefore fails
-authentication rather than surfacing as a parse error, structural checks
-only ever run on authentic bytes, and, as in RFC 4303 section 3.4.3, the
-window moves only for a frame that passed every other check.  A link sends
-one frame per emission slot, so the slot is its sequence number, derived
-rather than sent, as TLS 1.3 derives its record numbers (RFC 8446 section
-5.3).  The window is the newest slot accepted in the current session, and
-like TCP's receive window (RFC 9293 section 3.10.7.4) it cannot run ahead
-of the present: the timing check refuses a frame stamped later than the
-arrival slot minus the link's latency, which no honest sender made.
+keeps a captured header's bytes and rewrites only its length.  The tag
+covers header and payload, so the shortest valid frame is 58 bytes.
+decode_frame decides whether a link accepts a frame, with its checks in this
+order: length, tag, structure, the link's sender id and message types,
+timing, and last the replay window; a frame that fails one comes back as a
+`sync.Refusal` named for it.  Any bit flipped anywhere in a frame therefore
+fails authentication rather than surfacing as a parse error, structural
+checks only ever run on authentic bytes, and, as in RFC 4303 section 3.4.3,
+the window moves only for a frame that passed every other check.  A link
+sends one frame per emission slot, so the slot is its sequence number,
+derived rather than sent, as TLS 1.3 derives its record numbers (RFC 8446
+section 5.3).  The window is the newest slot accepted in the current
+session, and like TCP's receive window (RFC 9293 section 3.10.7.4) it cannot
+run ahead of the present: the timing check refuses a frame stamped later
+than the newest sync boundary at or before the arrival slot minus the link's
+latency, which no honest sender made.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 
-from .sync import CommandRecord, DeltaRecord
+from .sync import CommandRecord, DeltaRecord, Refusal
 
 MAGIC = b"\x44\x54"
 VERSION = 2
@@ -81,24 +83,6 @@ class Frame:
     session_id: int
     slot: int
     payload: bytes = b""
-
-
-class ChannelErrorKind(str, Enum):
-    MALFORMED = "malformed"
-    AUTH_FAIL = "auth_fail"
-    WRONG_DIRECTION = "wrong_direction"
-    REPLAY = "replay"
-    FUTURE = "future"
-    MALFORMED_PAYLOAD = "malformed_payload"
-
-
-@dataclass(frozen=True)
-class ChannelError:
-    """Rejected frame, described for the detector. Carries the claimed slot when parseable."""
-
-    kind: ChannelErrorKind
-    reason: str
-    slot: int | None = None
 
 
 class ReplayWindow:
@@ -157,27 +141,28 @@ def decode_frame(
     sender_id: int,
     msg_types: tuple[int, ...],
     newest: int,
-) -> Frame | ChannelError:
-    """Accept or reject one frame arriving on a link.
+) -> Frame | Refusal:
+    """Accept or refuse one frame arriving on a link.
 
-    The link's sender has `sender_id` and sends `msg_types`; `newest`, the
-    arrival slot minus the link's latency, is the latest slot an honest frame
-    can carry.  Returns the Frame on success (window advanced), otherwise a
-    ChannelError and the window is left untouched.
+    The link's sender has `sender_id` and sends `msg_types`; `newest` is the
+    latest slot an honest frame can carry: the newest sync boundary at or
+    before the arrival slot minus the link's latency, below 0 before there
+    is one.
+    Returns the Frame on success (window advanced), otherwise a Refusal whose
+    detail claims the header's slot once there is a header, and the window is
+    left untouched.
     """
     if len(data) < MIN_FRAME_LEN:
-        return ChannelError(
-            kind=ChannelErrorKind.MALFORMED,
-            reason=f"frame of {len(data)} bytes shorter than minimum {MIN_FRAME_LEN}",
-        )
+        reason = f"frame of {len(data)} bytes shorter than minimum {MIN_FRAME_LEN}"
+        return Refusal("malformed", {"reason": reason})
     body, tag = data[:-TAG_LEN], data[-TAG_LEN:]
     # Unpacked first only so that a frame failing the tag check can report its claims.
     magic, version, msg_type, sender, session_id, slot, payload_len = (
         HEADER_STRUCT.unpack_from(body)
     )
-    kind = None  # None means MALFORMED; the enum is looked up only on that path
+    outcome = "malformed"
     if not hmac.compare_digest(_tag(key, body), tag):
-        kind, reason = ChannelErrorKind.AUTH_FAIL, "tag mismatch"
+        outcome, reason = "auth_fail", "tag mismatch"
     elif magic != MAGIC:
         reason = "bad magic"
     elif version != VERSION:
@@ -189,21 +174,21 @@ def decode_frame(
     elif sender != sender_id or msg_type not in msg_types:
         # The other direction's frame, reflected: it authenticates only under
         # a shared key, and must not move this link's window.
-        kind, reason = ChannelErrorKind.WRONG_DIRECTION, "wrong direction"
+        outcome, reason = "wrong_direction", "wrong direction"
     elif slot > newest:
-        kind = ChannelErrorKind.FUTURE
+        outcome = "future"
         reason = f"slot {slot} later than {newest}, the arrival slot minus latency"
     elif (session_id, slot) <= (window.session, window.highest):
-        kind = ChannelErrorKind.REPLAY
+        outcome = "replay"
         reason = f"(session, slot) {session_id, slot} not after {window.session, window.highest}"
     else:
         window.session, window.highest = session_id, slot
         return Frame(msg_type, sender, session_id, slot, body[HEADER_LEN:])
-    return ChannelError(ChannelErrorKind.MALFORMED if kind is None else kind, reason, slot)
+    return Refusal(outcome, {"reason": reason, "claimed_slot": slot})
 
 
 # Payload codecs. These run on authenticated bytes only, so failures raise
-# rather than flow back as channel errors.
+# rather than come back as refusals.
 
 _DELTA_HEAD = struct.Struct(">IIH")  # base state, result state, input count
 _ACK = struct.Struct(">Q")  # newest accepted emission slot + 1, 0 for none

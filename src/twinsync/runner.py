@@ -6,7 +6,9 @@ Every slot runs the same four phases:
        vetted inputs of each COMMAND accepted in the previous slot
     2. at a sync boundary, both twins tick and send their frames
     3. each channel delivers its due frames through the adversary, and the
-       receiving endpoint decodes, verifies, and applies them
+       receiving endpoint decodes, verifies, and applies them; a frame that
+       any check refuses writes its `Refusal`'s outcome to the row and
+       raises the detector's event for it
     4. the detector checks liveness expectations and the consistency audit
        compares the replica against the physical history
 
@@ -33,8 +35,6 @@ from dataclasses import dataclass
 from .adversary import Adversary
 from .detector import Detector, DetectionEvent, consistency_audit
 from .frames import (
-    ChannelError,
-    ChannelErrorKind,
     Frame,
     MalformedPayload,
     MsgType,
@@ -50,7 +50,7 @@ from .frames import (
 )
 from .netsim import Channel, Direction, SplitMix64
 from .scenario import ScenarioSpec
-from .sync import PhysicalTwin, Reject, VirtualTwin, command_inputs, reconcile
+from .sync import PhysicalTwin, Refusal, VirtualTwin, command_inputs, reconcile
 
 PHYSICAL_SENDER_ID = 1
 VIRTUAL_SENDER_ID = 2
@@ -249,47 +249,44 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 dropped[link.name], link.dropped = link.dropped, []
             received = []
             direction = link.direction
-            newest = slot - link.channel.latency_slots  # the newest slot an honest frame can carry
+            # The newest boundary an honest frame can carry, the horizon
+            # `delivered_emission` computes, below 0 before there is one.
+            horizon = slot - link.channel.latency_slots
+            newest = horizon - horizon % period
             for data in adversary.intercept(slot, direction, link.channel.deliver_due(slot)):
-                result = decode_frame(
+                frame = decode_frame(
                     data, link.key, link.window, link.sender_id, link.msg_types, newest
                 )
-                outcome = None
-                if isinstance(result, Frame):
-                    frame = result
+                if isinstance(frame, Refusal):
+                    refusal = frame
+                else:
+                    refusal = None
                     detector.on_frame_accepted(direction, frame.slot)
                     try:
                         if frame.msg_type == STATE_SYNC:
-                            record = decode_delta_payload(frame.payload, frame.slot)
-                            err = virtual.apply_sync(record)
-                            if err is not None:
-                                events.append(detector.on_semantic_mismatch(err, slot, direction))
-                                outcome = "state_mismatch"
+                            refusal = virtual.apply_sync(
+                                decode_delta_payload(frame.payload, frame.slot)
+                            )
                         elif frame.msg_type == COMMAND:
                             command = decode_command_payload(frame.payload)
                             physical.on_ack(command.acked)
-                            verdict = reconcile(command, machine)
-                            if isinstance(verdict, Reject):
-                                events.append(
-                                    detector.on_semantic_mismatch(verdict, slot, direction)
-                                )
-                                outcome = "command_rejected"
-                            else:
-                                phys_inputs.setdefault(slot + 1, []).extend(verdict)
+                            refusal = reconcile(command, machine)
+                            if refusal is None:
+                                phys_inputs.setdefault(slot + 1, []).extend(command.inputs)
                         else:
                             physical.on_ack(decode_ack_payload(frame.payload))
                     except MalformedPayload as exc:
                         # Authenticated frames with broken payloads cannot come from
                         # the honest peer; classify like any other forgery.
-                        result = ChannelError(
-                            ChannelErrorKind.MALFORMED_PAYLOAD, str(exc), frame.slot
-                        )
-                if isinstance(result, ChannelError):
-                    events.append(detector.on_channel_error(result, slot, direction))
-                    outcome = result.kind._value_
+                        detail = {"reason": str(exc), "claimed_slot": frame.slot}
+                        refusal = Refusal("malformed_payload", detail)
                 # A replayed or reflected frame keeps its id; one the adversary made gets the next.
                 frame_id = ids.setdefault(data, len(ids))
-                received.append(frame_id if outcome is None else [frame_id, outcome])
+                if refusal is None:
+                    received.append(frame_id)
+                else:
+                    events.append(detector.on_channel_error(refusal, slot, direction))
+                    received.append([frame_id, refusal.outcome])
             if received:
                 delivered[link.name] = received
         if sent:

@@ -26,12 +26,16 @@ every `period` slots, so a period with no activity still yields an empty
 heartbeat record from each and the other side can tell silence from a
 deleted message.  An operator input goes out in the COMMAND of the first
 boundary at or after its slot (`command_inputs`), which validation bounds.
+
+A check that refuses what arrived returns a `Refusal`: `apply_sync` and
+`reconcile` here, and `frames.decode_frame`, which imports it from this
+module.  The value carries the outcome the report's slot row writes and the
+detail its event writes, and the detector maps the outcome to an event kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .machine import (
     ExecutionLog,
@@ -57,28 +61,19 @@ class CommandRecord:
     acked: int  # newest accepted emission slot + 1, 0 for none
 
 
-class MismatchKind(str, Enum):
-    BASE_MISMATCH = "base_mismatch"
-    REPLAYED_BASE = "replayed_base"
-    UNREACHABLE_RESULT = "unreachable_result"
+@dataclass(frozen=True, slots=True)
+class Refusal:
+    """A refused frame or record: `outcome` is what its slot row writes, `detail`
+    what its event writes."""
+
+    outcome: str
+    detail: dict
 
 
-@dataclass(frozen=True)
-class MismatchError:
-    """Verification failure, returned as a value for the detector to consume."""
-
-    kind: MismatchKind
-    expected: int
-    got: int
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class Reject:
-    """Reconciliation refusal for an operator command."""
-
-    reason: str
-    detail: int
+def _mismatch(mismatch: str, expected: int, got: int, reason: str) -> Refusal:
+    """A delta record the replica refuses; `mismatch` names the check that failed."""
+    detail = {"mismatch": mismatch, "expected": expected, "got": got, "reason": reason}
+    return Refusal("state_mismatch", detail)
 
 
 def fold_key_state(
@@ -98,15 +93,15 @@ def fold_key_state(
     return state, last_key
 
 
-def reconcile(command: CommandRecord, machine: TwinMachine) -> tuple[int, ...] | Reject:
+def reconcile(command: CommandRecord, machine: TwinMachine) -> Refusal | None:
     """Vet an operator command before the physical twin executes it.
 
-    Accepted commands come back as the input tuple to execute at the next slot.
+    None means accepted: the physical twin executes its inputs at the next slot.
     """
     for sym in command.inputs:
         if sym not in machine.inputs:
-            return Reject(reason="unknown_input", detail=sym)
-    return command.inputs
+            return Refusal("command_rejected", {"reason": "unknown_input", "input": sym})
+    return None
 
 
 def command_inputs(schedule: list[tuple[int, int]], period: int) -> dict[int, tuple[int, ...]]:
@@ -208,48 +203,43 @@ class VirtualTwin:
         """
         return CommandRecord(inputs, self.acked)
 
-    def apply_sync(self, delta: DeltaRecord) -> MismatchError | None:
-        """Advance by a verified delta record; on any error nothing changes.
+    def apply_sync(self, delta: DeltaRecord) -> Refusal | None:
+        """Advance by a verified delta record; on a refusal nothing changes.
 
         A record carrying a slot older than the replica's sync point is
-        rejected as replayed before its content is even looked at.
+        refused as replayed before its content is even looked at.
         Otherwise its base must be a state the replica holds, and the full
         fold of its inputs from there must confirm the claim: the last key
         state the fold visits, or, when it visits none, one of the key
         states held with the base.
         """
         if delta.slot < self.last_synced_slot:
-            return MismatchError(
-                kind=MismatchKind.REPLAYED_BASE,
-                expected=self.last_synced_slot,
-                got=delta.slot,
-                reason="delta slot predates the replica's sync point",
+            return _mismatch(
+                "replayed_base",
+                self.last_synced_slot,
+                delta.slot,
+                "delta slot predates the replica's sync point",
             )
         held = self.held
         base, claim = delta.base_state, delta.result_state
         if base not in held:
-            return MismatchError(
-                kind=MismatchKind.BASE_MISMATCH,
-                expected=self.last_synced_key,
-                got=base,
-                reason="delta base is no state the replica has held",
+            return _mismatch(
+                "base_mismatch",
+                self.last_synced_key,
+                base,
+                "delta base is no state the replica has held",
             )
         try:
             state, last_key = fold_key_state(self.machine, base, delta.applied_inputs)
         except MachineError as exc:
-            return MismatchError(
-                kind=MismatchKind.UNREACHABLE_RESULT,
-                expected=claim,
-                got=claim,
-                reason=f"fold failed: {exc}",
-            )
+            return _mismatch("unreachable_result", claim, claim, f"fold failed: {exc}")
         confirmed = claim == last_key if last_key is not None else claim in held[base]
         if not confirmed:
-            return MismatchError(
-                kind=MismatchKind.UNREACHABLE_RESULT,
-                expected=last_key if last_key is not None else base,
-                got=claim,
-                reason="claimed result not reached by folding the inputs",
+            return _mismatch(
+                "unreachable_result",
+                last_key if last_key is not None else base,
+                claim,
+                "claimed result not reached by folding the inputs",
             )
         if state not in held:
             held[state] = set()

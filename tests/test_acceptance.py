@@ -22,8 +22,6 @@ import pytest
 from conftest import manual_hmac_sha256
 from twinsync.adversary import forge_frame_bytes
 from twinsync.frames import (
-    ChannelError,
-    ChannelErrorKind,
     Frame,
     MsgType,
     U64_MAX,
@@ -42,6 +40,7 @@ from twinsync.scenario import (
     load_fixture_json,
     scenario_from_dict,
 )
+from twinsync.sync import Refusal
 from twinsync.vectors import GOLDEN_VECTORS, golden_frame_bytes, verify_golden_vectors
 
 
@@ -214,7 +213,7 @@ def test_acceptance_4_tamper_and_replay_completeness():
                 link = (vector.frame.sender_id, (vector.frame.msg_type,))
                 out = decode_frame(bytes(corrupted), vector.key, ReplayWindow(), *link, U64_MAX)
                 flips += 1
-                if isinstance(out, ChannelError) and out.kind is ChannelErrorKind.AUTH_FAIL:
+                if isinstance(out, Refusal) and out.outcome == "auth_fail":
                     auth_fails += 1
     assert auth_fails == flips, f"{flips - auth_fails} of {flips} flips not AUTH_FAIL"
 
@@ -240,7 +239,7 @@ def test_acceptance_4_tamper_and_replay_completeness():
         assert isinstance(first, Frame), f"vector did not decode cleanly: {first}"
         second = decode_frame(data, frame_key, window, *link)
         duplicates += 1
-        if isinstance(second, ChannelError) and second.kind is ChannelErrorKind.REPLAY:
+        if isinstance(second, Refusal) and second.outcome == "replay":
             replays += 1
     assert replays == duplicates, f"{duplicates - replays} duplicates not flagged"
 
@@ -259,8 +258,7 @@ def test_acceptance_5_forgery_resistance():
     key = bytes(range(32))
     window = ReplayWindow()
     accepted = 0
-    outcomes = {ChannelErrorKind.MALFORMED: 0, ChannelErrorKind.AUTH_FAIL: 0,
-                ChannelErrorKind.REPLAY: 0}
+    outcomes = {"malformed": 0, "auth_fail": 0, "replay": 0}
     for index in range(10_000):
         if index % 2 == 0:
             data = rng.randbytes(rng.randint(0, 200))
@@ -279,13 +277,13 @@ def test_acceptance_5_forgery_resistance():
         if isinstance(out, Frame):
             accepted += 1
         else:
-            outcomes[out.kind] += 1
+            outcomes[out.outcome] += 1
     assert accepted == 0, f"{accepted} forged frames were accepted"
-    assert outcomes[ChannelErrorKind.REPLAY] == 0  # nothing ever advanced the window
-    assert outcomes[ChannelErrorKind.AUTH_FAIL] >= 5000  # every template forgery
+    assert outcomes["replay"] == 0  # nothing ever advanced the window
+    assert outcomes["auth_fail"] >= 5000  # every template forgery
     return (
-        f"10000 frames rejected ({outcomes[ChannelErrorKind.MALFORMED]} malformed, "
-        f"{outcomes[ChannelErrorKind.AUTH_FAIL]} auth failures)"
+        f"10000 frames rejected ({outcomes['malformed']} malformed, "
+        f"{outcomes['auth_fail']} auth failures)"
     )
 
 

@@ -14,8 +14,6 @@ from twinsync.frames import (
     HEADER_LEN,
     MIN_FRAME_LEN,
     U64_MAX,
-    ChannelError,
-    ChannelErrorKind,
     Frame,
     MsgType,
     ReplayWindow,
@@ -24,6 +22,7 @@ from twinsync.frames import (
     encode_frame,
 )
 from twinsync.netsim import Direction, SplitMix64
+from twinsync.sync import Refusal
 
 KEY = b"\x11" * 32
 P2V = Direction.PHYS_TO_VIRT
@@ -34,7 +33,7 @@ def frame_bytes(slot: int, payload: bytes = b"") -> bytes:
     return encode_frame(Frame(MsgType.STATE_SYNC, 1, 1, slot, payload=payload), KEY)
 
 
-def decode(data: bytes, msg_type: MsgType) -> Frame | ChannelError:
+def decode(data: bytes, msg_type: MsgType) -> Frame | Refusal:
     """`data` as sender 1's `msg_type` link decodes it, none of it from the future."""
     return decode_frame(data, KEY, ReplayWindow(), 1, (msg_type,), U64_MAX)
 
@@ -137,8 +136,8 @@ class TestModify:
         )
         (out,) = adv.intercept(4, P2V, [data])
         decoded = decode(out, MsgType.STATE_SYNC)
-        assert isinstance(decoded, ChannelError)
-        assert decoded.kind is ChannelErrorKind.AUTH_FAIL
+        assert isinstance(decoded, Refusal)
+        assert decoded.outcome == "auth_fail"
 
     def test_payload_splice_keeps_the_stale_tag(self):
         data = frame_bytes(slot=1, payload=encode_ack_payload(5))
@@ -150,8 +149,8 @@ class TestModify:
         assert out[HEADER_LEN - 2 : HEADER_LEN] == (4).to_bytes(2, "big")
         assert out[-32:] == data[-32:]
         decoded = decode(out, MsgType.STATE_SYNC)
-        assert isinstance(decoded, ChannelError)
-        assert decoded.kind is ChannelErrorKind.AUTH_FAIL
+        assert isinstance(decoded, Refusal)
+        assert decoded.outcome == "auth_fail"
 
     def test_offset_outside_frame_is_an_authoring_error(self):
         action = AttackAction(AttackKind.MODIFY, 4, P2V, {"byte_offset": 900, "xor_mask": 1})
@@ -192,8 +191,8 @@ class TestInsert:
         del template["seq"]
         assert out[:-32] == forge_frame_bytes(template, SplitMix64(0))[:-32]
         decoded = decode(out, MsgType.ACK)
-        assert isinstance(decoded, ChannelError)
-        assert (decoded.kind, decoded.slot) == (ChannelErrorKind.AUTH_FAIL, 4)
+        assert isinstance(decoded, Refusal)
+        assert (decoded.outcome, decoded.detail["claimed_slot"]) == ("auth_fail", 4)
 
     def test_forged_tag_is_seed_deterministic(self):
         a = forge_frame_bytes({}, SplitMix64(7))

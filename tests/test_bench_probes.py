@@ -49,7 +49,7 @@ def test_traced_run_gives_the_untraced_report(name):
 UNREACHED_SPANS = {
     "machine.project_key_state": "sync.py imports it unused, only so that this probe finds it",
     "oracle.expected_traces": "the oracle's fold, which run_scenario does not call",
-    "detector.on_semantic_mismatch": "neither fixture has a state mismatch or a rejected command",
+    "detector.on_semantic_mismatch": "an alias of on_channel_error that the runner never calls",
 }
 
 
@@ -64,6 +64,23 @@ def test_traced_fixture_runs_reach_every_span():
             ts.runner.run_scenario(load_bundled_scenario(name)).to_json_bytes()
     reached = {span.name for span in tracer.spans}
     assert {t.span for t in targets} - reached == set(UNREACHED_SPANS)
+
+
+def test_traced_fixture_runs_count_every_event():
+    """Every event reaches the detector through a traced method, each once:
+    refusals through `on_channel_error`, liveness gaps through
+    `on_slot_boundary`, so `detector.events_per_kslot` counts them all."""
+    probes = import_bench_module("probes")
+    spans = import_bench_module("spans")
+    ts = twinsync_modules()
+    with spans.Tracer(probes.targets(ts)) as tracer:
+        reports = [
+            ts.runner.run_scenario(load_bundled_scenario(name))
+            for name in ("fig4_walkthrough", "attack_matrix")
+        ]
+    events = sum(report.summary["event_count"] for report in reports)
+    assert events > 0
+    assert tracer.counters["detector.events"] == events
 
 
 def test_fold_work_is_linear_and_traced():

@@ -12,9 +12,8 @@ from twinsync.detector import (
     consistency_audit,
     delivered_emission,
 )
-from twinsync.frames import ChannelError, ChannelErrorKind
 from twinsync.netsim import Direction
-from twinsync.sync import MismatchError, MismatchKind, Reject
+from twinsync.sync import CommandRecord, DeltaRecord, Refusal, VirtualTwin, reconcile
 
 P2V = Direction.PHYS_TO_VIRT
 V2P = Direction.VIRT_TO_PHYS
@@ -58,20 +57,20 @@ class TestRequirementTables:
 
 class TestChannelErrorEvents:
     @pytest.mark.parametrize(
-        "err_kind,event_kind",
+        "outcome,event_kind",
         [
-            (ChannelErrorKind.AUTH_FAIL, EventKind.TAMPER),
-            (ChannelErrorKind.REPLAY, EventKind.REPLAY_ATTACK),
-            (ChannelErrorKind.FUTURE, EventKind.FORGED_INSERT),
-            (ChannelErrorKind.MALFORMED, EventKind.FORGED_INSERT),
-            (ChannelErrorKind.WRONG_DIRECTION, EventKind.FORGED_INSERT),
-            (ChannelErrorKind.MALFORMED_PAYLOAD, EventKind.FORGED_INSERT),
+            ("auth_fail", EventKind.TAMPER),
+            ("replay", EventKind.REPLAY_ATTACK),
+            ("future", EventKind.FORGED_INSERT),
+            ("malformed", EventKind.FORGED_INSERT),
+            ("wrong_direction", EventKind.FORGED_INSERT),
+            ("malformed_payload", EventKind.FORGED_INSERT),
         ],
     )
     @pytest.mark.parametrize("direction", [P2V, V2P])
-    def test_kind_and_requirements(self, err_kind, event_kind, direction):
+    def test_kind_and_requirements(self, outcome, event_kind, direction):
         detector = make_detector()
-        err = ChannelError(kind=err_kind, reason="r", slot=7)
+        err = Refusal(outcome, {"reason": "r", "claimed_slot": 7})
         event = detector.on_channel_error(err, slot=8, direction=direction)
         assert event.kind is event_kind
         assert event.slot == 8
@@ -137,20 +136,19 @@ class TestLiveness:
 
 
 class TestSemanticEvents:
-    def test_mismatch_error(self):
+    def test_mismatch_error(self, kettle):
         detector = make_detector()
-        err = MismatchError(MismatchKind.BASE_MISMATCH, expected=0, got=100, reason="x")
-        event = detector.on_semantic_mismatch(err, slot=6, direction=P2V)
+        err = VirtualTwin(kettle).apply_sync(DeltaRecord(100, 100, (), slot=1))
+        event = detector.on_channel_error(err, slot=6, direction=P2V)
         assert event.kind is EventKind.STATE_MISMATCH
         assert event.requirements == {R1, R2}
         assert event.detail["mismatch"] == "base_mismatch"
         assert (event.detail["expected"], event.detail["got"]) == (0, 100)
 
-    def test_command_reject(self):
+    def test_command_reject(self, kettle):
         detector = make_detector()
-        event = detector.on_semantic_mismatch(
-            Reject(reason="unknown_input", detail=99), slot=6, direction=V2P
-        )
+        err = reconcile(CommandRecord(inputs=(99,), acked=0), kettle)
+        event = detector.on_channel_error(err, slot=6, direction=V2P)
         assert event.kind is EventKind.COMMAND_REJECTED
         assert event.requirements == {R3}
         assert event.detail == {"reason": "unknown_input", "input": 99}

@@ -17,8 +17,6 @@ from twinsync.frames import (
     MAX_PAYLOAD_LEN,
     MAX_RECORD_INPUTS,
     MIN_FRAME_LEN,
-    ChannelError,
-    ChannelErrorKind,
     Frame,
     MalformedPayload,
     MsgType,
@@ -36,7 +34,7 @@ from twinsync.frames import (
     encode_frame,
     splice_payload,
 )
-from twinsync.sync import CommandRecord, DeltaRecord
+from twinsync.sync import CommandRecord, DeltaRecord, Refusal
 from twinsync.vectors import GOLDEN_VECTORS, golden_frame_bytes
 
 ANY_SLOT = U64_MAX  # as the newest arrivable slot, no frame is from the future
@@ -155,9 +153,9 @@ class TestGoldenVectors:
         """Vector 1 pins layout and tag only; msg_type 0 never decodes to a Frame."""
         data = bytes.fromhex(GOLDEN_HEX[0])
         out = decode_frame(data, bytes(32), ReplayWindow(), 0, (0,), ANY_SLOT)
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.MALFORMED
-        assert "msg_type" in out.reason
+        assert isinstance(out, Refusal)
+        assert out.outcome == "malformed"
+        assert "msg_type" in out.detail["reason"]
 
 
 class TestDecode:
@@ -183,18 +181,18 @@ class TestDecode:
 
     def test_short_frame_is_malformed(self):
         out = self._decode(self.data[: MIN_FRAME_LEN - 1])
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.MALFORMED
+        assert isinstance(out, Refusal)
+        assert out.outcome == "malformed"
 
     def test_empty_frame_is_malformed(self):
         out = self._decode(b"")
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.MALFORMED
+        assert isinstance(out, Refusal)
+        assert out.outcome == "malformed"
 
     def test_wrong_key_fails_authentication(self):
         out = self._decode(self.data, bytes(32))
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.AUTH_FAIL
+        assert isinstance(out, Refusal)
+        assert out.outcome == "auth_fail"
 
     @pytest.mark.parametrize("offset", [0, 2, 3, 16, 25, 26, 33, 34, 59, 91])
     @pytest.mark.parametrize("bit", [0, 7])
@@ -208,38 +206,38 @@ class TestDecode:
         corrupted = bytearray(data)
         corrupted[offset] ^= 1 << bit
         out = self._decode(bytes(corrupted))
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.AUTH_FAIL
+        assert isinstance(out, Refusal)
+        assert out.outcome == "auth_fail"
 
     def test_authentic_bad_magic_is_malformed(self):
         body = HEADER_STRUCT.pack(b"XX", VERSION, 1, 1, 1, 4, 0)
         data = body + manual_hmac_sha256(self.key, body)
         out = self._decode(data)
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.MALFORMED
-        assert out.reason == "bad magic"
+        assert isinstance(out, Refusal)
+        assert out.outcome == "malformed"
+        assert out.detail["reason"] == "bad magic"
 
     def test_authentic_bad_version_is_malformed(self):
         """Version 1, whose header still carried a seq, is no longer accepted."""
         body = HEADER_STRUCT.pack(MAGIC, 1, 1, 1, 1, 4, 0)
         data = body + manual_hmac_sha256(self.key, body)
         out = self._decode(data)
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.MALFORMED
-        assert "version" in out.reason
+        assert isinstance(out, Refusal)
+        assert out.outcome == "malformed"
+        assert "version" in out.detail["reason"]
 
     def test_authentic_length_field_mismatch_is_malformed(self):
         body = HEADER_STRUCT.pack(MAGIC, VERSION, 1, 1, 1, 4, 5) + b"abc"
         data = body + manual_hmac_sha256(self.key, body)
         out = self._decode(data)
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.MALFORMED
-        assert "payload_len" in out.reason
+        assert isinstance(out, Refusal)
+        assert out.outcome == "malformed"
+        assert "payload_len" in out.detail["reason"]
 
     def test_error_reports_carry_claimed_header_fields(self):
         out = self._decode(self.data, bytes(32))
-        assert isinstance(out, ChannelError)
-        assert out.slot == 4
+        assert isinstance(out, Refusal)
+        assert out.detail["claimed_slot"] == 4
 
 
 class TestReplayProtection:
@@ -263,16 +261,16 @@ class TestReplayProtection:
         data = self._frame(slot=1)
         assert isinstance(self._decode(data), Frame)
         out = self._decode(data)
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.REPLAY
+        assert isinstance(out, Refusal)
+        assert out.outcome == "replay"
 
     def test_stale_seq_is_replay(self):
         """A slot at or below the newest accepted one is stale."""
         assert isinstance(self._decode(self._frame(slot=5)), Frame)
         out = self._decode(self._frame(slot=3))
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.REPLAY
-        assert out.reason == "(session, slot) (1, 3) not after (1, 5)"
+        assert isinstance(out, Refusal)
+        assert out.outcome == "replay"
+        assert out.detail["reason"] == "(session, slot) (1, 3) not after (1, 5)"
 
     def test_gaps_are_tolerated(self):
         assert isinstance(self._decode(self._frame(slot=1)), Frame)
@@ -282,8 +280,8 @@ class TestReplayProtection:
         """The first emission is at slot 0, so an empty window is below it."""
         assert isinstance(self._decode(self._frame(slot=0)), Frame)
         out = self._decode(self._frame(slot=0))
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.REPLAY
+        assert isinstance(out, Refusal)
+        assert out.outcome == "replay"
 
     def test_session_restart_resets_the_window(self):
         assert isinstance(self._decode(self._frame(slot=5, session=1)), Frame)
@@ -292,9 +290,9 @@ class TestReplayProtection:
     def test_older_session_is_replay(self):
         assert isinstance(self._decode(self._frame(slot=1, session=2)), Frame)
         out = self._decode(self._frame(slot=9, session=1))
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.REPLAY
-        assert out.reason == "(session, slot) (1, 9) not after (2, 1)"
+        assert isinstance(out, Refusal)
+        assert out.outcome == "replay"
+        assert out.detail["reason"] == "(session, slot) (1, 9) not after (2, 1)"
 
     def test_senders_are_tracked_independently(self):
         """Each link has one sender and its own window, so slot 1 is new on both."""
@@ -303,7 +301,7 @@ class TestReplayProtection:
         assert isinstance(self._decode(self._frame(slot=1)), Frame)
         assert isinstance(self._decode(second, sender=2, window=other_link), Frame)
         out = self._decode(second, sender=2, window=other_link)
-        assert out.kind is ChannelErrorKind.REPLAY
+        assert out.outcome == "replay"
         assert (self.window.session, self.window.highest) == (1, 1)
 
     def test_tracker_not_advanced_by_rejected_frames(self):
@@ -318,19 +316,19 @@ class TestReplayProtection:
         sender's; it is refused without moving the window, so the frames
         that follow it are still accepted."""
         out = self._decode(self._frame(slot=1000), newest=4)
-        assert isinstance(out, ChannelError)
-        assert (out.kind, out.slot) == (ChannelErrorKind.FUTURE, 1000)
-        assert out.reason == "slot 1000 later than 4, the arrival slot minus latency"
+        assert isinstance(out, Refusal)
+        assert (out.outcome, out.detail["claimed_slot"]) == ("future", 1000)
+        assert out.detail["reason"] == "slot 1000 later than 4, the arrival slot minus latency"
         assert (self.window.session, self.window.highest) == (0, -1)
         assert isinstance(self._decode(self._frame(slot=4), newest=4), Frame)
-        assert self._decode(self._frame(slot=5), newest=4).kind is ChannelErrorKind.FUTURE
+        assert self._decode(self._frame(slot=5), newest=4).outcome == "future"
         assert isinstance(self._decode(self._frame(slot=5), newest=5), Frame)
 
     def test_timing_is_checked_before_the_window(self):
         """A frame both stale and from the future is refused as the latter."""
         assert isinstance(self._decode(self._frame(slot=5)), Frame)
         out = self._decode(self._frame(slot=3), newest=2)
-        assert out.kind is ChannelErrorKind.FUTURE
+        assert out.outcome == "future"
 
 
 class TestLinkBinding:
@@ -347,35 +345,35 @@ class TestLinkBinding:
 
     def test_other_sender_is_wrong_direction(self):
         out = self._decode(self.key, 1, (MsgType.ACK,))
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.WRONG_DIRECTION
-        assert (out.reason, out.slot) == ("wrong direction", 3)
+        assert isinstance(out, Refusal)
+        assert out.outcome == "wrong_direction"
+        assert (out.detail["reason"], out.detail["claimed_slot"]) == ("wrong direction", 3)
 
     def test_other_message_type_is_wrong_direction(self):
         out = self._decode(self.key, 2, (MsgType.STATE_SYNC,))
-        assert isinstance(out, ChannelError)
-        assert out.kind is ChannelErrorKind.WRONG_DIRECTION
+        assert isinstance(out, Refusal)
+        assert out.outcome == "wrong_direction"
 
     def test_wrong_direction_leaves_the_window_unchanged(self):
         """The same bytes rejected twice on the wrong link still decode for their own sender."""
         for _ in range(2):
             out = self._decode(self.key, 1, (MsgType.STATE_SYNC,))
-            assert out.kind is ChannelErrorKind.WRONG_DIRECTION
+            assert out.outcome == "wrong_direction"
         assert isinstance(self._decode(self.key, 2, (MsgType.ACK,)), Frame)
 
     def test_direction_is_checked_before_the_window(self):
         assert isinstance(self._decode(self.key, 2, (MsgType.ACK,)), Frame)
         out = self._decode(self.key, 1, (MsgType.ACK,))
-        assert out.kind is ChannelErrorKind.WRONG_DIRECTION
+        assert out.outcome == "wrong_direction"
 
     def test_direction_is_checked_before_the_timing(self):
         """A reflected frame is named for its direction even when it is also early."""
         out = self._decode(self.key, 1, (MsgType.ACK,), newest=2)
-        assert out.kind is ChannelErrorKind.WRONG_DIRECTION
+        assert out.outcome == "wrong_direction"
 
     def test_tag_is_checked_before_direction(self):
         out = self._decode(bytes(32), 1, (MsgType.STATE_SYNC,))
-        assert out.kind is ChannelErrorKind.AUTH_FAIL
+        assert out.outcome == "auth_fail"
 
 
 HEADER_NAMES = {"HEADER_STRUCT", "MAGIC", "VERSION", "HEADER_LEN"}

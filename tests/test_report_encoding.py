@@ -34,6 +34,7 @@ from conftest import (
     v3_report,
 )
 from twinsync.cli import EXIT_OK, main
+from twinsync.detector import OUTCOME_EVENT_KIND
 from twinsync.frames import Frame, ReplayWindow, decode_frame
 from twinsync.machine import machine_from_dict
 from twinsync.netsim import Direction
@@ -569,3 +570,11 @@ def test_schema_rejects_a_second_spelling_of_a_fact(respell):
     respell(doc)
     with pytest.raises(jsonschema.ValidationError):
         REPORT_VALIDATOR.validate(doc)
+
+
+def test_the_schema_names_each_refusal_the_detector_maps():
+    """A refused delivery's outcome is one of the detector's outcome table's
+    keys, so every run checked against the schema also checks that each
+    refusal it writes has an event kind."""
+    refusals = REPORT_VALIDATOR.schema["$defs"]["refusal"]["enum"]
+    assert sorted(refusals) == sorted(OUTCOME_EVENT_KIND)

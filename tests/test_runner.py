@@ -20,8 +20,6 @@ from twinsync.adversary import AttackAction, AttackKind
 from twinsync.detector import Detector
 from twinsync.frames import (
     HEADER_STRUCT,
-    ChannelError,
-    ChannelErrorKind,
     Frame,
     TAG_LEN,
     MsgType,
@@ -35,7 +33,7 @@ from twinsync.frames import (
 )
 from twinsync.netsim import Direction
 from twinsync.runner import PHYSICAL_SENDER_ID, VIRTUAL_SENDER_ID, run_scenario
-from twinsync.sync import CommandRecord, DeltaRecord
+from twinsync.sync import CommandRecord, DeltaRecord, Refusal
 from twinsync.scenario import (
     DEFAULT_KEYS,
     load_bundled_scenario,
@@ -294,7 +292,7 @@ class TestSummarize:
         events = [
             *detector.on_slot_boundary(6),  # the DELETE's emission 4, overdue at 4 + 1 + 1
             detector.on_channel_error(
-                ChannelError(ChannelErrorKind.AUTH_FAIL, "bad tag"), 20, Direction.PHYS_TO_VIRT
+                Refusal("auth_fail", {"reason": "bad tag"}), 20, Direction.PHYS_TO_VIRT
             ),
             *detector.on_slot_boundary(30),  # emission 28, sent and not dropped
             *detector.on_slot_boundary(35),  # emission 33, dropped
@@ -458,37 +456,63 @@ def test_a_key_holders_state_sync_is_refolded_and_refused(heats_per_slot, record
     assert replica_trace(report) == replica_trace(key_holder_run(heats_per_slot))
 
 
+FUTURE_FRAMES = {
+    "state_sync": (P2V, MsgType.STATE_SYNC, encode_delta_payload(DeltaRecord(0, 0, (), 1000))),
+    "command": (V2P, MsgType.COMMAND, encode_command_payload(CommandRecord((HEAT,), 0))),
+}
+
+
 @pytest.mark.parametrize(
-    "link, msg_type, payload",
+    "link, msg_type, payload, period, stamped, inserted",
     [
-        (P2V, MsgType.STATE_SYNC, encode_delta_payload(DeltaRecord(0, 0, (), 1000))),
-        (V2P, MsgType.COMMAND, encode_command_payload(CommandRecord((HEAT,), 0))),
+        pytest.param(*frame, period, stamped, inserted, id=name + suffix)
+        for suffix, period, stamped, inserted in [
+            ("", 1, 1000, 5),
+            ("-period2", 2, 5, 6),
+            ("-period3", 3, 5, 6),
+        ]
+        for name, frame in FUTURE_FRAMES.items()
     ],
-    ids=["state_sync", "command"],
 )
-def test_a_key_holders_frame_from_the_future_cannot_lock_its_link(link, msg_type, payload):
-    """A validly tagged frame stamped slot 1000, put in at slot 5 of a
-    20-slot run, is refused as from the future without moving the window,
-    so every honest frame after it is still accepted: one FORGED_INSERT in
-    the INSERT's window, and the run passes."""
+def test_a_key_holders_frame_from_the_future_cannot_lock_its_link(
+    link, msg_type, payload, period, stamped, inserted
+):
+    """A validly tagged frame stamped later than the newest boundary an
+    honest frame can carry, put in at a slot of a 20-slot run, is refused as
+    from the future without moving the window, so every honest frame after
+    it is still accepted: one FORGED_INSERT in the INSERT's window, and the
+    run passes.  Above period 1 a slot between two boundaries is from the
+    future too: at period 2, slot 5 arriving at slot 6 is later than
+    boundary 4, the newest at or before the arrival slot minus the latency."""
     direction = Direction(link)
     sender = PHYSICAL_SENDER_ID if direction is Direction.PHYS_TO_VIRT else VIRTUAL_SENDER_ID
-    forged = encode_frame(Frame(msg_type, sender, 1, 1000, payload), DEFAULT_KEYS[direction])
+    forged = encode_frame(Frame(msg_type, sender, 1, stamped, payload), DEFAULT_KEYS[direction])
     doc = {
         "machine": "kettle",
         "total_slots": 20,
+        "sync_period_slots": period,
         "operator_inputs_physical": [[slot, HEAT] for slot in range(1, 5)],
         "attacks": [
-            {"kind": "INSERT", "slot": 5, "direction": link, "params": {"raw_hex": forged.hex()}}
+            {
+                "kind": "INSERT",
+                "slot": inserted,
+                "direction": link,
+                "params": {"raw_hex": forged.hex()},
+            }
         ],
     }
     report = run_scenario(scenario_from_dict(doc))
-    assert outcomes(report.slots[5], link) == ["accepted", "future"]
+
+    def honest(slot: int) -> list[str]:
+        """An honest frame arrives one slot after each boundary, and is accepted."""
+        return ["accepted"] if (slot - 1) % period == 0 else []
+
+    assert outcomes(report.slots[inserted], link) == honest(inserted) + ["future"]
     (event,) = report.detection_events
-    assert (event["kind"], event["slot"], event["direction"]) == ("FORGED_INSERT", 5, link)
-    assert event["detail"]["claimed_slot"] == 1000
+    assert (event["kind"], event["slot"], event["direction"]) == ("FORGED_INSERT", inserted, link)
+    assert event["detail"]["claimed_slot"] == stamped
     assert report.summary["verdict"] == "pass"
-    assert all(outcomes(row, link) == ["accepted"] for row in report.slots[6:])
+    assert all(outcomes(row, link) == honest(row["slot"]) for row in report.slots[inserted + 1 :])
 
 
 @settings(max_examples=40, deadline=None)

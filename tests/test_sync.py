@@ -9,10 +9,8 @@ from conftest import COOL, HEAT, IDLE
 from twinsync.sync import (
     CommandRecord,
     DeltaRecord,
-    MismatchError,
-    MismatchKind,
     PhysicalTwin,
-    Reject,
+    Refusal,
     VirtualTwin,
     command_inputs,
     fold_key_state,
@@ -60,14 +58,14 @@ class TestVerifyDelta:
 
     def test_base_mismatch(self, kettle):
         err = VirtualTwin(kettle).apply_sync(DeltaRecord(100, 100, (IDLE,), slot=5))
-        assert isinstance(err, MismatchError)
-        assert err.kind is MismatchKind.BASE_MISMATCH
-        assert (err.expected, err.got) == (0, 100)
+        assert err.outcome == "state_mismatch"
+        assert err.detail["mismatch"] == "base_mismatch"
+        assert (err.detail["expected"], err.detail["got"]) == (0, 100)
 
     def test_unreachable_result(self, kettle):
         err = VirtualTwin(kettle).apply_sync(DeltaRecord(0, 100, (HEAT,), slot=1))
-        assert isinstance(err, MismatchError)
-        assert err.kind is MismatchKind.UNREACHABLE_RESULT
+        assert err.outcome == "state_mismatch"
+        assert err.detail["mismatch"] == "unreachable_result"
 
     def test_liveness_record_verifies(self, kettle):
         twin = VirtualTwin(kettle)
@@ -76,8 +74,8 @@ class TestVerifyDelta:
 
     def test_undeclared_input_is_unreachable(self, kettle):
         err = VirtualTwin(kettle).apply_sync(DeltaRecord(0, 0, (77,), slot=1))
-        assert isinstance(err, MismatchError)
-        assert err.kind is MismatchKind.UNREACHABLE_RESULT
+        assert err.outcome == "state_mismatch"
+        assert err.detail["mismatch"] == "unreachable_result"
 
     def test_exhaustive_small_machine(self, four_state_machines):
         """A record is accepted exactly when its base is held and the fold confirms
@@ -93,9 +91,9 @@ class TestVerifyDelta:
         def rejected(twin, delta, kind):
             before = replica_state(twin)
             err = twin.apply_sync(delta)
-            assert err.kind is kind
+            assert (err.outcome, err.detail["mismatch"]) == ("state_mismatch", kind)
             assert replica_state(twin) == before
-            kinds.add(err.kind)
+            kinds.add(kind)
             return err
 
         for held, key, length in product(sorted(machine.states), [0, 2], range(4)):
@@ -106,21 +104,21 @@ class TestVerifyDelta:
                     twin = replica(machine, key, held, slot=1)
                     delta = DeltaRecord(base, claim, inputs, slot=1)
                     if base != held:
-                        rejected(twin, delta, MismatchKind.BASE_MISMATCH)
+                        rejected(twin, delta, "base_mismatch")
                     elif claim == last_key or (last_key is None and claim == key):
                         assert twin.apply_sync(delta) is None
                         after = {**held_before, end: held_before.get(end, set()) | {claim}}
                         assert replica_state(twin) == (claim, 1, 2, after)
                     else:
-                        rejected(twin, delta, MismatchKind.UNREACHABLE_RESULT)
+                        rejected(twin, delta, "unreachable_result")
                     checked += 1
             twin = replica(machine, key, held, slot=1)
-            rejected(twin, DeltaRecord(held, key, (), slot=0), MismatchKind.REPLAYED_BASE)
+            rejected(twin, DeltaRecord(held, key, (), slot=0), "replayed_base")
             unfoldable = DeltaRecord(held, key, (undeclared,), slot=1)
-            err = rejected(twin, unfoldable, MismatchKind.UNREACHABLE_RESULT)
-            assert err.reason.startswith("fold failed")
+            err = rejected(twin, unfoldable, "unreachable_result")
+            assert err.detail["reason"].startswith("fold failed")
         assert checked == 4 * 2 * 4 * (1 + 2 + 4 + 8) * 4
-        assert kinds == set(MismatchKind)
+        assert kinds == {"base_mismatch", "replayed_base", "unreachable_result"}
 
     def test_base_held_from_an_earlier_emission_verifies(self, kettle):
         """A record re-covering inputs the replica already folded still verifies."""
@@ -137,8 +135,8 @@ class TestVerifyDelta:
         twin = VirtualTwin(kettle)
         assert twin.apply_sync(DeltaRecord(0, 0, (HEAT,), 1)) is None
         err = twin.apply_sync(DeltaRecord(50, 0, (), 2))
-        assert err.kind is MismatchKind.BASE_MISMATCH
-        assert (err.expected, err.got) == (0, 50)
+        assert err.detail["mismatch"] == "base_mismatch"
+        assert (err.detail["expected"], err.detail["got"]) == (0, 50)
 
 
 class TestApplyDelta:
@@ -152,15 +150,15 @@ class TestApplyDelta:
     def test_error_leaves_replica_unchanged(self, kettle):
         twin = replica(kettle, 0, 0, slot=2)
         before = replica_state(twin)
-        assert isinstance(twin.apply_sync(DeltaRecord(100, 100, (), slot=3)), MismatchError)
+        assert twin.apply_sync(DeltaRecord(100, 100, (), slot=3)).outcome == "state_mismatch"
         assert replica_state(twin) == before
 
     def test_stale_slot_rejected_before_content(self, kettle):
         twin = replica(kettle, 100, 100, slot=8)
         out = twin.apply_sync(DeltaRecord(100, 100, (), slot=5))
-        assert isinstance(out, MismatchError)
-        assert out.kind is MismatchKind.REPLAYED_BASE
-        assert (out.expected, out.got) == (8, 5)
+        assert out.outcome == "state_mismatch"
+        assert out.detail["mismatch"] == "replayed_base"
+        assert (out.detail["expected"], out.detail["got"]) == (8, 5)
 
     def test_equal_slot_heartbeat_is_accepted(self, kettle):
         twin = replica(kettle, 100, 100, slot=8)
@@ -171,11 +169,11 @@ class TestApplyDelta:
 class TestReconcile:
     def test_accepts_known_inputs(self, kettle):
         cmd = CommandRecord(inputs=(HEAT, IDLE), acked=3)
-        assert reconcile(cmd, kettle) == (HEAT, IDLE)
+        assert reconcile(cmd, kettle) is None
 
     def test_rejects_unknown_input(self, kettle):
         out = reconcile(CommandRecord(inputs=(HEAT, 99), acked=3), kettle)
-        assert out == Reject(reason="unknown_input", detail=99)
+        assert out == Refusal("command_rejected", {"reason": "unknown_input", "input": 99})
 
 
 class TestPhysicalTwin:
@@ -352,7 +350,7 @@ class TestVirtualTwin:
     def test_apply_sync_rejects_without_side_effects(self, kettle):
         twin = VirtualTwin(kettle)
         err = twin.apply_sync(DeltaRecord(100, 100, (), slot=4))
-        assert isinstance(err, MismatchError)
+        assert err.outcome == "state_mismatch"
         assert twin.acked == 0
         assert twin.last_synced_key == 0
 
