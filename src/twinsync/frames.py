@@ -1,22 +1,25 @@
 """Authenticated wire format for twin synchronization traffic.
 
-Frame layout, wire version 2, all integers big-endian:
+Frame layout, wire version 3, all integers big-endian:
 
     [0..2)    magic 0x44 0x54
-    [2]       version (2)
+    [2]       version (3)
     [3]       msg_type: 1 STATE_SYNC, 2 COMMAND, 3 ACK
     [4..8)    sender_id  u32
     [8..16)   session_id u64
     [16..24)  slot       u64, the sender's emission slot
     [24..26)  payload_len u16
     [26..26+L)    payload
-    [26+L..58+L)  tag = HMAC-SHA-256(key, bytes[0 .. 26+L))
+    [26+L..58+L)  tag = BLAKE2s-256 keyed with key, of bytes[0 .. 26+L)
 
 This module is the only one that packs or reads a header, and `frame_body`
 is the one place a header is packed: `encode_frame` tags what it returns,
 the adversary's forgeries append a random tag to it, and `splice_payload`
 keeps a captured header's bytes and rewrites only its length.  The tag
-covers header and payload, so the shortest valid frame is 58 bytes.
+covers header and payload, so the shortest valid frame is 58 bytes.  Keyed
+BLAKE2s (RFC 7693 section 2.5) is a MAC by construction, one hash pass where
+HMAC takes two; a key longer than its 32-byte maximum is hashed first, as
+RFC 2104 hashes a key longer than its block.
 decode_frame decides whether a link accepts a frame, with its checks in this
 order: length, tag, structure, the link's sender id and message types,
 timing, and last the replay window; a frame that fails one comes back as a
@@ -45,7 +48,7 @@ from enum import IntEnum
 from .sync import CommandRecord, DeltaRecord, Refusal
 
 MAGIC = b"\x44\x54"
-VERSION = 2
+VERSION = 3
 HEADER_STRUCT = struct.Struct(">2sBBIQQH")
 HEADER_LEN = HEADER_STRUCT.size
 TAG_LEN = 32
@@ -96,19 +99,17 @@ class ReplayWindow:
 
 
 @functools.lru_cache(maxsize=32)
-def _pads(key: bytes) -> tuple:
-    """SHA-256 states after K' ^ ipad and K' ^ opad (RFC 2104 section 4); shared, so copied."""
-    key = (hashlib.sha256(key).digest() if len(key) > 64 else key).ljust(64, b"\x00")
-    return tuple(hashlib.sha256(bytes([b ^ pad for b in key])) for pad in (0x36, 0x5C))
+def _keyed(key: bytes):
+    """BLAKE2s-256 keyed with `key` (RFC 7693 section 2.5), or with its BLAKE2s-256
+    digest if it is longer than 32 bytes; shared, so copied."""
+    return hashlib.blake2s(key=key if len(key) <= 32 else hashlib.blake2s(key).digest())
 
 
 def _tag(key: bytes, body: bytes) -> bytes:
-    """HMAC-SHA-256 of `body`, resumed from copies of the key's cached pad states."""
-    ipad, opad = _pads(key)
-    inner, outer = ipad.copy(), opad.copy()
-    inner.update(body)
-    outer.update(inner.digest())
-    return outer.digest()
+    """Keyed BLAKE2s-256 of `body`, resumed from a copy of the key's cached state."""
+    state = _keyed(key).copy()
+    state.update(body)
+    return state.digest()
 
 
 def frame_body(frame: Frame) -> bytes:
@@ -176,8 +177,9 @@ def decode_frame(
         # a shared key, and must not move this link's window.
         outcome, reason = "wrong_direction", "wrong direction"
     elif slot > newest:
-        outcome = "future"
-        reason = f"slot {slot} later than {newest}, the arrival slot minus latency"
+        outcome, reason = "future", (
+            f"slot {slot} later than {newest}, the newest sync boundary an honest frame can carry"
+        )
     elif (session_id, slot) <= (window.session, window.highest):
         outcome = "replay"
         reason = f"(session, slot) {session_id, slot} not after {window.session, window.highest}"

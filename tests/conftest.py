@@ -1,12 +1,12 @@
-"""Shared fixtures: reference machines and an independent HMAC oracle."""
+"""Shared fixtures: reference machines and an independent BLAKE2s oracle."""
 
 from __future__ import annotations
 
 import base64
-import hashlib
 import importlib
 import json
 import re
+import struct
 import sys
 from importlib import resources
 from pathlib import Path
@@ -193,12 +193,76 @@ def four_state_machines() -> list[TwinMachine]:
     return [ring, ladder, stride]
 
 
-def manual_hmac_sha256(key: bytes, msg: bytes) -> bytes:
-    """RFC 2104 construction built by hand; the reference the encoder is diffed against."""
-    block = 64
-    if len(key) > block:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(block, b"\x00")
-    ipad = bytes(b ^ 0x36 for b in key)
-    opad = bytes(b ^ 0x5C for b in key)
-    return hashlib.sha256(opad + hashlib.sha256(ipad + msg).digest()).digest()
+# RFC 7693 section 2.6: SHA-256's initial value.
+BLAKE2S_IV = (
+    0x6A09E667, 0xBB67AE85, 0x3C6EF372, 0xA54FF53A,
+    0x510E527F, 0x9B05688C, 0x1F83D9AB, 0x5BE0CD19,
+)
+# RFC 7693 section 2.7: the message word schedule of each of the 10 rounds.
+BLAKE2S_SIGMA = (
+    (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+    (14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3),
+    (11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4),
+    (7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8),
+    (9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13),
+    (2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9),
+    (12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11),
+    (13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10),
+    (6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5),
+    (10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0),
+)
+# RFC 7693 section 3.2: G mixes the work vector's four columns, then its four diagonals.
+BLAKE2S_MIX = (
+    (0, 4, 8, 12), (1, 5, 9, 13), (2, 6, 10, 14), (3, 7, 11, 15),
+    (0, 5, 10, 15), (1, 6, 11, 12), (2, 7, 8, 13), (3, 4, 9, 14),
+)
+MASK32 = 0xFFFF_FFFF
+
+
+def _rotr(x: int, n: int) -> int:
+    return (x >> n | x << (32 - n)) & MASK32
+
+
+def _compress(h: list[int], block: bytes, t: int, last: bool) -> None:
+    """RFC 7693 section 3.2, function F: mix one 64-byte block into `h`."""
+    m = struct.unpack("<16I", block)
+    v = h + list(BLAKE2S_IV)
+    v[12] ^= t & MASK32
+    v[13] ^= t >> 32
+    if last:
+        v[14] ^= MASK32
+    for s in BLAKE2S_SIGMA:
+        for i, (a, b, c, d) in enumerate(BLAKE2S_MIX):
+            # Section 3.1, function G, with BLAKE2s's rotations 16, 12, 8 and 7.
+            x, y = m[s[2 * i]], m[s[2 * i + 1]]
+            v[a] = (v[a] + v[b] + x) & MASK32
+            v[d] = _rotr(v[d] ^ v[a], 16)
+            v[c] = (v[c] + v[d]) & MASK32
+            v[b] = _rotr(v[b] ^ v[c], 12)
+            v[a] = (v[a] + v[b] + y) & MASK32
+            v[d] = _rotr(v[d] ^ v[a], 8)
+            v[c] = (v[c] + v[d]) & MASK32
+            v[b] = _rotr(v[b] ^ v[c], 7)
+    for i in range(8):
+        h[i] ^= v[i] ^ v[i + 8]
+
+
+def manual_blake2s(data: bytes, key: bytes = b"", digest_size: int = 32) -> bytes:
+    """BLAKE2s built by hand from RFC 7693 section 3.3, without hashlib: the
+    reference the frame tag is diffed against."""
+    assert 1 <= digest_size <= 32 and len(key) <= 32
+    h = list(BLAKE2S_IV)
+    h[0] ^= 0x0101_0000 ^ len(key) << 8 ^ digest_size
+    # A key is padded to one block of its own, ahead of the data.
+    message = (key.ljust(64, b"\x00") if key else b"") + data
+    blocks = [message[i : i + 64] for i in range(0, len(message), 64)] or [b""]
+    for i, block in enumerate(blocks[:-1]):
+        _compress(h, block, 64 * (i + 1), last=False)
+    _compress(h, blocks[-1].ljust(64, b"\x00"), len(message), last=True)
+    return struct.pack("<8I", *h)[:digest_size]
+
+
+def manual_tag(key: bytes, body: bytes) -> bytes:
+    """A frame's tag by the reference: BLAKE2s-256 keyed with `key`, or with
+    the key's unkeyed BLAKE2s-256 digest when it is longer than 32 bytes."""
+    return manual_blake2s(body, key if len(key) <= 32 else manual_blake2s(key))

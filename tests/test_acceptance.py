@@ -8,7 +8,7 @@ Six criteria, each printed as one PASS/FAIL line:
     4  exhaustive bit-flip and duplicate-delivery completeness
     5  forgery fuzzing: 10,000 unauthenticated frames, zero accepted
     6  byte-identical reports across processes, golden vectors vs an
-       independent HMAC construction
+       independent BLAKE2s
 """
 
 import functools
@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from conftest import manual_hmac_sha256
+from tests.conftest import manual_tag
 from twinsync.adversary import forge_frame_bytes
 from twinsync.frames import (
     Frame,
@@ -305,7 +305,7 @@ def test_acceptance_6_determinism_and_golden_vectors(tmp_path):
 
     for vector, data in zip(GOLDEN_VECTORS, golden_frame_bytes()):
         body, tag = data[:-32], data[-32:]
-        assert tag == manual_hmac_sha256(vector.key, body), vector.description
+        assert tag == manual_tag(vector.key, body), vector.description
     assert verify_golden_vectors(str(fixture_path("golden_frames.hex"))) == 3
     assert len(GOLDEN_VECTORS) == 3
     return "2 scenarios byte-identical across processes, 3 golden frames re-derived"

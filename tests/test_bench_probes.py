@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import import_bench_module
+from tests.conftest import import_bench_module
 from twinsync.scenario import load_bundled_scenario
 
 MODULES = ("scenario", "runner", "oracle", "sync", "frames", "netsim", "adversary", "detector")

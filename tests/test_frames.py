@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import manual_hmac_sha256
+from tests.conftest import manual_blake2s, manual_tag
 import twinsync
 from twinsync import frames
 from twinsync.frames import (
@@ -39,61 +39,74 @@ from twinsync.vectors import GOLDEN_VECTORS, golden_frame_bytes
 
 ANY_SLOT = U64_MAX  # as the newest arrivable slot, no frame is from the future
 
-# Frozen canonical encodings. Computed once with an independent HMAC
-# construction (see manual_hmac_sha256) and pinned; the encoder must
-# reproduce them byte for byte forever.  Wire version 2 re-pinned them once,
-# when the header lost its u64 seq.
+# Frozen canonical encodings. Computed once with an independent BLAKE2s
+# (see manual_blake2s) and pinned; the encoder must reproduce them byte for
+# byte forever.  Wire version 2 re-pinned them once, when the header lost its
+# u64 seq, and wire version 3 once more, when keyed BLAKE2s-256 replaced
+# HMAC-SHA-256 as the tag.
 GOLDEN_HEX = (
-    "445402000000000000000000000000000000000000000000000046356c6f1ec4"
-    "d2ce629485fc1428dbbc991d54a8f401ae24f7d2bf12800680ec",
-    "445402010000000100000000000000010000000000000004001a000000000000"
-    "006400040000000100000001000000010000000100344933fdd7a733a18345d5"
-    "7407ad1097bff89ff7df3c059236b7d975e25957",
-    "4454020200000002000000000000000100000000000000090012000200000001"
-    "00000002000000000000000918e4d890f79ee4e1836d49618c5c366c04602ac6"
-    "3a1fa0e42f2d0b05db29ef56",
+    "44540300000000000000000000000000000000000000000000007d824efc324a"
+    "4db13bdd053ab69cdad3c7cfa25aa48e00db6beb7b33b84436d4",
+    "445403010000000100000000000000010000000000000004001a000000000000"
+    "00640004000000010000000100000001000000010d5e925e094d583c111c8372"
+    "1ab7f4e56fecfc15e188f705a291c0028ee18d57",
+    "4454030200000002000000000000000100000000000000090012000200000001"
+    "00000002000000000000000985cc1da01c9281b85d916639fd6fa3110e9032f9"
+    "39f16b7d732e38a3df2fc0ee",
 )
 
 
-class TestHmacReference:
-    """The independent tag construction agrees with published HMAC-SHA-256 vectors."""
+def rfc7693_selftest_seq(length: int, seed: int) -> bytes:
+    """RFC 7693 Appendix E's deterministic byte sequence (a Fibonacci generator)."""
+    a, b, out = 0xDEAD4BAD * seed & 0xFFFF_FFFF, 1, bytearray()
+    for _ in range(length):
+        a, b = b, (a + b) & 0xFFFF_FFFF
+        out.append(b >> 24)
+    return bytes(out)
 
-    def test_rfc4231_case_1(self):
-        tag = manual_hmac_sha256(b"\x0b" * 20, b"Hi There")
-        assert tag.hex() == (
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
+
+class TestBlake2sReference:
+    """The independent BLAKE2s agrees with RFC 7693's published values."""
+
+    def test_empty_message(self):
+        assert manual_blake2s(b"").hex() == (
+            "69217a3079908094e11121d042354a7c1f55b6482ca1a51e1b250dfd1ed0eef9"
         )
 
-    def test_rfc4231_case_2(self):
-        tag = manual_hmac_sha256(b"Jefe", b"what do ya want for nothing?")
-        assert tag.hex() == (
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+    def test_abc(self):
+        """RFC 7693 Appendix B."""
+        assert manual_blake2s(b"abc").hex() == (
+            "508c5e8c327c14e2e1a72ba34eeb452f37458b209ed63a294d999b4c86675982"
         )
 
-    def test_long_key_is_hashed_first(self):
-        tag = manual_hmac_sha256(b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First")
-        assert tag.hex() == (
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
+    def test_appendix_e_self_test(self):
+        """The grand hash over unkeyed and keyed digests of 16, 20, 28 and 32
+        bytes, each keyed with a key of its digest's length, of inputs from
+        empty to 1,024 bytes: one block, two, and partial last blocks."""
+        outputs = b""
+        for digest_size in (16, 20, 28, 32):
+            key = rfc7693_selftest_seq(digest_size, digest_size)
+            for length in (0, 3, 64, 65, 255, 1024):
+                data = rfc7693_selftest_seq(length, length)
+                outputs += manual_blake2s(data, digest_size=digest_size)
+                outputs += manual_blake2s(data, key, digest_size)
+        assert manual_blake2s(outputs).hex() == (
+            "6a411f08ce25adcdfb02aba641451cec53c598b24f4fc787fbdc88797f4c1dfe"
         )
-
-
-RFC4231_CASES = [
-    (b"\x0b" * 20, b"Hi There"),
-    (b"Jefe", b"what do ya want for nothing?"),
-    (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First"),
-]
 
 
 class TestTag:
-    """frames._tag, resumed from cached pad states, is HMAC-SHA-256."""
+    """frames._tag, resumed from a cached keyed state, is keyed BLAKE2s-256."""
 
-    @pytest.mark.parametrize("key, msg", RFC4231_CASES)
-    def test_rfc4231_cases(self, key, msg):
-        assert frames._tag(key, msg) == manual_hmac_sha256(key, msg)
+    def test_a_key_longer_than_32_bytes_is_hashed_first(self):
+        for key in (bytes(range(33)), b"\xaa" * 100):
+            body = b"a body the long key tags"
+            assert frames._tag(key, body) == manual_blake2s(body, manual_blake2s(key))
+            assert frames._tag(key, body) != frames._tag(key[:32], body)
 
     @given(
         keys=st.lists(
-            (st.sampled_from([63, 64, 65]) | st.integers(min_value=1, max_value=200)).flatmap(
+            (st.sampled_from([31, 32, 33]) | st.integers(min_value=1, max_value=100)).flatmap(
                 lambda n: st.binary(min_size=n, max_size=n)
             ),
             min_size=2,
@@ -106,7 +119,7 @@ class TestTag:
         """Each key is used at least twice, so a cached state updated in place shows."""
         for i, body in enumerate(bodies):
             key = keys[i % 2]
-            assert frames._tag(key, body) == manual_hmac_sha256(key, body)
+            assert frames._tag(key, body) == manual_tag(key, body)
 
 
 class TestGoldenVectors:
@@ -116,7 +129,23 @@ class TestGoldenVectors:
     def test_tags_match_independent_construction(self):
         for vector, data in zip(GOLDEN_VECTORS, golden_frame_bytes()):
             body, tag = data[:-32], data[-32:]
-            assert tag == manual_hmac_sha256(vector.key, body)
+            assert tag == manual_tag(vector.key, body)
+
+    def test_a_version_2_frame_fails_authentication(self):
+        """Vector 2 as wire version 2 sent it, tagged with HMAC-SHA-256 under
+        the same key: its tag is checked first, so it is refused as not
+        authentic, not as a frame of an unsupported version."""
+        data = bytes.fromhex(
+            "445402010000000100000000000000010000000000000004001a000000000000"
+            "006400040000000100000001000000010000000100344933fdd7a733a18345d5"
+            "7407ad1097bff89ff7df3c059236b7d975e25957"
+        )
+        key = GOLDEN_VECTORS[1].key
+        out = decode_frame(data, key, ReplayWindow(), 1, (MsgType.STATE_SYNC,), ANY_SLOT)
+        assert isinstance(out, Refusal)
+        assert (out.outcome, out.detail["reason"]) == ("auth_fail", "tag mismatch")
+        current = golden_frame_bytes()[1]
+        assert data[:-32] == current[:2] + b"\x02" + current[3:-32]
 
     def test_minimum_frame_is_58_bytes(self):
         assert MIN_FRAME_LEN == 58
@@ -211,24 +240,25 @@ class TestDecode:
 
     def test_authentic_bad_magic_is_malformed(self):
         body = HEADER_STRUCT.pack(b"XX", VERSION, 1, 1, 1, 4, 0)
-        data = body + manual_hmac_sha256(self.key, body)
+        data = body + manual_tag(self.key, body)
         out = self._decode(data)
         assert isinstance(out, Refusal)
         assert out.outcome == "malformed"
         assert out.detail["reason"] == "bad magic"
 
     def test_authentic_bad_version_is_malformed(self):
-        """Version 1, whose header still carried a seq, is no longer accepted."""
-        body = HEADER_STRUCT.pack(MAGIC, 1, 1, 1, 1, 4, 0)
-        data = body + manual_hmac_sha256(self.key, body)
-        out = self._decode(data)
-        assert isinstance(out, Refusal)
-        assert out.outcome == "malformed"
-        assert "version" in out.detail["reason"]
+        """Version 1, whose header still carried a seq, and version 2, tagged
+        with HMAC-SHA-256, are no longer accepted."""
+        for version in (1, 2):
+            body = HEADER_STRUCT.pack(MAGIC, version, 1, 1, 1, 4, 0)
+            out = self._decode(body + manual_tag(self.key, body))
+            assert isinstance(out, Refusal)
+            assert out.outcome == "malformed"
+            assert out.detail["reason"] == f"unsupported version {version}"
 
     def test_authentic_length_field_mismatch_is_malformed(self):
         body = HEADER_STRUCT.pack(MAGIC, VERSION, 1, 1, 1, 4, 5) + b"abc"
-        data = body + manual_hmac_sha256(self.key, body)
+        data = body + manual_tag(self.key, body)
         out = self._decode(data)
         assert isinstance(out, Refusal)
         assert out.outcome == "malformed"
@@ -312,13 +342,15 @@ class TestReplayProtection:
         assert isinstance(self._decode(self._frame(slot=3)), Frame)
 
     def test_a_frame_from_the_future_is_refused(self):
-        """A slot later than the arrival slot minus the latency is no honest
-        sender's; it is refused without moving the window, so the frames
-        that follow it are still accepted."""
+        """A slot later than the newest sync boundary an honest frame can
+        carry is no honest sender's; it is refused without moving the window,
+        so the frames that follow it are still accepted."""
         out = self._decode(self._frame(slot=1000), newest=4)
         assert isinstance(out, Refusal)
         assert (out.outcome, out.detail["claimed_slot"]) == ("future", 1000)
-        assert out.detail["reason"] == "slot 1000 later than 4, the arrival slot minus latency"
+        assert out.detail["reason"] == (
+            "slot 1000 later than 4, the newest sync boundary an honest frame can carry"
+        )
         assert (self.window.session, self.window.highest) == (0, -1)
         assert isinstance(self._decode(self._frame(slot=4), newest=4), Frame)
         assert self._decode(self._frame(slot=5), newest=4).outcome == "future"
@@ -422,7 +454,7 @@ def test_splice_keeps_the_header_bytes_and_declares_the_new_length():
 
 
 def test_each_frame_is_tagged_once_through_frames_tag(monkeypatch):
-    """The bench times HMAC by rebinding frames._tag; every tag must go through it."""
+    """The bench times the tag by rebinding frames._tag; every tag must go through it."""
     real, calls = frames._tag, []
 
     def counting(key: bytes, body: bytes) -> bytes:
@@ -441,7 +473,13 @@ def test_each_frame_is_tagged_once_through_frames_tag(monkeypatch):
     assert calls == [len(data) - 32, MIN_FRAME_LEN - 32, len(data) - 32, len(data) - 32]
 
 
-HASH_CALLS = {("hmac", "new"), ("hmac", "digest"), ("hashlib", "sha256"), ("hashlib", "new")}
+HASH_CALLS = {
+    ("hmac", "new"),
+    ("hmac", "digest"),
+    ("hashlib", "sha256"),
+    ("hashlib", "new"),
+    ("hashlib", "blake2s"),
+}
 
 
 def test_only_tag_and_its_key_cache_hash():
@@ -459,7 +497,7 @@ def test_only_tag_and_its_key_cache_hash():
                 and (node.value.id, node.attr) in HASH_CALLS
             ):
                 found.append((owner, f"{node.value.id}.{node.attr}"))
-    assert found and {owner for owner, _ in found} <= {"_tag", "_pads"}, found
+    assert found and {owner for owner, _ in found} <= {"_tag", "_keyed"}, found
 
 
 class TestPayloadCodecs:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import COOL, HEAT, IDLE
+from tests.conftest import COOL, HEAT, IDLE
 from twinsync.machine import (
     ExecutionLog,
     LogContiguityError,

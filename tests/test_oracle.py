@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from conftest import HEAT, IDLE
+from tests.conftest import HEAT, IDLE
 from twinsync.oracle import (
     Divergence,
     build_schedule_scenario,

@@ -27,7 +27,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPORT_VALIDATOR
+from tests.conftest import REPORT_VALIDATOR
 from twinsync.frames import HEADER_LEN, TAG_LEN, decode_delta_payload
 from twinsync.machine import step
 from twinsync.netsim import Direction

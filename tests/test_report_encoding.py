@@ -24,7 +24,7 @@ import tracemalloc
 import jsonschema
 import pytest
 
-from conftest import (
+from tests.conftest import (
     IDLE,
     REPORT_VALIDATOR,
     heat_once_then_idle,
@@ -273,44 +273,46 @@ def test_bench_workload_reports_match_stdlib(workload):
 # for an acknowledged seq changed the frames of `fig4_walkthrough` and of
 # every pinned run below but the two `attack_matrix` ones, once more.  Wire
 # version 2, whose header has no seq, changed every frame and so every
-# digest in every table here once again.
+# digest in every table here once again.  Wire version 3, whose tag is keyed
+# BLAKE2s-256, changed every tag and so every digest here but those of
+# `PINNED_OUTSIDE_FRAMES`, which hold.
 PINNED_REPORTS = {
-    "fig4_walkthrough": "063ff0f78006f2040da06490d5358f3869852beeb1c830bb2ef138675cf080ab",
-    "attack_matrix": "a39608c8c4fc2ab613c6f575ed4c7bf1fdaa9512821ad1e59af9eb9d7cdbe494",
+    "fig4_walkthrough": "6947fbcee969b5302d3f717bd30314fc6d13bcf9c848a6a7015aad8f2632266e",
+    "attack_matrix": "90ecc0a586f546f6dfb22ca4bba57feaf0c935d9860a05797e94c1713f4e3a3c",
 }
 # SHA-256 of the same v1 projections, compact, sorted keys, one newline.
 PINNED_COMPACT_REPORTS = {
-    "fig4_walkthrough": "1c88f92ba09d4f4d29dc939408fe3c0dcbdc0dea54fe6e4d79f7ca74b5783b3a",
-    "attack_matrix": "d32f6d9be62b38840626df39ca6645376ca22cbc6cc92f419df9a6c76039cd5a",
+    "fig4_walkthrough": "c6ea50e8051b77783f2108b5454ae144042d91b86ec97ccea9cbce21b1c4f52a",
+    "attack_matrix": "fc5298944117aa54ad97de5aa8e83d4819051060d22a6eee3dc3161ec353a876",
 }
 # SHA-256 of the same reports as v2 wrote them, projected by `as_v2`.
 PINNED_V2_REPORTS = {
-    "fig4_walkthrough": "1aef6bd3fd4d338d781b5514b058b01eec98e6cc4851b4a94839b367aa78b6a4",
-    "attack_matrix": "e443736290f72e007aae2211bf2a2dedfbb9f45fa51609a605438bf97e0979ac",
+    "fig4_walkthrough": "8806eed191db62edd6b4ec4f20ddaf9c75ac3337267907dfa2054baf8d97c414",
+    "attack_matrix": "a360da20a7a5bb4e2e45774d19d5b7535696c86d1854a069862f6b38ad6870c1",
 }
 # SHA-256 of every pinned report as written (`twinsync.report.v4`): the two
 # bundled scenarios above, the four bench workloads and the two lossy runs
 # below, a workload's reports concatenated as its other digests are.
 PINNED_V4_REPORTS = {
-    "fig4_walkthrough": "b31327d3df6216f10ef27eb3cc8ecc324fe992cbbe4ba2fd0a871b8a3e312fe7",
-    "attack_matrix": "f36051f33e599e03566852f2d8b3e15e71a3d544839ccaf13b7eca8b3c975419",
-    "idle_at_key": "fe5d3f9c8b90d8890fb3f58c4e862e15ced22c44a50e58c728e3136f6ca17a3d",
-    "idle_between_keys": "7d759e63f8175b816cc0cf3604c24e0dfcdcb49415a1433196cb9f2f72922d51",
-    "attack_dense": "e0cbbf7e9178e69f8395ef7e5645ccd8e3fa4ad4474d11c21d2ce4c940ebe76f",
-    "oracle_sweep": "3b1a97560e3d6d3d87f9da3141cd01d9f44c525814d62d3ec11aacc9c2b2ee13",
-    "attack_matrix_loss_0.3": "283d171c79486d5cd6bd178cf6cf7ead3726a00b536100abcff0010ca5970b91",
-    "idle_between_keys_loss_0.1": "002eef1ae6e9d70c3ee3b44f7c20a5be701d9539f2bef49f9f7daaaf46109553",
+    "fig4_walkthrough": "3e54e49c41479b7735177ba993dde5e7378318a94e7bfb1215919da99d2e33cc",
+    "attack_matrix": "58de555b04720e69323ec6203f8f65da2fbb7021d5c1b35121b20527d464871b",
+    "idle_at_key": "6bed7c2b10411cdf43075be2784bfb8d1034c95c9d450d224ed462ca9f15b2c3",
+    "idle_between_keys": "11d120366a51bf564402f22bed29f58f75b51330aedff1bdfd091e1861ea7ba0",
+    "attack_dense": "0f3e06e49bcc9252ba32eb3a0fc1bffa8ebd001381bba645d47619deacf25f3f",
+    "oracle_sweep": "dd6fb0f5eab2d2b7c209a9b6f95fef3349211672542927269ac768bd6b656978",
+    "attack_matrix_loss_0.3": "eb51a637587fcb58b74d077d38c9c3dd13fbad3701ab9b1bc440974450cae67e",
+    "idle_between_keys_loss_0.1": "b4fcbd1c79091f5d92a515c3d061af7283642b58c003531d117ac75993404471",
 }
 # SHA-256 of the same reports as v3 wrote them, projected by `as_v3`.
 PINNED_V3_REPORTS = {
-    "fig4_walkthrough": "6d32362e7c9f9f19b938ee91756e4f7bccd1424e1fbcfe8e41aa48b99824c714",
-    "attack_matrix": "58f636e438df20bbffd4b48f8335937819754ac3a186455a3a7c6e136f0a42cb",
-    "idle_at_key": "fac45ced571a8ff8271b113ff48af6b4617ecaaf8744814521ae60d914385343",
-    "idle_between_keys": "b4518de700aa9966395f1b5faf7d2045cc93428d7d285126c5b0150cdd5bb4ef",
-    "attack_dense": "165b78569f0c1f0f2459a2a912dd2119694697c171bf0cf7c214f76b0d7fbd55",
-    "oracle_sweep": "33f087682ad608756a68ccd0a4664571581670b1f9c0fbe980b2f89e5d719d15",
-    "attack_matrix_loss_0.3": "d75aec63ce40db802145480010207b26b66ae30c004964fcbd0d9209106eb08f",
-    "idle_between_keys_loss_0.1": "75aa057283a0b8c9ac740e0831097123b465ece4cd5b0c7fddb57ec9ceffb86c",
+    "fig4_walkthrough": "2a67002d20b9cbd41cec4dad2cda7f654794c827a32e13936c6e456347ca9fc5",
+    "attack_matrix": "593fe6728fcf16e9a8eec985e740a576df646ade2f077fd0de6e30a59371a301",
+    "idle_at_key": "5890da15966da5c77870e6d021a12264d7fad1cdc1289acae59aff2d8ad2f947",
+    "idle_between_keys": "fcac0826fdbfd66e09c780d28829f42430aed364810dc952089339d91d8efc6b",
+    "attack_dense": "696a088f3399bff470522967fa801ec62228d9efd95e698f4de95e891290aed4",
+    "oracle_sweep": "c8b171e15cf50f85d662cf13735f7400fa4ea76a3e8c7d19a9c14e3db5ece4e3",
+    "attack_matrix_loss_0.3": "0800e13294905b90323182888d0ac2c803ba8ee5a0d3ac484c24790bed689bef",
+    "idle_between_keys_loss_0.1": "a6b5de3db478de8e6478ec8cb6858e1b3cbf2b2c78685696b2edfa1ba49d53a4",
 }
 # SHA-256 of every pinned report projected to v3, without its `frames`
 # table (`outside_frames`), taken before records stopped shipping
@@ -319,7 +321,7 @@ PINNED_V3_REPORTS = {
 # runs with attacks: their events lost `claimed_seq`, say 58 bytes for the
 # minimum length and a slot for the replay window, read `claimed_slot` at
 # its new offset, and raw INSERTs of 58-65 bytes became TAMPER.  The other
-# five held.
+# five held.  Wire version 3 changed only tags, and all eight held.
 PINNED_OUTSIDE_FRAMES = {
     "fig4_walkthrough": "5179ab397efce656465cdfa15492d03fe62b24dcab19e6692df5540d3afa3e6c",
     "attack_matrix": "7a1004499c13058fb9ef37c2ee90342272646fd7ce40d0cc0808f1d93d98148c",
@@ -370,22 +372,22 @@ def test_bundled_reports_do_not_depend_on_the_hash_seed():
 # the two bundled scenarios these cover lossy drops, template INSERTs,
 # payload splices and the oracle sweep.
 PINNED_WORKLOAD_REPORTS = {
-    "idle_at_key": "486672bc6dd246eaaab262a176a68ed662aed2cd55ed54b92b35ce8c55f25252",
-    "idle_between_keys": "01d8965d6c6ce957e08c782ba601bbd7a9b39f4669f245ad123de82b5aa036b0",
-    "attack_dense": "f9418688d34964519657bc6ecdd1cdab664c42d6ab9367781ab5f239e2915d5c",
-    "oracle_sweep": "4f6df05155ab9cab74b42f5fdf329cba9484de4027b3df694e3798d689e7021d",
+    "idle_at_key": "eeda6a39cea612a052d97b60b6b565e2e4a49a8dbe71defdeef124836de1c327",
+    "idle_between_keys": "1cdc278a88e7a1fbc41172ef3f07dafc65ad608a2fb76a7ab9146b949140cc56",
+    "attack_dense": "dff6ae982b3dfd659358dca5ba1271b5b024926efc7d4371c242216ee415dff6",
+    "oracle_sweep": "23edf9bf77d749647603c5d9ccaaf9cd367433f7b74f493812eb67151de75240",
 }
 PINNED_COMPACT_WORKLOAD_REPORTS = {
-    "idle_at_key": "01c05f6e007d1aa68a811db74dd7e5f75ce5c56424a0c57ec9c2c43ef059cb07",
-    "idle_between_keys": "382362cda9a1a2573e2544aa882368886147131bef344cf36deb9593e3fa4777",
-    "attack_dense": "fdcd37809d5e575c9ed751b28541630cc66b38f705d815e1fd198af9d26f1782",
-    "oracle_sweep": "4cea495b6ecba52ad45fb2d111433c656a50ba4589a471feb5e72d8ed22e6b88",
+    "idle_at_key": "4a3f0f903bbcff062080f24451f51b9581d193b0b69b4a8734bab814a4407b31",
+    "idle_between_keys": "284716145f9c5cca896ec999b64ec5526f3270a16fc45d744531ff132d2eae2a",
+    "attack_dense": "c07a9d248fd1f92697aca60ff120360a9e100db3772b0b5f55956507d98f8a44",
+    "oracle_sweep": "77c343eb43d14bf2eb2b48f828d48178ff9b05e20b723e1e93577e7354cc40e1",
 }
 PINNED_V2_WORKLOAD_REPORTS = {
-    "idle_at_key": "73e30b9e68e44a590b3c1444b447f627c5b72cc370132afe9a00527e466a97b6",
-    "idle_between_keys": "0a6a3249dcc387540c14e1537a7dc884dc7a5ac7b69b4324c81b667d03efc1e7",
-    "attack_dense": "a476671a930c38c49e17c679c989ac16e351006967d9e4531a10898d1278c6d1",
-    "oracle_sweep": "18f2523f7539cc731c317b90e37dfc6ea0a2bc5e28222e91ba2631a9aa7c4705",
+    "idle_at_key": "f98cf184e20ee3abb167806749727da2eb6a8cb45048163102325e866a2ae36f",
+    "idle_between_keys": "9bdf1e0950af5a78c4d4d091b82679f1872e61dc2d11aabe55c18c62a41f5303",
+    "attack_dense": "3f04cbc33d4058f8f3ff9b71e973a26be72972828d0ffe2429b7965bf2249000",
+    "oracle_sweep": "09b3919643749b24f5ca80f80ed845e7c9f025dec23f81a4f694f3b57d3f616b",
 }
 
 
@@ -429,15 +431,15 @@ def _lossy_attack_matrix():
 PINNED_LOSSY_REPORTS = {
     "attack_matrix_loss_0.3": (
         _lossy_attack_matrix,
-        "32751ada77039f1aaf1aa8eb3493e12f64c58d6c08f80acd3a67934fa7bf0237",
-        "bb7a1853a06714f3126a08affd796898b3706177eec958f401afd27ab7abb657",
-        "458145fd9abc5f61182b6772e9bb1c2f82562f87940f4407efc23f73b627bfe9",
+        "80161ba45c5ee5b5edfd8ee567a5c630fdc0f4b719ea40521cb3afa644a22929",
+        "1856d23ecd57fcdb04947cb87d437748ce606be85052c24b5377ec0233b6414c",
+        "79cf3d674ce6b30b0585de240cd47eb6a2617e3f04a33df0cd24be15997807fd",
     ),
     "idle_between_keys_loss_0.1": (
         functools.partial(heat_once_then_idle, 2000, drop=0.1),
-        "47c32fe95c88382e9a301ab24bcffc3bcdaad960576459e002971281d97deba8",
-        "a36f65bca5e76335ce7d9501efaffac64ac8b7aa9c351d04cbfbe4d52c27d648",
-        "6bb6a5005dc137a2f0bc181a32bd6751364de5a4ce92b5d530ac39f83a24179a",
+        "71e44755180eb820ff26d5d4e14f4aac854a6bde5a5c15dc1642db4a4c5e5043",
+        "13d4b1274d0a9f48dd48ea544b7c3135508f7e5870a3100d04561ba2a84d52e6",
+        "c8524b7aabba507b1644721426de479c0d1f1ee3b47e0a374afb452bcf3b424d",
     ),
 }
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinsync.runner as runner_mod
-from conftest import HEAT, IDLE, heat_once_then_idle, import_bench_module
+from tests.conftest import HEAT, IDLE, heat_once_then_idle, import_bench_module, manual_tag
 from twinsync.adversary import AttackAction, AttackKind
 from twinsync.detector import Detector
 from twinsync.frames import (
@@ -136,6 +136,21 @@ class TestWalkthrough:
         a = run_scenario(load_bundled_scenario("fig4_walkthrough")).to_json_bytes()
         b = run_scenario(load_bundled_scenario("fig4_walkthrough")).to_json_bytes()
         assert a == b
+
+    def test_keys_longer_than_32_bytes_are_hashed_first(self, walkthrough):
+        """The schema bounds no key's length: with distinct 33- and 100-byte
+        keys, longer than keyed BLAKE2s takes, the walkthrough runs as with
+        its own keys, tags with each key's digest, and passes."""
+        up_key, down_key = bytes(range(33)), bytes(range(100, 200))
+        doc = load_fixture_json("fig4_walkthrough")
+        doc["keys"] = {P2V: up_key.hex(), V2P: down_key.hex()}
+        report = run_scenario(scenario_from_dict(doc))
+        assert report.summary["verdict"] == "pass"
+        assert report.detection_events == []
+        assert report.slots == walkthrough.slots
+        for link, key in ((P2V, up_key), (V2P, down_key)):
+            (sent,) = sent_bytes(report, report.slots[2], link)
+            assert sent[-TAG_LEN:] == manual_tag(key, sent[:-TAG_LEN])
 
 
 @pytest.fixture(scope="module")
@@ -463,19 +478,19 @@ FUTURE_FRAMES = {
 
 
 @pytest.mark.parametrize(
-    "link, msg_type, payload, period, stamped, inserted",
+    "link, msg_type, payload, period, stamped, inserted, newest",
     [
-        pytest.param(*frame, period, stamped, inserted, id=name + suffix)
-        for suffix, period, stamped, inserted in [
-            ("", 1, 1000, 5),
-            ("-period2", 2, 5, 6),
-            ("-period3", 3, 5, 6),
+        pytest.param(*frame, period, stamped, inserted, newest, id=name + suffix)
+        for suffix, period, stamped, inserted, newest in [
+            ("", 1, 1000, 5, 4),
+            ("-period2", 2, 5, 6, 4),
+            ("-period3", 3, 5, 6, 3),
         ]
         for name, frame in FUTURE_FRAMES.items()
     ],
 )
 def test_a_key_holders_frame_from_the_future_cannot_lock_its_link(
-    link, msg_type, payload, period, stamped, inserted
+    link, msg_type, payload, period, stamped, inserted, newest
 ):
     """A validly tagged frame stamped later than the newest boundary an
     honest frame can carry, put in at a slot of a 20-slot run, is refused as
@@ -483,7 +498,8 @@ def test_a_key_holders_frame_from_the_future_cannot_lock_its_link(
     it is still accepted: one FORGED_INSERT in the INSERT's window, and the
     run passes.  Above period 1 a slot between two boundaries is from the
     future too: at period 2, slot 5 arriving at slot 6 is later than
-    boundary 4, the newest at or before the arrival slot minus the latency."""
+    boundary 4, the newest at or before the arrival slot minus the latency,
+    and the refusal names that boundary."""
     direction = Direction(link)
     sender = PHYSICAL_SENDER_ID if direction is Direction.PHYS_TO_VIRT else VIRTUAL_SENDER_ID
     forged = encode_frame(Frame(msg_type, sender, 1, stamped, payload), DEFAULT_KEYS[direction])
@@ -510,7 +526,8 @@ def test_a_key_holders_frame_from_the_future_cannot_lock_its_link(
     assert outcomes(report.slots[inserted], link) == honest(inserted) + ["future"]
     (event,) = report.detection_events
     assert (event["kind"], event["slot"], event["direction"]) == ("FORGED_INSERT", inserted, link)
-    assert event["detail"]["claimed_slot"] == stamped
+    reason = f"slot {stamped} later than {newest}, the newest sync boundary an honest frame can carry"
+    assert event["detail"] == {"reason": reason, "claimed_slot": stamped}
     assert report.summary["verdict"] == "pass"
     assert all(outcomes(row, link) == honest(row["slot"]) for row in report.slots[inserted + 1 :])
 
@@ -932,10 +949,10 @@ def test_python_calls_per_attack_slot():
 def test_report_bytes_per_idle_slot():
     """The written report of the benchmark's `idle_at_key` workload at seed
     0 holds each frame once, in base64, and its rows only what happened:
-    about 451 B per slot, where each frame's hex took 547, v2's rows with
-    every empty list, every `accepted` and an audit row per slot took 697,
-    and writing each frame's hex under both `sent` and `delivered` took
-    1,035."""
+    426.646 B per slot (450.6 while the header carried a seq), where each
+    frame's hex took 547, v2's rows with every empty list, every `accepted`
+    and an audit row per slot took 697, and writing each frame's hex under
+    both `sent` and `delivered` took 1,035."""
     (doc,) = import_bench_module("workloads").idle_at_key(0)
     spec = scenario_from_dict(doc)
     assert len(run_scenario(spec).to_json_bytes()) / spec.total_slots <= 465

@@ -25,9 +25,9 @@ import jsonschema
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import whole_pattern
-from test_properties import scenarios
-from test_robustness import documents
+from tests.conftest import whole_pattern
+from tests.test_properties import scenarios
+from tests.test_robustness import documents
 from twinsync.scenario import ScenarioInvalid, load_fixture_json, scenario_from_dict
 
 CODE_ONLY = re.compile(

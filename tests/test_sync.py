@@ -5,7 +5,7 @@ from itertools import product
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import COOL, HEAT, IDLE
+from tests.conftest import COOL, HEAT, IDLE
 from twinsync.sync import (
     CommandRecord,
     DeltaRecord,
