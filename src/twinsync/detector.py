@@ -264,34 +264,16 @@ class Detector:
         return summary, annotated
 
 
-def delivered_emission(slot: int, latency_slots: int, sync_period: int = 1) -> int | None:
-    """Newest emission slot whose record can have been delivered by the end of slot.
-
-    That is the last sync boundary at or before slot - latency, or None while
-    nothing sent can have arrived yet.
-    """
-    horizon = slot - latency_slots
-    if horizon < 0:
-        return None
-    return horizon - horizon % sync_period
-
-
 def consistency_audit(
-    physical_keys: list[int],
-    machine: TwinMachine,
-    replica_key: int,
-    slot: int,
-    latency_slots: int,
-    sync_period: int = 1,
+    physical_keys: list[int], machine: TwinMachine, replica_key: int, emission: int
 ) -> int | None:
     """Compare the replica against the physical history it should mirror.
 
     physical_keys[s] is the physical key state at the end of slot s, for
-    every slot up to the audited one.  `replica_key` must be the key state of
-    the newest emission that can have been delivered by the end of
-    `slot`, or the initial state before any can have been.  Returns that
-    expected key state when the replica differs, None when consistent.
+    every slot up to the audited one, and `emission` the newest that can have
+    been delivered by its end, below 0 while none can.  Returns the key state
+    at that emission, or the initial state before one, when `replica_key`
+    differs from it; None when consistent.
     """
-    emission = delivered_emission(slot, latency_slots, sync_period)
-    expected = machine.initial if emission is None else physical_keys[emission]
+    expected = machine.initial if emission < 0 else physical_keys[emission]
     return None if replica_key == expected else expected

@@ -22,18 +22,18 @@ HMAC takes two; a key longer than its 32-byte maximum is hashed first, as
 RFC 2104 hashes a key longer than its block.
 decode_frame decides whether a link accepts a frame, with its checks in this
 order: length, tag, structure, the link's sender id and message types,
-timing, and last the replay window; a frame that fails one comes back as a
+timing, and last replay; a frame failing one comes back as a
 `sync.Refusal` named for it.  Any bit flipped anywhere in a frame therefore
-fails authentication rather than surfacing as a parse error, structural
-checks only ever run on authentic bytes, and, as in RFC 4303 section 3.4.3,
-the window moves only for a frame that passed every other check.  A link
-sends one frame per emission slot, so the slot is its sequence number,
-derived rather than sent, as TLS 1.3 derives its record numbers (RFC 8446
-section 5.3).  The window is the newest slot accepted in the current
-session, and like TCP's receive window (RFC 9293 section 3.10.7.4) it cannot
-run ahead of the present: the timing check refuses a frame stamped later
-than the newest sync boundary at or before the arrival slot minus the link's
-latency, which no honest sender made.
+fails authentication rather than surfacing as a parse error, and structural
+checks only ever run on authentic bytes.  decode_frame keeps no state: the
+link holds its one session, fixed for the run as an IPsec SA's is (RFC 4303
+section 3.4.3), and the newest slot it accepted, which it moves only for a
+frame that passed every check.  A link sends one frame per emission slot, so
+the slot is its sequence number, derived rather than sent, as TLS 1.3
+derives its record numbers (RFC 8446 section 5.3).  Like TCP's receive
+window (RFC 9293 section 3.10.7.4), a link cannot run ahead of the present:
+a frame of a later session, or stamped later than the newest sync boundary
+at or before the arrival slot minus the link's latency, is no honest one.
 """
 
 from __future__ import annotations
@@ -88,16 +88,6 @@ class Frame:
     payload: bytes = b""
 
 
-class ReplayWindow:
-    """One link's replay window: the newest slot accepted in the current session.
-
-    A frame of an older session is stale; one of a newer session starts it afresh.
-    """
-
-    def __init__(self) -> None:
-        self.session, self.highest = 0, -1  # below slot 0, the first emission
-
-
 @functools.lru_cache(maxsize=32)
 def _keyed(key: bytes):
     """BLAKE2s-256 keyed with `key` (RFC 7693 section 2.5), or with its BLAKE2s-256
@@ -138,27 +128,28 @@ def encode_frame(frame: Frame, key: bytes) -> bytes:
 def decode_frame(
     data: bytes,
     key: bytes,
-    window: ReplayWindow,
+    session_id: int,
+    highest: int,
     sender_id: int,
     msg_types: tuple[int, ...],
     newest: int,
 ) -> Frame | Refusal:
-    """Accept or refuse one frame arriving on a link.
+    """Accept or refuse one frame arriving on a link, changing nothing.
 
-    The link's sender has `sender_id` and sends `msg_types`; `newest` is the
-    latest slot an honest frame can carry: the newest sync boundary at or
-    before the arrival slot minus the link's latency, below 0 before there
-    is one.
-    Returns the Frame on success (window advanced), otherwise a Refusal whose
-    detail claims the header's slot once there is a header, and the window is
-    left untouched.
+    The link runs session `session_id`, has accepted no slot later than
+    `highest` (-1 before its first), and its sender has `sender_id` and
+    sends `msg_types`; `newest` is the latest slot an honest frame can carry:
+    the newest sync boundary at or before the arrival slot minus the link's
+    latency, below 0 before there is one.
+    Returns the Frame on success, otherwise a Refusal whose detail claims the
+    header's slot once there is a header.
     """
     if len(data) < MIN_FRAME_LEN:
         reason = f"frame of {len(data)} bytes shorter than minimum {MIN_FRAME_LEN}"
         return Refusal("malformed", {"reason": reason})
     body, tag = data[:-TAG_LEN], data[-TAG_LEN:]
     # Unpacked first only so that a frame failing the tag check can report its claims.
-    magic, version, msg_type, sender, session_id, slot, payload_len = (
+    magic, version, msg_type, sender, session, slot, payload_len = (
         HEADER_STRUCT.unpack_from(body)
     )
     outcome = "malformed"
@@ -174,18 +165,19 @@ def decode_frame(
         reason = f"payload_len {payload_len} does not match frame size"
     elif sender != sender_id or msg_type not in msg_types:
         # The other direction's frame, reflected: it authenticates only under
-        # a shared key, and must not move this link's window.
+        # a shared key, and must not count as this link's.
         outcome, reason = "wrong_direction", "wrong direction"
     elif slot > newest:
         outcome, reason = "future", (
             f"slot {slot} later than {newest}, the newest sync boundary an honest frame can carry"
         )
-    elif (session_id, slot) <= (window.session, window.highest):
+    elif session > session_id:
+        outcome, reason = "future", f"session {session} later than the link's {session_id}"
+    elif (session, slot) <= (session_id, highest):
         outcome = "replay"
-        reason = f"(session, slot) {session_id, slot} not after {window.session, window.highest}"
+        reason = f"(session, slot) {session, slot} not after {session_id, highest}"
     else:
-        window.session, window.highest = session_id, slot
-        return Frame(msg_type, sender, session_id, slot, body[HEADER_LEN:])
+        return Frame(msg_type, sender, session, slot, body[HEADER_LEN:])
     return Refusal(outcome, {"reason": reason, "claimed_slot": slot})
 
 

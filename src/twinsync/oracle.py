@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from itertools import product
 
-from .detector import delivered_emission
 from .machine import TwinMachine, validate_machine
 from .runner import run_scenario
 from .scenario import ScenarioSpec
@@ -55,8 +54,8 @@ def expected_traces(
     """Pure fold: per-slot (physical state, physical key, replica key).
 
     The replica's expected key at the end of slot t is the physical key at
-    the newest sync emission old enough to have been delivered, i.e. the
-    last multiple of the period at or before t - latency.
+    the newest sync emission old enough to have been delivered, the last
+    multiple of the period at or before t - latency; before one, the initial.
     """
     state = machine.initial
     key = machine.initial
@@ -70,8 +69,9 @@ def expected_traces(
         phys_key.append(key)
     replica = []
     for slot in range(total_slots):
-        emission = delivered_emission(slot, latency_slots, sync_period)
-        replica.append(machine.initial if emission is None else phys_key[emission])
+        horizon = slot - latency_slots
+        emission = horizon - horizon % sync_period
+        replica.append(machine.initial if emission < 0 else phys_key[emission])
     return phys_state, phys_key, replica
 
 

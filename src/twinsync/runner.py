@@ -38,7 +38,6 @@ from .frames import (
     Frame,
     MalformedPayload,
     MsgType,
-    ReplayWindow,
     decode_ack_payload,
     decode_command_payload,
     decode_delta_payload,
@@ -145,10 +144,11 @@ class _Link:
 
     The sender stamps each record with its emission slot, encodes and tags it
     and enqueues it on the channel; the receiver accepts only frames of this
-    direction's key, sender id and message types, neither from the future nor
-    behind its replay window.  `sent` and `dropped` hold the ids of the frames
-    sent and dropped since the last report row took them: their index in
-    `ids`, the run's distinct frames, which both links share.
+    direction's key, sender id, message types and session, neither from the
+    future nor at or before `highest`, the newest slot it accepted, which
+    only `run_scenario`'s accept branch moves.  `sent` and `dropped` hold the
+    ids of the frames sent and dropped since the last report row took them:
+    their index in `ids`, the run's distinct frames, which both links share.
     """
 
     def __init__(
@@ -170,7 +170,7 @@ class _Link:
         self.channel = Channel(
             SplitMix64(seeds.next_u64()), cfg.latency_slots, cfg.drop_probability
         )
-        self.window = ReplayWindow()
+        self.highest = -1  # below slot 0, the first emission
         self.ids = ids
         self.sent: list[int] = []
         self.dropped: list[int] = []
@@ -214,7 +214,6 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     rows: list[dict] = []
     physical_keys: list[int] = []  # physical key state at the end of each slot
     applied = adversary.applied
-    audit_latency = up.channel.latency_slots
 
     for slot in range(spec.total_slots):
         # Attacks are only ever logged at the current slot, so this slot's
@@ -249,18 +248,22 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 dropped[link.name], link.dropped = link.dropped, []
             received = []
             direction = link.direction
-            # The newest boundary an honest frame can carry, the horizon
-            # `delivered_emission` computes, below 0 before there is one.
+            # The newest boundary an honest frame can carry, below 0 before
+            # there is one: on the up link, the emission the audit expects.
             horizon = slot - link.channel.latency_slots
             newest = horizon - horizon % period
+            if link is up:
+                emission = newest
             for data in adversary.intercept(slot, direction, link.channel.deliver_due(slot)):
                 frame = decode_frame(
-                    data, link.key, link.window, link.sender_id, link.msg_types, newest
+                    data, link.key, link.session_id, link.highest, link.sender_id,
+                    link.msg_types, newest,
                 )
                 if isinstance(frame, Refusal):
                     refusal = frame
                 else:
                     refusal = None
+                    link.highest = frame.slot
                     detector.on_frame_accepted(direction, frame.slot)
                     try:
                         if frame.msg_type == STATE_SYNC:
@@ -301,9 +304,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         key = physical.key_state
         physical_keys.append(key)
         replica_key = virtual.last_synced_key
-        expected = consistency_audit(
-            physical_keys, machine, replica_key, slot, audit_latency, period
-        )
+        expected = consistency_audit(physical_keys, machine, replica_key, emission)
         if expected is not None:
             audits.append({"slot": slot, "replica_key_state": replica_key, "expected": expected})
 

@@ -25,7 +25,6 @@ from twinsync.frames import (
     Frame,
     MsgType,
     U64_MAX,
-    ReplayWindow,
     decode_frame,
     encode_frame,
 )
@@ -210,8 +209,10 @@ def test_acceptance_4_tamper_and_replay_completeness():
             for bit in range(8):
                 corrupted = bytearray(data)
                 corrupted[offset] ^= 1 << bit
-                link = (vector.frame.sender_id, (vector.frame.msg_type,))
-                out = decode_frame(bytes(corrupted), vector.key, ReplayWindow(), *link, U64_MAX)
+                link = (vector.frame.session_id, -1, vector.frame.sender_id)
+                out = decode_frame(
+                    bytes(corrupted), vector.key, *link, (vector.frame.msg_type,), U64_MAX
+                )
                 flips += 1
                 if isinstance(out, Refusal) and out.outcome == "auth_fail":
                     auth_fails += 1
@@ -233,11 +234,11 @@ def test_acceptance_4_tamper_and_replay_completeness():
         )
         candidates.append((key, frame, encode_frame(frame, key)))
     for frame_key, frame, data in candidates:
-        window = ReplayWindow()
         link = (frame.sender_id, (frame.msg_type,), frame.slot)
-        first = decode_frame(data, frame_key, window, *link)
+        first = decode_frame(data, frame_key, frame.session_id, -1, *link)
         assert isinstance(first, Frame), f"vector did not decode cleanly: {first}"
-        second = decode_frame(data, frame_key, window, *link)
+        # The link has now accepted the frame's slot.
+        second = decode_frame(data, frame_key, frame.session_id, first.slot, *link)
         duplicates += 1
         if isinstance(second, Refusal) and second.outcome == "replay":
             replays += 1
@@ -256,7 +257,6 @@ def test_acceptance_5_forgery_resistance():
     rng = random.Random(0xF00D)
     forge_rng = SplitMix64(0xF00D)
     key = bytes(range(32))
-    window = ReplayWindow()
     accepted = 0
     outcomes = {"malformed": 0, "auth_fail": 0, "replay": 0}
     for index in range(10_000):
@@ -273,13 +273,13 @@ def test_acceptance_5_forgery_resistance():
             }
             data = forge_frame_bytes(template, forge_rng)
             link = (template["sender_id"], (template["msg_type"],))
-        out = decode_frame(data, key, window, *link, U64_MAX)
+        out = decode_frame(data, key, 1, -1, *link, U64_MAX)
         if isinstance(out, Frame):
             accepted += 1
         else:
             outcomes[out.outcome] += 1
     assert accepted == 0, f"{accepted} forged frames were accepted"
-    assert outcomes["replay"] == 0  # nothing ever advanced the window
+    assert outcomes["replay"] == 0  # a fresh session-1 link, nothing accepted
     assert outcomes["auth_fail"] >= 5000  # every template forgery
     return (
         f"10000 frames rejected ({outcomes['malformed']} malformed, "

@@ -16,7 +16,6 @@ from twinsync.frames import (
     U64_MAX,
     Frame,
     MsgType,
-    ReplayWindow,
     decode_frame,
     encode_ack_payload,
     encode_frame,
@@ -34,8 +33,9 @@ def frame_bytes(slot: int, payload: bytes = b"") -> bytes:
 
 
 def decode(data: bytes, msg_type: MsgType) -> Frame | Refusal:
-    """`data` as sender 1's `msg_type` link decodes it, none of it from the future."""
-    return decode_frame(data, KEY, ReplayWindow(), 1, (msg_type,), U64_MAX)
+    """`data` as a fresh session-1 link of sender 1's `msg_type` decodes it,
+    none of it from the future."""
+    return decode_frame(data, KEY, 1, -1, 1, (msg_type,), U64_MAX)
 
 
 def adversary(*actions: AttackAction) -> Adversary:

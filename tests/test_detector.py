@@ -2,6 +2,7 @@
 
 import pytest
 
+from tests.conftest import HEAT
 from twinsync.adversary import AttackKind
 from twinsync.detector import (
     ATTACK_EXPECTATIONS,
@@ -10,9 +11,10 @@ from twinsync.detector import (
     EventKind,
     Requirement,
     consistency_audit,
-    delivered_emission,
 )
+from twinsync.machine import machine_from_dict
 from twinsync.netsim import Direction
+from twinsync.oracle import expected_traces
 from twinsync.sync import CommandRecord, DeltaRecord, Refusal, VirtualTwin, reconcile
 
 P2V = Direction.PHYS_TO_VIRT
@@ -160,24 +162,50 @@ BOIL_KEYS = [0, 0, 0, 0, 100, 100]
 
 
 class TestConsistencyAudit:
+    """The audit at slot 5 with one slot of latency expects emission 4, and
+    at slot 4 emission 3; the newest delivered emission is its argument."""
+
     def test_clean_mirror_passes(self, kettle):
-        assert consistency_audit(BOIL_KEYS, kettle, 100, slot=5, latency_slots=1) is None
+        assert consistency_audit(BOIL_KEYS, kettle, 100, emission=4) is None
 
     def test_replica_lags_by_latency(self, kettle):
         """At the crossing slot itself the replica legitimately still holds the old key."""
-        assert consistency_audit(BOIL_KEYS, kettle, 0, slot=4, latency_slots=1) is None
+        assert consistency_audit(BOIL_KEYS, kettle, 0, emission=3) is None
 
     def test_before_anything_can_arrive(self, kettle):
-        assert consistency_audit([0], kettle, 0, 0, 1) is None
+        """Below 0 the replica must hold the initial state, whatever the last
+        physical key is: a negative emission is never an index."""
+        for emission in (-1, -3):
+            assert consistency_audit([0], kettle, 0, emission) is None
+            assert consistency_audit([100], kettle, 0, emission) is None
+            assert consistency_audit([100], kettle, 100, emission) == 0
 
     def test_stale_replica_is_flagged(self, kettle):
-        assert consistency_audit(BOIL_KEYS, kettle, 0, slot=5, latency_slots=1) == 100
+        assert consistency_audit(BOIL_KEYS, kettle, 0, emission=4) == 100
 
     def test_horizon_respects_sync_period(self, kettle):
-        """Period 2: a crossing at slot 3 is only shippable at the slot-4 boundary."""
+        """Period 2: a crossing at slot 3 is only shippable at the slot-4
+        boundary, so the replica trace still expects 0 at slot 4, emission 2,
+        and 100 at slot 5, emission 4."""
         keys = [0, 0, 0, 100, 100, 100]  # HEAT at slots 0-3
-        assert consistency_audit(keys, kettle, 0, 4, 1, sync_period=2) is None
-        assert consistency_audit(keys, kettle, 0, 5, 1, sync_period=2) == 100
+        traces = expected_traces(kettle, {s: [HEAT] for s in range(4)}, 6, 1, sync_period=2)
+        assert traces[1:] == (keys, [0, 0, 0, 0, 0, 100])
+        assert consistency_audit(keys, kettle, 0, 2) is None
+        assert consistency_audit(keys, kettle, 0, 4) == 100
+
+
+# All states key states, one step up per input: with an input at every slot,
+# the physical key at the end of slot s is s + 1.
+COUNTER = machine_from_dict(
+    {
+        "machine_id": "counter",
+        "states": list(range(8)),
+        "inputs": [1],
+        "initial": 0,
+        "key_states": list(range(8)),
+        "delta": [[s, 1, min(s + 1, 7)] for s in range(8)],
+    }
+)
 
 
 @pytest.mark.parametrize(
@@ -185,4 +213,16 @@ class TestConsistencyAudit:
     [(0, 1, 1, None), (1, 1, 1, 0), (5, 1, 1, 4), (4, 1, 2, 2), (5, 1, 2, 4), (3, 0, 3, 3), (1, 2, 1, None)],
 )
 def test_delivered_emission(slot, latency, period, expected):
-    assert delivered_emission(slot, latency, period) == expected
+    """The newest emission delivered by the end of `slot`: the last sync
+    boundary at or before slot - latency, None while nothing sent can have
+    arrived.  The oracle's replica trace expects that emission's key, and
+    the audit, given it (below 0 for None, as the runner's timing check
+    computes it), expects the same."""
+    keys = [s + 1 for s in range(slot + 1)]
+    inputs = {s: [1] for s in range(slot + 1)}
+    _, physical, replica = expected_traces(COUNTER, inputs, slot + 1, latency, period)
+    assert physical == keys
+    assert replica[slot] == (COUNTER.initial if expected is None else keys[expected])
+    emission = -1 if expected is None else expected
+    assert consistency_audit(keys, COUNTER, replica[slot], emission) is None
+    assert consistency_audit(keys, COUNTER, -1, emission) == replica[slot]

@@ -5,7 +5,7 @@ import dataclasses
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import manual_blake2s, manual_tag
@@ -21,7 +21,6 @@ from twinsync.frames import (
     MalformedPayload,
     MsgType,
     PayloadTooLarge,
-    ReplayWindow,
     U64_MAX,
     VERSION,
     decode_ack_payload,
@@ -141,7 +140,7 @@ class TestGoldenVectors:
             "7407ad1097bff89ff7df3c059236b7d975e25957"
         )
         key = GOLDEN_VECTORS[1].key
-        out = decode_frame(data, key, ReplayWindow(), 1, (MsgType.STATE_SYNC,), ANY_SLOT)
+        out = decode_frame(data, key, 1, -1, 1, (MsgType.STATE_SYNC,), ANY_SLOT)
         assert isinstance(out, Refusal)
         assert (out.outcome, out.detail["reason"]) == ("auth_fail", "tag mismatch")
         current = golden_frame_bytes()[1]
@@ -181,7 +180,7 @@ class TestGoldenVectors:
     def test_zero_field_frame_is_not_a_protocol_frame(self):
         """Vector 1 pins layout and tag only; msg_type 0 never decodes to a Frame."""
         data = bytes.fromhex(GOLDEN_HEX[0])
-        out = decode_frame(data, bytes(32), ReplayWindow(), 0, (0,), ANY_SLOT)
+        out = decode_frame(data, bytes(32), 0, -1, 0, (0,), ANY_SLOT)
         assert isinstance(out, Refusal)
         assert out.outcome == "malformed"
         assert "msg_type" in out.detail["reason"]
@@ -200,9 +199,9 @@ class TestDecode:
         self.data = encode_frame(self.frame, self.key)
 
     def _decode(self, data, key=None):
-        """Decode on the link of this frame's own sender and type."""
-        link = (self.frame.sender_id, (self.frame.msg_type,))
-        return decode_frame(data, key or self.key, ReplayWindow(), *link, ANY_SLOT)
+        """Decode on a fresh link of this frame's own session, sender and type."""
+        link = (self.frame.session_id, -1, self.frame.sender_id, (self.frame.msg_type,))
+        return decode_frame(data, key or self.key, *link, ANY_SLOT)
 
     def test_round_trip(self):
         out = self._decode(self.data)
@@ -270,22 +269,38 @@ class TestDecode:
         assert out.detail["claimed_slot"] == 4
 
 
+@dataclasses.dataclass
+class Receiver:
+    """A link's receiving end as the runner keeps it: its one session and
+    `highest`, the newest slot it accepted, which it moves on each accept."""
+
+    key: bytes
+    sender_id: int = 1
+    session_id: int = 1
+    highest: int = -1
+
+    def receive(self, data: bytes, newest: int = ANY_SLOT) -> Frame | Refusal:
+        link = (self.session_id, self.highest, self.sender_id, (MsgType.ACK,), newest)
+        out = decode_frame(data, self.key, *link)
+        if isinstance(out, Frame):
+            self.highest = out.slot
+        return out
+
+
 class TestReplayProtection:
-    """The slot is the sequence number: a link's window is its newest accepted slot."""
+    """The slot is the sequence number: a link refuses one at or before its newest accepted."""
 
     def setup_method(self):
         self.key = b"\x07" * 32
-        self.window = ReplayWindow()
+        self.link = Receiver(self.key)
 
     def _frame(self, slot, session=1, sender=1):
         return encode_frame(
             Frame(MsgType.ACK, sender, session, slot, payload=encode_ack_payload(0)), self.key
         )
 
-    def _decode(self, data, sender=1, window=None, newest=ANY_SLOT):
-        return decode_frame(
-            data, self.key, window or self.window, sender, (MsgType.ACK,), newest
-        )
+    def _decode(self, data, newest=ANY_SLOT):
+        return self.link.receive(data, newest)
 
     def test_duplicate_delivery_is_replay(self):
         data = self._frame(slot=1)
@@ -307,32 +322,53 @@ class TestReplayProtection:
         assert isinstance(self._decode(self._frame(slot=9)), Frame)
 
     def test_slot_zero_is_accepted_once(self):
-        """The first emission is at slot 0, so an empty window is below it."""
+        """The first emission is at slot 0, so a fresh link's -1 is below it."""
         assert isinstance(self._decode(self._frame(slot=0)), Frame)
         out = self._decode(self._frame(slot=0))
         assert isinstance(out, Refusal)
         assert out.outcome == "replay"
 
-    def test_session_restart_resets_the_window(self):
+    def test_a_newer_session_is_refused_as_future(self):
+        """A link's session is fixed for the run, as an IPsec SA's window is:
+        a key holder's frame of a later session is no honest sender's, so it
+        is refused as from the future, at any slot, and the link's own session
+        carries on from its newest accepted slot."""
         assert isinstance(self._decode(self._frame(slot=5, session=1)), Frame)
-        assert isinstance(self._decode(self._frame(slot=1, session=2)), Frame)
+        for slot in (1, 5, 6):
+            out = self._decode(self._frame(slot=slot, session=2))
+            assert isinstance(out, Refusal)
+            assert (out.outcome, out.detail["claimed_slot"]) == ("future", slot)
+            assert out.detail["reason"] == "session 2 later than the link's 1"
+        assert self.link.highest == 5
+        assert isinstance(self._decode(self._frame(slot=6, session=1)), Frame)
 
     def test_older_session_is_replay(self):
+        self.link.session_id = 2
         assert isinstance(self._decode(self._frame(slot=1, session=2)), Frame)
         out = self._decode(self._frame(slot=9, session=1))
         assert isinstance(out, Refusal)
         assert out.outcome == "replay"
         assert out.detail["reason"] == "(session, slot) (1, 9) not after (2, 1)"
 
+    def test_an_older_session_is_replay_on_a_fresh_link(self):
+        """A slot the link has not accepted does not make another session's frame current."""
+        self.link.session_id = 2
+        out = self._decode(self._frame(slot=0, session=1))
+        assert (out.outcome, out.detail["reason"]) == (
+            "replay",
+            "(session, slot) (1, 0) not after (2, -1)",
+        )
+        assert isinstance(self._decode(self._frame(slot=0, session=2)), Frame)
+
     def test_senders_are_tracked_independently(self):
-        """Each link has one sender and its own window, so slot 1 is new on both."""
-        other_link = ReplayWindow()
+        """Each link has one sender and its own newest slot, so slot 1 is new on both."""
+        other_link = Receiver(self.key, sender_id=2)
         second = self._frame(slot=1, sender=2)
         assert isinstance(self._decode(self._frame(slot=1)), Frame)
-        assert isinstance(self._decode(second, sender=2, window=other_link), Frame)
-        out = self._decode(second, sender=2, window=other_link)
+        assert isinstance(other_link.receive(second), Frame)
+        out = other_link.receive(second)
         assert out.outcome == "replay"
-        assert (self.window.session, self.window.highest) == (1, 1)
+        assert (self.link.session_id, self.link.highest) == (1, 1)
 
     def test_tracker_not_advanced_by_rejected_frames(self):
         corrupted = bytearray(self._frame(slot=3))
@@ -343,15 +379,15 @@ class TestReplayProtection:
 
     def test_a_frame_from_the_future_is_refused(self):
         """A slot later than the newest sync boundary an honest frame can
-        carry is no honest sender's; it is refused without moving the window,
-        so the frames that follow it are still accepted."""
+        carry is no honest sender's; it is refused, so the link's newest slot
+        does not move and the frames that follow it are still accepted."""
         out = self._decode(self._frame(slot=1000), newest=4)
         assert isinstance(out, Refusal)
         assert (out.outcome, out.detail["claimed_slot"]) == ("future", 1000)
         assert out.detail["reason"] == (
             "slot 1000 later than 4, the newest sync boundary an honest frame can carry"
         )
-        assert (self.window.session, self.window.highest) == (0, -1)
+        assert self.link.highest == -1
         assert isinstance(self._decode(self._frame(slot=4), newest=4), Frame)
         assert self._decode(self._frame(slot=5), newest=4).outcome == "future"
         assert isinstance(self._decode(self._frame(slot=5), newest=5), Frame)
@@ -363,17 +399,46 @@ class TestReplayProtection:
         assert out.outcome == "future"
 
 
+@settings(derandomize=True, max_examples=300)
+@given(
+    session=st.integers(0, 3) | st.integers(0, U64_MAX),
+    slot=st.integers(0, 8) | st.integers(0, U64_MAX),
+    session_id=st.integers(0, 3) | st.integers(0, U64_MAX),
+    highest=st.integers(-1, 8) | st.integers(-1, U64_MAX),
+    newest=st.integers(-4, 8) | st.integers(-4, U64_MAX),
+)
+def test_decode_frame_accepts_exactly_the_links_session_after_highest(
+    session, slot, session_id, highest, newest
+):
+    """A frame tagged with the link key, of any session and slot, on a link
+    of any (session_id, highest, newest): accepted exactly when it is of the
+    link's session and highest < slot <= newest, refused as `future` when it
+    is of a later session or slot, as `replay` otherwise, and the same on a
+    second call, since decode_frame keeps no state."""
+    key = bytes(range(32))
+    frame = Frame(MsgType.ACK, 2, session, slot, encode_ack_payload(0))
+    data = encode_frame(frame, key)
+    link = (session_id, highest, 2, (MsgType.ACK,), newest)
+    out = decode_frame(data, key, *link)
+    assert out == decode_frame(data, key, *link)
+    if session == session_id and highest < slot <= newest:
+        assert out == frame
+    else:
+        assert isinstance(out, Refusal)
+        late = slot > newest or session > session_id
+        assert out.outcome == ("future" if late else "replay")
+
+
 class TestLinkBinding:
-    """A link accepts only its sender's id and message types, checked before the window."""
+    """A link accepts only its sender's id and message types, checked before timing and replay."""
 
     def setup_method(self):
         self.key = b"\x07" * 32
-        self.window = ReplayWindow()
         # An ACK of sender 2, as the virtual twin sends on virt_to_phys.
         self.ack = encode_frame(Frame(MsgType.ACK, 2, 1, 3, encode_ack_payload(0)), self.key)
 
-    def _decode(self, key, sender, msg_types, newest=ANY_SLOT):
-        return decode_frame(self.ack, key, self.window, sender, msg_types, newest)
+    def _decode(self, key, sender, msg_types, newest=ANY_SLOT, highest=-1):
+        return decode_frame(self.ack, key, 1, highest, sender, msg_types, newest)
 
     def test_other_sender_is_wrong_direction(self):
         out = self._decode(self.key, 1, (MsgType.ACK,))
@@ -394,8 +459,9 @@ class TestLinkBinding:
         assert isinstance(self._decode(self.key, 2, (MsgType.ACK,)), Frame)
 
     def test_direction_is_checked_before_the_window(self):
+        """Once slot 3 is accepted, the frame on the wrong link is named for its direction."""
         assert isinstance(self._decode(self.key, 2, (MsgType.ACK,)), Frame)
-        out = self._decode(self.key, 1, (MsgType.ACK,))
+        out = self._decode(self.key, 1, (MsgType.ACK,), highest=3)
         assert out.outcome == "wrong_direction"
 
     def test_direction_is_checked_before_the_timing(self):
@@ -466,10 +532,10 @@ def test_each_frame_is_tagged_once_through_frames_tag(monkeypatch):
     data = encode_frame(Frame(MsgType.ACK, 2, 1, 0, encode_ack_payload(0)), key)
     assert calls == [len(data) - 32]
     for junk in (b"", bytes(MIN_FRAME_LEN - 1)):
-        decode_frame(junk, key, ReplayWindow(), 2, (MsgType.ACK,), ANY_SLOT)
+        decode_frame(junk, key, 1, -1, 2, (MsgType.ACK,), ANY_SLOT)
     assert len(calls) == 1
     for frame in (bytes(MIN_FRAME_LEN), data, data):
-        decode_frame(frame, key, ReplayWindow(), 2, (MsgType.ACK,), ANY_SLOT)
+        decode_frame(frame, key, 1, -1, 2, (MsgType.ACK,), ANY_SLOT)
     assert calls == [len(data) - 32, MIN_FRAME_LEN - 32, len(data) - 32, len(data) - 32]
 
 
@@ -498,6 +564,26 @@ def test_only_tag_and_its_key_cache_hash():
             ):
                 found.append((owner, f"{node.value.id}.{node.attr}"))
     assert found and {owner for owner, _ in found} <= {"_tag", "_keyed"}, found
+
+
+def test_decode_frame_keeps_no_state():
+    """decode_frame is a pure check: the link's session and newest accepted
+    slot are its arguments, and only their owner moves them.  It assigns or
+    deletes no attribute or item and declares no global, so no window state
+    can come back inside it unseen."""
+    tree = ast.parse(Path(frames.__file__).read_text())
+    (function,) = [
+        stmt for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "decode_frame"
+    ]
+    found = [
+        f"line {node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Global, ast.Nonlocal))
+        or isinstance(node, (ast.Attribute, ast.Subscript))
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+    ]
+    assert found == []
 
 
 class TestPayloadCodecs:
@@ -587,6 +673,6 @@ class TestPayloadCodecs:
 )
 def test_encode_decode_round_trip(msg_type, sender_id, session_id, slot, payload, key):
     frame = Frame(msg_type, sender_id, session_id, slot, payload)
-    window = ReplayWindow()
-    out = decode_frame(encode_frame(frame, key), key, window, sender_id, (msg_type,), slot)
+    link = (session_id, -1, sender_id, (msg_type,), slot)
+    out = decode_frame(encode_frame(frame, key), key, *link)
     assert out == frame

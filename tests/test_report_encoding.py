@@ -35,7 +35,7 @@ from tests.conftest import (
 )
 from twinsync.cli import EXIT_OK, main
 from twinsync.detector import OUTCOME_EVENT_KIND
-from twinsync.frames import Frame, ReplayWindow, decode_frame
+from twinsync.frames import Frame, decode_frame
 from twinsync.machine import machine_from_dict
 from twinsync.netsim import Direction
 from twinsync.oracle import build_schedule_scenario
@@ -515,8 +515,8 @@ def test_every_sent_frame_decodes_from_base64_and_verifies_on_its_link(name):
                     for i in ids:
                         text = report.frames[i]
                         data = base64.b64decode(text, validate=True)
-                        window, slot = ReplayWindow(), row["slot"]
-                        result = decode_frame(data, key, window, sender_id, msg_types, slot)
+                        link = (spec.session_id, -1, sender_id, msg_types, row["slot"])
+                        result = decode_frame(data, key, *link)
                         assert isinstance(result, Frame), (name, row["slot"], link, result)
                         assert base64.b64encode(data).decode() == text
 

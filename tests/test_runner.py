@@ -23,7 +23,6 @@ from twinsync.frames import (
     Frame,
     TAG_LEN,
     MsgType,
-    ReplayWindow,
     decode_command_payload,
     decode_delta_payload,
     decode_frame,
@@ -478,31 +477,35 @@ FUTURE_FRAMES = {
 
 
 @pytest.mark.parametrize(
-    "link, msg_type, payload, period, stamped, inserted, newest",
+    "link, msg_type, payload, period, session, stamped, inserted, newest",
     [
-        pytest.param(*frame, period, stamped, inserted, newest, id=name + suffix)
-        for suffix, period, stamped, inserted, newest in [
-            ("", 1, 1000, 5, 4),
-            ("-period2", 2, 5, 6, 4),
-            ("-period3", 3, 5, 6, 3),
+        pytest.param(*frame, period, session, stamped, inserted, newest, id=name + suffix)
+        for suffix, period, session, stamped, inserted, newest in [
+            ("", 1, 1, 1000, 5, 4),
+            ("-period2", 2, 1, 5, 6, 4),
+            ("-period3", 3, 1, 5, 6, 3),
+            ("-session2", 1, 2, 4, 5, 4),
         ]
         for name, frame in FUTURE_FRAMES.items()
     ],
 )
 def test_a_key_holders_frame_from_the_future_cannot_lock_its_link(
-    link, msg_type, payload, period, stamped, inserted, newest
+    link, msg_type, payload, period, session, stamped, inserted, newest
 ):
     """A validly tagged frame stamped later than the newest boundary an
     honest frame can carry, put in at a slot of a 20-slot run, is refused as
-    from the future without moving the window, so every honest frame after
-    it is still accepted: one FORGED_INSERT in the INSERT's window, and the
-    run passes.  Above period 1 a slot between two boundaries is from the
-    future too: at period 2, slot 5 arriving at slot 6 is later than
-    boundary 4, the newest at or before the arrival slot minus the latency,
-    and the refusal names that boundary."""
+    from the future, so the link's newest accepted slot does not move and
+    every honest frame after it is still accepted: one FORGED_INSERT in the
+    INSERT's window, and the run passes.  Above period 1 a slot between two
+    boundaries is from the future too: at period 2, slot 5 arriving at slot
+    6 is later than boundary 4, the newest at or before the arrival slot
+    minus the latency, and the refusal names that boundary.  So is a frame
+    of a later session than the link's, at any slot: the link's session is
+    fixed for the run, and the refusal names both sessions."""
     direction = Direction(link)
     sender = PHYSICAL_SENDER_ID if direction is Direction.PHYS_TO_VIRT else VIRTUAL_SENDER_ID
-    forged = encode_frame(Frame(msg_type, sender, 1, stamped, payload), DEFAULT_KEYS[direction])
+    frame = Frame(msg_type, sender, session, stamped, payload)
+    forged = encode_frame(frame, DEFAULT_KEYS[direction])
     doc = {
         "machine": "kettle",
         "total_slots": 20,
@@ -526,10 +529,32 @@ def test_a_key_holders_frame_from_the_future_cannot_lock_its_link(
     assert outcomes(report.slots[inserted], link) == honest(inserted) + ["future"]
     (event,) = report.detection_events
     assert (event["kind"], event["slot"], event["direction"]) == ("FORGED_INSERT", inserted, link)
-    reason = f"slot {stamped} later than {newest}, the newest sync boundary an honest frame can carry"
+    if session == 1:
+        reason = f"slot {stamped} later than {newest}, the newest sync boundary an honest frame can carry"
+    else:
+        reason = f"session {session} later than the link's 1"
     assert event["detail"] == {"reason": reason, "claimed_slot": stamped}
+    assert report.summary["spurious_event_count"] == 0
     assert report.summary["verdict"] == "pass"
     assert all(outcomes(row, link) == honest(row["slot"]) for row in report.slots[inserted + 1 :])
+
+
+def test_an_honest_run_of_a_later_session_accepts_every_frame():
+    """A link runs the scenario's session from its first frame: at session
+    5, every frame each twin sends is of session 5, and every one that
+    arrives within the run, all but the last slot's two, is accepted."""
+    doc = {**load_fixture_json("fig4_walkthrough"), "session_id": 5, "attacks": []}
+    spec = scenario_from_dict(doc)
+    report = run_scenario(spec)
+    sent = [
+        data for row in report.slots for link in (P2V, V2P) for data in sent_bytes(report, row, link)
+    ]
+    assert sent and {HEADER_STRUCT.unpack_from(data)[4] for data in sent} == {5}
+    delivered = [outcomes(row, link) for row in report.slots for link in (P2V, V2P)]
+    assert sum(map(len, delivered)) == len(sent) - 2
+    assert all(outcome == "accepted" for o in delivered for outcome in o)
+    assert report.detection_events == []
+    assert report.summary["verdict"] == "pass"
 
 
 @settings(max_examples=40, deadline=None)
@@ -550,7 +575,7 @@ def test_boundaries_alone_send_and_each_carries_its_inputs(period, inputs):
         }
     )
     report = run_scenario(spec)
-    key, window = spec.keys[Direction.VIRT_TO_PHYS], ReplayWindow()
+    key, highest = spec.keys[Direction.VIRT_TO_PHYS], -1
     issued = sorted(inputs, key=lambda pair: pair[0])
     for row in report.slots:
         slot = row["slot"]
@@ -560,8 +585,9 @@ def test_boundaries_alone_send_and_each_carries_its_inputs(period, inputs):
         assert {link: len(ids) for link, ids in row["sent"].items()} == {P2V: 1, V2P: 1}
         (data,) = sent_bytes(report, row, V2P)
         link = (VIRTUAL_SENDER_ID, (MsgType.COMMAND, MsgType.ACK), slot)
-        frame = decode_frame(data, key, window, *link)
+        frame = decode_frame(data, key, spec.session_id, highest, *link)
         assert frame.slot == slot
+        highest = slot
         carried = tuple(sym for s, sym in issued if slot - period < s <= slot)
         if carried:
             assert frame.msg_type == MsgType.COMMAND
@@ -875,7 +901,7 @@ def test_slot_cost_does_not_grow_with_run_length():
 
 def test_python_calls_per_slot_do_not_grow_with_run_length():
     """The deterministic companion of the test above: 8,000 slots make at
-    most 1.01x the Python calls per slot of 1,000 (45.85 against 45.92), so
+    most 1.01x the Python calls per slot of 1,000 (44.85 against 44.92), so
     no per-slot step calls more as the history grows."""
     assert calls_per_slot(idle_at_key(8000)) <= 1.01 * calls_per_slot(idle_at_key(1000))
 
@@ -935,14 +961,16 @@ def calls_per_slot(spec) -> float:
 
 def test_python_calls_per_idle_slot():
     """A deterministic guard on the per-slot constant of the frame path:
-    45.83.  Wire version 2 checks the replay window inside `decode_frame`,
-    one call fewer per frame than the 47.76 of the window's own method."""
+    44.82.  The audit takes the up link's newest boundary from the timing
+    check, one call fewer per slot than the 45.82 of `delivered_emission`;
+    wire version 2's replay check inside `decode_frame` made one call fewer
+    per frame than the 47.76 of the window's own method."""
     assert python_calls_per_slot("idle_at_key") <= 48
 
 
 def test_python_calls_per_attack_slot():
-    """The same guard on the adversary and detector paths: 47.17 on
-    `attack_dense`, down from 49.12 for the same reason."""
+    """The same guard on the adversary and detector paths: 46.17 on
+    `attack_dense`, down from 47.17 and 49.12 for the same reasons."""
     assert python_calls_per_slot("attack_dense") <= 49
 
 
