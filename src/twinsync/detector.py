@@ -94,6 +94,7 @@ OUTCOME_EVENT_KIND: dict[str, EventKind] = {
     "wrong_direction": EventKind.FORGED_INSERT,
     "future": EventKind.FORGED_INSERT,
     "replay": EventKind.REPLAY_ATTACK,
+    "late": EventKind.REPLAY_ATTACK,
     "malformed_payload": EventKind.FORGED_INSERT,
     "state_mismatch": EventKind.STATE_MISMATCH,
     "command_rejected": EventKind.COMMAND_REJECTED,

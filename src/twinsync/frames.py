@@ -1,9 +1,9 @@
 """Authenticated wire format for twin synchronization traffic.
 
-Frame layout, wire version 3, all integers big-endian:
+Frame layout, wire version 4, all integers big-endian:
 
     [0..2)    magic 0x44 0x54
-    [2]       version (3)
+    [2]       version (4)
     [3]       msg_type: 1 STATE_SYNC, 2 COMMAND, 3 ACK
     [4..8)    sender_id  u32
     [8..16)   session_id u64
@@ -12,6 +12,9 @@ Frame layout, wire version 3, all integers big-endian:
     [26..26+L)    payload
     [26+L..58+L)  tag = BLAKE2s-256 keyed with key, of bytes[0 .. 26+L)
 
+A payload states no length of its own, as a TCP segment's comes from its
+datagram's (RFC 9293 section 3.1): a delta is base and result state, u32
+each, a COMMAND `acked`, u64, each then a u32 per input, an ACK `acked`.
 This module is the only one that packs or reads a header, and `frame_body`
 is the one place a header is packed: `encode_frame` tags what it returns,
 the adversary's forgeries append a random tag to it, and `splice_payload`
@@ -22,7 +25,7 @@ HMAC takes two; a key longer than its 32-byte maximum is hashed first, as
 RFC 2104 hashes a key longer than its block.
 decode_frame decides whether a link accepts a frame, with its checks in this
 order: length, tag, structure, the link's sender id and message types,
-timing, and last replay; a frame failing one comes back as a
+timing, replay, and last lateness; a frame failing one comes back as a
 `sync.Refusal` named for it.  Any bit flipped anywhere in a frame therefore
 fails authentication rather than surfacing as a parse error, and structural
 checks only ever run on authentic bytes.  decode_frame keeps no state: the
@@ -33,7 +36,8 @@ the slot is its sequence number, derived rather than sent, as TLS 1.3
 derives its record numbers (RFC 8446 section 5.3).  Like TCP's receive
 window (RFC 9293 section 3.10.7.4), a link cannot run ahead of the present:
 a frame of a later session, or stamped later than the newest sync boundary
-at or before the arrival slot minus the link's latency, is no honest one.
+at or before the arrival slot minus the link's latency, is no honest one,
+and the channel has no jitter, so neither is one stamped before that slot.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from enum import IntEnum
 from .sync import CommandRecord, DeltaRecord, Refusal
 
 MAGIC = b"\x44\x54"
-VERSION = 3
+VERSION = 4
 HEADER_STRUCT = struct.Struct(">2sBBIQQH")
 HEADER_LEN = HEADER_STRUCT.size
 TAG_LEN = 32
@@ -133,14 +137,16 @@ def decode_frame(
     sender_id: int,
     msg_types: tuple[int, ...],
     newest: int,
+    horizon: int,
 ) -> Frame | Refusal:
     """Accept or refuse one frame arriving on a link, changing nothing.
 
     The link runs session `session_id`, has accepted no slot later than
     `highest` (-1 before its first), and its sender has `sender_id` and
-    sends `msg_types`; `newest` is the latest slot an honest frame can carry:
-    the newest sync boundary at or before the arrival slot minus the link's
-    latency, below 0 before there is one.
+    sends `msg_types`; `horizon` is the arrival slot minus the link's
+    latency, the earliest slot an honest frame can carry, and `newest` the
+    latest: the newest sync boundary at or before `horizon`, below 0 before
+    there is one.
     Returns the Frame on success, otherwise a Refusal whose detail claims the
     header's slot once there is a header.
     """
@@ -176,6 +182,8 @@ def decode_frame(
     elif (session, slot) <= (session_id, highest):
         outcome = "replay"
         reason = f"(session, slot) {session, slot} not after {session_id, highest}"
+    elif slot < horizon:
+        outcome, reason = "late", f"slot {slot} earlier than {horizon}, arrival slot less latency"
     else:
         return Frame(msg_type, sender, session, slot, body[HEADER_LEN:])
     return Refusal(outcome, {"reason": reason, "claimed_slot": slot})
@@ -184,11 +192,11 @@ def decode_frame(
 # Payload codecs. These run on authenticated bytes only, so failures raise
 # rather than come back as refusals.
 
-_DELTA_HEAD = struct.Struct(">IIH")  # base state, result state, input count
+_DELTA_HEAD = struct.Struct(">II")  # base state, result state
 _ACK = struct.Struct(">Q")  # newest accepted emission slot + 1, 0 for none
 
-# Most inputs one delta or COMMAND record carries: 10 fixed bytes, a u32 per input.
-MAX_RECORD_INPUTS = (MAX_PAYLOAD_LEN - 10) // 4
+# Most inputs one delta or COMMAND record carries: 8 fixed bytes, a u32 per input.
+MAX_RECORD_INPUTS = (MAX_PAYLOAD_LEN - 8) // 4
 
 
 def encode_delta_payload(record: DeltaRecord) -> bytes:
@@ -197,19 +205,17 @@ def encode_delta_payload(record: DeltaRecord) -> bytes:
     if n > MAX_RECORD_INPUTS:
         raise PayloadTooLarge(f"{n} inputs do not fit in one frame")
     if not n:
-        return _DELTA_HEAD.pack(record.base_state, record.result_state, 0)
-    return struct.pack(f">IIH{n}I", record.base_state, record.result_state, n, *inputs)
+        return _DELTA_HEAD.pack(record.base_state, record.result_state)
+    return struct.pack(f">II{n}I", record.base_state, record.result_state, *inputs)
 
 
 def decode_delta_payload(data: bytes, slot: int) -> DeltaRecord:
-    if len(data) < 10:
-        raise MalformedPayload(f"delta payload of {len(data)} bytes truncated")
-    base, result, n = _DELTA_HEAD.unpack_from(data)
-    if len(data) != 10 + 4 * n:
-        raise MalformedPayload(
-            f"delta payload length {len(data)} does not match {n} declared inputs"
-        )
-    return DeltaRecord(base, result, struct.unpack_from(f">{n}I", data, 10) if n else (), slot)
+    size = len(data)
+    if size < 8 or size % 4:
+        raise MalformedPayload(f"delta payload of {size} bytes is not 8 plus a multiple of 4")
+    base, result = _DELTA_HEAD.unpack_from(data)
+    inputs = struct.unpack_from(f">{size // 4 - 2}I", data, 8) if size > 8 else ()
+    return DeltaRecord(base, result, inputs, slot)
 
 
 def encode_command_payload(record: CommandRecord) -> bytes:
@@ -218,21 +224,15 @@ def encode_command_payload(record: CommandRecord) -> bytes:
         raise ValueError("command must carry at least one input")
     if n > MAX_RECORD_INPUTS:
         raise PayloadTooLarge(f"{n} inputs do not fit in one frame")
-    return struct.pack(f">H{n}IQ", n, *record.inputs, record.acked)
+    return struct.pack(f">Q{n}I", record.acked, *record.inputs)
 
 
 def decode_command_payload(data: bytes) -> CommandRecord:
-    if len(data) < 2:
-        raise MalformedPayload(f"command payload of {len(data)} bytes truncated")
-    (n,) = struct.unpack_from(">H", data)
-    if n == 0:
-        raise MalformedPayload("command payload with empty input list")
-    if len(data) != 2 + 4 * n + 8:
-        raise MalformedPayload(
-            f"command payload length {len(data)} does not match {n} declared inputs"
-        )
-    fields = struct.unpack(f">H{n}IQ", data)
-    return CommandRecord(inputs=fields[1:-1], acked=fields[-1])
+    size = len(data)
+    if size < 12 or size % 4:
+        raise MalformedPayload(f"command payload of {size} bytes is not 12 plus a multiple of 4")
+    fields = struct.unpack(f">Q{size // 4 - 2}I", data)
+    return CommandRecord(fields[1:], fields[0])
 
 
 def encode_ack_payload(acked: int) -> bytes:

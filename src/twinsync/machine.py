@@ -25,10 +25,6 @@ class UnknownInput(MachineError):
     pass
 
 
-class LogContiguityError(MachineError):
-    pass
-
-
 class MachineFormatError(MachineError):
     """Raised when a machine definition repeats a transition row."""
 
@@ -60,28 +56,16 @@ class LogEntry:
     is_key_crossing: bool
 
 
+@dataclass(slots=True)
 class ExecutionLog:
-    """Append-only record of executed transitions.
+    """Append-only record of executed transitions, in order.
 
-    Contiguity is enforced on every append: each entry must start where the
-    previous one ended, and slots may never decrease.
+    `PhysicalTwin.apply_input`, its one writer, appends each entry from the
+    state the previous one ended in, at a slot no earlier, so the log is
+    contiguous by construction and no append checks it.
     """
 
-    def __init__(self) -> None:
-        self.entries: list[LogEntry] = []
-
-    def append(self, entry: LogEntry) -> None:
-        if self.entries:
-            last = self.entries[-1]
-            if entry.from_state != last.to_state:
-                raise LogContiguityError(
-                    f"entry starts at {entry.from_state}, log ends at {last.to_state}"
-                )
-            if entry.slot < last.slot:
-                raise LogContiguityError(
-                    f"slot {entry.slot} precedes last logged slot {last.slot}"
-                )
-        self.entries.append(entry)
+    entries: list[LogEntry] = field(default_factory=list)
 
 
 def step(machine: TwinMachine, state: int, sym: int) -> int:

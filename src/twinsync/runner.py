@@ -145,10 +145,11 @@ class _Link:
     The sender stamps each record with its emission slot, encodes and tags it
     and enqueues it on the channel; the receiver accepts only frames of this
     direction's key, sender id, message types and session, neither from the
-    future nor at or before `highest`, the newest slot it accepted, which
-    only `run_scenario`'s accept branch moves.  `sent` and `dropped` hold the
-    ids of the frames sent and dropped since the last report row took them:
-    their index in `ids`, the run's distinct frames, which both links share.
+    future nor late nor at or before `highest`, the newest slot it accepted,
+    which only `run_scenario`'s accept branch moves.  `sent` and `dropped`
+    hold the ids of the frames sent and dropped since the last report row
+    took them: their index in `ids`, the run's distinct frames, which both
+    links share.
     """
 
     def __init__(
@@ -248,8 +249,8 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 dropped[link.name], link.dropped = link.dropped, []
             received = []
             direction = link.direction
-            # The newest boundary an honest frame can carry, below 0 before
-            # there is one: on the up link, the emission the audit expects.
+            # An honest frame arriving now was sent at `horizon`; on the up link
+            # `newest`, the boundary at or before it, is the emission the audit expects.
             horizon = slot - link.channel.latency_slots
             newest = horizon - horizon % period
             if link is up:
@@ -257,7 +258,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
             for data in adversary.intercept(slot, direction, link.channel.deliver_due(slot)):
                 frame = decode_frame(
                     data, link.key, link.session_id, link.highest, link.sender_id,
-                    link.msg_types, newest,
+                    link.msg_types, newest, horizon,
                 )
                 if isinstance(frame, Refusal):
                     refusal = frame

@@ -127,7 +127,7 @@ def read_json_file(path: str) -> object:
             return json.load(fh)
     except OSError as exc:
         raise ScenarioInvalid([f"cannot read {path}: {exc}"]) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or an over-long integer
         raise ScenarioInvalid([f"{path} is not valid JSON: {exc}"]) from exc
     except RecursionError as exc:
         raise ScenarioInvalid([f"{path} nests too deeply to parse"]) from exc

@@ -142,7 +142,7 @@ class PhysicalTwin:
         state = self.state
         nxt = step(self.machine, state, sym)
         crossing = nxt in self.machine.key_states
-        self.log.append(LogEntry(slot, sym, state, nxt, crossing))
+        self.log.entries.append(LogEntry(slot, sym, state, nxt, crossing))
         if nxt != state:
             self._inputs.append(sym)
             self.state = nxt
@@ -206,20 +206,12 @@ class VirtualTwin:
     def apply_sync(self, delta: DeltaRecord) -> Refusal | None:
         """Advance by a verified delta record; on a refusal nothing changes.
 
-        A record carrying a slot older than the replica's sync point is
-        refused as replayed before its content is even looked at.
-        Otherwise its base must be a state the replica holds, and the full
-        fold of its inputs from there must confirm the claim: the last key
-        state the fold visits, or, when it visits none, one of the key
-        states held with the base.
+        Its base must be a state the replica holds, and the full fold of its
+        inputs from there must confirm the claim: the last key state the
+        fold visits, or, when it visits none, one of the key states held
+        with the base.  Order is the decoder's: a record reaches here only
+        from a frame stamped after the up link's newest accepted slot.
         """
-        if delta.slot < self.last_synced_slot:
-            return _mismatch(
-                "replayed_base",
-                self.last_synced_slot,
-                delta.slot,
-                "delta slot predates the replica's sync point",
-            )
         held = self.held
         base, claim = delta.base_state, delta.result_state
         if base not in held:

@@ -211,7 +211,7 @@ def test_acceptance_4_tamper_and_replay_completeness():
                 corrupted[offset] ^= 1 << bit
                 link = (vector.frame.session_id, -1, vector.frame.sender_id)
                 out = decode_frame(
-                    bytes(corrupted), vector.key, *link, (vector.frame.msg_type,), U64_MAX
+                    bytes(corrupted), vector.key, *link, (vector.frame.msg_type,), U64_MAX, 0
                 )
                 flips += 1
                 if isinstance(out, Refusal) and out.outcome == "auth_fail":
@@ -234,7 +234,7 @@ def test_acceptance_4_tamper_and_replay_completeness():
         )
         candidates.append((key, frame, encode_frame(frame, key)))
     for frame_key, frame, data in candidates:
-        link = (frame.sender_id, (frame.msg_type,), frame.slot)
+        link = (frame.sender_id, (frame.msg_type,), frame.slot, frame.slot)
         first = decode_frame(data, frame_key, frame.session_id, -1, *link)
         assert isinstance(first, Frame), f"vector did not decode cleanly: {first}"
         # The link has now accepted the frame's slot.
@@ -273,7 +273,7 @@ def test_acceptance_5_forgery_resistance():
             }
             data = forge_frame_bytes(template, forge_rng)
             link = (template["sender_id"], (template["msg_type"],))
-        out = decode_frame(data, key, 1, -1, *link, U64_MAX)
+        out = decode_frame(data, key, 1, -1, *link, U64_MAX, 0)
         if isinstance(out, Frame):
             accepted += 1
         else:

@@ -34,8 +34,8 @@ def frame_bytes(slot: int, payload: bytes = b"") -> bytes:
 
 def decode(data: bytes, msg_type: MsgType) -> Frame | Refusal:
     """`data` as a fresh session-1 link of sender 1's `msg_type` decodes it,
-    none of it from the future."""
-    return decode_frame(data, KEY, 1, -1, 1, (msg_type,), U64_MAX)
+    none of it from the future or late."""
+    return decode_frame(data, KEY, 1, -1, 1, (msg_type,), U64_MAX, 0)
 
 
 def adversary(*actions: AttackAction) -> Adversary:

@@ -266,16 +266,21 @@ class TestVectors:
         (["oracle", "--machine", "{tmp}/wide.json"], EXIT_INVALID, "oracle: "),
         (["validate", "--scenario", "{tmp}/labels_scenario.json"], EXIT_INVALID, "scenario: "),
         (["oracle", "--machine", "{tmp}/labels_machine.json"], EXIT_INVALID, "oracle: "),
+        (["validate", "--scenario", "{tmp}/long_int.json"], EXIT_INVALID, "scenario: "),
+        (["run", "--scenario", "{tmp}/long_int.json"], EXIT_INVALID, "scenario: "),
+        (["oracle", "--machine", "{tmp}/long_int.json"], EXIT_INVALID, "oracle: "),
     ],
     ids=[
         "run_out_dir_missing", "validate_not_utf8", "run_not_utf8", "vectors_not_ascii",
         "validate_too_deep", "oracle_too_deep", "oracle_wider_than_u32", "validate_bad_labels",
-        "oracle_bad_labels",
+        "oracle_bad_labels", "validate_long_integer", "run_long_integer", "oracle_long_integer",
     ],
 )
 def test_bad_file_gives_one_line_not_a_traceback(argv, code, prefix, walkthrough_path, tmp_path):
     (tmp_path / "latin1.json").write_bytes(b'{"name": "caf\xe9"}')
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    # Longer than the 4,300 digits Python converts from a string by default.
+    (tmp_path / "long_int.json").write_text('{"total_slots": ' + "1" * 4301 + "}")
     write_json(tmp_path, "wide.json", WIDE_MACHINE)
     bad_labels = {**load_fixture_json("kettle"), "labels": {"states": 5}}
     write_json(tmp_path, "labels_machine.json", bad_labels)

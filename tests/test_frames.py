@@ -37,21 +37,23 @@ from twinsync.sync import CommandRecord, DeltaRecord, Refusal
 from twinsync.vectors import GOLDEN_VECTORS, golden_frame_bytes
 
 ANY_SLOT = U64_MAX  # as the newest arrivable slot, no frame is from the future
+NOT_LATE = 0  # as the arrival slot minus the latency, no frame is late
 
 # Frozen canonical encodings. Computed once with an independent BLAKE2s
 # (see manual_blake2s) and pinned; the encoder must reproduce them byte for
 # byte forever.  Wire version 2 re-pinned them once, when the header lost its
-# u64 seq, and wire version 3 once more, when keyed BLAKE2s-256 replaced
-# HMAC-SHA-256 as the tag.
+# u64 seq, wire version 3 once more, when keyed BLAKE2s-256 replaced
+# HMAC-SHA-256 as the tag, and wire version 4 once more, when records
+# stopped stating their input count and a COMMAND put its `acked` first.
 GOLDEN_HEX = (
-    "44540300000000000000000000000000000000000000000000007d824efc324a"
-    "4db13bdd053ab69cdad3c7cfa25aa48e00db6beb7b33b84436d4",
-    "445403010000000100000000000000010000000000000004001a000000000000"
-    "00640004000000010000000100000001000000010d5e925e094d583c111c8372"
-    "1ab7f4e56fecfc15e188f705a291c0028ee18d57",
-    "4454030200000002000000000000000100000000000000090012000200000001"
-    "00000002000000000000000985cc1da01c9281b85d916639fd6fa3110e9032f9"
-    "39f16b7d732e38a3df2fc0ee",
+    "4454040000000000000000000000000000000000000000000000f3fc34bb4ddf"
+    "125c45b3d27d2bc903ccf2adb027ae46387958d4e314d7ced229",
+    "4454040100000001000000000000000100000000000000040018000000000000"
+    "006400000001000000010000000100000001f4520c80421bc9c08c344e8f1c2b"
+    "895e0513cc0551cc6d7ff64523e4559149ef",
+    "4454040200000002000000000000000100000000000000090010000000000000"
+    "00090000000100000002357bf81c373950dfe99991b4cc4675b8397814467f24"
+    "847276c34f01e8630607",
 )
 
 
@@ -133,18 +135,23 @@ class TestGoldenVectors:
     def test_a_version_2_frame_fails_authentication(self):
         """Vector 2 as wire version 2 sent it, tagged with HMAC-SHA-256 under
         the same key: its tag is checked first, so it is refused as not
-        authentic, not as a frame of an unsupported version."""
+        authentic, not as a frame of an unsupported version.  Its body is
+        today's but for the version, the payload length and the u16 input
+        count its delta stated."""
         data = bytes.fromhex(
             "445402010000000100000000000000010000000000000004001a000000000000"
             "006400040000000100000001000000010000000100344933fdd7a733a18345d5"
             "7407ad1097bff89ff7df3c059236b7d975e25957"
         )
         key = GOLDEN_VECTORS[1].key
-        out = decode_frame(data, key, 1, -1, 1, (MsgType.STATE_SYNC,), ANY_SLOT)
+        out = decode_frame(data, key, 1, -1, 1, (MsgType.STATE_SYNC,), ANY_SLOT, NOT_LATE)
         assert isinstance(out, Refusal)
         assert (out.outcome, out.detail["reason"]) == ("auth_fail", "tag mismatch")
         current = golden_frame_bytes()[1]
-        assert data[:-32] == current[:2] + b"\x02" + current[3:-32]
+        assert data[:-32] == (
+            current[:2] + b"\x02" + current[3:24] + b"\x00\x1a" + current[26:34] + b"\x00\x04"
+            + current[34:-32]
+        )
 
     def test_minimum_frame_is_58_bytes(self):
         assert MIN_FRAME_LEN == 58
@@ -180,7 +187,7 @@ class TestGoldenVectors:
     def test_zero_field_frame_is_not_a_protocol_frame(self):
         """Vector 1 pins layout and tag only; msg_type 0 never decodes to a Frame."""
         data = bytes.fromhex(GOLDEN_HEX[0])
-        out = decode_frame(data, bytes(32), 0, -1, 0, (0,), ANY_SLOT)
+        out = decode_frame(data, bytes(32), 0, -1, 0, (0,), ANY_SLOT, NOT_LATE)
         assert isinstance(out, Refusal)
         assert out.outcome == "malformed"
         assert "msg_type" in out.detail["reason"]
@@ -201,7 +208,7 @@ class TestDecode:
     def _decode(self, data, key=None):
         """Decode on a fresh link of this frame's own session, sender and type."""
         link = (self.frame.session_id, -1, self.frame.sender_id, (self.frame.msg_type,))
-        return decode_frame(data, key or self.key, *link, ANY_SLOT)
+        return decode_frame(data, key or self.key, *link, ANY_SLOT, NOT_LATE)
 
     def test_round_trip(self):
         out = self._decode(self.data)
@@ -227,10 +234,10 @@ class TestDecode:
     def test_any_flipped_bit_fails_authentication(self, offset, bit):
         """Tag is checked first, so corruption is auth failure, not a parse
         error: in the header, at its last byte 25, in the payload from byte
-        26, and in the tag, whose last byte is 91 for a six-input delta."""
-        payload = encode_delta_payload(DeltaRecord(0, 100, (1,) * 6, 4))
+        26, and in the tag, bytes 62-93 for a seven-input delta."""
+        payload = encode_delta_payload(DeltaRecord(0, 100, (1,) * 7, 4))
         data = encode_frame(dataclasses.replace(self.frame, payload=payload), self.key)
-        assert len(data) == 92
+        assert len(data) == 94
         corrupted = bytearray(data)
         corrupted[offset] ^= 1 << bit
         out = self._decode(bytes(corrupted))
@@ -246,9 +253,10 @@ class TestDecode:
         assert out.detail["reason"] == "bad magic"
 
     def test_authentic_bad_version_is_malformed(self):
-        """Version 1, whose header still carried a seq, and version 2, tagged
-        with HMAC-SHA-256, are no longer accepted."""
-        for version in (1, 2):
+        """Version 1, whose header still carried a seq, version 2, tagged
+        with HMAC-SHA-256, and version 3, whose records stated their input
+        count, are no longer accepted."""
+        for version in (1, 2, 3):
             body = HEADER_STRUCT.pack(MAGIC, version, 1, 1, 1, 4, 0)
             out = self._decode(body + manual_tag(self.key, body))
             assert isinstance(out, Refusal)
@@ -279,8 +287,10 @@ class Receiver:
     session_id: int = 1
     highest: int = -1
 
-    def receive(self, data: bytes, newest: int = ANY_SLOT) -> Frame | Refusal:
-        link = (self.session_id, self.highest, self.sender_id, (MsgType.ACK,), newest)
+    def receive(
+        self, data: bytes, newest: int = ANY_SLOT, horizon: int = NOT_LATE
+    ) -> Frame | Refusal:
+        link = (self.session_id, self.highest, self.sender_id, (MsgType.ACK,), newest, horizon)
         out = decode_frame(data, self.key, *link)
         if isinstance(out, Frame):
             self.highest = out.slot
@@ -299,8 +309,8 @@ class TestReplayProtection:
             Frame(MsgType.ACK, sender, session, slot, payload=encode_ack_payload(0)), self.key
         )
 
-    def _decode(self, data, newest=ANY_SLOT):
-        return self.link.receive(data, newest)
+    def _decode(self, data, newest=ANY_SLOT, horizon=NOT_LATE):
+        return self.link.receive(data, newest, horizon)
 
     def test_duplicate_delivery_is_replay(self):
         data = self._frame(slot=1)
@@ -398,6 +408,20 @@ class TestReplayProtection:
         out = self._decode(self._frame(slot=3), newest=2)
         assert out.outcome == "future"
 
+    def test_a_late_frame_is_refused(self):
+        """The channel has no jitter, so an honest frame carries exactly the
+        arrival slot minus the latency; one stamped earlier was held back.
+        It is refused however much newer than `highest` it is, and the link's
+        newest slot does not move."""
+        out = self._decode(self._frame(slot=4), newest=6, horizon=7)
+        assert isinstance(out, Refusal)
+        assert (out.outcome, out.detail["claimed_slot"]) == ("late", 4)
+        assert out.detail["reason"] == "slot 4 earlier than 7, arrival slot less latency"
+        assert self.link.highest == -1
+        assert isinstance(self._decode(self._frame(slot=6), newest=6, horizon=6), Frame)
+        # Once the link has passed it, the same frame is stale first.
+        assert self._decode(self._frame(slot=4), newest=6, horizon=7).outcome == "replay"
+
 
 @settings(derandomize=True, max_examples=300)
 @given(
@@ -406,27 +430,34 @@ class TestReplayProtection:
     session_id=st.integers(0, 3) | st.integers(0, U64_MAX),
     highest=st.integers(-1, 8) | st.integers(-1, U64_MAX),
     newest=st.integers(-4, 8) | st.integers(-4, U64_MAX),
+    horizon=st.integers(-4, 8) | st.integers(-4, U64_MAX),
 )
 def test_decode_frame_accepts_exactly_the_links_session_after_highest(
-    session, slot, session_id, highest, newest
+    session, slot, session_id, highest, newest, horizon
 ):
     """A frame tagged with the link key, of any session and slot, on a link
-    of any (session_id, highest, newest): accepted exactly when it is of the
-    link's session and highest < slot <= newest, refused as `future` when it
-    is of a later session or slot, as `replay` otherwise, and the same on a
-    second call, since decode_frame keeps no state."""
+    of any (session_id, highest, newest, horizon): accepted exactly when it
+    is of the link's session and highest < slot and horizon <= slot <=
+    newest, refused as `future` when it is of a later session or slot, as
+    `replay` when its (session, slot) is not after the link's, as `late`
+    otherwise, and the same on a second call, since decode_frame keeps no
+    state."""
     key = bytes(range(32))
     frame = Frame(MsgType.ACK, 2, session, slot, encode_ack_payload(0))
     data = encode_frame(frame, key)
-    link = (session_id, highest, 2, (MsgType.ACK,), newest)
+    link = (session_id, highest, 2, (MsgType.ACK,), newest, horizon)
     out = decode_frame(data, key, *link)
     assert out == decode_frame(data, key, *link)
-    if session == session_id and highest < slot <= newest:
+    if session == session_id and highest < slot and horizon <= slot <= newest:
         assert out == frame
     else:
         assert isinstance(out, Refusal)
-        late = slot > newest or session > session_id
-        assert out.outcome == ("future" if late else "replay")
+        if slot > newest or session > session_id:
+            assert out.outcome == "future"
+        elif (session, slot) <= (session_id, highest):
+            assert out.outcome == "replay"
+        else:
+            assert out.outcome == "late"
 
 
 class TestLinkBinding:
@@ -438,7 +469,7 @@ class TestLinkBinding:
         self.ack = encode_frame(Frame(MsgType.ACK, 2, 1, 3, encode_ack_payload(0)), self.key)
 
     def _decode(self, key, sender, msg_types, newest=ANY_SLOT, highest=-1):
-        return decode_frame(self.ack, key, 1, highest, sender, msg_types, newest)
+        return decode_frame(self.ack, key, 1, highest, sender, msg_types, newest, NOT_LATE)
 
     def test_other_sender_is_wrong_direction(self):
         out = self._decode(self.key, 1, (MsgType.ACK,))
@@ -532,10 +563,10 @@ def test_each_frame_is_tagged_once_through_frames_tag(monkeypatch):
     data = encode_frame(Frame(MsgType.ACK, 2, 1, 0, encode_ack_payload(0)), key)
     assert calls == [len(data) - 32]
     for junk in (b"", bytes(MIN_FRAME_LEN - 1)):
-        decode_frame(junk, key, 1, -1, 2, (MsgType.ACK,), ANY_SLOT)
+        decode_frame(junk, key, 1, -1, 2, (MsgType.ACK,), ANY_SLOT, NOT_LATE)
     assert len(calls) == 1
     for frame in (bytes(MIN_FRAME_LEN), data, data):
-        decode_frame(frame, key, 1, -1, 2, (MsgType.ACK,), ANY_SLOT)
+        decode_frame(frame, key, 1, -1, 2, (MsgType.ACK,), ANY_SLOT, NOT_LATE)
     assert calls == [len(data) - 32, MIN_FRAME_LEN - 32, len(data) - 32, len(data) - 32]
 
 
@@ -589,11 +620,12 @@ def test_decode_frame_keeps_no_state():
 class TestPayloadCodecs:
     def test_four_input_delta_payload_layout(self):
         payload = encode_delta_payload(DeltaRecord(0, 100, (1, 1, 1, 1), slot=4))
-        assert len(payload) == 26
-        assert payload.hex() == "00000000000000640004" + "00000001" * 4
+        assert len(payload) == 24
+        assert payload.hex() == "0000000000000064" + "00000001" * 4
 
     def test_both_record_codecs_hold_the_same_number_of_inputs(self):
         n = MAX_RECORD_INPUTS
+        assert n == 16_381
         assert len(encode_delta_payload(DeltaRecord(0, 1, (1,) * n, 0))) <= MAX_PAYLOAD_LEN
         assert len(encode_command_payload(CommandRecord((1,) * n, 0))) <= MAX_PAYLOAD_LEN
         with pytest.raises(PayloadTooLarge):
@@ -601,32 +633,35 @@ class TestPayloadCodecs:
         with pytest.raises(PayloadTooLarge):
             encode_command_payload(CommandRecord((1,) * (n + 1), 0))
 
-    def test_heartbeat_delta_payload_is_ten_bytes(self):
+    def test_heartbeat_delta_payload_is_eight_bytes(self):
         payload = encode_delta_payload(DeltaRecord(100, 100, (), slot=7))
-        assert payload.hex() == "0000006400000064" + "0000"
+        assert payload.hex() == "0000006400000064"
 
     def test_delta_round_trip(self):
         record = DeltaRecord(0, 100, (1, 2, 1), slot=11)
         assert decode_delta_payload(encode_delta_payload(record), slot=11) == record
 
     def test_truncated_delta_payload(self):
+        """A delta cut inside its last input."""
         payload = encode_delta_payload(DeltaRecord(0, 100, (1, 1, 1, 1), slot=4))
-        with pytest.raises(MalformedPayload):
-            decode_delta_payload(payload[:25], slot=4)
+        with pytest.raises(MalformedPayload, match="23 bytes"):
+            decode_delta_payload(payload[:23], slot=4)
 
     def test_delta_payload_shorter_than_header(self):
-        with pytest.raises(MalformedPayload):
-            decode_delta_payload(b"\x00" * 9, slot=0)
+        with pytest.raises(MalformedPayload, match="4 bytes"):
+            decode_delta_payload(b"\x00" * 4, slot=0)
 
     def test_delta_count_must_match_length(self):
-        bad = bytes.fromhex("00000000000000640004" + "00000001" * 3)
-        with pytest.raises(MalformedPayload):
+        """The input count is the length's: three inputs and half of a fourth
+        is no count at all."""
+        bad = bytes.fromhex("0000000000000064" + "00000001" * 3 + "0001")
+        with pytest.raises(MalformedPayload, match="22 bytes"):
             decode_delta_payload(bad, slot=4)
 
     def test_two_input_command_payload_layout(self):
         payload = encode_command_payload(CommandRecord(inputs=(1, 2), acked=9))
-        assert len(payload) == 18
-        assert payload.hex() == "0002" + "00000001" + "00000002" + "0000000000000009"
+        assert len(payload) == 16
+        assert payload.hex() == "0000000000000009" + "00000001" + "00000002"
 
     def test_command_round_trip(self):
         record = CommandRecord(inputs=(2,), acked=3)
@@ -636,18 +671,40 @@ class TestPayloadCodecs:
         with pytest.raises(ValueError):
             encode_command_payload(CommandRecord(inputs=(), acked=1))
 
+    def test_zero_count_command_payload_rejected(self):
+        """An acknowledgement with no inputs is an ACK's payload, not a COMMAND's."""
+        with pytest.raises(MalformedPayload):
+            decode_command_payload(bytes.fromhex("0000000000000001"))
+
     @pytest.mark.parametrize("data", [b"", b"\x00"])
     def test_command_payload_shorter_than_its_count_is_truncated(self, data):
-        with pytest.raises(MalformedPayload, match="truncated"):
+        """Too short to hold even `acked`."""
+        with pytest.raises(MalformedPayload, match=f"of {len(data)} bytes"):
             decode_command_payload(data)
 
-    def test_zero_count_command_payload_rejected(self):
-        with pytest.raises(MalformedPayload):
-            decode_command_payload(bytes.fromhex("0000" + "0000000000000001"))
-
     def test_command_count_must_match_length(self):
-        with pytest.raises(MalformedPayload):
-            decode_command_payload(bytes.fromhex("0002" + "00000001" + "0000000000000009"))
+        """One input and half of a second: the length gives no whole count."""
+        with pytest.raises(MalformedPayload, match="14 bytes"):
+            decode_command_payload(bytes.fromhex("0000000000000009" + "00000001" + "0002"))
+
+    @settings(derandomize=True, max_examples=400)
+    @given(data=st.binary(max_size=40) | st.lists(st.binary(min_size=4, max_size=4)).map(b"".join))
+    def test_a_record_payload_decodes_exactly_when_its_length_fits(self, data):
+        """No record states its input count: the length alone decides.  A
+        delta is 8 bytes and a u32 per input, a COMMAND the same with at
+        least one input; any other length is malformed, and whatever decodes
+        encodes back to the same bytes."""
+        size = len(data)
+        if size < 8 or size % 4:
+            with pytest.raises(MalformedPayload):
+                decode_delta_payload(data, slot=0)
+        else:
+            assert encode_delta_payload(decode_delta_payload(data, slot=0)) == data
+        if size < 12 or size % 4:
+            with pytest.raises(MalformedPayload):
+                decode_command_payload(data)
+        else:
+            assert encode_command_payload(decode_command_payload(data)) == data
 
     def test_ack_payload(self):
         assert encode_ack_payload(3).hex() == "0000000000000003"
@@ -673,6 +730,6 @@ class TestPayloadCodecs:
 )
 def test_encode_decode_round_trip(msg_type, sender_id, session_id, slot, payload, key):
     frame = Frame(msg_type, sender_id, session_id, slot, payload)
-    link = (session_id, -1, sender_id, (msg_type,), slot)
+    link = (session_id, -1, sender_id, (msg_type,), slot, slot)
     out = decode_frame(encode_frame(frame, key), key, *link)
     assert out == frame

@@ -275,44 +275,46 @@ def test_bench_workload_reports_match_stdlib(workload):
 # version 2, whose header has no seq, changed every frame and so every
 # digest in every table here once again.  Wire version 3, whose tag is keyed
 # BLAKE2s-256, changed every tag and so every digest here but those of
-# `PINNED_OUTSIDE_FRAMES`, which hold.
+# `PINNED_OUTSIDE_FRAMES`, which hold.  Wire version 4, whose records state no
+# input count, changed every frame and every digest here but those, which
+# hold again.
 PINNED_REPORTS = {
-    "fig4_walkthrough": "6947fbcee969b5302d3f717bd30314fc6d13bcf9c848a6a7015aad8f2632266e",
-    "attack_matrix": "90ecc0a586f546f6dfb22ca4bba57feaf0c935d9860a05797e94c1713f4e3a3c",
+    "fig4_walkthrough": "8da8e74c8bdbf3082af123982251ceac7fe648b3d8853bb8007fdd1019edb139",
+    "attack_matrix": "dc3c5b6814da5ff16a0175f3f4a599b39f0b24b4ac2dda70a9eb3401f1c7be88",
 }
 # SHA-256 of the same v1 projections, compact, sorted keys, one newline.
 PINNED_COMPACT_REPORTS = {
-    "fig4_walkthrough": "c6ea50e8051b77783f2108b5454ae144042d91b86ec97ccea9cbce21b1c4f52a",
-    "attack_matrix": "fc5298944117aa54ad97de5aa8e83d4819051060d22a6eee3dc3161ec353a876",
+    "fig4_walkthrough": "ebddac0f4bbcdcfdeb682b8df46b022869bb96c99790892c26da5bf479d15010",
+    "attack_matrix": "1cb8a93d80250ea4276a6ac6997a5f0d4e7ed109d2153f792cfb8136738f4e99",
 }
 # SHA-256 of the same reports as v2 wrote them, projected by `as_v2`.
 PINNED_V2_REPORTS = {
-    "fig4_walkthrough": "8806eed191db62edd6b4ec4f20ddaf9c75ac3337267907dfa2054baf8d97c414",
-    "attack_matrix": "a360da20a7a5bb4e2e45774d19d5b7535696c86d1854a069862f6b38ad6870c1",
+    "fig4_walkthrough": "51f1a31a8bd55b0d00fbf8b92a361442b38e038af1baad44b7eb95864156207f",
+    "attack_matrix": "755d5e6c69e0f33c4aa8c579d57d7807fc52fd497345731fdcb88011e1b548df",
 }
 # SHA-256 of every pinned report as written (`twinsync.report.v4`): the two
 # bundled scenarios above, the four bench workloads and the two lossy runs
 # below, a workload's reports concatenated as its other digests are.
 PINNED_V4_REPORTS = {
-    "fig4_walkthrough": "3e54e49c41479b7735177ba993dde5e7378318a94e7bfb1215919da99d2e33cc",
-    "attack_matrix": "58de555b04720e69323ec6203f8f65da2fbb7021d5c1b35121b20527d464871b",
-    "idle_at_key": "6bed7c2b10411cdf43075be2784bfb8d1034c95c9d450d224ed462ca9f15b2c3",
-    "idle_between_keys": "11d120366a51bf564402f22bed29f58f75b51330aedff1bdfd091e1861ea7ba0",
-    "attack_dense": "0f3e06e49bcc9252ba32eb3a0fc1bffa8ebd001381bba645d47619deacf25f3f",
-    "oracle_sweep": "dd6fb0f5eab2d2b7c209a9b6f95fef3349211672542927269ac768bd6b656978",
-    "attack_matrix_loss_0.3": "eb51a637587fcb58b74d077d38c9c3dd13fbad3701ab9b1bc440974450cae67e",
-    "idle_between_keys_loss_0.1": "b4fcbd1c79091f5d92a515c3d061af7283642b58c003531d117ac75993404471",
+    "fig4_walkthrough": "6be4cfc8899a0e340550b38f9461c128536f4a6c648d4d7294c1f37bb46bb0b3",
+    "attack_matrix": "0f1b9bb6b8e39fe0430819c11ab1dd491286d55314574ad58c81837b6bd2fdaf",
+    "idle_at_key": "57d4d8704ea87c6ddda88ee6bfa5b4d096f9e13c7e451c4d90209a3a11b8c277",
+    "idle_between_keys": "cc870a40c052919914d655e7d2c228f1120ecf696f83225dac73df044ab0eb72",
+    "attack_dense": "e57cfd947d86c4a1b62ca5bd7142e75427a85ae6753db94535db0dc2cef52366",
+    "oracle_sweep": "4768e514edca14608718c58fb9c8965cc57d19f23e86ce4764981266a8625b7a",
+    "attack_matrix_loss_0.3": "553eff934c01a49ab7ee233514b2ef06d3c357c92540e3187911231dd64d7316",
+    "idle_between_keys_loss_0.1": "27713851f290e03d21f3c3bbf6b5ff612865f4e01e7158670f94357306054656",
 }
 # SHA-256 of the same reports as v3 wrote them, projected by `as_v3`.
 PINNED_V3_REPORTS = {
-    "fig4_walkthrough": "2a67002d20b9cbd41cec4dad2cda7f654794c827a32e13936c6e456347ca9fc5",
-    "attack_matrix": "593fe6728fcf16e9a8eec985e740a576df646ade2f077fd0de6e30a59371a301",
-    "idle_at_key": "5890da15966da5c77870e6d021a12264d7fad1cdc1289acae59aff2d8ad2f947",
-    "idle_between_keys": "fcac0826fdbfd66e09c780d28829f42430aed364810dc952089339d91d8efc6b",
-    "attack_dense": "696a088f3399bff470522967fa801ec62228d9efd95e698f4de95e891290aed4",
-    "oracle_sweep": "c8b171e15cf50f85d662cf13735f7400fa4ea76a3e8c7d19a9c14e3db5ece4e3",
-    "attack_matrix_loss_0.3": "0800e13294905b90323182888d0ac2c803ba8ee5a0d3ac484c24790bed689bef",
-    "idle_between_keys_loss_0.1": "a6b5de3db478de8e6478ec8cb6858e1b3cbf2b2c78685696b2edfa1ba49d53a4",
+    "fig4_walkthrough": "fad30ee68a422b51f034df526a12d4e5b3e827ecf7a4775bf9aacc4a08145673",
+    "attack_matrix": "d98b191c98d5a6d9b2e896a7a1dbfe222034e6640b278e65421bd720c44bad0a",
+    "idle_at_key": "df70c0a6298cad84736af9ec39e42a8e35ad7f1a7df227b4886baa9e749c7961",
+    "idle_between_keys": "1c88330c22db99cd01154291aa53d920b7183f06ee3567830863d0a67b916624",
+    "attack_dense": "2c65f444cc49549d7291a4a2110db4e157e5b87cb906ef6ed76fa4432d6c0d87",
+    "oracle_sweep": "753bb1c2e5c6a6e586387827f2a5fc4ad8b2d9e9b351e20c0c15a938105005dc",
+    "attack_matrix_loss_0.3": "a2e05cac62570408181d4492d0daf611918a00f05fe3550817ee07100efc34e1",
+    "idle_between_keys_loss_0.1": "8a2d3a3cdefbbc9c95f8c6935f7154f0403f5eba81955a742285788aa21cc02f",
 }
 # SHA-256 of every pinned report projected to v3, without its `frames`
 # table (`outside_frames`), taken before records stopped shipping
@@ -321,7 +323,9 @@ PINNED_V3_REPORTS = {
 # runs with attacks: their events lost `claimed_seq`, say 58 bytes for the
 # minimum length and a slot for the replay window, read `claimed_slot` at
 # its new offset, and raw INSERTs of 58-65 bytes became TAMPER.  The other
-# five held.  Wire version 3 changed only tags, and all eight held.
+# five held.  Wire version 3 changed only tags, and all eight held.  Wire
+# version 4 took 2 bytes off every record, keeping every idle frame at least
+# the 66 bytes `attack_dense`'s MODIFY offsets reach, and all eight held.
 PINNED_OUTSIDE_FRAMES = {
     "fig4_walkthrough": "5179ab397efce656465cdfa15492d03fe62b24dcab19e6692df5540d3afa3e6c",
     "attack_matrix": "7a1004499c13058fb9ef37c2ee90342272646fd7ce40d0cc0808f1d93d98148c",
@@ -372,22 +376,22 @@ def test_bundled_reports_do_not_depend_on_the_hash_seed():
 # the two bundled scenarios these cover lossy drops, template INSERTs,
 # payload splices and the oracle sweep.
 PINNED_WORKLOAD_REPORTS = {
-    "idle_at_key": "eeda6a39cea612a052d97b60b6b565e2e4a49a8dbe71defdeef124836de1c327",
-    "idle_between_keys": "1cdc278a88e7a1fbc41172ef3f07dafc65ad608a2fb76a7ab9146b949140cc56",
-    "attack_dense": "dff6ae982b3dfd659358dca5ba1271b5b024926efc7d4371c242216ee415dff6",
-    "oracle_sweep": "23edf9bf77d749647603c5d9ccaaf9cd367433f7b74f493812eb67151de75240",
+    "idle_at_key": "c5875de40d93a5b4d33d5b58193a2830b8ea0f4f050c1409ad669441fa768df7",
+    "idle_between_keys": "8eefbe702824246716351e529d4f80ed07bc8168455320b3ba891f963c4abd6c",
+    "attack_dense": "8a478418fdfa9848f689d7de78e4709fd67e442e85f210198ca7db5de6e712e3",
+    "oracle_sweep": "b999ec32a4f14679bea9689ed86d4f877d092bc575e92064725942bfcd48110a",
 }
 PINNED_COMPACT_WORKLOAD_REPORTS = {
-    "idle_at_key": "4a3f0f903bbcff062080f24451f51b9581d193b0b69b4a8734bab814a4407b31",
-    "idle_between_keys": "284716145f9c5cca896ec999b64ec5526f3270a16fc45d744531ff132d2eae2a",
-    "attack_dense": "c07a9d248fd1f92697aca60ff120360a9e100db3772b0b5f55956507d98f8a44",
-    "oracle_sweep": "77c343eb43d14bf2eb2b48f828d48178ff9b05e20b723e1e93577e7354cc40e1",
+    "idle_at_key": "5ffb98f4716cd29b709b77fb227e265a2189a9aac802fcda25e51b92272517c8",
+    "idle_between_keys": "057a6b700bd95d4289916b747824aa94b02b33ecd3f1bdaa3840dcfc2e0a8b97",
+    "attack_dense": "6ee0d7a853dd98e199109194dd8683ae2edf920e1f7b6b081f713af0a89087c3",
+    "oracle_sweep": "badb50ce6660f8736a135bee8f3969c0354dcab0d3755477c10b88cacfb146dc",
 }
 PINNED_V2_WORKLOAD_REPORTS = {
-    "idle_at_key": "f98cf184e20ee3abb167806749727da2eb6a8cb45048163102325e866a2ae36f",
-    "idle_between_keys": "9bdf1e0950af5a78c4d4d091b82679f1872e61dc2d11aabe55c18c62a41f5303",
-    "attack_dense": "3f04cbc33d4058f8f3ff9b71e973a26be72972828d0ffe2429b7965bf2249000",
-    "oracle_sweep": "09b3919643749b24f5ca80f80ed845e7c9f025dec23f81a4f694f3b57d3f616b",
+    "idle_at_key": "69b85eb0f5ae71ebe0be05e01d15adf4c386328d51c98e8a728ae3aca05e8be3",
+    "idle_between_keys": "d4fbc131578e172e919a8a408bc43346e6f005f9ac1b69cfeee43620e6f1afc0",
+    "attack_dense": "5f2a3d57d10b249a086bae257601d7577f127eb5ceac73c1d0e02de5343f8150",
+    "oracle_sweep": "9267884546e9fc77b96d04f1a58a567ed679609c03dc945c36603e38a4bd4830",
 }
 
 
@@ -431,15 +435,15 @@ def _lossy_attack_matrix():
 PINNED_LOSSY_REPORTS = {
     "attack_matrix_loss_0.3": (
         _lossy_attack_matrix,
-        "80161ba45c5ee5b5edfd8ee567a5c630fdc0f4b719ea40521cb3afa644a22929",
-        "1856d23ecd57fcdb04947cb87d437748ce606be85052c24b5377ec0233b6414c",
-        "79cf3d674ce6b30b0585de240cd47eb6a2617e3f04a33df0cd24be15997807fd",
+        "cf2c4d7ce63cb4c0b9ccb04716077bda8983fee5cd946fa46d8e82231928b16c",
+        "1b9e1362a9f1a75e885f950b2b7c925ad9b0708c4cb3b1e4d2ec1c2efc2f0f7b",
+        "c6ac3fdc353234f35b10bda1a1c2b4a26fc13bb01d5e12d91e27159e6314aedd",
     ),
     "idle_between_keys_loss_0.1": (
         functools.partial(heat_once_then_idle, 2000, drop=0.1),
-        "71e44755180eb820ff26d5d4e14f4aac854a6bde5a5c15dc1642db4a4c5e5043",
-        "13d4b1274d0a9f48dd48ea544b7c3135508f7e5870a3100d04561ba2a84d52e6",
-        "c8524b7aabba507b1644721426de479c0d1f1ee3b47e0a374afb452bcf3b424d",
+        "9864b29a78c3fe5c6b8ec6e43636a55d3420b06db35dd6349a4db7cb033ac52b",
+        "4e09c672728ed35d28388f934eada3414449f197154549d7429120da37218099",
+        "8dce4944ba4a98ad2e5fcc5f11b3e7db82bfe2ebb4978e50eb6ce7cf2eccf190",
     ),
 }
 
@@ -515,7 +519,9 @@ def test_every_sent_frame_decodes_from_base64_and_verifies_on_its_link(name):
                     for i in ids:
                         text = report.frames[i]
                         data = base64.b64decode(text, validate=True)
-                        link = (spec.session_id, -1, sender_id, msg_types, row["slot"])
+                        # Newest and earliest slot an honest frame sent there can carry.
+                        slot = row["slot"]
+                        link = (spec.session_id, -1, sender_id, msg_types, slot, slot)
                         result = decode_frame(data, key, *link)
                         assert isinstance(result, Frame), (name, row["slot"], link, result)
                         assert base64.b64encode(data).decode() == text

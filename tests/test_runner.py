@@ -94,7 +94,7 @@ class TestWalkthrough:
     def test_crossing_delta_is_the_canonical_four_input_record(self, walkthrough):
         (sent,) = sent_bytes(walkthrough, walkthrough.slots[4], P2V)
         payload = sent[HEADER_STRUCT.size : -TAG_LEN]
-        assert payload.hex() == "00000000000000640004" + "00000001" * 4
+        assert payload.hex() == "0000000000000064" + "00000001" * 4
 
     def test_remote_command_round_trip(self, walkthrough):
         # Queued at slot 2, sent at 2, delivered at 3, executed at 4.
@@ -383,18 +383,21 @@ def test_authenticated_ack_with_a_short_payload_is_a_forged_insert():
 
 def test_authenticated_commands_are_decoded_then_vetted():
     """A validly tagged COMMAND with no inputs fails to decode, a FORGED_INSERT;
-    one naming an input the machine lacks decodes, and `reconcile` rejects it."""
-    # The down-link loses the frames of slots 5 and 6, both due by slot 7.
+    one naming an input the machine lacks decodes, and `reconcile` rejects it.
+    Each goes in on time, one slot after the lost frame whose slot it carries."""
+    # The down-link loses the frames of slots 5 and 6, due at slots 6 and 7.
+    # The FORGED_INSERT comes second, so it falls in the window of both INSERTs
+    # and each is credited with R1 and R3.
     doc = losing(load_fixture_json("fig4_walkthrough"), V2P, {5, 6})
     key = bytes.fromhex(doc["keys"][V2P])
     payloads = {
-        5: bytes(2) + bytes(8),  # a count of 0, then the acknowledgement
-        6: encode_command_payload(CommandRecord(inputs=(99,), acked=0)),
+        5: encode_command_payload(CommandRecord(inputs=(99,), acked=0)),
+        6: bytes(8),  # the acknowledgement, then no input
     }
     doc["attacks"] = [
         {
             "kind": "INSERT",
-            "slot": 7,
+            "slot": slot + 1,
             "direction": V2P,
             "params": {
                 "raw_hex": encode_frame(
@@ -406,10 +409,12 @@ def test_authenticated_commands_are_decoded_then_vetted():
         for slot, payload in payloads.items()
     ]
     report = run_scenario(scenario_from_dict(doc))
-    assert outcomes(report.slots[7], V2P) == ["malformed_payload", "command_rejected"]
+    assert outcomes(report.slots[6], V2P) == ["command_rejected"]
+    assert outcomes(report.slots[7], V2P) == ["malformed_payload"]
     events = [(e["kind"], e["requirements"], e["detail"]) for e in report.detection_events]
-    assert events[0][:2] == ("FORGED_INSERT", ["R1", "R3"])
-    assert events[1:] == [("COMMAND_REJECTED", ["R3"], {"reason": "unknown_input", "input": 99})]
+    assert events[0] == ("COMMAND_REJECTED", ["R3"], {"reason": "unknown_input", "input": 99})
+    assert events[1][:2] == ("FORGED_INSERT", ["R1", "R3"])
+    assert len(events) == 2
     assert report.summary["verdict"] == "pass"
 
 
@@ -444,7 +449,7 @@ def key_holder_run(heats_per_slot: int, record: DeltaRecord | None = None):
     "heats_per_slot, record, mismatch",
     [
         (4, DeltaRecord(100, 0, (), 6), "unreachable_result"),
-        (4, DeltaRecord(100, 100, (), 0), "replayed_base"),
+        (4, DeltaRecord(100, 100, (), 0), "replay"),
         (4, DeltaRecord(50, 100, (), 6), "base_mismatch"),
         # Heated a HEAT a slot, the replica holds 50, with key state 0 only.
         (1, DeltaRecord(50, 100, (), 6), "unreachable_result"),
@@ -456,10 +461,10 @@ def test_a_key_holders_state_sync_is_refolded_and_refused(heats_per_slot, record
     and the replica stays where the same run without it leaves it.
 
     A slot the up-link has already accepted, such as slot 0, never reaches
-    the replica: the window refuses it as a REPLAY, which the attack table
-    expects of a REPLAY and not of an INSERT."""
+    the replica: the decoder refuses it as a replay, a REPLAY_ATTACK, which
+    the attack table expects of a REPLAY and not of an INSERT."""
     report = key_holder_run(heats_per_slot, record)
-    if mismatch == "replayed_base":
+    if mismatch == "replay":
         outcome, event, verdict = "replay", ("REPLAY_ATTACK", None), "detection_mismatch"
     else:
         outcome, event, verdict = "state_mismatch", ("STATE_MISMATCH", mismatch), "pass"
@@ -584,7 +589,7 @@ def test_boundaries_alone_send_and_each_carries_its_inputs(period, inputs):
             continue
         assert {link: len(ids) for link, ids in row["sent"].items()} == {P2V: 1, V2P: 1}
         (data,) = sent_bytes(report, row, V2P)
-        link = (VIRTUAL_SENDER_ID, (MsgType.COMMAND, MsgType.ACK), slot)
+        link = (VIRTUAL_SENDER_ID, (MsgType.COMMAND, MsgType.ACK), slot, slot)
         frame = decode_frame(data, key, spec.session_id, highest, *link)
         assert frame.slot == slot
         highest = slot
@@ -901,7 +906,7 @@ def test_slot_cost_does_not_grow_with_run_length():
 
 def test_python_calls_per_slot_do_not_grow_with_run_length():
     """The deterministic companion of the test above: 8,000 slots make at
-    most 1.01x the Python calls per slot of 1,000 (44.85 against 44.92), so
+    most 1.01x the Python calls per slot of 1,000 (43.85 against 43.92), so
     no per-slot step calls more as the history grows."""
     assert calls_per_slot(idle_at_key(8000)) <= 1.01 * calls_per_slot(idle_at_key(1000))
 
@@ -961,23 +966,27 @@ def calls_per_slot(spec) -> float:
 
 def test_python_calls_per_idle_slot():
     """A deterministic guard on the per-slot constant of the frame path:
-    44.82.  The audit takes the up link's newest boundary from the timing
-    check, one call fewer per slot than the 45.82 of `delivered_emission`;
-    wire version 2's replay check inside `decode_frame` made one call fewer
-    per frame than the 47.76 of the window's own method."""
+    43.82.  Each physical input appends to the execution log directly, one
+    call fewer per input than the 44.82 of `ExecutionLog.append`'s
+    contiguity check.  The audit takes the up link's newest boundary from
+    the timing check, one call fewer per slot than the 45.82 of
+    `delivered_emission`; wire version 2's replay check inside
+    `decode_frame` made one call fewer per frame than the 47.76 of the
+    window's own method."""
     assert python_calls_per_slot("idle_at_key") <= 48
 
 
 def test_python_calls_per_attack_slot():
-    """The same guard on the adversary and detector paths: 46.17 on
-    `attack_dense`, down from 47.17 and 49.12 for the same reasons."""
+    """The same guard on the adversary and detector paths: 45.56 on
+    `attack_dense`, down from 46.17, 47.17 and 49.12 for the same reasons."""
     assert python_calls_per_slot("attack_dense") <= 49
 
 
 def test_report_bytes_per_idle_slot():
     """The written report of the benchmark's `idle_at_key` workload at seed
     0 holds each frame once, in base64, and its rows only what happened:
-    426.646 B per slot (450.6 while the header carried a seq), where each
+    422.662 B per slot (426.646 while records stated their input count,
+    450.6 while the header carried a seq), where each
     frame's hex took 547, v2's rows with every empty list, every `accepted`
     and an audit row per slot took 697, and writing each frame's hex under
     both `sent` and `delivered` took 1,035."""
@@ -1015,12 +1024,12 @@ def test_held_containers_per_idle_slot():
 def test_idling_between_keys_ships_heartbeats():
     """The records of slots 1-4 re-cover the HEAT until the ACK for its record
     lands at slot 4; the IDLEs are self-loops and ship nothing, so from slot 5
-    on every record is a heartbeat: 68 bytes on the wire."""
+    on every record is a heartbeat: 66 bytes on the wire."""
     report = run_scenario(heat_once_then_idle(8000))
     sizes = [len(data) for row in report.slots for data in sent_bytes(report, row, P2V)]
     assert len(sizes) == 8000
-    assert sizes[1:5] == [72] * 4
-    assert set(sizes[5:]) == {68}
+    assert sizes[1:5] == [70] * 4
+    assert set(sizes[5:]) == {66}
     assert report.summary["verdict"] == "pass"
 
 
@@ -1029,7 +1038,7 @@ def test_long_lossy_idle_between_keys_completes():
     report = run_scenario(heat_once_then_idle(20000, drop=0.1))
     assert report.summary["verdict"] == "pass"
     assert report.audits == []
-    assert max(len(data) for row in report.slots for data in sent_bytes(report, row, P2V)) <= 84
+    assert max(len(data) for row in report.slots for data in sent_bytes(report, row, P2V)) <= 82
 
 
 TOGGLE = {
@@ -1118,8 +1127,8 @@ def test_every_honest_frame_passes_the_timing_check():
     9,872 delivered on time are all accepted, attacks or not: an INSERT or
     a REPLAY, even of the frame itself, comes after it in its batch.  The
     rest were deleted, modified or still in flight when the run ended.  No
-    honest frame is shorter than an ACK's 66 bytes, the bound below which
-    `attack_dense` draws its MODIFY offsets."""
+    honest frame is shorter than an ACK's or an idle STATE_SYNC's 66 bytes,
+    the bound below which `attack_dense` draws its MODIFY offsets."""
     workloads = import_bench_module("workloads")
     docs = [load_fixture_json(name) for name in ("fig4_walkthrough", "attack_matrix")]
     for name in ("idle_at_key", "idle_between_keys", "attack_dense"):
@@ -1152,6 +1161,53 @@ def test_every_honest_frame_passes_the_timing_check():
     assert stamps == 10_270 and deliveries == 9_872
     assert min(sizes) == 66
     assert wrong == []
+
+
+@pytest.mark.parametrize("link", [P2V, V2P])
+@pytest.mark.parametrize("period", [1, 2, 3])
+def test_a_delayed_frame_is_detected(period, link):
+    """A Dolev-Yao adversary delays a frame with the powers it has: it
+    DELETEs the frame of emission e as it arrives at e + 1 and REPLAYs it
+    `lag` slots later, before the next emission arrives when the period
+    allows.  The channel has no jitter, so the copy is late: the decoder
+    refuses it as `late`, or as `replay` once a newer frame was accepted,
+    and each is a REPLAY_ATTACK.  Over an idle 30-slot kettle run, at grace
+    1-3, for each emission below slot 20 and each lag from 1 to grace + 1,
+    every run ends `pass`.  Without the lateness check the copy is accepted
+    whenever it arrives before the next emission: 60 of 180 runs at period
+    2 and 84 of 126 at period 3, both links together, ended
+    `detection_mismatch`."""
+    runs, verdicts = 0, {}
+    for grace in (1, 2, 3):
+        for emission in range(0, 20, period):
+            for lag in range(1, grace + 2):
+                arrival = emission + 1
+                doc = {
+                    "machine": "kettle",
+                    "total_slots": 30,
+                    "sync_period_slots": period,
+                    "grace_slots": grace,
+                    "attacks": [
+                        {"kind": "DELETE", "slot": arrival, "direction": link, "params": {}},
+                        {
+                            "kind": "REPLAY",
+                            "slot": arrival + lag,
+                            "direction": link,
+                            "params": {"capture_slot": arrival, "capture_index": 0},
+                        },
+                    ],
+                }
+                report = run_scenario(scenario_from_dict(doc))
+                if any(row.get("no_target") for row in report.summary["attacks"]):
+                    continue
+                runs += 1
+                # The copy comes after any honest frame due in its batch.
+                outcome = outcomes(report.slots[arrival + lag], link)[-1]
+                assert outcome == ("late" if lag < period else "replay"), (grace, emission, lag)
+                case = (grace, emission, lag, outcome)
+                verdicts[case] = report.summary["verdict"]
+    assert runs == len(range(0, 20, period)) * (2 + 3 + 4)  # every attack found its frame
+    assert {case for case, verdict in verdicts.items() if verdict != "pass"} == set()
 
 
 def records(report) -> list[tuple[int, tuple[int, ...]]]:

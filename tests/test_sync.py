@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tests.conftest import COOL, HEAT, IDLE
+from twinsync.frames import Frame, MsgType, decode_frame, encode_delta_payload, encode_frame
 from twinsync.sync import (
     CommandRecord,
     DeltaRecord,
@@ -113,12 +114,11 @@ class TestVerifyDelta:
                         rejected(twin, delta, "unreachable_result")
                     checked += 1
             twin = replica(machine, key, held, slot=1)
-            rejected(twin, DeltaRecord(held, key, (), slot=0), "replayed_base")
             unfoldable = DeltaRecord(held, key, (undeclared,), slot=1)
             err = rejected(twin, unfoldable, "unreachable_result")
             assert err.detail["reason"].startswith("fold failed")
         assert checked == 4 * 2 * 4 * (1 + 2 + 4 + 8) * 4
-        assert kinds == {"base_mismatch", "replayed_base", "unreachable_result"}
+        assert kinds == {"base_mismatch", "unreachable_result"}
 
     def test_base_held_from_an_earlier_emission_verifies(self, kettle):
         """A record re-covering inputs the replica already folded still verifies."""
@@ -154,11 +154,18 @@ class TestApplyDelta:
         assert replica_state(twin) == before
 
     def test_stale_slot_rejected_before_content(self, kettle):
+        """Order is the decoder's check, not the replica's: a STATE_SYNC
+        stamped at or before the up link's newest accepted slot, which is
+        the replica's sync slot, is refused as a replay before its record is
+        decoded, so it never reaches `apply_sync`."""
         twin = replica(kettle, 100, 100, slot=8)
-        out = twin.apply_sync(DeltaRecord(100, 100, (), slot=5))
-        assert out.outcome == "state_mismatch"
-        assert out.detail["mismatch"] == "replayed_base"
-        assert (out.detail["expected"], out.detail["got"]) == (8, 5)
+        key = bytes(range(32))
+        record = DeltaRecord(100, 100, (), slot=5)
+        frame = Frame(MsgType.STATE_SYNC, 1, 1, 5, encode_delta_payload(record))
+        out = decode_frame(encode_frame(frame, key), key, 1, 8, 1, (MsgType.STATE_SYNC,), 8, 0)
+        assert (out.outcome, out.detail["claimed_slot"]) == ("replay", 5)
+        assert out.detail["reason"] == "(session, slot) (1, 5) not after (1, 8)"
+        assert twin.apply_sync(record) is None  # the replica alone would take it
 
     def test_equal_slot_heartbeat_is_accepted(self, kettle):
         twin = replica(kettle, 100, 100, slot=8)
