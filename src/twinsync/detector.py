@@ -57,13 +57,9 @@ class DetectionEvent:
     direction: Direction
     detail: dict
 
-    @property
-    def requirements(self) -> frozenset[Requirement]:
-        return EVENT_REQUIREMENTS[(self.kind, self.direction)]
-
     def to_dict(self) -> dict:
-        # `_value_` and the table are read directly: `.value` and
-        # `requirements` are descriptor calls costing several times the read.
+        # `_value_` is read directly: `.value` is a descriptor call costing
+        # several times the read.
         return {
             "kind": self.kind._value_,
             "slot": self.slot,

@@ -18,11 +18,14 @@ each, a COMMAND `acked`, u64, each then a u32 per input, an ACK `acked`.
 This module is the only one that packs or reads a header, and `frame_body`
 is the one place a header is packed: `encode_frame` tags what it returns,
 the adversary's forgeries append a random tag to it, and `splice_payload`
-keeps a captured header's bytes and rewrites only its length.  The tag
-covers header and payload, so the shortest valid frame is 58 bytes.  Keyed
-BLAKE2s (RFC 7693 section 2.5) is a MAC by construction, one hash pass where
-HMAC takes two; a key longer than its 32-byte maximum is hashed first, as
-RFC 2104 hashes a key longer than its block.
+keeps a captured header's bytes and rewrites only its length.  So
+`frame_body` alone checks the u16 payload_len: a record too long for it
+raises `PayloadTooLarge` there, and a splice cannot be, since the scenario
+schema bounds `payload_hex` to 65,535 bytes.  The tag covers header and
+payload, so the shortest valid frame is 58 bytes.  Keyed BLAKE2s (RFC 7693
+section 2.5) is a MAC by construction, one hash pass where HMAC takes two;
+a key longer than its 32-byte maximum is hashed first, as RFC 2104 hashes a
+key longer than its block.
 decode_frame decides whether a link accepts a frame, with its checks in this
 order: length, tag, structure, the link's sender id and message types,
 timing, replay, and last lateness; a frame failing one comes back as a
@@ -118,8 +121,6 @@ def frame_body(frame: Frame) -> bytes:
 
 def splice_payload(data: bytes, payload: bytes) -> bytes:
     """`data`'s header before payload_len as it is, `payload`'s length, then `payload`; no tag."""
-    if len(payload) > MAX_PAYLOAD_LEN:
-        raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds u16 length")
     return data[: HEADER_LEN - 2] + len(payload).to_bytes(2, "big") + payload
 
 
@@ -202,8 +203,6 @@ MAX_RECORD_INPUTS = (MAX_PAYLOAD_LEN - 8) // 4
 def encode_delta_payload(record: DeltaRecord) -> bytes:
     inputs = record.applied_inputs
     n = len(inputs)
-    if n > MAX_RECORD_INPUTS:
-        raise PayloadTooLarge(f"{n} inputs do not fit in one frame")
     if not n:
         return _DELTA_HEAD.pack(record.base_state, record.result_state)
     return struct.pack(f">II{n}I", record.base_state, record.result_state, *inputs)
@@ -222,8 +221,6 @@ def encode_command_payload(record: CommandRecord) -> bytes:
     n = len(record.inputs)
     if n == 0:
         raise ValueError("command must carry at least one input")
-    if n > MAX_RECORD_INPUTS:
-        raise PayloadTooLarge(f"{n} inputs do not fit in one frame")
     return struct.pack(f">Q{n}I", record.acked, *record.inputs)
 
 

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from .machine import (
     ExecutionLog,
     LogEntry,
-    MachineError,
     TwinMachine,
+    UnknownInput,
     project_key_state,  # unused; kept because bench/probes.py traces sync.project_key_state
     step,
 )
@@ -223,7 +223,7 @@ class VirtualTwin:
             )
         try:
             state, last_key = fold_key_state(self.machine, base, delta.applied_inputs)
-        except MachineError as exc:
+        except UnknownInput as exc:
             return _mismatch("unreachable_result", claim, claim, f"fold failed: {exc}")
         confirmed = claim == last_key if last_key is not None else claim in held[base]
         if not confirmed:

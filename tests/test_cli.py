@@ -212,7 +212,6 @@ class TestOracle:
         assert rc == EXIT_INVALID
         assert "oracle:" in capsys.readouterr().err
 
-
     def test_machine_file_gets_the_inline_checks(self, tmp_path, capsys):
         path = write_json(tmp_path, "wide.json", WIDE_MACHINE)
         assert main(["oracle", "--machine", path]) == EXIT_INVALID

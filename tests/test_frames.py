@@ -14,7 +14,6 @@ from twinsync import frames
 from twinsync.frames import (
     HEADER_STRUCT,
     MAGIC,
-    MAX_PAYLOAD_LEN,
     MAX_RECORD_INPUTS,
     MIN_FRAME_LEN,
     Frame,
@@ -546,8 +545,6 @@ def test_splice_keeps_the_header_bytes_and_declares_the_new_length():
     out = splice_payload(bytes(data), b"\x01\x02\x03")
     assert out[:24] == data[:24]
     assert out[24:] == b"\x00\x03\x01\x02\x03"
-    with pytest.raises(PayloadTooLarge):
-        splice_payload(bytes(data), bytes(MAX_PAYLOAD_LEN + 1))
 
 
 def test_each_frame_is_tagged_once_through_frames_tag(monkeypatch):
@@ -624,14 +621,23 @@ class TestPayloadCodecs:
         assert payload.hex() == "0000000000000064" + "00000001" * 4
 
     def test_both_record_codecs_hold_the_same_number_of_inputs(self):
+        """Either record is 8 bytes and a u32 per input, so a frame holds
+        MAX_RECORD_INPUTS of either, and `encode_frame` refuses one more."""
         n = MAX_RECORD_INPUTS
         assert n == 16_381
-        assert len(encode_delta_payload(DeltaRecord(0, 1, (1,) * n, 0))) <= MAX_PAYLOAD_LEN
-        assert len(encode_command_payload(CommandRecord((1,) * n, 0))) <= MAX_PAYLOAD_LEN
-        with pytest.raises(PayloadTooLarge):
-            encode_delta_payload(DeltaRecord(0, 1, (1,) * (n + 1), 0))
-        with pytest.raises(PayloadTooLarge):
-            encode_command_payload(CommandRecord((1,) * (n + 1), 0))
+        for count, fits in ((n, True), (n + 1, False)):
+            payloads = {
+                MsgType.STATE_SYNC: encode_delta_payload(DeltaRecord(0, 1, (1,) * count, 0)),
+                MsgType.COMMAND: encode_command_payload(CommandRecord((1,) * count, 0)),
+            }
+            for msg_type, payload in payloads.items():
+                assert len(payload) == 8 + 4 * count
+                frame = Frame(msg_type, 1, 1, 0, payload)
+                if fits:
+                    assert len(encode_frame(frame, bytes(32))) == MIN_FRAME_LEN + len(payload)
+                else:
+                    with pytest.raises(PayloadTooLarge):
+                        encode_frame(frame, bytes(32))
 
     def test_heartbeat_delta_payload_is_eight_bytes(self):
         payload = encode_delta_payload(DeltaRecord(100, 100, (), slot=7))

@@ -1,6 +1,7 @@
 """Closed-form oracle: expected traces, exhaustive diffing, and self-efficacy."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -11,7 +12,9 @@ from twinsync.oracle import (
     expected_traces,
     oracle_check,
 )
+from twinsync.cli import EXIT_INVALID, main
 from twinsync.machine import machine_from_dict
+from twinsync.scenario import load_fixture_json
 
 
 class TestExpectedTraces:
@@ -87,25 +90,24 @@ class TestOracleCheck:
         with pytest.raises(ValueError):
             oracle_check(machine, 3)
 
-    def test_broken_machines_are_refused(self, kettle):
-        from twinsync.machine import machine_to_dict
-
-        doc = machine_to_dict(kettle)
+    def test_broken_machines_are_refused(self, tmp_path):
+        """The oracle's machine loader refuses a machine file with a missing transition."""
+        doc = load_fixture_json("kettle")
         doc["delta"] = doc["delta"][:-1]
-        with pytest.raises(ValueError):
-            oracle_check(machine_from_dict(doc), 3)
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", "--machine", str(path), "--max-len", "3"]) == EXIT_INVALID
 
-    def test_refusal_names_each_issue(self, kettle):
-        from twinsync.machine import machine_to_dict
-
-        doc = machine_to_dict(kettle)
+    def test_refusal_names_each_issue(self, tmp_path, capsys):
+        """The loader validates a machine file, so `oracle_check` only ever gets a total one."""
+        doc = load_fixture_json("kettle")
         doc["delta"] = [row for row in doc["delta"] if row[0] != 100]
-        with pytest.raises(ValueError) as refused:
-            oracle_check(machine_from_dict(doc), 3)
-        assert str(refused.value) == (
-            "machine does not validate: "
-            "non_total_transition: no transition defined for state 100 on input 1; "
-            "non_total_transition: no transition defined for state 100 on input 2"
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc))
+        assert main(["oracle", "--machine", str(path), "--max-len", "3"]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "oracle: machine: non_total_transition: no transition defined for state 100 on input 1;"
+            " machine: non_total_transition: no transition defined for state 100 on input 2\n"
         )
 
     def test_divergence_report_shape(self):

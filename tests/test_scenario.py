@@ -12,8 +12,11 @@ from twinsync.frames import (
     U8_MAX,
     U32_MAX,
     U64_MAX,
+    Frame,
+    MsgType,
     PayloadTooLarge,
     encode_command_payload,
+    encode_frame,
 )
 from twinsync.netsim import Direction
 from twinsync import scenario as scenario_mod
@@ -472,14 +475,19 @@ def queued_in_one_period(count: int, total_slots: int = 5) -> dict:
 
 class TestCommandCapacity:
     """The inputs queued over one period share one COMMAND, whose u16 payload
-    holds a u16 count, a u32 per input and a u64 acknowledgement."""
+    holds a u64 acknowledgement and a u32 per input."""
 
     def test_limit_is_what_the_command_codec_encodes(self):
         limit = scenario_mod.MAX_RECORD_INPUTS
         assert limit == 16381
-        encode_command_payload(CommandRecord((IDLE,) * limit, 0))
-        with pytest.raises(PayloadTooLarge):
-            encode_command_payload(CommandRecord((IDLE,) * (limit + 1), 0))
+        for count in (limit, limit + 1):
+            payload = encode_command_payload(CommandRecord((IDLE,) * count, 0))
+            frame = Frame(MsgType.COMMAND, 2, 1, 4, payload)
+            if count == limit:
+                encode_frame(frame, bytes(32))
+            else:
+                with pytest.raises(PayloadTooLarge):
+                    encode_frame(frame, bytes(32))
 
     def test_a_full_command_validates_and_runs(self):
         report = run_scenario(scenario_from_dict(queued_in_one_period(16381)))
