@@ -9,8 +9,8 @@ Every slot runs the same four phases:
        receiving endpoint decodes, verifies, and applies them; a frame that
        any check refuses writes its `Refusal`'s outcome to the row and
        raises the detector's event for it
-    4. the detector checks liveness expectations and the consistency audit
-       compares the replica against the physical history
+    4. the detector checks liveness and the consistency audit compares the
+       replica against the physical history; the row is written as its text
 
 After the last slot, the detector judges the run.  The report is compact
 ASCII JSON with sorted keys, the bytes of the stdlib's `json.dumps` written
@@ -31,6 +31,7 @@ import json
 from binascii import b2a_base64
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .adversary import Adversary
 from .detector import Detector, DetectionEvent, consistency_audit
@@ -71,14 +72,14 @@ def _long(value) -> bool:
     return isinstance(value, list) and len(value) > CHUNK
 
 
-def _pieces(doc: dict, encode, frames: list[str]) -> Iterator[bytes]:
-    """`doc`'s text in pieces, as `RunReport.json_pieces` says; `frames` is its frame table."""
+def _pieces(doc: dict, encode, frames: list[str], rows: list[str]) -> Iterator[bytes]:
+    """`doc`'s text in pieces, as `RunReport.json_pieces` says; `frames` and `rows` are joined."""
     run: dict = {}  # values since the last one written in pieces, encoded together
     sep = b"{"
     for key in sorted(doc):
         value = doc[key]
         nested = isinstance(value, dict) and any(map(_long, value.values()))
-        if not (nested or _long(value)):
+        if not (nested or _long(value) or value is frames or value is rows):
             run[key] = value
             continue
         if run:
@@ -87,16 +88,19 @@ def _pieces(doc: dict, encode, frames: list[str]) -> Iterator[bytes]:
         yield sep + encode(key).encode() + b":"
         sep = b","
         if nested:
-            yield from _pieces(value, encode, frames)
+            yield from _pieces(value, encode, frames, rows)
             continue
         for start in range(0, len(value), CHUNK):
             part = value[start : start + CHUNK]
-            # Canonical padded base64 (RFC 4648 section 4), the one frame spelling
-            # the report schema allows, holds no character that JSON escapes, so
-            # the join is the text `encode(part)` writes.
-            text = '"' + '","'.join(part) + '"' if value is frames else encode(part)[1:-1]
+            # A row is its JSON text, and canonical padded base64 (RFC 4648 section 4),
+            # the one frame spelling the schema allows, holds no character JSON
+            # escapes, so each join is the text `encode(part)` writes.
+            if value is rows:
+                text = ",".join(part)
+            else:
+                text = '"' + '","'.join(part) + '"' if value is frames else encode(part)[1:-1]
             yield (b"," if start else b"[") + text.encode()
-        yield b"]"
+        yield b"]" if value else b"[]"
     last = encode(run).encode()  # with nothing written in pieces, the whole dict
     yield last if sep == b"{" else sep + last[1:] if run else b"}"
 
@@ -104,17 +108,25 @@ def _pieces(doc: dict, encode, frames: list[str]) -> Iterator[bytes]:
 @dataclass
 class RunReport:
     scenario: dict
-    slots: list[dict]
+    rows: list[str]  # each slot's row as its compact sorted-key JSON text
     frames: list[str]
     detection_events: list[dict]
     audits: list[dict]
     summary: dict
 
+    @cached_property
+    def slots(self) -> list[dict]:
+        """The slot rows parsed, once, for readers of their fields."""
+        return json.loads(f"[{','.join(self.rows)}]")
+
     def to_json_dict(self) -> dict:
+        return self._doc(self.slots)
+
+    def _doc(self, slots: list) -> dict:
         return {
             "schema": REPORT_SCHEMA,
             "scenario": self.scenario,
-            "slots": self.slots,
+            "slots": slots,
             "frames": self.frames,
             "detection_events": self.detection_events,
             "consistency_audit": self.audits,
@@ -125,12 +137,13 @@ class RunReport:
         """The report as byte pieces that join to `json.dumps(self.to_json_dict(),
         sort_keys=True, separators=(",", ":"))` plus one newline.
 
-        A list longer than CHUNK is written a chunk at a time, and a dict
-        holding one, such as the report or its scenario echo, key by key, the
-        other values one call per run of them between those.  A report whose
-        lists all fit in one chunk is one call.
+        The slot rows and the frame table are joined as they are, a chunk of
+        CHUNK at a time.  Any other list longer than CHUNK is encoded a chunk
+        at a time, and a dict holding one, such as the scenario echo, key by
+        key; the other values are encoded one call per run of them between
+        those.
         """
-        yield from _pieces(self.to_json_dict(), _ENCODER.encode, self.frames)
+        yield from _pieces(self._doc(self.rows), _ENCODER.encode, self.frames, self.rows)
         yield b"\n"
 
     def to_json_bytes(self) -> bytes:
@@ -147,9 +160,9 @@ class _Link:
     direction's key, sender id, message types and session, neither from the
     future nor late nor at or before `highest`, the newest slot it accepted,
     which only `run_scenario`'s accept branch moves.  `sent` and `dropped`
-    hold the ids of the frames sent and dropped since the last report row
-    took them: their index in `ids`, the run's distinct frames, which both
-    links share.
+    hold the ids, as row text, of the frames sent and dropped since the last
+    report row took them: their index in `ids`, the run's distinct frames,
+    which both links share.
     """
 
     def __init__(
@@ -173,13 +186,13 @@ class _Link:
         )
         self.highest = -1  # below slot 0, the first emission
         self.ids = ids
-        self.sent: list[int] = []
-        self.dropped: list[int] = []
+        self.sent: list[str] = []
+        self.dropped: list[str] = []
 
     def send(self, msg_type: MsgType, slot: int, payload: bytes) -> None:
         frame = Frame(msg_type, self.sender_id, self.session_id, slot, payload)
         data = encode_frame(frame, self.key)
-        frame_id = self.ids.setdefault(data, len(self.ids))
+        frame_id = f"{self.ids.setdefault(data, len(self.ids))}"
         self.sent.append(frame_id)
         if not self.channel.send(data, slot):
             self.dropped.append(frame_id)
@@ -212,7 +225,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
 
     events: list[DetectionEvent] = []
     audits: list[dict] = []
-    rows: list[dict] = []
+    rows: list[str] = []
     physical_keys: list[int] = []  # physical key state at the end of each slot
     applied = adversary.applied
 
@@ -238,15 +251,16 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
 
         # Phase 3: deliveries, physical-to-virtual first.  The adversary sees
         # every batch, so it can insert where nothing is due.  Each frame gets
-        # at most one event and one outcome.  The row takes each link's
+        # at most one event and one outcome.  The row's maps take each link's
         # non-empty lists of this slot's frames; an accepted frame is its id.
-        row = {"slot": slot}
-        sent, dropped, delivered = {}, {}, {}
+        sent, dropped, delivered = [], [], []
         for link in links:
             if link.sent:
-                sent[link.name], link.sent = link.sent, []
+                sent.append(f'"{link.name}":[{",".join(link.sent)}]')
+                link.sent = []
             if link.dropped:
-                dropped[link.name], link.dropped = link.dropped, []
+                dropped.append(f'"{link.name}":[{",".join(link.dropped)}]')
+                link.dropped = []
             received = []
             direction = link.direction
             # An honest frame arriving now was sent at `horizon`; on the up link
@@ -271,14 +285,19 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                             refusal = virtual.apply_sync(
                                 decode_delta_payload(frame.payload, frame.slot)
                             )
-                        elif frame.msg_type == COMMAND:
-                            command = decode_command_payload(frame.payload)
-                            physical.on_ack(command.acked)
-                            refusal = reconcile(command, machine)
-                            if refusal is None:
-                                phys_inputs.setdefault(slot + 1, []).extend(command.inputs)
                         else:
-                            physical.on_ack(decode_ack_payload(frame.payload))
+                            command = None
+                            if frame.msg_type == COMMAND:
+                                command = decode_command_payload(frame.payload)
+                            acked = command.acked if command else decode_ack_payload(frame.payload)
+                            # The replica ticks first: an honest `acked` never passes its slot.
+                            if acked > frame.slot:
+                                raise MalformedPayload(f"acked {acked} past slot {frame.slot}")
+                            physical.on_ack(acked)
+                            if command:
+                                refusal = reconcile(command, machine)
+                                if refusal is None:
+                                    phys_inputs.setdefault(slot + 1, []).extend(command.inputs)
                     except MalformedPayload as exc:
                         # Authenticated frames with broken payloads cannot come from
                         # the honest peer; classify like any other forgery.
@@ -287,18 +306,12 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                 # A replayed or reflected frame keeps its id; one the adversary made gets the next.
                 frame_id = ids.setdefault(data, len(ids))
                 if refusal is None:
-                    received.append(frame_id)
+                    received.append(f"{frame_id}")
                 else:
                     events.append(detector.on_channel_error(refusal, slot, direction))
-                    received.append([frame_id, refusal.outcome])
+                    received.append(f'[{frame_id},"{refusal.outcome}"]')
             if received:
-                delivered[link.name] = received
-        if sent:
-            row["sent"] = sent
-        if dropped:
-            row["dropped"] = dropped
-        if delivered:
-            row["delivered"] = delivered
+                delivered.append(f'"{link.name}":[{",".join(received)}]')
 
         # Phase 4: liveness expectations and the consistency audit.
         events.extend(detector.on_slot_boundary(slot))
@@ -309,22 +322,28 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         if expected is not None:
             audits.append({"slot": slot, "replica_key_state": replica_key, "expected": expected})
 
-        row["physical_state"] = physical.state
-        row["physical_key_state"] = key
-        row["replica_key_state"] = replica_key
-        row["replica_synced_slot"] = virtual.last_synced_slot
+        # The row's text, keys sorted; only the actions, with the user's params, are encoded.
+        actions = ""
         if len(applied) > applied_from:
-            row["adversary_actions"] = [
+            actions = _ENCODER.encode([
                 action.to_dict() if found else {**action.to_dict(), "no_target": True}
                 for action, found in applied[applied_from:]
-            ]
-        rows.append(row)
+            ])
+            actions = f'"adversary_actions":{actions},'
+        delivered = f'"delivered":{{{",".join(delivered)}}},' if delivered else ""
+        dropped = f'"dropped":{{{",".join(dropped)}}},' if dropped else ""
+        sent = f'"sent":{{{",".join(sent)}}},' if sent else ""
+        rows.append(
+            f'{{{actions}{delivered}{dropped}"physical_key_state":{key},'
+            f'"physical_state":{physical.state},"replica_key_state":{replica_key},'
+            f'"replica_synced_slot":{virtual.last_synced_slot},{sent}"slot":{slot}}}'
+        )
 
     lost = {(link.direction, f.sent_at_slot) for link in links for f in link.channel.drop_log}
     summary, annotated = detector.summarize(spec.attacks, events, lost, applied)
     return RunReport(
         scenario=spec.to_dict(),
-        slots=rows,
+        rows=rows,
         frames=[b2a_base64(data, newline=False).decode() for data in ids],
         detection_events=annotated,
         audits=audits,

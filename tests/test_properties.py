@@ -18,7 +18,9 @@ The clauses:
   spurious, lossless or lossy;
 - lossless and with no attacks, every audit is ok and the replica's key
   trace is `oracle.expected_traces`, with each operator command applied
-  the slot after it arrives.
+  the slot after it arrives;
+- each slot row's text, written by the runner, is the report encoder's text
+  of what it parses to.
 """
 
 import base64
@@ -32,7 +34,7 @@ from twinsync.frames import HEADER_LEN, TAG_LEN, decode_delta_payload
 from twinsync.machine import step
 from twinsync.netsim import Direction
 from twinsync.oracle import expected_traces
-from twinsync.runner import run_scenario
+from twinsync.runner import _ENCODER, run_scenario
 from twinsync.scenario import ScenarioInvalid, scenario_from_dict
 
 MAX_SLOTS = 40
@@ -195,3 +197,14 @@ def test_lossless_attack_free_runs_follow_the_oracle(doc):
     assert report.audits == []
     assert report.detection_events == []
     assert report.summary["verdict"] == "pass"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scenarios())
+def test_each_row_text_is_the_encoders_text_of_its_parse(doc):
+    try:
+        spec = scenario_from_dict(doc)
+    except ScenarioInvalid:
+        return
+    for row in run_scenario(spec).rows:
+        assert row == _ENCODER.encode(json.loads(row))

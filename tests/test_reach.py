@@ -64,6 +64,10 @@ CLOSED_STDOUT = (
     "which tests/test_cli.py drives in a subprocess"
 )
 FAULT_ONLY = "a fault of the program only: unit tests call it directly or monkeypatch the stack"
+READ_BACK = (
+    "a test's reading of a report only: `twinsync run` writes `json_pieces`, "
+    "and `compact(to_json_dict())` is the tests' statement of those bytes"
+)
 BENCH_15 = "bench-held: ROADMAP item 15 deletes it, with bench/probes.py's probe"
 BENCH_17 = "bench-held: ROADMAP item 17 deletes it, with the ACK and its probes"
 
@@ -96,6 +100,7 @@ UNREACHED: tuple[tuple[tuple[str, str], str], ...] = (
     (("machine:project_key_state", "if entry.is_key_crossing:"), BENCH_15),
     (("machine:project_key_state", "return entry.to_state"), BENCH_15),
     (("machine:project_key_state", "return machine.initial"), BENCH_15),
+    (("runner:RunReport.to_json_dict", "return self._doc(self.slots)"), READ_BACK),
     # The full stack leaving the closed form, as tests/test_oracle.py's efficacy cases make it.
     (("oracle:_check_one", "report.divergences.append("), FAULT_ONLY),
     (
@@ -285,8 +290,10 @@ def adversarial_corpus() -> list[dict]:
     return [
         kettle_run(crossing_lost + header_lies + late + payload_lies + no_target + reflection),
         {**kettle_run([]), "sync_period_slots": 3, "operator_inputs_virtual": [[1, 1], [2, 2]]},
-        # An ACK acknowledging what the replica never got anchors the physical
-        # twin at a record then deleted: every later record fails its base check.
+        # An ACK stamped 3 acknowledging slot 999 is refused.  One stamped 6
+        # acknowledging slot 5, which the replica never got, anchors the
+        # physical twin at the record of slot 3, then deleted: the next record
+        # fails its base check, outside every attack's window.
         {
             "machine": "kettle",
             "total_slots": 12,
@@ -297,6 +304,8 @@ def adversarial_corpus() -> list[dict]:
                 delete(4, V2P),
                 insert(4, V2P, key_holder_frame(V2P, ACK, 3, struct.pack(">Q", 1000))),
                 delete(5, P2V),
+                delete(7, V2P),
+                insert(7, V2P, key_holder_frame(V2P, ACK, 6, struct.pack(">Q", 6))),
             ],
         },
     ]

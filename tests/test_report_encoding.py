@@ -97,9 +97,9 @@ def test_unencodable_values_raise_like_stdlib(bad, at):
     refuses, also in a later chunk of a long list."""
     with pytest.raises(TypeError):
         json.dumps(bad)
-    slots = [{"slot": i} for i in range(at)] + [bad] + [{"slot": 0}] * at
+    audits = [{"slot": i} for i in range(at)] + [bad] + [{"slot": 0}] * at
     report = RunReport(
-        scenario={}, slots=slots, frames=[], detection_events=[], audits=[], summary={}
+        scenario={}, rows=[], frames=[], detection_events=[], audits=audits, summary={}
     )
     with pytest.raises(TypeError):
         report.to_json_bytes()
@@ -114,11 +114,13 @@ def _attack_matrix_report() -> RunReport:
 
 
 def _resized(report: RunReport, sizes: dict[str, int]) -> RunReport:
-    """`report` with each named top-level list cycled or cut to a length.
+    """`report` with each named top-level list cycled or cut to a length;
+    `slots` names the rows' texts.
 
     `attack_matrix` passes its audits, so audit rows are made up."""
     fields = {}
     for name, size in sizes.items():
+        name = "rows" if name == "slots" else name
         pool = getattr(report, name) or [
             {"slot": 7, "replica_key_state": 0, "expected": 25}
         ]
@@ -154,11 +156,22 @@ def counted_encoder_calls(monkeypatch) -> list:
     return calls
 
 
-def test_a_report_whose_lists_fit_one_chunk_is_one_encoder_call(monkeypatch):
+def test_rows_and_frames_are_joined_never_encoded(monkeypatch):
+    """Each row is its JSON text already, and a frame's base64 needs no
+    escaping, so both lists are joined whatever their length and no row or
+    frame reaches the encoder.  With every other list inside one chunk, the
+    encoder writes the two keys and each run of values around them: five
+    calls."""
     calls = counted_encoder_calls(monkeypatch)
     report = _resized(_attack_matrix_report(), dict.fromkeys(LISTS, CHUNK))
     assert report.to_json_bytes() == compact(report.to_json_dict())
-    assert len(calls) == 1
+    assert [sorted(o) if isinstance(o, dict) else o for o in calls] == [
+        ["consistency_audit", "detection_events"],
+        "frames",
+        ["scenario", "schema"],
+        "slots",
+        ["summary"],
+    ]
 
 
 @pytest.mark.parametrize("size", [CHUNK + 1, 2 * CHUNK + 1])
@@ -578,6 +591,14 @@ def test_schema_rejects_a_second_spelling_of_a_fact(respell):
     respell(doc)
     with pytest.raises(jsonschema.ValidationError):
         REPORT_VALIDATOR.validate(doc)
+
+
+def test_the_bare_strings_a_row_writes_need_no_escaping():
+    """The runner writes each link name and refusal outcome between quotes
+    as it is, which is its JSON text only if JSON escapes none of its
+    characters."""
+    for text in [*(link.value for link in Direction), *OUTCOME_EVENT_KIND]:
+        assert json.dumps(text) == f'"{text}"'
 
 
 def test_the_schema_names_each_refusal_the_detector_maps():
