@@ -50,11 +50,12 @@ class LogEntry:
 
 @dataclass(slots=True)
 class ExecutionLog:
-    """Append-only record of executed transitions, in order.
+    """Append-only record of every transition that changed the state, in order.
 
     `PhysicalTwin.apply_input`, its one writer, appends each entry from the
     state the previous one ended in, at a slot no earlier, so the log is
-    contiguous by construction and no append checks it.
+    contiguous by construction and no append checks it.  `PhysicalTwin.on_ack`
+    finds its anchor in it by slot.
     """
 
     entries: list[LogEntry] = field(default_factory=list)

@@ -290,9 +290,10 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
                             if frame.msg_type == COMMAND:
                                 command = decode_command_payload(frame.payload)
                             acked = command.acked if command else decode_ack_payload(frame.payload)
-                            # The replica ticks first: an honest `acked` never passes its slot.
-                            if acked > frame.slot:
-                                raise MalformedPayload(f"acked {acked} past slot {frame.slot}")
+                            # The replica ticks first: an honest `acked` is 0 or a boundary
+                            # plus one, never past its own slot.
+                            if acked > frame.slot or acked and (acked - 1) % period:
+                                raise MalformedPayload(f"acked {acked} names no emission")
                             physical.on_ack(acked)
                             if command:
                                 refusal = reconcile(command, machine)

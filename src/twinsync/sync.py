@@ -14,12 +14,13 @@ The anchor is the newest emission the replica has acknowledged, as in the
 delta intervals of delta-state CRDTs (Almeida, Shoker and Baquero, JPDC 2018)
 and TCP's cumulative acknowledgement (RFC 9293 section 3.4): every down-link
 record, a command or the idle ACK, carries the newest accepted emission
-slot, plus one so that slot 0 differs from nothing accepted.  A record
-lost or deleted in transit is re-covered by the next one, which starts from
-the same anchor.  The anchor may be a state outside the key set.  The
-replica is the VirtualTwin itself: its `held` map keeps every state it
-reached at an accepted emission, with the key states in force there, and
-`apply_sync` verifies a record from any of them.
+slot, plus one so that slot 0 differs from nothing accepted, and the
+physical twin finds that slot in its log of state changes.  A record lost
+or deleted in transit is re-covered by the next one, which starts from the
+same anchor.  The anchor may be a state outside the key set.  The replica
+is the VirtualTwin itself: its `held` map keeps every state it reached at
+an accepted emission, with the key states in force there, and `apply_sync`
+verifies a record from any of them.
 
 The runner is the one sync clock: it ticks both twins once at each boundary,
 every `period` slots, so a period with no activity still yields an empty
@@ -122,8 +123,8 @@ class PhysicalTwin:
     A record goes out in the up-link frame of its emission slot.  It carries
     the state at the anchor, the current key state and every input since the
     anchor that changed the state, so a record stays a few inputs long
-    however long the machine idles.  The anchor moves to the newest record
-    the replica has acknowledged (`on_ack`).
+    however long the machine idles.  The anchor is a position in `log`,
+    which `on_ack` moves to where the newest acknowledged record ended.
     """
 
     def __init__(self, machine: TwinMachine):
@@ -131,19 +132,17 @@ class PhysicalTwin:
         self.state = machine.initial
         self.key_state = machine.initial  # key state after the whole log
         self.log = ExecutionLog()
-        # Kept current on every input, so no tick reads the log.  Positions
-        # count every state-changing input since the start.
+        # Kept current on every state change, so no tick reads the log.
         self._base = machine.initial  # state at the anchor
-        self._anchor = 0  # position of the anchor
-        self._inputs: list[int] = []  # every state-changing input since the anchor
-        self._unacked: list[tuple[int, int, int]] = []  # (slot, position, state) after the anchor
+        self._anchor = 0  # log position of the anchor
+        self._inputs: list[int] = []  # the inputs of the log's entries past the anchor
 
     def apply_input(self, slot: int, sym: int) -> None:
         state = self.state
         nxt = step(self.machine, state, sym)
-        crossing = nxt in self.machine.key_states
-        self.log.entries.append(LogEntry(slot, sym, state, nxt, crossing))
         if nxt != state:
+            crossing = nxt in self.machine.key_states
+            self.log.entries.append(LogEntry(slot, sym, state, nxt, crossing))
             self._inputs.append(sym)
             self.state = nxt
             if crossing:
@@ -151,29 +150,23 @@ class PhysicalTwin:
 
     def tick(self, slot: int) -> DeltaRecord:
         """The boundary's emission: the inputs since the anchor, a heartbeat when none."""
-        inputs, unacked = self._inputs, self._unacked
         # Positional arguments: this runs once per record, and keywords cost more.
-        record = DeltaRecord(self._base, self.key_state, tuple(inputs), slot)
-        end = self._anchor + len(inputs)
-        # Keep only records with inputs past the newest kept one: len(_unacked) <= len(_inputs).
-        if end > (unacked[-1][1] if unacked else self._anchor):
-            unacked.append((slot, end, self.state))
-        return record
+        return DeltaRecord(self._base, self.key_state, tuple(self._inputs), slot)
 
     def on_ack(self, acked: int) -> None:
-        """Anchor at the newest unacknowledged record emitted before slot `acked`.
+        """Anchor past every logged input applied before slot `acked`.
 
-        `acked` is a CommandRecord's: the newest accepted emission slot + 1.
-        An acknowledgement at or behind the anchor changes nothing.
+        `acked` is a CommandRecord's: the newest accepted emission slot + 1,
+        so the anchor is where that emission's record ended.  An
+        acknowledgement at or behind the anchor changes nothing.
         """
-        unacked = self._unacked
-        n = 0
-        while n < len(unacked) and unacked[n][0] < acked:
-            n += 1
-        if n:
-            _, position, self._base = unacked[n - 1]
-            del unacked[:n]
-            del self._inputs[: position - self._anchor]
+        entries, anchor = self.log.entries, self._anchor
+        position = anchor
+        while position < len(entries) and entries[position].slot < acked:
+            position += 1
+        if position > anchor:
+            self._base = entries[position - 1].to_state
+            del self._inputs[: position - anchor]
             self._anchor = position
 
 

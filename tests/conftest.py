@@ -135,8 +135,7 @@ def kettle() -> TwinMachine:
     return machine_from_dict(load_fixture_json("kettle"))
 
 
-@pytest.fixture
-def kettle_cool(kettle: TwinMachine) -> TwinMachine:
+def kettle_cool_machine() -> TwinMachine:
     """Kettle extended with a COOL input: 25 degrees down, floor at 0."""
     doc = load_fixture_json("kettle")
     doc["machine_id"] = "kettle_cool"
@@ -145,6 +144,11 @@ def kettle_cool(kettle: TwinMachine) -> TwinMachine:
     for state in doc["states"]:
         doc["delta"].append([state, COOL, max(state - 25, 0)])
     return machine_from_dict(doc)
+
+
+@pytest.fixture
+def kettle_cool() -> TwinMachine:
+    return kettle_cool_machine()
 
 
 def _machine(machine_id, states, inputs, initial, key_states, delta) -> TwinMachine:

@@ -98,3 +98,22 @@ def test_fold_work_is_linear_and_traced():
         traced = ts.runner.run_scenario(spec).to_json_bytes()
     assert tracer.counters["sync.fold.inputs"] <= 2 * spec.total_slots
     assert traced == untraced
+
+
+@pytest.mark.parametrize("workload", ["idle_at_key", "idle_between_keys", "attack_dense"])
+def test_shipped_inputs_are_a_share_of_the_folded_ones(workload):
+    """`sync.fold.useful_ratio` is the inputs shipped for the first time, the
+    log entries added since the previous record, over the inputs the
+    replica folds.  The log keeps state changes only, as the records ship
+    them, so every new entry is folded at least once: the ratio is above 0
+    and at most 1.  It read 58.6 on `idle_at_key` while the log kept every
+    self-loop."""
+    probes = import_bench_module("probes")
+    spans = import_bench_module("spans")
+    (doc,) = getattr(import_bench_module("workloads"), workload)(0)
+    ts = twinsync_modules()
+    spec = ts.scenario.scenario_from_dict(doc)
+    with spans.Tracer(probes.targets(ts)) as tracer:
+        ts.runner.run_scenario(spec)
+    ratio = tracer.counters["sync.shipped_first_time"] / tracer.counters["sync.fold.inputs"]
+    assert 0 < ratio <= 1

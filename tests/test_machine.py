@@ -91,9 +91,9 @@ class TestProjection:
         assert project_key_state(twin.log, kettle_cool) == twin.key_state == 0
 
     def test_idle_at_a_key_state_reconfirms_it(self, kettle):
-        """Self-loops landing in a key state are visits; projection is unchanged."""
+        """Self-loops at a key state change nothing, so none is logged; projection holds."""
         twin = execute(kettle, [(s, IDLE) for s in (1, 2)])
-        assert key_visits(twin) == [(1, 0), (2, 0)]
+        assert key_visits(twin) == []
         assert project_key_state(twin.log, kettle) == twin.key_state == 0
 
     def test_idle_between_key_states_records_nothing(self, kettle):

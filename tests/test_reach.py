@@ -291,9 +291,9 @@ def adversarial_corpus() -> list[dict]:
         kettle_run(crossing_lost + header_lies + late + payload_lies + no_target + reflection),
         {**kettle_run([]), "sync_period_slots": 3, "operator_inputs_virtual": [[1, 1], [2, 2]]},
         # An ACK stamped 3 acknowledging slot 999 is refused.  One stamped 6
-        # acknowledging slot 5, which the replica never got, anchors the
-        # physical twin at the record of slot 3, then deleted: the next record
-        # fails its base check, outside every attack's window.
+        # acknowledging the record of slot 3, which the replica never got
+        # because it was deleted, anchors the physical twin there: the next
+        # record fails its base check, outside every attack's window.
         {
             "machine": "kettle",
             "total_slots": 12,
@@ -305,7 +305,7 @@ def adversarial_corpus() -> list[dict]:
                 insert(4, V2P, key_holder_frame(V2P, ACK, 3, struct.pack(">Q", 1000))),
                 delete(5, P2V),
                 delete(7, V2P),
-                insert(7, V2P, key_holder_frame(V2P, ACK, 6, struct.pack(">Q", 6))),
+                insert(7, V2P, key_holder_frame(V2P, ACK, 6, struct.pack(">Q", 4))),
             ],
         },
     ]

@@ -544,42 +544,66 @@ def test_a_key_holders_frame_from_the_future_cannot_lock_its_link(
     assert all(outcomes(row, link) == honest(row["slot"]) for row in report.slots[inserted + 1 :])
 
 
+def forged_acknowledgement(msg_type: MsgType, stamped: int, acked: int) -> str:
+    """A key holder's down-link frame stamped `stamped` that acknowledges `acked`, in hex."""
+    if msg_type == MsgType.ACK:
+        payload = acked.to_bytes(8, "big")
+    else:
+        payload = encode_command_payload(CommandRecord((HEAT,), acked))
+    frame = Frame(msg_type, VIRTUAL_SENDER_ID, 1, stamped, payload)
+    return encode_frame(frame, DEFAULT_KEYS[Direction.VIRT_TO_PHYS]).hex()
+
+
 @pytest.mark.parametrize(
-    "msg_type, payload",
+    "msg_type, period, stamped, acked, events",
     [
-        (MsgType.ACK, (1000).to_bytes(8, "big")),
-        (MsgType.COMMAND, encode_command_payload(CommandRecord((HEAT,), 1000))),
+        (MsgType.ACK, 3, 3, 1000, [("FORGED_INSERT", 4), ("MISSED_SYNC", 6)]),
+        (MsgType.COMMAND, 3, 3, 1000, [("FORGED_INSERT", 4), ("MISSED_SYNC", 6)]),
+        (MsgType.ACK, 2, 4, 4, [("FORGED_INSERT", 5), ("MISSED_SYNC", 5)]),
+        (MsgType.COMMAND, 2, 4, 4, [("FORGED_INSERT", 5), ("MISSED_SYNC", 5)]),
+        (MsgType.ACK, 3, 6, 6, [("MISSED_SYNC", 6), ("FORGED_INSERT", 7)]),
+        (MsgType.COMMAND, 3, 6, 5, [("MISSED_SYNC", 6), ("FORGED_INSERT", 7)]),
     ],
-    ids=["ack", "command"],
+    ids=["ack", "command", "ack-period-2", "command-period-2", "ack-period-3", "command-period-3"],
 )
-def test_a_key_holders_acknowledgement_after_its_own_slot_is_refused(msg_type, payload):
-    """The replica ticks before it accepts anything in a slot, so an honest
-    down-link frame stamped s acknowledges no emission after s - 1.  One
-    stamped 3 that acknowledges slot 999 is a `malformed_payload`, a
-    FORGED_INSERT, and the physical twin's anchor stays put.  Taken at its
-    word it anchored the twin at the up-link record of slot 3, which the
-    adversary then deletes: every later record failed its base check, with
-    8 spurious STATE_MISMATCH events and 22 failed audits in 30 slots."""
-    frame = Frame(msg_type, VIRTUAL_SENDER_ID, 1, 3, payload)
-    forged = encode_frame(frame, DEFAULT_KEYS[Direction.VIRT_TO_PHYS]).hex()
+def test_a_key_holders_acknowledgement_after_its_own_slot_is_refused(
+    msg_type, period, stamped, acked, events
+):
+    """An honest down-link frame stamped s acknowledges an emission slot
+    plus one: 0, or a boundary plus one no later than s, since the replica
+    ticks before it accepts anything in a slot.  A key holder's frame that
+    acknowledges slot 999, or a slot between boundaries, is a
+    `malformed_payload`, a FORGED_INSERT, and the physical twin's anchor
+    stays put.  Taken at its word it anchored the twin past the up-link
+    record of the boundary before, which the adversary deletes: every later
+    record failed its base check.  Stamped 3 with 1000 that made 8 spurious
+    STATE_MISMATCH events and 22 failed audits in 30 slots; stamped 6 with
+    6 at period 3 it made a spurious STATE_MISMATCH at slot 11."""
+    # The emission the acknowledgement, taken at its word, anchored at: the adversary deletes it.
+    anchored = min(acked - 1, stamped) // period * period
     doc = {
         "machine": "kettle",
         "total_slots": 30,
-        "sync_period_slots": 3,
+        "sync_period_slots": period,
         "channels": {P2V: {"latency_slots": 2}},
         "operator_inputs_physical": [[1, HEAT], [2, HEAT], [4, HEAT], [5, HEAT]],
         "attacks": [
-            {"kind": "DELETE", "slot": 4, "direction": V2P},
-            {"kind": "INSERT", "slot": 4, "direction": V2P, "params": {"raw_hex": forged}},
-            {"kind": "DELETE", "slot": 5, "direction": P2V},
+            {"kind": "DELETE", "slot": stamped + 1, "direction": V2P},
+            {
+                "kind": "INSERT",
+                "slot": stamped + 1,
+                "direction": V2P,
+                "params": {"raw_hex": forged_acknowledgement(msg_type, stamped, acked)},
+            },
+            {"kind": "DELETE", "slot": anchored + 2, "direction": P2V},
         ],
     }
     report = run_scenario(scenario_from_dict(doc))
-    assert outcomes(report.slots[4], V2P) == ["malformed_payload"]
-    events = [(e["kind"], e["slot"]) for e in report.detection_events]
-    assert events == [("FORGED_INSERT", 4), ("MISSED_SYNC", 6)]
+    assert outcomes(report.slots[stamped + 1], V2P) == ["malformed_payload"]
+    assert [(e["kind"], e["slot"]) for e in report.detection_events] == events
     assert report.audits == []
     assert report.slots[-1]["replica_key_state"] == report.slots[-1]["physical_key_state"] == 100
+    assert report.summary["spurious_event_count"] == 0
     assert report.summary["verdict"] == "pass"
 
 
@@ -1005,8 +1029,10 @@ def calls_per_slot(spec) -> float:
 
 def test_python_calls_per_idle_slot():
     """A deterministic guard on the per-slot constant of the frame path:
-    43.82.  Each physical input appends to the execution log directly, one
-    call fewer per input than the 44.82 of `ExecutionLog.append`'s
+    42.83.  The execution log keeps state changes only, so an idle input
+    builds no `LogEntry`, one call fewer per idle input than the 43.82 of
+    logging every input.  Each physical input appends to the log directly,
+    one call fewer per input than the 44.82 of `ExecutionLog.append`'s
     contiguity check.  The audit takes the up link's newest boundary from
     the timing check, one call fewer per slot than the 45.82 of
     `delivered_emission`; wire version 2's replay check inside
@@ -1016,10 +1042,11 @@ def test_python_calls_per_idle_slot():
 
 
 def test_python_calls_per_attack_slot():
-    """The same guard on the adversary and detector paths: 46.21 on
-    `attack_dense`.  An attacked slot's actions go through the encoder's
-    two Python methods as the row is written; encoded with the report, they
-    made 45.56, down from 46.17, 47.17 and 49.12 for the same reasons."""
+    """The same guard on the adversary and detector paths: 45.60 on
+    `attack_dense`, down from 46.21 while every self-loop was logged.  An
+    attacked slot's actions go through the encoder's two Python methods as
+    the row is written; encoded with the report, they made 45.56, down from
+    46.17, 47.17 and 49.12 for the same reasons."""
     assert python_calls_per_slot("attack_dense") <= 49
 
 

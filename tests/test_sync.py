@@ -2,11 +2,13 @@
 
 from itertools import product
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import COOL, HEAT, IDLE
+from tests.conftest import COOL, HEAT, IDLE, kettle_cool_machine
 from twinsync.frames import Frame, MsgType, decode_frame, encode_delta_payload, encode_frame
+from twinsync.machine import machine_from_dict, step
+from twinsync.scenario import load_fixture_json
 from twinsync.sync import (
     CommandRecord,
     DeltaRecord,
@@ -200,11 +202,19 @@ class TestPhysicalTwin:
         assert replica_state(virtual) == (key, slot, 1, held)
 
     def test_idle_slot_is_a_self_loop_delta(self, kettle):
-        """A self-loop is logged but never shipped: its record is a heartbeat."""
+        """A self-loop is neither logged nor shipped: its record is a heartbeat."""
         twin = PhysicalTwin(kettle)
         twin.apply_input(1, IDLE)
         assert twin.tick(1) == DeltaRecord(0, 0, (), 1)
-        assert len(twin.log.entries) == 1
+        assert twin.log.entries == []
+
+    def test_a_long_idle_holds_nothing(self, kettle):
+        """The log keeps state changes only, so idling grows nothing."""
+        twin = PhysicalTwin(kettle)
+        for slot in range(10_000):
+            twin.apply_input(slot, IDLE)
+        assert twin.log.entries == []
+        assert twin.tick(10_000) == DeltaRecord(0, 0, (), 10_000)
 
     def test_emissions_follow_the_walkthrough(self, kettle):
         """Each record starts at the newest acknowledged one; the ACK for the
@@ -264,8 +274,8 @@ class TestPhysicalTwin:
 
     def test_inputs_that_never_leave_the_state_are_not_shipped(self, kettle):
         """At a key state and between them alike, an idle slot ships no input,
-        and a record with no input past the last one is not kept for an ACK:
-        acknowledging it anchors where the record before it ended."""
+        so acknowledging a record with no input past the one before it
+        anchors where that one ended."""
         twin = PhysicalTwin(kettle)
         twin.apply_input(1, HEAT)
         assert twin.tick(1) == DeltaRecord(0, 0, (HEAT,), slot=1)
@@ -280,7 +290,8 @@ class TestPhysicalTwin:
         twin.on_ack(6)
         twin.apply_input(6, IDLE)
         assert twin.tick(6) == DeltaRecord(50, 0, (), slot=6)
-        assert twin._unacked == []
+        twin.on_ack(7)
+        assert twin.tick(7) == DeltaRecord(50, 0, (), slot=7)
 
     def test_unshipped_crossing_stays_in_the_record(self, kettle_cool):
         """Inputs land across two slots with no tick between: one cumulative record."""
@@ -292,7 +303,10 @@ class TestPhysicalTwin:
                     DeltaRecord(0, 0, (HEAT, HEAT), 2) if slot == 2 else
                     DeltaRecord(0, 100, (HEAT,) * 4, 4)
                 )
-        assert [slot for slot, _, _ in twin._unacked] == [2, 4]
+        twin.on_ack(3)  # the record of slot 2
+        assert twin.tick(5) == DeltaRecord(50, 100, (HEAT, HEAT), 5)
+        twin.on_ack(5)
+        assert twin.tick(6) == DeltaRecord(100, 100, (), 6)
 
     def test_every_emission_verifies_in_sequence(self, kettle_cool):
         twin = PhysicalTwin(kettle_cool)
@@ -372,15 +386,7 @@ class TestVirtualTwin:
 def test_replica_tracks_physical_key_trace(schedule, ack_lag):
     """Records and ACKs lost at random, ACKs `ack_lag` slots late: every record
     that arrives verifies and puts the replica on the physical key."""
-    from twinsync.machine import machine_from_dict
-    from twinsync.scenario import load_fixture_json
-
-    doc = load_fixture_json("kettle")
-    doc["inputs"].append(COOL)
-    for state in doc["states"]:
-        doc["delta"].append([state, COOL, max(state - 25, 0)])
-    machine = machine_from_dict(doc)
-
+    machine = kettle_cool_machine()
     twin = PhysicalTwin(machine)
     virtual = VirtualTwin(machine)
     accepted = [0]  # the replica's acknowledgement at the end of each slot
@@ -394,3 +400,96 @@ def test_replica_tracks_physical_key_trace(schedule, ack_lag):
         accepted.append(virtual.acked)
         if not ack_lost and slot > ack_lag:
             twin.on_ack(accepted[slot - ack_lag])
+
+
+class UnackedRecordsTwin:
+    """The physical twin's anchoring before it moved onto the execution log,
+    kept as the reference the log's anchoring must match.  A tick files its
+    record's end as (slot, position, state) when the record has inputs past
+    the newest one filed, and an acknowledgement pops every filed record
+    emitted before it, anchoring at the last one popped."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.state = self.key_state = self._base = machine.initial
+        self._anchor = 0  # position of the anchor among the state-changing inputs
+        self._inputs: list[int] = []
+        self._unacked: list[tuple[int, int, int]] = []
+
+    def apply_input(self, slot: int, sym: int) -> None:
+        nxt = step(self.machine, self.state, sym)
+        if nxt != self.state:
+            self._inputs.append(sym)
+            self.state = nxt
+            if nxt in self.machine.key_states:
+                self.key_state = nxt
+
+    def tick(self, slot: int) -> DeltaRecord:
+        inputs, unacked = self._inputs, self._unacked
+        record = DeltaRecord(self._base, self.key_state, tuple(inputs), slot)
+        end = self._anchor + len(inputs)
+        if end > (unacked[-1][1] if unacked else self._anchor):
+            unacked.append((slot, end, self.state))
+        return record
+
+    def on_ack(self, acked: int) -> None:
+        unacked = self._unacked
+        n = 0
+        while n < len(unacked) and unacked[n][0] < acked:
+            n += 1
+        if n:
+            _, position, self._base = unacked[n - 1]
+            del unacked[:n]
+            del self._inputs[: position - self._anchor]
+            self._anchor = position
+
+
+@st.composite
+def small_machines(draw):
+    """Total machines of 1-4 states and 1-3 inputs whose key states include the initial."""
+    states = list(range(draw(st.integers(1, 4))))
+    inputs = list(range(1, draw(st.integers(1, 3)) + 1))
+    initial = draw(st.sampled_from(states))
+    keys = {initial} | set(draw(st.lists(st.sampled_from(states))))
+    return machine_from_dict(
+        {
+            "machine_id": "drawn",
+            "states": states,
+            "inputs": inputs,
+            "initial": initial,
+            "key_states": sorted(keys),
+            "delta": [[s, i, draw(st.sampled_from(states))] for s in states for i in inputs],
+        }
+    )
+
+
+TWIN_MACHINES = st.one_of(
+    st.just(machine_from_dict(load_fixture_json("kettle"))),
+    st.just(kettle_cool_machine()),
+    small_machines(),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(TWIN_MACHINES, st.integers(1, 3), st.data())
+def test_anchoring_on_the_log_gives_the_unacked_records_anchoring(machine, period, data):
+    """In the runner's order, inputs then the boundary's tick then
+    acknowledgements, both twins emit the same record at every boundary.
+    An acknowledgement is 0 or a ticked boundary plus one, stale ones
+    included, as the runner lets through."""
+    twin, reference = PhysicalTwin(machine), UnackedRecordsTwin(machine)
+    symbols = sorted(machine.inputs)
+    ticked = [-1]  # -1 stands for the acknowledgement 0
+    total = data.draw(st.integers(1, 24), label="total_slots")
+    for slot in range(total):
+        for sym in data.draw(st.lists(st.sampled_from(symbols), max_size=2), label="inputs"):
+            twin.apply_input(slot, sym)
+            reference.apply_input(slot, sym)
+        if slot % period == 0:
+            ticked.append(slot)
+            assert twin.tick(slot) == reference.tick(slot)
+        for boundary in data.draw(st.lists(st.sampled_from(ticked), max_size=2), label="acks"):
+            twin.on_ack(boundary + 1)
+            reference.on_ack(boundary + 1)
+    end = -(-total // period) * period
+    assert twin.tick(end) == reference.tick(end)
