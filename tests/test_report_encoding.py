@@ -15,6 +15,7 @@ import base64
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -50,7 +51,12 @@ from twinsync.runner import (
     RunReport,
     run_scenario,
 )
-from twinsync.scenario import fixture_path, load_bundled_scenario, scenario_from_dict
+from twinsync.scenario import (
+    fixture_path,
+    load_bundled_scenario,
+    load_fixture_json,
+    scenario_from_dict,
+)
 
 
 def compact(value) -> bytes:
@@ -476,6 +482,40 @@ def test_lossy_reports_match_pinned_digests(name):
     v1 = as_v1(data)
     assert hashlib.sha256(v1).hexdigest() == compact_sha
     assert hashlib.sha256(indented(v1)).hexdigest() == indented_sha
+
+
+def _varied_docs(name: str):
+    """A bundled scenario's document, or a bench workload's seed-0 one, at
+    sync period 1-3, latency 0-2 on both links and loss 0, 0.1 and 0.3 on
+    both links: 27 documents, in that nesting order."""
+    if name in PINNED_REPORTS:
+        doc = load_fixture_json(name)
+    else:
+        (doc,) = import_bench_module("workloads").WORKLOADS[name].generate(0)
+    for period, latency, loss in itertools.product((1, 2, 3), (0, 1, 2), (0.0, 0.1, 0.3)):
+        channel = {"latency_slots": latency, "drop_probability": loss}
+        channels = dict.fromkeys(("phys_to_virt", "virt_to_phys"), channel)
+        yield {**doc, "sync_period_slots": period, "channels": channels}
+
+
+# SHA-256 over each document's 27 reports (`_varied_docs`), as written and
+# concatenated in order.  The pins above run each document at its own period
+# and latency only; delays that went wrong showed only at periods 2 and 3.
+PINNED_VARIED_REPORTS = {
+    "fig4_walkthrough": "31c72c0a58a09d488ad7078d051659ebc7d8e16b114b024a009400fb7a06402d",
+    "attack_matrix": "9f50570e0ee057f04e29240dd59623f94bf67fe16963fc28744429d528aa47fd",
+    "idle_at_key": "b584b8e623de02d904109040b34e6d393b37a2ad804f65ad1c9716e2f73869ae",
+    "idle_between_keys": "3344b02744acb7194cb8c2061c532608213b51f3dc49d96f9d34b5b955af649a",
+    "attack_dense": "650c8ec139cc3125890372b58ae3ec282185eed6a98870e626de9fb3887b3a70",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VARIED_REPORTS))
+def test_varied_reports_match_pinned_digests(name):
+    digest = hashlib.sha256()
+    for doc in _varied_docs(name):
+        digest.update(run_scenario(scenario_from_dict(doc)).to_json_bytes())
+    assert digest.hexdigest() == PINNED_VARIED_REPORTS[name]
 
 
 def _pinned_runs(name: str):
