@@ -13,9 +13,9 @@ physical-bound channel always implicate R3 because that channel drives
 actuation, while anomalies on the virtual-bound channel implicate R2
 whenever forged or altered content could have corrupted the replica.  Each
 refused frame or record arrives as a `sync.Refusal`, and `OUTCOME_EVENT_KIND`
-names the event its outcome raises.  An event reads its requirements from
-`EVENT_REQUIREMENTS`, and the run's verdict, `Detector.summarize`, lives
-beside the tables it reads.
+names the event its outcome raises.  An event is its report entry, built
+with its requirements from `EVENT_REQUIREMENTS` by `event_entry`, and the
+run's verdict, `Detector.summarize`, lives beside the tables it reads.
 
 Liveness is the detector's own job: both endpoints emit one authenticated
 frame per sync period (heartbeats when idle), so a deleted message shows up
@@ -25,7 +25,6 @@ grace window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
@@ -48,27 +47,6 @@ class EventKind(str, Enum):
     FORGED_INSERT = "FORGED_INSERT"
     STATE_MISMATCH = "STATE_MISMATCH"
     COMMAND_REJECTED = "COMMAND_REJECTED"
-
-
-@dataclass(frozen=True)
-class DetectionEvent:
-    kind: EventKind
-    slot: int
-    direction: Direction
-    detail: dict
-
-    def to_dict(self) -> dict:
-        # `_value_` is read directly: `.value` is a descriptor call costing
-        # several times the read.
-        return {
-            "kind": self.kind._value_,
-            "slot": self.slot,
-            "direction": self.direction._value_,
-            "requirements": list(
-                REQUIREMENT_NAMES[EVENT_REQUIREMENTS[(self.kind, self.direction)]]
-            ),
-            "detail": self.detail,
-        }
 
 
 # The sorted names of each set of requirements, built once for all eight.
@@ -127,6 +105,16 @@ ATTACK_EXPECTATIONS: dict[tuple[AttackKind, Direction], frozenset[Requirement]] 
 }
 
 
+def event_entry(kind: EventKind, slot: int, direction: Direction, detail: dict) -> dict:
+    """An event's report entry, its kind and direction plain strings read by
+    `_value_` (`.value` is a descriptor call costing several times the read).
+    Both are `str` enums, so the tables find an entry's row by its strings."""
+    return {
+        "kind": kind._value_, "slot": slot, "direction": direction._value_, "detail": detail,
+        "requirements": list(REQUIREMENT_NAMES[EVENT_REQUIREMENTS[(kind, direction)]]),
+    }
+
+
 class Detector:
     """Turns refusals and liveness gaps into events.
 
@@ -147,15 +135,15 @@ class Detector:
     def on_frame_accepted(self, direction: Direction, emission_slot: int) -> None:
         self._satisfied.add((direction, emission_slot))
 
-    def on_channel_error(self, refusal: Refusal, slot: int, direction: Direction) -> DetectionEvent:
+    def on_channel_error(self, refusal: Refusal, slot: int, direction: Direction) -> dict:
         """The event a refused frame or record raises, with the refusal's detail."""
-        return DetectionEvent(OUTCOME_EVENT_KIND[refusal.outcome], slot, direction, refusal.detail)
+        return event_entry(OUTCOME_EVENT_KIND[refusal.outcome], slot, direction, refusal.detail)
 
     # An alias the runner never calls: bench/probes.py traces this name too,
     # until its probe is retargeted to on_channel_error.
     on_semantic_mismatch = on_channel_error
 
-    def on_slot_boundary(self, slot: int) -> list[DetectionEvent]:
+    def on_slot_boundary(self, slot: int) -> list[dict]:
         """MISSED_SYNC for each emission that became overdue exactly at this slot."""
         events, satisfied = [], self._satisfied
         for direction, wait in self._waits:
@@ -167,30 +155,30 @@ class Detector:
                 satisfied.remove(key)
                 continue
             detail = {"expected_emission_slot": emission}
-            events.append(DetectionEvent(EventKind.MISSED_SYNC, slot, direction, detail))
+            events.append(event_entry(EventKind.MISSED_SYNC, slot, direction, detail))
         return events
 
     def summarize(
         self,
         attacks: list[AttackAction],
-        events: list[DetectionEvent],
+        events: list[dict],
         dropped: set[tuple[Direction, int]],
         applied: list[tuple[AttackAction, bool]],
-    ) -> tuple[dict, list[dict]]:
-        """The run's summary and verdict, and its events as the report writes them.
+    ) -> dict:
+        """The run's summary and verdict, each event's entry marked in place.
 
-        An event is in an attack's window when it is on the attacked direction
-        within grace + 1 slots after the attack's slot.  An attack that found
-        no target, by the adversary's `applied` log, caused nothing: it is
-        marked, and kept out of the matrix, the verdict and the attribution of
-        events.  A MISSED_SYNC whose (direction, emission) the channels dropped
-        is benign loss.
+        An event on the attacked direction within grace + 1 slots after an
+        attack's slot is in its window, and `attack_scheduled`.  An attack that
+        found no target, by the adversary's `applied` log, caused nothing: it
+        is marked, and kept out of the matrix, the verdict and the attribution
+        of events.  A MISSED_SYNC whose (direction, emission) the channels
+        dropped is `explained_by_benign_loss`.
         """
         window = self._window
         missed = {id(action) for action, found in applied if not found}
-        events_at: dict[tuple[Direction, int], list[DetectionEvent]] = {}
+        events_at: dict[tuple[str, int], list[dict]] = {}
         for event in events:
-            events_at.setdefault((event.direction, event.slot), []).append(event)
+            events_at.setdefault((event["direction"], event["slot"]), []).append(event)
         attributed: set[int] = set()  # ids of events in the window of an attack that found one
 
         attack_rows = []
@@ -204,7 +192,7 @@ class Detector:
             ]
             detected = frozenset()
             for e in hits:
-                detected |= EVENT_REQUIREMENTS[(e.kind, e.direction)]
+                detected |= EVENT_REQUIREMENTS[(e["kind"], e["direction"])]
             cell = (attack.kind, attack.direction)
             expected = ATTACK_EXPECTATIONS[cell]
             matched = detected == expected
@@ -231,25 +219,22 @@ class Detector:
             matrix.setdefault(k, {})[d] = list(REQUIREMENT_NAMES[detected])
             expected_matrix.setdefault(k, {})[d] = list(REQUIREMENT_NAMES[ATTACK_EXPECTATIONS[cell]])
 
-        annotated = []
         spurious = 0
         benign_loss = 0
         for event in events:
-            entry = event.to_dict()
             scheduled = id(event) in attributed
-            entry["attack_scheduled"] = scheduled
-            if event.kind == EventKind.MISSED_SYNC:
-                lost = (event.direction, event.detail["expected_emission_slot"]) in dropped
-                entry["explained_by_benign_loss"] = lost
+            event["attack_scheduled"] = scheduled
+            if event["kind"] == EventKind.MISSED_SYNC:
+                lost = (event["direction"], event["detail"]["expected_emission_slot"]) in dropped
+                event["explained_by_benign_loss"] = lost
                 if lost:
                     benign_loss += 1
                 elif not scheduled:
                     spurious += 1
             elif not scheduled:
                 spurious += 1
-            annotated.append(entry)
 
-        summary = {
+        return {
             "attacks": attack_rows,
             "matrix": matrix,
             "expected_matrix": expected_matrix,
@@ -258,7 +243,6 @@ class Detector:
             "benign_loss_event_count": benign_loss,
             "verdict": "pass" if all_matched and spurious == 0 else "detection_mismatch",
         }
-        return summary, annotated
 
 
 def consistency_audit(

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .adversary import Adversary
-from .detector import Detector, DetectionEvent, consistency_audit
+from .detector import Detector, consistency_audit
 from .frames import (
     Frame,
     MalformedPayload,
@@ -223,7 +223,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         phys_inputs.setdefault(slot, []).append(sym)
     commands = command_inputs(spec.operator_inputs_virtual, period)
 
-    events: list[DetectionEvent] = []
+    events: list[dict] = []
     audits: list[dict] = []
     rows: list[str] = []
     physical_keys: list[int] = []  # physical key state at the end of each slot
@@ -341,12 +341,12 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         )
 
     lost = {(link.direction, f.sent_at_slot) for link in links for f in link.channel.drop_log}
-    summary, annotated = detector.summarize(spec.attacks, events, lost, applied)
+    summary = detector.summarize(spec.attacks, events, lost, applied)
     return RunReport(
         scenario=spec.to_dict(),
         rows=rows,
         frames=[b2a_base64(data, newline=False).decode() for data in ids],
-        detection_events=annotated,
+        detection_events=events,
         audits=audits,
         summary=summary,
     )

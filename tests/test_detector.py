@@ -1,4 +1,7 @@
-"""Requirement mapping, liveness expectations, and the consistency audit."""
+"""Requirement mapping, liveness expectations, report entries, and the
+consistency audit."""
+
+import json
 
 import pytest
 
@@ -15,6 +18,8 @@ from twinsync.detector import (
 from twinsync.machine import machine_from_dict
 from twinsync.netsim import Direction
 from twinsync.oracle import expected_traces
+from twinsync.runner import run_scenario
+from twinsync.scenario import load_fixture_json, scenario_from_dict
 from twinsync.sync import CommandRecord, DeltaRecord, Refusal, VirtualTwin, reconcile
 
 P2V = Direction.PHYS_TO_VIRT
@@ -30,7 +35,7 @@ def make_detector(period=1, latency=1, grace=1, directions=(P2V, V2P)) -> Detect
 
 def requirements(event) -> frozenset[Requirement]:
     """The requirements an event enforces, as the detector reads them."""
-    return EVENT_REQUIREMENTS[(event.kind, event.direction)]
+    return EVENT_REQUIREMENTS[(event["kind"], event["direction"])]
 
 
 class TestRequirementTables:
@@ -79,12 +84,12 @@ class TestChannelErrorEvents:
         detector = make_detector()
         err = Refusal(outcome, {"reason": "r", "claimed_slot": 7})
         event = detector.on_channel_error(err, slot=8, direction=direction)
-        assert event.kind is event_kind
-        assert event.slot == 8
-        assert event.direction is direction
+        assert event["kind"] == event_kind.value
+        assert event["slot"] == 8
+        assert event["direction"] == direction.value
         names = sorted(r.value for r in EVENT_REQUIREMENTS[(event_kind, direction)])
-        assert event.to_dict()["requirements"] == names
-        assert event.detail == {"reason": "r", "claimed_slot": 7}
+        assert event["requirements"] == names
+        assert event["detail"] == {"reason": "r", "claimed_slot": 7}
 
 
 class TestLiveness:
@@ -97,10 +102,10 @@ class TestLiveness:
         assert detector.on_slot_boundary(3) == []
         assert detector.on_slot_boundary(4) == []
         events = detector.on_slot_boundary(5)
-        assert [e.kind for e in events] == [EventKind.MISSED_SYNC]
-        assert events[0].slot == 5
+        assert [e["kind"] for e in events] == [EventKind.MISSED_SYNC]
+        assert events[0]["slot"] == 5
         assert requirements(events[0]) == {R1}
-        assert events[0].detail == {"expected_emission_slot": 3}
+        assert events[0]["detail"] == {"expected_emission_slot": 3}
 
     def test_timely_arrival_keeps_quiet(self):
         detector = make_detector(directions=(P2V,))
@@ -122,8 +127,8 @@ class TestLiveness:
         seen = []
         for slot in range(0, 8):
             seen += detector.on_slot_boundary(slot)
-        assert [e.detail["expected_emission_slot"] for e in seen] == list(range(0, 6))
-        assert [e.slot for e in seen] == list(range(2, 8))
+        assert [e["detail"]["expected_emission_slot"] for e in seen] == list(range(0, 6))
+        assert [e["slot"] for e in seen] == list(range(2, 8))
 
     def test_period_skips_non_boundary_slots(self):
         detector = make_detector(period=2, directions=(P2V,))
@@ -133,13 +138,13 @@ class TestLiveness:
         assert detector.on_slot_boundary(3) == []  # emission 1 is not a boundary
         assert detector.on_slot_boundary(4) == []
         events = detector.on_slot_boundary(6)  # emission 4 never arrived
-        assert [e.detail["expected_emission_slot"] for e in events] == [4]
+        assert [e["detail"]["expected_emission_slot"] for e in events] == [4]
 
     def test_directions_alarm_independently(self):
         detector = make_detector()
         detector.on_frame_accepted(P2V, emission_slot=0)
         events = detector.on_slot_boundary(2)
-        assert [(e.kind, e.direction) for e in events] == [(EventKind.MISSED_SYNC, V2P)]
+        assert [(e["kind"], e["direction"]) for e in events] == [(EventKind.MISSED_SYNC, V2P)]
         assert requirements(events[0]) == {R1, R3}
 
 
@@ -148,18 +153,41 @@ class TestSemanticEvents:
         detector = make_detector()
         err = VirtualTwin(kettle).apply_sync(DeltaRecord(100, 100, (), slot=1))
         event = detector.on_channel_error(err, slot=6, direction=P2V)
-        assert event.kind is EventKind.STATE_MISMATCH
+        assert event["kind"] == EventKind.STATE_MISMATCH.value
         assert requirements(event) == {R1, R2}
-        assert event.detail["mismatch"] == "base_mismatch"
-        assert (event.detail["expected"], event.detail["got"]) == (0, 100)
+        assert event["detail"]["mismatch"] == "base_mismatch"
+        assert (event["detail"]["expected"], event["detail"]["got"]) == (0, 100)
 
     def test_command_reject(self, kettle):
         detector = make_detector()
         err = reconcile(CommandRecord(inputs=(99,), acked=0), kettle)
         event = detector.on_channel_error(err, slot=6, direction=V2P)
-        assert event.kind is EventKind.COMMAND_REJECTED
+        assert event["kind"] == EventKind.COMMAND_REJECTED.value
         assert requirements(event) == {R3}
-        assert event.detail == {"reason": "unknown_input", "input": 99}
+        assert event["detail"] == {"reason": "unknown_input", "input": 99}
+
+
+def _entry_runs():
+    """Both bundled scenarios, then `attack_matrix` once per attack it
+    schedules, with that attack alone: each attack kind on each direction."""
+    for name in ("fig4_walkthrough", "attack_matrix"):
+        yield pytest.param(load_fixture_json(name), id=name)
+    doc = load_fixture_json("attack_matrix")
+    for attack in doc["attacks"]:
+        yield pytest.param({**doc, "attacks": [attack]}, id=f"{attack['kind']}_{attack['direction']}")
+
+
+@pytest.mark.parametrize("doc", _entry_runs())
+def test_entries_hold_plain_json_values(doc):
+    """An entry is what the report writes from the moment it is raised: it
+    survives a JSON round trip unchanged, and its kind and direction are
+    `str` itself, never an enum member, which JSON text would not show but
+    a Python reader comparing strings might."""
+    events = run_scenario(scenario_from_dict(doc)).detection_events
+    assert events or not doc["attacks"]
+    assert json.loads(json.dumps(events)) == events
+    for event in events:
+        assert type(event["kind"]) is str and type(event["direction"]) is str
 
 
 # Physical key state at the end of each slot when the kettle gets HEAT at

@@ -287,10 +287,11 @@ class TestNoTarget:
 def summarize(grace: int, events: list, dropped: tuple[int, ...] = ()):
     """`Detector.summarize` of a run whose one attack, which found its
     target, DELETEs the up-link frame of slot 4, given `events` and the
-    up-link frames lost at the `dropped` send slots."""
+    up-link frames lost at the `dropped` send slots, and the events, which
+    it marks in place."""
     attack = AttackAction(AttackKind.DELETE, 4, Direction.PHYS_TO_VIRT)
     lost = {(Direction.PHYS_TO_VIRT, slot) for slot in dropped}
-    return up_link_detector(grace).summarize([attack], events, lost, [(attack, True)])
+    return up_link_detector(grace).summarize([attack], events, lost, [(attack, True)]), events
 
 
 def up_link_detector(grace: int) -> Detector:
@@ -969,7 +970,7 @@ def test_slot_cost_does_not_grow_with_run_length():
 
 def test_python_calls_per_slot_do_not_grow_with_run_length():
     """The deterministic companion of the test above: 8,000 slots make at
-    most 1.01x the Python calls per slot of 1,000 (43.85 against 43.92), so
+    most 1.01x the Python calls per slot of 1,000 (42.80 against 42.88), so
     no per-slot step calls more as the history grows."""
     assert calls_per_slot(idle_at_key(8000)) <= 1.01 * calls_per_slot(idle_at_key(1000))
 
@@ -1029,9 +1030,10 @@ def calls_per_slot(spec) -> float:
 
 def test_python_calls_per_idle_slot():
     """A deterministic guard on the per-slot constant of the frame path:
-    42.83.  The execution log keeps state changes only, so an idle input
-    builds no `LogEntry`, one call fewer per idle input than the 43.82 of
-    logging every input.  Each physical input appends to the log directly,
+    42.76.  An event is built as its report entry by one call, where a
+    `DetectionEvent` and its `to_dict` made 42.83.  The execution log keeps
+    state changes only, so an idle input builds no `LogEntry`, one call
+    fewer per idle input than the 43.82 of logging every input.  Each physical input appends to the log directly,
     one call fewer per input than the 44.82 of `ExecutionLog.append`'s
     contiguity check.  The audit takes the up link's newest boundary from
     the timing check, one call fewer per slot than the 45.82 of
@@ -1042,11 +1044,12 @@ def test_python_calls_per_idle_slot():
 
 
 def test_python_calls_per_attack_slot():
-    """The same guard on the adversary and detector paths: 45.60 on
-    `attack_dense`, down from 46.21 while every self-loop was logged.  An
-    attacked slot's actions go through the encoder's two Python methods as
-    the row is written; encoded with the report, they made 45.56, down from
-    46.17, 47.17 and 49.12 for the same reasons."""
+    """The same guard on the adversary and detector paths: 45.18 on
+    `attack_dense`, down from 45.60 while each event was a `DetectionEvent`
+    turned into its entry by `to_dict`, and 46.21 while every self-loop was
+    logged.  An attacked slot's actions go through the encoder's two Python
+    methods as the row is written; encoded with the report, they made 45.56,
+    down from 46.17, 47.17 and 49.12 for the same reasons."""
     assert python_calls_per_slot("attack_dense") <= 49
 
 
