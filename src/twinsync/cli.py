@@ -57,6 +57,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return EXIT_INVALID
     else:
         sys.stdout.buffer.writelines(report.json_pieces())
+        # Out before the verdict, so a closed stdout fails before it is printed.
+        sys.stdout.buffer.flush()
     verdict = report.summary["verdict"]
     print(f"verdict: {verdict}", file=sys.stderr)
     return EXIT_OK if verdict == "pass" else EXIT_MISMATCH

@@ -22,7 +22,8 @@ name frames by their index there: the bytes of frame `id` are
 `base64.b64decode(report.frames[id])`.  A row states only what happened:
 `sent`, `delivered` and `dropped` hold only the links with frames, an
 accepted frame is its bare id, and `adversary_actions` and failed audits
-appear only when there are any.
+appear only when there are any.  Slot 0's row writes the four `STATE_FIELDS`,
+a later row each only when it changed, and `RunReport.slots` carries them on.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ from .sync import PhysicalTwin, Refusal, VirtualTwin, command_inputs, reconcile
 PHYSICAL_SENDER_ID = 1
 VIRTUAL_SENDER_ID = 2
 
-REPORT_SCHEMA = "twinsync.report.v4"
+REPORT_SCHEMA = "twinsync.report.v5"
+# A row writes each of these only when it differs from the row before's.
+STATE_FIELDS = ("physical_key_state", "physical_state", "replica_key_state", "replica_synced_slot")
 
 # Module aliases: an enum member lookup costs several times a global one.
 STATE_SYNC, COMMAND, ACK = MsgType.STATE_SYNC, MsgType.COMMAND, MsgType.ACK
@@ -116,11 +119,18 @@ class RunReport:
 
     @cached_property
     def slots(self) -> list[dict]:
-        """The slot rows parsed, once, for readers of their fields."""
-        return json.loads(f"[{','.join(self.rows)}]")
+        """The rows of `to_json_dict`, parsed once and made full for readers of
+        their fields: each state field a row leaves out is the row before's."""
+        slots = self.to_json_dict()["slots"]
+        carried: dict = {}
+        for row in slots:
+            for field in STATE_FIELDS:
+                carried[field] = row.setdefault(field, carried.get(field))
+        return slots
 
     def to_json_dict(self) -> dict:
-        return self._doc(self.slots)
+        """The document as written: a row holds only the state fields it writes."""
+        return self._doc(json.loads(f"[{','.join(self.rows)}]"))
 
     def _doc(self, slots: list) -> dict:
         return {
@@ -227,6 +237,7 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
     audits: list[dict] = []
     rows: list[str] = []
     physical_keys: list[int] = []  # physical key state at the end of each slot
+    last_key = last_state = last_replica = last_synced = -1  # below any value: slot 0 writes all
     applied = adversary.applied
 
     for slot in range(spec.total_slots):
@@ -334,11 +345,18 @@ def run_scenario(spec: ScenarioSpec) -> RunReport:
         delivered = f'"delivered":{{{",".join(delivered)}}},' if delivered else ""
         dropped = f'"dropped":{{{",".join(dropped)}}},' if dropped else ""
         sent = f'"sent":{{{",".join(sent)}}},' if sent else ""
-        rows.append(
-            f'{{{actions}{delivered}{dropped}"physical_key_state":{key},'
-            f'"physical_state":{physical.state},"replica_key_state":{replica_key},'
-            f'"replica_synced_slot":{virtual.last_synced_slot},{sent}"slot":{slot}}}'
-        )
+        state, synced = physical.state, virtual.last_synced_slot
+        row = actions + delivered + dropped
+        if key != last_key:
+            row += f'"physical_key_state":{key},'
+        if state != last_state:
+            row += f'"physical_state":{state},'
+        if replica_key != last_replica:
+            row += f'"replica_key_state":{replica_key},'
+        if synced != last_synced:
+            row += f'"replica_synced_slot":{synced},'
+        rows.append(f'{{{row}{sent}"slot":{slot}}}')
+        last_key, last_state, last_replica, last_synced = key, state, replica_key, synced
 
     lost = {(link.direction, f.sent_at_slot) for link in links for f in link.channel.drop_log}
     summary = detector.summarize(spec.attacks, events, lost, applied)

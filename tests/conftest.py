@@ -65,6 +65,19 @@ REPORT_VALIDATOR = jsonschema.validators.extend(
 )(json.loads(resources.files("twinsync").joinpath("schemas", "report.schema.json").read_text()))
 
 
+STATE_FIELDS = ("physical_key_state", "physical_state", "replica_key_state", "replica_synced_slot")
+
+
+def v4_report(doc: dict) -> dict:
+    """A `twinsync.report.v5` document as v4 wrote it: every row with all
+    four state fields, each one a row leaves out carried from the row before."""
+    slots, carried = [], {}
+    for row in doc["slots"]:
+        carried = {**carried, **{field: row[field] for field in STATE_FIELDS if field in row}}
+        slots.append({**row, **carried})
+    return {**doc, "schema": "twinsync.report.v4", "slots": slots}
+
+
 def v3_report(doc: dict) -> dict:
     """A `twinsync.report.v4` document as v3 wrote it: each frame in the
     `frames` table as hex, not base64."""

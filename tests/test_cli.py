@@ -41,7 +41,7 @@ class TestRun:
         rc = main(["run", "--scenario", walkthrough_path, "--out", str(out)])
         assert rc == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["schema"] == "twinsync.report.v4"
+        assert report["schema"] == "twinsync.report.v5"
         assert report["summary"]["verdict"] == "pass"
         assert "verdict: pass" in capsys.readouterr().err
 
@@ -336,18 +336,22 @@ def test_every_module_imports_first_in_a_fresh_interpreter():
     "argv",
     [
         ["run", "--scenario", "{walkthrough}"],
+        ["run", "--scenario", "{short}"],
         ["oracle", "--machine", "kettle", "--max-len", "1"],
         ["validate", "--scenario", "{walkthrough}"],
         ["vectors", "verify", "--path", "{vectors}"],
     ],
-    ids=["run", "oracle", "validate", "vectors"],
+    ids=["run", "run_short", "oracle", "validate", "vectors"],
 )
-def test_closed_stdout_exits_two_with_one_line(argv, unbuffered, walkthrough_path):
+def test_closed_stdout_exits_two_with_one_line(argv, unbuffered, walkthrough_path, tmp_path):
     """Started on a pipe whose read end is already closed, so every write to
     stdout fails however soon it comes.  Buffered, `print` fails only when
-    stdout is flushed; unbuffered, at once."""
+    stdout is flushed; unbuffered, at once.  A 3-slot run's report fits in
+    the buffer of a stdout on a pipe, so only a flush can fail it, and the
+    `verdict` line must not come first."""
     vectors = str(fixture_path("golden_frames.hex"))
-    args = [a.format(walkthrough=walkthrough_path, vectors=vectors) for a in argv]
+    short = write_json(tmp_path, "short.json", {"machine": "kettle", "total_slots": 3})
+    args = [a.format(walkthrough=walkthrough_path, vectors=vectors, short=short) for a in argv]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered

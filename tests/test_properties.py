@@ -20,22 +20,29 @@ The clauses:
   trace is `oracle.expected_traces`, with each operator command applied
   the slot after it arrives;
 - each slot row's text, written by the runner, is the report encoder's text
-  of what it parses to.
+  of what it parses to;
+- slot 0's row writes all four state fields and a later row each one
+  exactly when it differs from the row before's, and `RunReport.slots`
+  reads the rows as `conftest.v4_report` does.
 """
 
 import base64
 import json
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import REPORT_VALIDATOR
+from tests.conftest import REPORT_VALIDATOR, STATE_FIELDS, v4_report
+from twinsync import runner
+from twinsync.detector import consistency_audit
 from twinsync.frames import HEADER_LEN, TAG_LEN, decode_delta_payload
 from twinsync.machine import step
 from twinsync.netsim import Direction
 from twinsync.oracle import expected_traces
 from twinsync.runner import _ENCODER, run_scenario
 from twinsync.scenario import ScenarioInvalid, scenario_from_dict
+from twinsync.sync import PhysicalTwin, VirtualTwin
 
 MAX_SLOTS = 40
 DIRECTIONS = ("phys_to_virt", "virt_to_phys")
@@ -208,3 +215,44 @@ def test_each_row_text_is_the_encoders_text_of_its_parse(doc):
         return
     for row in run_scenario(spec).rows:
         assert row == _ENCODER.encode(json.loads(row))
+
+
+def run_reading_states(spec):
+    """`run_scenario(spec)`, and each slot's four state values read off the
+    twins as the runner audits the slot, after which they do not change."""
+    twins, states = {}, []
+
+    def made(name, cls):
+        return lambda machine: twins.setdefault(name, cls(machine))
+
+    def audit(physical_keys, machine, replica_key, emission):
+        physical, virtual = twins["physical"], twins["virtual"]
+        states.append(dict(zip(STATE_FIELDS, (
+            physical.key_state, physical.state, virtual.last_synced_key, virtual.last_synced_slot
+        ))))
+        return consistency_audit(physical_keys, machine, replica_key, emission)
+
+    with (
+        patch.object(runner, "PhysicalTwin", made("physical", PhysicalTwin)),
+        patch.object(runner, "VirtualTwin", made("virtual", VirtualTwin)),
+        patch.object(runner, "consistency_audit", audit),
+    ):
+        report = run_scenario(spec)
+    return report, states
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scenarios())
+def test_a_row_writes_a_state_field_exactly_when_it_changed(doc):
+    try:
+        spec = scenario_from_dict(doc)
+    except ScenarioInvalid:
+        return
+    report, states = run_reading_states(spec)
+    written = report.to_json_dict()
+    before: dict = {}  # nothing before slot 0, whose row writes all four
+    for row, state in zip(written["slots"], states, strict=True):
+        changed = {field: value for field, value in state.items() if before.get(field) != value}
+        assert {field: row[field] for field in STATE_FIELDS if field in row} == changed
+        before = state
+    assert report.slots == v4_report(written)["slots"]

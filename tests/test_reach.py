@@ -64,10 +64,6 @@ CLOSED_STDOUT = (
     "which tests/test_cli.py drives in a subprocess"
 )
 FAULT_ONLY = "a fault of the program only: unit tests call it directly or monkeypatch the stack"
-READ_BACK = (
-    "a test's reading of a report only: `twinsync run` writes `json_pieces`, "
-    "and `compact(to_json_dict())` is the tests' statement of those bytes"
-)
 BENCH_15 = "bench-held: ROADMAP item 15 deletes it, with bench/probes.py's probe"
 BENCH_17 = "bench-held: ROADMAP item 17 deletes it, with the ACK and its probes"
 
@@ -100,7 +96,6 @@ UNREACHED: tuple[tuple[tuple[str, str], str], ...] = (
     (("machine:project_key_state", "if entry.is_key_crossing:"), BENCH_15),
     (("machine:project_key_state", "return entry.to_state"), BENCH_15),
     (("machine:project_key_state", "return machine.initial"), BENCH_15),
-    (("runner:RunReport.to_json_dict", "return self._doc(self.slots)"), READ_BACK),
     # The full stack leaving the closed form, as tests/test_oracle.py's efficacy cases make it.
     (("oracle:_check_one", "report.divergences.append("), FAULT_ONLY),
     (

@@ -1,17 +1,19 @@
 """Report serialization: compact sorted-key ASCII JSON written in bounded
 pieces, the frame table, and pinned report digests.
 
-Every report is pinned as written (`twinsync.report.v4`), projected back to
-v3 by `conftest.v3_report`, from there to v2 by `conftest.v2_report`, and
-from there to v1 by `conftest.v1_report`.  The v3, v2 and v1 digests are
-those the reports had when written in those versions, so the projections
-show that v4 changed only how a frame is spelled, v2 how frames are named,
-v3 left out what said nothing, and none changed anything else.  When the
+Every report is pinned as written (`twinsync.report.v5`), projected back to
+v4 by `conftest.v4_report`, from there to v3 by `conftest.v3_report`, to v2
+by `conftest.v2_report`, and to v1 by `conftest.v1_report`.  The v4, v3, v2
+and v1 digests are those the reports had when written in those versions,
+so the projections show that v5 changed only which rows state the state
+fields, v4 how a frame is spelled, v2 how frames are named, v3 left out
+what said nothing, and none changed anything else.  When the
 records stopped shipping self-loops and every down-link record began to
 acknowledge, only frame bytes changed: each report is also pinned with its
 `frames` table left out, by digests taken before that change."""
 
 import base64
+import collections
 import dataclasses
 import functools
 import hashlib
@@ -28,11 +30,13 @@ import pytest
 from tests.conftest import (
     IDLE,
     REPORT_VALIDATOR,
+    STATE_FIELDS,
     heat_once_then_idle,
     import_bench_module,
     v1_report,
     v2_report,
     v3_report,
+    v4_report,
 )
 from twinsync.cli import EXIT_OK, main
 from twinsync.detector import OUTCOME_EVENT_KIND
@@ -52,6 +56,7 @@ from twinsync.runner import (
     run_scenario,
 )
 from twinsync.scenario import (
+    ScenarioSpec,
     fixture_path,
     load_bundled_scenario,
     load_fixture_json,
@@ -68,26 +73,33 @@ def indented(data: bytes) -> bytes:
     return (json.dumps(json.loads(data), sort_keys=True, indent=2) + "\n").encode()
 
 
-def as_v3(data: bytes) -> bytes:
-    """A written v4 report projected to v3, compact as v3 was written."""
-    return compact(v3_report(json.loads(data)))
+def projections(data: bytes) -> dict[str, bytes]:
+    """A written v5 report and its projections back to v1, each compact as
+    its version was written; `outside_frames` is the v3 projection without
+    its `frames` table, and `v1_indented` the v1 text as first pinned."""
+    v4 = v4_report(json.loads(data))
+    v3 = v3_report(v4)
+    v2 = v2_report(v3)
+    v1 = compact(v1_report(v2))
+    outside = {key: value for key, value in v3.items() if key != "frames"}
+    return {
+        "v5": data,
+        "v4": compact(v4),
+        "v3": compact(v3),
+        "outside_frames": compact(outside),
+        "v2": compact(v2),
+        "v1": v1,
+        "v1_indented": indented(v1),
+    }
 
 
-def as_v2(data: bytes) -> bytes:
-    """A written v4 report projected to v2, compact as v2 was written."""
-    return compact(v2_report(v3_report(json.loads(data))))
-
-
-def as_v1(data: bytes) -> bytes:
-    """A written v4 report projected to v1, compact as v1 was written."""
-    return compact(v1_report(v2_report(v3_report(json.loads(data)))))
-
-
-def outside_frames(data: bytes) -> bytes:
-    """A written v4 report projected to v3, without its `frames` table, compact."""
-    doc = v3_report(json.loads(data))
-    del doc["frames"]
-    return compact(doc)
+def digests(reports) -> dict[str, str]:
+    """SHA-256 of each projection of `reports`, concatenated in order."""
+    hashes = collections.defaultdict(hashlib.sha256)
+    for data in reports:
+        for version, text in projections(data).items():
+            hashes[version].update(text)
+    return {version: sha.hexdigest() for version, sha in hashes.items()}
 
 
 BAD_VALUES = [object(), {"k": {1, 2}}, [b"bytes"], {("a",): 1}]
@@ -231,9 +243,12 @@ def streamed_peak(report: RunReport, path) -> int:
 
 def test_report_memory_is_bounded_by_its_output(tmp_path):
     """Seed-0 `idle_at_key`, 1,000 slots: joining the pieces peaks at the
-    pieces and their join, and writing them to a file holds about one piece,
-    0.31x the output.  One `json.dumps` call held 5.2x its output on top of
-    the report, and encoding the scenario echo in one call 0.39x."""
+    pieces and their join, and writing them to a file peaks at 0.26x the
+    output, 92 kB of 353 kB (0.22x of v4's 423 kB, whose rows stated every
+    state field).  One `json.dumps` call held 5.2x its output on top of the
+    report, and encoding the scenario echo in one call 0.39x.  The bounds
+    say something only while the output is many pieces long: 30 of its
+    largest piece here."""
     report = idle_at_key_report(1000)
     tracemalloc.start()
     try:
@@ -243,7 +258,7 @@ def test_report_memory_is_bounded_by_its_output(tmp_path):
     finally:
         tracemalloc.stop()
     streamed = streamed_peak(report, tmp_path / "report.json")
-    assert size > 400_000
+    assert size > 16 * max(len(piece) for piece in report.json_pieces())
     assert joined <= 2.5 * size
     assert streamed <= 0.35 * size
 
@@ -271,13 +286,32 @@ def _workload_specs(name: str, seed: int = 0):
             yield build_schedule_scenario(machine, schedule, seed=spec.seed)
 
 
+def _pinned_specs(name: str):
+    """The specs of one pinned report source: a bundled scenario, a bench
+    workload, or a lossy run."""
+    if name in PINNED_REPORTS:
+        return [load_bundled_scenario(name)]
+    if name in PINNED_WORKLOAD_REPORTS:
+        return _workload_specs(name)
+    return [PINNED_LOSSY_REPORTS[name][0]()]
+
+
+@functools.cache
+def pinned_runs(name: str) -> tuple[tuple[ScenarioSpec, RunReport, bytes], ...]:
+    """Each run of one pinned report source as (spec, report, its bytes),
+    run once per test session for every test that reads a run's report."""
+    runs = []
+    for spec in _pinned_specs(name):
+        report = run_scenario(spec)
+        runs.append((spec, report, report.to_json_bytes()))
+    return tuple(runs)
+
+
 @pytest.mark.parametrize(
     "workload", ["idle_at_key", "idle_between_keys", "attack_dense", "oracle_sweep"]
 )
 def test_bench_workload_reports_match_stdlib(workload):
-    for spec in _workload_specs(workload):
-        report = run_scenario(spec)
-        data = report.to_json_bytes()
+    for _, report, data in pinned_runs(workload):
         assert data.isascii()
         assert data.endswith(b"\n") and data.count(b"\n") == 1
         assert json.loads(data) == report.to_json_dict()
@@ -306,14 +340,14 @@ PINNED_COMPACT_REPORTS = {
     "fig4_walkthrough": "ebddac0f4bbcdcfdeb682b8df46b022869bb96c99790892c26da5bf479d15010",
     "attack_matrix": "1cb8a93d80250ea4276a6ac6997a5f0d4e7ed109d2153f792cfb8136738f4e99",
 }
-# SHA-256 of the same reports as v2 wrote them, projected by `as_v2`.
+# SHA-256 of the same reports as v2 wrote them, projected by `projections`.
 PINNED_V2_REPORTS = {
     "fig4_walkthrough": "51f1a31a8bd55b0d00fbf8b92a361442b38e038af1baad44b7eb95864156207f",
     "attack_matrix": "755d5e6c69e0f33c4aa8c579d57d7807fc52fd497345731fdcb88011e1b548df",
 }
-# SHA-256 of every pinned report as written (`twinsync.report.v4`): the two
-# bundled scenarios above, the four bench workloads and the two lossy runs
-# below, a workload's reports concatenated as its other digests are.
+# SHA-256 of every pinned report as v4 wrote it, projected by `v4_report`:
+# the two bundled scenarios above, the four bench workloads and the two lossy
+# runs below, a workload's reports concatenated as its other digests are.
 PINNED_V4_REPORTS = {
     "fig4_walkthrough": "6be4cfc8899a0e340550b38f9461c128536f4a6c648d4d7294c1f37bb46bb0b3",
     "attack_matrix": "0f1b9bb6b8e39fe0430819c11ab1dd491286d55314574ad58c81837b6bd2fdaf",
@@ -324,7 +358,7 @@ PINNED_V4_REPORTS = {
     "attack_matrix_loss_0.3": "553eff934c01a49ab7ee233514b2ef06d3c357c92540e3187911231dd64d7316",
     "idle_between_keys_loss_0.1": "27713851f290e03d21f3c3bbf6b5ff612865f4e01e7158670f94357306054656",
 }
-# SHA-256 of the same reports as v3 wrote them, projected by `as_v3`.
+# SHA-256 of the same reports as v3 wrote them, projected by `projections`.
 PINNED_V3_REPORTS = {
     "fig4_walkthrough": "fad30ee68a422b51f034df526a12d4e5b3e827ecf7a4775bf9aacc4a08145673",
     "attack_matrix": "d98b191c98d5a6d9b2e896a7a1dbfe222034e6640b278e65421bd720c44bad0a",
@@ -355,21 +389,44 @@ PINNED_OUTSIDE_FRAMES = {
     "attack_matrix_loss_0.3": "89be46c52e916eb9c8533ba3a8d05a22f0fde62ac9bbbc568b2ea1753b10cb40",
     "idle_between_keys_loss_0.1": "7153a2ad78de56d1f0582558b6a4b875f5b56dc494155c703e0bf3d83ae55d53",
 }
+# SHA-256 of every pinned report as written (`twinsync.report.v5`), whose
+# rows state a state field only when it changed.
+PINNED_V5_REPORTS = {
+    "fig4_walkthrough": "aaa1efab3dc1639c20afd174a25dd4df5f96930f706870f29d64175e18ab5244",
+    "attack_matrix": "89fb11660544c9c165825f0065d9f1b948203756a283b4cd9ea9496e837b10b1",
+    "idle_at_key": "11a010306e90e93478d1605cb0ea3f945aba224970473c7d7bacde67919694be",
+    "idle_between_keys": "e6956e1b93fb47796a89b2650b0a16418c363c9b27c49db6cdfd85f1395cf89d",
+    "attack_dense": "7dbcef3c75136e617dfca105266571fd6728676d2916f1755d60a36919de96af",
+    "oracle_sweep": "835bf335fb94db963c84180b326a5179dc07d454ccff928e5021a841d4627561",
+    "attack_matrix_loss_0.3": "ca6946a99e9138ef75c1173681f3b7672a391afc98acdc90ec55663cd3d85554",
+    "idle_between_keys_loss_0.1": "9794df2a9dec40a9a0b90d3ea017a62d280c6e38a6a68b2e3edd58a22702b8c8",
+}
+
+
+def pinned_digests(name: str, v2: str, v1: str, v1_indented: str) -> dict[str, str]:
+    """The digests pinned for `name`, keyed as `digests` keys them."""
+    return {
+        "v5": PINNED_V5_REPORTS[name],
+        "v4": PINNED_V4_REPORTS[name],
+        "v3": PINNED_V3_REPORTS[name],
+        "outside_frames": PINNED_OUTSIDE_FRAMES[name],
+        "v2": v2,
+        "v1": v1,
+        "v1_indented": v1_indented,
+    }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_bundled_reports_match_pinned_digests(name, tmp_path):
+    """`twinsync run --out` writes the bytes of a second run, with the pinned digests."""
     out = tmp_path / "report.json"
     rc = main(["run", "--scenario", str(fixture_path(name + ".json")), "--out", str(out)])
     assert rc == EXIT_OK
-    data = out.read_bytes()
-    assert hashlib.sha256(data).hexdigest() == PINNED_V4_REPORTS[name]
-    assert hashlib.sha256(as_v3(data)).hexdigest() == PINNED_V3_REPORTS[name]
-    assert hashlib.sha256(outside_frames(data)).hexdigest() == PINNED_OUTSIDE_FRAMES[name]
-    assert hashlib.sha256(as_v2(data)).hexdigest() == PINNED_V2_REPORTS[name]
-    v1 = as_v1(data)
-    assert hashlib.sha256(indented(v1)).hexdigest() == PINNED_REPORTS[name]
-    assert hashlib.sha256(v1).hexdigest() == PINNED_COMPACT_REPORTS[name]
+    ((_, _, data),) = pinned_runs(name)
+    assert out.read_bytes() == data
+    assert digests([data]) == pinned_digests(
+        name, PINNED_V2_REPORTS[name], PINNED_COMPACT_REPORTS[name], PINNED_REPORTS[name]
+    )
 
 
 def test_bundled_reports_do_not_depend_on_the_hash_seed():
@@ -387,7 +444,7 @@ def test_bundled_reports_do_not_depend_on_the_hash_seed():
             )
             assert proc.returncode == EXIT_OK, proc.stderr
             digests.add(hashlib.sha256(proc.stdout).hexdigest())
-        assert digests == {PINNED_V4_REPORTS[name]}, name
+        assert digests == {PINNED_V5_REPORTS[name]}, name
 
 
 # SHA-256 over each bench workload's seed-0 reports, projected to v1,
@@ -416,27 +473,12 @@ PINNED_V2_WORKLOAD_REPORTS = {
 
 @pytest.mark.parametrize("workload", sorted(PINNED_WORKLOAD_REPORTS))
 def test_bench_workload_reports_match_pinned_digests(workload):
-    digest = hashlib.sha256()
-    compact_digest = hashlib.sha256()
-    v2_digest = hashlib.sha256()
-    v3_digest = hashlib.sha256()
-    v4_digest = hashlib.sha256()
-    outside_digest = hashlib.sha256()
-    for spec in _workload_specs(workload):
-        data = run_scenario(spec).to_json_bytes()
-        v4_digest.update(data)
-        v3_digest.update(as_v3(data))
-        outside_digest.update(outside_frames(data))
-        v2_digest.update(as_v2(data))
-        v1 = as_v1(data)
-        digest.update(indented(v1))
-        compact_digest.update(v1)
-    assert v4_digest.hexdigest() == PINNED_V4_REPORTS[workload]
-    assert v3_digest.hexdigest() == PINNED_V3_REPORTS[workload]
-    assert outside_digest.hexdigest() == PINNED_OUTSIDE_FRAMES[workload]
-    assert v2_digest.hexdigest() == PINNED_V2_WORKLOAD_REPORTS[workload]
-    assert digest.hexdigest() == PINNED_WORKLOAD_REPORTS[workload]
-    assert compact_digest.hexdigest() == PINNED_COMPACT_WORKLOAD_REPORTS[workload]
+    assert digests(data for _, _, data in pinned_runs(workload)) == pinned_digests(
+        workload,
+        PINNED_V2_WORKLOAD_REPORTS[workload],
+        PINNED_COMPACT_WORKLOAD_REPORTS[workload],
+        PINNED_WORKLOAD_REPORTS[workload],
+    )
 
 
 def _lossy_attack_matrix():
@@ -469,19 +511,12 @@ PINNED_LOSSY_REPORTS = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_LOSSY_REPORTS))
 def test_lossy_reports_match_pinned_digests(name):
-    build, v2_sha, compact_sha, indented_sha = PINNED_LOSSY_REPORTS[name]
-    report = run_scenario(build())
+    _, v2_sha, compact_sha, indented_sha = PINNED_LOSSY_REPORTS[name]
+    ((_, report, data),) = pinned_runs(name)
     for link in ("phys_to_virt", "virt_to_phys"):
         assert any(link in row.get("dropped", {}) for row in report.slots)
     assert report.summary["verdict"] == "pass"
-    data = report.to_json_bytes()
-    assert hashlib.sha256(data).hexdigest() == PINNED_V4_REPORTS[name]
-    assert hashlib.sha256(as_v3(data)).hexdigest() == PINNED_V3_REPORTS[name]
-    assert hashlib.sha256(outside_frames(data)).hexdigest() == PINNED_OUTSIDE_FRAMES[name]
-    assert hashlib.sha256(as_v2(data)).hexdigest() == v2_sha
-    v1 = as_v1(data)
-    assert hashlib.sha256(v1).hexdigest() == compact_sha
-    assert hashlib.sha256(indented(v1)).hexdigest() == indented_sha
+    assert digests([data]) == pinned_digests(name, v2_sha, compact_sha, indented_sha)
 
 
 def _varied_docs(name: str):
@@ -498,9 +533,10 @@ def _varied_docs(name: str):
         yield {**doc, "sync_period_slots": period, "channels": channels}
 
 
-# SHA-256 over each document's 27 reports (`_varied_docs`), as written and
-# concatenated in order.  The pins above run each document at its own period
-# and latency only; delays that went wrong showed only at periods 2 and 3.
+# SHA-256 over each document's 27 reports (`_varied_docs`), as v4 wrote
+# them (projected by `v4_report`) and concatenated in order.  The pins above
+# run each document at its own period and latency only; delays that went
+# wrong showed only at periods 2 and 3.
 PINNED_VARIED_REPORTS = {
     "fig4_walkthrough": "31c72c0a58a09d488ad7078d051659ebc7d8e16b114b024a009400fb7a06402d",
     "attack_matrix": "9f50570e0ee057f04e29240dd59623f94bf67fe16963fc28744429d528aa47fd",
@@ -508,32 +544,33 @@ PINNED_VARIED_REPORTS = {
     "idle_between_keys": "3344b02744acb7194cb8c2061c532608213b51f3dc49d96f9d34b5b955af649a",
     "attack_dense": "650c8ec139cc3125890372b58ae3ec282185eed6a98870e626de9fb3887b3a70",
 }
+# The same reports as written (`twinsync.report.v5`).
+PINNED_VARIED_V5_REPORTS = {
+    "fig4_walkthrough": "46413527626b11f22c0d53dae9ebcb0838542255596671fc86a2c130b355c7b4",
+    "attack_matrix": "b04623e1e15918ab74d4153d96c20bcf007c2828df5901f91f5f1ba0542240f0",
+    "idle_at_key": "8deb6432166acc99089194d7ccc7fc62f7fe3983768d810f822730a1508b74c4",
+    "idle_between_keys": "6ef74a30f87afad541f948349fcda11dda3385a773c1e916ba52180b9d0fdbc7",
+    "attack_dense": "1b855979acf24171e679812c664cdf61ad8c0693da7eb32771958ea0096c2f4d",
+}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_VARIED_REPORTS))
 def test_varied_reports_match_pinned_digests(name):
-    digest = hashlib.sha256()
+    written, as_v4 = hashlib.sha256(), hashlib.sha256()
     for doc in _varied_docs(name):
-        digest.update(run_scenario(scenario_from_dict(doc)).to_json_bytes())
-    assert digest.hexdigest() == PINNED_VARIED_REPORTS[name]
-
-
-def _pinned_runs(name: str):
-    """The specs of one pinned report source: a bundled scenario, a bench
-    workload, or a lossy run."""
-    if name in PINNED_REPORTS:
-        return [load_bundled_scenario(name)]
-    if name in PINNED_WORKLOAD_REPORTS:
-        return _workload_specs(name)
-    return [PINNED_LOSSY_REPORTS[name][0]()]
+        data = run_scenario(scenario_from_dict(doc)).to_json_bytes()
+        written.update(data)
+        as_v4.update(compact(v4_report(json.loads(data))))
+    assert as_v4.hexdigest() == PINNED_VARIED_REPORTS[name]
+    assert written.hexdigest() == PINNED_VARIED_V5_REPORTS[name]
 
 
 @pytest.mark.parametrize(
     "name", [*PINNED_REPORTS, *PINNED_WORKLOAD_REPORTS, *PINNED_LOSSY_REPORTS]
 )
 def test_frame_table_holds_each_frame_once_and_every_id_points_into_it(name):
-    for spec in _pinned_runs(name):
-        doc = v2_report(run_scenario(spec).to_json_dict())
+    for _, _, data in pinned_runs(name):
+        doc = v2_report(v4_report(json.loads(data)))
         frames = doc["frames"]
         assert len(set(frames)) == len(frames)
         ids = [
@@ -551,16 +588,15 @@ def test_frame_table_holds_each_frame_once_and_every_id_points_into_it(name):
     "name", [*PINNED_REPORTS, *PINNED_WORKLOAD_REPORTS, *PINNED_LOSSY_REPORTS]
 )
 def test_report_validates_against_the_schema(name):
-    for spec in _pinned_runs(name):
-        REPORT_VALIDATOR.validate(run_scenario(spec).to_json_dict())
+    for _, _, data in pinned_runs(name):
+        REPORT_VALIDATOR.validate(json.loads(data))
 
 
 @pytest.mark.parametrize("name", [*PINNED_REPORTS, *PINNED_WORKLOAD_REPORTS])
 def test_every_sent_frame_decodes_from_base64_and_verifies_on_its_link(name):
     """Each frame a twin sent or lost, read back from the report, is the
     frame its link accepts, and its base64 is the one canonical spelling."""
-    for spec in _pinned_runs(name):
-        report = run_scenario(spec)
+    for spec, report, _ in pinned_runs(name):
         links = {
             "phys_to_virt": (spec.keys[Direction.PHYS_TO_VIRT], PHYSICAL_SENDER_ID, (STATE_SYNC,)),
             "virt_to_phys": (spec.keys[Direction.VIRT_TO_PHYS], VIRTUAL_SENDER_ID, (COMMAND, ACK)),
@@ -621,7 +657,7 @@ def _respell_frame(change, wanted: str):
     ],
 )
 def test_schema_rejects_a_second_spelling_of_a_fact(respell):
-    """A v4 report states each fact one way: an empty map or list, an
+    """A report states each fact one way: an empty map or list, an
     `[id, "accepted"]` pair and an audit's `ok` are v2's spellings, and a
     frame is canonical padded base64 (RFC 4648 section 4), not unpadded,
     with a newline as `binascii.b2a_base64` ends it by default, or in the
@@ -629,6 +665,18 @@ def test_schema_rejects_a_second_spelling_of_a_fact(respell):
     doc = run_scenario(load_bundled_scenario("fig4_walkthrough")).to_json_dict()
     REPORT_VALIDATOR.validate(doc)
     respell(doc)
+    with pytest.raises(jsonschema.ValidationError):
+        REPORT_VALIDATOR.validate(doc)
+
+
+@pytest.mark.parametrize("field", STATE_FIELDS)
+def test_schema_requires_every_state_field_in_the_first_row_only(field):
+    """A later row states a state field only when it changed, so a reader
+    needs the first row's four to carry forward."""
+    doc = run_scenario(load_bundled_scenario("fig4_walkthrough")).to_json_dict()
+    assert any(field not in row for row in doc["slots"][1:])
+    REPORT_VALIDATOR.validate(doc)
+    del doc["slots"][0][field]
     with pytest.raises(jsonschema.ValidationError):
         REPORT_VALIDATOR.validate(doc)
 

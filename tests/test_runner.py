@@ -1055,15 +1055,16 @@ def test_python_calls_per_attack_slot():
 
 def test_report_bytes_per_idle_slot():
     """The written report of the benchmark's `idle_at_key` workload at seed
-    0 holds each frame once, in base64, and its rows only what happened:
-    422.662 B per slot (426.646 while records stated their input count,
-    450.6 while the header carried a seq), where each
+    0 holds each frame once, in base64, and its rows only what happened,
+    each state field only when it changed: 352.867 B per slot, where v4's
+    rows with all four in every row took 422.662 (426.646 while records
+    stated their input count, 450.6 while the header carried a seq), each
     frame's hex took 547, v2's rows with every empty list, every `accepted`
     and an audit row per slot took 697, and writing each frame's hex under
     both `sent` and `delivered` took 1,035."""
     (doc,) = import_bench_module("workloads").idle_at_key(0)
     spec = scenario_from_dict(doc)
-    assert len(run_scenario(spec).to_json_bytes()) / spec.total_slots <= 465
+    assert len(run_scenario(spec).to_json_bytes()) / spec.total_slots <= 365
 
 
 def containers(value) -> int:
